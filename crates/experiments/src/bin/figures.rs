@@ -1,0 +1,39 @@
+//! Regenerates the paper's tables and figures from the one panel table
+//! in [`mafic_experiments::figures`].
+//!
+//! Usage: `figures [id…]` with ids from `tables fig3 … fig11 ablations`.
+//! No ids prints the tables and Figs. 3–11. Panels print in paper order
+//! whatever the argument order, and a sweep or grid shared by several
+//! panels runs once. `MAFIC_JOBS`, `MAFIC_TRIALS` and `MAFIC_WARM_SWEEP`
+//! (Fig. 8's depth sweep) apply as everywhere; stdout is byte-identical
+//! at any of their values.
+
+use mafic_experiments::figures::{select_panels, PanelRuns};
+use mafic_experiments::{warm_sweep_from_env_or_exit, EngineConfig};
+
+fn main() {
+    let ids: Vec<String> = std::env::args().skip(1).collect();
+    let panels = select_panels(&ids).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("usage: figures [id…]");
+        std::process::exit(2);
+    });
+    let mut runs = PanelRuns::new(
+        EngineConfig::from_env_or_exit(),
+        warm_sweep_from_env_or_exit(),
+    );
+    for (i, panel) in panels.iter().enumerate() {
+        match runs.render(panel) {
+            Ok(block) => {
+                print!("{block}");
+                if !(panel.is_text() && i + 1 == panels.len()) {
+                    println!();
+                }
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+}

@@ -1,20 +1,24 @@
-//! One function per paper figure panel.
+//! The paper's figures: spec builders and axes, the sweeps and grids
+//! that run them, and the panel table the `figures` binary prints from.
 //!
-//! Each function runs the sweep that panel reports and returns a
-//! [`FigureData`] whose rows mirror the paper's axes. The absolute
-//! numbers come from our simulator, not the authors' NS-2 testbed; what
-//! must match is the *shape* — who wins, the bands, the trends (see
-//! EXPERIMENTS.md for the side-by-side record).
+//! The first half builds scenarios and runs them; the second half
+//! ([`PANELS`]) lists every printed block once — its id, the sweep or
+//! grid it draws from, and the metric or builder that renders it. The
+//! absolute numbers come from our simulator, not the authors' NS-2
+//! testbed; what must match is the *shape* — who wins, the bands, the
+//! trends (see EXPERIMENTS.md for the side-by-side record).
 
 use crate::engine::{run_specs, EngineConfig};
 use crate::figure::FigureData;
-use crate::sweep::{figure_from_sweep, sweep, sweep_warm, SweepSeries};
+use crate::sweep::{sweep, sweep_warm, Metric, SweepSeries};
+use crate::{ablations, tables};
 use mafic::DefensePolicy;
 use mafic_adversary::{AdversarySpec, StrategyKind};
 use mafic_metrics::MetricsReport;
 use mafic_netsim::SimTime;
 use mafic_topology::TransitTopology;
 use mafic_workload::{DetectionMode, NominalRate, ScenarioSpec};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// The traffic-volume axis used by Figs. 3(a), 4(a), 5(a), 6(a), 7.
 #[must_use]
@@ -111,68 +115,8 @@ pub fn sweep_gamma_domain(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String
     })
 }
 
-fn alpha(r: &MetricsReport) -> f64 {
-    r.accuracy_pct
-}
-fn beta(r: &MetricsReport) -> f64 {
-    r.traffic_reduction_pct
-}
-fn theta_p(r: &MetricsReport) -> f64 {
-    r.false_positive_pct
-}
-fn theta_n(r: &MetricsReport) -> f64 {
-    r.false_negative_pct
-}
 fn lr(r: &MetricsReport) -> f64 {
     r.legit_drop_pct
-}
-
-/// Fig. 3(a): dropping accuracy vs `Vt`, one series per `Pd`.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig3a(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(figure_from_sweep(
-        "Fig. 3(a)",
-        "Attack packet dropping accuracy vs traffic volume",
-        "Vt (flows)",
-        "accuracy alpha (%)",
-        &sweep_pd_vt(cfg)?,
-        alpha,
-    ))
-}
-
-/// Fig. 3(b): dropping accuracy vs `Vt`, one series per source rate `R`.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig3b(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(figure_from_sweep(
-        "Fig. 3(b)",
-        "Attack packet dropping accuracy vs traffic volume",
-        "Vt (flows)",
-        "accuracy alpha (%)",
-        &sweep_rate_vt(cfg)?,
-        alpha,
-    ))
-}
-
-/// Fig. 4(a): traffic reduction rate vs `Vt`, one series per `Pd`.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig4a(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(figure_from_sweep(
-        "Fig. 4(a)",
-        "Traffic reduction rate vs traffic volume",
-        "Vt (flows)",
-        "traffic reduction beta (%)",
-        &sweep_pd_vt(cfg)?,
-        beta,
-    ))
 }
 
 /// Fig. 4(b): victim-side flow bandwidth over time, one series per `Vt`.
@@ -210,118 +154,6 @@ pub fn fig4b(cfg: &EngineConfig) -> Result<FigureData, String> {
         fig.push_series(format!("Vt={vt}"), points);
     }
     Ok(fig)
-}
-
-/// Fig. 5(a): false positive rate vs `Vt`, one series per `Pd`.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig5a(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(figure_from_sweep(
-        "Fig. 5(a)",
-        "False positive rate vs traffic volume",
-        "Vt (flows)",
-        "false positive rate (%)",
-        &sweep_pd_vt(cfg)?,
-        theta_p,
-    ))
-}
-
-/// Fig. 5(b): false positive rate vs TCP share, one series per `Vt`.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig5b(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(figure_from_sweep(
-        "Fig. 5(b)",
-        "False positive rate vs percentage of TCP traffic",
-        "TCP share (%)",
-        "false positive rate (%)",
-        &sweep_vt_gamma(cfg)?,
-        theta_p,
-    ))
-}
-
-/// Fig. 5(c): false positive rate vs domain size, one series per Γ.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig5c(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(figure_from_sweep(
-        "Fig. 5(c)",
-        "False positive rate vs domain size",
-        "N (routers)",
-        "false positive rate (%)",
-        &sweep_gamma_domain(cfg)?,
-        theta_p,
-    ))
-}
-
-/// Fig. 6(a): false negative rate vs `Vt`, one series per `Pd`.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig6a(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(figure_from_sweep(
-        "Fig. 6(a)",
-        "False negative rate vs traffic volume",
-        "Vt (flows)",
-        "false negative rate (%)",
-        &sweep_pd_vt(cfg)?,
-        theta_n,
-    ))
-}
-
-/// Fig. 6(b): false negative rate vs TCP share, one series per `Vt`.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig6b(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(figure_from_sweep(
-        "Fig. 6(b)",
-        "False negative rate vs percentage of TCP traffic",
-        "TCP share (%)",
-        "false negative rate (%)",
-        &sweep_vt_gamma(cfg)?,
-        theta_n,
-    ))
-}
-
-/// Fig. 6(c): false negative rate vs domain size, one series per Γ.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig6c(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(figure_from_sweep(
-        "Fig. 6(c)",
-        "False negative rate vs domain size",
-        "N (routers)",
-        "false negative rate (%)",
-        &sweep_gamma_domain(cfg)?,
-        theta_n,
-    ))
-}
-
-/// Fig. 7: legitimate-packet dropping rate vs `Vt`, one series per `Pd`.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig7(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(figure_from_sweep(
-        "Fig. 7",
-        "Legitimate packet dropping rate vs traffic volume",
-        "Vt (flows)",
-        "legit packet dropping rate Lr (%)",
-        &sweep_pd_vt(cfg)?,
-        lr,
-    ))
 }
 
 /// The pushback-depth axis of Fig. 8: 0 (victim-domain-only, today's
@@ -384,25 +216,10 @@ pub fn sweep_pushback_depth_warm(cfg: &EngineConfig) -> Result<Vec<SweepSeries>,
 /// finished depth sweep: the residual attack rate (suppression β's
 /// complement, non-increasing in depth) beside the legitimate goodput
 /// (which rises as deeper deployment decongests the transit links).
+/// The warm-vs-cold sweep tests compare figures through this.
 #[must_use]
 pub fn fig8a_from_sweep(sweeps: &[SweepSeries]) -> FigureData {
-    let mut fig = FigureData::new(
-        "Fig. 8(a)",
-        "Victim-side rates vs pushback depth",
-        "pushback depth (domains upstream)",
-        "rate at the victim (B/s)",
-    );
-    for s in sweeps {
-        fig.push_series(
-            format!("{} residual attack", s.label),
-            s.extract(|r| r.residual_attack_bps),
-        );
-        fig.push_series(
-            format!("{} legit goodput", s.label),
-            s.extract(|r| r.legit_goodput_bps),
-        );
-    }
-    fig
+    plot_sweep("Fig. 8(a)", Sweep::Depth, &VICTIM_RATES, sweeps)
 }
 
 /// Builds Fig. 8(b) — collateral damage vs deployment depth — from a
@@ -410,38 +227,7 @@ pub fn fig8a_from_sweep(sweeps: &[SweepSeries]) -> FigureData {
 /// flood-congestion queue losses) beside the paper's ATR-only `Lr`.
 #[must_use]
 pub fn fig8b_from_sweep(sweeps: &[SweepSeries]) -> FigureData {
-    let mut fig = FigureData::new(
-        "Fig. 8(b)",
-        "Collateral damage vs pushback depth",
-        "pushback depth (domains upstream)",
-        "legitimate loss (%)",
-    );
-    for s in sweeps {
-        fig.push_series(
-            format!("{} collateral", s.label),
-            s.extract(|r| r.collateral_pct),
-        );
-        fig.push_series(format!("{} Lr", s.label), s.extract(lr));
-    }
-    fig
-}
-
-/// Fig. 8(a): residual attack rate at the victim vs deployment depth.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig8a(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(fig8a_from_sweep(&sweep_pushback_depth(cfg)?))
-}
-
-/// Fig. 8(b): collateral damage vs deployment depth.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn fig8b(cfg: &EngineConfig) -> Result<FigureData, String> {
-    Ok(fig8b_from_sweep(&sweep_pushback_depth(cfg)?))
+    plot_sweep("Fig. 8(b)", Sweep::Depth, &COLLATERAL, sweeps)
 }
 
 /// The participation-fraction axis of Fig. 9: from a victim-domain-only
@@ -502,50 +288,6 @@ pub fn sweep_partial_deployment(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, 
         cfg,
         |&transit, fraction| fig9_spec(fraction, transit),
     )
-}
-
-/// Builds Fig. 9(a) — victim-side rates vs participation fraction —
-/// from a finished partial-deployment sweep: the residual attack rate
-/// (non-increasing in coverage) beside the legitimate goodput.
-#[must_use]
-pub fn fig9a_from_sweep(sweeps: &[SweepSeries]) -> FigureData {
-    let mut fig = FigureData::new(
-        "Fig. 9(a)",
-        "Victim-side rates vs participation fraction",
-        "participation fraction",
-        "rate at the victim (B/s)",
-    );
-    for s in sweeps {
-        fig.push_series(
-            format!("{} residual attack", s.label),
-            s.extract(|r| r.residual_attack_bps),
-        );
-        fig.push_series(
-            format!("{} legit goodput", s.label),
-            s.extract(|r| r.legit_goodput_bps),
-        );
-    }
-    fig
-}
-
-/// Builds Fig. 9(b) — collateral damage vs participation fraction —
-/// from a finished partial-deployment sweep.
-#[must_use]
-pub fn fig9b_from_sweep(sweeps: &[SweepSeries]) -> FigureData {
-    let mut fig = FigureData::new(
-        "Fig. 9(b)",
-        "Collateral damage vs participation fraction",
-        "participation fraction",
-        "legitimate loss (%)",
-    );
-    for s in sweeps {
-        fig.push_series(
-            format!("{} collateral", s.label),
-            s.extract(|r| r.collateral_pct),
-        );
-        fig.push_series(format!("{} Lr", s.label), s.extract(lr));
-    }
-    fig
 }
 
 /// The trust-budget axis of Fig. 10: fresh installs each requester may
@@ -620,15 +362,52 @@ fn fig10_spec(series: Fig10Series, trust_budget: u32) -> ScenarioSpec {
     }
 }
 
-/// One evaluated cell of the Fig. 10 grid.
+/// One evaluated cell of a single-seed `(series × trust budget)` grid
+/// (Figs. 10 and 11).
 #[derive(Debug)]
-pub struct Fig10Cell {
-    /// Series label (`honest cascade`, `malicious, attested`, …).
+pub struct GridCell {
+    /// Series label (`honest cascade`, `rotation`, …).
     pub label: String,
     /// The swept trust budget.
     pub budget: f64,
     /// The cell's full run outcome (report + control-plane counters).
     pub outcome: mafic_workload::RunOutcome,
+}
+
+/// Runs one spec per `(series, trust budget)` cell, in grid order.
+fn run_budget_grid<S>(
+    series: &[(String, S)],
+    cfg: &EngineConfig,
+    make_spec: impl Fn(&S, u32) -> ScenarioSpec,
+) -> Result<Vec<GridCell>, String> {
+    let budgets = trust_budget_axis();
+    let mut meta = Vec::new();
+    let mut specs = Vec::new();
+    for (label, s) in series {
+        for &budget in &budgets {
+            meta.push((label.clone(), budget));
+            specs.push(make_spec(s, budget as u32));
+        }
+    }
+    let outcomes = run_specs(specs, cfg.jobs)?;
+    Ok(meta
+        .into_iter()
+        .zip(outcomes)
+        .map(|((label, budget), outcome)| GridCell {
+            label,
+            budget,
+            outcome,
+        })
+        .collect())
+}
+
+/// Extracts `(budget, metric)` points for one series label.
+fn grid_points(cells: &[GridCell], label: &str, metric: Metric) -> Vec<(f64, f64)> {
+    cells
+        .iter()
+        .filter(|c| c.label == label)
+        .map(|c| (c.budget, metric(&c.outcome.report)))
+        .collect()
 }
 
 /// Runs the `(requester honesty × trust budget)` grid once — both
@@ -641,40 +420,8 @@ pub struct Fig10Cell {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn run_malicious_pushback_grid(cfg: &EngineConfig) -> Result<Vec<Fig10Cell>, String> {
-    let series = fig10_series();
-    let budgets = trust_budget_axis();
-    let mut meta = Vec::new();
-    let mut specs = Vec::new();
-    for (label, s) in &series {
-        for &budget in &budgets {
-            meta.push((label.clone(), budget));
-            specs.push(fig10_spec(*s, budget as u32));
-        }
-    }
-    let outcomes = run_specs(specs, cfg.jobs)?;
-    Ok(meta
-        .into_iter()
-        .zip(outcomes)
-        .map(|((label, budget), outcome)| Fig10Cell {
-            label,
-            budget,
-            outcome,
-        })
-        .collect())
-}
-
-/// Extracts `(budget, metric)` points for one series label.
-fn fig10_points(
-    cells: &[Fig10Cell],
-    label: &str,
-    metric: fn(&MetricsReport) -> f64,
-) -> Vec<(f64, f64)> {
-    cells
-        .iter()
-        .filter(|c| c.label == label)
-        .map(|c| (c.budget, metric(&c.outcome.report)))
-        .collect()
+pub fn run_malicious_pushback_grid(cfg: &EngineConfig) -> Result<Vec<GridCell>, String> {
+    run_budget_grid(&fig10_series(), cfg, |&s, budget| fig10_spec(s, budget))
 }
 
 /// Builds Fig. 10(a) — the honest cascade under trust budgets — from a
@@ -682,7 +429,7 @@ fn fig10_points(
 /// budget 0; non-increasing as budget admits the cascade) beside the
 /// victim's legitimate goodput.
 #[must_use]
-pub fn fig10a_from_grid(cells: &[Fig10Cell]) -> FigureData {
+pub fn fig10a_from_grid(cells: &[GridCell]) -> FigureData {
     let mut fig = FigureData::new(
         "Fig. 10(a)",
         "Honest cascade vs upstream trust budget",
@@ -692,11 +439,11 @@ pub fn fig10a_from_grid(cells: &[Fig10Cell]) -> FigureData {
     let label = "honest cascade";
     fig.push_series(
         format!("{label} residual attack"),
-        fig10_points(cells, label, |r| r.residual_attack_bps),
+        grid_points(cells, label, |r| r.residual_attack_bps),
     );
     fig.push_series(
         format!("{label} legit goodput"),
-        fig10_points(cells, label, |r| r.legit_goodput_bps),
+        grid_points(cells, label, |r| r.legit_goodput_bps),
     );
     fig
 }
@@ -707,7 +454,7 @@ pub fn fig10a_from_grid(cells: &[Fig10Cell]) -> FigureData {
 /// against the unguarded configuration (goodput falls once the budget
 /// lets the forged install through).
 #[must_use]
-pub fn fig10b_from_grid(cells: &[Fig10Cell]) -> FigureData {
+pub fn fig10b_from_grid(cells: &[GridCell]) -> FigureData {
     let mut fig = FigureData::new(
         "Fig. 10(b)",
         "Victim goodput under malicious pushback",
@@ -717,9 +464,9 @@ pub fn fig10b_from_grid(cells: &[Fig10Cell]) -> FigureData {
     for label in ["malicious, attested", "malicious, unguarded"] {
         fig.push_series(
             format!("{label} goodput"),
-            fig10_points(cells, label, |r| r.legit_goodput_bps),
+            grid_points(cells, label, |r| r.legit_goodput_bps),
         );
-        fig.push_series(format!("{label} Lr"), fig10_points(cells, label, lr));
+        fig.push_series(format!("{label} Lr"), grid_points(cells, label, lr));
     }
     fig
 }
@@ -728,7 +475,7 @@ pub fn fig10b_from_grid(cells: &[Fig10Cell]) -> FigureData {
 /// grid the panels use: requests, denials by reason, installs granted,
 /// and the stand-down latency per cell.
 #[must_use]
-pub fn fig10_denial_summary(cells: &[Fig10Cell]) -> String {
+pub fn fig10_denial_summary(cells: &[GridCell]) -> String {
     let mut out = String::new();
     for cell in cells {
         out.push_str(&mafic_metrics::control_table(
@@ -829,17 +576,6 @@ pub fn fig11_spec(strategy: Option<StrategyKind>, trust_budget: u32) -> Scenario
     }
 }
 
-/// One evaluated cell of the Fig. 11 grid.
-#[derive(Debug)]
-pub struct Fig11Cell {
-    /// Strategy series label (`open loop`, `rotation`, …).
-    pub label: String,
-    /// The swept trust budget.
-    pub budget: f64,
-    /// The cell's full run outcome.
-    pub outcome: mafic_workload::RunOutcome,
-}
-
 /// Runs the `(attack strategy × trust budget)` grid once — both Fig. 11
 /// panels, the best-response summary, and the collateral cost tables
 /// derive from the same outcomes. Single-seed per cell, like Fig. 10:
@@ -851,40 +587,10 @@ pub struct Fig11Cell {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn run_adaptive_adversary_grid(cfg: &EngineConfig) -> Result<Vec<Fig11Cell>, String> {
-    let series = adversary_strategy_series();
-    let budgets = trust_budget_axis();
-    let mut meta = Vec::new();
-    let mut specs = Vec::new();
-    for (label, strategy) in &series {
-        for &budget in &budgets {
-            meta.push((label.clone(), budget));
-            specs.push(fig11_spec(*strategy, budget as u32));
-        }
-    }
-    let outcomes = run_specs(specs, cfg.jobs)?;
-    Ok(meta
-        .into_iter()
-        .zip(outcomes)
-        .map(|((label, budget), outcome)| Fig11Cell {
-            label,
-            budget,
-            outcome,
-        })
-        .collect())
-}
-
-/// Extracts `(budget, metric)` points for one Fig. 11 series label.
-fn fig11_points(
-    cells: &[Fig11Cell],
-    label: &str,
-    metric: fn(&MetricsReport) -> f64,
-) -> Vec<(f64, f64)> {
-    cells
-        .iter()
-        .filter(|c| c.label == label)
-        .map(|c| (c.budget, metric(&c.outcome.report)))
-        .collect()
+pub fn run_adaptive_adversary_grid(cfg: &EngineConfig) -> Result<Vec<GridCell>, String> {
+    run_budget_grid(&adversary_strategy_series(), cfg, |&strategy, budget| {
+        fig11_spec(strategy, budget)
+    })
 }
 
 /// Builds Fig. 11(a) — the residual-attack surface — from a finished
@@ -892,7 +598,7 @@ fn fig11_points(
 /// trust budget. Every adaptive series sits at or above the open-loop
 /// baseline; the gap is what closing the loop buys the attacker.
 #[must_use]
-pub fn fig11a_from_grid(cells: &[Fig11Cell]) -> FigureData {
+pub fn fig11a_from_grid(cells: &[GridCell]) -> FigureData {
     let mut fig = FigureData::new(
         "Fig. 11(a)",
         "Residual attack rate per adaptive strategy",
@@ -902,7 +608,7 @@ pub fn fig11a_from_grid(cells: &[Fig11Cell]) -> FigureData {
     for (label, _) in adversary_strategy_series() {
         fig.push_series(
             format!("{label} residual attack"),
-            fig11_points(cells, &label, |r| r.residual_attack_bps),
+            grid_points(cells, &label, |r| r.residual_attack_bps),
         );
     }
     fig
@@ -913,7 +619,7 @@ pub fn fig11a_from_grid(cells: &[Fig11Cell]) -> FigureData {
 /// the mean distinct-source cardinality its flood presents (the
 /// subsidence guard's secondary evidence; rotation parks it low).
 #[must_use]
-pub fn fig11b_from_grid(cells: &[Fig11Cell]) -> FigureData {
+pub fn fig11b_from_grid(cells: &[GridCell]) -> FigureData {
     let mut fig = FigureData::new(
         "Fig. 11(b)",
         "Victim goodput and observed sources per adaptive strategy",
@@ -923,11 +629,11 @@ pub fn fig11b_from_grid(cells: &[Fig11Cell]) -> FigureData {
     for (label, _) in adversary_strategy_series() {
         fig.push_series(
             format!("{label} goodput"),
-            fig11_points(cells, &label, |r| r.legit_goodput_bps),
+            grid_points(cells, &label, |r| r.legit_goodput_bps),
         );
         fig.push_series(
             format!("{label} sources"),
-            fig11_points(cells, &label, |r| r.victim_source_cardinality),
+            grid_points(cells, &label, |r| r.victim_source_cardinality),
         );
     }
     fig
@@ -937,7 +643,7 @@ pub fn fig11b_from_grid(cells: &[Fig11Cell]) -> FigureData {
 /// budget, the strategy that leaves the most attack traffic standing at
 /// the victim, with its margin over the open-loop baseline.
 #[must_use]
-pub fn fig11_best_response_summary(cells: &[Fig11Cell]) -> String {
+pub fn fig11_best_response_summary(cells: &[GridCell]) -> String {
     let mut out = String::from("Attacker best response per trust budget\n");
     for &budget in &trust_budget_axis() {
         let open_loop = cells
@@ -968,7 +674,7 @@ pub fn fig11_best_response_summary(cells: &[Fig11Cell]) -> String {
 /// configuration where the defense fights hardest and the split between
 /// filter-caused and congestion-caused legitimate losses matters most.
 #[must_use]
-pub fn fig11_cost_summary(cells: &[Fig11Cell]) -> String {
+pub fn fig11_cost_summary(cells: &[GridCell]) -> String {
     let max_budget = trust_budget_axis().last().copied().unwrap_or_default();
     let mut out = String::new();
     for cell in cells.iter().filter(|c| c.budget == max_budget) {
@@ -981,6 +687,410 @@ pub fn fig11_cost_summary(cells: &[Fig11Cell]) -> String {
         ));
     }
     out
+}
+
+/// A trial-averaged sweep that several panels draw from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Sweep {
+    /// [`sweep_pd_vt`].
+    PdVt,
+    /// [`sweep_rate_vt`].
+    RateVt,
+    /// [`sweep_vt_gamma`].
+    VtGamma,
+    /// [`sweep_gamma_domain`].
+    GammaDomain,
+    /// [`sweep_pushback_depth`], or [`sweep_pushback_depth_warm`] under
+    /// `MAFIC_WARM_SWEEP=1` (byte-identical output).
+    Depth,
+    /// [`sweep_partial_deployment`].
+    Partial,
+}
+
+impl Sweep {
+    /// The x axis every panel of this sweep is plotted against: the
+    /// phrase its title ends on and the axis label.
+    fn x_axis(self) -> (&'static str, &'static str) {
+        match self {
+            Sweep::PdVt | Sweep::RateVt => ("traffic volume", "Vt (flows)"),
+            Sweep::VtGamma => ("percentage of TCP traffic", "TCP share (%)"),
+            Sweep::GammaDomain => ("domain size", "N (routers)"),
+            Sweep::Depth => ("pushback depth", "pushback depth (domains upstream)"),
+            Sweep::Partial => ("participation fraction", "participation fraction"),
+        }
+    }
+}
+
+/// A single-seed grid of full outcomes that several panels draw from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Grid {
+    /// [`run_malicious_pushback_grid`].
+    Trust,
+    /// [`run_adaptive_adversary_grid`].
+    Adaptive,
+}
+
+/// What a sweep-backed panel plots.
+#[derive(Debug, Clone, Copy)]
+pub struct Plot {
+    /// The plotted quantity; the panel title is `<title> vs <x axis>`.
+    pub title: &'static str,
+    /// Y-axis label.
+    pub y_label: &'static str,
+    /// One curve per sweep series and entry: the suffix appended to the
+    /// series label, and the metric read off each point's report.
+    pub curves: &'static [(&'static str, Metric)],
+}
+
+const ALPHA: Plot = Plot {
+    title: "Attack packet dropping accuracy",
+    y_label: "accuracy alpha (%)",
+    curves: &[("", |r| r.accuracy_pct)],
+};
+const BETA: Plot = Plot {
+    title: "Traffic reduction rate",
+    y_label: "traffic reduction beta (%)",
+    curves: &[("", |r| r.traffic_reduction_pct)],
+};
+const THETA_P: Plot = Plot {
+    title: "False positive rate",
+    y_label: "false positive rate (%)",
+    curves: &[("", |r| r.false_positive_pct)],
+};
+const THETA_N: Plot = Plot {
+    title: "False negative rate",
+    y_label: "false negative rate (%)",
+    curves: &[("", |r| r.false_negative_pct)],
+};
+const LR: Plot = Plot {
+    title: "Legitimate packet dropping rate",
+    y_label: "legit packet dropping rate Lr (%)",
+    curves: &[("", lr)],
+};
+const VICTIM_RATES: Plot = Plot {
+    title: "Victim-side rates",
+    y_label: "rate at the victim (B/s)",
+    curves: &[
+        (" residual attack", |r| r.residual_attack_bps),
+        (" legit goodput", |r| r.legit_goodput_bps),
+    ],
+};
+const COLLATERAL: Plot = Plot {
+    title: "Collateral damage",
+    y_label: "legitimate loss (%)",
+    curves: &[(" collateral", |r| r.collateral_pct), (" Lr", lr)],
+};
+
+/// Plots a finished sweep as the figure called `name`.
+fn plot_sweep(name: &str, key: Sweep, plot: &Plot, sweeps: &[SweepSeries]) -> FigureData {
+    let (x_title, x_label) = key.x_axis();
+    let title = format!("{} vs {x_title}", plot.title);
+    let mut fig = FigureData::new(name, title, x_label, plot.y_label);
+    for s in sweeps {
+        for &(suffix, metric) in plot.curves {
+            fig.push_series(format!("{}{suffix}", s.label), s.extract(metric));
+        }
+    }
+    fig
+}
+
+/// How a [`Panel`] is produced: from which shared sweep or grid, by
+/// which plot or builder.
+#[derive(Debug, Clone, Copy)]
+pub enum Render {
+    /// A figure plotted from a finished sweep.
+    Plot(Sweep, Plot),
+    /// A figure built from a finished grid.
+    FromGrid(Grid, fn(&[GridCell]) -> FigureData),
+    /// A text block built from a finished grid.
+    GridText(Grid, fn(&[GridCell]) -> String),
+    /// A figure that shares no run with another panel.
+    Own(fn(&EngineConfig) -> Result<FigureData, String>),
+    /// A text block that shares no run with another panel.
+    OwnText(fn(&EngineConfig) -> Result<String, String>),
+}
+
+/// One block of the `figures` binary's output.
+#[derive(Debug, Clone, Copy)]
+pub struct Panel {
+    /// The command-line id the block prints under (`fig3`, `tables`, …).
+    pub id: &'static str,
+    /// What the block is (`Fig. 3(a)`, `Table I`, …); figures carry it
+    /// as their [`FigureData::id`].
+    pub name: &'static str,
+    /// How the block is produced.
+    pub render: Render,
+}
+
+impl Panel {
+    /// Whether the block is free text rather than a figure. Every block
+    /// is followed by a blank line, except a text block that ends the
+    /// output.
+    #[must_use]
+    pub fn is_text(&self) -> bool {
+        matches!(self.render, Render::GridText(..) | Render::OwnText(_))
+    }
+}
+
+/// The id whose panels a bare `figures` run leaves out.
+const ABLATIONS: &str = "ablations";
+
+/// Every block `figures` can print, in paper order. A panel is added
+/// here and nowhere else.
+pub const PANELS: &[Panel] = &[
+    Panel {
+        id: "tables",
+        name: "Table I",
+        render: Render::OwnText(|_| Ok(tables::table_i())),
+    },
+    Panel {
+        id: "tables",
+        name: "Table II",
+        render: Render::OwnText(|_| Ok(tables::table_ii())),
+    },
+    Panel {
+        id: "tables",
+        name: "Default run",
+        render: Render::OwnText(tables::default_run_summary),
+    },
+    Panel {
+        id: "fig3",
+        name: "Fig. 3(a)",
+        render: Render::Plot(Sweep::PdVt, ALPHA),
+    },
+    Panel {
+        id: "fig3",
+        name: "Fig. 3(b)",
+        render: Render::Plot(Sweep::RateVt, ALPHA),
+    },
+    Panel {
+        id: "fig4",
+        name: "Fig. 4(a)",
+        render: Render::Plot(Sweep::PdVt, BETA),
+    },
+    Panel {
+        id: "fig4",
+        name: "Fig. 4(b)",
+        render: Render::Own(fig4b),
+    },
+    Panel {
+        id: "fig5",
+        name: "Fig. 5(a)",
+        render: Render::Plot(Sweep::PdVt, THETA_P),
+    },
+    Panel {
+        id: "fig5",
+        name: "Fig. 5(b)",
+        render: Render::Plot(Sweep::VtGamma, THETA_P),
+    },
+    Panel {
+        id: "fig5",
+        name: "Fig. 5(c)",
+        render: Render::Plot(Sweep::GammaDomain, THETA_P),
+    },
+    Panel {
+        id: "fig6",
+        name: "Fig. 6(a)",
+        render: Render::Plot(Sweep::PdVt, THETA_N),
+    },
+    Panel {
+        id: "fig6",
+        name: "Fig. 6(b)",
+        render: Render::Plot(Sweep::VtGamma, THETA_N),
+    },
+    Panel {
+        id: "fig6",
+        name: "Fig. 6(c)",
+        render: Render::Plot(Sweep::GammaDomain, THETA_N),
+    },
+    Panel {
+        id: "fig7",
+        name: "Fig. 7",
+        render: Render::Plot(Sweep::PdVt, LR),
+    },
+    Panel {
+        id: "fig8",
+        name: "Fig. 8(a)",
+        render: Render::Plot(Sweep::Depth, VICTIM_RATES),
+    },
+    Panel {
+        id: "fig8",
+        name: "Fig. 8(b)",
+        render: Render::Plot(Sweep::Depth, COLLATERAL),
+    },
+    Panel {
+        id: "fig9",
+        name: "Fig. 9(a)",
+        render: Render::Plot(Sweep::Partial, VICTIM_RATES),
+    },
+    Panel {
+        id: "fig9",
+        name: "Fig. 9(b)",
+        render: Render::Plot(Sweep::Partial, COLLATERAL),
+    },
+    Panel {
+        id: "fig9",
+        name: "Fig. 9 policy costs",
+        render: Render::OwnText(fig9_cost_summary),
+    },
+    Panel {
+        id: "fig10",
+        name: "Fig. 10(a)",
+        render: Render::FromGrid(Grid::Trust, fig10a_from_grid),
+    },
+    Panel {
+        id: "fig10",
+        name: "Fig. 10(b)",
+        render: Render::FromGrid(Grid::Trust, fig10b_from_grid),
+    },
+    Panel {
+        id: "fig10",
+        name: "Fig. 10 denials",
+        render: Render::GridText(Grid::Trust, fig10_denial_summary),
+    },
+    Panel {
+        id: "fig11",
+        name: "Fig. 11(a)",
+        render: Render::FromGrid(Grid::Adaptive, fig11a_from_grid),
+    },
+    Panel {
+        id: "fig11",
+        name: "Fig. 11(b)",
+        render: Render::FromGrid(Grid::Adaptive, fig11b_from_grid),
+    },
+    Panel {
+        id: "fig11",
+        name: "Fig. 11 best response",
+        render: Render::GridText(Grid::Adaptive, fig11_best_response_summary),
+    },
+    Panel {
+        id: "fig11",
+        name: "Fig. 11 policy costs",
+        render: Render::GridText(Grid::Adaptive, fig11_cost_summary),
+    },
+    Panel {
+        id: ABLATIONS,
+        name: "Ablation A",
+        render: Render::Own(ablations::policy_comparison),
+    },
+    Panel {
+        id: ABLATIONS,
+        name: "Ablation B",
+        render: Render::Own(ablations::timer_multiplier),
+    },
+    Panel {
+        id: ABLATIONS,
+        name: "Ablation C",
+        render: Render::Own(|_| Ok(ablations::label_mode())),
+    },
+    Panel {
+        id: ABLATIONS,
+        name: "Ablation D",
+        render: Render::Own(|_| Ok(ablations::sketch_precision())),
+    },
+];
+
+/// The distinct panel ids, in table order.
+#[must_use]
+pub fn panel_ids() -> Vec<&'static str> {
+    let mut ids: Vec<&str> = PANELS.iter().map(|p| p.id).collect();
+    ids.dedup();
+    ids
+}
+
+/// The panels the given command-line ids select, in table order
+/// whatever the argument order. No ids selects the paper's tables and
+/// Figs. 3–11 — everything but the ablations.
+///
+/// # Errors
+///
+/// Names the first id no panel carries, and lists the valid ones.
+pub fn select_panels(ids: &[String]) -> Result<Vec<&'static Panel>, String> {
+    if let Some(unknown) = ids.iter().find(|id| !PANELS.iter().any(|p| p.id == **id)) {
+        return Err(format!(
+            "unknown id {unknown:?}; valid ids: {}",
+            panel_ids().join(" ")
+        ));
+    }
+    Ok(PANELS
+        .iter()
+        .filter(|p| {
+            if ids.is_empty() {
+                p.id != ABLATIONS
+            } else {
+                ids.iter().any(|id| id == p.id)
+            }
+        })
+        .collect())
+}
+
+/// Renders panels, keeping every finished [`Sweep`] and [`Grid`] so that
+/// each runs at most once per process however many panels draw from it.
+#[derive(Debug)]
+pub struct PanelRuns {
+    cfg: EngineConfig,
+    warm_depth_sweep: bool,
+    sweeps: BTreeMap<Sweep, Vec<SweepSeries>>,
+    grids: BTreeMap<Grid, Vec<GridCell>>,
+}
+
+impl PanelRuns {
+    /// Nothing run yet. `warm_depth_sweep` is the `MAFIC_WARM_SWEEP`
+    /// opt-in, read by the caller at entry like `cfg`.
+    #[must_use]
+    pub fn new(cfg: EngineConfig, warm_depth_sweep: bool) -> Self {
+        PanelRuns {
+            cfg,
+            warm_depth_sweep,
+            sweeps: BTreeMap::new(),
+            grids: BTreeMap::new(),
+        }
+    }
+
+    fn sweep(&mut self, key: Sweep) -> Result<&[SweepSeries], String> {
+        let cfg = &self.cfg;
+        Ok(match self.sweeps.entry(key) {
+            Entry::Occupied(done) => done.into_mut(),
+            Entry::Vacant(slot) => slot.insert(match key {
+                Sweep::PdVt => sweep_pd_vt(cfg)?,
+                Sweep::RateVt => sweep_rate_vt(cfg)?,
+                Sweep::VtGamma => sweep_vt_gamma(cfg)?,
+                Sweep::GammaDomain => sweep_gamma_domain(cfg)?,
+                Sweep::Depth if self.warm_depth_sweep => sweep_pushback_depth_warm(cfg)?,
+                Sweep::Depth => sweep_pushback_depth(cfg)?,
+                Sweep::Partial => sweep_partial_deployment(cfg)?,
+            }),
+        })
+    }
+
+    fn grid(&mut self, key: Grid) -> Result<&[GridCell], String> {
+        let cfg = &self.cfg;
+        Ok(match self.grids.entry(key) {
+            Entry::Occupied(done) => done.into_mut(),
+            Entry::Vacant(slot) => slot.insert(match key {
+                Grid::Trust => run_malicious_pushback_grid(cfg)?,
+                Grid::Adaptive => run_adaptive_adversary_grid(cfg)?,
+            }),
+        })
+    }
+
+    /// Renders one panel as printed, running its sweep or grid if no
+    /// earlier panel did.
+    ///
+    /// # Errors
+    ///
+    /// Propagates build/run/restore errors.
+    pub fn render(&mut self, panel: &Panel) -> Result<String, String> {
+        Ok(match panel.render {
+            Render::Plot(sweep, plot) => {
+                plot_sweep(panel.name, sweep, &plot, self.sweep(sweep)?).to_string()
+            }
+            Render::FromGrid(grid, build) => build(self.grid(grid)?).to_string(),
+            Render::GridText(grid, build) => build(self.grid(grid)?),
+            Render::Own(build) => build(&self.cfg)?.to_string(),
+            Render::OwnText(build) => build(&self.cfg)?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1070,6 +1180,64 @@ mod tests {
         let rotation = fig11_spec(series[1].1, 2);
         open.adversary = rotation.adversary;
         assert_eq!(open, rotation);
+    }
+
+    #[test]
+    fn panel_table_is_ordered_complete_and_consistent() {
+        // Ids are contiguous and in paper order; names are unique.
+        assert_eq!(
+            panel_ids().join(" "),
+            "tables fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations"
+        );
+        let mut names: Vec<&str> = PANELS.iter().map(|p| p.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), PANELS.len());
+
+        // A bare run is what `all_figures` printed: these blocks, in
+        // this order, and none of the ablations.
+        let names = |ids: &[&str]| -> String {
+            let ids: Vec<String> = ids.iter().map(ToString::to_string).collect();
+            let panels = select_panels(&ids).expect("known ids");
+            panels.iter().map(|p| p.name).collect::<Vec<_>>().join(", ")
+        };
+        assert_eq!(
+            names(&[]),
+            "Table I, Table II, Default run, Fig. 3(a), Fig. 3(b), Fig. 4(a), Fig. 4(b), \
+             Fig. 5(a), Fig. 5(b), Fig. 5(c), Fig. 6(a), Fig. 6(b), Fig. 6(c), Fig. 7, \
+             Fig. 8(a), Fig. 8(b), Fig. 9(a), Fig. 9(b), Fig. 9 policy costs, \
+             Fig. 10(a), Fig. 10(b), Fig. 10 denials, \
+             Fig. 11(a), Fig. 11(b), Fig. 11 best response, Fig. 11 policy costs"
+        );
+        // Ids select in table order whatever the argument order.
+        assert_eq!(names(&["fig7", "fig3"]), "Fig. 3(a), Fig. 3(b), Fig. 7");
+        assert_eq!(
+            names(&["ablations"]),
+            "Ablation A, Ablation B, Ablation C, Ablation D"
+        );
+
+        // An unknown id is a usage error that lists the valid ones.
+        let err = select_panels(&["fig3".to_string(), "fig12".to_string()]).unwrap_err();
+        assert!(err.contains("\"fig12\""), "{err}");
+        assert!(err.contains(&panel_ids().join(" ")), "{err}");
+
+        // Sweep and grid keys are enum variants, so the compiler checks
+        // that each resolves to a run. What it cannot check: a grid row
+        // points at the builder of the figure it names, and the Fig. 8
+        // builders the checkpoint tests call are the Fig. 8 rows.
+        for panel in PANELS {
+            match (panel.name, panel.render) {
+                (name, Render::FromGrid(_, build)) => assert_eq!(build(&[]).id, name),
+                (name, Render::Plot(Sweep::Depth, plot)) => {
+                    let build = match name {
+                        "Fig. 8(a)" => fig8a_from_sweep,
+                        _ => fig8b_from_sweep,
+                    };
+                    assert_eq!(build(&[]), plot_sweep(name, Sweep::Depth, &plot, &[]));
+                }
+                _ => {}
+            }
+        }
     }
 
     // Full-figure runs live in the integration tests and binaries; here

@@ -4,28 +4,33 @@
 //! MAFIC paper's evaluation, plus the ablation studies listed in
 //! DESIGN.md.
 //!
-//! Each figure panel has a function in [`figures`] returning a
-//! [`FigureData`] (named series of `(x, y)` points); the binaries under
-//! `src/bin/` print them as aligned text tables. All scenario runs go
-//! through the deterministic parallel [`engine`]: trial averaging is
-//! controlled by `MAFIC_TRIALS` (default 3) and worker fan-out by
-//! `MAFIC_JOBS` (default `available_parallelism()`); output is
-//! byte-identical at any worker count.
+//! Every printed block is one row of the panel table
+//! [`figures::PANELS`]: the row names the sweep or grid it draws from
+//! and the metric or builder that turns it into a [`FigureData`] (named
+//! series of `(x, y)` points) or a text block. The `figures` binary
+//! prints the rows its ids select as aligned text tables; a sweep shared
+//! by several panels runs once per process. All scenario runs go through
+//! the deterministic parallel [`engine`]: trial averaging is controlled
+//! by `MAFIC_TRIALS` (default 3) and worker fan-out by `MAFIC_JOBS`
+//! (default `available_parallelism()`); output is byte-identical at any
+//! worker count.
 //!
-//! | Binary | Regenerates |
-//! |--------|-------------|
+//! | `figures <id>` | Regenerates |
+//! |----------------|-------------|
 //! | `tables` | Tables I and II + a measured default run |
-//! | `fig3_accuracy` | Fig. 3(a), 3(b) |
-//! | `fig4_cutting` | Fig. 4(a), 4(b) |
-//! | `fig5_false_positive` | Fig. 5(a)–(c) |
-//! | `fig6_false_negative` | Fig. 6(a)–(c) |
-//! | `fig7_collateral` | Fig. 7 |
-//! | `fig8_pushback_depth` | Fig. 8 (inter-domain pushback depth; ours) |
-//! | `fig9_partial_deployment` | Fig. 9 (participation × transit policy; ours) |
-//! | `fig10_malicious_pushback` | Fig. 10 (malicious pushback vs trust; ours) |
-//! | `fig11_adaptive_adversary` | Fig. 11 (closed-loop attack strategies; ours) |
+//! | `fig3` | Fig. 3(a), 3(b) |
+//! | `fig4` | Fig. 4(a), 4(b) |
+//! | `fig5` | Fig. 5(a)–(c) |
+//! | `fig6` | Fig. 6(a)–(c) |
+//! | `fig7` | Fig. 7 |
+//! | `fig8` | Fig. 8 (inter-domain pushback depth; ours) |
+//! | `fig9` | Fig. 9 (participation × transit policy; ours) |
+//! | `fig10` | Fig. 10 (malicious pushback vs trust; ours) |
+//! | `fig11` | Fig. 11 (closed-loop attack strategies; ours) |
 //! | `ablations` | DESIGN.md ablations A–D |
-//! | `all_figures` | everything above |
+//! | *(no id)* | everything above except the ablations |
+//!
+//! `run_ledger` and `checkpoint` are CI gate binaries, not figures.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

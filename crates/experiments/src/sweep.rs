@@ -92,6 +92,9 @@ pub fn run_averaged(base: &ScenarioSpec, cfg: &EngineConfig) -> Result<MetricsRe
     Ok(average_reports(&run_reports(specs, cfg.jobs)?))
 }
 
+/// Reads one plotted number off a report.
+pub type Metric = fn(&MetricsReport) -> f64;
+
 /// One point of a sweep: the x value and its averaged report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
@@ -113,7 +116,7 @@ pub struct SweepSeries {
 impl SweepSeries {
     /// Extracts `(x, metric)` pairs via an accessor.
     #[must_use]
-    pub fn extract(&self, metric: fn(&MetricsReport) -> f64) -> Vec<(f64, f64)> {
+    pub fn extract(&self, metric: Metric) -> Vec<(f64, f64)> {
         self.points
             .iter()
             .map(|p| (p.x, metric(&p.report)))
@@ -280,7 +283,7 @@ pub fn figure_from_sweep(
     x_label: &str,
     y_label: &str,
     sweeps: &[SweepSeries],
-    metric: fn(&MetricsReport) -> f64,
+    metric: Metric,
 ) -> crate::FigureData {
     let mut fig = crate::FigureData::new(id, title, x_label, y_label);
     for s in sweeps {

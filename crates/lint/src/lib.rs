@@ -1,7 +1,7 @@
 //! # mafic-lint
 //!
 //! Self-contained static analysis enforcing the workspace's replay,
-//! layering, and unsafe-code contracts — the rules ARCHITECTURE.md
+//! layering, and no-unsafe contracts — the rules ARCHITECTURE.md
 //! states in prose, checked mechanically before a digest gate can
 //! flicker with nothing to bisect.
 //!
@@ -15,7 +15,7 @@
 //! | `nondet`        | no wall clocks, threads, ambient env/RNG, random hasher state, pointer formatting, or hash-container dodges outside sanctioned files |
 //! | `stdout-purity` | no `println!`/`print!` in library crates (figure stdout is byte-compared in CI) |
 //! | `float-ord`     | no `partial_cmp` on sort/event keys; use `total_cmp` |
-//! | `unsafe-code`   | `unsafe` only in the sanctioned inventory, each with a `// SAFETY:` comment |
+//! | `unsafe-code`   | no `unsafe` anywhere |
 //! | `layering`      | manifest dependency sections must match the crate DAG (no back-edges) |
 //! | `lib-attrs`     | crate roots pin `#![forbid(unsafe_code)]` + `#![deny(missing_docs)]` |
 //! | `pragma`        | suppressions must be well-formed and actually used |

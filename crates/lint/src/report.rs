@@ -15,8 +15,7 @@ pub enum RuleId {
     /// Float comparisons without a total order (`partial_cmp` on event
     /// or sort keys).
     FloatOrd,
-    /// `unsafe` outside the sanctioned inventory, or without a
-    /// `// SAFETY:` comment.
+    /// Any `unsafe` token.
     UnsafeCode,
     /// Crate-graph back-edge or unknown dependency in a manifest.
     Layering,

@@ -75,9 +75,8 @@ const NONDET_SEQS: &[BannedSeq] = &[
 ];
 
 /// Doc comments (`///`, `//!`, `/**`, `/*!`) document; they cannot
-/// carry pragmas or `SAFETY:` obligations. Suppressions are
-/// implementation comments, so prose *about* the pragma grammar never
-/// parses as a pragma.
+/// carry pragmas. Suppressions are implementation comments, so prose
+/// *about* the pragma grammar never parses as a pragma.
 fn is_doc_comment(text: &str) -> bool {
     text.starts_with("///")
         || text.starts_with("//!")
@@ -225,44 +224,17 @@ fn scan_float_ord(rel_path: &str, code: &[&Token], findings: &mut Vec<Finding>) 
     }
 }
 
-/// `unsafe` tokens: allowed only in sanctioned files, and every
-/// occurrence must carry a `// SAFETY:` comment within the four
-/// preceding lines (or on the same line).
-fn scan_unsafe(
-    rel_path: &str,
-    cfg: &LintConfig,
-    tokens: &[Token],
-    code: &[&Token],
-    findings: &mut Vec<Finding>,
-) {
+/// `unsafe` tokens are banned everywhere: the workspace has no code
+/// that needs one, and every crate root forbids them to the compiler
+/// too (`lib-attrs`).
+fn scan_unsafe(rel_path: &str, code: &[&Token], findings: &mut Vec<Finding>) {
     for tok in code {
-        if tok.text != "unsafe" {
-            continue;
-        }
-        if cfg.unsafe_sanction(rel_path).is_none() {
+        if tok.text == "unsafe" {
             findings.push(Finding {
                 path: rel_path.to_string(),
                 line: tok.line,
                 rule: RuleId::UnsafeCode,
-                message: "`unsafe` outside the sanctioned inventory; if genuinely needed, \
-                          add the file to the lint config with a reason"
-                    .to_string(),
-            });
-            continue;
-        }
-        let documented = tokens.iter().any(|t| {
-            t.is_comment()
-                && t.text.contains("SAFETY:")
-                && t.line <= tok.line
-                && t.line + 4 >= tok.line
-        });
-        if !documented {
-            findings.push(Finding {
-                path: rel_path.to_string(),
-                line: tok.line,
-                rule: RuleId::UnsafeCode,
-                message: "`unsafe` without a `// SAFETY:` comment within the 4 preceding \
-                          lines"
+                message: "`unsafe` is banned in this workspace; use a safe construction"
                     .to_string(),
             });
         }
@@ -363,7 +335,7 @@ pub fn lint_source(
         scan_stdout_purity(rel_path, &code, &mut findings);
     }
     scan_float_ord(rel_path, &code, &mut findings);
-    scan_unsafe(rel_path, cfg, &tokens, &code, &mut findings);
+    scan_unsafe(rel_path, &code, &mut findings);
     scan_lib_attrs(rel_path, cfg, &code, &mut findings);
 
     let mut surviving = apply_pragmas(findings, &mut pragmas);

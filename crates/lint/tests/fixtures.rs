@@ -154,7 +154,7 @@ fn stdout_print_in_library_fires_once() {
 #[test]
 fn stdout_println_in_binary_is_fine() {
     let src = r#"fn main() { println!("fig3 row"); }"#;
-    assert!(findings("crates/experiments/src/bin/fig3_accuracy.rs", src).is_empty());
+    assert!(findings("crates/experiments/src/bin/figures.rs", src).is_empty());
 }
 
 #[test]
@@ -190,31 +190,12 @@ fn float_total_cmp_is_fine() {
 // ----------------------------------------------------------- unsafe-code
 
 #[test]
-fn unsafe_outside_inventory_fires_once() {
+fn unsafe_fires_once_in_any_file() {
     fires_once(
         LIB,
         r#"fn t(p: *const u8) -> u8 { unsafe { *p } }"#,
         RuleId::UnsafeCode,
     );
-}
-
-#[test]
-fn unsafe_in_sanctioned_file_needs_safety_comment() {
-    let path = "crates/bench/src/bin/bench_harness.rs";
-    let bad = r#"fn t(p: *const u8) -> u8 { unsafe { *p } }"#;
-    let found = findings(path, bad);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].0, RuleId::UnsafeCode);
-
-    let good = "fn t(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid\n    unsafe { *p }\n}\n";
-    assert!(findings(path, good).is_empty());
-}
-
-#[test]
-fn safety_comment_must_be_within_four_lines() {
-    let path = "crates/bench/src/bin/bench_harness.rs";
-    let stale = "// SAFETY: too far away\n\n\n\n\n\nfn t(p: *const u8) -> u8 { unsafe { *p } }\n";
-    assert_eq!(findings(path, stale).len(), 1);
 }
 
 // ------------------------------------------------------------- lib-attrs
@@ -381,10 +362,10 @@ fn manifest_allowed_edges_are_clean() {
 #[test]
 fn manifest_dev_dep_may_reach_lower_rank_only() {
     let cfg = LintConfig::workspace();
-    // bench (rank 4) may dev-depend on mafic (rank 1)...
-    let ok = "[package]\nname = \"mafic-bench\"\n\n[dev-dependencies]\nmafic.workspace = true\ncriterion.workspace = true\n";
-    assert!(lint_manifest("crates/bench/Cargo.toml", ok, &cfg).is_empty());
-    // ...but metrics (rank 1) may not dev-depend on workload (rank 2).
+    // experiments (rank 4) may dev-depend on pushback (rank 2)...
+    let ok = "[package]\nname = \"mafic-experiments\"\n\n[dev-dependencies]\nmafic-pushback.workspace = true\nrand.workspace = true\n";
+    assert!(lint_manifest("crates/experiments/Cargo.toml", ok, &cfg).is_empty());
+    // ...but metrics (rank 2) may not dev-depend on workload (rank 3).
     let bad = "[package]\nname = \"mafic-metrics\"\n\n[dev-dependencies]\nmafic-workload.workspace = true\n";
     let found = lint_manifest("crates/metrics/Cargo.toml", bad, &cfg);
     assert_eq!(found.len(), 1, "{found:?}");

@@ -19,8 +19,6 @@
 //! This crate provides:
 //!
 //! * [`LogLog`] — the Durand–Flajolet LogLog counter (`O(log log n)` space),
-//! * [`HyperLogLog`] — the harmonic-mean variant, used by the ablation
-//!   benchmarks to quantify the accuracy/memory trade-off,
 //! * [`RouterSketch`] — the per-router `(S, D)` pair,
 //! * [`TrafficMatrix`] — the estimated `a_ij` matrix with victim detection
 //!   and ATR identification ([`AtrReport`]),
@@ -47,13 +45,11 @@
 
 pub mod detector;
 pub mod hash;
-pub mod hyperloglog;
 pub mod loglog;
 pub mod matrix;
 pub mod setunion;
 
 pub use detector::{AtrReport, DetectorConfig, VictimDetector, VictimVerdict};
-pub use hyperloglog::HyperLogLog;
 pub use loglog::{LogLog, Precision, SketchError};
 pub use matrix::{RouterSketchId, TrafficMatrix};
 pub use setunion::RouterSketch;

@@ -119,7 +119,7 @@ pub struct MetricsReport {
     /// Flow-level classification tallies.
     pub flows: FlowTally,
     /// Peak live packets in the simulator's arena over the run — the
-    /// same number the bench harness and the run ledger report. Zero
+    /// same number the benchmark and the run ledger report. Zero
     /// until the runner fills it in ([`MetricsReport::from_stats`] has
     /// no simulator handle).
     pub peak_arena_packets: u64,

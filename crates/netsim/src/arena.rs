@@ -14,7 +14,7 @@
 //! Freed slots are recycled LIFO, so steady-state traffic churns a small
 //! hot set of slots (cache-friendly) and the arena's high-water mark
 //! tracks the true peak of packets simultaneously in flight — exported
-//! as `peak_arena_packets` in the bench records.
+//! as `peak_arena_packets` in the metrics report.
 //!
 //! Determinism: slot indices are handed out in a fixed order that
 //! depends only on the allocation/free sequence, which is itself fully

@@ -196,7 +196,7 @@ impl Simulator {
     }
 
     /// Peak number of packets simultaneously resident in the in-flight
-    /// packet storage over the simulator's lifetime (bench observability).
+    /// packet storage over the simulator's lifetime (observability only).
     #[must_use]
     pub fn packet_arena_peak(&self) -> usize {
         self.arena.peak()

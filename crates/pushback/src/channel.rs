@@ -99,7 +99,7 @@ impl Agent for ControlChannel {
         r: &mut mafic_obs::SnapReader<'_>,
     ) -> Result<(), mafic_obs::SnapError> {
         let n = r.read_usize()?;
-        self.inbox = Vec::with_capacity(n);
+        self.inbox = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let at = SimTime::from_nanos(r.read_u64()?);
             let msg = mafic_netsim::read_control_msg(r)?;
@@ -284,5 +284,19 @@ mod tests {
         assert_eq!(msgs.len(), 2);
         assert!(matches!(msgs[0].1.verb, ControlVerb::Request { .. }));
         assert!(matches!(msgs[1].1.verb, ControlVerb::Stop { .. }));
+    }
+
+    #[test]
+    fn snapshot_with_a_hostile_inbox_count_is_truncated_not_a_panic() {
+        // Section checksums are recomputable, so the count is attacker
+        // controlled: it must bound neither an allocation nor the run.
+        let mut w = mafic_netsim::SnapWriter::new();
+        w.write_u64(u64::MAX >> 2);
+        let bytes = w.into_bytes();
+        let mut r = mafic_netsim::SnapReader::new(&bytes);
+        let err = ControlChannel::new()
+            .snap_restore(&mut r)
+            .expect_err("no envelope follows the count");
+        assert!(matches!(err, mafic_obs::SnapError::Truncated), "{err}");
     }
 }

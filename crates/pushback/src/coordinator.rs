@@ -947,7 +947,7 @@ impl mafic_obs::SnapshotState for DomainCoordinator {
         self.since_heard = r.read_u32()?;
         self.next_nonce = r.read_u64()?;
         let denied = r.read_usize()?;
-        self.denied_by = Vec::with_capacity(denied);
+        self.denied_by = Vec::with_capacity(denied.min(1024));
         for _ in 0..denied {
             self.denied_by
                 .push(RequesterId::new(Addr::new(r.read_u32()?)));
@@ -1985,5 +1985,26 @@ mod tests {
         let mut r = mafic_obs::SnapReader::new(&bytes);
         let err = c.snap_restore(&mut r).expect_err("tag 9 is invalid");
         assert!(err.to_string().contains("lifecycle tag 9"), "{err}");
+    }
+
+    #[test]
+    fn snapshot_with_a_hostile_denied_count_is_truncated_not_a_panic() {
+        use mafic_obs::SnapshotState;
+        let mut w = mafic_obs::SnapWriter::new();
+        w.write_u8(0); // lifecycle: idle
+        w.write_u8(0); // no victim
+        w.write_u8(0); // budget
+        for _ in 0..4 {
+            w.write_u32(0); // above, healthy, since_refresh, since_heard
+        }
+        w.write_u64(1); // next_nonce
+        w.write_u64(u64::MAX >> 2); // denied_by count, nothing behind it
+        let bytes = w.into_bytes();
+        let mut c = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
+        let mut r = mafic_obs::SnapReader::new(&bytes);
+        let err = c
+            .snap_restore(&mut r)
+            .expect_err("no requester follows the count");
+        assert!(matches!(err, mafic_obs::SnapError::Truncated), "{err}");
     }
 }

@@ -27,8 +27,8 @@ use mafic_metrics::{
     MeasureWindows, MetricsReport, PolicyCostReport,
 };
 use mafic_netsim::{
-    Addr, ControlMsg, ControlVerb, FilterControl, FlowKey, NodeId, PacketKind, RequesterId,
-    SimDuration, SimTime, Simulator,
+    Addr, AgentId, ControlMsg, ControlVerb, FilterControl, FlowKey, NodeId, PacketKind,
+    RequesterId, SimDuration, SimTime, Simulator,
 };
 use mafic_obs::{
     fnv64, Fnv64, IntervalProbe, LedgerBuilder, LedgerHeader, RunLedger, SnapError, SnapReader,
@@ -347,8 +347,8 @@ fn collect_policy_costs(scenario: &Scenario) -> Vec<PolicyCostReport> {
 /// Reusable interval-loop buffers. The monitor steps thousands of
 /// intervals per run; holding its scratch here (and recycling the tap
 /// and channel buffers via the `*_into` drains) keeps the steady-state
-/// loop allocation-free — the bench harness pins the resulting
-/// allocation count end to end.
+/// loop allocation-free — `allocs_per_kpkt` in BENCHMARK.json measures
+/// the result end to end.
 #[derive(Debug, Default)]
 struct StepScratch {
     /// Landing buffer for one domain's drained control-channel inbox.
@@ -357,7 +357,7 @@ struct StepScratch {
     actions: Vec<PushbackAction>,
     /// Inbox drains served by the recycled `inbox` buffer — exported as
     /// [`MetricsReport::scratch_inbox_drains`] and into the run ledger,
-    /// so the bench harness and the ledger read the same number.
+    /// so the benchmark and the ledger read the same number.
     drains: u64,
 }
 
@@ -775,6 +775,11 @@ pub struct RunState {
     /// attack senders; a `None` here keeps the whole hook behind one
     /// branch per interval.
     adversary: Option<AdversaryController>,
+    /// The attack senders the adversary drives, in flow order: feedback
+    /// slot and directive source `i` both name entry `i`. Build-time
+    /// wiring, so restore rebuilds rather than overlays it; empty
+    /// without an adversary.
+    attack_sources: Vec<(AgentId, FlowKey)>,
     /// Sum of the victim tap's per-interval distinct-source cardinality
     /// readings, exported as the report's mean.
     cardinality_sum: f64,
@@ -802,6 +807,7 @@ fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
         warmup_rounds: (0.8 / scenario.spec.monitor_interval.as_secs_f64()).ceil() as u64,
     };
     let detector = VictimDetector::new(detector_config).map_err(WorkloadError::Detection)?;
+    let attack_flows = || scenario.flows.iter().filter(|f| f.is_attack);
     let mut state = RunState {
         detector,
         triggered_at: None,
@@ -819,19 +825,22 @@ fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
         // and a seed salted off the run seed so adversary randomness
         // never correlates with workload provisioning.
         adversary: scenario.spec.adversary.map(|aspec| {
-            let stubs: Vec<u32> = scenario
-                .flows
-                .iter()
-                .filter(|f| f.is_attack)
+            let stubs: Vec<u32> = attack_flows()
                 .map(|f| u32::try_from(f.stub_index).expect("stub count fits u32"))
                 .collect();
             AdversaryController::new(aspec, stubs, scenario.spec.seed ^ ADVERSARY_SEED_SALT)
         }),
+        attack_sources: if scenario.spec.adversary.is_some() {
+            attack_flows().map(|f| (f.agent, f.key)).collect()
+        } else {
+            Vec::new()
+        },
         cardinality_sum: 0.0,
         cardinality_intervals: 0,
         // Off by default: when `spec.ledger` is false the hot path pays
         // one `Option` check per monitor interval and no `StateHash`
-        // call ever runs — the zero-cost contract the bench gate pins.
+        // call ever runs — `cascade_ledger` vs `cascade_d3` in
+        // BENCHMARK.json is the measured difference.
         ledger: scenario.spec.ledger.then(|| {
             LedgerBuilder::new(LedgerHeader {
                 ledger_version: 0, // the builder stamps the real version
@@ -982,12 +991,9 @@ fn drive(scenario: &mut Scenario, state: &mut RunState) -> Result<RunOutcome, Wo
             let mut feedback = adv.take_feedback_buf();
             {
                 let stats = scenario.sim.stats();
-                for (slot, flow) in feedback
-                    .iter_mut()
-                    .zip(scenario.flows.iter().filter(|f| f.is_attack))
-                {
+                for (slot, (_, key)) in feedback.iter_mut().zip(&state.attack_sources) {
                     let (sent, delivered) = stats
-                        .flow(&flow.key)
+                        .flow(key)
                         .map_or((0, 0), |rec| (rec.sent, rec.delivered));
                     *slot = SourceFeedback { sent, delivered };
                 }
@@ -997,15 +1003,13 @@ fn drive(scenario: &mut Scenario, state: &mut RunState) -> Result<RunOutcome, Wo
                     AdversaryDirective::SetActive { source, .. }
                     | AdversaryDirective::SetRateScale { source, .. } => source,
                 };
-                let flow = scenario
-                    .flows
-                    .iter()
-                    .filter(|f| f.is_attack)
-                    .nth(source)
+                let (agent, _) = *state
+                    .attack_sources
+                    .get(source)
                     .expect("directives name sources within the attack set");
                 let sender = scenario
                     .sim
-                    .agent_mut::<UnresponsiveSender>(flow.agent)
+                    .agent_mut::<UnresponsiveSender>(agent)
                     .expect("attack sender installed at build time");
                 match dir {
                     AdversaryDirective::SetActive { active, .. } => sender.set_paused(!active),

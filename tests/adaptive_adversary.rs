@@ -86,8 +86,7 @@ fn rotation_no_faster_than_the_lease_is_identical_to_open_loop() {
     // The defense's soft state outlives every pause, so the strategy's
     // own best response is to never rotate: the controller emits zero
     // directives and the armed run must reproduce the adversary-free
-    // run exactly — the contract the bench harness's inert-hook
-    // overhead measurement also leans on.
+    // run exactly.
     let open = run_spec(fig11_spec(None, 2)).expect("open-loop run");
     let lease = AdversarySpec::default().lease_intervals;
     let inert = run_spec(fig11_spec(

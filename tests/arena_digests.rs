@@ -20,8 +20,8 @@ fn determinism_spec(seed: u64) -> ScenarioSpec {
     }
 }
 
-/// The bench harness's pinned end-to-end scenario (identical to
-/// `crates/bench/src/bin/bench_harness.rs`).
+/// The end-to-end scenario the pre-arena and arena builds were timed
+/// on (PR 6); its digest stays pinned as a second single-domain shape.
 fn bench_e2e_spec() -> ScenarioSpec {
     ScenarioSpec {
         total_flows: 40,
@@ -142,8 +142,8 @@ fn cascade_scenario_matches_pre_arena_digest() {
     assert_eq!(run_hash(cascade_spec()), PRE_ARENA_CASCADE);
 }
 
-/// The new bench scenario replays byte-identically whether the grid
-/// runs serially or on four workers.
+/// The timed scenario replays byte-identically whether the grid runs
+/// serially or on four workers.
 #[test]
 fn bench_scenario_one_vs_four_workers() {
     let specs = vec![bench_e2e_spec(), cascade_spec()];
