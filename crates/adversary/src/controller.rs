@@ -1,7 +1,7 @@
 //! The [`AdversaryController`] — the per-run closed-loop brain wiring
 //! per-source feedback into an [`AttackStrategy`](crate::AttackStrategy).
 
-use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -170,49 +170,35 @@ impl AdversaryController {
         self.feedback = feedback;
         &self.directives
     }
+}
 
-    /// Folds the controller's decision state into a ledger hash.
-    ///
-    /// The RNG internals are deliberately excluded: the hash captures
+impl State for AdversaryController {
+    /// The controller's decision state. The ledger names the strategy
+    /// by label, a checkpoint by tag (validated on restore). The RNG
+    /// internals are saved, not hashed: the hash captures
     /// decision-relevant state, and the RNG is restored bit-exactly by
     /// the snapshot path instead.
-    pub fn hash_state(&self, h: &mut Fnv64) {
-        h.write_str(self.strategy.label());
-        h.write_u64(self.interval);
-        h.write_usize(self.prev.len());
-        for &(sent, delivered) in &self.prev {
-            h.write_u64(sent);
-            h.write_u64(delivered);
-        }
-        self.strategy.hash_state(h);
-    }
-
-    /// Serializes the controller into `w` (MAFICSNP section payload).
-    pub fn snap_save(&self, w: &mut SnapWriter) {
-        for word in self.rng.state() {
-            w.write_u64(word);
-        }
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.hash_only(|h| h.write_str(self.strategy.label()));
+        w.snap_only(|w| {
+            for word in self.rng.state() {
+                w.write_u64(word);
+            }
+        });
         w.write_u64(self.interval);
-        w.write_u8(self.spec.strategy.tag());
+        w.snap_only(|w| w.write_u8(self.spec.strategy.tag()));
         w.write_usize(self.prev.len());
         for &(sent, delivered) in &self.prev {
             w.write_u64(sent);
             w.write_u64(delivered);
         }
-        self.strategy.snap_save(w);
+        self.strategy.write_state(w);
     }
 
-    /// Restores the controller from `r`.
-    ///
     /// The controller must have been built from the same spec and
     /// source set it was captured with; the strategy tag and source
-    /// count are validated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on truncated payloads or a
-    /// strategy/source-count mismatch.
-    pub fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// count are validated (a mismatch is [`SnapError::Malformed`]).
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let mut state = [0u64; 4];
         for word in &mut state {
             *word = r.read_u64()?;
@@ -238,7 +224,7 @@ impl AdversaryController {
             let delivered = r.read_u64()?;
             *slot = (sent, delivered);
         }
-        self.strategy.snap_restore(r)
+        self.strategy.read_state(r)
     }
 }
 
@@ -246,6 +232,7 @@ impl AdversaryController {
 mod tests {
     use super::*;
     use crate::spec::StrategyKind;
+    use mafic_obs::{Fnv64, SnapWriter};
 
     fn rotation_spec() -> AdversarySpec {
         AdversarySpec::with_strategy(StrategyKind::SourceRotation {
@@ -300,19 +287,31 @@ mod tests {
         let _ = feed(&mut a, 3000, 400);
         let _ = feed(&mut a, 6000, 900);
         let mut w = SnapWriter::new();
-        a.snap_save(&mut w);
+        a.write_state(&mut w);
         let bytes = w.into_bytes();
 
         let mut b = AdversaryController::new(rotation_spec(), vec![0, 0, 1, 1], 99);
         let mut r = SnapReader::new(&bytes);
-        b.snap_restore(&mut r).expect("restore");
+        b.read_state(&mut r).expect("restore");
         assert!(r.is_empty());
 
         let mut ha = Fnv64::new();
         let mut hb = Fnv64::new();
-        a.hash_state(&mut ha);
-        b.hash_state(&mut hb);
+        a.write_state(&mut ha);
+        b.write_state(&mut hb);
         assert_eq!(ha.finish(), hb.finish());
+        // The RNG is saved, not hashed: a same-history controller on
+        // another seed hashes alike and snapshots differently.
+        let mut c = AdversaryController::new(rotation_spec(), vec![0, 0, 1, 1], 99);
+        for (sent, delivered) in [(1000, 100), (3000, 400), (6000, 900)] {
+            let _ = feed(&mut c, sent, delivered);
+        }
+        let mut hc = Fnv64::new();
+        c.write_state(&mut hc);
+        assert_eq!(ha.finish(), hc.finish());
+        let mut wc = SnapWriter::new();
+        c.write_state(&mut wc);
+        assert_ne!(wc.into_bytes(), bytes);
 
         // Both copies must keep deciding identically.
         let da = feed(&mut a, 9000, 1500);
@@ -324,13 +323,13 @@ mod tests {
     fn snapshot_rejects_strategy_mismatch() {
         let mut a = AdversaryController::new(rotation_spec(), vec![0, 1], 11);
         let mut w = SnapWriter::new();
-        a.snap_save(&mut w);
+        a.write_state(&mut w);
         let bytes = w.into_bytes();
 
         let pulse = AdversarySpec::with_strategy(StrategyKind::PulseTuning { boost_milli: 0 });
         let mut b = AdversaryController::new(pulse, vec![0, 1], 11);
         let mut r = SnapReader::new(&bytes);
-        assert!(b.snap_restore(&mut r).is_err());
+        assert!(b.read_state(&mut r).is_err());
         let _ = feed(&mut a, 100, 50);
     }
 
@@ -338,11 +337,11 @@ mod tests {
     fn snapshot_rejects_source_count_mismatch() {
         let a = AdversaryController::new(rotation_spec(), vec![0, 1], 11);
         let mut w = SnapWriter::new();
-        a.snap_save(&mut w);
+        a.write_state(&mut w);
         let bytes = w.into_bytes();
 
         let mut b = AdversaryController::new(rotation_spec(), vec![0, 1, 2], 11);
         let mut r = SnapReader::new(&bytes);
-        assert!(b.snap_restore(&mut r).is_err());
+        assert!(b.read_state(&mut r).is_err());
     }
 }

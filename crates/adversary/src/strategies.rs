@@ -9,7 +9,7 @@
 //! own sources. Strategies hash into the run ledger and serialize into
 //! checkpoints exactly like defender components.
 
-use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter};
+use mafic_obs::{SnapError, SnapReader, StateWrite};
 use rand::rngs::SmallRng;
 
 use crate::controller::{AdversaryDirective, SourceObs};
@@ -45,7 +45,7 @@ pub struct StrategyCtx<'a> {
 ///
 /// Implementations must be pure functions of their own state, the
 /// [`StrategyCtx`], and the seeded RNG: no wall-clock, no global state,
-/// no defender internals. `hash_state` and the snapshot pair keep the
+/// no defender internals. The `write_state`/`read_state` pair keeps the
 /// strategy inside the run-ledger and checkpoint contracts.
 pub trait AttackStrategy: std::fmt::Debug {
     /// Stable label for ledger components and figure legends.
@@ -54,18 +54,18 @@ pub trait AttackStrategy: std::fmt::Debug {
     /// Observe one monitor interval and append retargeting directives.
     fn on_interval(&mut self, ctx: &mut StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>);
 
-    /// Folds the strategy's decision state into a ledger hash.
-    fn hash_state(&self, h: &mut Fnv64);
-
-    /// Serializes the strategy's decision state.
-    fn snap_save(&self, w: &mut SnapWriter);
+    /// Writes the strategy's decision state — the one walk behind both
+    /// its ledger hash and its checkpoint payload (the
+    /// [`mafic_obs::State`] contract; `dyn` because strategies are boxed
+    /// and the walk is a handful of words per monitor interval).
+    fn write_state(&self, w: &mut dyn StateWrite);
 
     /// Restores the strategy's decision state.
     ///
     /// # Errors
     ///
     /// Returns [`SnapError`] on truncated or malformed payloads.
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
 /// Builds the strategy named by `spec.strategy` for a botnet whose
@@ -172,21 +172,14 @@ impl AttackStrategy for SourceRotation {
         }
     }
 
-    fn hash_state(&self, h: &mut Fnv64) {
-        h.write_bool(self.effective);
-        h.write_bool(self.engaged);
-        h.write_u32(self.cursor);
-        h.write_u32(self.since_rotate);
-    }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
+    fn write_state(&self, w: &mut dyn StateWrite) {
         w.write_bool(self.effective);
         w.write_bool(self.engaged);
         w.write_u32(self.cursor);
         w.write_u32(self.since_rotate);
     }
 
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.effective = r.read_bool()?;
         self.engaged = r.read_bool()?;
         self.cursor = r.read_u32()?;
@@ -244,15 +237,11 @@ impl AttackStrategy for AttestationShaping {
         }
     }
 
-    fn hash_state(&self, h: &mut Fnv64) {
-        h.write_u32(self.scale_milli);
-    }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
+    fn write_state(&self, w: &mut dyn StateWrite) {
         w.write_u32(self.scale_milli);
     }
 
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.scale_milli = r.read_u32()?;
         Ok(())
     }
@@ -325,17 +314,12 @@ impl AttackStrategy for PulseTuning {
         }
     }
 
-    fn hash_state(&self, h: &mut Fnv64) {
-        h.write_bool(self.engaged);
-        h.write_u32(self.phase);
-    }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
+    fn write_state(&self, w: &mut dyn StateWrite) {
         w.write_bool(self.engaged);
         w.write_u32(self.phase);
     }
 
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.engaged = r.read_bool()?;
         self.phase = r.read_u32()?;
         Ok(())
@@ -426,19 +410,13 @@ impl AttackStrategy for CarpetBombing {
         }
     }
 
-    fn hash_state(&self, h: &mut Fnv64) {
-        h.write_bool(self.engaged);
-        h.write_u32(self.cursor);
-        h.write_u32(self.since_rotate);
-    }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
+    fn write_state(&self, w: &mut dyn StateWrite) {
         w.write_bool(self.engaged);
         w.write_u32(self.cursor);
         w.write_u32(self.since_rotate);
     }
 
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.engaged = r.read_bool()?;
         self.cursor = r.read_u32()?;
         self.since_rotate = r.read_u32()?;
@@ -683,17 +661,17 @@ mod tests {
             for i in 0..5 {
                 let _ = drive(&mut *a, &spec, &mut rng, &sources, i, 0.9);
             }
-            let mut w = SnapWriter::new();
-            a.snap_save(&mut w);
+            let mut w = mafic_obs::SnapWriter::new();
+            a.write_state(&mut w);
             let bytes = w.into_bytes();
             let mut b = build_strategy(&spec, &stubs);
             let mut r = SnapReader::new(&bytes);
-            b.snap_restore(&mut r).expect("restore");
+            b.read_state(&mut r).expect("restore");
             assert!(r.is_empty(), "strategy payload fully consumed");
-            let mut ha = Fnv64::new();
-            let mut hb = Fnv64::new();
-            a.hash_state(&mut ha);
-            b.hash_state(&mut hb);
+            let mut ha = mafic_obs::Fnv64::new();
+            let mut hb = mafic_obs::Fnv64::new();
+            a.write_state(&mut ha);
+            b.write_state(&mut hb);
             assert_eq!(ha.finish(), hb.finish(), "{}", a.label());
         }
     }

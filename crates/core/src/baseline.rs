@@ -6,13 +6,14 @@
 //! the baseline is implemented behind the same [`DropPolicy`] surface so
 //! every experiment can be re-run with either policy.
 
+use crate::policy::TAG_PROPORTIONAL;
 use mafic_netsim::{
-    Addr, DropReason, FilterAction, FilterControl, FilterCtx, FlowId, FlowSlab, Packet, PacketEnv,
-    PacketFilter, StatNote,
+    read_flow_id, read_opt_addr, write_opt_addr, Addr, DropReason, FilterAction, FilterControl,
+    FilterCtx, FlowId, FlowSlab, Packet, PacketEnv, PacketFilter, StatNote,
 };
+use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter, State, StateWrite};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::any::Any;
 
 /// Marker for which drop policy a filter implements (used by reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,25 +117,43 @@ impl ProportionalFilter {
     }
 }
 
-impl mafic_obs::StateHash for ProportionalFilter {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        // The RNG is excluded (no state accessor); its draws are pinned
-        // indirectly by the drop counters below.
-        h.write_f64(self.drop_probability);
-        match self.active {
-            None => h.write_u8(0),
-            Some(victim) => {
-                h.write_u8(1);
-                h.write_u32(victim.as_u32());
+impl State for ProportionalFilter {
+    /// The drop probability is build-time configuration (hashed, not
+    /// saved); the RNG is saved, not hashed — its draws are pinned
+    /// indirectly by the drop counters.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.hash_only(|h| {
+            h.write_u8(TAG_PROPORTIONAL);
+            h.write_f64(self.drop_probability);
+        });
+        w.snap_only(|w| {
+            for word in self.rng.state() {
+                w.write_u64(word);
             }
+        });
+        write_opt_addr(self.active, w);
+        w.write_u64(self.examined);
+        w.write_u64(self.dropped);
+        w.write_usize(self.per_flow_dropped.len());
+        for (id, &count) in self.per_flow_dropped.iter() {
+            w.write_usize(id.index());
+            w.write_u64(count);
         }
-        h.write_u64(self.examined);
-        h.write_u64(self.dropped);
-        h.write_usize(self.per_flow_dropped.len());
-        for (id, count) in self.per_flow_dropped.iter() {
-            h.write_usize(id.index());
-            h.write_u64(*count);
+    }
+
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let state = [r.read_u64()?, r.read_u64()?, r.read_u64()?, r.read_u64()?];
+        self.rng = SmallRng::from_state(state);
+        self.active = read_opt_addr(r, "proportional-active")?;
+        self.examined = r.read_u64()?;
+        self.dropped = r.read_u64()?;
+        self.per_flow_dropped = FlowSlab::new();
+        for _ in 0..r.read_len()? {
+            let id = read_flow_id(r)?;
+            let count = r.read_u64()?;
+            self.per_flow_dropped.insert(id, count);
         }
+        Ok(())
     }
 }
 
@@ -174,66 +193,23 @@ impl PacketFilter for ProportionalFilter {
         }
     }
 
-    fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
-        for word in self.rng.state() {
-            w.write_u64(word);
-        }
-        match self.active {
-            None => w.write_u8(0),
-            Some(victim) => {
-                w.write_u8(1);
-                w.write_u32(victim.as_u32());
-            }
-        }
-        w.write_u64(self.examined);
-        w.write_u64(self.dropped);
-        w.write_usize(self.per_flow_dropped.len());
-        for (id, &count) in self.per_flow_dropped.iter() {
-            w.write_usize(id.index());
-            w.write_u64(count);
-        }
+    fn hash_state(&self, h: &mut Fnv64) {
+        self.write_state(h);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
-        let state = [r.read_u64()?, r.read_u64()?, r.read_u64()?, r.read_u64()?];
-        self.rng = SmallRng::from_state(state);
-        self.active = match r.read_u8()? {
-            0 => None,
-            1 => Some(Addr::new(r.read_u32()?)),
-            tag => {
-                return Err(mafic_obs::SnapError::Malformed(format!(
-                    "proportional-active tag {tag}"
-                )))
-            }
-        };
-        self.examined = r.read_u64()?;
-        self.dropped = r.read_u64()?;
-        let n = r.read_usize()?;
-        self.per_flow_dropped = FlowSlab::new();
-        for _ in 0..n {
-            let id = FlowId::from_index(r.read_usize()?);
-            let count = r.read_u64()?;
-            self.per_flow_dropped.insert(id, count);
-        }
-        Ok(())
+    fn snap_save(&self, w: &mut SnapWriter) {
+        self.write_state(w);
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.read_state(r)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::FilterHarness;
+    use mafic_netsim::testkit::{state_bytes, state_hash, FilterHarness};
     use mafic_netsim::{FlowKey, PacketKind, Provenance, SimTime};
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001);
@@ -319,14 +295,23 @@ mod tests {
         for _ in 0..50 {
             let _ = h.offer_transit(&mut f, &pkt(VICTIM));
         }
-        let mut w = mafic_obs::SnapWriter::new();
-        f.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&f);
 
         // A different seed proves the restored RNG words drive the
         // continuation, not the constructor seed.
         let mut g = ProportionalFilter::new(0.5, 999);
-        let mut r = mafic_obs::SnapReader::new(&bytes);
+        // Seeds are saved, not hashed; the probability and the filter
+        // type are hashed, not saved.
+        assert_eq!(state_hash(&g), state_hash(&ProportionalFilter::new(0.5, 7)));
+        assert_ne!(
+            state_hash(&g),
+            state_hash(&ProportionalFilter::new(0.25, 999))
+        );
+        assert_ne!(
+            state_hash(&ProportionalFilter::new(1.0, 1)),
+            state_hash(&crate::RateLimitFilter::new(1.0))
+        );
+        let mut r = SnapReader::new(&bytes);
         g.snap_restore(&mut r).expect("restore");
         assert!(r.is_empty());
         assert_eq!(g.examined(), 50);

@@ -28,15 +28,17 @@
 //! flush may still fire and are ignored as stale.
 
 use crate::config::{AddressValidator, MaficConfig};
+use crate::policy::TAG_MAFIC;
 use crate::rate::ArrivalTracker;
 use crate::tables::{FlowState, FlowTables, PdtReason, SftEntry};
 use mafic_netsim::{
-    Addr, DropReason, FilterAction, FilterControl, FilterCtx, FlowId, FlowKey, Packet, PacketEnv,
-    PacketFilter, PacketKind, Provenance, SimDuration, SimTime, StatNote,
+    read_opt_addr, write_opt_addr, Addr, DropReason, FilterAction, FilterControl, FilterCtx,
+    FlowId, FlowKey, Packet, PacketEnv, PacketFilter, PacketKind, Provenance, SimDuration, SimTime,
+    StatNote,
 };
+use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter, State, StateWrite};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::any::Any;
 
 /// Wheel-timer kind: the 2×RTT probation deadline of an SFT flow.
 pub const TIMER_PROBATION: u16 = 0;
@@ -295,37 +297,48 @@ impl MaficFilter {
     }
 }
 
-impl mafic_obs::StateHash for MaficCounters {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u64(self.examined);
-        h.write_u64(self.dropped_probing);
-        h.write_u64(self.dropped_permanent);
-        h.write_u64(self.dropped_illegal);
-        h.write_u64(self.probes_sent);
-        h.write_u64(self.timers_armed);
-        h.write_u64(self.flows_nice);
-        h.write_u64(self.flows_malicious);
-    }
-}
-
-impl mafic_obs::StateHash for MaficFilter {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        // The RNG is deliberately excluded from the *hash*: its draws
-        // only influence observable state through drop decisions — which
-        // the tables, tracker, and counters below already pin, so any
-        // draw-sequence divergence surfaces there on the very next
-        // classified packet. (Checkpoints do carry the RNG, via the
-        // snapshot hooks — a restored run continues the stream mid-way.)
-        match self.active {
-            None => h.write_u8(0),
-            Some(victim) => {
-                h.write_u8(1);
-                h.write_u32(victim.as_u32());
+impl State for MaficFilter {
+    /// The RNG is deliberately excluded from the *hash*: its draws only
+    /// influence observable state through drop decisions — which the
+    /// tables, tracker, and counters already pin, so any draw-sequence
+    /// divergence surfaces there on the very next classified packet.
+    /// Checkpoints do carry it: a restored run continues the stream
+    /// mid-way.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.hash_only(|h| h.write_u8(TAG_MAFIC));
+        write_opt_addr(self.active, w);
+        w.snap_only(|w| {
+            for word in self.rng.state() {
+                w.write_u64(word);
             }
-        }
-        self.tables.hash_state(h);
-        self.tracker.hash_state(h);
-        self.counters.hash_state(h);
+        });
+        self.tables.write_state(w);
+        self.tracker.write_state(w);
+        w.write_u64(self.counters.examined);
+        w.write_u64(self.counters.dropped_probing);
+        w.write_u64(self.counters.dropped_permanent);
+        w.write_u64(self.counters.dropped_illegal);
+        w.write_u64(self.counters.probes_sent);
+        w.write_u64(self.counters.timers_armed);
+        w.write_u64(self.counters.flows_nice);
+        w.write_u64(self.counters.flows_malicious);
+    }
+
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.active = read_opt_addr(r, "mafic-active")?;
+        let state = [r.read_u64()?, r.read_u64()?, r.read_u64()?, r.read_u64()?];
+        self.rng = SmallRng::from_state(state);
+        self.tables.read_state(r)?;
+        self.tracker.read_state(r)?;
+        self.counters.examined = r.read_u64()?;
+        self.counters.dropped_probing = r.read_u64()?;
+        self.counters.dropped_permanent = r.read_u64()?;
+        self.counters.dropped_illegal = r.read_u64()?;
+        self.counters.probes_sent = r.read_u64()?;
+        self.counters.timers_armed = r.read_u64()?;
+        self.counters.flows_nice = r.read_u64()?;
+        self.counters.flows_malicious = r.read_u64()?;
+        Ok(())
     }
 }
 
@@ -451,72 +464,23 @@ impl PacketFilter for MaficFilter {
         }
     }
 
-    fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
-        use mafic_obs::SnapshotState as _;
-        match self.active {
-            None => w.write_u8(0),
-            Some(victim) => {
-                w.write_u8(1);
-                w.write_u32(victim.as_u32());
-            }
-        }
-        for word in self.rng.state() {
-            w.write_u64(word);
-        }
-        self.tables.snap_save(w);
-        self.tracker.snap_save(w);
-        w.write_u64(self.counters.examined);
-        w.write_u64(self.counters.dropped_probing);
-        w.write_u64(self.counters.dropped_permanent);
-        w.write_u64(self.counters.dropped_illegal);
-        w.write_u64(self.counters.probes_sent);
-        w.write_u64(self.counters.timers_armed);
-        w.write_u64(self.counters.flows_nice);
-        w.write_u64(self.counters.flows_malicious);
+    fn hash_state(&self, h: &mut Fnv64) {
+        self.write_state(h);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
-        use mafic_obs::SnapshotState as _;
-        self.active = match r.read_u8()? {
-            0 => None,
-            1 => Some(Addr::new(r.read_u32()?)),
-            tag => {
-                return Err(mafic_obs::SnapError::Malformed(format!(
-                    "mafic-active tag {tag}"
-                )))
-            }
-        };
-        let state = [r.read_u64()?, r.read_u64()?, r.read_u64()?, r.read_u64()?];
-        self.rng = SmallRng::from_state(state);
-        self.tables.snap_restore(r)?;
-        self.tracker.snap_restore(r)?;
-        self.counters.examined = r.read_u64()?;
-        self.counters.dropped_probing = r.read_u64()?;
-        self.counters.dropped_permanent = r.read_u64()?;
-        self.counters.dropped_illegal = r.read_u64()?;
-        self.counters.probes_sent = r.read_u64()?;
-        self.counters.timers_armed = r.read_u64()?;
-        self.counters.flows_nice = r.read_u64()?;
-        self.counters.flows_malicious = r.read_u64()?;
-        Ok(())
+    fn snap_save(&self, w: &mut SnapWriter) {
+        self.write_state(w);
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.read_state(r)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::FilterHarness;
+    use mafic_netsim::testkit::{state_bytes, state_hash, FilterHarness};
     use mafic_netsim::AgentId;
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001); // 10.200.0.1
@@ -897,13 +861,6 @@ mod tests {
         assert_eq!(f.tables().nft_len(), 1);
     }
 
-    fn state_digest(f: &MaficFilter) -> u64 {
-        use mafic_obs::StateHash as _;
-        let mut d = mafic_obs::Fnv64::new();
-        f.hash_state(&mut d);
-        d.finish()
-    }
-
     #[test]
     fn snapshot_round_trips_tables_tracker_and_rng() {
         let mut h = FilterHarness::new();
@@ -913,9 +870,7 @@ mod tests {
             let _ = h.offer_transit(&mut f, &pkt(port, h.now));
             h.advance(SimDuration::from_millis(3));
         }
-        let mut w = mafic_obs::SnapWriter::new();
-        f.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&f);
 
         // Restore into a filter built with a different RNG seed to prove
         // the snapshot carries the RNG words, not just the counters.
@@ -923,10 +878,17 @@ mod tests {
         c.drop_probability = 0.5;
         c.seed = 777;
         let mut g = MaficFilter::new(c, AddressValidator::AllowAll);
-        let mut r = mafic_obs::SnapReader::new(&bytes);
+        // The RNG is saved, not hashed: before the overlay the two
+        // differ only in their seeds.
+        let mut fresh = config();
+        fresh.drop_probability = 0.5;
+        let fresh = MaficFilter::new(fresh, AddressValidator::AllowAll);
+        assert_eq!(state_hash(&fresh), state_hash(&g));
+        assert_ne!(state_bytes(&fresh), state_bytes(&g));
+        let mut r = SnapReader::new(&bytes);
         g.snap_restore(&mut r).expect("restore");
         assert!(r.is_empty(), "trailing bytes after restore");
-        assert_eq!(state_digest(&f), state_digest(&g));
+        assert_eq!(state_hash(&f), state_hash(&g));
 
         // Both continue identically: same verdicts, same effects. A
         // fresh harness re-interns the continuation flows in the same
@@ -940,6 +902,6 @@ mod tests {
             h.advance(SimDuration::from_millis(2));
             h2.advance(SimDuration::from_millis(2));
         }
-        assert_eq!(state_digest(&f), state_digest(&g));
+        assert_eq!(state_hash(&f), state_hash(&g));
     }
 }

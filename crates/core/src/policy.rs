@@ -19,6 +19,13 @@
 use crate::baseline::DropPolicy;
 use std::fmt;
 
+/// Ledger tags telling the defense filter types apart: a policy swap at
+/// the same chain slot is itself a divergence. Hash-only — a checkpoint
+/// restores onto a chain rebuilt from the spec.
+pub(crate) const TAG_MAFIC: u8 = 0;
+pub(crate) const TAG_PROPORTIONAL: u8 = 1;
+pub(crate) const TAG_RATE_LIMIT: u8 = 2;
+
 /// The defense a single domain boundary deploys at its ATRs.
 ///
 /// # Examples

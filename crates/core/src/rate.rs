@@ -12,6 +12,7 @@
 //! hashing.
 
 use mafic_netsim::{FlowId, SimDuration, SimTime};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use std::collections::VecDeque;
 
 /// Sliding-window arrival recorder for all victim-bound flows at one
@@ -164,12 +165,18 @@ impl ArrivalTracker {
     }
 }
 
-impl mafic_obs::SnapshotState for ArrivalTracker {
-    /// Saves the eviction clock and the active windows (in clock order);
-    /// `horizon` and `max_flows` are build-time configuration. The dense
-    /// `flows` vector is rebuilt sized to the largest saved id — empty
-    /// trailing headers are capacity, not state.
-    fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
+impl State for ArrivalTracker {
+    /// The eviction clock and the active windows. `active_ids` order is
+    /// part of the eviction clock, so it is written positionally; the
+    /// per-flow windows follow in that same order. `horizon` and
+    /// `max_flows` are build-time configuration (hashed, not saved). The
+    /// dense `flows` vector is rebuilt sized to the largest saved id —
+    /// empty trailing headers are capacity, not state.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.hash_only(|h| {
+            h.write_u64(self.horizon.as_nanos());
+            h.write_usize(self.max_flows);
+        });
         w.write_usize(self.evict_cursor);
         w.write_usize(self.active_ids.len());
         for &idx in &self.active_ids {
@@ -182,23 +189,18 @@ impl mafic_obs::SnapshotState for ArrivalTracker {
         }
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.evict_cursor = r.read_usize()?;
-        let n = r.read_usize()?;
         self.flows.clear();
         self.active_ids.clear();
-        for _ in 0..n {
+        for _ in 0..r.read_len()? {
             let idx = r.read_u32()?;
             self.active_ids.push(idx);
             if idx as usize >= self.flows.len() {
                 self.flows.resize_with(idx as usize + 1, VecDeque::new);
             }
-            let arrivals = r.read_usize()?;
             let q = &mut self.flows[idx as usize];
-            for _ in 0..arrivals {
+            for _ in 0..r.read_len()? {
                 q.push_back(SimTime::from_nanos(r.read_u64()?));
             }
         }
@@ -206,28 +208,10 @@ impl mafic_obs::SnapshotState for ArrivalTracker {
     }
 }
 
-impl mafic_obs::StateHash for ArrivalTracker {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u64(self.horizon.as_nanos());
-        h.write_usize(self.max_flows);
-        h.write_usize(self.evict_cursor);
-        // `active_ids` order is part of the eviction clock, so hash it
-        // positionally; the per-flow windows follow in that same order.
-        h.write_usize(self.active_ids.len());
-        for &idx in &self.active_ids {
-            h.write_u32(idx);
-            let q = &self.flows[idx as usize];
-            h.write_usize(q.len());
-            for t in q {
-                h.write_u64(t.as_nanos());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mafic_netsim::testkit::{state_bytes, state_hash};
 
     fn flow(n: usize) -> FlowId {
         FlowId::from_index(n)
@@ -323,26 +307,25 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_windows_and_eviction_clock() {
-        use mafic_obs::{SnapshotState as _, StateHash as _};
         let mut tr = ArrivalTracker::new(SimDuration::from_secs(10), 2);
         tr.record(flow(1), t(10));
         tr.record(flow(2), t(20));
         tr.record(flow(3), t(30)); // forces an eviction, moves the clock
-        let mut w = mafic_obs::SnapWriter::new();
-        tr.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&tr);
 
         let mut back = ArrivalTracker::new(SimDuration::from_secs(10), 2);
         let mut r = mafic_obs::SnapReader::new(&bytes);
-        back.snap_restore(&mut r).expect("restore");
+        back.read_state(&mut r).expect("restore");
         assert!(r.is_empty());
 
-        let digest = |tr: &ArrivalTracker| {
-            let mut d = mafic_obs::Fnv64::new();
-            tr.hash_state(&mut d);
-            d.finish()
-        };
-        assert_eq!(digest(&tr), digest(&back));
+        assert_eq!(state_hash(&tr), state_hash(&back));
+        // The capacity is configuration: hashed, and not in `bytes`
+        // (`wider` just restored from them unchanged).
+        let mut wider = ArrivalTracker::new(SimDuration::from_secs(10), 3);
+        wider
+            .read_state(&mut mafic_obs::SnapReader::new(&bytes))
+            .expect("restore");
+        assert_ne!(state_hash(&tr), state_hash(&wider));
         assert_eq!(back.tracked_flows(), 2);
         assert_eq!(
             back.count_in(flow(3), t(100), SimDuration::from_millis(100)),

@@ -7,11 +7,12 @@
 //! trade-off the heterogeneous-deployment experiments quantify against
 //! full MAFIC and the proportional baseline.
 
+use crate::policy::TAG_RATE_LIMIT;
 use mafic_netsim::{
-    Addr, DropReason, FilterAction, FilterControl, FilterCtx, Packet, PacketEnv, PacketFilter,
-    SimTime, StatNote,
+    read_opt_addr, write_opt_addr, Addr, DropReason, FilterAction, FilterControl, FilterCtx,
+    Packet, PacketEnv, PacketFilter, SimTime, StatNote,
 };
-use std::any::Any;
+use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter, State, StateWrite};
 
 /// How much burst the bucket tolerates, as seconds of the sustained
 /// limit. 100 ms absorbs one monitor interval's worth of jitter without
@@ -114,21 +115,29 @@ impl RateLimitFilter {
     }
 }
 
-impl mafic_obs::StateHash for RateLimitFilter {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_f64(self.limit_bytes_per_sec);
-        h.write_f64(self.burst_bytes);
-        h.write_f64(self.tokens);
-        h.write_u64(self.last_refill.as_nanos());
-        match self.active {
-            None => h.write_u8(0),
-            Some(victim) => {
-                h.write_u8(1);
-                h.write_u32(victim.as_u32());
-            }
-        }
-        h.write_u64(self.examined);
-        h.write_u64(self.dropped);
+impl State for RateLimitFilter {
+    /// The limit and burst are build-time configuration: hashed, not
+    /// saved.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.hash_only(|h| {
+            h.write_u8(TAG_RATE_LIMIT);
+            h.write_f64(self.limit_bytes_per_sec);
+            h.write_f64(self.burst_bytes);
+        });
+        w.write_f64(self.tokens);
+        w.write_u64(self.last_refill.as_nanos());
+        write_opt_addr(self.active, w);
+        w.write_u64(self.examined);
+        w.write_u64(self.dropped);
+    }
+
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.tokens = r.read_f64()?;
+        self.last_refill = SimTime::from_nanos(r.read_u64()?);
+        self.active = read_opt_addr(r, "ratelimit-active")?;
+        self.examined = r.read_u64()?;
+        self.dropped = r.read_u64()?;
+        Ok(())
     }
 }
 
@@ -165,53 +174,23 @@ impl PacketFilter for RateLimitFilter {
         }
     }
 
-    fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
-        w.write_f64(self.tokens);
-        w.write_u64(self.last_refill.as_nanos());
-        match self.active {
-            None => w.write_u8(0),
-            Some(victim) => {
-                w.write_u8(1);
-                w.write_u32(victim.as_u32());
-            }
-        }
-        w.write_u64(self.examined);
-        w.write_u64(self.dropped);
+    fn hash_state(&self, h: &mut Fnv64) {
+        self.write_state(h);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
-        self.tokens = r.read_f64()?;
-        self.last_refill = SimTime::from_nanos(r.read_u64()?);
-        self.active = match r.read_u8()? {
-            0 => None,
-            1 => Some(Addr::new(r.read_u32()?)),
-            tag => {
-                return Err(mafic_obs::SnapError::Malformed(format!(
-                    "ratelimit-active tag {tag}"
-                )))
-            }
-        };
-        self.examined = r.read_u64()?;
-        self.dropped = r.read_u64()?;
-        Ok(())
+    fn snap_save(&self, w: &mut SnapWriter) {
+        self.write_state(w);
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.read_state(r)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::FilterHarness;
+    use mafic_netsim::testkit::{state_bytes, state_hash, FilterHarness};
     use mafic_netsim::{FlowKey, PacketKind, Provenance, SimDuration};
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001);
@@ -338,12 +317,10 @@ mod tests {
         for _ in 0..2 {
             let _ = h.offer_transit(&mut f, &pkt(VICTIM, 500));
         }
-        let mut w = mafic_obs::SnapWriter::new();
-        f.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&f);
 
         let mut g = RateLimitFilter::new(10_000.0);
-        let mut r = mafic_obs::SnapReader::new(&bytes);
+        let mut r = SnapReader::new(&bytes);
         g.snap_restore(&mut r).expect("restore");
         assert!(r.is_empty());
         assert!(g.is_active());
@@ -358,5 +335,16 @@ mod tests {
             let gx = h2.offer_transit(&mut g, &pkt(VICTIM, 500));
             assert_eq!(fx.action, gx.action);
         }
+    }
+
+    #[test]
+    fn the_limit_is_hashed_but_not_saved() {
+        let (a, b) = (
+            RateLimitFilter::new(10_000.0),
+            RateLimitFilter::new(20_000.0),
+        );
+        assert_ne!(state_hash(&a), state_hash(&b));
+        // tokens, last_refill, inactive tag, two counters — no config.
+        assert_eq!((state_bytes(&a).len(), state_bytes(&b).len()), (33, 33));
     }
 }

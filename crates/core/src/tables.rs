@@ -15,7 +15,8 @@
 //! tables remain capacity-bounded with FIFO eviction, matching a router's
 //! fixed memory budget.
 
-use mafic_netsim::{FlowId, FlowKey, FlowSlab, SimTime};
+use mafic_netsim::{read_flow_id, FlowId, FlowKey, FlowSlab, SimTime};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use std::collections::VecDeque;
 
 /// Why a flow ended up in the PDT.
@@ -390,16 +391,18 @@ impl FlowTables {
     }
 }
 
-fn snap_sft_entry(entry: &SftEntry, w: &mut mafic_obs::SnapWriter) {
-    mafic_netsim::snap_flow_key(&entry.key, w);
-    w.write_u64(entry.probe_started.as_nanos());
-    w.write_f64(entry.baseline_rate);
-    w.write_u64(entry.rtt_estimate.as_nanos());
-    w.write_u64(entry.deadline.as_nanos());
-    w.write_u64(entry.arrivals_since_probe);
+impl SftEntry {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        self.key.write_state(w);
+        w.write_u64(self.probe_started.as_nanos());
+        w.write_f64(self.baseline_rate);
+        w.write_u64(self.rtt_estimate.as_nanos());
+        w.write_u64(self.deadline.as_nanos());
+        w.write_u64(self.arrivals_since_probe);
+    }
 }
 
-fn read_sft_entry(r: &mut mafic_obs::SnapReader<'_>) -> Result<SftEntry, mafic_obs::SnapError> {
+fn read_sft_entry(r: &mut SnapReader<'_>) -> Result<SftEntry, SnapError> {
     Ok(SftEntry {
         key: mafic_netsim::read_flow_key(r)?,
         probe_started: SimTime::from_nanos(r.read_u64()?),
@@ -410,27 +413,29 @@ fn read_sft_entry(r: &mut mafic_obs::SnapReader<'_>) -> Result<SftEntry, mafic_o
     })
 }
 
-fn snap_flow_state(state: &FlowState, w: &mut mafic_obs::SnapWriter) {
-    match state {
-        FlowState::Suspicious(entry) => {
-            w.write_u8(0);
-            snap_sft_entry(entry, w);
-        }
-        FlowState::Nice { since } => {
-            w.write_u8(1);
-            w.write_u64(since.as_nanos());
-        }
-        FlowState::Condemned(reason) => {
-            w.write_u8(2);
-            w.write_u8(match reason {
-                PdtReason::IllegalSource => 0,
-                PdtReason::Unresponsive => 1,
-            });
+impl FlowState {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        match self {
+            FlowState::Suspicious(entry) => {
+                w.write_u8(0);
+                entry.write_state(w);
+            }
+            FlowState::Nice { since } => {
+                w.write_u8(1);
+                w.write_u64(since.as_nanos());
+            }
+            FlowState::Condemned(reason) => {
+                w.write_u8(2);
+                w.write_u8(match reason {
+                    PdtReason::IllegalSource => 0,
+                    PdtReason::Unresponsive => 1,
+                });
+            }
         }
     }
 }
 
-fn read_flow_state(r: &mut mafic_obs::SnapReader<'_>) -> Result<FlowState, mafic_obs::SnapError> {
+fn read_flow_state(r: &mut SnapReader<'_>) -> Result<FlowState, SnapError> {
     Ok(match r.read_u8()? {
         0 => FlowState::Suspicious(read_sft_entry(r)?),
         1 => FlowState::Nice {
@@ -439,54 +444,49 @@ fn read_flow_state(r: &mut mafic_obs::SnapReader<'_>) -> Result<FlowState, mafic
         2 => FlowState::Condemned(match r.read_u8()? {
             0 => PdtReason::IllegalSource,
             1 => PdtReason::Unresponsive,
-            tag => {
-                return Err(mafic_obs::SnapError::Malformed(format!(
-                    "pdt-reason tag {tag}"
-                )))
-            }
+            tag => return Err(SnapError::Malformed(format!("pdt-reason tag {tag}"))),
         }),
-        tag => {
-            return Err(mafic_obs::SnapError::Malformed(format!(
-                "flow-state tag {tag}"
-            )))
-        }
+        tag => return Err(SnapError::Malformed(format!("flow-state tag {tag}"))),
     })
 }
 
-impl Fifo {
-    /// Saves the deque (stale entries included — future evictions and
-    /// the compaction trigger depend on it verbatim), the live seats,
-    /// and the counters. The capacity is build-time configuration.
-    fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
-        w.write_usize(self.order.len());
-        for &(flow, stamp) in &self.order {
-            w.write_usize(flow.index());
-            w.write_u64(stamp);
-        }
+impl State for Fifo {
+    /// Seat order inside a FIFO is derivable from the stamps, so the
+    /// ledger pins the occupancy machinery with the resident count, the
+    /// (build-time) capacity, the stamp counter and the evictions,
+    /// without walking stale deque entries. A checkpoint carries the
+    /// deque verbatim — stale entries included: future evictions and the
+    /// compaction trigger depend on it — and the live seats.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.snap_only(|w| {
+            w.write_usize(self.order.len());
+            for &(flow, stamp) in &self.order {
+                w.write_usize(flow.index());
+                w.write_u64(stamp);
+            }
+        });
         w.write_usize(self.seats.len());
-        for (flow, &stamp) in self.seats.iter() {
-            w.write_usize(flow.index());
-            w.write_u64(stamp);
-        }
+        w.snap_only(|w| {
+            for (flow, &stamp) in self.seats.iter() {
+                w.write_usize(flow.index());
+                w.write_u64(stamp);
+            }
+        });
+        w.hash_only(|h| h.write_usize(self.capacity));
         w.write_u64(self.next_stamp);
         w.write_u64(self.evictions);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
-        let n = r.read_usize()?;
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.order.clear();
-        for _ in 0..n {
-            let flow = FlowId::from_index(r.read_usize()?);
+        for _ in 0..r.read_len()? {
+            let flow = read_flow_id(r)?;
             let stamp = r.read_u64()?;
             self.order.push_back((flow, stamp));
         }
-        let n = r.read_usize()?;
         self.seats = FlowSlab::new();
-        for _ in 0..n {
-            let flow = FlowId::from_index(r.read_usize()?);
+        for _ in 0..r.read_len()? {
+            let flow = read_flow_id(r)?;
             let stamp = r.read_u64()?;
             self.seats.insert(flow, stamp);
         }
@@ -496,35 +496,31 @@ impl Fifo {
     }
 }
 
-impl mafic_obs::SnapshotState for FlowTables {
-    fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
+impl State for FlowTables {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_usize(self.states.len());
         for (id, state) in self.states.iter() {
             w.write_usize(id.index());
-            snap_flow_state(state, w);
+            state.write_state(w);
         }
-        self.sft.snap_save(w);
-        self.nft.snap_save(w);
-        self.pdt.snap_save(w);
+        self.sft.write_state(w);
+        self.nft.write_state(w);
+        self.pdt.write_state(w);
         w.write_usize(self.peak_sft);
         w.write_usize(self.peak_nft);
         w.write_usize(self.peak_pdt);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
-        let n = r.read_usize()?;
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.states = FlowSlab::new();
-        for _ in 0..n {
-            let id = FlowId::from_index(r.read_usize()?);
+        for _ in 0..r.read_len()? {
+            let id = read_flow_id(r)?;
             let state = read_flow_state(r)?;
             self.states.insert(id, state);
         }
-        self.sft.snap_restore(r)?;
-        self.nft.snap_restore(r)?;
-        self.pdt.snap_restore(r)?;
+        self.sft.read_state(r)?;
+        self.nft.read_state(r)?;
+        self.pdt.read_state(r)?;
         self.peak_sft = r.read_usize()?;
         self.peak_nft = r.read_usize()?;
         self.peak_pdt = r.read_usize()?;
@@ -532,70 +528,10 @@ impl mafic_obs::SnapshotState for FlowTables {
     }
 }
 
-impl mafic_obs::StateHash for SftEntry {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        self.key.hash_state(h);
-        h.write_u64(self.probe_started.as_nanos());
-        h.write_f64(self.baseline_rate);
-        h.write_u64(self.rtt_estimate.as_nanos());
-        h.write_u64(self.deadline.as_nanos());
-        h.write_u64(self.arrivals_since_probe);
-    }
-}
-
-impl mafic_obs::StateHash for FlowState {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        match self {
-            FlowState::Suspicious(entry) => {
-                h.write_u8(0);
-                entry.hash_state(h);
-            }
-            FlowState::Nice { since } => {
-                h.write_u8(1);
-                h.write_u64(since.as_nanos());
-            }
-            FlowState::Condemned(reason) => {
-                h.write_u8(2);
-                h.write_u8(match reason {
-                    PdtReason::IllegalSource => 0,
-                    PdtReason::Unresponsive => 1,
-                });
-            }
-        }
-    }
-}
-
-impl Fifo {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_usize(self.len());
-        h.write_usize(self.capacity);
-        h.write_u64(self.next_stamp);
-        h.write_u64(self.evictions);
-    }
-}
-
-impl mafic_obs::StateHash for FlowTables {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_usize(self.states.len());
-        for (id, state) in self.states.iter() {
-            h.write_usize(id.index());
-            state.hash_state(h);
-        }
-        // Seat order inside each FIFO is derivable from the stamps, so
-        // hashing lengths + stamp counters + evictions pins the
-        // occupancy machinery without walking stale deque entries.
-        self.sft.hash_state(h);
-        self.nft.hash_state(h);
-        self.pdt.hash_state(h);
-        h.write_usize(self.peak_sft);
-        h.write_usize(self.peak_nft);
-        h.write_usize(self.peak_pdt);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mafic_netsim::testkit::{state_bytes, state_hash};
     use mafic_netsim::{Addr, SimDuration};
 
     fn flow(n: usize) -> FlowId {
@@ -760,6 +696,56 @@ mod tests {
         // A smaller re-occupancy never lowers the peak.
         t.nft_insert(flow(4), SimTime::ZERO);
         assert_eq!(t.approx_peak_bytes(8), loaded);
+    }
+
+    #[test]
+    fn snapshot_round_trips_tables_and_fifo_order() {
+        let mut t = FlowTables::new(2, 2, 2);
+        t.sft_insert(flow(1), entry());
+        t.nft_insert(flow(2), SimTime::from_nanos(5));
+        t.pdt_insert(flow(3), PdtReason::Unresponsive);
+        let bytes = state_bytes(&t);
+        let mut back = FlowTables::new(2, 2, 2);
+        let mut r = SnapReader::new(&bytes);
+        back.read_state(&mut r).expect("restore");
+        assert!(r.is_empty());
+        assert_eq!(state_hash(&t), state_hash(&back));
+        assert_eq!(back.state(flow(1)), t.state(flow(1)));
+        assert_eq!(state_bytes(&back), bytes);
+    }
+
+    #[test]
+    fn a_stale_deque_entry_is_saved_but_not_hashed() {
+        // Same residents, stamps and evictions; `b` additionally holds a
+        // dead order entry for a seat that was overwritten in place.
+        let mut a = Fifo::new(4);
+        a.occupy(flow(1));
+        let mut b = Fifo::new(4);
+        b.occupy(flow(1));
+        b.order.push_front((flow(9), 77));
+        assert_eq!(state_hash(&a), state_hash(&b));
+        assert_ne!(state_bytes(&a), state_bytes(&b));
+        // The capacity is configuration: hashed, not saved.
+        let mut c = Fifo::new(5);
+        c.occupy(flow(1));
+        assert_ne!(state_hash(&a), state_hash(&c));
+        assert_eq!(state_bytes(&a), state_bytes(&c));
+    }
+
+    #[test]
+    fn a_hostile_flow_index_is_malformed_not_a_panic() {
+        // Section checksums are recomputable, so the index is attacker
+        // controlled: it must neither overflow `FlowId` nor size a slab.
+        let mut w = mafic_obs::SnapWriter::new();
+        w.write_usize(1); // one state entry
+        w.write_u64(1 << 60); // its flow index
+        w.write_u8(1); // FlowState::Nice
+        w.write_u64(0); // since
+        let bytes = w.into_bytes();
+        let err = FlowTables::new(4, 4, 4)
+            .read_state(&mut SnapReader::new(&bytes))
+            .expect_err("no interner ever minted that id");
+        assert!(matches!(err, SnapError::Malformed(_)), "{err}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use mafic_loglog::{LogLog, Precision, RouterSketch};
 use mafic_netsim::{Addr, FilterAction, FilterCtx, LinkId, Packet, PacketEnv, PacketFilter};
-use std::any::Any;
+use mafic_obs::StateWrite as _;
 use std::collections::BTreeSet;
 
 /// A non-dropping sketch tap installed on a router.
@@ -168,14 +168,6 @@ impl PacketFilter for LogLogTap {
             .map_err(mafic_obs::SnapError::Malformed)?;
         self.packets_seen = r.read_u64()?;
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -4,12 +4,11 @@
 //! Usage: `figures [id…]` with ids from `tables fig3 … fig11 ablations`.
 //! No ids prints the tables and Figs. 3–11. Panels print in paper order
 //! whatever the argument order, and a sweep or grid shared by several
-//! panels runs once. `MAFIC_JOBS`, `MAFIC_TRIALS` and `MAFIC_WARM_SWEEP`
-//! (Fig. 8's depth sweep) apply as everywhere; stdout is byte-identical
-//! at any of their values.
+//! panels runs once. `MAFIC_JOBS` and `MAFIC_TRIALS` apply as
+//! everywhere; stdout is byte-identical at any `MAFIC_JOBS`.
 
 use mafic_experiments::figures::{select_panels, PanelRuns};
-use mafic_experiments::{warm_sweep_from_env_or_exit, EngineConfig};
+use mafic_experiments::EngineConfig;
 
 fn main() {
     let ids: Vec<String> = std::env::args().skip(1).collect();
@@ -18,10 +17,7 @@ fn main() {
         eprintln!("usage: figures [id…]");
         std::process::exit(2);
     });
-    let mut runs = PanelRuns::new(
-        EngineConfig::from_env_or_exit(),
-        warm_sweep_from_env_or_exit(),
-    );
+    let mut runs = PanelRuns::new(EngineConfig::from_env_or_exit());
     for (i, panel) in panels.iter().enumerate() {
         match runs.render(panel) {
             Ok(block) => {

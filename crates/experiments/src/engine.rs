@@ -103,35 +103,6 @@ impl EngineConfig {
     }
 }
 
-/// Reads the `MAFIC_WARM_SWEEP` opt-in: `1` lets eligible figures
-/// branch their sweep from a shared-prefix checkpoint
-/// ([`crate::sweep::sweep_warm`] — byte-identical output, the prefix
-/// simulated once per trial instead of once per grid cell); `0` or
-/// unset runs every cell cold. Injectable lookup for the same reason as
-/// [`EngineConfig::from_lookup`].
-///
-/// # Errors
-///
-/// Rejects any other value with a message naming the variable.
-pub fn warm_sweep_enabled(lookup: impl Fn(&str) -> Option<String>) -> Result<bool, String> {
-    match lookup("MAFIC_WARM_SWEEP").as_deref() {
-        None | Some("0") => Ok(false),
-        Some("1") => Ok(true),
-        Some(raw) => Err(format!("MAFIC_WARM_SWEEP must be 0 or 1, got {raw:?}")),
-    }
-}
-
-/// [`warm_sweep_enabled`] for binary entrypoints: reads the process
-/// environment, printing the error and exiting with status 2 on an
-/// invalid value.
-#[must_use]
-pub fn warm_sweep_from_env_or_exit() -> bool {
-    warm_sweep_enabled(|key| std::env::var(key).ok()).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
 /// Runs `worker` over `inputs` on a pool of `jobs` threads and returns
 /// the outputs **in input order**. On failures, the error of the
 /// lowest-indexed failing job is returned — the same error the serial
@@ -327,16 +298,6 @@ mod tests {
             assert!(err.contains(key), "error must name {key}: {err}");
             assert!(err.contains(raw), "error must echo the value: {err}");
         }
-    }
-
-    #[test]
-    fn warm_sweep_knob_parses_strictly() {
-        assert_eq!(warm_sweep_enabled(|_| None), Ok(false));
-        assert_eq!(warm_sweep_enabled(|_| Some("0".to_string())), Ok(false));
-        assert_eq!(warm_sweep_enabled(|_| Some("1".to_string())), Ok(true));
-        let err = warm_sweep_enabled(|_| Some("yes".to_string())).unwrap_err();
-        assert!(err.contains("MAFIC_WARM_SWEEP"), "{err}");
-        assert!(err.contains("yes"), "{err}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::engine::{run_specs, EngineConfig};
 use crate::figure::FigureData;
-use crate::sweep::{sweep, sweep_warm, Metric, SweepSeries};
+use crate::sweep::{sweep, Metric, SweepSeries};
 use crate::{ablations, tables};
 use mafic::DefensePolicy;
 use mafic_adversary::{AdversarySpec, StrategyKind};
@@ -189,25 +189,6 @@ pub fn fig8_spec(depth: u32) -> ScenarioSpec {
 pub fn sweep_pushback_depth(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
     let series = vec![("chain(2)+stubs".to_string(), ())];
     sweep(&series, &depth_axis(), cfg, |(), depth| {
-        fig8_spec(depth as u32)
-    })
-}
-
-/// [`sweep_pushback_depth`] warm-started (`MAFIC_WARM_SWEEP=1`): the
-/// depth knob is the escalation budget, first consulted when the
-/// victim's coordinator triggers — strictly after the attack begins —
-/// so every depth shares the pre-attack prefix byte-for-byte. Branching
-/// at `attack_start` simulates that prefix once per trial instead of
-/// once per grid cell, and the restore digest check keeps the shortcut
-/// honest.
-///
-/// # Errors
-///
-/// Propagates build/run/restore errors.
-pub fn sweep_pushback_depth_warm(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
-    let series = vec![("chain(2)+stubs".to_string(), ())];
-    let branch_at = fig8_spec(0).attack_start;
-    sweep_warm(&series, &depth_axis(), cfg, branch_at, |(), depth| {
         fig8_spec(depth as u32)
     })
 }
@@ -700,8 +681,7 @@ pub enum Sweep {
     VtGamma,
     /// [`sweep_gamma_domain`].
     GammaDomain,
-    /// [`sweep_pushback_depth`], or [`sweep_pushback_depth_warm`] under
-    /// `MAFIC_WARM_SWEEP=1` (byte-identical output).
+    /// [`sweep_pushback_depth`].
     Depth,
     /// [`sweep_partial_deployment`].
     Partial,
@@ -1029,19 +1009,16 @@ pub fn select_panels(ids: &[String]) -> Result<Vec<&'static Panel>, String> {
 #[derive(Debug)]
 pub struct PanelRuns {
     cfg: EngineConfig,
-    warm_depth_sweep: bool,
     sweeps: BTreeMap<Sweep, Vec<SweepSeries>>,
     grids: BTreeMap<Grid, Vec<GridCell>>,
 }
 
 impl PanelRuns {
-    /// Nothing run yet. `warm_depth_sweep` is the `MAFIC_WARM_SWEEP`
-    /// opt-in, read by the caller at entry like `cfg`.
+    /// Nothing run yet.
     #[must_use]
-    pub fn new(cfg: EngineConfig, warm_depth_sweep: bool) -> Self {
+    pub fn new(cfg: EngineConfig) -> Self {
         PanelRuns {
             cfg,
-            warm_depth_sweep,
             sweeps: BTreeMap::new(),
             grids: BTreeMap::new(),
         }
@@ -1056,7 +1033,6 @@ impl PanelRuns {
                 Sweep::RateVt => sweep_rate_vt(cfg)?,
                 Sweep::VtGamma => sweep_vt_gamma(cfg)?,
                 Sweep::GammaDomain => sweep_gamma_domain(cfg)?,
-                Sweep::Depth if self.warm_depth_sweep => sweep_pushback_depth_warm(cfg)?,
                 Sweep::Depth => sweep_pushback_depth(cfg)?,
                 Sweep::Partial => sweep_partial_deployment(cfg)?,
             }),

@@ -43,8 +43,6 @@ pub mod figures;
 pub mod sweep;
 pub mod tables;
 
-pub use engine::{
-    run_jobs, run_specs, warm_sweep_enabled, warm_sweep_from_env_or_exit, EngineConfig,
-};
+pub use engine::{run_jobs, run_specs, EngineConfig};
 pub use figure::{FigureData, Series};
 pub use sweep::{average_reports, run_averaged, sweep, sweep_warm, SweepPoint, SweepSeries};

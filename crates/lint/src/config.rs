@@ -114,7 +114,7 @@ impl LintConfig {
             layers: vec![
                 // mafic-obs sits below netsim: the ledger primitives
                 // (FNV chain, probe, differ) must never see simulator
-                // types, so every layer can implement `StateHash`.
+                // types, so every layer can implement `State`.
                 CrateLayer {
                     name: "mafic-obs",
                     rank: 0,

@@ -10,7 +10,7 @@ use crate::flows::FlowId;
 use crate::ids::{AgentId, NodeId};
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
-use mafic_obs::{SnapError, SnapReader, SnapWriter};
+use mafic_obs::{SnapError, SnapReader, SnapWriter, StateWrite as _};
 use std::any::Any;
 
 /// Commands an agent queues for the simulator.
@@ -102,7 +102,10 @@ impl<'a> AgentCtx<'a> {
 }
 
 /// An end-host traffic endpoint (TCP sender, sink, CBR zombie, …).
-pub trait Agent {
+///
+/// `Any` is a supertrait so harnesses can downcast an agent to its
+/// concrete type ([`crate::Simulator::agent`]).
+pub trait Agent: Any {
     /// Called once at the agent's configured start time.
     fn on_start(&mut self, ctx: &mut AgentCtx<'_>);
 
@@ -128,12 +131,6 @@ pub trait Agent {
     fn snap_restore(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         Ok(())
     }
-
-    /// Downcast support for harness inspection.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// An agent that counts deliveries and otherwise does nothing.
@@ -203,14 +200,6 @@ impl Agent for CountingSink {
             None
         };
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -22,9 +22,9 @@
 //! simulation behavior — they are addresses, not identities (packet
 //! identity stays [`Packet::id`]).
 
-use crate::flows::FlowId;
+use crate::flows::{read_flow_id, FlowId};
 use crate::packet::Packet;
-use mafic_obs::{SnapError, SnapReader, SnapWriter};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 
 /// Dense handle to a packet resident in the simulator's packet arena.
 ///
@@ -162,66 +162,49 @@ impl PacketArena {
     pub(crate) fn peak(&self) -> usize {
         self.peak
     }
+}
 
-    /// Folds the arena occupancy into `h` for the run ledger: counters,
-    /// the free-list depth, and every occupied slot in index order
-    /// (slot indices are deterministic addresses, so index order is
-    /// replay-stable).
-    pub(crate) fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_usize(self.live);
-        h.write_usize(self.peak);
-        h.write_usize(self.free.len());
+impl State for PacketArena {
+    /// Every occupied slot in index order (slot indices are
+    /// deterministic addresses, so index order is replay-stable) with
+    /// its cached ids. The ledger hashes the counters, the free-list
+    /// depth and each occupied slot's index; a checkpoint carries the
+    /// full slab — vacancies, the free list itself, then the counters —
+    /// so slot addresses survive a restore (events and link queues
+    /// refer to packets by slot index).
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.hash_only(|h| {
+            h.write_usize(self.live);
+            h.write_usize(self.peak);
+            h.write_usize(self.free.len());
+        });
+        w.snap_only(|w| w.write_usize(self.slots.len()));
         for (idx, slot) in self.slots.iter().enumerate() {
-            let Some(packet) = slot else { continue };
-            h.write_usize(idx);
-            crate::packet::hash_packet(packet, h);
-            match self.stats_ids[idx] {
-                Some(id) => {
-                    h.write_u8(1);
-                    h.write_usize(id.index());
-                }
-                None => h.write_u8(0),
-            }
-            match self.flow_ids[idx] {
-                Some(id) => {
-                    h.write_u8(1);
-                    h.write_usize(id.index());
-                }
-                None => h.write_u8(0),
-            }
+            let Some(packet) = slot else {
+                w.snap_only(|w| w.write_bool(false));
+                continue;
+            };
+            w.hash_only(|h| h.write_usize(idx));
+            w.snap_only(|w| w.write_bool(true));
+            packet.write_state(w);
+            write_opt_flow_id(self.stats_ids[idx], w);
+            write_opt_flow_id(self.flow_ids[idx], w);
         }
+        w.snap_only(|w| {
+            w.write_usize(self.free.len());
+            for &slot in &self.free {
+                w.write_u32(slot);
+            }
+            w.write_usize(self.live);
+            w.write_usize(self.peak);
+        });
     }
 
-    /// Serializes the full slab — occupancy, cached ids, free list,
-    /// counters — so slot addresses survive a restore (events and link
-    /// queues refer to packets by slot index).
-    pub(crate) fn snap_save(&self, w: &mut SnapWriter) {
-        w.write_usize(self.slots.len());
-        for (idx, slot) in self.slots.iter().enumerate() {
-            match slot {
-                Some(packet) => {
-                    w.write_bool(true);
-                    crate::packet::snap_packet(packet, w);
-                    snap_opt_flow_id(self.stats_ids[idx], w);
-                    snap_opt_flow_id(self.flow_ids[idx], w);
-                }
-                None => w.write_bool(false),
-            }
-        }
-        w.write_usize(self.free.len());
-        for &slot in &self.free {
-            w.write_u32(slot);
-        }
-        w.write_usize(self.live);
-        w.write_usize(self.peak);
-    }
-
-    /// Overlays checkpointed slab state.
-    pub(crate) fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.read_usize()?;
-        let mut slots = Vec::with_capacity(n.min(1 << 20));
-        let mut stats_ids = Vec::with_capacity(n.min(1 << 20));
-        let mut flow_ids = Vec::with_capacity(n.min(1 << 20));
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.read_len()?;
+        let mut slots = Vec::with_capacity(n);
+        let mut stats_ids = Vec::with_capacity(n);
+        let mut flow_ids = Vec::with_capacity(n);
         for _ in 0..n {
             if r.read_bool()? {
                 slots.push(Some(crate::packet::read_packet(r)?));
@@ -233,8 +216,8 @@ impl PacketArena {
                 flow_ids.push(None);
             }
         }
-        let n_free = r.read_usize()?;
-        let mut free = Vec::with_capacity(n_free.min(1 << 20));
+        let n_free = r.read_len()?;
+        let mut free = Vec::with_capacity(n_free);
         for _ in 0..n_free {
             free.push(r.read_u32()?);
         }
@@ -248,7 +231,7 @@ impl PacketArena {
     }
 }
 
-fn snap_opt_flow_id(id: Option<FlowId>, w: &mut SnapWriter) {
+fn write_opt_flow_id<W: StateWrite>(id: Option<FlowId>, w: &mut W) {
     match id {
         Some(id) => {
             w.write_bool(true);
@@ -260,7 +243,7 @@ fn snap_opt_flow_id(id: Option<FlowId>, w: &mut SnapWriter) {
 
 fn read_opt_flow_id(r: &mut SnapReader<'_>) -> Result<Option<FlowId>, SnapError> {
     Ok(if r.read_bool()? {
-        Some(FlowId::from_index(r.read_usize()?))
+        Some(read_flow_id(r)?)
     } else {
         None
     })
@@ -271,6 +254,7 @@ mod tests {
     use super::*;
     use crate::ids::{Addr, AgentId};
     use crate::packet::{FlowKey, PacketKind, Provenance};
+    use crate::testkit::{state_bytes, state_hash};
     use crate::time::SimTime;
 
     fn pkt(id: u64) -> Packet {
@@ -328,12 +312,10 @@ mod tests {
         let r2 = a.alloc(pkt(2), None);
         a.set_flow_id(r2, FlowId::from_index(9));
         let _ = a.take(r1);
-        let mut w = SnapWriter::new();
-        a.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&a);
         let mut restored = PacketArena::new();
         let mut r = SnapReader::new(&bytes);
-        restored.snap_restore(&mut r).unwrap();
+        restored.read_state(&mut r).unwrap();
         assert!(r.is_empty());
         assert_eq!(restored.live(), 1);
         assert_eq!(restored.peak(), 2);
@@ -342,12 +324,27 @@ mod tests {
         // The freed slot is recycled in the same LIFO order.
         let r3 = restored.alloc(pkt(3), None);
         assert_eq!(r3, r1);
-        let mut ha = mafic_obs::Fnv64::new();
-        let mut hb = mafic_obs::Fnv64::new();
         a.alloc(pkt(3), None);
-        a.hash_state(&mut ha);
-        restored.hash_state(&mut hb);
-        assert_eq!(ha.finish(), hb.finish());
+        assert_eq!(state_hash(&a), state_hash(&restored));
+    }
+
+    #[test]
+    fn free_list_order_is_saved_but_only_its_depth_is_hashed() {
+        let freed = |first: usize, second: usize| {
+            let mut a = PacketArena::new();
+            let refs = [
+                a.alloc(pkt(1), None),
+                a.alloc(pkt(2), None),
+                a.alloc(pkt(3), None),
+            ];
+            let _ = a.take(refs[first]);
+            let _ = a.take(refs[second]);
+            (state_hash(&a), state_bytes(&a))
+        };
+        let (hash_a, bytes_a) = freed(0, 1);
+        let (hash_b, bytes_b) = freed(1, 0);
+        assert_eq!(hash_a, hash_b);
+        assert_ne!(bytes_a, bytes_b);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::arena::PacketRef;
 use crate::ids::{Addr, AgentId, LinkId, NodeId};
 use crate::time::SimTime;
-use mafic_obs::{SnapError, SnapReader, SnapWriter};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 
 /// Control-plane message delivered to a node's filters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,46 +204,33 @@ impl Scheduler {
     pub(crate) fn scheduled_total(&self) -> u64 {
         self.next_seq
     }
+}
 
-    /// Folds the full heap state into `h` for the run ledger.
-    ///
-    /// Heap storage order is itself deterministic (identical schedule/
-    /// pop sequences produce identical arrays), so hashing the raw SoA
-    /// arrays in index order is both cheap and replay-stable.
-    pub(crate) fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u64(self.next_seq);
-        h.write_usize(self.keys.len());
-        for &key in &self.keys {
-            h.write_u128(key);
-        }
-        for kind in &self.kinds {
-            hash_event_kind(kind, h);
-        }
-    }
-
-    /// Serializes the heap for a checkpoint: raw SoA arrays in storage
-    /// order, which restore verbatim (heap order is a property of the
-    /// arrays, not of the process that produced them).
-    pub(crate) fn snap_save(&self, w: &mut SnapWriter) {
+impl State for Scheduler {
+    /// The raw SoA arrays in storage order. Heap storage order is
+    /// itself deterministic (identical schedule/pop sequences produce
+    /// identical arrays), so index order is replay-stable for the
+    /// ledger, and restores verbatim from a checkpoint (heap order is a
+    /// property of the arrays, not of the process that produced them).
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_u64(self.next_seq);
         w.write_usize(self.keys.len());
         for &key in &self.keys {
             w.write_u128(key);
         }
         for kind in &self.kinds {
-            snap_event_kind(kind, w);
+            kind.write_state(w);
         }
     }
 
-    /// Overlays checkpointed heap state.
-    pub(crate) fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.next_seq = r.read_u64()?;
-        let n = r.read_usize()?;
-        let mut keys = Vec::with_capacity(n.min(1 << 20));
+        let n = r.read_len()?;
+        let mut keys = Vec::with_capacity(n);
         for _ in 0..n {
             keys.push(r.read_u128()?);
         }
-        let mut kinds = Vec::with_capacity(n.min(1 << 20));
+        let mut kinds = Vec::with_capacity(n);
         for _ in 0..n {
             kinds.push(read_event_kind(r)?);
         }
@@ -253,54 +240,56 @@ impl Scheduler {
     }
 }
 
-/// Serializes one event payload for a checkpoint; tags mirror
-/// [`hash_event_kind`].
-pub(crate) fn snap_event_kind(kind: &EventKind, w: &mut SnapWriter) {
-    match kind {
-        EventKind::DeliverToNode { node, packet } => {
-            w.write_u8(0);
-            w.write_u32(node.0);
-            w.write_u32(packet.0);
-        }
-        EventKind::LinkDeliver { link } => {
-            w.write_u8(1);
-            w.write_u32(link.0);
-        }
-        EventKind::AgentWake { agent, token } => {
-            w.write_u8(2);
-            w.write_u32(agent.0);
-            w.write_u64(*token);
-        }
-        EventKind::AgentStart { agent } => {
-            w.write_u8(3);
-            w.write_u32(agent.0);
-        }
-        EventKind::FilterTimer {
-            node,
-            filter_index,
-            token,
-        } => {
-            w.write_u8(4);
-            w.write_u32(node.0);
-            w.write_u32(*filter_index);
-            w.write_u64(*token);
-        }
-        EventKind::Control { node, msg } => {
-            w.write_u8(5);
-            w.write_u32(node.0);
-            match msg {
-                FilterControl::PushbackStart { victim } => {
-                    w.write_u8(0);
-                    w.write_u32(victim.as_u32());
+impl EventKind {
+    /// Encodes one event payload: a discriminant tag byte followed by
+    /// the variant's fields.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        match self {
+            EventKind::DeliverToNode { node, packet } => {
+                w.write_u8(0);
+                w.write_u32(node.0);
+                w.write_u32(packet.0);
+            }
+            EventKind::LinkDeliver { link } => {
+                w.write_u8(1);
+                w.write_u32(link.0);
+            }
+            EventKind::AgentWake { agent, token } => {
+                w.write_u8(2);
+                w.write_u32(agent.0);
+                w.write_u64(*token);
+            }
+            EventKind::AgentStart { agent } => {
+                w.write_u8(3);
+                w.write_u32(agent.0);
+            }
+            EventKind::FilterTimer {
+                node,
+                filter_index,
+                token,
+            } => {
+                w.write_u8(4);
+                w.write_u32(node.0);
+                w.write_u32(*filter_index);
+                w.write_u64(*token);
+            }
+            EventKind::Control { node, msg } => {
+                w.write_u8(5);
+                w.write_u32(node.0);
+                match msg {
+                    FilterControl::PushbackStart { victim } => {
+                        w.write_u8(0);
+                        w.write_u32(victim.as_u32());
+                    }
+                    FilterControl::PushbackStop => w.write_u8(1),
                 }
-                FilterControl::PushbackStop => w.write_u8(1),
             }
         }
     }
 }
 
-/// Reads one event payload written by [`snap_event_kind`].
-pub(crate) fn read_event_kind(r: &mut SnapReader<'_>) -> Result<EventKind, SnapError> {
+/// Reads one event payload written by [`EventKind::write_state`].
+fn read_event_kind(r: &mut SnapReader<'_>) -> Result<EventKind, SnapError> {
     Ok(match r.read_u8()? {
         0 => EventKind::DeliverToNode {
             node: NodeId(r.read_u32()?),
@@ -337,55 +326,10 @@ pub(crate) fn read_event_kind(r: &mut SnapReader<'_>) -> Result<EventKind, SnapE
     })
 }
 
-/// Encodes one event payload for hashing: a discriminant tag byte
-/// followed by the variant's fields.
-pub(crate) fn hash_event_kind(kind: &EventKind, h: &mut mafic_obs::Fnv64) {
-    match kind {
-        EventKind::DeliverToNode { node, packet } => {
-            h.write_u8(0);
-            h.write_u32(node.0);
-            h.write_u32(packet.0);
-        }
-        EventKind::LinkDeliver { link } => {
-            h.write_u8(1);
-            h.write_u32(link.0);
-        }
-        EventKind::AgentWake { agent, token } => {
-            h.write_u8(2);
-            h.write_u32(agent.0);
-            h.write_u64(*token);
-        }
-        EventKind::AgentStart { agent } => {
-            h.write_u8(3);
-            h.write_u32(agent.0);
-        }
-        EventKind::FilterTimer {
-            node,
-            filter_index,
-            token,
-        } => {
-            h.write_u8(4);
-            h.write_u32(node.0);
-            h.write_u32(*filter_index);
-            h.write_u64(*token);
-        }
-        EventKind::Control { node, msg } => {
-            h.write_u8(5);
-            h.write_u32(node.0);
-            match msg {
-                FilterControl::PushbackStart { victim } => {
-                    h.write_u8(0);
-                    h.write_u32(victim.as_u32());
-                }
-                FilterControl::PushbackStop => h.write_u8(1),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{state_bytes, state_hash};
     use crate::time::SimDuration;
 
     fn wake(agent: u32, token: u64) -> EventKind {
@@ -446,18 +390,12 @@ mod tests {
             },
         );
         let _ = s.pop();
-        let mut w = SnapWriter::new();
-        s.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&s);
         let mut restored = Scheduler::new();
         let mut r = SnapReader::new(&bytes);
-        restored.snap_restore(&mut r).unwrap();
+        restored.read_state(&mut r).unwrap();
         assert!(r.is_empty());
-        let mut ha = mafic_obs::Fnv64::new();
-        let mut hb = mafic_obs::Fnv64::new();
-        s.hash_state(&mut ha);
-        restored.hash_state(&mut hb);
-        assert_eq!(ha.finish(), hb.finish());
+        assert_eq!(state_hash(&s), state_hash(&restored));
         // The restored heap continues popping in the same total order.
         assert_eq!(s.pop().unwrap().0, restored.pop().unwrap().0);
     }

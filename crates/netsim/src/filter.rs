@@ -12,7 +12,7 @@ use crate::flows::FlowId;
 use crate::ids::{LinkId, NodeId};
 use crate::packet::{DropReason, Packet};
 use crate::time::{SimDuration, SimTime};
-use mafic_obs::{SnapError, SnapReader, SnapWriter};
+use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter, StateWrite as _};
 use std::any::Any;
 
 /// Verdict on a single packet.
@@ -181,7 +181,17 @@ impl<'a> FilterCtx<'a> {
 /// Implementations include the MAFIC adaptive dropper, the proportional
 /// baseline dropper, and the LogLog traffic taps. Filters on a node form
 /// an ordered chain; the first `Drop` verdict wins.
-pub trait PacketFilter {
+///
+/// `Any` is a supertrait so harnesses can downcast a chain slot to its
+/// concrete type ([`crate::Simulator::filter`]).
+///
+/// The three state hooks default to no-ops for stateless filters. A
+/// filter the run ledger hashes implements [`mafic_obs::State`] once and
+/// forwards all three to it — the hooks exist only because a generic
+/// walk cannot be called through `dyn PacketFilter`, and one hook per
+/// sink keeps every primitive write statically dispatched. A filter
+/// that is checkpointed but never hashed writes its snap hooks directly.
+pub trait PacketFilter: Any {
     /// Called for every packet arriving at the node.
     fn on_packet(
         &mut self,
@@ -202,13 +212,13 @@ pub trait PacketFilter {
     /// Called when a control-plane message reaches this node.
     fn on_control(&mut self, _msg: &FilterControl, _ctx: &mut FilterCtx<'_>) {}
 
-    /// Serializes this filter's mutable state into a checkpoint payload.
-    ///
-    /// The default is a no-op for stateless filters. Implementations
-    /// must write fields in a fixed order matched by
-    /// [`PacketFilter::snap_restore`], and must include any RNG
-    /// internals — a restored run continues the stream mid-way instead
-    /// of replaying it from the seed.
+    /// Folds this filter's state into the run-ledger hash
+    /// ([`mafic_obs::State::write_state`] over the hasher).
+    fn hash_state(&self, _h: &mut Fnv64) {}
+
+    /// Serializes this filter's mutable state into a checkpoint
+    /// payload, RNG internals included — a restored run continues the
+    /// stream mid-way instead of replaying it from the seed.
     fn snap_save(&self, _w: &mut SnapWriter) {}
 
     /// Overlays checkpointed state written by [`PacketFilter::snap_save`].
@@ -219,12 +229,6 @@ pub trait PacketFilter {
     fn snap_restore(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         Ok(())
     }
-
-    /// Downcast support so harnesses can inspect filter state mid-run.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A filter that forwards everything; useful as a placeholder and in tests.
@@ -265,14 +269,6 @@ impl PacketFilter for PassthroughFilter {
     fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.seen = r.read_u64()?;
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -340,7 +336,9 @@ mod tests {
     #[test]
     fn downcasting_works() {
         let mut f: Box<dyn PacketFilter> = Box::new(PassthroughFilter::new());
-        assert!(f.as_any().downcast_ref::<PassthroughFilter>().is_some());
-        assert!(f.as_any_mut().downcast_mut::<PassthroughFilter>().is_some());
+        assert!((&*f as &dyn Any).is::<PassthroughFilter>());
+        assert!((&mut *f as &mut dyn Any)
+            .downcast_mut::<PassthroughFilter>()
+            .is_some());
     }
 }

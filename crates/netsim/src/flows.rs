@@ -20,6 +20,7 @@
 //!   replays identically for a given seed.
 
 use crate::packet::FlowKey;
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use std::fmt;
 
 /// Dense handle for one interned flow 4-tuple.
@@ -39,6 +40,27 @@ impl FlowId {
     pub fn from_index(index: usize) -> Self {
         FlowId(u32::try_from(index).expect("flow index fits u32"))
     }
+}
+
+/// Largest flow index a checkpoint may name. Ids are dense, so an index
+/// sizes the slab it is inserted into; section checksums are
+/// recomputable, so the index is attacker-controlled.
+const MAX_RESTORED_FLOW_INDEX: usize = 1 << 20;
+
+/// Reads a [`FlowId`] a [`State`] walk wrote as `write_usize(id.index())`.
+///
+/// # Errors
+///
+/// [`SnapError::Truncated`] at end of input; [`SnapError::Malformed`]
+/// for an index no honest checkpoint of this simulator holds.
+pub fn read_flow_id(r: &mut SnapReader<'_>) -> Result<FlowId, SnapError> {
+    let index = r.read_usize()?;
+    if index > MAX_RESTORED_FLOW_INDEX {
+        return Err(SnapError::Malformed(format!(
+            "flow index {index} out of range"
+        )));
+    }
+    Ok(FlowId(index as u32))
 }
 
 impl fmt::Display for FlowId {
@@ -184,31 +206,6 @@ impl FlowInterner {
             .map(|(i, &k)| (FlowId(i as u32), k))
     }
 
-    /// Serializes the interner for a checkpoint: the key slab in minting
-    /// order. The probe index is derived state and is rebuilt on restore
-    /// by re-interning, which reproduces the identical table (interning
-    /// is a pure function of the key sequence).
-    pub(crate) fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
-        w.write_usize(self.keys.len());
-        for &key in &self.keys {
-            crate::packet::snap_flow_key(&key, w);
-        }
-    }
-
-    /// Overlays checkpointed interner state.
-    pub(crate) fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
-        let n = r.read_usize()?;
-        *self = FlowInterner::new();
-        for _ in 0..n {
-            let key = crate::packet::read_flow_key(r)?;
-            let _ = self.intern(key);
-        }
-        Ok(())
-    }
-
     fn grow(&mut self) {
         let new_slots = self.index.len() * 2;
         self.index.clear();
@@ -221,6 +218,29 @@ impl FlowInterner {
             }
             self.index[slot] = i as u32 + 1;
         }
+    }
+}
+
+impl State for FlowInterner {
+    /// The key slab in minting order. The probe index is derived state
+    /// and is rebuilt on restore by re-interning, which reproduces the
+    /// identical table (interning is a pure function of the key
+    /// sequence).
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.write_usize(self.keys.len());
+        for key in &self.keys {
+            key.write_state(w);
+        }
+    }
+
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.read_len()?;
+        *self = FlowInterner::new();
+        for _ in 0..n {
+            let key = crate::packet::read_flow_key(r)?;
+            let _ = self.intern(key);
+        }
+        Ok(())
     }
 }
 

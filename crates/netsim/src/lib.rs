@@ -66,12 +66,14 @@ pub use agent::{Agent, AgentCtx, CountingSink};
 pub use arena::PacketRef;
 pub use event::FilterControl;
 pub use filter::{FilterAction, FilterCtx, PacketEnv, PacketFilter, PassthroughFilter, StatNote};
-pub use flows::{FlowId, FlowInterner, FlowSlab};
+pub use flows::{read_flow_id, FlowId, FlowInterner, FlowSlab};
 pub use ids::{Addr, AgentId, LinkId, NodeId};
 pub use link::LinkSpec;
-pub use mafic_obs::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotHeader, SnapshotState};
+pub use mafic_obs::{
+    SnapError, SnapReader, SnapWriter, Snapshot, SnapshotHeader, State, StateWrite,
+};
 pub use packet::{
-    read_control_msg, read_flow_key, snap_control_msg, snap_flow_key, ControlMsg, ControlVerb,
+    read_control_msg, read_flow_key, read_opt_addr, write_opt_addr, ControlMsg, ControlVerb,
     DenyReason, DropReason, FlowKey, Packet, PacketKind, Provenance, RequesterId,
     CONTROL_PROTOCOL_VERSION,
 };

@@ -9,7 +9,7 @@
 use crate::arena::PacketRef;
 use crate::ids::NodeId;
 use crate::time::{SimDuration, SimTime};
-use mafic_obs::{SnapError, SnapReader, SnapWriter};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use std::collections::VecDeque;
 
 /// Static parameters of a link.
@@ -210,40 +210,24 @@ impl Link {
     pub(crate) fn is_busy(&self, now: SimTime) -> bool {
         self.busy_until > now
     }
+}
 
-    /// Folds the link's runtime state into `h` for the run ledger.
-    ///
-    /// The `last_tx` serialization-time memo is deliberately skipped: it
-    /// is a pure cache over the immutable spec, recomputable from hashed
-    /// state, and whether it is warm depends only on call history that
-    /// the hashed queues already pin down.
-    pub(crate) fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u32(self.from.0);
-        h.write_u32(self.to.0);
-        h.write_f64(self.spec.bandwidth_bps);
-        h.write_u64(self.spec.delay.as_nanos());
-        h.write_usize(self.spec.queue_capacity);
-        h.write_u64(self.busy_until.as_nanos());
-        h.write_usize(self.starts.len());
-        for s in &self.starts {
-            h.write_u64(s.as_nanos());
-        }
-        h.write_usize(self.pending_due.len());
-        for d in &self.pending_due {
-            h.write_u64(d.as_nanos());
-        }
-        for r in &self.pending_refs {
-            h.write_u32(r.0);
-        }
-        h.write_u64(self.enqueued);
-        h.write_u64(self.dropped_queue_full);
-    }
-
-    /// Serializes the link's *mutable* runtime state for a checkpoint.
-    /// Endpoints and spec are build-time configuration (rebuilt from the
-    /// scenario spec) and are not saved; the `last_tx` memo is a pure
-    /// cache and is reset on restore.
-    pub(crate) fn snap_save(&self, w: &mut SnapWriter) {
+impl State for Link {
+    /// The link's mutable runtime state. Endpoints and spec are
+    /// build-time configuration: the ledger hashes them, a checkpoint
+    /// does not carry them (they are rebuilt from the scenario spec).
+    /// The `last_tx` serialization-time memo is in neither: it is a pure
+    /// cache over the immutable spec, and whether it is warm depends
+    /// only on call history the queues already pin down; restore resets
+    /// it.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.hash_only(|h| {
+            h.write_u32(self.from.0);
+            h.write_u32(self.to.0);
+            h.write_f64(self.spec.bandwidth_bps);
+            h.write_u64(self.spec.delay.as_nanos());
+            h.write_usize(self.spec.queue_capacity);
+        });
         w.write_u64(self.busy_until.as_nanos());
         w.write_usize(self.starts.len());
         for s in &self.starts {
@@ -260,15 +244,14 @@ impl Link {
         w.write_u64(self.dropped_queue_full);
     }
 
-    /// Overlays checkpointed runtime state onto a freshly built link.
-    pub(crate) fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.busy_until = SimTime::from_nanos(r.read_u64()?);
-        let n_starts = r.read_usize()?;
+        let n_starts = r.read_len()?;
         self.starts.clear();
         for _ in 0..n_starts {
             self.starts.push_back(SimTime::from_nanos(r.read_u64()?));
         }
-        let n_pending = r.read_usize()?;
+        let n_pending = r.read_len()?;
         self.pending_due.clear();
         self.pending_refs.clear();
         for _ in 0..n_pending {
@@ -288,6 +271,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{state_bytes, state_hash};
 
     fn link(cap: usize) -> Link {
         Link::new(
@@ -384,18 +368,12 @@ mod tests {
         let _ = l.enqueue(PacketRef(2), 2000, SimTime::ZERO);
         let _ = l.enqueue(PacketRef(3), 1000, SimTime::ZERO);
         let _ = l.enqueue(PacketRef(4), 1000, SimTime::ZERO); // dropped
-        let mut w = SnapWriter::new();
-        l.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&l);
         let mut restored = link(2);
         let mut r = SnapReader::new(&bytes);
-        restored.snap_restore(&mut r).unwrap();
+        restored.read_state(&mut r).unwrap();
         assert!(r.is_empty());
-        let mut ha = mafic_obs::Fnv64::new();
-        let mut hb = mafic_obs::Fnv64::new();
-        l.hash_state(&mut ha);
-        restored.hash_state(&mut hb);
-        assert_eq!(ha.finish(), hb.finish());
+        assert_eq!(state_hash(&l), state_hash(&restored));
         assert_eq!(
             restored.queue_len(SimTime::ZERO),
             l.queue_len(SimTime::ZERO)
@@ -404,6 +382,9 @@ mod tests {
             restored.pop_due(l.busy_until + l.spec.delay),
             Some(PacketRef(1))
         );
+        // The spec is configuration: hashed, not saved.
+        assert_ne!(state_hash(&link(3)), state_hash(&link(2)));
+        assert_eq!(state_bytes(&link(3)), state_bytes(&link(2)));
     }
 
     #[test]

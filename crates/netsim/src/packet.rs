@@ -12,7 +12,7 @@
 
 use crate::ids::{Addr, AgentId};
 use crate::time::SimTime;
-use mafic_obs::{SnapError, SnapReader, SnapWriter};
+use mafic_obs::{SnapError, SnapReader, StateWrite};
 use std::fmt;
 
 /// The 4-tuple flow label.
@@ -451,115 +451,26 @@ impl fmt::Display for DropReason {
     }
 }
 
-impl mafic_obs::StateHash for FlowKey {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        let (a, b) = self.as_words();
-        h.write_u64(a);
-        h.write_u64(b);
-    }
-}
-
-impl mafic_obs::StateHash for DenyReason {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u8(match self {
-            DenyReason::BadVersion => 0,
-            DenyReason::UntrustedRequester => 1,
-            DenyReason::Replayed => 2,
-            DenyReason::Uncorroborated => 3,
-            DenyReason::BudgetExhausted => 4,
+impl FlowKey {
+    /// Writes the 4-tuple: field by field into a checkpoint, as the two
+    /// packed [`FlowKey::as_words`] into the ledger hash (the formats
+    /// predate the shared walk and are pinned).
+    pub fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.hash_only(|h| {
+            let (a, b) = self.as_words();
+            h.write_u64(a);
+            h.write_u64(b);
+        });
+        w.snap_only(|w| {
+            w.write_u32(self.src.as_u32());
+            w.write_u32(self.dst.as_u32());
+            w.write_u16(self.src_port);
+            w.write_u16(self.dst_port);
         });
     }
 }
 
-impl mafic_obs::StateHash for ControlVerb {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        match self {
-            ControlVerb::Request {
-                victim,
-                aggregate_bps,
-                budget,
-            } => {
-                h.write_u8(0);
-                h.write_u32(victim.as_u32());
-                h.write_u64(*aggregate_bps);
-                h.write_u8(*budget);
-            }
-            ControlVerb::Refresh { victim, budget } => {
-                h.write_u8(1);
-                h.write_u32(victim.as_u32());
-                h.write_u8(*budget);
-            }
-            ControlVerb::Withdraw { victim } => {
-                h.write_u8(2);
-                h.write_u32(victim.as_u32());
-            }
-            ControlVerb::Stop { victim } => {
-                h.write_u8(3);
-                h.write_u32(victim.as_u32());
-            }
-            ControlVerb::Deny { victim, reason } => {
-                h.write_u8(4);
-                h.write_u32(victim.as_u32());
-                reason.hash_state(h);
-            }
-            ControlVerb::Report {
-                victim,
-                aggregate_bps,
-            } => {
-                h.write_u8(5);
-                h.write_u32(victim.as_u32());
-                h.write_u64(*aggregate_bps);
-            }
-        }
-    }
-}
-
-impl mafic_obs::StateHash for ControlMsg {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u8(self.version);
-        h.write_u32(self.requester.addr().as_u32());
-        h.write_u64(self.nonce);
-        self.verb.hash_state(h);
-    }
-}
-
-impl mafic_obs::StateHash for PacketKind {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        match self {
-            PacketKind::TcpData { seq, ts, ts_echo } => {
-                h.write_u8(0);
-                h.write_u64(*seq);
-                h.write_u64(ts.as_nanos());
-                h.write_u64(ts_echo.as_nanos());
-            }
-            PacketKind::TcpAck { ack, ts, ts_echo } => {
-                h.write_u8(1);
-                h.write_u64(*ack);
-                h.write_u64(ts.as_nanos());
-                h.write_u64(ts_echo.as_nanos());
-            }
-            PacketKind::Udp => h.write_u8(2),
-            PacketKind::ProbeDupAck { count } => {
-                h.write_u8(3);
-                h.write_u8(*count);
-            }
-            PacketKind::Pushback(msg) => {
-                h.write_u8(4);
-                msg.hash_state(h);
-            }
-        }
-    }
-}
-
-/// Serializes a flow key into a checkpoint payload.
-pub fn snap_flow_key(key: &FlowKey, w: &mut SnapWriter) {
-    w.write_u32(key.src.as_u32());
-    w.write_u32(key.dst.as_u32());
-    w.write_u16(key.src_port);
-    w.write_u16(key.dst_port);
-}
-
-/// Reads a flow key written by [`snap_flow_key`].
+/// Reads a flow key written by [`FlowKey::write_state`].
 ///
 /// # Errors
 ///
@@ -573,14 +484,42 @@ pub fn read_flow_key(r: &mut SnapReader<'_>) -> Result<FlowKey, SnapError> {
     })
 }
 
-fn snap_deny_reason(reason: DenyReason, w: &mut SnapWriter) {
-    w.write_u8(match reason {
-        DenyReason::BadVersion => 0,
-        DenyReason::UntrustedRequester => 1,
-        DenyReason::Replayed => 2,
-        DenyReason::Uncorroborated => 3,
-        DenyReason::BudgetExhausted => 4,
-    });
+/// Writes an optional address as a one-byte tag plus the address.
+pub fn write_opt_addr<W: StateWrite>(addr: Option<Addr>, w: &mut W) {
+    match addr {
+        None => w.write_u8(0),
+        Some(addr) => {
+            w.write_u8(1);
+            w.write_u32(addr.as_u32());
+        }
+    }
+}
+
+/// Reads the counterpart of [`write_opt_addr`]; `what` names the field
+/// in the error.
+///
+/// # Errors
+///
+/// [`SnapError::Truncated`] on early end of payload,
+/// [`SnapError::Malformed`] on an unknown tag.
+pub fn read_opt_addr(r: &mut SnapReader<'_>, what: &str) -> Result<Option<Addr>, SnapError> {
+    match r.read_u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(Addr::new(r.read_u32()?))),
+        tag => Err(SnapError::Malformed(format!("{what} tag {tag}"))),
+    }
+}
+
+impl DenyReason {
+    fn write_state<W: StateWrite>(self, w: &mut W) {
+        w.write_u8(match self {
+            DenyReason::BadVersion => 0,
+            DenyReason::UntrustedRequester => 1,
+            DenyReason::Replayed => 2,
+            DenyReason::Uncorroborated => 3,
+            DenyReason::BudgetExhausted => 4,
+        });
+    }
 }
 
 fn read_deny_reason(r: &mut SnapReader<'_>) -> Result<DenyReason, SnapError> {
@@ -594,44 +533,45 @@ fn read_deny_reason(r: &mut SnapReader<'_>) -> Result<DenyReason, SnapError> {
     })
 }
 
-fn snap_control_verb(verb: &ControlVerb, w: &mut SnapWriter) {
-    // Tags mirror the StateHash encoding above.
-    match verb {
-        ControlVerb::Request {
-            victim,
-            aggregate_bps,
-            budget,
-        } => {
-            w.write_u8(0);
-            w.write_u32(victim.as_u32());
-            w.write_u64(*aggregate_bps);
-            w.write_u8(*budget);
-        }
-        ControlVerb::Refresh { victim, budget } => {
-            w.write_u8(1);
-            w.write_u32(victim.as_u32());
-            w.write_u8(*budget);
-        }
-        ControlVerb::Withdraw { victim } => {
-            w.write_u8(2);
-            w.write_u32(victim.as_u32());
-        }
-        ControlVerb::Stop { victim } => {
-            w.write_u8(3);
-            w.write_u32(victim.as_u32());
-        }
-        ControlVerb::Deny { victim, reason } => {
-            w.write_u8(4);
-            w.write_u32(victim.as_u32());
-            snap_deny_reason(*reason, w);
-        }
-        ControlVerb::Report {
-            victim,
-            aggregate_bps,
-        } => {
-            w.write_u8(5);
-            w.write_u32(victim.as_u32());
-            w.write_u64(*aggregate_bps);
+impl ControlVerb {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        match self {
+            ControlVerb::Request {
+                victim,
+                aggregate_bps,
+                budget,
+            } => {
+                w.write_u8(0);
+                w.write_u32(victim.as_u32());
+                w.write_u64(*aggregate_bps);
+                w.write_u8(*budget);
+            }
+            ControlVerb::Refresh { victim, budget } => {
+                w.write_u8(1);
+                w.write_u32(victim.as_u32());
+                w.write_u8(*budget);
+            }
+            ControlVerb::Withdraw { victim } => {
+                w.write_u8(2);
+                w.write_u32(victim.as_u32());
+            }
+            ControlVerb::Stop { victim } => {
+                w.write_u8(3);
+                w.write_u32(victim.as_u32());
+            }
+            ControlVerb::Deny { victim, reason } => {
+                w.write_u8(4);
+                w.write_u32(victim.as_u32());
+                reason.write_state(w);
+            }
+            ControlVerb::Report {
+                victim,
+                aggregate_bps,
+            } => {
+                w.write_u8(5);
+                w.write_u32(victim.as_u32());
+                w.write_u64(*aggregate_bps);
+            }
         }
     }
 }
@@ -665,15 +605,17 @@ fn read_control_verb(r: &mut SnapReader<'_>) -> Result<ControlVerb, SnapError> {
     })
 }
 
-/// Serializes a control envelope into a checkpoint payload.
-pub fn snap_control_msg(msg: &ControlMsg, w: &mut SnapWriter) {
-    w.write_u8(msg.version);
-    w.write_u32(msg.requester.addr().as_u32());
-    w.write_u64(msg.nonce);
-    snap_control_verb(&msg.verb, w);
+impl ControlMsg {
+    /// Writes the full envelope (ledger hash and checkpoint alike).
+    pub fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.write_u8(self.version);
+        w.write_u32(self.requester.addr().as_u32());
+        w.write_u64(self.nonce);
+        self.verb.write_state(w);
+    }
 }
 
-/// Reads a control envelope written by [`snap_control_msg`].
+/// Reads a control envelope written by [`ControlMsg::write_state`].
 ///
 /// # Errors
 ///
@@ -688,29 +630,30 @@ pub fn read_control_msg(r: &mut SnapReader<'_>) -> Result<ControlMsg, SnapError>
     })
 }
 
-fn snap_packet_kind(kind: &PacketKind, w: &mut SnapWriter) {
-    // Tags mirror the StateHash encoding above.
-    match kind {
-        PacketKind::TcpData { seq, ts, ts_echo } => {
-            w.write_u8(0);
-            w.write_u64(*seq);
-            w.write_u64(ts.as_nanos());
-            w.write_u64(ts_echo.as_nanos());
-        }
-        PacketKind::TcpAck { ack, ts, ts_echo } => {
-            w.write_u8(1);
-            w.write_u64(*ack);
-            w.write_u64(ts.as_nanos());
-            w.write_u64(ts_echo.as_nanos());
-        }
-        PacketKind::Udp => w.write_u8(2),
-        PacketKind::ProbeDupAck { count } => {
-            w.write_u8(3);
-            w.write_u8(*count);
-        }
-        PacketKind::Pushback(msg) => {
-            w.write_u8(4);
-            snap_control_msg(msg, w);
+impl PacketKind {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        match self {
+            PacketKind::TcpData { seq, ts, ts_echo } => {
+                w.write_u8(0);
+                w.write_u64(*seq);
+                w.write_u64(ts.as_nanos());
+                w.write_u64(ts_echo.as_nanos());
+            }
+            PacketKind::TcpAck { ack, ts, ts_echo } => {
+                w.write_u8(1);
+                w.write_u64(*ack);
+                w.write_u64(ts.as_nanos());
+                w.write_u64(ts_echo.as_nanos());
+            }
+            PacketKind::Udp => w.write_u8(2),
+            PacketKind::ProbeDupAck { count } => {
+                w.write_u8(3);
+                w.write_u8(*count);
+            }
+            PacketKind::Pushback(msg) => {
+                w.write_u8(4);
+                msg.write_state(w);
+            }
         }
     }
 }
@@ -736,15 +679,18 @@ fn read_packet_kind(r: &mut SnapReader<'_>) -> Result<PacketKind, SnapError> {
     })
 }
 
-pub(crate) fn snap_packet(packet: &Packet, w: &mut SnapWriter) {
-    w.write_u64(packet.id);
-    snap_flow_key(&packet.key, w);
-    snap_packet_kind(&packet.kind, w);
-    w.write_u32(packet.size_bytes);
-    w.write_u64(packet.created_at.as_nanos());
-    w.write_u32(packet.provenance.origin.0);
-    w.write_bool(packet.provenance.is_attack);
-    w.write_u8(packet.hops);
+impl Packet {
+    /// Writes the packet's full contents.
+    pub(crate) fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.write_u64(self.id);
+        self.key.write_state(w);
+        self.kind.write_state(w);
+        w.write_u32(self.size_bytes);
+        w.write_u64(self.created_at.as_nanos());
+        w.write_u32(self.provenance.origin.0);
+        w.write_bool(self.provenance.is_attack);
+        w.write_u8(self.hops);
+    }
 }
 
 pub(crate) fn read_packet(r: &mut SnapReader<'_>) -> Result<Packet, SnapError> {
@@ -762,18 +708,20 @@ pub(crate) fn read_packet(r: &mut SnapReader<'_>) -> Result<Packet, SnapError> {
     })
 }
 
-pub(crate) fn snap_drop_reason(reason: DropReason, w: &mut SnapWriter) {
-    w.write_u8(match reason {
-        DropReason::QueueFull => 0,
-        DropReason::NoRoute => 1,
-        DropReason::HopLimit => 2,
-        DropReason::FilterProbing => 3,
-        DropReason::FilterPermanent => 4,
-        DropReason::FilterIllegalSource => 5,
-        DropReason::FilterProportional => 6,
-        DropReason::FilterRateLimit => 7,
-        DropReason::FilterOther => 8,
-    });
+impl DropReason {
+    pub(crate) fn write_state<W: StateWrite>(self, w: &mut W) {
+        w.write_u8(match self {
+            DropReason::QueueFull => 0,
+            DropReason::NoRoute => 1,
+            DropReason::HopLimit => 2,
+            DropReason::FilterProbing => 3,
+            DropReason::FilterPermanent => 4,
+            DropReason::FilterIllegalSource => 5,
+            DropReason::FilterProportional => 6,
+            DropReason::FilterRateLimit => 7,
+            DropReason::FilterOther => 8,
+        });
+    }
 }
 
 pub(crate) fn read_drop_reason(r: &mut SnapReader<'_>) -> Result<DropReason, SnapError> {
@@ -791,22 +739,10 @@ pub(crate) fn read_drop_reason(r: &mut SnapReader<'_>) -> Result<DropReason, Sna
     })
 }
 
-/// Folds one packet's full contents into `h` (run-ledger encoding).
-pub fn hash_packet(packet: &Packet, h: &mut mafic_obs::Fnv64) {
-    use mafic_obs::StateHash as _;
-    h.write_u64(packet.id);
-    packet.key.hash_state(h);
-    packet.kind.hash_state(h);
-    h.write_u32(packet.size_bytes);
-    h.write_u64(packet.created_at.as_nanos());
-    h.write_u32(packet.provenance.origin.0);
-    h.write_bool(packet.provenance.is_attack);
-    h.write_u8(packet.hops);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mafic_obs::SnapWriter;
 
     fn key() -> FlowKey {
         FlowKey::new(
@@ -917,12 +853,26 @@ mod tests {
                 hops: 5,
             };
             let mut w = SnapWriter::new();
-            snap_packet(&packet, &mut w);
+            packet.write_state(&mut w);
             let bytes = w.into_bytes();
             let mut r = SnapReader::new(&bytes);
             assert_eq!(read_packet(&mut r).unwrap(), packet);
             assert!(r.is_empty());
         }
+    }
+
+    #[test]
+    fn flow_key_hashes_as_words_and_snapshots_as_fields() {
+        let mut w = SnapWriter::new();
+        key().write_state(&mut w);
+        assert_eq!(w.into_bytes().len(), 12, "two addresses, two ports");
+        let mut walked = mafic_obs::Fnv64::new();
+        key().write_state(&mut walked);
+        let (a, b) = key().as_words();
+        let mut words = mafic_obs::Fnv64::new();
+        words.write_u64(a);
+        words.write_u64(b);
+        assert_eq!(walked.finish(), words.finish());
     }
 
     #[test]

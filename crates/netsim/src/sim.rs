@@ -9,7 +9,7 @@ use crate::agent::{Agent, AgentCommand, AgentCtx};
 use crate::arena::{PacketArena, PacketRef};
 use crate::event::{EventKind, FilterControl, Scheduler};
 use crate::filter::{FilterAction, FilterCommand, FilterCtx, PacketEnv, PacketFilter};
-use crate::flows::{FlowId, FlowInterner};
+use crate::flows::{read_flow_id, FlowId, FlowInterner};
 use crate::ids::{Addr, AgentId, LinkId, NodeId};
 use crate::link::{EnqueueOutcome, Link, LinkSpec};
 use crate::node::Node;
@@ -18,7 +18,8 @@ use crate::stats::StatsCollector;
 use crate::time::SimTime;
 use crate::trace::{TraceBuffer, TraceEvent};
 use crate::wheel::TimerWheel;
-use mafic_obs::SnapError;
+use mafic_obs::{SnapError, State as _, StateWrite};
+use std::any::Any;
 
 /// Payload of one armed flow timer: where to deliver the fire.
 #[derive(Debug, Clone, Copy)]
@@ -208,128 +209,89 @@ impl Simulator {
         self.arena.live()
     }
 
+    /// Walks the six simulator-owned components the run ledger hashes,
+    /// handing `emit` each label with its state walk: the core loop
+    /// counters, the event heap, the timer wheel (with its
+    /// `FlowTimerFire` payloads), the packet arena, every link's
+    /// queues, and the stats collector. One list serves both
+    /// [`Simulator::hash_components`] and [`Simulator::snap_save_into`].
+    fn walk_components<W: StateWrite>(&self, mut emit: impl FnMut(&str, &dyn Fn(&mut W))) {
+        emit("netsim/core", &|w| {
+            w.write_u64(self.now.as_nanos());
+            w.write_u64(self.seed);
+            w.write_u64(self.next_packet_id);
+            w.write_u64(self.events_processed);
+            // A checkpoint carries the interner itself (`netsim/flows`).
+            w.hash_only(|h| h.write_usize(self.flows.len()));
+        });
+        emit("netsim/scheduler", &|w| self.scheduler.write_state(w));
+        emit("netsim/wheel", &|w| {
+            self.wheel.write_state(w, |fire, w| {
+                w.write_u32(fire.node.0);
+                w.write_usize(fire.filter_index);
+                w.write_usize(fire.flow.index());
+                w.write_u16(fire.kind);
+            });
+        });
+        emit("netsim/arena", &|w| self.arena.write_state(w));
+        emit("netsim/links", &|w| {
+            w.write_usize(self.links.len());
+            for link in &self.links {
+                link.write_state(w);
+            }
+            for &down in &self.link_down {
+                w.write_bool(down);
+            }
+        });
+        emit("netsim/stats", &|w| self.stats.write_state(w));
+    }
+
     /// Folds every simulator-owned component into `probe`, one labelled
     /// hash each — the netsim half of the run ledger.
     ///
-    /// Components: the core loop counters, the event heap, the timer
-    /// wheel (with its `FlowTimerFire` payloads), the packet arena,
-    /// every link's queues, and the stats collector. Filters and agents
-    /// are *not* hashed here — they are owned boxes behind trait
-    /// objects, and the layers that know their concrete types (workload,
-    /// pushback) probe them under their own labels.
+    /// Filters and agents are *not* hashed here: the layers that place
+    /// them (workload, pushback) probe them under their own labels.
     pub fn hash_components(&self, probe: &mut mafic_obs::IntervalProbe) {
-        use mafic_obs::StateHash as _;
-        probe.component("netsim/core", |h| {
-            h.write_u64(self.now.as_nanos());
-            h.write_u64(self.seed);
-            h.write_u64(self.next_packet_id);
-            h.write_u64(self.events_processed);
-            h.write_usize(self.flows.len());
-        });
-        probe.component("netsim/scheduler", |h| self.scheduler.hash_state(h));
-        probe.component("netsim/wheel", |h| {
-            self.wheel.hash_state(h, |fire, h| {
-                h.write_u32(fire.node.0);
-                h.write_usize(fire.filter_index);
-                h.write_usize(fire.flow.index());
-                h.write_u16(fire.kind);
-            });
-        });
-        probe.component("netsim/arena", |h| self.arena.hash_state(h));
-        probe.component("netsim/links", |h| {
-            h.write_usize(self.links.len());
-            for link in &self.links {
-                link.hash_state(h);
-            }
-            for &down in &self.link_down {
-                h.write_bool(down);
-            }
-        });
-        probe.component("netsim/stats", |h| self.stats.hash_state(h));
+        self.walk_components(|label, walk| probe.component(label, walk));
     }
 
     /// Serializes every simulator-owned component into `snapshot`, one
     /// labelled section each — the netsim half of a checkpoint.
     ///
-    /// Sections mirror the [`Simulator::hash_components`] labels plus the
-    /// pieces excluded from hashing but required to resume (the flow
+    /// Sections are the [`Simulator::hash_components`] components plus
+    /// the pieces excluded from hashing but required to resume (the flow
     /// interner, the trace buffer, and the agent/filter payloads written
     /// through their trait hooks). Pure caches (send memos, link
     /// serialization memos, wheel expiry cache) are not saved; restore
     /// invalidates them.
     pub fn snap_save_into(&self, snapshot: &mut mafic_obs::Snapshot) {
-        use mafic_obs::{SnapWriter, SnapshotState as _};
-        let mut w = SnapWriter::new();
-        w.write_u64(self.now.as_nanos());
-        w.write_u64(self.seed);
-        w.write_u64(self.next_packet_id);
-        w.write_u64(self.events_processed);
-        snapshot.add_section("netsim/core", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        self.scheduler.snap_save(&mut w);
-        snapshot.add_section("netsim/scheduler", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        self.wheel.snap_save(&mut w, |fire, w| {
-            w.write_u32(fire.node.0);
-            w.write_usize(fire.filter_index);
-            w.write_usize(fire.flow.index());
-            w.write_u16(fire.kind);
-        });
-        snapshot.add_section("netsim/wheel", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        self.arena.snap_save(&mut w);
-        snapshot.add_section("netsim/arena", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        w.write_usize(self.links.len());
-        for link in &self.links {
-            link.snap_save(&mut w);
-        }
-        for &down in &self.link_down {
-            w.write_bool(down);
-        }
-        snapshot.add_section("netsim/links", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        self.stats.snap_save(&mut w);
-        snapshot.add_section("netsim/stats", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        self.flows.snap_save(&mut w);
-        snapshot.add_section("netsim/flows", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        match &self.trace {
+        self.walk_components(|label, walk| snapshot.write_section(label, walk));
+        snapshot.write_section("netsim/flows", |w| self.flows.write_state(w));
+        snapshot.write_section("netsim/trace", |w| match &self.trace {
             Some(trace) => {
                 w.write_bool(true);
-                trace.snap_save(&mut w);
+                trace.write_state(w);
             }
             None => w.write_bool(false),
-        }
-        snapshot.add_section("netsim/trace", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        w.write_usize(self.agents.len());
-        for agent in &self.agents {
-            let agent = agent
-                .as_ref()
-                .expect("snapshot taken while an agent is dispatching");
-            agent.snap_save(&mut w);
-        }
-        snapshot.add_section("netsim/agents", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        w.write_usize(self.nodes.len());
-        for node in &self.nodes {
-            w.write_usize(node.filters.len());
-            for filter in &node.filters {
-                filter.snap_save(&mut w);
+        });
+        snapshot.write_section("netsim/agents", |w| {
+            w.write_usize(self.agents.len());
+            for agent in &self.agents {
+                agent
+                    .as_ref()
+                    .expect("snapshot taken while an agent is dispatching")
+                    .snap_save(w);
             }
-        }
-        snapshot.add_section("netsim/filters", w.into_bytes());
+        });
+        snapshot.write_section("netsim/filters", |w| {
+            w.write_usize(self.nodes.len());
+            for node in &self.nodes {
+                w.write_usize(node.filters.len());
+                for filter in &node.filters {
+                    filter.snap_save(w);
+                }
+            }
+        });
     }
 
     /// Overlays all `netsim/*` sections of `snapshot` onto this
@@ -344,56 +306,33 @@ impl Simulator {
     /// match this simulator (wrong counts, trailing bytes) — both signs
     /// the snapshot came from a differently built scenario.
     pub fn snap_restore_from(&mut self, snapshot: &mafic_obs::Snapshot) -> Result<(), SnapError> {
-        use mafic_obs::{SnapReader, SnapshotState as _};
-        fn section<'s>(
-            snapshot: &'s mafic_obs::Snapshot,
-            label: &str,
-        ) -> Result<SnapReader<'s>, SnapError> {
-            snapshot
-                .section(label)
-                .map(SnapReader::new)
-                .ok_or_else(|| SnapError::MissingSection {
-                    section: label.to_string(),
-                })
-        }
-        fn finish(r: &SnapReader<'_>, label: &str) -> Result<(), SnapError> {
-            if r.is_empty() {
-                Ok(())
-            } else {
-                Err(SnapError::Malformed(format!(
-                    "{label}: {} trailing bytes",
-                    r.remaining()
-                )))
-            }
-        }
-
-        let mut r = section(snapshot, "netsim/core")?;
+        let mut r = snapshot.reader("netsim/core")?;
         self.now = SimTime::from_nanos(r.read_u64()?);
         self.seed = r.read_u64()?;
         self.next_packet_id = r.read_u64()?;
         self.events_processed = r.read_u64()?;
-        finish(&r, "netsim/core")?;
+        r.finish("netsim/core")?;
 
-        let mut r = section(snapshot, "netsim/scheduler")?;
-        self.scheduler.snap_restore(&mut r)?;
-        finish(&r, "netsim/scheduler")?;
+        let mut r = snapshot.reader("netsim/scheduler")?;
+        self.scheduler.read_state(&mut r)?;
+        r.finish("netsim/scheduler")?;
 
-        let mut r = section(snapshot, "netsim/wheel")?;
-        self.wheel.snap_restore(&mut r, |r| {
+        let mut r = snapshot.reader("netsim/wheel")?;
+        self.wheel.read_state(&mut r, |r| {
             Ok(FlowTimerFire {
                 node: NodeId(r.read_u32()?),
                 filter_index: r.read_usize()?,
-                flow: FlowId::from_index(r.read_usize()?),
+                flow: read_flow_id(r)?,
                 kind: r.read_u16()?,
             })
         })?;
-        finish(&r, "netsim/wheel")?;
+        r.finish("netsim/wheel")?;
 
-        let mut r = section(snapshot, "netsim/arena")?;
-        self.arena.snap_restore(&mut r)?;
-        finish(&r, "netsim/arena")?;
+        let mut r = snapshot.reader("netsim/arena")?;
+        self.arena.read_state(&mut r)?;
+        r.finish("netsim/arena")?;
 
-        let mut r = section(snapshot, "netsim/links")?;
+        let mut r = snapshot.reader("netsim/links")?;
         let n_links = r.read_usize()?;
         if n_links != self.links.len() {
             return Err(SnapError::Malformed(format!(
@@ -402,25 +341,25 @@ impl Simulator {
             )));
         }
         for link in &mut self.links {
-            link.snap_restore(&mut r)?;
+            link.read_state(&mut r)?;
         }
         for down in &mut self.link_down {
             *down = r.read_bool()?;
         }
-        finish(&r, "netsim/links")?;
+        r.finish("netsim/links")?;
 
-        let mut r = section(snapshot, "netsim/stats")?;
-        self.stats.snap_restore(&mut r)?;
-        finish(&r, "netsim/stats")?;
+        let mut r = snapshot.reader("netsim/stats")?;
+        self.stats.read_state(&mut r)?;
+        r.finish("netsim/stats")?;
 
-        let mut r = section(snapshot, "netsim/flows")?;
-        self.flows.snap_restore(&mut r)?;
-        finish(&r, "netsim/flows")?;
+        let mut r = snapshot.reader("netsim/flows")?;
+        self.flows.read_state(&mut r)?;
+        r.finish("netsim/flows")?;
 
-        let mut r = section(snapshot, "netsim/trace")?;
+        let mut r = snapshot.reader("netsim/trace")?;
         let has_trace = r.read_bool()?;
         match (&mut self.trace, has_trace) {
-            (Some(trace), true) => trace.snap_restore(&mut r)?,
+            (Some(trace), true) => trace.read_state(&mut r)?,
             (None, false) => {}
             (local, saved) => {
                 return Err(SnapError::Malformed(format!(
@@ -429,9 +368,9 @@ impl Simulator {
                 )));
             }
         }
-        finish(&r, "netsim/trace")?;
+        r.finish("netsim/trace")?;
 
-        let mut r = section(snapshot, "netsim/agents")?;
+        let mut r = snapshot.reader("netsim/agents")?;
         let n_agents = r.read_usize()?;
         if n_agents != self.agents.len() {
             return Err(SnapError::Malformed(format!(
@@ -445,9 +384,9 @@ impl Simulator {
                 .expect("restore entered while an agent is dispatching");
             agent.snap_restore(&mut r)?;
         }
-        finish(&r, "netsim/agents")?;
+        r.finish("netsim/agents")?;
 
-        let mut r = section(snapshot, "netsim/filters")?;
+        let mut r = snapshot.reader("netsim/filters")?;
         let n_nodes = r.read_usize()?;
         if n_nodes != self.nodes.len() {
             return Err(SnapError::Malformed(format!(
@@ -468,7 +407,7 @@ impl Simulator {
                 filter.snap_restore(&mut r)?;
             }
         }
-        finish(&r, "netsim/filters")?;
+        r.finish("netsim/filters")?;
 
         // Invalidate pure caches; each repopulates on first use with
         // values identical to what the snapshotted run held.
@@ -653,37 +592,34 @@ impl Simulator {
     /// does not match.
     #[must_use]
     pub fn filter<T: 'static>(&self, node: NodeId, index: usize) -> Option<&T> {
-        self.nodes[node.index()]
-            .filters
-            .get(index)?
-            .as_any()
-            .downcast_ref::<T>()
+        (self.filter_dyn(node, index)? as &dyn Any).downcast_ref::<T>()
+    }
+
+    /// The filter at `index` on `node` behind its trait object — for
+    /// callers that drive a hook ([`PacketFilter::hash_state`]) without
+    /// knowing the concrete type.
+    #[must_use]
+    pub fn filter_dyn(&self, node: NodeId, index: usize) -> Option<&dyn PacketFilter> {
+        Some(&**self.nodes[node.index()].filters.get(index)?)
     }
 
     /// Mutable variant of [`Simulator::filter`].
     pub fn filter_mut<T: 'static>(&mut self, node: NodeId, index: usize) -> Option<&mut T> {
-        self.nodes[node.index()]
-            .filters
-            .get_mut(index)?
-            .as_any_mut()
-            .downcast_mut::<T>()
+        let filter: &mut dyn Any = &mut **self.nodes[node.index()].filters.get_mut(index)?;
+        filter.downcast_mut::<T>()
     }
 
     /// Downcasts an agent for inspection.
     #[must_use]
     pub fn agent<T: 'static>(&self, agent: AgentId) -> Option<&T> {
-        self.agents[agent.index()]
-            .as_ref()?
-            .as_any()
-            .downcast_ref::<T>()
+        let agent: &dyn Any = &**self.agents[agent.index()].as_ref()?;
+        agent.downcast_ref::<T>()
     }
 
     /// Mutable variant of [`Simulator::agent`].
     pub fn agent_mut<T: 'static>(&mut self, agent: AgentId) -> Option<&mut T> {
-        self.agents[agent.index()]
-            .as_mut()?
-            .as_any_mut()
-            .downcast_mut::<T>()
+        let agent: &mut dyn Any = &mut **self.agents[agent.index()].as_mut()?;
+        agent.downcast_mut::<T>()
     }
 
     /// The node an agent is attached to.
@@ -1368,7 +1304,6 @@ mod tests {
     #[test]
     fn filters_can_drop() {
         use crate::filter::{FilterAction, FilterCtx, PacketEnv, PacketFilter};
-        use std::any::Any;
 
         struct DropAll;
         impl PacketFilter for DropAll {
@@ -1379,12 +1314,6 @@ mod tests {
                 _c: &mut FilterCtx<'_>,
             ) -> FilterAction {
                 FilterAction::Drop(DropReason::FilterOther)
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 
@@ -1507,6 +1436,8 @@ mod tests {
 
         let mut restored = loaded_sim(SimTime::ZERO);
         let decoded = mafic_obs::Snapshot::decode(&bytes).unwrap();
+        // Four counters; the interner length is hashed, not saved here.
+        assert_eq!(decoded.section("netsim/core").map(<[u8]>::len), Some(32));
         restored.snap_restore_from(&decoded).unwrap();
         assert_eq!(probe_hash(&donor), probe_hash(&restored));
         assert_eq!(restored.now(), pause);

@@ -8,11 +8,11 @@
 //! Ground-truth fields (`is_attack`) come from packet [`Provenance`] and
 //! are written here and only here — the defense filters cannot see them.
 
-use crate::flows::{FlowId, FlowInterner, FlowSlab};
+use crate::flows::{read_flow_id, FlowId, FlowInterner, FlowSlab};
 use crate::ids::NodeId;
 use crate::packet::{DropReason, FlowKey, Packet, Provenance};
 use crate::time::{SimDuration, SimTime};
-use mafic_obs::{SnapError, SnapReader, SnapWriter, SnapshotState};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 
 /// Per-flow packet accounting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -396,51 +396,24 @@ impl StatsCollector {
     }
 }
 
-impl mafic_obs::StateHash for FlowRecord {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_bool(self.is_attack);
-        h.write_bool(self.is_tcp);
-        h.write_u64(self.sent);
-        h.write_u64(self.delivered);
-        h.write_u64(self.seen_at_atr);
-        h.write_u64(self.dropped_probing);
-        h.write_u64(self.dropped_permanent);
-        h.write_u64(self.dropped_illegal);
-        h.write_u64(self.dropped_proportional);
-        h.write_u64(self.dropped_rate_limited);
-        h.write_u64(self.dropped_queue);
-        h.write_u64(self.dropped_other);
-        h.write_u64(self.probes_sent);
-        h.write_u64(self.declared_nice);
-        h.write_u64(self.declared_malicious);
+impl FlowRecord {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.write_bool(self.is_attack);
+        w.write_bool(self.is_tcp);
+        w.write_u64(self.sent);
+        w.write_u64(self.delivered);
+        w.write_u64(self.seen_at_atr);
+        w.write_u64(self.dropped_probing);
+        w.write_u64(self.dropped_permanent);
+        w.write_u64(self.dropped_illegal);
+        w.write_u64(self.dropped_proportional);
+        w.write_u64(self.dropped_rate_limited);
+        w.write_u64(self.dropped_queue);
+        w.write_u64(self.dropped_other);
+        w.write_u64(self.probes_sent);
+        w.write_u64(self.declared_nice);
+        w.write_u64(self.declared_malicious);
     }
-}
-
-impl mafic_obs::StateHash for VictimBin {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u64(self.legit_bytes);
-        h.write_u64(self.attack_bytes);
-        h.write_u64(self.legit_packets);
-        h.write_u64(self.attack_packets);
-    }
-}
-
-fn snap_flow_record(rec: &FlowRecord, w: &mut SnapWriter) {
-    w.write_bool(rec.is_attack);
-    w.write_bool(rec.is_tcp);
-    w.write_u64(rec.sent);
-    w.write_u64(rec.delivered);
-    w.write_u64(rec.seen_at_atr);
-    w.write_u64(rec.dropped_probing);
-    w.write_u64(rec.dropped_permanent);
-    w.write_u64(rec.dropped_illegal);
-    w.write_u64(rec.dropped_proportional);
-    w.write_u64(rec.dropped_rate_limited);
-    w.write_u64(rec.dropped_queue);
-    w.write_u64(rec.dropped_other);
-    w.write_u64(rec.probes_sent);
-    w.write_u64(rec.declared_nice);
-    w.write_u64(rec.declared_malicious);
 }
 
 fn read_flow_record(r: &mut SnapReader<'_>) -> Result<FlowRecord, SnapError> {
@@ -463,91 +436,62 @@ fn read_flow_record(r: &mut SnapReader<'_>) -> Result<FlowRecord, SnapError> {
     })
 }
 
-fn snap_bin(bin: &VictimBin, w: &mut SnapWriter) {
-    w.write_u64(bin.legit_bytes);
-    w.write_u64(bin.attack_bytes);
-    w.write_u64(bin.legit_packets);
-    w.write_u64(bin.attack_packets);
+fn write_bins<W: StateWrite>(bins: &[VictimBin], w: &mut W) {
+    w.write_usize(bins.len());
+    for bin in bins {
+        w.write_u64(bin.legit_bytes);
+        w.write_u64(bin.attack_bytes);
+        w.write_u64(bin.legit_packets);
+        w.write_u64(bin.attack_packets);
+    }
 }
 
-fn read_bin(r: &mut SnapReader<'_>) -> Result<VictimBin, SnapError> {
-    Ok(VictimBin {
-        legit_bytes: r.read_u64()?,
-        attack_bytes: r.read_u64()?,
-        legit_packets: r.read_u64()?,
-        attack_packets: r.read_u64()?,
-    })
+fn read_bins(r: &mut SnapReader<'_>, bins: &mut Vec<VictimBin>) -> Result<(), SnapError> {
+    bins.clear();
+    for _ in 0..r.read_len()? {
+        bins.push(VictimBin {
+            legit_bytes: r.read_u64()?,
+            attack_bytes: r.read_u64()?,
+            legit_packets: r.read_u64()?,
+            attack_packets: r.read_u64()?,
+        });
+    }
+    Ok(())
 }
 
-impl SnapshotState for StatsCollector {
-    /// Saves counters, the interner's key slab, every flow record in id
-    /// order, and both time series. The watch configurations are
-    /// build-time settings (recreated by the scenario builder) and are
-    /// not saved.
-    fn snap_save(&self, w: &mut SnapWriter) {
+impl State for StatsCollector {
+    /// Counters, every flow record in id order, and both time series.
+    /// A checkpoint also carries the interner's key slab, which the
+    /// ledger summarises by length. The watch configurations are
+    /// build-time settings (recreated by the scenario builder) and
+    /// appear in neither.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_u64(self.probes_emitted);
         w.write_u64(self.total_sent);
         w.write_u64(self.total_delivered);
-        self.interner.snap_save(w);
+        w.hash_only(|h| h.write_usize(self.interner.len()));
+        w.snap_only(|w| self.interner.write_state(w));
         w.write_usize(self.records.len());
         for (id, rec) in self.records.iter() {
             w.write_usize(id.index());
-            snap_flow_record(rec, w);
+            rec.write_state(w);
         }
-        w.write_usize(self.bins.len());
-        for bin in &self.bins {
-            snap_bin(bin, w);
-        }
-        w.write_usize(self.arrival_bins.len());
-        for bin in &self.arrival_bins {
-            snap_bin(bin, w);
-        }
+        write_bins(&self.bins, w);
+        write_bins(&self.arrival_bins, w);
     }
 
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.probes_emitted = r.read_u64()?;
         self.total_sent = r.read_u64()?;
         self.total_delivered = r.read_u64()?;
-        self.interner.snap_restore(r)?;
-        let n_records = r.read_usize()?;
+        self.interner.read_state(r)?;
         self.records = FlowSlab::new();
-        for _ in 0..n_records {
-            let id = FlowId::from_index(r.read_usize()?);
+        for _ in 0..r.read_len()? {
+            let id = read_flow_id(r)?;
             self.records.insert(id, read_flow_record(r)?);
         }
-        let n_bins = r.read_usize()?;
-        self.bins.clear();
-        for _ in 0..n_bins {
-            self.bins.push(read_bin(r)?);
-        }
-        let n_arrival = r.read_usize()?;
-        self.arrival_bins.clear();
-        for _ in 0..n_arrival {
-            self.arrival_bins.push(read_bin(r)?);
-        }
-        Ok(())
-    }
-}
-
-impl mafic_obs::StateHash for StatsCollector {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u64(self.probes_emitted);
-        h.write_u64(self.total_sent);
-        h.write_u64(self.total_delivered);
-        h.write_usize(self.interner.len());
-        h.write_usize(self.records.len());
-        for (id, rec) in self.records.iter() {
-            h.write_usize(id.index());
-            rec.hash_state(h);
-        }
-        h.write_usize(self.bins.len());
-        for bin in &self.bins {
-            bin.hash_state(h);
-        }
-        h.write_usize(self.arrival_bins.len());
-        for bin in &self.arrival_bins {
-            bin.hash_state(h);
-        }
+        read_bins(r, &mut self.bins)?;
+        read_bins(r, &mut self.arrival_bins)
     }
 }
 
@@ -556,6 +500,7 @@ mod tests {
     use super::*;
     use crate::ids::{Addr, AgentId};
     use crate::packet::PacketKind;
+    use crate::testkit::{state_bytes, state_hash};
 
     fn pkt(attack: bool) -> Packet {
         Packet {
@@ -648,28 +593,34 @@ mod tests {
         s.on_delivered(&legit, NodeId(3), SimTime::from_secs_f64(0.05));
         s.on_dropped(&attack, DropReason::FilterProbing);
         s.on_probe_sent(legit.key);
-        let mut w = SnapWriter::new();
-        s.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&s);
         // Restore onto a fresh collector carrying the same build-time
         // watch configuration.
         let mut restored = StatsCollector::new();
         restored.watch_victim(NodeId(3), SimDuration::from_millis(100));
         let mut r = SnapReader::new(&bytes);
-        restored.snap_restore(&mut r).unwrap();
+        restored.read_state(&mut r).unwrap();
         assert!(r.is_empty());
-        let mut ha = mafic_obs::Fnv64::new();
-        let mut hb = mafic_obs::Fnv64::new();
-        use mafic_obs::StateHash as _;
-        s.hash_state(&mut ha);
-        restored.hash_state(&mut hb);
-        assert_eq!(ha.finish(), hb.finish());
+        assert_eq!(state_hash(&s), state_hash(&restored));
         assert_eq!(restored.flow(&legit.key).unwrap().delivered, 1);
         assert_eq!(restored.drop_totals(), s.drop_totals());
         // The restored interner mints the next id exactly where the
         // original would.
         let new_key = FlowKey::new(Addr::new(70), Addr::new(71), 1, 2);
         assert_eq!(restored.flow_id(new_key), s.flow_id(new_key));
+    }
+
+    #[test]
+    fn interned_keys_are_saved_but_only_their_count_is_hashed() {
+        let touched = |port: u16| {
+            let mut s = StatsCollector::new();
+            let _ = s.flow_id(FlowKey::new(Addr::new(1), Addr::new(2), port, 80));
+            (state_hash(&s), state_bytes(&s))
+        };
+        let (hash_a, bytes_a) = touched(1000);
+        let (hash_b, bytes_b) = touched(2000);
+        assert_eq!(hash_a, hash_b);
+        assert_ne!(bytes_a, bytes_b);
     }
 
     #[test]

@@ -17,6 +17,23 @@ use crate::flows::{FlowId, FlowInterner};
 use crate::ids::{AgentId, LinkId, NodeId};
 use crate::packet::{FlowKey, Packet};
 use crate::time::{SimDuration, SimTime};
+use mafic_obs::{Fnv64, SnapWriter, State};
+
+/// The run-ledger hash of `state`: its walk over a fresh hasher.
+#[must_use]
+pub fn state_hash(state: &impl State) -> u64 {
+    let mut h = Fnv64::new();
+    state.write_state(&mut h);
+    h.finish()
+}
+
+/// The checkpoint payload of `state`: its walk over a fresh writer.
+#[must_use]
+pub fn state_bytes(state: &impl State) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    state.write_state(&mut w);
+    w.into_bytes()
+}
 
 /// Effects produced by one agent callback.
 #[derive(Debug, Default)]

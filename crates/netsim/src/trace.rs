@@ -8,7 +8,7 @@
 use crate::ids::NodeId;
 use crate::packet::{DropReason, FlowKey};
 use crate::time::SimTime;
-use mafic_obs::{SnapError, SnapReader, SnapWriter, SnapshotState};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -135,10 +135,11 @@ impl TraceBuffer {
     }
 }
 
-impl SnapshotState for TraceBuffer {
-    /// Saves the retained events and the lifetime total; the capacity is
-    /// build-time configuration and is not saved.
-    fn snap_save(&self, w: &mut SnapWriter) {
+impl State for TraceBuffer {
+    /// The retained events and the lifetime total; the capacity is
+    /// build-time configuration and is not written. (The trace is
+    /// checkpointed but never hashed: it observes, it does not decide.)
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_u64(self.recorded_total);
         w.write_usize(self.events.len());
         for event in &self.events {
@@ -146,13 +147,13 @@ impl SnapshotState for TraceBuffer {
                 TraceEvent::Drop { at, flow, reason } => {
                     w.write_u8(0);
                     w.write_u64(at.as_nanos());
-                    crate::packet::snap_flow_key(flow, w);
-                    crate::packet::snap_drop_reason(*reason, w);
+                    flow.write_state(w);
+                    reason.write_state(w);
                 }
                 TraceEvent::Deliver { at, flow, node } => {
                     w.write_u8(1);
                     w.write_u64(at.as_nanos());
-                    crate::packet::snap_flow_key(flow, w);
+                    flow.write_state(w);
                     w.write_u32(node.0);
                 }
                 TraceEvent::Control { at, node, summary } => {
@@ -165,9 +166,9 @@ impl SnapshotState for TraceBuffer {
         }
     }
 
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.recorded_total = r.read_u64()?;
-        let n = r.read_usize()?;
+        let n = r.read_len()?;
         self.events.clear();
         for _ in 0..n {
             let event = match r.read_u8()? {
@@ -259,12 +260,10 @@ mod tests {
             node: NodeId::from_index(1),
             summary: "pushback-start".into(),
         });
-        let mut w = SnapWriter::new();
-        t.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = crate::testkit::state_bytes(&t);
         let mut restored = TraceBuffer::new(3);
         let mut r = SnapReader::new(&bytes);
-        restored.snap_restore(&mut r).unwrap();
+        restored.read_state(&mut r).unwrap();
         assert!(r.is_empty());
         assert_eq!(restored.recorded_total(), 6);
         let a: Vec<_> = t.iter().collect();

@@ -24,7 +24,7 @@
 //! than tombstone bookkeeping on the arm-heavy path.
 
 use crate::time::SimTime;
-use mafic_obs::{SnapError, SnapReader, SnapWriter};
+use mafic_obs::{SnapError, SnapReader, StateWrite};
 
 /// log2 of the tick length in nanoseconds (2^20 ns ≈ 1.05 ms).
 const TICK_SHIFT: u32 = 20;
@@ -223,86 +223,66 @@ impl<T> TimerWheel<T> {
         fired.into_iter().map(|e| e.payload).collect()
     }
 
-    /// Folds the wheel state into `h` for the run ledger, encoding each
-    /// payload through `payload_fn`.
-    ///
-    /// Slot storage order is deterministic (it depends only on the
-    /// insert/cascade/pop sequence), so raw storage order is hashed as
-    /// is. The `cached_next`/`cache_valid` pair is skipped: it is a pure
+    /// Walks the wheel in physical storage order — every slot of every
+    /// level, then the overflow list — encoding each payload through
+    /// `payload_fn`. Storage order is deterministic (it depends only on
+    /// the insert/cascade/pop sequence), so it is replay-stable for the
+    /// ledger and, restored verbatim, reproduces the exact firing
+    /// order. The ledger names each non-empty slot and skips the empty
+    /// ones; a checkpoint carries every slot's length. The
+    /// `cached_next`/`cache_valid` pair is in neither: it is a pure
     /// cache whose warmth depends on `next_expiry` *read* patterns, and
     /// reads must never perturb the ledger.
-    pub(crate) fn hash_state(
+    pub(crate) fn write_state<W: StateWrite>(
         &self,
-        h: &mut mafic_obs::Fnv64,
-        mut payload_fn: impl FnMut(&T, &mut mafic_obs::Fnv64),
+        w: &mut W,
+        mut payload_fn: impl FnMut(&T, &mut W),
     ) {
-        h.write_u64(self.cur_tick);
-        h.write_usize(self.len);
-        h.write_u64(self.next_seq);
-        h.write_u64(self.scheduled_total);
-        for (level_tag, level) in [(0u8, &self.level0), (1, &self.level1), (2, &self.level2)] {
-            for (slot_idx, slot) in level.iter().enumerate() {
-                if slot.is_empty() {
-                    continue;
-                }
-                h.write_u8(level_tag);
-                h.write_usize(slot_idx);
-                h.write_usize(slot.len());
-                for entry in slot {
-                    h.write_u64(entry.at.as_nanos());
-                    h.write_u64(entry.seq);
-                    payload_fn(&entry.payload, h);
-                }
-            }
-        }
-        h.write_usize(self.overflow.len());
-        for entry in &self.overflow {
-            h.write_u64(entry.at.as_nanos());
-            h.write_u64(entry.seq);
-            payload_fn(&entry.payload, h);
-        }
-    }
-
-    /// Serializes the wheel's physical layout for a checkpoint: every
-    /// slot of every level in storage order, then the overflow list.
-    /// Storage order is deterministic (it depends only on the insert/
-    /// cascade/pop sequence), so restoring it verbatim reproduces the
-    /// exact firing order. The `cached_next`/`cache_valid` pair is a
-    /// pure cache and is not saved.
-    pub(crate) fn snap_save(
-        &self,
-        w: &mut SnapWriter,
-        mut payload_fn: impl FnMut(&T, &mut SnapWriter),
-    ) {
+        let mut entry_fn = |entry: &Entry<T>, w: &mut W| {
+            w.write_u64(entry.at.as_nanos());
+            w.write_u64(entry.seq);
+            payload_fn(&entry.payload, w);
+        };
         w.write_u64(self.cur_tick);
         w.write_usize(self.len);
         w.write_u64(self.next_seq);
         w.write_u64(self.scheduled_total);
-        for level in [&self.level0, &self.level1, &self.level2] {
-            for slot in level.iter() {
+        for (level_tag, level) in [(0u8, &self.level0), (1, &self.level1), (2, &self.level2)] {
+            for (slot_idx, slot) in level.iter().enumerate() {
+                if slot.is_empty() {
+                    w.snap_only(|w| w.write_usize(0));
+                    continue;
+                }
+                w.hash_only(|h| {
+                    h.write_u8(level_tag);
+                    h.write_usize(slot_idx);
+                });
                 w.write_usize(slot.len());
                 for entry in slot {
-                    w.write_u64(entry.at.as_nanos());
-                    w.write_u64(entry.seq);
-                    payload_fn(&entry.payload, w);
+                    entry_fn(entry, w);
                 }
             }
         }
         w.write_usize(self.overflow.len());
         for entry in &self.overflow {
-            w.write_u64(entry.at.as_nanos());
-            w.write_u64(entry.seq);
-            payload_fn(&entry.payload, w);
+            entry_fn(entry, w);
         }
     }
 
     /// Overlays checkpointed wheel state; the expiry cache is
     /// invalidated and recomputed on the next `next_expiry` call.
-    pub(crate) fn snap_restore(
+    pub(crate) fn read_state(
         &mut self,
         r: &mut SnapReader<'_>,
         mut payload_fn: impl FnMut(&mut SnapReader<'_>) -> Result<T, SnapError>,
     ) -> Result<(), SnapError> {
+        let mut read_entry = |r: &mut SnapReader<'_>| {
+            Ok(Entry {
+                at: SimTime::from_nanos(r.read_u64()?),
+                seq: r.read_u64()?,
+                payload: payload_fn(r)?,
+            })
+        };
         self.cur_tick = r.read_u64()?;
         self.len = r.read_usize()?;
         self.next_seq = r.read_u64()?;
@@ -310,22 +290,14 @@ impl<T> TimerWheel<T> {
         for level in [&mut self.level0, &mut self.level1, &mut self.level2] {
             for slot in level.iter_mut() {
                 slot.clear();
-                let n = r.read_usize()?;
-                for _ in 0..n {
-                    let at = SimTime::from_nanos(r.read_u64()?);
-                    let seq = r.read_u64()?;
-                    let payload = payload_fn(r)?;
-                    slot.push(Entry { at, seq, payload });
+                for _ in 0..r.read_len()? {
+                    slot.push(read_entry(r)?);
                 }
             }
         }
         self.overflow.clear();
-        let n = r.read_usize()?;
-        for _ in 0..n {
-            let at = SimTime::from_nanos(r.read_u64()?);
-            let seq = r.read_u64()?;
-            let payload = payload_fn(r)?;
-            self.overflow.push(Entry { at, seq, payload });
+        for _ in 0..r.read_len()? {
+            self.overflow.push(read_entry(r)?);
         }
         self.cached_next = None;
         self.cache_valid = false;
@@ -450,22 +422,38 @@ mod tests {
         w.insert(t(60_000), 3); // level 2
         w.insert(t(30 * 60_000), 4); // overflow
         assert_eq!(w.pop_expired(t(3)), vec![1]);
-        let mut sw = SnapWriter::new();
-        w.snap_save(&mut sw, |p, sw| sw.write_u64(*p));
+        let mut sw = mafic_obs::SnapWriter::new();
+        w.write_state(&mut sw, |p, sw| sw.write_u64(*p));
         let bytes = sw.into_bytes();
         let mut restored: TimerWheel<u64> = TimerWheel::new();
         let mut r = SnapReader::new(&bytes);
-        restored.snap_restore(&mut r, |r| r.read_u64()).unwrap();
+        restored.read_state(&mut r, |r| r.read_u64()).unwrap();
         assert!(r.is_empty());
         assert_eq!(restored.len(), 3);
         assert_eq!(restored.scheduled_total(), 4);
         let mut ha = mafic_obs::Fnv64::new();
         let mut hb = mafic_obs::Fnv64::new();
-        w.hash_state(&mut ha, |p, h| h.write_u64(*p));
-        restored.hash_state(&mut hb, |p, h| h.write_u64(*p));
+        w.write_state(&mut ha, |p, h| h.write_u64(*p));
+        restored.write_state(&mut hb, |p, h| h.write_u64(*p));
         assert_eq!(ha.finish(), hb.finish());
         assert_eq!(restored.next_expiry(), Some(t(500)));
         assert_eq!(restored.pop_expired(t(30 * 60_000)), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn empty_slots_are_saved_but_not_hashed() {
+        let w: TimerWheel<u64> = TimerWheel::new();
+        let mut sw = mafic_obs::SnapWriter::new();
+        w.write_state(&mut sw, |p, sw| sw.write_u64(*p));
+        let slots = w.level0.len() + w.level1.len() + w.level2.len();
+        assert_eq!(sw.into_bytes().len(), 8 * (4 + slots + 1));
+        let mut walked = mafic_obs::Fnv64::new();
+        w.write_state(&mut walked, |p, h| h.write_u64(*p));
+        let mut header_only = mafic_obs::Fnv64::new();
+        for _ in 0..5 {
+            header_only.write_u64(0); // four counters, overflow length
+        }
+        assert_eq!(walked.finish(), header_only.finish());
     }
 
     #[test]

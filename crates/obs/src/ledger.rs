@@ -3,7 +3,8 @@
 
 use crate::fnv::Fnv64;
 use crate::json::{parse_json_line, JsonValue};
-use crate::snap::{SnapError, SnapReader, SnapWriter, SnapshotState};
+use crate::snap::{SnapError, SnapReader};
+use crate::state::{State, StateWrite};
 use crate::LEDGER_VERSION;
 use std::fmt::Write as _;
 
@@ -58,7 +59,7 @@ pub struct RunLedger {
 
 /// Collects one interval's component hashes and counters.
 ///
-/// The runner hands this to every `StateHash`-bearing component; each
+/// The runner hands this to every [`State`]-bearing component; each
 /// call to [`IntervalProbe::component`] runs the provided closure over a
 /// fresh hasher, so components cannot bleed into each other.
 #[derive(Debug, Default)]
@@ -203,8 +204,8 @@ impl LedgerBuilder {
 /// ledger continues the exact same chains. The header is *not* part of
 /// the payload: the restorer rebuilds it from the spec it was handed,
 /// which the snapshot header has already been verified against.
-impl SnapshotState for LedgerBuilder {
-    fn snap_save(&self, w: &mut SnapWriter) {
+impl State for LedgerBuilder {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_usize(self.components.len());
         for name in &self.components {
             w.write_str(name);
@@ -229,31 +230,31 @@ impl SnapshotState for LedgerBuilder {
         }
     }
 
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n_components = r.read_usize()?;
-        let mut components = Vec::with_capacity(n_components.min(1024));
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n_components = r.read_len()?;
+        let mut components = Vec::with_capacity(n_components);
         for _ in 0..n_components {
             components.push(r.read_str()?);
         }
-        let n_counters = r.read_usize()?;
-        let mut counters = Vec::with_capacity(n_counters.min(1024));
+        let n_counters = r.read_len()?;
+        let mut counters = Vec::with_capacity(n_counters);
         for _ in 0..n_counters {
             counters.push(r.read_str()?);
         }
-        let mut chains = Vec::with_capacity(n_components.min(1024));
+        let mut chains = Vec::with_capacity(n_components);
         for _ in 0..n_components {
             chains.push(r.read_u64()?);
         }
-        let n_intervals = r.read_usize()?;
-        let mut intervals = Vec::with_capacity(n_intervals.min(1024));
+        let n_intervals = r.read_len()?;
+        let mut intervals = Vec::with_capacity(n_intervals);
         for _ in 0..n_intervals {
             let index = r.read_u64()?;
             let at_nanos = r.read_u64()?;
-            let mut hashes = Vec::with_capacity(n_components.min(1024));
+            let mut hashes = Vec::with_capacity(n_components);
             for _ in 0..n_components {
                 hashes.push(r.read_u64()?);
             }
-            let mut cvals = Vec::with_capacity(n_counters.min(1024));
+            let mut cvals = Vec::with_capacity(n_counters);
             for _ in 0..n_counters {
                 cvals.push(r.read_u64()?);
             }
@@ -545,14 +546,14 @@ mod tests {
 
     #[test]
     fn builder_snapshot_round_trip_continues_the_chains() {
-        use crate::snap::{SnapReader, SnapWriter, SnapshotState};
+        use crate::snap::{SnapReader, SnapWriter};
 
         let mut original = LedgerBuilder::new(header(5));
         original.record_interval(100, &probe(&[("x", 1), ("y", 2)], &[("c", 3)]));
         original.record_interval(200, &probe(&[("x", 4), ("y", 5)], &[("c", 6)]));
 
         let mut w = SnapWriter::new();
-        original.snap_save(&mut w);
+        original.write_state(&mut w);
         let bytes = w.into_bytes();
 
         // Restore onto a fresh builder (same header, as a restorer
@@ -560,7 +561,7 @@ mod tests {
         // interval into both and require identical ledgers.
         let mut restored = LedgerBuilder::new(header(5));
         restored
-            .snap_restore(&mut SnapReader::new(&bytes))
+            .read_state(&mut SnapReader::new(&bytes))
             .expect("restore");
         assert_eq!(restored.interval_count(), 2);
         assert_eq!(restored.chained_hashes(), original.chained_hashes());
@@ -577,17 +578,17 @@ mod tests {
 
     #[test]
     fn builder_snapshot_restore_rejects_truncation() {
-        use crate::snap::{SnapError, SnapReader, SnapWriter, SnapshotState};
+        use crate::snap::{SnapError, SnapReader, SnapWriter};
 
         let mut b = LedgerBuilder::new(header(5));
         b.record_interval(100, &probe(&[("x", 1)], &[]));
         let mut w = SnapWriter::new();
-        b.snap_save(&mut w);
+        b.write_state(&mut w);
         let bytes = w.into_bytes();
         let mut fresh = LedgerBuilder::new(header(5));
         assert_eq!(
             fresh
-                .snap_restore(&mut SnapReader::new(&bytes[..bytes.len() - 1]))
+                .read_state(&mut SnapReader::new(&bytes[..bytes.len() - 1]))
                 .unwrap_err(),
             SnapError::Truncated
         );

@@ -3,10 +3,10 @@
 //! This crate sits *below* `mafic-netsim` in the layering DAG and has no
 //! dependencies at all: it defines the vocabulary every other layer uses
 //! to describe its own state — a 64-bit FNV-1a hasher ([`Fnv64`]), the
-//! [`StateHash`] trait, and the **run ledger**: a build-metadata header
-//! plus one chained per-component state hash per monitor interval,
-//! exported as JSONL and diffable down to the first diverging interval
-//! and component.
+//! one-walk [`State`] contract with its two sinks ([`StateWrite`]), and
+//! the **run ledger**: a build-metadata header plus one chained
+//! per-component state hash per monitor interval, exported as JSONL and
+//! diffable down to the first diverging interval and component.
 //!
 //! The ledger exists so a determinism failure is *bisectable*: instead
 //! of "whole-run digests differ", the differ answers "interval 17,
@@ -22,27 +22,16 @@ mod fnv;
 mod json;
 mod ledger;
 mod snap;
+mod state;
 
 pub use diff::{diff_ledgers, Divergence, DivergenceReport};
 pub use fnv::{fnv64, Fnv64};
 pub use json::{parse_json_line, JsonValue};
 pub use ledger::{IntervalProbe, IntervalRecord, LedgerBuilder, LedgerHeader, RunLedger};
 pub use snap::{
-    SnapError, SnapReader, SnapWriter, Snapshot, SnapshotHeader, SnapshotState, SNAP_MAGIC,
-    SNAP_VERSION,
+    SnapError, SnapReader, SnapWriter, Snapshot, SnapshotHeader, SNAP_MAGIC, SNAP_VERSION,
 };
+pub use state::{State, StateWrite};
 
 /// Ledger wire-format version; bump on any incompatible JSONL change.
 pub const LEDGER_VERSION: u32 = 1;
-
-/// Anything that can fold its observable state into an FNV hasher.
-///
-/// Implementations must visit fields in a fixed, documented order and
-/// must *exclude* pure caches (memoized lookups that are recomputed from
-/// hashed state) and RNG internals (two replays of the same seed carry
-/// identical RNG streams, so hashing the stream adds nothing while
-/// coupling the ledger to `rand`'s private layout).
-pub trait StateHash {
-    /// Fold this component's state into `h`.
-    fn hash_state(&self, h: &mut Fnv64);
-}

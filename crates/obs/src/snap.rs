@@ -11,7 +11,7 @@
 //!    corrupted byte is attributed to a *named* section at decode time;
 //! 2. the header and component-hash table carry their own checksum;
 //! 3. the embedded component-hash table holds each component's
-//!    [`crate::StateHash`] digest at capture time — after overlaying
+//!    [`crate::State`] hash at capture time — after overlaying
 //!    the payloads onto a rebuilt scenario, the restorer recomputes
 //!    every digest and rejects on the first mismatch, again with a
 //!    named component.
@@ -22,6 +22,7 @@
 //! captures of identical state are byte-identical.
 
 use crate::fnv::fnv64;
+use crate::state::StateWrite;
 use std::fmt;
 
 /// Snapshot wire-format version; bump on any incompatible change.
@@ -117,7 +118,8 @@ impl fmt::Display for SnapError {
     }
 }
 
-/// Little-endian byte sink for snapshot payloads.
+/// Little-endian byte sink for snapshot payloads; the typed writes are
+/// [`StateWrite`]'s.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -136,61 +138,21 @@ impl SnapWriter {
         self.buf
     }
 
-    /// Appends raw bytes verbatim (no length prefix).
-    pub fn write_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a `u16` (little-endian).
-    pub fn write_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32` (little-endian).
-    pub fn write_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u128` (little-endian).
-    pub fn write_u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `usize` widened to 64 bits.
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Appends an `f64` via its IEEE-754 bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Appends a bool as one byte.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(u8::from(v));
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
     /// Appends a length-prefixed byte slice.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
+    }
+}
+
+/// The checkpoint sink of a [`State`](crate::State) walk.
+impl StateWrite for SnapWriter {
+    fn write_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn snap_only(&mut self, f: impl FnOnce(&mut Self)) {
+        f(self);
     }
 }
 
@@ -295,6 +257,23 @@ impl<'a> SnapReader<'a> {
         usize::try_from(v).map_err(|_| SnapError::Malformed(format!("usize out of range: {v}")))
     }
 
+    /// Reads an element count that precedes its elements. Every
+    /// encoded element costs at least one byte, so a count larger than
+    /// the bytes left cannot be honest: it is rejected here, before it
+    /// sizes an allocation or bounds a loop.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] at end of input or when the count
+    /// exceeds [`SnapReader::remaining`].
+    pub fn read_len(&mut self) -> Result<usize, SnapError> {
+        let n = self.read_usize()?;
+        if n > self.remaining() {
+            return Err(SnapError::Truncated);
+        }
+        Ok(n)
+    }
+
     /// Reads an `f64` from its IEEE-754 bit pattern.
     ///
     /// # Errors
@@ -340,28 +319,24 @@ impl<'a> SnapReader<'a> {
         let n = self.read_usize()?;
         self.take(n)
     }
-}
 
-/// Anything that can serialize its mutable run state into a snapshot
-/// section and later overlay it back onto a freshly rebuilt instance.
-///
-/// The contract mirrors [`crate::StateHash`]: implementations must
-/// visit fields in a fixed, documented order, must exclude pure caches
-/// (which are invalidated on restore instead), and — unlike `StateHash`
-/// — **must include RNG internals**, because a restored run continues
-/// the stream mid-way rather than replaying it from the seed.
-pub trait SnapshotState {
-    /// Serializes this component's mutable state.
-    fn snap_save(&self, w: &mut SnapWriter);
-
-    /// Overlays previously saved state onto `self`, which the caller
-    /// has rebuilt to the same structural shape (same spec, same
-    /// build-time provisioning).
+    /// Ends the read of section `label`: trailing bytes mean the payload
+    /// came from a differently built scenario and are rejected, not
+    /// silently ignored.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapError`] if the payload is truncated or malformed.
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+    /// [`SnapError::Malformed`] naming `label` when bytes remain.
+    pub fn finish(&self, label: &str) -> Result<(), SnapError> {
+        if self.is_empty() {
+            Ok(())
+        } else {
+            Err(SnapError::Malformed(format!(
+                "{label}: {} trailing bytes",
+                self.remaining()
+            )))
+        }
+    }
 }
 
 /// A snapshot's header: the ledger header's identity fields plus the
@@ -389,7 +364,7 @@ pub struct SnapshotHeader {
 pub struct Snapshot {
     /// Identity and capture-instant metadata.
     pub header: SnapshotHeader,
-    /// Each component's [`crate::StateHash`] digest at capture time, in
+    /// Each component's [`crate::State`] hash at capture time, in
     /// recording order.
     pub component_hashes: Vec<(String, u64)>,
     sections: Vec<(String, Vec<u8>)>,
@@ -418,6 +393,30 @@ impl Snapshot {
             "duplicate snapshot section {label:?}"
         );
         self.sections.push((label.to_string(), payload));
+    }
+
+    /// Appends a section whose payload `f` writes.
+    ///
+    /// # Panics
+    ///
+    /// As [`Snapshot::add_section`].
+    pub fn write_section(&mut self, label: &str, f: impl FnOnce(&mut SnapWriter)) {
+        let mut w = SnapWriter::new();
+        f(&mut w);
+        self.add_section(label, w.into_bytes());
+    }
+
+    /// A reader over section `label`; pair with [`SnapReader::finish`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::MissingSection`] when the section is absent.
+    pub fn reader(&self, label: &str) -> Result<SnapReader<'_>, SnapError> {
+        self.section(label)
+            .map(SnapReader::new)
+            .ok_or_else(|| SnapError::MissingSection {
+                section: label.to_string(),
+            })
     }
 
     /// Looks up a section's payload by label.
@@ -495,8 +494,8 @@ impl Snapshot {
         let spec_fingerprint = r.read_u64()?;
         let at_nanos = r.read_u64()?;
         let interval_index = r.read_u64()?;
-        let n_hashes = r.read_usize()?;
-        let mut component_hashes = Vec::with_capacity(n_hashes.min(1024));
+        let n_hashes = r.read_len()?;
+        let mut component_hashes = Vec::with_capacity(n_hashes);
         for _ in 0..n_hashes {
             let label = r.read_str()?;
             let hash = r.read_u64()?;
@@ -509,8 +508,8 @@ impl Snapshot {
                 section: "header".to_string(),
             });
         }
-        let n_sections = r.read_usize()?;
-        let mut sections = Vec::with_capacity(n_sections.min(1024));
+        let n_sections = r.read_len()?;
+        let mut sections = Vec::with_capacity(n_sections);
         for _ in 0..n_sections {
             let label = r.read_str()?;
             let checksum = r.read_u64()?;
@@ -696,6 +695,53 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(r.read_str().unwrap_err(), SnapError::Malformed(_)));
+    }
+
+    #[test]
+    fn read_len_rejects_a_count_the_payload_cannot_hold() {
+        let mut w = SnapWriter::new();
+        w.write_usize(3);
+        w.write_raw(&[1, 2, 3]);
+        let bytes = w.into_bytes();
+        assert_eq!(SnapReader::new(&bytes).read_len().unwrap(), 3);
+        assert_eq!(
+            SnapReader::new(&bytes[..bytes.len() - 1])
+                .read_len()
+                .unwrap_err(),
+            SnapError::Truncated
+        );
+    }
+
+    #[test]
+    fn section_reader_names_missing_sections_and_trailing_bytes() {
+        let s = sample();
+        let mut r = s.reader("dom0/coord").unwrap();
+        assert_eq!(r.read_u8().unwrap(), 1);
+        match r.finish("dom0/coord").unwrap_err() {
+            SnapError::Malformed(why) => assert!(why.contains("dom0/coord: 2 trailing"), "{why}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        assert_eq!(
+            s.reader("absent").unwrap_err(),
+            SnapError::MissingSection {
+                section: "absent".to_string()
+            }
+        );
+    }
+
+    #[test]
+    fn each_scope_runs_on_its_own_sink_only() {
+        fn walk<W: StateWrite>(w: &mut W) {
+            w.write_u8(1);
+            w.hash_only(|w| w.write_u8(2));
+            w.snap_only(|w| w.write_u8(3));
+        }
+        let mut w = SnapWriter::new();
+        walk(&mut w);
+        assert_eq!(w.into_bytes(), [1, 3]);
+        let mut h = crate::Fnv64::new();
+        walk(&mut h);
+        assert_eq!(h.finish(), fnv64(&[1, 2]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The control channel: where inter-domain pushback packets land.
 
 use mafic_netsim::{Agent, AgentCtx, ControlMsg, Packet, PacketKind, SimTime};
-use std::any::Any;
+use mafic_obs::{SnapError, SnapReader, SnapWriter, State, StateWrite};
 
 /// The agent bound to a domain's control address.
 ///
@@ -58,15 +58,35 @@ impl ControlChannel {
     }
 }
 
-impl mafic_obs::StateHash for ControlChannel {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u64(self.received_total);
-        h.write_u64(self.forged_dropped);
-        h.write_usize(self.inbox.len());
+impl State for ControlChannel {
+    /// The undrained inbox and the lifetime counters. The two pinned
+    /// formats order them differently: the ledger hashes the counters
+    /// first, a checkpoint carries them last.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        let counters = |w: &mut W| {
+            w.write_u64(self.received_total);
+            w.write_u64(self.forged_dropped);
+        };
+        w.hash_only(counters);
+        w.write_usize(self.inbox.len());
         for (at, msg) in &self.inbox {
-            h.write_u64(at.as_nanos());
-            msg.hash_state(h);
+            w.write_u64(at.as_nanos());
+            msg.write_state(w);
         }
+        w.snap_only(counters);
+    }
+
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.read_len()?;
+        self.inbox = Vec::with_capacity(n);
+        for _ in 0..n {
+            let at = SimTime::from_nanos(r.read_u64()?);
+            let msg = mafic_netsim::read_control_msg(r)?;
+            self.inbox.push((at, msg));
+        }
+        self.received_total = r.read_u64()?;
+        self.forged_dropped = r.read_u64()?;
+        Ok(())
     }
 }
 
@@ -84,45 +104,19 @@ impl Agent for ControlChannel {
         }
     }
 
-    fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
-        w.write_usize(self.inbox.len());
-        for (at, msg) in &self.inbox {
-            w.write_u64(at.as_nanos());
-            mafic_netsim::snap_control_msg(msg, w);
-        }
-        w.write_u64(self.received_total);
-        w.write_u64(self.forged_dropped);
+    fn snap_save(&self, w: &mut SnapWriter) {
+        self.write_state(w);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
-        let n = r.read_usize()?;
-        self.inbox = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let at = SimTime::from_nanos(r.read_u64()?);
-            let msg = mafic_netsim::read_control_msg(r)?;
-            self.inbox.push((at, msg));
-        }
-        self.received_total = r.read_u64()?;
-        self.forged_dropped = r.read_u64()?;
-        Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.read_state(r)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::AgentHarness;
+    use mafic_netsim::testkit::{state_bytes, state_hash, AgentHarness};
     use mafic_netsim::{Addr, ControlVerb, FlowKey, Provenance, RequesterId};
 
     const CTRL_SRC: Addr = Addr::new(0x0BFA_0001);
@@ -245,7 +239,6 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_an_undrained_inbox() {
-        use mafic_obs::StateHash;
         let mut h = AgentHarness::new();
         let mut ch = ControlChannel::new();
         let victim = Addr::new(42);
@@ -267,19 +260,20 @@ mod tests {
             &mut ch,
             push_pkt(CTRL_SRC, envelope(2, ControlVerb::Stop { victim })),
         );
-        let mut w = mafic_netsim::SnapWriter::new();
-        ch.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&ch);
         let mut restored = ControlChannel::new();
-        let mut r = mafic_netsim::SnapReader::new(&bytes);
+        let mut r = SnapReader::new(&bytes);
         restored.snap_restore(&mut r).expect("restore succeeds");
         assert!(r.is_empty());
-        let digest = |c: &ControlChannel| {
-            let mut h = mafic_obs::Fnv64::new();
-            c.hash_state(&mut h);
-            h.finish()
-        };
-        assert_eq!(digest(&ch), digest(&restored));
+        assert_eq!(state_hash(&ch), state_hash(&restored));
+        // Pinned layouts: a checkpoint leads with the inbox length, the
+        // ledger hash with the lifetime counters.
+        assert_eq!(bytes[..8], 2u64.to_le_bytes());
+        let mut counters_first = mafic_obs::Fnv64::new();
+        counters_first.write_u64(2);
+        counters_first.write_u64(0);
+        counters_first.write(&bytes[..bytes.len() - 16]);
+        assert_eq!(state_hash(&ch), counters_first.finish());
         let msgs = restored.drain();
         assert_eq!(msgs.len(), 2);
         assert!(matches!(msgs[0].1.verb, ControlVerb::Request { .. }));
@@ -290,13 +284,13 @@ mod tests {
     fn snapshot_with_a_hostile_inbox_count_is_truncated_not_a_panic() {
         // Section checksums are recomputable, so the count is attacker
         // controlled: it must bound neither an allocation nor the run.
-        let mut w = mafic_netsim::SnapWriter::new();
+        let mut w = SnapWriter::new();
         w.write_u64(u64::MAX >> 2);
         let bytes = w.into_bytes();
-        let mut r = mafic_netsim::SnapReader::new(&bytes);
+        let mut r = SnapReader::new(&bytes);
         let err = ControlChannel::new()
             .snap_restore(&mut r)
             .expect_err("no envelope follows the count");
-        assert!(matches!(err, mafic_obs::SnapError::Truncated), "{err}");
+        assert!(matches!(err, SnapError::Truncated), "{err}");
     }
 }

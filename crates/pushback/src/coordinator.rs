@@ -77,7 +77,10 @@
 
 use crate::plane::ControlPlane;
 use crate::trust::{TrustConfig, TrustLedger};
-use mafic_netsim::{Addr, ControlMsg, ControlVerb, DenyReason, RequesterId};
+use mafic_netsim::{
+    read_opt_addr, write_opt_addr, Addr, ControlMsg, ControlVerb, DenyReason, RequesterId,
+};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -806,86 +809,27 @@ impl DomainCoordinator {
     }
 }
 
-impl mafic_obs::StateHash for CoordinatorStats {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u64(self.requests_sent);
-        h.write_u64(self.refreshes_sent);
-        h.write_u64(self.withdraws_sent);
-        h.write_u64(self.stops_sent);
-        h.write_u64(self.reports_sent);
-        h.write_u64(self.denies_received);
-    }
-}
-
-impl mafic_obs::StateHash for DomainCoordinator {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u8(match self.role {
-            PushbackRole::Victim => 0,
-            PushbackRole::Upstream => 1,
+impl State for DomainCoordinator {
+    /// The mutable lifecycle state. `role` and `identity` are build-time
+    /// wiring: hashed, but restored from the rebuilt coordinator, not
+    /// the checkpoint (as is `config`, which is in neither). The nested
+    /// trust ledger rides along so nonce replay-protection survives a
+    /// restore.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.hash_only(|h| {
+            h.write_u8(match self.role {
+                PushbackRole::Victim => 0,
+                PushbackRole::Upstream => 1,
+            });
+            h.write_u32(self.identity.addr().as_u32());
         });
-        h.write_u32(self.identity.addr().as_u32());
-        h.write_u8(match self.state {
-            LifecycleState::Idle => 0,
-            LifecycleState::Defending => 1,
-            LifecycleState::Escalated => 2,
-            LifecycleState::StandingDown => 3,
-        });
-        match self.victim {
-            None => h.write_u8(0),
-            Some(victim) => {
-                h.write_u8(1);
-                h.write_u32(victim.as_u32());
-            }
-        }
-        h.write_u8(self.budget);
-        h.write_u32(self.above);
-        h.write_u32(self.healthy);
-        h.write_u32(self.since_refresh);
-        h.write_u32(self.since_heard);
-        h.write_u64(self.next_nonce);
-        h.write_usize(self.denied_by.len());
-        for id in &self.denied_by {
-            h.write_u32(id.addr().as_u32());
-        }
-        h.write_u32(self.since_report);
-        match self.lessor {
-            None => h.write_u8(0),
-            Some(lessor) => {
-                h.write_u8(1);
-                h.write_u32(lessor.addr().as_u32());
-            }
-        }
-        h.write_usize(self.reports.len());
-        for (id, (aggregate, age)) in &self.reports {
-            h.write_u32(id.addr().as_u32());
-            h.write_u64(*aggregate);
-            h.write_u32(*age);
-        }
-        h.write_f64(self.observed_sources);
-        self.ledger.hash_state(h);
-        self.stats.hash_state(h);
-    }
-}
-
-impl mafic_obs::SnapshotState for DomainCoordinator {
-    /// Serializes the mutable lifecycle state. `config`, `role`, and
-    /// `identity` are build-time wiring and come from the rebuilt
-    /// coordinator; the nested trust ledger rides along so nonce
-    /// replay-protection survives a restore.
-    fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
         w.write_u8(match self.state {
             LifecycleState::Idle => 0,
             LifecycleState::Defending => 1,
             LifecycleState::Escalated => 2,
             LifecycleState::StandingDown => 3,
         });
-        match self.victim {
-            None => w.write_u8(0),
-            Some(victim) => {
-                w.write_u8(1);
-                w.write_u32(victim.as_u32());
-            }
-        }
+        write_opt_addr(self.victim, w);
         w.write_u8(self.budget);
         w.write_u32(self.above);
         w.write_u32(self.healthy);
@@ -897,13 +841,7 @@ impl mafic_obs::SnapshotState for DomainCoordinator {
             w.write_u32(id.addr().as_u32());
         }
         w.write_u32(self.since_report);
-        match self.lessor {
-            None => w.write_u8(0),
-            Some(lessor) => {
-                w.write_u8(1);
-                w.write_u32(lessor.addr().as_u32());
-            }
-        }
+        write_opt_addr(self.lessor.map(RequesterId::addr), w);
         w.write_usize(self.reports.len());
         for (id, (aggregate, age)) in &self.reports {
             w.write_u32(id.addr().as_u32());
@@ -911,7 +849,7 @@ impl mafic_obs::SnapshotState for DomainCoordinator {
             w.write_u32(*age);
         }
         w.write_f64(self.observed_sources);
-        self.ledger.snap_save(w);
+        self.ledger.write_state(w);
         w.write_u64(self.stats.requests_sent);
         w.write_u64(self.stats.refreshes_sent);
         w.write_u64(self.stats.withdraws_sent);
@@ -920,54 +858,38 @@ impl mafic_obs::SnapshotState for DomainCoordinator {
         w.write_u64(self.stats.denies_received);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.state = match r.read_u8()? {
             0 => LifecycleState::Idle,
             1 => LifecycleState::Defending,
             2 => LifecycleState::Escalated,
             3 => LifecycleState::StandingDown,
-            tag => {
-                return Err(mafic_obs::SnapError::Malformed(format!(
-                    "lifecycle tag {tag}"
-                )))
-            }
+            tag => return Err(SnapError::Malformed(format!("lifecycle tag {tag}"))),
         };
-        self.victim = match r.read_u8()? {
-            0 => None,
-            1 => Some(Addr::new(r.read_u32()?)),
-            tag => return Err(mafic_obs::SnapError::Malformed(format!("victim tag {tag}"))),
-        };
+        self.victim = read_opt_addr(r, "victim")?;
         self.budget = r.read_u8()?;
         self.above = r.read_u32()?;
         self.healthy = r.read_u32()?;
         self.since_refresh = r.read_u32()?;
         self.since_heard = r.read_u32()?;
         self.next_nonce = r.read_u64()?;
-        let denied = r.read_usize()?;
-        self.denied_by = Vec::with_capacity(denied.min(1024));
+        let denied = r.read_len()?;
+        self.denied_by = Vec::with_capacity(denied);
         for _ in 0..denied {
             self.denied_by
                 .push(RequesterId::new(Addr::new(r.read_u32()?)));
         }
         self.since_report = r.read_u32()?;
-        self.lessor = match r.read_u8()? {
-            0 => None,
-            1 => Some(RequesterId::new(Addr::new(r.read_u32()?))),
-            tag => return Err(mafic_obs::SnapError::Malformed(format!("lessor tag {tag}"))),
-        };
-        let n_reports = r.read_usize()?;
+        self.lessor = read_opt_addr(r, "lessor")?.map(RequesterId::new);
         self.reports = BTreeMap::new();
-        for _ in 0..n_reports {
+        for _ in 0..r.read_len()? {
             let id = RequesterId::new(Addr::new(r.read_u32()?));
             let aggregate = r.read_u64()?;
             let age = r.read_u32()?;
             self.reports.insert(id, (aggregate, age));
         }
         self.observed_sources = r.read_f64()?;
-        self.ledger.snap_restore(r)?;
+        self.ledger.read_state(r)?;
         self.stats.requests_sent = r.read_u64()?;
         self.stats.refreshes_sent = r.read_u64()?;
         self.stats.withdraws_sent = r.read_u64()?;
@@ -982,6 +904,7 @@ impl mafic_obs::SnapshotState for DomainCoordinator {
 mod tests {
     use super::*;
     use crate::plane::BufferedPlane;
+    use mafic_netsim::testkit::{state_bytes, state_hash};
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001);
 
@@ -1917,7 +1840,6 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_an_escalated_coordinator() {
-        use mafic_obs::{SnapshotState, StateHash};
         let mut plane = BufferedPlane::with_targets(vec![identity(1), identity(2)]);
         let mut c = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
         c.trust_upstream(identity(1));
@@ -1944,24 +1866,17 @@ mod tests {
         let _ = deliver(&mut c, report, 5000.0, &mut plane);
         assert!(c.is_escalated());
 
-        let mut w = mafic_obs::SnapWriter::new();
-        c.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&c);
         // Restore into a freshly built coordinator with the same
         // build-time wiring — the rebuild-and-overlay contract.
         let mut restored = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
         restored.trust_upstream(identity(1));
         restored.trust_upstream(identity(2));
         let mut r = mafic_obs::SnapReader::new(&bytes);
-        restored.snap_restore(&mut r).expect("restore succeeds");
+        restored.read_state(&mut r).expect("restore succeeds");
         assert!(r.is_empty(), "payload fully consumed");
 
-        let digest = |c: &DomainCoordinator| {
-            let mut h = mafic_obs::Fnv64::new();
-            c.hash_state(&mut h);
-            h.finish()
-        };
-        assert_eq!(digest(&c), digest(&restored));
+        assert_eq!(state_hash(&c), state_hash(&restored));
         // The restored machine continues identically: both refresh on
         // the same interval, still skipping the denied sibling.
         let mut p1 = BufferedPlane::with_targets(vec![identity(1), identity(2)]);
@@ -1972,24 +1887,28 @@ mod tests {
         }
         assert_eq!(p1.upstream, p2.upstream);
         assert_eq!(p1.upstream_skips, p2.upstream_skips);
-        assert_eq!(digest(&c), digest(&restored));
+        assert_eq!(state_hash(&c), state_hash(&restored));
+        // Role and identity are wiring: hashed, and not in `bytes`.
+        let mut upstream = DomainCoordinator::new(config(), PushbackRole::Upstream, identity(0));
+        upstream
+            .read_state(&mut mafic_obs::SnapReader::new(&bytes))
+            .expect("restore succeeds");
+        assert_ne!(state_hash(&c), state_hash(&upstream));
     }
 
     #[test]
     fn snapshot_rejects_unknown_lifecycle_tag() {
-        use mafic_obs::SnapshotState;
         let mut w = mafic_obs::SnapWriter::new();
         w.write_u8(9);
         let bytes = w.into_bytes();
         let mut c = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
         let mut r = mafic_obs::SnapReader::new(&bytes);
-        let err = c.snap_restore(&mut r).expect_err("tag 9 is invalid");
+        let err = c.read_state(&mut r).expect_err("tag 9 is invalid");
         assert!(err.to_string().contains("lifecycle tag 9"), "{err}");
     }
 
     #[test]
     fn snapshot_with_a_hostile_denied_count_is_truncated_not_a_panic() {
-        use mafic_obs::SnapshotState;
         let mut w = mafic_obs::SnapWriter::new();
         w.write_u8(0); // lifecycle: idle
         w.write_u8(0); // no victim
@@ -2003,7 +1922,7 @@ mod tests {
         let mut c = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
         let mut r = mafic_obs::SnapReader::new(&bytes);
         let err = c
-            .snap_restore(&mut r)
+            .read_state(&mut r)
             .expect_err("no requester follows the count");
         assert!(matches!(err, mafic_obs::SnapError::Truncated), "{err}");
     }

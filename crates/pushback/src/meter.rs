@@ -1,7 +1,7 @@
 //! Victim-bound rate metering at an Attack Transit Router.
 
 use mafic_netsim::{Addr, FilterAction, FilterCtx, Packet, PacketEnv, PacketFilter};
-use std::any::Any;
+use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter, State, StateWrite};
 
 /// A passive filter counting victim-bound bytes and packets.
 ///
@@ -57,12 +57,21 @@ impl VictimRateMeter {
     }
 }
 
-impl mafic_obs::StateHash for VictimRateMeter {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u32(self.victim.as_u32());
-        h.write_u64(self.window_bytes);
-        h.write_u64(self.window_packets);
-        h.write_u64(self.total_bytes);
+impl State for VictimRateMeter {
+    /// The victim address is build-time configuration: hashed, not
+    /// saved.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.hash_only(|h| h.write_u32(self.victim.as_u32()));
+        w.write_u64(self.window_bytes);
+        w.write_u64(self.window_packets);
+        w.write_u64(self.total_bytes);
+    }
+
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.window_bytes = r.read_u64()?;
+        self.window_packets = r.read_u64()?;
+        self.total_bytes = r.read_u64()?;
+        Ok(())
     }
 }
 
@@ -81,36 +90,23 @@ impl PacketFilter for VictimRateMeter {
         FilterAction::Forward
     }
 
-    fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
-        // The victim address is build-time configuration.
-        w.write_u64(self.window_bytes);
-        w.write_u64(self.window_packets);
-        w.write_u64(self.total_bytes);
+    fn hash_state(&self, h: &mut Fnv64) {
+        self.write_state(h);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
-        self.window_bytes = r.read_u64()?;
-        self.window_packets = r.read_u64()?;
-        self.total_bytes = r.read_u64()?;
-        Ok(())
+    fn snap_save(&self, w: &mut SnapWriter) {
+        self.write_state(w);
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.read_state(r)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::FilterHarness;
+    use mafic_netsim::testkit::{state_bytes, state_hash, FilterHarness};
     use mafic_netsim::{FlowKey, PacketKind, Provenance, SimTime};
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001);
@@ -155,24 +151,22 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_an_undrained_window() {
-        use mafic_obs::StateHash;
         let mut h = FilterHarness::new();
         let mut m = VictimRateMeter::new(VICTIM);
         let _ = h.offer_transit(&mut m, &pkt(VICTIM, 500));
         let _ = h.offer_transit(&mut m, &pkt(VICTIM, 300));
-        let mut w = mafic_obs::SnapWriter::new();
-        m.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&m);
         let mut restored = VictimRateMeter::new(VICTIM);
-        let mut r = mafic_obs::SnapReader::new(&bytes);
+        let mut r = SnapReader::new(&bytes);
         restored.snap_restore(&mut r).expect("restore succeeds");
         assert!(r.is_empty());
-        let digest = |m: &VictimRateMeter| {
-            let mut h = mafic_obs::Fnv64::new();
-            m.hash_state(&mut h);
-            h.finish()
-        };
-        assert_eq!(digest(&m), digest(&restored));
+        assert_eq!(state_hash(&m), state_hash(&restored));
+        // The victim is configuration: hashed, and not in `bytes`.
+        let mut elsewhere = VictimRateMeter::new(Addr::new(7));
+        elsewhere
+            .snap_restore(&mut SnapReader::new(&bytes))
+            .expect("restore succeeds");
+        assert_ne!(state_hash(&m), state_hash(&elsewhere));
         assert_eq!(restored.take_window(), (800, 2), "window survives intact");
     }
 }

@@ -33,6 +33,7 @@
 //! [`DenyReason`].
 
 use mafic_netsim::{Addr, ControlMsg, DenyReason, RequesterId, CONTROL_PROTOCOL_VERSION};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use std::collections::BTreeMap;
 
 /// Tunables of a domain's trust ledger.
@@ -294,42 +295,30 @@ impl TrustLedger {
     }
 }
 
-impl mafic_obs::StateHash for DenyTally {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u64(self.bad_version);
-        h.write_u64(self.untrusted);
-        h.write_u64(self.replayed);
-        h.write_u64(self.uncorroborated);
-        h.write_u64(self.budget_exhausted);
-    }
-}
-
-impl mafic_obs::StateHash for TrustLedger {
-    fn hash_state(&self, h: &mut mafic_obs::Fnv64) {
-        h.write_u32(self.config.request_budget);
-        h.write_f64(self.config.attestation_fraction);
-        h.write_u64(self.granted_installs);
-        self.denies.hash_state(h);
-        h.write_usize(self.requesters.len());
-        // BTreeMap iterates in sorted RequesterId order — deterministic.
-        for (id, state) in &self.requesters {
-            h.write_u32(id.addr().as_u32());
-            h.write_bool(state.authorized);
-            h.write_bool(state.upstream);
-            h.write_u64(state.last_nonce);
-            h.write_u32(state.installs);
-        }
-    }
-}
-
-impl mafic_obs::SnapshotState for TrustLedger {
-    /// Serializes the requester table wholesale. The `authorized` and
-    /// `upstream` flags are build-time wiring, but they live in the
-    /// same map entries as the mutable nonce/install state, so the
-    /// whole entry is carried and the restored table is byte-equal to
-    /// the captured one.
-    fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
+impl State for TrustLedger {
+    /// The requester table wholesale, the grant counter and the deny
+    /// tallies. The `authorized` and `upstream` flags are build-time
+    /// wiring, but they live in the same map entries as the mutable
+    /// nonce/install state, so the whole entry is carried and the
+    /// restored table is byte-equal to the captured one. The trust
+    /// configuration is hashed, not saved; and the two pinned formats
+    /// put the counters on opposite sides of the table.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        let counters = |w: &mut W| {
+            w.write_u64(self.granted_installs);
+            w.write_u64(self.denies.bad_version);
+            w.write_u64(self.denies.untrusted);
+            w.write_u64(self.denies.replayed);
+            w.write_u64(self.denies.uncorroborated);
+            w.write_u64(self.denies.budget_exhausted);
+        };
+        w.hash_only(|h| {
+            h.write_u32(self.config.request_budget);
+            h.write_f64(self.config.attestation_fraction);
+            counters(h);
+        });
         w.write_usize(self.requesters.len());
+        // BTreeMap iterates in sorted RequesterId order — deterministic.
         for (id, state) in &self.requesters {
             w.write_u32(id.addr().as_u32());
             w.write_bool(state.authorized);
@@ -337,21 +326,12 @@ impl mafic_obs::SnapshotState for TrustLedger {
             w.write_u64(state.last_nonce);
             w.write_u32(state.installs);
         }
-        w.write_u64(self.granted_installs);
-        w.write_u64(self.denies.bad_version);
-        w.write_u64(self.denies.untrusted);
-        w.write_u64(self.denies.replayed);
-        w.write_u64(self.denies.uncorroborated);
-        w.write_u64(self.denies.budget_exhausted);
+        w.snap_only(counters);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
-        let n = r.read_usize()?;
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.requesters = BTreeMap::new();
-        for _ in 0..n {
+        for _ in 0..r.read_len()? {
             let id = RequesterId::new(Addr::new(r.read_u32()?));
             let state = RequesterState {
                 authorized: r.read_bool()?,
@@ -374,6 +354,7 @@ impl mafic_obs::SnapshotState for TrustLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mafic_netsim::testkit::{state_bytes, state_hash};
     use mafic_netsim::{Addr, ControlVerb};
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001);
@@ -567,7 +548,6 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_nonces_installs_and_tallies() {
-        use mafic_obs::{SnapshotState, StateHash};
         let mut l = TrustLedger::new(TrustConfig::default());
         l.authorize(requester());
         // A granted install advances the nonce, the install count, and
@@ -580,20 +560,22 @@ mod tests {
             l.vet_install(&request(1, 10_000), None, 1000.0, 9000.0),
             Err(DenyReason::Replayed)
         );
-        let mut w = mafic_obs::SnapWriter::new();
-        l.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = state_bytes(&l);
         let mut restored = TrustLedger::new(TrustConfig::default());
         restored.authorize(requester());
         let mut r = mafic_obs::SnapReader::new(&bytes);
-        restored.snap_restore(&mut r).expect("restore succeeds");
+        restored.read_state(&mut r).expect("restore succeeds");
         assert!(r.is_empty());
-        let digest = |l: &TrustLedger| {
-            let mut h = mafic_obs::Fnv64::new();
-            l.hash_state(&mut h);
-            h.finish()
-        };
-        assert_eq!(digest(&l), digest(&restored));
+        assert_eq!(state_hash(&l), state_hash(&restored));
+        // The trust configuration is hashed, and not in `bytes`.
+        let mut stricter = TrustLedger::new(TrustConfig {
+            request_budget: 1,
+            ..TrustConfig::default()
+        });
+        stricter
+            .read_state(&mut mafic_obs::SnapReader::new(&bytes))
+            .expect("restore succeeds");
+        assert_ne!(state_hash(&l), state_hash(&stricter));
         // Replay protection survives the round trip.
         assert_eq!(
             restored.vet_install(&request(1, 10_000), None, 1000.0, 9000.0),

@@ -13,11 +13,10 @@
 //! is recorded only in the packet provenance.
 
 use mafic_netsim::{
-    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime,
+    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime, StateWrite as _,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::any::Any;
 
 /// Wire format the unresponsive sender emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,14 +333,6 @@ impl Agent for UnresponsiveSender {
         self.paused = r.read_bool()?;
         self.rate_scale_milli = r.read_u32()?;
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

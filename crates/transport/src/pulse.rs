@@ -11,11 +11,10 @@
 //! counter-measure.
 
 use mafic_netsim::{
-    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime,
+    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime, StateWrite as _,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::any::Any;
 
 /// Tunables for [`PulsedSender`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -288,14 +287,6 @@ impl Agent for PulsedSender {
             }
         };
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

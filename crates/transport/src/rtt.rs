@@ -1,6 +1,6 @@
 //! RTT estimation (Jacobson/Karels smoothing) for the TCP agents.
 
-use mafic_netsim::SimDuration;
+use mafic_netsim::{SimDuration, StateWrite as _};
 
 /// Smoothed RTT estimator producing retransmission timeouts.
 ///

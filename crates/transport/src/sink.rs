@@ -6,8 +6,9 @@
 //! in most TCP traffic flows by checking the time stamp in the packet
 //! header".
 
-use mafic_netsim::{Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimTime};
-use std::any::Any;
+use mafic_netsim::{
+    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimTime, StateWrite as _,
+};
 use std::collections::BTreeSet;
 
 /// A TCP receiver that ACKs every in-order or out-of-order segment.
@@ -133,14 +134,6 @@ impl Agent for TcpSink {
         self.segments_received = r.read_u64()?;
         self.duplicate_segments = r.read_u64()?;
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -14,9 +14,8 @@
 
 use crate::rtt::RttEstimator;
 use mafic_netsim::{
-    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime,
+    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime, StateWrite as _,
 };
-use std::any::Any;
 
 /// Tunables for [`TcpSender`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -435,14 +434,6 @@ impl Agent for TcpSender {
         self.timeouts = r.read_u64()?;
         self.probes_received = r.read_u64()?;
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

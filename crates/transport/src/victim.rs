@@ -6,8 +6,9 @@
 //! senders' congestion control — and MAFIC's probing — work end to end),
 //! UDP floods are merely counted and absorbed.
 
-use mafic_netsim::{Agent, AgentCtx, FlowKey, FlowSlab, Packet, PacketKind, Provenance, SimTime};
-use std::any::Any;
+use mafic_netsim::{
+    Agent, AgentCtx, FlowKey, FlowSlab, Packet, PacketKind, Provenance, SimTime, StateWrite as _,
+};
 use std::collections::BTreeSet;
 
 #[derive(Debug, Default)]
@@ -167,7 +168,7 @@ impl Agent for VictimSink {
         let n = r.read_usize()?;
         self.tcp_flows = FlowSlab::new();
         for _ in 0..n {
-            let flow = mafic_netsim::FlowId::from_index(r.read_usize()?);
+            let flow = mafic_netsim::read_flow_id(r)?;
             let rcv_next = r.read_u64()?;
             let mut out_of_order = BTreeSet::new();
             for _ in 0..r.read_usize()? {
@@ -185,14 +186,6 @@ impl Agent for VictimSink {
         self.udp_datagrams = r.read_u64()?;
         self.acks_sent = r.read_u64()?;
         Ok(())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -32,7 +32,7 @@ use mafic_netsim::{
 };
 use mafic_obs::{
     fnv64, Fnv64, IntervalProbe, LedgerBuilder, LedgerHeader, RunLedger, SnapError, SnapReader,
-    SnapWriter, Snapshot, SnapshotHeader, SnapshotState as _, StateHash, SNAP_VERSION,
+    Snapshot, SnapshotHeader, State, StateWrite, SNAP_VERSION,
 };
 use mafic_pushback::{ControlChannel, ControlPlane, LifecycleState, PushbackAction};
 use mafic_transport::UnresponsiveSender;
@@ -579,21 +579,17 @@ fn drain_meters(sim: &mut Simulator, plan: &mut PushbackPlan, d: usize) -> Drain
 /// [`RunOutcome::trace_tail`] and embeds in the ledger.
 const TRACE_TAIL_EVENTS: usize = 32;
 
-/// Hashes one defense filter, tagged by concrete type so a policy swap
-/// at the same chain slot is itself a divergence.
-fn hash_filter(sim: &Simulator, node: NodeId, idx: usize, h: &mut Fnv64) {
-    if let Some(f) = sim.filter::<MaficFilter>(node, idx) {
-        h.write_u8(0);
-        f.hash_state(h);
-    } else if let Some(f) = sim.filter::<ProportionalFilter>(node, idx) {
-        h.write_u8(1);
-        f.hash_state(h);
-    } else if let Some(f) = sim.filter::<RateLimitFilter>(node, idx) {
-        h.write_u8(2);
-        f.hash_state(h);
-    } else {
-        debug_assert!(false, "unhashed filter type at {node:?}[{idx}]");
-        h.write_u8(u8::MAX);
+/// Hashes the filters at `slots` through their own
+/// [`mafic_netsim::PacketFilter::hash_state`] hooks.
+fn hash_filters<'a>(
+    sim: &Simulator,
+    slots: impl IntoIterator<Item = &'a (NodeId, usize)>,
+    h: &mut Fnv64,
+) {
+    for &(node, idx) in slots {
+        sim.filter_dyn(node, idx)
+            .expect("filter installed at build time")
+            .hash_state(h);
     }
 }
 
@@ -614,43 +610,34 @@ fn compute_probe(
     sim.hash_components(&mut probe);
     if let Some(plan) = scenario.pushback.as_ref() {
         for (d, dom) in plan.domains.iter().enumerate() {
-            probe.component(&format!("dom{d}/coord"), |h| dom.coordinator.hash_state(h));
+            probe.component(&format!("dom{d}/coord"), |h| dom.coordinator.write_state(h));
             probe.component(&format!("dom{d}/trust"), |h| {
-                dom.coordinator.ledger().hash_state(h);
+                dom.coordinator.ledger().write_state(h);
             });
             probe.component(&format!("dom{d}/filters"), |h| {
                 h.write_usize(dom.atrs.len());
-                for &(node, idx) in &dom.atrs {
-                    hash_filter(sim, node, idx, h);
-                }
+                hash_filters(sim, &dom.atrs, h);
             });
             probe.component(&format!("dom{d}/meters"), |h| {
-                let meters = dom.pre_meters.iter().chain(dom.post_meters.iter());
-                for &(node, idx) in meters {
-                    sim.filter::<mafic_pushback::VictimRateMeter>(node, idx)
-                        .expect("meter installed at build time")
-                        .hash_state(h);
-                }
+                hash_filters(sim, dom.pre_meters.iter().chain(&dom.post_meters), h);
             });
             probe.component(&format!("dom{d}/channel"), |h| {
                 sim.agent::<ControlChannel>(dom.channel)
                     .expect("control channel installed at build time")
-                    .hash_state(h);
+                    .write_state(h);
             });
         }
     } else {
         probe.component("victim/filters", |h| {
             h.write_usize(scenario.droppers.len());
-            for &(node, idx) in &scenario.droppers {
-                hash_filter(sim, node, idx, h);
-            }
+            hash_filters(sim, &scenario.droppers, h);
         });
     }
     // Only adversarial runs carry the component: a spec without an
     // adversary produces the same probe stream (and ledger) it always
     // did.
     if let Some(adv) = adversary {
-        probe.component("adversary", |h| adv.hash_state(h));
+        probe.component("adversary", |h| adv.write_state(h));
     }
     let stats = sim.stats();
     let drops = stats.drop_totals();
@@ -794,6 +781,108 @@ pub struct RunState {
     checkpoint: Option<Vec<u8>>,
 }
 
+impl RunState {
+    /// The monitor loop's accumulators — section `workload/run` of a
+    /// checkpoint. Never hashed: every decision they feed shows up in a
+    /// hashed component within the interval. The adversary and the
+    /// ledger builder have sections of their own; `attack_sources` is
+    /// build-time wiring.
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        let baselines = self.detector.baselines();
+        w.write_usize(baselines.len());
+        for b in baselines {
+            w.write_f64(*b);
+        }
+        w.write_u64(self.detector.rounds());
+        write_opt_nanos(w, self.triggered_at.map(SimTime::as_nanos));
+        write_opt_nanos(w, self.first_triggered_at.map(SimTime::as_nanos));
+        write_opt_nanos(w, self.fallback.map(SimDuration::as_nanos));
+        w.write_usize(self.atr_nodes.len());
+        for n in &self.atr_nodes {
+            w.write_u32(n.index() as u32);
+        }
+        w.write_usize(self.escalations.len());
+        for &(at, d) in &self.escalations {
+            w.write_u64(at.as_nanos());
+            w.write_usize(d);
+        }
+        w.write_u32(self.max_pushback_depth);
+        w.write_u64(self.acct.requests_injected);
+        w.write_u64(self.acct.malicious_requests);
+        write_opt_nanos(w, self.acct.stood_down_at.map(SimTime::as_nanos));
+        write_opt_nanos(w, self.acct.teardown_done_at.map(SimTime::as_nanos));
+        w.write_bool(self.acct.defense_down);
+        w.write_u64(self.scratch.drains);
+        w.write_u64(self.sketch_recycles);
+        // Harvest slots: contents are dead at a loop-top boundary (the
+        // next harvest clears each slot before swapping), but the slot
+        // *count* decides push-vs-recycle, which the recycle counter
+        // observes.
+        w.write_usize(self.sketches.len());
+        w.write_u64(self.next_stop.as_nanos());
+        w.write_u64(self.last_stop.as_nanos());
+        w.write_f64(self.cardinality_sum);
+        w.write_u64(self.cardinality_intervals);
+    }
+
+    /// Overlays a `workload/run` payload onto the fresh state of the
+    /// rebuilt `scenario` (which sizes the harvest slots).
+    fn read_state(&mut self, r: &mut SnapReader<'_>, scenario: &Scenario) -> Result<(), SnapError> {
+        let n_baselines = r.read_len()?;
+        let mut baselines = Vec::with_capacity(n_baselines);
+        for _ in 0..n_baselines {
+            baselines.push(r.read_f64()?);
+        }
+        let rounds = r.read_u64()?;
+        self.detector.restore_parts(baselines, rounds);
+        self.triggered_at = read_opt_nanos(r)?.map(SimTime::from_nanos);
+        self.first_triggered_at = read_opt_nanos(r)?.map(SimTime::from_nanos);
+        self.fallback = read_opt_nanos(r)?.map(SimDuration::from_nanos);
+        let n_atrs = r.read_len()?;
+        self.atr_nodes = Vec::with_capacity(n_atrs);
+        for _ in 0..n_atrs {
+            self.atr_nodes
+                .push(NodeId::from_index(r.read_u32()? as usize));
+        }
+        let n_escalations = r.read_len()?;
+        self.escalations = Vec::with_capacity(n_escalations);
+        for _ in 0..n_escalations {
+            let at = SimTime::from_nanos(r.read_u64()?);
+            self.escalations.push((at, r.read_usize()?));
+        }
+        self.max_pushback_depth = r.read_u32()?;
+        self.acct.requests_injected = r.read_u64()?;
+        self.acct.malicious_requests = r.read_u64()?;
+        self.acct.stood_down_at = read_opt_nanos(r)?.map(SimTime::from_nanos);
+        self.acct.teardown_done_at = read_opt_nanos(r)?.map(SimTime::from_nanos);
+        self.acct.defense_down = r.read_bool()?;
+        self.scratch.drains = r.read_u64()?;
+        self.sketch_recycles = r.read_u64()?;
+        let n_sketches = r.read_usize()?;
+        if n_sketches > scenario.taps.len() {
+            return Err(SnapError::Malformed(format!(
+                "{n_sketches} harvest slots for {} taps",
+                scenario.taps.len()
+            )));
+        }
+        for &(node, idx) in &scenario.taps[..n_sketches] {
+            let precision = scenario
+                .sim
+                .filter::<LogLogTap>(node, idx)
+                .expect("tap installed at build time")
+                .sketch()
+                .source_sketch()
+                .precision();
+            self.sketches.push(RouterSketch::new(precision));
+        }
+        self.next_stop = SimTime::from_nanos(r.read_u64()?);
+        self.last_stop = SimTime::from_nanos(r.read_u64()?);
+        self.cardinality_sum = r.read_f64()?;
+        self.cardinality_intervals = r.read_u64()?;
+        Ok(())
+    }
+}
+
 /// Builds the loop state a fresh (pristine, time-zero) run starts from.
 fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
     let detector_config = DetectorConfig {
@@ -838,8 +927,8 @@ fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
         cardinality_sum: 0.0,
         cardinality_intervals: 0,
         // Off by default: when `spec.ledger` is false the hot path pays
-        // one `Option` check per monitor interval and no `StateHash`
-        // call ever runs — `cascade_ledger` vs `cascade_d3` in
+        // one `Option` check per monitor interval and no state walk
+        // ever runs — `cascade_ledger` vs `cascade_d3` in
         // BENCHMARK.json is the measured difference.
         ledger: scenario.spec.ledger.then(|| {
             LedgerBuilder::new(LedgerHeader {
@@ -1153,22 +1242,23 @@ fn drive(scenario: &mut Scenario, state: &mut RunState) -> Result<RunOutcome, Wo
     })
 }
 
-/// Writes an optional instant as a one-byte tag plus nanoseconds.
-fn write_opt_time(w: &mut SnapWriter, v: Option<SimTime>) {
-    match v {
+/// Writes an optional instant or span, in nanoseconds, as a one-byte
+/// tag plus the value.
+fn write_opt_nanos<W: StateWrite>(w: &mut W, nanos: Option<u64>) {
+    match nanos {
         None => w.write_u8(0),
-        Some(t) => {
+        Some(nanos) => {
             w.write_u8(1);
-            w.write_u64(t.as_nanos());
+            w.write_u64(nanos);
         }
     }
 }
 
-/// Reads the counterpart of [`write_opt_time`].
-fn read_opt_time(r: &mut SnapReader<'_>) -> Result<Option<SimTime>, SnapError> {
+/// Reads the counterpart of [`write_opt_nanos`].
+fn read_opt_nanos(r: &mut SnapReader<'_>) -> Result<Option<u64>, SnapError> {
     match r.read_u8()? {
         0 => Ok(None),
-        1 => Ok(Some(SimTime::from_nanos(r.read_u64()?))),
+        1 => Ok(Some(r.read_u64()?)),
         other => Err(SnapError::Malformed(format!("bad option tag {other}"))),
     }
 }
@@ -1210,65 +1300,20 @@ fn capture_checkpoint(scenario: &Scenario, state: &RunState) -> Vec<u8> {
     .components()
     .to_vec();
     scenario.sim.snap_save_into(&mut snapshot);
-    let mut w = SnapWriter::new();
-    let baselines = state.detector.baselines();
-    w.write_usize(baselines.len());
-    for b in baselines {
-        w.write_f64(*b);
-    }
-    w.write_u64(state.detector.rounds());
-    write_opt_time(&mut w, state.triggered_at);
-    write_opt_time(&mut w, state.first_triggered_at);
-    match state.fallback {
-        None => w.write_u8(0),
-        Some(d) => {
-            w.write_u8(1);
-            w.write_u64(d.as_nanos());
-        }
-    }
-    w.write_usize(state.atr_nodes.len());
-    for n in &state.atr_nodes {
-        w.write_u32(n.index() as u32);
-    }
-    w.write_usize(state.escalations.len());
-    for &(at, d) in &state.escalations {
-        w.write_u64(at.as_nanos());
-        w.write_usize(d);
-    }
-    w.write_u32(state.max_pushback_depth);
-    w.write_u64(state.acct.requests_injected);
-    w.write_u64(state.acct.malicious_requests);
-    write_opt_time(&mut w, state.acct.stood_down_at);
-    write_opt_time(&mut w, state.acct.teardown_done_at);
-    w.write_bool(state.acct.defense_down);
-    w.write_u64(state.scratch.drains);
-    w.write_u64(state.sketch_recycles);
-    // Harvest slots: contents are dead at a loop-top boundary (the next
-    // harvest clears each slot before swapping), but the slot *count*
-    // decides push-vs-recycle, which the recycle counter observes.
-    w.write_usize(state.sketches.len());
-    w.write_u64(state.next_stop.as_nanos());
-    w.write_u64(state.last_stop.as_nanos());
-    w.write_f64(state.cardinality_sum);
-    w.write_u64(state.cardinality_intervals);
-    snapshot.add_section("workload/run", w.into_bytes());
+    snapshot.write_section("workload/run", |w| state.write_state(w));
     if let Some(builder) = state.ledger.as_ref() {
-        let mut w = SnapWriter::new();
-        builder.snap_save(&mut w);
-        snapshot.add_section("workload/ledger", w.into_bytes());
+        snapshot.write_section("workload/ledger", |w| builder.write_state(w));
     }
     if let Some(plan) = scenario.pushback.as_ref() {
         for (d, dom) in plan.domains.iter().enumerate() {
-            let mut w = SnapWriter::new();
-            dom.coordinator.snap_save(&mut w);
-            w.write_u64(dom.residual_bytes);
-            snapshot.add_section(&format!("workload/dom{d}"), w.into_bytes());
+            snapshot.write_section(&format!("workload/dom{d}"), |w| {
+                dom.coordinator.write_state(w);
+                w.write_u64(dom.residual_bytes);
+            });
         }
     }
     if let Some(adv) = state.adversary.as_ref() {
-        let mut w = SnapWriter::new();
-        adv.snap_save(&mut w);
-        snapshot.add_section("workload/adversary", w.into_bytes());
+        snapshot.write_section("workload/adversary", |w| adv.write_state(w));
     }
     snapshot.encode()
 }
@@ -1280,7 +1325,7 @@ fn capture_checkpoint(scenario: &Scenario, state: &RunState) -> Vec<u8> {
 ///
 /// Restore is rebuild-plus-overlay: the scenario is built fresh from
 /// the spec (all build-time wiring), every snapshot section is overlaid
-/// onto it, and then every component's [`StateHash`] digest is
+/// onto it, and then every component's [`State`] hash is
 /// recomputed and compared against the table embedded at capture time —
 /// a snapshot that does not reproduce the captured state byte-for-byte
 /// is rejected with the first offending component named, never loaded
@@ -1355,128 +1400,27 @@ fn restore_with(
     let mut scenario = Scenario::build(spec.clone())?;
     let mut state = fresh_state(&scenario)?;
     scenario.sim.snap_restore_from(&snapshot)?;
-    let payload = snapshot
-        .section("workload/run")
-        .ok_or(SnapError::MissingSection {
-            section: "workload/run".to_string(),
-        })?;
-    let mut r = SnapReader::new(payload);
-    let n_baselines = r.read_usize()?;
-    let mut baselines = Vec::with_capacity(n_baselines.min(1024));
-    for _ in 0..n_baselines {
-        baselines.push(r.read_f64()?);
-    }
-    let rounds = r.read_u64()?;
-    state.detector.restore_parts(baselines, rounds);
-    state.triggered_at = read_opt_time(&mut r)?;
-    state.first_triggered_at = read_opt_time(&mut r)?;
-    state.fallback = match r.read_u8()? {
-        0 => None,
-        1 => Some(SimDuration::from_nanos(r.read_u64()?)),
-        other => return Err(SnapError::Malformed(format!("bad option tag {other}")).into()),
-    };
-    let n_atrs = r.read_usize()?;
-    let mut atr_nodes = Vec::with_capacity(n_atrs.min(1024));
-    for _ in 0..n_atrs {
-        atr_nodes.push(NodeId::from_index(r.read_u32()? as usize));
-    }
-    state.atr_nodes = atr_nodes;
-    let n_escalations = r.read_usize()?;
-    let mut escalations = Vec::with_capacity(n_escalations.min(1024));
-    for _ in 0..n_escalations {
-        let at = SimTime::from_nanos(r.read_u64()?);
-        escalations.push((at, r.read_usize()?));
-    }
-    state.escalations = escalations;
-    state.max_pushback_depth = r.read_u32()?;
-    state.acct.requests_injected = r.read_u64()?;
-    state.acct.malicious_requests = r.read_u64()?;
-    state.acct.stood_down_at = read_opt_time(&mut r)?;
-    state.acct.teardown_done_at = read_opt_time(&mut r)?;
-    state.acct.defense_down = r.read_bool()?;
-    state.scratch.drains = r.read_u64()?;
-    state.sketch_recycles = r.read_u64()?;
-    let n_sketches = r.read_usize()?;
-    if n_sketches > scenario.taps.len() {
-        return Err(SnapError::Malformed(format!(
-            "{n_sketches} harvest slots for {} taps",
-            scenario.taps.len()
-        ))
-        .into());
-    }
-    for i in 0..n_sketches {
-        let (node, idx) = scenario.taps[i];
-        let precision = scenario
-            .sim
-            .filter::<LogLogTap>(node, idx)
-            .expect("tap installed at build time")
-            .sketch()
-            .source_sketch()
-            .precision();
-        state.sketches.push(RouterSketch::new(precision));
-    }
-    state.next_stop = SimTime::from_nanos(r.read_u64()?);
-    state.last_stop = SimTime::from_nanos(r.read_u64()?);
-    state.cardinality_sum = r.read_f64()?;
-    state.cardinality_intervals = r.read_u64()?;
-    if !r.is_empty() {
-        return Err(SnapError::Malformed(format!(
-            "{} trailing bytes in workload/run",
-            r.remaining()
-        ))
-        .into());
-    }
+    let mut r = snapshot.reader("workload/run")?;
+    state.read_state(&mut r, &scenario)?;
+    r.finish("workload/run")?;
     if let Some(builder) = state.ledger.as_mut() {
-        let payload = snapshot
-            .section("workload/ledger")
-            .ok_or(SnapError::MissingSection {
-                section: "workload/ledger".to_string(),
-            })?;
-        let mut r = SnapReader::new(payload);
-        builder.snap_restore(&mut r)?;
-        if !r.is_empty() {
-            return Err(SnapError::Malformed(format!(
-                "{} trailing bytes in workload/ledger",
-                r.remaining()
-            ))
-            .into());
-        }
+        let mut r = snapshot.reader("workload/ledger")?;
+        builder.read_state(&mut r)?;
+        r.finish("workload/ledger")?;
     }
     if let Some(plan) = scenario.pushback.as_mut() {
         for (d, dom) in plan.domains.iter_mut().enumerate() {
             let label = format!("workload/dom{d}");
-            let payload = snapshot
-                .section(&label)
-                .ok_or_else(|| SnapError::MissingSection {
-                    section: label.clone(),
-                })?;
-            let mut r = SnapReader::new(payload);
-            dom.coordinator.snap_restore(&mut r)?;
+            let mut r = snapshot.reader(&label)?;
+            dom.coordinator.read_state(&mut r)?;
             dom.residual_bytes = r.read_u64()?;
-            if !r.is_empty() {
-                return Err(SnapError::Malformed(format!(
-                    "{} trailing bytes in {label}",
-                    r.remaining()
-                ))
-                .into());
-            }
+            r.finish(&label)?;
         }
     }
     if let Some(adv) = state.adversary.as_mut() {
-        let payload = snapshot
-            .section("workload/adversary")
-            .ok_or(SnapError::MissingSection {
-                section: "workload/adversary".to_string(),
-            })?;
-        let mut r = SnapReader::new(payload);
-        adv.snap_restore(&mut r)?;
-        if !r.is_empty() {
-            return Err(SnapError::Malformed(format!(
-                "{} trailing bytes in workload/adversary",
-                r.remaining()
-            ))
-            .into());
-        }
+        let mut r = snapshot.reader("workload/adversary")?;
+        adv.read_state(&mut r)?;
+        r.finish("workload/adversary")?;
     }
     // The integrity gate: recompute every component digest over the
     // overlaid state and compare against the capture-time table. A
