@@ -104,12 +104,6 @@ impl AdversaryController {
         self.stubs.len()
     }
 
-    /// Stable label of the active strategy.
-    #[must_use]
-    pub fn strategy_label(&self) -> &'static str {
-        self.strategy.label()
-    }
-
     /// The specification the controller was built from.
     #[must_use]
     pub fn spec(&self) -> &AdversarySpec {

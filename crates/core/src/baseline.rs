@@ -9,7 +9,7 @@
 use crate::policy::TAG_PROPORTIONAL;
 use mafic_netsim::{
     read_flow_id, read_opt_addr, write_opt_addr, Addr, DropReason, FilterAction, FilterControl,
-    FilterCtx, FlowId, FlowSlab, Packet, PacketEnv, PacketFilter, StatNote,
+    FilterCtx, FlowSlab, Packet, PacketEnv, PacketFilter, StatNote,
 };
 use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter, State, StateWrite};
 use rand::rngs::SmallRng;
@@ -84,18 +84,6 @@ impl ProportionalFilter {
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Packets dropped for one flow.
-    #[must_use]
-    pub fn dropped_for(&self, flow: FlowId) -> u64 {
-        self.per_flow_dropped.get(flow).copied().unwrap_or(0)
-    }
-
-    /// Number of distinct flows that lost at least one packet.
-    #[must_use]
-    pub fn flows_hit(&self) -> usize {
-        self.per_flow_dropped.len()
     }
 
     /// Approximate per-flow state held by this filter, in bytes: one

@@ -40,11 +40,12 @@ impl AddressValidator {
 /// ```
 /// use mafic::MaficConfig;
 ///
-/// let config = MaficConfig::builder()
-///     .drop_probability(0.8)
-///     .timer_rtt_multiplier(2.0)
-///     .build()
-///     .unwrap();
+/// let config = MaficConfig {
+///     drop_probability: 0.8,
+///     timer_rtt_multiplier: 2.0,
+///     ..MaficConfig::default()
+/// };
+/// assert!(config.validate().is_ok());
 /// assert_eq!(config.drop_probability, 0.8);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -117,14 +118,6 @@ impl Default for MaficConfig {
 }
 
 impl MaficConfig {
-    /// Starts a builder pre-loaded with the defaults.
-    #[must_use]
-    pub fn builder() -> MaficConfigBuilder {
-        MaficConfigBuilder {
-            config: MaficConfig::default(),
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -187,89 +180,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Builder for [`MaficConfig`].
-#[derive(Debug, Clone)]
-pub struct MaficConfigBuilder {
-    config: MaficConfig,
-}
-
-impl MaficConfigBuilder {
-    /// Sets `Pd`.
-    #[must_use]
-    pub fn drop_probability(mut self, pd: f64) -> Self {
-        self.config.drop_probability = pd;
-        self
-    }
-
-    /// Sets the timer multiplier (paper: 2 × RTT).
-    #[must_use]
-    pub fn timer_rtt_multiplier(mut self, mult: f64) -> Self {
-        self.config.timer_rtt_multiplier = mult;
-        self
-    }
-
-    /// Sets the fallback RTT.
-    #[must_use]
-    pub fn default_rtt(mut self, rtt: SimDuration) -> Self {
-        self.config.default_rtt = rtt;
-        self
-    }
-
-    /// Sets the responsiveness threshold.
-    #[must_use]
-    pub fn decrease_threshold(mut self, threshold: f64) -> Self {
-        self.config.decrease_threshold = threshold;
-        self
-    }
-
-    /// Sets the probe burst size.
-    #[must_use]
-    pub fn probe_dup_acks(mut self, count: u8) -> Self {
-        self.config.probe_dup_acks = count;
-        self
-    }
-
-    /// Sets the label mode.
-    #[must_use]
-    pub fn label_mode(mut self, mode: LabelMode) -> Self {
-        self.config.label_mode = mode;
-        self
-    }
-
-    /// Sets all three table capacities at once.
-    #[must_use]
-    pub fn table_capacity(mut self, capacity: usize) -> Self {
-        self.config.sft_capacity = capacity;
-        self.config.nft_capacity = capacity;
-        self.config.pdt_capacity = capacity;
-        self
-    }
-
-    /// Sets the drop-decision RNG seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Enables periodic NFT re-validation (anti-pulsing extension).
-    #[must_use]
-    pub fn nft_revalidate_after(mut self, period: SimDuration) -> Self {
-        self.config.nft_revalidate_after = Some(period);
-        self
-    }
-
-    /// Finishes the builder.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] if any field is out of range.
-    pub fn build(self) -> Result<MaficConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,47 +194,51 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides() {
-        let c = MaficConfig::builder()
-            .drop_probability(0.7)
-            .timer_rtt_multiplier(4.0)
-            .decrease_threshold(0.5)
-            .probe_dup_acks(5)
-            .label_mode(LabelMode::Full)
-            .table_capacity(128)
-            .seed(9)
-            .build()
-            .unwrap();
-        assert_eq!(c.drop_probability, 0.7);
-        assert_eq!(c.timer_rtt_multiplier, 4.0);
-        assert_eq!(c.decrease_threshold, 0.5);
-        assert_eq!(c.probe_dup_acks, 5);
-        assert_eq!(c.label_mode, LabelMode::Full);
-        assert_eq!(c.sft_capacity, 128);
-        assert_eq!(c.seed, 9);
+    fn struct_literal_overrides_validate() {
+        let c = MaficConfig {
+            drop_probability: 0.7,
+            timer_rtt_multiplier: 4.0,
+            decrease_threshold: 0.5,
+            probe_dup_acks: 5,
+            label_mode: LabelMode::Full,
+            sft_capacity: 128,
+            seed: 9,
+            ..MaficConfig::default()
+        };
+        assert!(c.validate().is_ok());
     }
 
     #[test]
     fn validation_catches_bad_fields() {
-        assert!(MaficConfig::builder()
-            .drop_probability(1.5)
-            .build()
-            .is_err());
-        assert!(MaficConfig::builder()
-            .timer_rtt_multiplier(0.0)
-            .build()
-            .is_err());
-        assert!(MaficConfig::builder()
-            .decrease_threshold(-0.1)
-            .build()
-            .is_err());
-        assert!(MaficConfig::builder().probe_dup_acks(0).build().is_err());
-        assert!(MaficConfig::builder().table_capacity(0).build().is_err());
-        let c = MaficConfig {
-            min_rtt: SimDuration::from_secs(2),
-            ..MaficConfig::default()
-        };
-        assert!(c.validate().is_err());
+        let bad = [
+            MaficConfig {
+                drop_probability: 1.5,
+                ..MaficConfig::default()
+            },
+            MaficConfig {
+                timer_rtt_multiplier: 0.0,
+                ..MaficConfig::default()
+            },
+            MaficConfig {
+                decrease_threshold: -0.1,
+                ..MaficConfig::default()
+            },
+            MaficConfig {
+                probe_dup_acks: 0,
+                ..MaficConfig::default()
+            },
+            MaficConfig {
+                pdt_capacity: 0,
+                ..MaficConfig::default()
+            },
+            MaficConfig {
+                min_rtt: SimDuration::from_secs(2),
+                ..MaficConfig::default()
+            },
+        ];
+        for c in bad {
+            assert!(c.validate().is_err(), "{c:?}");
+        }
     }
 
     #[test]
@@ -346,10 +260,12 @@ mod tests {
 
     #[test]
     fn config_error_display() {
-        let err = MaficConfig::builder()
-            .drop_probability(2.0)
-            .build()
-            .unwrap_err();
+        let err = MaficConfig {
+            drop_probability: 2.0,
+            ..MaficConfig::default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(err.to_string().contains("drop_probability"));
     }
 }

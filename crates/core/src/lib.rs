@@ -51,7 +51,7 @@ pub mod tables;
 pub mod tap;
 
 pub use baseline::{DropPolicy, ProportionalFilter};
-pub use config::{AddressValidator, ConfigError, MaficConfig, MaficConfigBuilder};
+pub use config::{AddressValidator, ConfigError, MaficConfig};
 pub use dropper::{MaficCounters, MaficFilter, TIMER_PROBATION, TIMER_REVALIDATE};
 pub use label::{FlowLabel, LabelMode};
 pub use policy::DefensePolicy;

@@ -165,6 +165,10 @@ impl ArrivalTracker {
     }
 }
 
+/// Largest flow index a checkpoint may name (the bound
+/// `mafic_netsim::read_flow_id` applies to every `usize`-encoded id).
+const MAX_RESTORED_FLOW_INDEX: u32 = 1 << 20;
+
 impl State for ArrivalTracker {
     /// The eviction clock and the active windows. `active_ids` order is
     /// part of the eviction clock, so it is written positionally; the
@@ -195,6 +199,14 @@ impl State for ArrivalTracker {
         self.active_ids.clear();
         for _ in 0..r.read_len()? {
             let idx = r.read_u32()?;
+            // The index sizes `flows` and section checksums are
+            // recomputable, so it is attacker-controlled: same bound as
+            // `mafic_netsim::read_flow_id`.
+            if idx > MAX_RESTORED_FLOW_INDEX {
+                return Err(SnapError::Malformed(format!(
+                    "flow index {idx} out of range"
+                )));
+            }
             self.active_ids.push(idx);
             if idx as usize >= self.flows.len() {
                 self.flows.resize_with(idx as usize + 1, VecDeque::new);
@@ -331,5 +343,20 @@ mod tests {
             back.count_in(flow(3), t(100), SimDuration::from_millis(100)),
             1
         );
+    }
+
+    #[test]
+    fn restore_rejects_a_hostile_flow_index() {
+        let mut tr = ArrivalTracker::new(SimDuration::from_secs(10), 2);
+        tr.record(flow(1), t(10));
+        let mut bytes = state_bytes(&tr);
+        // Layout: evict_cursor (u64), active count (u64), then the first
+        // entry's u32 flow index.
+        bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut back = ArrivalTracker::new(SimDuration::from_secs(10), 2);
+        let err = back
+            .read_state(&mut mafic_obs::SnapReader::new(&bytes))
+            .expect_err("a 4 G-slot resize must be refused");
+        assert!(matches!(err, SnapError::Malformed(_)), "{err}");
     }
 }

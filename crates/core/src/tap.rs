@@ -298,7 +298,7 @@ mod tests {
         let fx = h.offer_transit(&mut tap, &pkt(1, Addr::new(2)));
         assert_eq!(fx.action, Some(FilterAction::Forward));
         assert!(fx.emitted.is_empty());
-        assert!(fx.timers.is_empty());
+        assert!(fx.flow_timers.is_empty());
     }
 
     #[test]

@@ -194,11 +194,6 @@ impl LogLog {
         self.insert_hash(mix64(item));
     }
 
-    /// Inserts a byte-slice item (hashed with FNV-1a + finalizer).
-    pub fn insert_bytes(&mut self, item: &[u8]) {
-        self.insert_hash(crate::hash::hash_bytes(item));
-    }
-
     /// Returns `true` if no item has ever been inserted.
     #[must_use]
     pub fn is_empty(&self) -> bool {

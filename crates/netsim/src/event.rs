@@ -56,17 +56,6 @@ pub enum EventKind {
         /// The agent to start.
         agent: AgentId,
     },
-    /// Wake a packet filter's timer.
-    FilterTimer {
-        /// Node hosting the filter.
-        node: NodeId,
-        /// Index of the filter within the node's filter chain. Narrowed
-        /// to `u32` so the variant — and with it the whole enum — stays
-        /// within 16 payload bytes.
-        filter_index: u32,
-        /// Caller-chosen token.
-        token: u64,
-    },
     /// Deliver a control-plane message to every filter on `node`.
     Control {
         /// Receiving node.
@@ -263,16 +252,6 @@ impl EventKind {
                 w.write_u8(3);
                 w.write_u32(agent.0);
             }
-            EventKind::FilterTimer {
-                node,
-                filter_index,
-                token,
-            } => {
-                w.write_u8(4);
-                w.write_u32(node.0);
-                w.write_u32(*filter_index);
-                w.write_u64(*token);
-            }
             EventKind::Control { node, msg } => {
                 w.write_u8(5);
                 w.write_u32(node.0);
@@ -304,11 +283,6 @@ fn read_event_kind(r: &mut SnapReader<'_>) -> Result<EventKind, SnapError> {
         },
         3 => EventKind::AgentStart {
             agent: AgentId(r.read_u32()?),
-        },
-        4 => EventKind::FilterTimer {
-            node: NodeId(r.read_u32()?),
-            filter_index: r.read_u32()?,
-            token: r.read_u64()?,
         },
         5 => EventKind::Control {
             node: NodeId(r.read_u32()?),

@@ -57,11 +57,6 @@ pub enum StatNote {
 #[derive(Debug)]
 pub(crate) enum FilterCommand {
     EmitPacket(Packet),
-    ScheduleTimer {
-        filter_index: usize,
-        delay: SimDuration,
-        token: u64,
-    },
     ScheduleFlowTimer {
         filter_index: usize,
         delay: SimDuration,
@@ -129,19 +124,6 @@ impl<'a> FilterCtx<'a> {
         self.commands.push(FilterCommand::EmitPacket(packet));
     }
 
-    /// Schedules `on_timer(token)` on this filter after `delay`.
-    ///
-    /// Legacy token path through the global event heap; per-flow timers
-    /// should use [`FilterCtx::schedule_flow_timer`], which goes through
-    /// the timer wheel.
-    pub fn schedule_timer(&mut self, delay: SimDuration, token: u64) {
-        self.commands.push(FilterCommand::ScheduleTimer {
-            filter_index: self.filter_index,
-            delay,
-            token,
-        });
-    }
-
     /// Schedules `on_flow_timer(flow, kind)` on this filter after `delay`.
     ///
     /// Flow timers carry the interned [`FlowId`] directly and are managed
@@ -199,9 +181,6 @@ pub trait PacketFilter: Any {
         env: &PacketEnv,
         ctx: &mut FilterCtx<'_>,
     ) -> FilterAction;
-
-    /// Called when a timer scheduled via [`FilterCtx::schedule_timer`] fires.
-    fn on_timer(&mut self, _token: u64, _ctx: &mut FilterCtx<'_>) {}
 
     /// Called when a flow timer scheduled via
     /// [`FilterCtx::schedule_flow_timer`] fires. Fires may be stale
@@ -300,12 +279,12 @@ mod tests {
         let mut ctx = FilterCtx::new(SimTime::ZERO, NodeId(0), 0, &mut next_id, &mut commands);
         assert_eq!(ctx.fresh_packet_id(), 100);
         assert_eq!(ctx.fresh_packet_id(), 101);
-        ctx.schedule_timer(SimDuration::from_millis(1), 42);
+        ctx.schedule_flow_timer(SimDuration::from_millis(1), FlowId::from_index(3), 42);
         ctx.note(StatNote::ProbeSent, Some(&pkt()));
         assert_eq!(commands.len(), 2);
         assert!(matches!(
             commands[0],
-            FilterCommand::ScheduleTimer { token: 42, .. }
+            FilterCommand::ScheduleFlowTimer { kind: 42, .. }
         ));
         assert!(matches!(
             commands[1],

@@ -202,11 +202,13 @@ impl Link {
 
     /// Queue occupancy at `now` (excluding the packet on the wire):
     /// accepted packets whose serialization has not yet started.
+    #[cfg(test)]
     pub(crate) fn queue_len(&self, now: SimTime) -> usize {
         self.starts.iter().filter(|&&s| s > now).count()
     }
 
     /// True if the transmitter is serializing a packet at `now`.
+    #[cfg(test)]
     pub(crate) fn is_busy(&self, now: SimTime) -> bool {
         self.busy_until > now
     }

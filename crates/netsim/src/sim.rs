@@ -190,12 +190,6 @@ impl Simulator {
         &self.flows
     }
 
-    /// Interns `key`, minting a dense [`FlowId`] on first sight. Ids are
-    /// stable for the simulator's lifetime.
-    pub fn intern_flow(&mut self, key: crate::packet::FlowKey) -> FlowId {
-        self.flows.intern(key)
-    }
-
     /// Peak number of packets simultaneously resident in the in-flight
     /// packet storage over the simulator's lifetime (observability only).
     #[must_use]
@@ -450,16 +444,6 @@ impl Simulator {
         self.links.len()
     }
 
-    /// The human-readable name of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not a valid id for this simulator.
-    #[must_use]
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.index()].name
-    }
-
     /// Adds a simplex link `from → to`.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) -> LinkId {
         let id = LinkId(u32::try_from(self.links.len()).expect("link count fits u32"));
@@ -512,27 +496,6 @@ impl Simulator {
     pub fn link_endpoints(&self, link: LinkId) -> (NodeId, NodeId) {
         let l = &self.links[link.index()];
         (l.from, l.to)
-    }
-
-    /// Current queue occupancy of a link (excluding the packet on the
-    /// wire) — congestion observability for tests and examples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is not a valid id.
-    #[must_use]
-    pub fn link_queue_depth(&self, link: LinkId) -> usize {
-        self.links[link.index()].queue_len(self.now)
-    }
-
-    /// True if the link is currently serializing a packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is not a valid id.
-    #[must_use]
-    pub fn link_busy(&self, link: LinkId) -> bool {
-        self.links[link.index()].is_busy(self.now)
     }
 
     /// Installs a host route on `node`: packets to `dst` leave via `via`.
@@ -804,11 +767,6 @@ impl Simulator {
             EventKind::LinkDeliver { link } => self.link_deliver(link),
             EventKind::AgentStart { agent } => self.agent_start(agent),
             EventKind::AgentWake { agent, token } => self.agent_wake(agent, token),
-            EventKind::FilterTimer {
-                node,
-                filter_index,
-                token,
-            } => self.filter_timer(node, filter_index as usize, token),
             EventKind::Control { node, msg } => self.control(node, msg),
         }
     }
@@ -1048,28 +1006,6 @@ impl Simulator {
         self.put_agent_buf(commands);
     }
 
-    fn filter_timer(&mut self, node_id: NodeId, filter_index: usize, token: u64) {
-        let mut commands = self.take_filter_buf();
-        {
-            let now = self.now;
-            let node = &mut self.nodes[node_id.index()];
-            let Some(filter) = node.filters.get_mut(filter_index) else {
-                self.put_filter_buf(commands);
-                return;
-            };
-            let mut ctx = FilterCtx::new(
-                now,
-                node_id,
-                filter_index,
-                &mut self.next_packet_id,
-                &mut commands,
-            );
-            filter.on_timer(token, &mut ctx);
-        }
-        self.run_filter_commands(node_id, &mut commands);
-        self.put_filter_buf(commands);
-    }
-
     fn filter_flow_timer(&mut self, fire: FlowTimerFire) {
         let mut commands = self.take_filter_buf();
         {
@@ -1123,20 +1059,6 @@ impl Simulator {
                     // touch so the collector's mint order is unchanged.
                     let pref = self.arena.alloc(packet, None);
                     self.forward(node_id, pref);
-                }
-                FilterCommand::ScheduleTimer {
-                    filter_index,
-                    delay,
-                    token,
-                } => {
-                    self.scheduler.schedule(
-                        self.now + delay,
-                        EventKind::FilterTimer {
-                            node: node_id,
-                            filter_index: filter_index as u32,
-                            token,
-                        },
-                    );
                 }
                 FilterCommand::ScheduleFlowTimer {
                     filter_index,

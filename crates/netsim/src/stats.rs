@@ -86,12 +86,6 @@ impl VictimBin {
     pub fn total_bytes(&self) -> u64 {
         self.legit_bytes + self.attack_bytes
     }
-
-    /// Total packets delivered in this bin.
-    #[must_use]
-    pub fn total_packets(&self) -> u64 {
-        self.legit_packets + self.attack_packets
-    }
 }
 
 /// Configuration of the victim watch time series.
@@ -343,12 +337,6 @@ impl StatsCollector {
         self.records
             .iter()
             .map(|(id, rec)| (self.interner.resolve(id), rec))
-    }
-
-    /// Number of distinct flows observed.
-    #[must_use]
-    pub fn flow_count(&self) -> usize {
-        self.records.len()
     }
 
     /// The victim delivery time series (empty unless a watch was set).

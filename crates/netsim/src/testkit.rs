@@ -131,8 +131,6 @@ pub struct FilterEffects {
     pub action: Option<FilterAction>,
     /// Packets the filter emitted (probes).
     pub emitted: Vec<Packet>,
-    /// Legacy token timers armed, as `(delay, token)` pairs.
-    pub timers: Vec<(SimDuration, u64)>,
     /// Flow timers armed on the wheel, as `(delay, flow, kind)` triples.
     pub flow_timers: Vec<(SimDuration, FlowId, u16)>,
     /// Statistics notes recorded, with the flow they referred to.
@@ -213,22 +211,6 @@ impl FilterHarness {
         self.offer(filter, packet, None, false)
     }
 
-    /// Fires a legacy token timer.
-    pub fn fire_timer(&mut self, filter: &mut dyn PacketFilter, token: u64) -> FilterEffects {
-        let mut commands = Vec::new();
-        {
-            let mut ctx = FilterCtx::new(
-                self.now,
-                self.node,
-                0,
-                &mut self.next_packet_id,
-                &mut commands,
-            );
-            filter.on_timer(token, &mut ctx);
-        }
-        Self::collect(commands)
-    }
-
     /// Fires a wheel flow timer.
     pub fn fire_flow_timer(
         &mut self,
@@ -271,9 +253,6 @@ impl FilterHarness {
         for cmd in commands {
             match cmd {
                 FilterCommand::EmitPacket(p) => fx.emitted.push(p),
-                FilterCommand::ScheduleTimer { delay, token, .. } => {
-                    fx.timers.push((delay, token));
-                }
                 FilterCommand::ScheduleFlowTimer {
                     delay, flow, kind, ..
                 } => {

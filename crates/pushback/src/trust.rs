@@ -153,14 +153,6 @@ impl TrustLedger {
         self.requesters.entry(requester).or_default().authorized = true;
     }
 
-    /// True if `requester` may ask this domain for drops.
-    #[must_use]
-    pub fn is_authorized(&self, requester: RequesterId) -> bool {
-        self.requesters
-            .get(&requester)
-            .is_some_and(|s| s.authorized)
-    }
-
     /// Marks `identity` as one of this domain's upstream escalation
     /// targets, whose downstream replies (`Deny`, `Report`) are
     /// believed. Wired at scenario-build time.

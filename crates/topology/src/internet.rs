@@ -341,12 +341,6 @@ impl Internet {
         Ok(Internet { domains })
     }
 
-    /// The victim's stub domain.
-    #[must_use]
-    pub fn victim_domain(&self) -> &InternetDomain {
-        &self.domains[0]
-    }
-
     /// Deepest pushback level in this internet (source stubs included).
     #[must_use]
     pub fn max_level(&self) -> u32 {

@@ -361,175 +361,179 @@ struct StepScratch {
     drains: u64,
 }
 
-/// One monitor-interval step of the inter-domain cascade.
-#[allow(clippy::too_many_arguments)]
-fn step_pushback(
+/// The escalation budget carried in envelopes, capped to its wire
+/// width. Shared by the honest victim start and the malicious
+/// campaign's forged requests.
+fn depth_budget(spec: &ScenarioSpec) -> u8 {
+    u8::try_from(spec.pushback_depth.min(u32::from(u8::MAX))).expect("capped to u8::MAX")
+}
+
+/// Instructs `routers` to start cutting `victim`-bound flows one control
+/// delay from now and logs each in the run's ATR list — the one place
+/// the runner emits `PushbackStart`. Returns the effective instant, for
+/// the callers that latch a trigger or log an escalation on it.
+fn instruct(
     sim: &mut Simulator,
-    plan: &mut PushbackPlan,
-    spec: &ScenarioSpec,
-    victim: Addr,
-    triggered: bool,
-    observed_sources: f64,
-    elapsed: SimDuration,
     atr_nodes: &mut Vec<NodeId>,
-    escalations: &mut Vec<(SimTime, usize)>,
-    max_depth: &mut u32,
-    acct: &mut ControlAccounting,
-    scratch: &mut StepScratch,
+    victim: Addr,
+    routers: impl IntoIterator<Item = NodeId>,
+) -> SimTime {
+    let at = sim.now() + CONTROL_DELAY;
+    for node in routers {
+        sim.send_control(node, FilterControl::PushbackStart { victim }, at);
+        atr_nodes.push(node);
+    }
+    at
+}
+
+/// Phase 4 — one monitor-interval step of the inter-domain cascade (a
+/// no-op without a [`PushbackPlan`]). Runs every interval, defending or
+/// not, so the meters stay interval-scoped; runs after the harvest so
+/// the victim coordinator sees this interval's source cardinality.
+fn step_cascade(
+    scenario: &mut Scenario,
+    state: &mut RunState,
+    elapsed: SimDuration,
+    victim_cardinality: f64,
 ) {
-    // The escalation budget carried in envelopes, capped to its wire
-    // width. Shared by the honest victim start and the malicious
-    // campaign's forged requests.
-    let depth_budget =
-        u8::try_from(spec.pushback_depth.min(u32::from(u8::MAX))).expect("capped to u8::MAX");
+    let Some(plan) = scenario.pushback.as_mut() else {
+        return;
+    };
     // The victim domain's coordinator rides on the local defense: the
     // detector (or its fallback) starts it, with the spec's depth as
     // the escalation budget. Once the victim has stood the defense
     // down (flood subsided), the latched trigger must not restart it —
     // but the latch is per wave, so after the teardown completes and
     // the runner re-arms detection, a fresh trigger starts it again.
-    if triggered && !acct.defense_down && !plan.domains[0].coordinator.is_defending() {
-        plan.domains[0]
-            .coordinator
-            .local_start(victim, depth_budget);
+    let victim_coordinator = &mut plan.domains[0].coordinator;
+    let triggered = state.triggered_at.is_some_and(|t| t <= state.last_stop);
+    if triggered && !state.acct.defense_down && !victim_coordinator.is_defending() {
+        victim_coordinator.local_start(scenario.domain.victim_addr, depth_budget(&scenario.spec));
     }
     // The victim tap's distinct-source cardinality — the subsidence
     // guard's secondary evidence against adversaries that fake a
     // subsided flood by parking bandwidth on a few surviving sources.
-    plan.domains[0]
-        .coordinator
-        .set_observed_sources(observed_sources);
+    victim_coordinator.set_observed_sources(victim_cardinality);
+    let n_domains = plan.domains.len();
     let interval_secs = elapsed.as_secs_f64();
-    for d in 0..plan.domains.len() {
-        let now = sim.now();
-        // A compromised domain runs the malicious-pushback campaign
-        // instead of its honest coordinator: every interval once the
-        // attack is under way, it asks each of its escalation targets
-        // to drop a flood toward the victim that does not exist. Its
-        // envelopes are authentic (its own boundary identity, advancing
-        // nonces) — only the trust ledgers upstream can stop it.
-        if spec.malicious_pushback == Some(d) {
-            // Drain any Deny replies so the inbox stays bounded, and
-            // keep the meters interval-scoped.
-            sim.agent_mut::<ControlChannel>(plan.domains[d].channel)
-                .expect("control channel installed at build time")
-                .drain_into(&mut scratch.inbox);
-            scratch.drains += 1;
-            drain_meters(sim, plan, d);
-            if now >= spec.attack_start {
-                acct.malicious_requests += 1;
-                let dom = &mut plan.domains[d];
-                let msg = ControlMsg::new(
-                    RequesterId::new(dom.ctrl_addr),
-                    acct.malicious_requests,
-                    ControlVerb::Request {
-                        victim,
-                        aggregate_bps: MALICIOUS_CLAIM_BPS,
-                        budget: depth_budget,
-                    },
-                );
-                let mut plane = InBandPlane {
-                    sim,
-                    now,
-                    ctrl_addr: dom.ctrl_addr,
-                    gateway: dom.gateway,
-                    upstream: &dom.upstream,
-                    requests_out: &mut acct.requests_injected,
-                };
-                plane.send_upstream(msg);
-            }
-            continue;
-        }
-        // Non-participating domains have no filters, meters, or inbound
-        // requests — the cascade treats them as plain forwarders.
-        if !plan.domains[d].policy.participating() {
-            continue;
-        }
-        scratch.actions.clear();
-        // 1. Envelopes that arrived over the control channel.
-        sim.agent_mut::<ControlChannel>(plan.domains[d].channel)
-            .expect("control channel installed at build time")
-            .drain_into(&mut scratch.inbox);
-        scratch.drains += 1;
-        // 2. Meter windows first: offered pressure drives escalation
-        //    *and* attestation of inbound claims; the residual is
-        //    accounting only. The local-ingress component (non-border
-        //    meters) feeds the subsidence reconstruction.
-        let drained = drain_meters(sim, plan, d);
-        let to_bps = |bytes: u64| {
-            if interval_secs > 0.0 {
-                bytes as f64 / interval_secs
-            } else {
-                0.0
-            }
-        };
-        let inflow_bps = to_bps(drained.inflow_bytes);
-        let local_bps = to_bps(drained.local_bytes);
-        // 3. Feed the state machine: inbound envelopes (vetted against
-        //    the observed inflow), then the interval tick. Outbound
-        //    envelopes go straight through the in-band plane; local
-        //    filter effects come back as actions.
-        {
-            let dom = &mut plan.domains[d];
-            let mut plane = InBandPlane {
-                sim,
-                now,
-                ctrl_addr: dom.ctrl_addr,
-                gateway: dom.gateway,
-                upstream: &dom.upstream,
-                requests_out: &mut acct.requests_injected,
-            };
-            for &(_at, msg) in &scratch.inbox {
-                dom.coordinator
-                    .on_message(msg, inflow_bps, &mut plane, &mut scratch.actions);
-            }
-            dom.coordinator
-                .on_interval(inflow_bps, local_bps, &mut plane, &mut scratch.actions);
-        }
-        // 4. Apply the local actions.
-        for action in scratch.actions.drain(..) {
-            match action {
-                PushbackAction::ActivateLocal { victim } => {
-                    for &(node, _) in &plan.domains[d].atrs {
-                        sim.send_control(
-                            node,
-                            FilterControl::PushbackStart { victim },
-                            now + CONTROL_DELAY,
-                        );
-                        atr_nodes.push(node);
-                    }
-                    escalations.push((now + CONTROL_DELAY, d));
-                    *max_depth = (*max_depth).max(plan.domains[d].level);
-                }
-                PushbackAction::DeactivateLocal => {
-                    for &(node, _) in &plan.domains[d].atrs {
-                        sim.send_control(node, FilterControl::PushbackStop, now + CONTROL_DELAY);
-                    }
-                }
-            }
-        }
-        // 5. Lifecycle bookkeeping: latch the wave's stand-down and
-        //    timestamp the first one the interval it happens.
-        if d == 0
-            && !acct.defense_down
-            && plan.domains[0].coordinator.state() == LifecycleState::StandingDown
-        {
-            acct.defense_down = true;
-            if acct.stood_down_at.is_none() {
-                acct.stood_down_at = Some(now);
-            }
-        }
+    for d in 0..n_domains {
+        step_domain(scenario, state, d, interval_secs);
     }
     // After the stand-down, the teardown is complete the first interval
     // every coordinator is idle again (zero live leases anywhere).
-    if acct.stood_down_at.is_some()
-        && acct.teardown_done_at.is_none()
-        && plan
-            .domains
-            .iter()
-            .all(|dom| dom.coordinator.state() == LifecycleState::Idle)
+    if state.acct.stood_down_at.is_some()
+        && state.acct.teardown_done_at.is_none()
+        && scenario.pushback.as_ref().is_some_and(|plan| {
+            plan.domains
+                .iter()
+                .all(|dom| dom.coordinator.state() == LifecycleState::Idle)
+        })
     {
-        acct.teardown_done_at = Some(sim.now());
+        state.acct.teardown_done_at = Some(scenario.sim.now());
+    }
+}
+
+/// Domain `d`'s share of [`step_cascade`]: drain the control inbox and
+/// the meter windows, then either run the compromised domain's forged
+/// campaign or feed the honest coordinator and apply its actions.
+fn step_domain(scenario: &mut Scenario, state: &mut RunState, d: usize, interval_secs: f64) {
+    let sim = &mut scenario.sim;
+    let spec = &scenario.spec;
+    let victim = scenario.domain.victim_addr;
+    let plan = scenario
+        .pushback
+        .as_mut()
+        .expect("the cascade steps only with a plan");
+    // Non-participating domains have no filters, meters, or inbound
+    // requests — the cascade treats them as plain forwarders.
+    let malicious = spec.malicious_pushback == Some(d);
+    if !malicious && !plan.domains[d].policy.participating() {
+        return;
+    }
+    let now = sim.now();
+    // 1. Envelopes that arrived over the control channel. (A malicious
+    //    domain drains too, so its `Deny` replies stay bounded.)
+    sim.agent_mut::<ControlChannel>(plan.domains[d].channel)
+        .expect("control channel installed at build time")
+        .drain_into(&mut state.scratch.inbox);
+    state.scratch.drains += 1;
+    // 2. Meter windows first: offered pressure drives escalation
+    //    *and* attestation of inbound claims; the residual is
+    //    accounting only. The local-ingress component (non-border
+    //    meters) feeds the subsidence reconstruction.
+    let drained = drain_meters(sim, plan, d);
+    let dom = &mut plan.domains[d];
+    let mut plane = InBandPlane {
+        sim,
+        now,
+        ctrl_addr: dom.ctrl_addr,
+        gateway: dom.gateway,
+        upstream: &dom.upstream,
+        requests_out: &mut state.acct.requests_injected,
+    };
+    // A compromised domain runs the malicious-pushback campaign
+    // instead of its honest coordinator: every interval once the
+    // attack is under way, it asks each of its escalation targets
+    // to drop a flood toward the victim that does not exist. Its
+    // envelopes are authentic (its own boundary identity, advancing
+    // nonces) — only the trust ledgers upstream can stop it.
+    if malicious {
+        if now >= spec.attack_start {
+            state.acct.malicious_requests += 1;
+            plane.send_upstream(ControlMsg::new(
+                RequesterId::new(dom.ctrl_addr),
+                state.acct.malicious_requests,
+                ControlVerb::Request {
+                    victim,
+                    aggregate_bps: MALICIOUS_CLAIM_BPS,
+                    budget: depth_budget(spec),
+                },
+            ));
+        }
+        return;
+    }
+    let to_bps = |bytes: u64| {
+        if interval_secs > 0.0 {
+            bytes as f64 / interval_secs
+        } else {
+            0.0
+        }
+    };
+    let inflow_bps = to_bps(drained.inflow_bytes);
+    // 3. Feed the state machine: inbound envelopes (vetted against
+    //    the observed inflow), then the interval tick. Outbound
+    //    envelopes go straight through the in-band plane; local
+    //    filter effects come back as actions.
+    let actions = &mut state.scratch.actions;
+    actions.clear();
+    for &(_at, msg) in &state.scratch.inbox {
+        dom.coordinator
+            .on_message(msg, inflow_bps, &mut plane, actions);
+    }
+    dom.coordinator
+        .on_interval(inflow_bps, to_bps(drained.local_bytes), &mut plane, actions);
+    // 4. Apply the local actions.
+    for action in actions.drain(..) {
+        let atrs = dom.atrs.iter().map(|&(node, _)| node);
+        match action {
+            PushbackAction::ActivateLocal { victim } => {
+                let at = instruct(sim, &mut state.atr_nodes, victim, atrs);
+                state.escalations.push((at, d));
+                state.max_pushback_depth = state.max_pushback_depth.max(dom.level);
+            }
+            PushbackAction::DeactivateLocal => {
+                for node in atrs {
+                    sim.send_control(node, FilterControl::PushbackStop, now + CONTROL_DELAY);
+                }
+            }
+        }
+    }
+    // 5. Lifecycle bookkeeping: latch the wave's stand-down and
+    //    timestamp the first one the interval it happens.
+    if d == 0 && !state.acct.defense_down && dom.coordinator.state() == LifecycleState::StandingDown
+    {
+        state.acct.defense_down = true;
+        state.acct.stood_down_at.get_or_insert(now);
     }
 }
 
@@ -599,12 +603,7 @@ fn hash_filters<'a>(
 /// [`MetricsReport`]. The ledger records one probe per monitor
 /// interval; a checkpoint embeds one as its integrity table and the
 /// restorer recomputes it to verify the overlay.
-fn compute_probe(
-    scenario: &Scenario,
-    adversary: Option<&AdversaryController>,
-    inbox_drains: u64,
-    sketch_recycles: u64,
-) -> IntervalProbe {
+fn compute_probe(scenario: &Scenario, state: &RunState) -> IntervalProbe {
     let sim = &scenario.sim;
     let mut probe = IntervalProbe::new();
     sim.hash_components(&mut probe);
@@ -636,7 +635,7 @@ fn compute_probe(
     // Only adversarial runs carry the component: a spec without an
     // adversary produces the same probe stream (and ledger) it always
     // did.
-    if let Some(adv) = adversary {
+    if let Some(adv) = state.adversary.as_ref() {
         probe.component("adversary", |h| adv.write_state(h));
     }
     let stats = sim.stats();
@@ -676,21 +675,9 @@ fn compute_probe(
     probe.counter("ctrl/installs-granted", installs_granted);
     probe.counter("arena/live", sim.packet_arena_live() as u64);
     probe.counter("arena/peak", sim.packet_arena_peak() as u64);
-    probe.counter("scratch/inbox-drains", inbox_drains);
-    probe.counter("scratch/sketch-recycles", sketch_recycles);
+    probe.counter("scratch/inbox-drains", state.scratch.drains);
+    probe.counter("scratch/sketch-recycles", state.sketch_recycles);
     probe
-}
-
-/// Records one monitor interval into the run ledger.
-fn record_ledger_interval(
-    scenario: &Scenario,
-    adversary: Option<&AdversaryController>,
-    builder: &mut LedgerBuilder,
-    inbox_drains: u64,
-    sketch_recycles: u64,
-) {
-    let probe = compute_probe(scenario, adversary, inbox_drains, sketch_recycles);
-    builder.record_interval(scenario.sim.now().as_nanos(), &probe);
 }
 
 /// Sums the control-plane counters of every coordinator, channel, and
@@ -782,6 +769,13 @@ pub struct RunState {
 }
 
 impl RunState {
+    /// Latches the current wave's trigger at `at`; the first wave's
+    /// instant sticks for reporting.
+    fn latch_trigger(&mut self, at: SimTime) {
+        self.triggered_at = Some(at);
+        self.first_triggered_at.get_or_insert(at);
+    }
+
     /// The monitor loop's accumulators — section `workload/run` of a
     /// checkpoint. Never hashed: every decision they feed shows up in a
     /// hashed component within the interval. The adversary and the
@@ -947,9 +941,10 @@ fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
         last_stop: SimTime::ZERO,
         checkpoint: None,
     };
+    // Fixed-time detection: `Scenario::build` already queued the control
+    // messages; the loop state only records them.
     if let DetectionMode::AtTime(at) = scenario.spec.detection {
-        state.triggered_at = Some(at);
-        state.first_triggered_at = Some(at);
+        state.latch_trigger(at);
         state.atr_nodes = scenario.droppers.iter().map(|&(n, _)| n).collect();
     }
     Ok(state)
@@ -982,10 +977,10 @@ pub fn resume_scenario(
     drive(scenario, &mut state)
 }
 
-/// Captures the checkpoint once the monitor clock has reached the
-/// requested instant (and never again — restored runs arrive with the
-/// slot pre-filled). Sits at the top of the monitor loop, so the
-/// capture point is always an interval boundary with the previous
+/// Phase 1 — captures the checkpoint once the monitor clock has reached
+/// the requested instant (and never again — restored runs arrive with
+/// the slot pre-filled). Runs only at the top of the monitor loop, so
+/// the capture point is always an interval boundary with the previous
 /// interval fully processed: the exact state a resumed loop re-enters.
 fn maybe_capture(scenario: &Scenario, state: &mut RunState) {
     let Some(at) = scenario.spec.checkpoint_at else {
@@ -994,197 +989,199 @@ fn maybe_capture(scenario: &Scenario, state: &mut RunState) {
     if state.checkpoint.is_some() || state.last_stop < at {
         return;
     }
-    state.checkpoint = Some(capture_checkpoint(scenario, state));
+    state.checkpoint = Some(encode_checkpoint(scenario, state));
 }
 
-/// The monitor loop plus outcome assembly, shared by fresh and resumed
-/// runs.
-fn drive(scenario: &mut Scenario, state: &mut RunState) -> Result<RunOutcome, WorkloadError> {
-    let auto = matches!(scenario.spec.detection, DetectionMode::Auto);
-    let end = scenario.spec.end;
-    let interval = scenario.spec.monitor_interval;
-    while scenario.sim.now() < end {
-        maybe_capture(scenario, state);
-        let stop = state.next_stop.min(end);
-        scenario.sim.run_until(stop);
-        state.next_stop = stop + interval;
-        let elapsed = stop.saturating_since(state.last_stop);
-        state.last_stop = stop;
-        // Harvest this epoch's sketches in Domain::routers() order —
-        // every interval, triggered or not. Epochs are defined as one
-        // monitor interval; skipping the drain after the trigger would
-        // let them accumulate for the rest of the run, so any later
-        // reader (re-detection, telemetry) would see one stale merged
-        // epoch instead of an interval's worth of traffic.
-        let mut victim_cardinality = 0.0_f64;
-        for (i, &(node, idx)) in scenario.taps.iter().enumerate() {
-            let tap = scenario
-                .sim
-                .filter_mut::<LogLogTap>(node, idx)
-                .expect("tap installed at build time");
-            // The victim router's distinct-source estimate must be read
-            // before the harvest resets the epoch's address sketch.
-            if node == scenario.domain.victim_router {
-                victim_cardinality = tap.source_address_cardinality();
-            }
-            if let Some(slot) = state.sketches.get_mut(i) {
-                tap.take_epoch_into(slot);
-                state.sketch_recycles += 1;
-            } else {
-                state.sketches.push(tap.take_epoch());
+/// Phase 2 — runs the simulator to the next interval boundary (or the
+/// scenario's end) and moves the monitor clock there. Returns the span
+/// just simulated. Every later phase sees `sim.now() == state.last_stop`.
+fn advance(scenario: &mut Scenario, state: &mut RunState) -> SimDuration {
+    let stop = state.next_stop.min(scenario.spec.end);
+    scenario.sim.run_until(stop);
+    state.next_stop = stop + scenario.spec.monitor_interval;
+    let elapsed = stop.saturating_since(state.last_stop);
+    state.last_stop = stop;
+    elapsed
+}
+
+/// Phase 3 — harvests this epoch's sketches in `Domain::routers()`
+/// order and returns the victim router's distinct-source estimate.
+/// Runs every interval, triggered or not: epochs are defined as one
+/// monitor interval, and skipping the drain after the trigger would let
+/// them accumulate for the rest of the run, so any later reader
+/// (re-detection, telemetry) would see one stale merged epoch instead of
+/// an interval's worth of traffic.
+fn harvest_taps(scenario: &mut Scenario, state: &mut RunState) -> f64 {
+    let mut victim_cardinality = 0.0_f64;
+    for (i, &(node, idx)) in scenario.taps.iter().enumerate() {
+        let tap = scenario
+            .sim
+            .filter_mut::<LogLogTap>(node, idx)
+            .expect("tap installed at build time");
+        // The victim router's distinct-source estimate must be read
+        // before the harvest resets the epoch's address sketch.
+        if node == scenario.domain.victim_router {
+            victim_cardinality = tap.source_address_cardinality();
+        }
+        if let Some(slot) = state.sketches.get_mut(i) {
+            tap.take_epoch_into(slot);
+            state.sketch_recycles += 1;
+        } else {
+            state.sketches.push(tap.take_epoch());
+        }
+    }
+    state.cardinality_sum += victim_cardinality;
+    state.cardinality_intervals += 1;
+    victim_cardinality
+}
+
+/// Phase 5 — re-arms detection after a stand-down: once the victim
+/// domain has stood the defense down *and* its coordinator has torn
+/// back to `Idle`, the wave is over — clear the trigger latch so a
+/// later flood wave goes through detection (and [`step_cascade`]'s
+/// restart guard) from scratch. Must follow the cascade step, whose
+/// lifecycle transitions it reads.
+fn rearm_after_teardown(scenario: &Scenario, state: &mut RunState) {
+    if matches!(scenario.spec.detection, DetectionMode::Auto)
+        && state.triggered_at.is_some()
+        && state.acct.defense_down
+        && scenario
+            .pushback
+            .as_ref()
+            .is_some_and(|plan| plan.domains[0].coordinator.state() == LifecycleState::Idle)
+    {
+        state.triggered_at = None;
+        state.fallback = None;
+        state.acct.defense_down = false;
+    }
+}
+
+/// Phase 6 — the closed-loop adversary (a no-op without one) steps once
+/// per interval, after the cascade has applied this interval's defense
+/// actions. It reads only its own sources' cumulative sent/delivered
+/// counters — what each zombie measures from its own ack stream — and
+/// retargets the attack senders for the next interval.
+fn step_adversary(scenario: &mut Scenario, state: &mut RunState) {
+    let Some(adv) = state.adversary.as_mut() else {
+        return;
+    };
+    let mut feedback = adv.take_feedback_buf();
+    let stats = scenario.sim.stats();
+    for (slot, (_, key)) in feedback.iter_mut().zip(&state.attack_sources) {
+        let (sent, delivered) = stats
+            .flow(key)
+            .map_or((0, 0), |rec| (rec.sent, rec.delivered));
+        *slot = SourceFeedback { sent, delivered };
+    }
+    for &dir in adv.observe_interval(feedback) {
+        let source = match dir {
+            AdversaryDirective::SetActive { source, .. }
+            | AdversaryDirective::SetRateScale { source, .. } => source,
+        };
+        let (agent, _) = *state
+            .attack_sources
+            .get(source)
+            .expect("directives name sources within the attack set");
+        let sender = scenario
+            .sim
+            .agent_mut::<UnresponsiveSender>(agent)
+            .expect("attack sender installed at build time");
+        match dir {
+            AdversaryDirective::SetActive { active, .. } => sender.set_paused(!active),
+            AdversaryDirective::SetRateScale { scale_milli, .. } => {
+                sender.set_rate_scale_milli(scale_milli);
             }
         }
-        state.cardinality_sum += victim_cardinality;
-        state.cardinality_intervals += 1;
-        // The inter-domain cascade steps every interval too — meters
-        // stay interval-scoped whether or not anything is defending.
-        if let Some(plan) = scenario.pushback.as_mut() {
-            step_pushback(
-                &mut scenario.sim,
-                plan,
-                &scenario.spec,
-                scenario.domain.victim_addr,
-                state.triggered_at.is_some_and(|t| t <= stop),
-                victim_cardinality,
-                elapsed,
-                &mut state.atr_nodes,
-                &mut state.escalations,
-                &mut state.max_pushback_depth,
-                &mut state.acct,
-                &mut state.scratch,
-            );
-        }
-        // Re-arm after stand-down: once the victim domain has stood the
-        // defense down *and* the whole cascade has torn back to `Idle`,
-        // the wave is over — clear the trigger latch so a later flood
-        // wave goes through detection (and `step_pushback`'s restart
-        // guard) from scratch.
-        if auto
-            && state.triggered_at.is_some()
-            && state.acct.defense_down
-            && scenario
-                .pushback
-                .as_ref()
-                .is_some_and(|plan| plan.domains[0].coordinator.state() == LifecycleState::Idle)
-        {
-            state.triggered_at = None;
+    }
+}
+
+/// Phase 7 — records this interval's probe into the run ledger (a no-op
+/// with the ledger off). Sits after the cascade and the adversary, so
+/// the hash covers everything they did this interval, and before
+/// [`detect`]: the control messages detection queues are first hashed
+/// with the *next* interval (the pinned chains record exactly that),
+/// and no early return in the detection tail can decide whether an
+/// interval is hashed — every interval is, once, at this loop point.
+fn record_ledger(scenario: &Scenario, state: &mut RunState) {
+    if state.ledger.is_none() {
+        return;
+    }
+    let probe = compute_probe(scenario, state);
+    if let Some(builder) = state.ledger.as_mut() {
+        builder.record_interval(scenario.sim.now().as_nanos(), &probe);
+    }
+}
+
+/// Phase 8 — the victim-side detection tail, last in the interval:
+/// while automatic detection is armed and no trigger is latched, fire
+/// the escalation fallback if its grace period ran out, else feed this
+/// epoch's traffic matrix to the detector and instruct the ATRs it
+/// names. Each early return ends the interval; nothing runs after it.
+fn detect(scenario: &mut Scenario, state: &mut RunState) -> Result<(), WorkloadError> {
+    if !matches!(scenario.spec.detection, DetectionMode::Auto) || state.triggered_at.is_some() {
+        return Ok(());
+    }
+    let victim = scenario.domain.victim_addr;
+    // Victim escalation fallback: if the counting pipeline has not
+    // fired within the grace period, every ingress is instructed.
+    if let Some(grace) = state.fallback {
+        if scenario.sim.now() >= scenario.spec.attack_start + grace {
+            let ingresses = scenario.droppers.iter().map(|&(node, _)| node);
+            let at = instruct(&mut scenario.sim, &mut state.atr_nodes, victim, ingresses);
+            state.latch_trigger(at);
             state.fallback = None;
-            state.acct.defense_down = false;
+            return Ok(());
         }
-        // The closed-loop adversary steps once per interval, after the
-        // cascade has applied this interval's defense actions. It reads
-        // only its own sources' cumulative sent/delivered counters —
-        // what each zombie measures from its own ack stream — and
-        // retargets the attack senders for the next interval.
-        if let Some(adv) = state.adversary.as_mut() {
-            let mut feedback = adv.take_feedback_buf();
-            {
-                let stats = scenario.sim.stats();
-                for (slot, (_, key)) in feedback.iter_mut().zip(&state.attack_sources) {
-                    let (sent, delivered) = stats
-                        .flow(key)
-                        .map_or((0, 0), |rec| (rec.sent, rec.delivered));
-                    *slot = SourceFeedback { sent, delivered };
-                }
-            }
-            for &dir in adv.observe_interval(feedback) {
-                let source = match dir {
-                    AdversaryDirective::SetActive { source, .. }
-                    | AdversaryDirective::SetRateScale { source, .. } => source,
-                };
-                let (agent, _) = *state
-                    .attack_sources
-                    .get(source)
-                    .expect("directives name sources within the attack set");
-                let sender = scenario
-                    .sim
-                    .agent_mut::<UnresponsiveSender>(agent)
-                    .expect("attack sender installed at build time");
-                match dir {
-                    AdversaryDirective::SetActive { active, .. } => sender.set_paused(!active),
-                    AdversaryDirective::SetRateScale { scale_milli, .. } => {
-                        sender.set_rate_scale_milli(scale_milli);
-                    }
-                }
-            }
-        }
-        // Ledger recording sits before the detection tail (which may
-        // `continue` out of the iteration) so every interval is hashed
-        // exactly once, at the same loop point, in every run.
-        if let Some(builder) = state.ledger.as_mut() {
-            record_ledger_interval(
-                scenario,
-                state.adversary.as_ref(),
-                builder,
-                state.scratch.drains,
-                state.sketch_recycles,
-            );
-        }
-        if !auto || state.triggered_at.is_some() {
-            continue;
-        }
-        // Victim escalation fallback: if the counting pipeline has not
-        // fired within the grace period, every ingress is instructed.
-        if let Some(grace) = state.fallback {
-            let deadline = scenario.spec.attack_start + grace;
-            if scenario.sim.now() >= deadline {
-                let now = scenario.sim.now();
-                let at = now + CONTROL_DELAY;
-                for &(node, _) in &scenario.droppers {
-                    scenario.sim.send_control(
-                        node,
-                        FilterControl::PushbackStart {
-                            victim: scenario.domain.victim_addr,
-                        },
-                        at,
-                    );
-                    state.atr_nodes.push(node);
-                }
-                state.triggered_at = Some(at);
-                state.first_triggered_at.get_or_insert(at);
-                state.fallback = None;
-                continue;
-            }
-        }
-        let matrix = TrafficMatrix::estimate(&state.sketches)
-            .map_err(|e| WorkloadError::Detection(e.to_string()))?;
-        if let VictimVerdict::UnderAttack(alarm) = state.detector.observe(&matrix) {
-            let routers = scenario.domain.routers();
-            let victim_router = routers[alarm.victim.0];
-            // Only a last-hop alarm for *our* victim counts; ingress
-            // routers also have egress traffic (ACKs toward hosts).
-            if victim_router != scenario.domain.victim_router {
-                continue;
-            }
-            let now = scenario.sim.now();
-            let at = now + CONTROL_DELAY;
-            for &(id, _contribution) in &alarm.attack_transit_routers {
-                let node = routers[id.0];
-                // Never instruct the victim's own router; MAFIC runs at
-                // the ingress ATRs.
-                if node == scenario.domain.victim_router {
-                    continue;
-                }
-                scenario.sim.send_control(
-                    node,
-                    FilterControl::PushbackStart {
-                        victim: scenario.domain.victim_addr,
-                    },
-                    at,
-                );
-                state.atr_nodes.push(node);
-            }
-            if !state.atr_nodes.is_empty() {
-                state.triggered_at = Some(at);
-                state.first_triggered_at.get_or_insert(at);
-            }
-        }
+    }
+    let matrix = TrafficMatrix::estimate(&state.sketches)
+        .map_err(|e| WorkloadError::Detection(e.to_string()))?;
+    let VictimVerdict::UnderAttack(alarm) = state.detector.observe(&matrix) else {
+        return Ok(());
+    };
+    let routers = scenario.domain.routers();
+    let victim_router = scenario.domain.victim_router;
+    // Only a last-hop alarm for *our* victim counts; ingress routers
+    // also have egress traffic (ACKs toward hosts).
+    if routers[alarm.victim.0] != victim_router {
+        return Ok(());
+    }
+    // Never instruct the victim's own router; MAFIC runs at the ingress
+    // ATRs.
+    let atrs = alarm
+        .attack_transit_routers
+        .iter()
+        .map(|&(id, _contribution)| routers[id.0])
+        .filter(|&node| node != victim_router);
+    let at = instruct(&mut scenario.sim, &mut state.atr_nodes, victim, atrs);
+    if !state.atr_nodes.is_empty() {
+        state.latch_trigger(at);
+    }
+    Ok(())
+}
+
+/// The monitor loop shared by fresh and resumed runs: eight phases in a
+/// fixed order, each documenting the ordering it depends on.
+fn drive(scenario: &mut Scenario, state: &mut RunState) -> Result<RunOutcome, WorkloadError> {
+    while scenario.sim.now() < scenario.spec.end {
+        maybe_capture(scenario, state);
+        let elapsed = advance(scenario, state);
+        let victim_cardinality = harvest_taps(scenario, state);
+        step_cascade(scenario, state, elapsed, victim_cardinality);
+        rearm_after_teardown(scenario, state);
+        step_adversary(scenario, state);
+        record_ledger(scenario, state);
+        detect(scenario, state)?;
     }
     // A checkpoint requested inside the final interval lands here: the
     // loop has exited, but the capture (at `end`, trivially resumable)
     // must still happen rather than silently not.
     maybe_capture(scenario, state);
+    Ok(assemble_outcome(scenario, state))
+}
 
+/// Assembles the finished run's [`RunOutcome`] from the post-run
+/// simulator and the loop's accumulators.
+fn assemble_outcome(scenario: &Scenario, state: &mut RunState) -> RunOutcome {
     // β windows: "before" covers only the attack-raging period between
     // attack start and the trigger; "after" sits right behind the trigger
     // (the paper reports the cut achieved within ~2×RTT, before the nice
@@ -1204,8 +1201,6 @@ fn drive(scenario: &mut Scenario, state: &mut RunState) -> Result<RunOutcome, Wo
         // denominator; long enough to cover the whole cascade.
         residual: SimDuration::from_secs(2),
     };
-    let policy_costs = collect_policy_costs(scenario);
-    let control = collect_control_report(scenario, &state.acct);
     let stats = scenario.sim.stats();
     let mut report = MetricsReport::from_stats(stats, &windows);
     report.peak_arena_packets = scenario.sim.packet_arena_peak() as u64;
@@ -1216,30 +1211,27 @@ fn drive(scenario: &mut Scenario, state: &mut RunState) -> Result<RunOutcome, Wo
     } else {
         0.0
     };
-    let series = victim_arrival_series(stats);
-    let goodput_series = victim_bandwidth_series(stats);
     let trace_tail = scenario.sim.trace_tail(TRACE_TAIL_EVENTS);
-    let ledger = state
-        .ledger
-        .take()
-        .map(|builder| builder.finish(trace_tail.clone()));
-    Ok(RunOutcome {
+    RunOutcome {
         report,
-        series,
-        goodput_series,
+        series: victim_arrival_series(stats),
+        goodput_series: victim_bandwidth_series(stats),
         triggered_at: state.first_triggered_at,
         atr_nodes: sorted_unique(std::mem::take(&mut state.atr_nodes)),
         escalations: std::mem::take(&mut state.escalations),
         max_pushback_depth: state.max_pushback_depth,
-        policy_costs,
-        control,
+        policy_costs: collect_policy_costs(scenario),
+        control: collect_control_report(scenario, &state.acct),
         stood_down_at: state.acct.stood_down_at,
         packets_sent: stats.total_sent,
         packets_delivered: stats.total_delivered,
-        ledger,
+        ledger: state
+            .ledger
+            .take()
+            .map(|builder| builder.finish(trace_tail.clone())),
         trace_tail,
         checkpoint: state.checkpoint.take(),
-    })
+    }
 }
 
 /// Writes an optional instant or span, in nanoseconds, as a one-byte
@@ -1268,15 +1260,12 @@ fn read_opt_nanos(r: &mut SnapReader<'_>) -> Result<Option<u64>, SnapError> {
 /// produced). This is the capture path [`ScenarioSpec::checkpoint_at`]
 /// triggers mid-run, exposed so harnesses can time and size it in
 /// isolation.
-#[must_use]
-pub fn encode_checkpoint(scenario: &Scenario, state: &RunState) -> Vec<u8> {
-    capture_checkpoint(scenario, state)
-}
-
+///
 /// Serializes the full run — simulator sections plus the runner's own
 /// loop state — into the versioned snapshot format, embedding a freshly
 /// computed component-hash table as the restore-time integrity gate.
-fn capture_checkpoint(scenario: &Scenario, state: &RunState) -> Vec<u8> {
+#[must_use]
+pub fn encode_checkpoint(scenario: &Scenario, state: &RunState) -> Vec<u8> {
     let spec = &scenario.spec;
     let interval = spec.monitor_interval.as_nanos();
     let mut snapshot = Snapshot::new(SnapshotHeader {
@@ -1291,14 +1280,7 @@ fn capture_checkpoint(scenario: &Scenario, state: &RunState) -> Vec<u8> {
             .checked_div(interval)
             .unwrap_or(0),
     });
-    snapshot.component_hashes = compute_probe(
-        scenario,
-        state.adversary.as_ref(),
-        state.scratch.drains,
-        state.sketch_recycles,
-    )
-    .components()
-    .to_vec();
+    snapshot.component_hashes = compute_probe(scenario, state).components().to_vec();
     scenario.sim.snap_save_into(&mut snapshot);
     snapshot.write_section("workload/run", |w| state.write_state(w));
     if let Some(builder) = state.ledger.as_ref() {
@@ -1426,12 +1408,7 @@ fn restore_with(
     // overlaid state and compare against the capture-time table. A
     // branch variant whose prefix state differs from the capturing
     // spec's fails here with the diverging component named.
-    let probe = compute_probe(
-        &scenario,
-        state.adversary.as_ref(),
-        state.scratch.drains,
-        state.sketch_recycles,
-    );
+    let probe = compute_probe(&scenario, &state);
     let recomputed = probe.components();
     if recomputed.len() != snapshot.component_hashes.len() {
         return Err(SnapError::Malformed(format!(

@@ -1,9 +1,10 @@
 //! Scenario construction: domain + agents + filters, fully wired.
 //!
-//! Two shapes:
+//! One builder ([`Scenario::build`]), two shapes — they differ only in
+//! the topology step and in whether a [`PushbackPlan`] is installed:
 //!
 //! * **Single-domain** (`spec.domains == 1`) — the paper's Figure 1
-//!   scenario, exactly as before.
+//!   scenario: one [`Domain`], droppers on its ingress routers.
 //! * **Multi-domain** (`spec.domains >= 2`) — an [`Internet`] of stub
 //!   domains and a transit tier. Flows split round-robin over the
 //!   stubs, so part of the flood is remote and crosses the inter-domain
@@ -24,9 +25,7 @@ use mafic_netsim::{
     Addr, AgentId, FlowKey, LinkSpec, NodeId, RequesterId, SimDuration, SimTime, Simulator,
 };
 use mafic_pushback::{ControlChannel, DomainCoordinator, PushbackRole};
-use mafic_topology::{
-    AddressSpace, Domain, DomainConfig, HostInfo, Internet, InternetConfig, PREFIX_LEN,
-};
+use mafic_topology::{AddressSpace, Domain, DomainConfig, Internet, InternetConfig, PREFIX_LEN};
 use mafic_transport::{
     CbrConfig, CbrProtocol, TcpConfig, TcpSender, UnresponsiveSender, VictimSink,
 };
@@ -180,7 +179,12 @@ const INTER_DOMAIN_DELAY: SimDuration = SimDuration::from_millis(10);
 const INTER_DOMAIN_QUEUE: usize = 192;
 
 impl Scenario {
-    /// Builds the scenario described by `spec`.
+    /// Builds the scenario described by `spec`: one body for both
+    /// shapes, in a fixed order — topology, victim endpoint, validator,
+    /// taps, defense plane, flows, cross traffic, fixed-time trigger.
+    /// The order is part of the behaviour contract: agent ids, filter
+    /// chain positions, event sequence numbers and RNG draws all follow
+    /// from it, and every pinned digest follows from those.
     ///
     /// # Errors
     ///
@@ -188,28 +192,28 @@ impl Scenario {
     /// invalid.
     pub fn build(spec: ScenarioSpec) -> Result<Scenario, WorkloadError> {
         spec.validate().map_err(WorkloadError::Spec)?;
-        if spec.domains <= 1 {
-            Scenario::build_single(spec)
-        } else {
-            Scenario::build_multi(spec)
-        }
-    }
-
-    /// The paper's single-domain scenario.
-    fn build_single(spec: ScenarioSpec) -> Result<Scenario, WorkloadError> {
         let mut rng = SmallRng::seed_from_u64(spec.seed.wrapping_mul(0x9E37_79B9));
         let mut sim = Simulator::new(spec.seed);
         if spec.trace_capacity > 0 {
             sim.enable_trace(spec.trace_capacity);
         }
 
-        let domain_config = DomainConfig {
-            n_routers: spec.n_routers,
-            n_hosts: spec.total_flows,
-            seed: spec.seed ^ 0xD0_4A1,
-            ..DomainConfig::default()
+        // Topology: the paper's single domain, or an internet whose
+        // first domain is the victim's.
+        let (domain, internet) = if spec.domains <= 1 {
+            let config = DomainConfig {
+                n_routers: spec.n_routers,
+                n_hosts: spec.total_flows,
+                seed: spec.seed ^ 0xD0_4A1,
+                ..DomainConfig::default()
+            };
+            let domain = Domain::build(&mut sim, &config).map_err(WorkloadError::Topology)?;
+            (domain, None)
+        } else {
+            let internet = Internet::build(&mut sim, &internet_config(&spec))
+                .map_err(WorkloadError::Topology)?;
+            (internet.domains[0].domain.clone(), Some(internet))
         };
-        let domain = Domain::build(&mut sim, &domain_config).map_err(WorkloadError::Topology)?;
 
         // Victim endpoint.
         let victim_agent = sim.add_agent(
@@ -223,277 +227,69 @@ impl Scenario {
         sim.stats_mut()
             .watch_arrivals(domain.victim_router, domain.victim_addr, spec.victim_bin);
 
-        // Filters: tap first (counts arrivals), then the dropper.
-        let validator = AddressValidator::Prefixes(
-            (0..domain.address_space.ingress_count())
-                .map(|i| (domain.address_space.ingress_prefix(i), PREFIX_LEN))
-                .chain(std::iter::once((
-                    domain.address_space.victim_prefix(),
-                    PREFIX_LEN,
-                )))
-                .collect(),
-        );
-        let taps = install_taps(&mut sim, &spec, &domain, &[]);
-        let droppers = install_droppers(
-            &mut sim,
-            &spec,
-            &domain.ingress_routers,
-            &validator,
-            0,
-            spec.base_policy(),
-        );
-
-        // Traffic: one host per flow. Legitimate TCP first, zombies last.
-        let n_legit = spec.legit_flow_count();
-        let n_attack = spec.attack_flow_count();
-        debug_assert_eq!(n_legit + n_attack, spec.total_flows);
-        let mut flows = Vec::with_capacity(spec.total_flows);
-        for (i, host) in domain.hosts.iter().enumerate() {
-            flows.push(provision_flow(
-                &mut sim,
-                &spec,
-                &mut rng,
-                i,
-                n_legit,
-                n_attack,
-                host,
-                &domain.address_space,
-                domain.victim_addr,
-                0,
-            ));
-        }
-
-        // Fixed-time detection installs the control messages up front.
-        if let DetectionMode::AtTime(at) = spec.detection {
-            for &(router, _) in &droppers {
-                sim.send_control(
-                    router,
-                    mafic_netsim::FilterControl::PushbackStart {
-                        victim: domain.victim_addr,
-                    },
-                    at,
-                );
-            }
-        }
-
-        Ok(Scenario {
-            sim,
-            domain,
-            internet: None,
-            pushback: None,
-            spec,
-            flows,
-            droppers,
-            taps,
-            victim_agent,
-            cross_traffic: Vec::new(),
-        })
-    }
-
-    /// The multi-domain internet with the cascaded-pushback control
-    /// plane.
-    fn build_multi(spec: ScenarioSpec) -> Result<Scenario, WorkloadError> {
-        let mut rng = SmallRng::seed_from_u64(spec.seed.wrapping_mul(0x9E37_79B9));
-        let mut sim = Simulator::new(spec.seed);
-        if spec.trace_capacity > 0 {
-            sim.enable_trace(spec.trace_capacity);
-        }
-        let n_stubs = spec.domains;
-        let n_transit = spec.transit_topology.domain_count();
-
-        // Flows split round-robin over the stubs; every stub domain must
-        // still carry at least one host to be buildable.
-        let mut stub_flow_counts = vec![0usize; n_stubs];
-        for i in 0..spec.total_flows {
-            stub_flow_counts[i % n_stubs] += 1;
-        }
-        let stub_cfgs: Vec<DomainConfig> = (0..n_stubs)
-            .map(|s| DomainConfig {
-                // The victim's domain keeps the paper's size; source
-                // stubs are half-size edge networks.
-                n_routers: if s == 0 {
-                    spec.n_routers
-                } else {
-                    (spec.n_routers / 2).max(6)
-                },
-                n_hosts: stub_flow_counts[s].max(1),
-                seed: spec.seed ^ 0xD0_4A1,
-                ..DomainConfig::default()
-            })
-            .collect();
-        let transit_cfg = DomainConfig {
-            n_routers: 8,
-            // Cross traffic needs a sender (host 0) and a sink (host 1)
-            // per transit domain; without it one idle host suffices.
-            n_hosts: if spec.cross_traffic_bps > 0.0 { 2 } else { 1 },
-            seed: spec.seed ^ 0xD0_4A1,
-            ..DomainConfig::default()
-        };
-        let internet_cfg = InternetConfig {
-            stubs: stub_cfgs,
-            transit: spec.transit_topology,
-            transit_domain: transit_cfg,
-            inter_link: LinkSpec::new(
-                INTER_DOMAIN_BANDWIDTH_BPS,
-                INTER_DOMAIN_DELAY,
-                INTER_DOMAIN_QUEUE,
-            ),
-        };
-        let internet = Internet::build(&mut sim, &internet_cfg).map_err(WorkloadError::Topology)?;
-        let domain = internet.domains[0].domain.clone();
-
-        // Victim endpoint + watches, exactly as in the single domain.
-        let victim_agent = sim.add_agent(
-            domain.victim_host,
-            Box::new(VictimSink::default()),
-            SimTime::ZERO,
-        );
-        sim.bind_local_addr(domain.victim_host, domain.victim_addr, victim_agent);
-        sim.stats_mut()
-            .watch_victim(domain.victim_host, spec.victim_bin);
-        sim.stats_mut()
-            .watch_arrivals(domain.victim_router, domain.victim_addr, spec.victim_bin);
-
         // One source-legality oracle over every domain's address plan: a
         // remote host's genuine address is legal everywhere.
+        let spaces: Vec<&AddressSpace> = match &internet {
+            Some(internet) => internet.address_spaces().collect(),
+            None => vec![&domain.address_space],
+        };
         let validator = AddressValidator::Prefixes(
-            internet
-                .address_spaces()
+            spaces
+                .into_iter()
                 .flat_map(|space| {
                     (0..space.ingress_count())
-                        .map(|i| (space.ingress_prefix(i), PREFIX_LEN))
+                        .map(move |i| (space.ingress_prefix(i), PREFIX_LEN))
                         .chain(std::iter::once((space.victim_prefix(), PREFIX_LEN)))
-                        .collect::<Vec<_>>()
                 })
                 .collect(),
         );
 
-        // Victim-domain taps feed the detector; border routers also
+        // Victim-domain taps feed the detector (tap first on each chain:
+        // it counts arrivals before any dropper); border routers also
         // count inter-domain arrivals as domain entries.
-        let border_links: Vec<(NodeId, mafic_netsim::LinkId)> = internet.domains[0]
-            .upstream
+        let border_links: Vec<(NodeId, mafic_netsim::LinkId)> = internet
             .iter()
+            .flat_map(|internet| &internet.domains[0].upstream)
             .map(|e| (e.border, e.in_link))
             .collect();
         let taps = install_taps(&mut sim, &spec, &domain, &border_links);
 
-        // ATR filters + meters + coordinators, one set per domain —
-        // heterogeneous per the resolved policy assignment.
-        let policies = spec.resolved_policies();
-        debug_assert_eq!(policies.len(), internet.domains.len());
-        let mut droppers = Vec::new();
-        let mut plan_domains = Vec::with_capacity(internet.domains.len());
-        let pushback_config = spec.pushback_config();
-        for (d, idom) in internet.domains.iter().enumerate() {
-            let policy = policies[d];
-            // The domain's ATRs: where victim-bound traffic enters it.
-            // Non-participating domains deploy nothing at all.
-            let atr_routers: Vec<NodeId> = if !policy.participating() {
-                Vec::new()
-            } else if d == 0 || idom.role == mafic_topology::DomainRole::Stub {
-                idom.domain.ingress_routers.clone()
-            } else {
-                let mut borders: Vec<NodeId> = idom.upstream.iter().map(|e| e.border).collect();
-                borders.sort();
-                borders.dedup();
-                borders
-            };
-            let mut atrs = Vec::with_capacity(atr_routers.len());
-            let mut pre_meters = Vec::with_capacity(atr_routers.len());
-            let mut post_meters = Vec::with_capacity(atr_routers.len());
-            for &router in &atr_routers {
-                let idx = sim.add_filter(
-                    router,
-                    Box::new(mafic_pushback::VictimRateMeter::new(domain.victim_addr)),
-                );
-                pre_meters.push((router, idx));
-            }
-            let domain_droppers =
-                install_droppers(&mut sim, &spec, &atr_routers, &validator, d as u64, policy);
-            for &router in &atr_routers {
-                let idx = sim.add_filter(
-                    router,
-                    Box::new(mafic_pushback::VictimRateMeter::new(domain.victim_addr)),
-                );
-                post_meters.push((router, idx));
-            }
-            if d == 0 {
-                droppers = domain_droppers.clone();
-            }
-            atrs.extend(domain_droppers);
+        // Defense plane: per-domain filters, meters and coordinators
+        // when an internet exists, else just the victim-domain droppers.
+        let pushback = internet
+            .as_ref()
+            .map(|internet| install_pushback_plan(&mut sim, &spec, internet, &validator));
+        let droppers = match &pushback {
+            Some(plan) => plan.domains[0].atrs.clone(),
+            None => install_droppers(
+                &mut sim,
+                &spec,
+                &domain.ingress_routers,
+                &validator,
+                0,
+                spec.base_policy(),
+            ),
+        };
 
-            // Control channel at the gateway router. Installed for every
-            // domain so the control address stays bound, but requests are
-            // only ever addressed to participating domains.
-            let channel =
-                sim.add_agent(idom.gateway, Box::new(ControlChannel::new()), SimTime::ZERO);
-            sim.bind_local_addr(idom.gateway, idom.ctrl_addr, channel);
-
-            let role = if d == 0 {
-                PushbackRole::Victim
-            } else {
-                PushbackRole::Upstream
-            };
-            let coordinator =
-                DomainCoordinator::new(pushback_config, role, RequesterId::new(idom.ctrl_addr));
-            let mut border_nodes: Vec<NodeId> = idom.upstream.iter().map(|e| e.border).collect();
-            border_nodes.sort();
-            border_nodes.dedup();
-            plan_domains.push(PushbackDomainControl {
-                coordinator,
-                policy,
-                channel,
-                ctrl_addr: idom.ctrl_addr,
-                gateway: idom.gateway,
-                level: idom.level,
-                upstream: effective_upstreams(&internet, &policies, d),
-                border_nodes,
-                atrs,
-                pre_meters,
-                post_meters,
-                residual_bytes: 0,
-            });
-        }
-
-        // Trust wiring: invert the escalation topology. Whoever domain
-        // `d` may escalate to must recognize `d`'s boundary identity as
-        // an authorized downstream requester — and `d` in turn believes
-        // only those targets' replies (`Deny`, `Report`). Everybody
-        // else stays untrusted. A compromised-but-authorized domain is
-        // then stopped by attestation, not identity.
-        let edges: Vec<(usize, usize)> = plan_domains
-            .iter()
-            .enumerate()
-            .flat_map(|(d, dom)| dom.upstream.iter().map(move |up| (d, up.domain)))
-            .collect();
-        for (requester, target) in edges {
-            let requester_id = RequesterId::new(plan_domains[requester].ctrl_addr);
-            let target_id = RequesterId::new(plan_domains[target].ctrl_addr);
-            plan_domains[target].coordinator.authorize(requester_id);
-            plan_domains[requester]
-                .coordinator
-                .trust_upstream(target_id);
-        }
-
-        // Traffic: flow i lives in stub i % n_stubs.
-        let n_legit = spec.legit_flow_count();
-        let n_attack = spec.attack_flow_count();
+        // Traffic: one host per flow, legitimate TCP first, zombies
+        // last; flow i lives in stub i % n_stubs.
+        let n_stubs = spec.domains.max(1);
+        let n_transit = spec.transit_topology.domain_count();
         let mut flows = Vec::with_capacity(spec.total_flows);
         for i in 0..spec.total_flows {
-            let s = i % n_stubs;
-            let idom = if s == 0 { 0 } else { n_transit + s };
-            let host = internet.domains[idom].domain.hosts[i / n_stubs];
+            let source = match &internet {
+                Some(internet) if i % n_stubs > 0 => {
+                    &internet.domains[n_transit + i % n_stubs].domain
+                }
+                _ => &domain,
+            };
             flows.push(provision_flow(
                 &mut sim,
                 &spec,
                 &mut rng,
                 i,
-                n_legit,
-                n_attack,
-                &host,
-                &internet.domains[idom].domain.address_space,
+                source,
                 domain.victim_addr,
-                s,
             ));
         }
 
@@ -503,13 +299,15 @@ impl Scenario {
         // tier (itself when the tier has a single domain) — innocent
         // bystander traffic sharing the congested inter-domain links
         // without ever touching the victim.
-        let cross_traffic = if spec.cross_traffic_bps > 0.0 {
-            provision_cross_traffic(&mut sim, &spec, &internet, n_transit)
-        } else {
-            Vec::new()
+        let cross_traffic = match &internet {
+            Some(internet) if spec.cross_traffic_bps > 0.0 => {
+                provision_cross_traffic(&mut sim, &spec, internet, n_transit)
+            }
+            _ => Vec::new(),
         };
 
-        // Fixed-time detection: victim-domain defense at a fixed time.
+        // Fixed-time detection installs the victim-domain control
+        // messages up front.
         if let DetectionMode::AtTime(at) = spec.detection {
             for &(router, _) in &droppers {
                 sim.send_control(
@@ -525,10 +323,8 @@ impl Scenario {
         Ok(Scenario {
             sim,
             domain,
-            internet: Some(internet),
-            pushback: Some(PushbackPlan {
-                domains: plan_domains,
-            }),
+            internet,
+            pushback,
             spec,
             flows,
             droppers,
@@ -536,6 +332,146 @@ impl Scenario {
             victim_agent,
             cross_traffic,
         })
+    }
+}
+
+/// The internet a multi-domain spec describes: `spec.domains` stubs
+/// (flows split round-robin over them) under the spec's transit tier.
+fn internet_config(spec: &ScenarioSpec) -> InternetConfig {
+    let n_stubs = spec.domains;
+    // Every stub domain must still carry at least one host to be
+    // buildable.
+    let mut stub_flow_counts = vec![0usize; n_stubs];
+    for i in 0..spec.total_flows {
+        stub_flow_counts[i % n_stubs] += 1;
+    }
+    let stubs = (0..n_stubs)
+        .map(|s| DomainConfig {
+            // The victim's domain keeps the paper's size; source
+            // stubs are half-size edge networks.
+            n_routers: if s == 0 {
+                spec.n_routers
+            } else {
+                (spec.n_routers / 2).max(6)
+            },
+            n_hosts: stub_flow_counts[s].max(1),
+            seed: spec.seed ^ 0xD0_4A1,
+            ..DomainConfig::default()
+        })
+        .collect();
+    InternetConfig {
+        stubs,
+        transit: spec.transit_topology,
+        transit_domain: DomainConfig {
+            n_routers: 8,
+            // Cross traffic needs a sender (host 0) and a sink (host 1)
+            // per transit domain; without it one idle host suffices.
+            n_hosts: if spec.cross_traffic_bps > 0.0 { 2 } else { 1 },
+            seed: spec.seed ^ 0xD0_4A1,
+            ..DomainConfig::default()
+        },
+        inter_link: LinkSpec::new(
+            INTER_DOMAIN_BANDWIDTH_BPS,
+            INTER_DOMAIN_DELAY,
+            INTER_DOMAIN_QUEUE,
+        ),
+    }
+}
+
+/// Installs the cascaded-pushback control plane: ATR filters, meters, a
+/// control channel and a coordinator per domain — heterogeneous per
+/// the resolved policy assignment — then the trust wiring between them.
+fn install_pushback_plan(
+    sim: &mut Simulator,
+    spec: &ScenarioSpec,
+    internet: &Internet,
+    validator: &AddressValidator,
+) -> PushbackPlan {
+    let victim_addr = internet.domains[0].domain.victim_addr;
+    let policies = spec.resolved_policies();
+    debug_assert_eq!(policies.len(), internet.domains.len());
+    let mut plan_domains = Vec::with_capacity(internet.domains.len());
+    let pushback_config = spec.pushback_config();
+    for (d, idom) in internet.domains.iter().enumerate() {
+        let policy = policies[d];
+        let mut border_nodes: Vec<NodeId> = idom.upstream.iter().map(|e| e.border).collect();
+        border_nodes.sort();
+        border_nodes.dedup();
+        // The domain's ATRs: where victim-bound traffic enters it.
+        // Non-participating domains deploy nothing at all.
+        let atr_routers: Vec<NodeId> = if !policy.participating() {
+            Vec::new()
+        } else if d == 0 || idom.role == mafic_topology::DomainRole::Stub {
+            idom.domain.ingress_routers.clone()
+        } else {
+            border_nodes.clone()
+        };
+        // Chain order at each ATR: pre-meter, dropper, post-meter.
+        let install_meters = |sim: &mut Simulator| -> Vec<(NodeId, usize)> {
+            atr_routers
+                .iter()
+                .map(|&router| {
+                    let meter = mafic_pushback::VictimRateMeter::new(victim_addr);
+                    (router, sim.add_filter(router, Box::new(meter)))
+                })
+                .collect()
+        };
+        let pre_meters = install_meters(sim);
+        let atrs = install_droppers(sim, spec, &atr_routers, validator, d as u64, policy);
+        let post_meters = install_meters(sim);
+
+        // Control channel at the gateway router. Installed for every
+        // domain so the control address stays bound, but requests are
+        // only ever addressed to participating domains.
+        let channel = sim.add_agent(idom.gateway, Box::new(ControlChannel::new()), SimTime::ZERO);
+        sim.bind_local_addr(idom.gateway, idom.ctrl_addr, channel);
+
+        let role = if d == 0 {
+            PushbackRole::Victim
+        } else {
+            PushbackRole::Upstream
+        };
+        plan_domains.push(PushbackDomainControl {
+            coordinator: DomainCoordinator::new(
+                pushback_config,
+                role,
+                RequesterId::new(idom.ctrl_addr),
+            ),
+            policy,
+            channel,
+            ctrl_addr: idom.ctrl_addr,
+            gateway: idom.gateway,
+            level: idom.level,
+            upstream: effective_upstreams(internet, &policies, d),
+            border_nodes,
+            atrs,
+            pre_meters,
+            post_meters,
+            residual_bytes: 0,
+        });
+    }
+
+    // Trust wiring: invert the escalation topology. Whoever domain
+    // `d` may escalate to must recognize `d`'s boundary identity as
+    // an authorized downstream requester — and `d` in turn believes
+    // only those targets' replies (`Deny`, `Report`). Everybody
+    // else stays untrusted. A compromised-but-authorized domain is
+    // then stopped by attestation, not identity.
+    let edges: Vec<(usize, usize)> = plan_domains
+        .iter()
+        .enumerate()
+        .flat_map(|(d, dom)| dom.upstream.iter().map(move |up| (d, up.domain)))
+        .collect();
+    for (requester, target) in edges {
+        let requester_id = RequesterId::new(plan_domains[requester].ctrl_addr);
+        let target_id = RequesterId::new(plan_domains[target].ctrl_addr);
+        plan_domains[target].coordinator.authorize(requester_id);
+        plan_domains[requester]
+            .coordinator
+            .trust_upstream(target_id);
+    }
+    PushbackPlan {
+        domains: plan_domains,
     }
 }
 
@@ -729,22 +665,24 @@ fn install_droppers(
     droppers
 }
 
-/// Provisions flow `i` on `host`: a legitimate TCP sender for the first
-/// `n_legit` indices, an attack zombie (with the configured spoof and
-/// protocol mix) for the rest.
-#[allow(clippy::too_many_arguments)]
+/// Provisions flow `i` on its host in `source` (its stub domain): a
+/// legitimate TCP sender for the first `legit_flow_count` indices, an
+/// attack zombie (with the configured spoof and protocol mix) for the
+/// rest. Flow `i` lives in stub `i % n_stubs`, on that stub's host
+/// `i / n_stubs`.
 fn provision_flow(
     sim: &mut Simulator,
     spec: &ScenarioSpec,
     rng: &mut SmallRng,
     i: usize,
-    n_legit: usize,
-    n_attack: usize,
-    host: &HostInfo,
-    address_space: &AddressSpace,
+    source: &Domain,
     victim_addr: Addr,
-    stub_index: usize,
 ) -> FlowInfo {
+    let n_stubs = spec.domains.max(1);
+    let host = &source.hosts[i / n_stubs];
+    let stub_index = i % n_stubs;
+    let n_legit = spec.legit_flow_count();
+    let n_attack = spec.attack_flow_count();
     let src_port = 1024 + i as u16;
     let is_attack = i >= n_legit;
     if !is_attack {
@@ -784,8 +722,9 @@ fn provision_flow(
     };
     let claimed_src = match spoof {
         SpoofMode::None => host.addr,
-        SpoofMode::Illegal => address_space.random_illegal(rng),
-        SpoofMode::LegalOtherSubnet => address_space
+        SpoofMode::Illegal => source.address_space.random_illegal(rng),
+        SpoofMode::LegalOtherSubnet => source
+            .address_space
             .random_legal_spoof(host.ingress_index, rng)
             .unwrap_or(host.addr),
     };

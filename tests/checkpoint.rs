@@ -11,7 +11,8 @@ use mafic_suite::netsim::SimTime;
 use mafic_suite::obs::{SnapError, Snapshot};
 use mafic_suite::topology::TransitTopology;
 use mafic_suite::workload::{
-    restore_run, resume_scenario, run_spec, RunOutcome, ScenarioSpec, WorkloadError,
+    encode_checkpoint, restore_run, resume_scenario, run_spec, RunOutcome, ScenarioSpec,
+    WorkloadError,
 };
 
 /// The corpus scenario: a three-domain flood over a transit chain whose
@@ -32,11 +33,6 @@ fn flood_spec(checkpoint_at: Option<SimTime>) -> ScenarioSpec {
         seed: 7,
         ..ScenarioSpec::default()
     }
-}
-
-fn resumed_from(spec: &ScenarioSpec, bytes: &[u8]) -> RunOutcome {
-    let (mut scenario, state) = restore_run(spec, bytes).expect("restore verifies");
-    resume_scenario(&mut scenario, state).expect("resumed run completes")
 }
 
 fn assert_outcomes_identical(straight: &RunOutcome, resumed: &RunOutcome, ctx: &str) {
@@ -83,7 +79,15 @@ fn restore_is_byte_identical_at_every_tested_instant() {
         let spec = flood_spec(Some(SimTime::from_secs_f64(secs)));
         let straight = run_spec(spec.clone()).expect("straight run");
         let bytes = straight.checkpoint.as_ref().expect("checkpoint captured");
-        let resumed = resumed_from(&spec, bytes);
+        // What is saved is what is restored: re-encoding the restored
+        // pair reproduces the captured bytes exactly.
+        let (mut scenario, state) = restore_run(&spec, bytes).expect("restore verifies");
+        assert_eq!(
+            &encode_checkpoint(&scenario, &state),
+            bytes,
+            "re-encode after restore at {secs}s"
+        );
+        let resumed = resume_scenario(&mut scenario, state).expect("resumed run completes");
         assert_outcomes_identical(&straight, &resumed, &format!("checkpoint at {secs}s"));
     }
 }
