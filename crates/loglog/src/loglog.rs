@@ -226,11 +226,35 @@ impl LogLog {
     /// usable across the whole range the simulations exercise.
     #[must_use]
     pub fn estimate(&self) -> f64 {
-        if self.inserts == 0 {
+        self.estimate_over(self.inserts, self.registers.iter().copied())
+    }
+
+    /// Estimates `|A ∪ B|`: what `self.merged(other)?.estimate()`
+    /// returns, bit for bit, read off both register files in one pass
+    /// with no merged sketch built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SketchError`] if the precisions differ.
+    pub fn union_estimate(&self, other: &LogLog) -> Result<f64, SketchError> {
+        self.check_precision(other)?;
+        let union = self.registers.iter().zip(&other.registers);
+        Ok(self.estimate_over(self.inserts + other.inserts, union.map(|(&a, &b)| a.max(b))))
+    }
+
+    /// The estimator over a register file of this sketch's precision
+    /// that took `inserts` insertions. Register sums are small integers,
+    /// so summing them as `u64` loses nothing against an `f64` sum.
+    fn estimate_over(&self, inserts: u64, registers: impl Iterator<Item = u8>) -> f64 {
+        if inserts == 0 {
             return 0.0;
         }
         let m = self.precision.registers() as f64;
-        let zeros = self.registers.iter().filter(|&&r| r == 0).count();
+        let (mut zeros, mut sum) = (0usize, 0u64);
+        for r in registers {
+            zeros += usize::from(r == 0);
+            sum += u64::from(r);
+        }
         if zeros > 0 {
             // Linear counting is far more accurate while registers remain
             // empty; LogLog's geometric mean is badly biased there.
@@ -239,8 +263,18 @@ impl LogLog {
                 return lc;
             }
         }
-        let sum: f64 = self.registers.iter().map(|&r| f64::from(r)).sum();
-        self.alpha() * m * 2f64.powf(sum / m)
+        self.alpha() * m * 2f64.powf(sum as f64 / m)
+    }
+
+    fn check_precision(&self, other: &LogLog) -> Result<(), SketchError> {
+        if self.precision == other.precision {
+            Ok(())
+        } else {
+            Err(SketchError {
+                left: self.precision.bits(),
+                right: other.precision.bits(),
+            })
+        }
     }
 
     /// Max-merges `other` into `self` (distributed union).
@@ -249,12 +283,7 @@ impl LogLog {
     ///
     /// Returns [`SketchError`] if the precisions differ.
     pub fn merge_from(&mut self, other: &LogLog) -> Result<(), SketchError> {
-        if self.precision != other.precision {
-            return Err(SketchError {
-                left: self.precision.bits(),
-                right: other.precision.bits(),
-            });
-        }
+        self.check_precision(other)?;
         for (dst, &src) in self.registers.iter_mut().zip(other.registers.iter()) {
             if src > *dst {
                 *dst = src;
@@ -282,7 +311,7 @@ impl LogLog {
     ///
     /// Returns [`SketchError`] if the precisions differ.
     pub fn intersection_estimate(&self, other: &LogLog) -> Result<f64, SketchError> {
-        let union = self.merged(other)?.estimate();
+        let union = self.union_estimate(other)?;
         Ok((self.estimate() + other.estimate() - union).max(0.0))
     }
 }
@@ -382,6 +411,41 @@ mod tests {
             (inter - 20_000.0).abs() / 20_000.0 < 0.5,
             "intersection {inter}"
         );
+    }
+
+    #[test]
+    fn union_estimate_is_the_merged_estimate_bit_for_bit() {
+        // (items in a, items in b) per case: both empty, one empty, the
+        // linear-counting regime, its upper edge, and the geometric one.
+        let cases: [(u64, u64); 7] = [
+            (0, 0),
+            (0, 40),
+            (25, 60),
+            (600, 900),
+            (1_500, 1_700),
+            (20_000, 5),
+            (40_000, 70_000),
+        ];
+        for precision in [Precision::P8, Precision::P10] {
+            for (seed, &(n_a, n_b)) in cases.iter().enumerate() {
+                let mut a = LogLog::new(precision);
+                let mut b = LogLog::new(precision);
+                let base = (seed as u64) << 32;
+                for i in 0..n_a {
+                    a.insert_u64(base + i);
+                }
+                // Half of b's items are a's.
+                for i in 0..n_b {
+                    b.insert_u64(base + n_a / 2 + i);
+                }
+                let fused = a.union_estimate(&b).unwrap();
+                let merged = a.merged(&b).unwrap().estimate();
+                assert_eq!(fused.to_bits(), merged.to_bits(), "{precision} {n_a}/{n_b}");
+                assert_eq!(fused.to_bits(), b.union_estimate(&a).unwrap().to_bits());
+            }
+        }
+        let err = LogLog::new(Precision::P8).union_estimate(&LogLog::new(Precision::P10));
+        assert!(err.is_err());
     }
 
     #[test]

@@ -78,7 +78,12 @@ impl TrafficMatrix {
                 if egress.destination_sketch().is_empty() {
                     continue;
                 }
-                flows[i * n + j] = ingress.flow_estimate(egress)?;
+                // Inclusion–exclusion over the cardinalities already in
+                // hand; only the union is new work per pair.
+                let union = ingress
+                    .source_sketch()
+                    .union_estimate(egress.destination_sketch())?;
+                flows[i * n + j] = (source_card[i] + dest_card[j] - union).max(0.0);
             }
         }
         Ok(TrafficMatrix {
@@ -188,6 +193,17 @@ mod tests {
         let a12 = m.flow(RouterSketchId(1), RouterSketchId(2));
         assert!(a02 > a12, "heavy ingress should dominate: {a02} vs {a12}");
         assert!((m.destination_cardinality(RouterSketchId(2)) - 10_000.0).abs() / 10_000.0 < 0.2);
+    }
+
+    #[test]
+    fn entries_equal_the_pairwise_flow_estimates() {
+        let routers = three_router_domain();
+        let m = TrafficMatrix::estimate(&routers).unwrap();
+        for (i, j) in [(0, 2), (1, 2)] {
+            let pairwise = routers[i].flow_estimate(&routers[j]).unwrap();
+            let entry = m.flow(RouterSketchId(i), RouterSketchId(j));
+            assert_eq!(entry.to_bits(), pairwise.to_bits());
+        }
     }
 
     #[test]

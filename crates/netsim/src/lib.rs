@@ -5,8 +5,9 @@
 //!
 //! The simulator models:
 //!
-//! * **Nodes** (routers and hosts) with exact-match host routes plus a
-//!   default route,
+//! * **Nodes** — routers with exact-match host routes, and leaves routed
+//!   by attachment point: one uplink, taken for every address the
+//!   simulator-wide destination directory attaches to another node,
 //! * **Simplex links** with bandwidth (serialization delay), propagation
 //!   delay, and bounded drop-tail queues,
 //! * **Agents** — end-host endpoints (TCP senders, sinks, attack zombies

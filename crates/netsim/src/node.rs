@@ -1,7 +1,8 @@
 //! Nodes: routers and hosts.
 //!
-//! A node owns a routing table (exact-match host routes plus an optional
-//! default route), a set of locally attached addresses (delivered up to
+//! A node owns its routing state — exact-match host routes on a router,
+//! a single uplink gated by the simulator-wide destination directory on
+//! a leaf — a set of locally attached addresses (delivered up to
 //! agents), and an ordered chain of packet filters — the hook the MAFIC
 //! dropper and the LogLog taps attach to, mirroring the NS-2 `Connector`
 //! objects the paper inserts at link heads.
@@ -11,18 +12,21 @@ use crate::ids::{Addr, AgentId, LinkId, NodeId};
 
 /// A router or host in the simulated domain.
 ///
-/// Routing and local-binding tables are address-sorted `Vec`s: per-node
-/// tables are small (host routes plus attached addresses), so a binary
-/// search over a dense array beats a `BTreeMap`'s pointer chases on the
-/// per-hop path, and sorted order keeps every table walk deterministic —
-/// the simulation crates ban `std::collections::HashMap` (see
-/// `clippy.toml`).
+/// Routing and local-binding tables are address-sorted `Vec`s: a router
+/// holds one entry per routable destination, installed in one sorted
+/// bulk, and a binary search over that dense array beats a `BTreeMap`'s
+/// pointer chases on the per-hop path; sorted order keeps every table
+/// walk deterministic — the simulation crates ban
+/// `std::collections::HashMap` (see `clippy.toml`).
 pub(crate) struct Node {
     pub(crate) id: NodeId,
     pub(crate) name: String,
     /// Host routes, sorted by destination address.
     routes: Vec<(Addr, LinkId)>,
-    default_route: Option<LinkId>,
+    /// A leaf's only way out. Every destination the directory attaches
+    /// to *another* node leaves through it, so a leaf stores this one
+    /// link instead of a row per destination.
+    uplink: Option<LinkId>,
     /// Memo of the most recent `route_for` lookup. Forwarding is heavily
     /// skewed toward one destination (the victim), so this turns most
     /// route lookups into a single compare. Invalidated on any table
@@ -39,7 +43,7 @@ impl Node {
             id,
             name,
             routes: Vec::new(),
-            default_route: None,
+            uplink: None,
             last_route: None,
             local: Vec::new(),
             filters: Vec::new(),
@@ -55,25 +59,60 @@ impl Node {
         self.last_route = None;
     }
 
-    /// Sets the default route used when no host route matches.
-    pub(crate) fn set_default_route(&mut self, via: Option<LinkId>) {
-        self.default_route = via;
+    /// Installs `routes` as repeated [`Node::add_route`] calls would. A
+    /// strictly ascending batch into an empty table — what the topology
+    /// builders hand every router — becomes the table as it stands, with
+    /// no search or shift per entry.
+    pub(crate) fn add_routes(&mut self, routes: Vec<(Addr, LinkId)>) {
+        if self.routes.is_empty() && routes.windows(2).all(|w| w[0].0 < w[1].0) {
+            self.routes = routes;
+            self.last_route = None;
+        } else {
+            for (dst, via) in routes {
+                self.add_route(dst, via);
+            }
+        }
+    }
+
+    /// Routes this node by attachment point: `via` carries every
+    /// directory destination attached elsewhere.
+    pub(crate) fn set_uplink(&mut self, via: LinkId) {
+        self.uplink = Some(via);
         self.last_route = None;
     }
 
-    /// Next-hop link for `dst`, if any.
-    pub(crate) fn route_for(&mut self, dst: Addr) -> Option<LinkId> {
+    /// Drops the lookup memo; the directory it was answered from changed.
+    pub(crate) fn forget_last_route(&mut self) {
+        self.last_route = None;
+    }
+
+    /// Stored route entries: table rows plus the uplink.
+    pub(crate) fn route_entries(&self) -> usize {
+        self.routes.len() + usize::from(self.uplink.is_some())
+    }
+
+    /// Next-hop link for `dst`, if any: a host route if one matches,
+    /// else the uplink when `directory` (sorted by address) attaches
+    /// `dst` to some other node. Unknown addresses and the node's own
+    /// have no route — a spoofed source's ACK must drop here, and an
+    /// unbound host must not bounce its own address off its router.
+    pub(crate) fn lookup(&self, dst: Addr, directory: &[(Addr, NodeId)]) -> Option<LinkId> {
+        if let Ok(i) = self.routes.binary_search_by_key(&dst, |&(a, _)| a) {
+            return Some(self.routes[i].1);
+        }
+        let uplink = self.uplink?;
+        let i = directory.binary_search_by_key(&dst, |&(a, _)| a).ok()?;
+        (directory[i].1 != self.id).then_some(uplink)
+    }
+
+    /// [`Node::lookup`] behind the one-entry memo.
+    pub(crate) fn route_for(&mut self, dst: Addr, directory: &[(Addr, NodeId)]) -> Option<LinkId> {
         if let Some((memo_dst, via)) = self.last_route {
             if memo_dst == dst {
                 return via;
             }
         }
-        let via = self
-            .routes
-            .binary_search_by_key(&dst, |&(a, _)| a)
-            .ok()
-            .map(|i| self.routes[i].1)
-            .or(self.default_route);
+        let via = self.lookup(dst, directory);
         self.last_route = Some((dst, via));
         via
     }
@@ -108,7 +147,7 @@ impl std::fmt::Debug for Node {
             .field("id", &self.id)
             .field("name", &self.name)
             .field("routes", &self.routes.len())
-            .field("default_route", &self.default_route)
+            .field("uplink", &self.uplink)
             .field("local", &self.local.len())
             .field("filters", &self.filters.len())
             .finish()
@@ -120,19 +159,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn routing_prefers_host_routes_over_default() {
-        let mut n = Node::new(NodeId(0), "r0".into());
-        let a = Addr::from_octets(10, 0, 0, 1);
-        n.set_default_route(Some(LinkId(9)));
-        n.add_route(a, LinkId(3));
-        assert_eq!(n.route_for(a), Some(LinkId(3)));
-        assert_eq!(n.route_for(Addr::from_octets(10, 0, 0, 2)), Some(LinkId(9)));
+    fn leaf_routes_directory_addresses_attached_elsewhere() {
+        let mut n = Node::new(NodeId(0), "h0".into());
+        let own = Addr::from_octets(10, 0, 0, 1);
+        let other = Addr::from_octets(10, 0, 0, 2);
+        let directory = [(own, NodeId(0)), (other, NodeId(4))];
+        n.set_uplink(LinkId(9));
+        assert_eq!(n.route_for(other, &directory), Some(LinkId(9)));
+        assert_eq!(n.route_for(own, &directory), None);
+        assert_eq!(
+            n.route_for(Addr::from_octets(10, 0, 0, 3), &directory),
+            None
+        );
+        // A hand-wired host route still answers first.
+        n.add_route(own, LinkId(3));
+        assert_eq!(n.route_for(own, &directory), Some(LinkId(3)));
+        assert_eq!(n.route_entries(), 2);
     }
 
     #[test]
-    fn no_route_without_default() {
+    fn no_route_without_a_table_or_uplink() {
         let mut n = Node::new(NodeId(0), "r0".into());
-        assert_eq!(n.route_for(Addr::new(5)), None);
+        assert_eq!(
+            n.route_for(Addr::new(5), &[(Addr::new(5), NodeId(1))]),
+            None
+        );
+    }
+
+    #[test]
+    fn bulk_routes_behave_like_repeated_add_route() {
+        let mut n = Node::new(NodeId(0), "r0".into());
+        n.add_routes(vec![(Addr::new(1), LinkId(1)), (Addr::new(2), LinkId(2))]);
+        assert_eq!(n.route_for(Addr::new(2), &[]), Some(LinkId(2)));
+        // Into a non-empty table, out of order: later entries win.
+        n.add_routes(vec![(Addr::new(3), LinkId(3)), (Addr::new(1), LinkId(4))]);
+        assert_eq!(n.route_for(Addr::new(1), &[]), Some(LinkId(4)));
+        assert_eq!(n.route_for(Addr::new(2), &[]), Some(LinkId(2)));
+        assert_eq!(n.route_for(Addr::new(3), &[]), Some(LinkId(3)));
+        assert_eq!(n.route_entries(), 3);
     }
 
     #[test]

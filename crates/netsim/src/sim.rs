@@ -65,6 +65,10 @@ pub struct RunSummary {
 /// ```
 pub struct Simulator {
     nodes: Vec<Node>,
+    /// The destination directory: which node each routable address is
+    /// attached to, sorted by address. Nodes routed by attachment point
+    /// ([`Simulator::set_uplink`]) answer from it; routers never read it.
+    directory: Vec<(Addr, NodeId)>,
     links: Vec<Link>,
     agents: Vec<Option<Box<dyn Agent>>>,
     agent_home: Vec<NodeId>,
@@ -119,6 +123,7 @@ impl Simulator {
     pub fn new(seed: u64) -> Self {
         Simulator {
             nodes: Vec::new(),
+            directory: Vec::new(),
             links: Vec::new(),
             agents: Vec::new(),
             agent_home: Vec::new(),
@@ -512,18 +517,74 @@ impl Simulator {
         self.nodes[node.index()].add_route(dst, via);
     }
 
-    /// Sets the default route of `node`.
+    /// Installs a batch of host routes on `node`, as repeated
+    /// [`Simulator::add_route`] calls would; a batch in strictly
+    /// ascending address order into an empty table costs no search or
+    /// shift per entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any route's link does not originate at `node`.
+    pub fn add_routes(&mut self, node: NodeId, routes: Vec<(Addr, LinkId)>) {
+        for &(_, via) in &routes {
+            assert_eq!(
+                self.links[via.index()].from,
+                node,
+                "route via a link that does not start at {node}"
+            );
+        }
+        self.nodes[node.index()].add_routes(routes);
+    }
+
+    /// Routes `node` by attachment point: every address the destination
+    /// directory ([`Simulator::extend_directory`]) attaches to *another*
+    /// node leaves via `via`; unknown addresses and the node's own keep
+    /// having no route. For a node with a single link this answers what
+    /// a host route per destination would, in one stored entry.
     ///
     /// # Panics
     ///
     /// Panics if `via` does not originate at `node`.
-    pub fn set_default_route(&mut self, node: NodeId, via: LinkId) {
+    pub fn set_uplink(&mut self, node: NodeId, via: LinkId) {
         assert_eq!(
             self.links[via.index()].from,
             node,
-            "default route via a link that does not start at {node}"
+            "uplink via a link that does not start at {node}"
         );
-        self.nodes[node.index()].set_default_route(Some(via));
+        self.nodes[node.index()].set_uplink(via);
+    }
+
+    /// Records which node each address is attached to. An address
+    /// already in the directory moves to its new node.
+    pub fn extend_directory(&mut self, entries: &[(Addr, NodeId)]) {
+        self.directory.extend_from_slice(entries);
+        // Stable, so of two entries for one address the later survives.
+        self.directory.sort_by_key(|&(addr, _)| addr);
+        self.directory.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        for node in &mut self.nodes {
+            node.forget_last_route();
+        }
+    }
+
+    /// The link `node` forwards a packet for the non-local address `dst`
+    /// on, if it has a route.
+    #[must_use]
+    pub fn route(&self, node: NodeId, dst: Addr) -> Option<LinkId> {
+        self.nodes[node.index()].lookup(dst, &self.directory)
+    }
+
+    /// Total stored route entries: every node's host routes and uplink
+    /// plus the directory — what routing costs in memory.
+    #[must_use]
+    pub fn route_entries(&self) -> usize {
+        let per_node: usize = self.nodes.iter().map(Node::route_entries).sum();
+        per_node + self.directory.len()
     }
 
     /// Adds an agent on `node`, scheduling its `on_start` at `start_at`.
@@ -915,7 +976,7 @@ impl Simulator {
 
     fn forward(&mut self, node_id: NodeId, pref: PacketRef) {
         let dst = self.arena.get(pref).key.dst;
-        let Some(link_id) = self.nodes[node_id.index()].route_for(dst) else {
+        let Some(link_id) = self.nodes[node_id.index()].route_for(dst, &self.directory) else {
             let sid = self.stats_id_of(pref);
             let packet = self.arena.take(pref);
             self.record_drop(&packet, sid, DropReason::NoRoute);
@@ -1267,6 +1328,39 @@ mod tests {
     }
 
     #[test]
+    fn leaf_drops_its_own_unbound_address_instead_of_bouncing_it() {
+        let mut sim = Simulator::new(1);
+        let router = sim.add_node("r");
+        let host = sim.add_node("h");
+        let (down, up) = sim.add_duplex_link(router, host, LinkSpec::default());
+        let addr = Addr::from_octets(10, 0, 0, 2);
+        let elsewhere = Addr::from_octets(10, 0, 0, 3);
+        sim.add_routes(router, vec![(addr, down)]);
+        sim.set_uplink(host, up);
+        sim.extend_directory(&[(addr, host), (elsewhere, router)]);
+        assert_eq!(sim.route(host, elsewhere), Some(up));
+        assert_eq!(sim.route(host, addr), None);
+        assert_eq!(sim.route(host, Addr::new(99)), None);
+        assert_eq!(sim.route_entries(), 4);
+        // No agent binds `addr`: the packet must die at the host with
+        // `NoRoute`, not ping-pong over the access link to `HopLimit`.
+        sim.enable_trace(8);
+        let key = FlowKey::new(Addr::new(1), addr, 1, 2);
+        sim.inject_packet(router, key, PacketKind::Udp, 100, false, SimTime::ZERO);
+        sim.run_until(SimTime::from_secs_f64(60.0));
+        let drops: Vec<DropReason> = sim
+            .trace()
+            .unwrap()
+            .iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::Drop { reason, .. } => Some(*reason),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(drops, [DropReason::NoRoute]);
+    }
+
+    #[test]
     fn run_until_advances_clock_even_when_idle() {
         let mut sim = Simulator::new(1);
         let deadline = SimTime::from_secs_f64(3.0);
@@ -1278,7 +1372,7 @@ mod tests {
     fn downed_link_blackholes_until_restored() {
         let (mut sim, a, _b, sink, dst) = two_node_sim();
         let key = FlowKey::new(Addr::from_octets(10, 0, 0, 1), dst, 1, 80);
-        let link = sim.nodes[a.index()].route_for(dst).unwrap();
+        let link = sim.route(a, dst).unwrap();
         sim.set_link_down(link);
         assert!(sim.link_is_down(link));
         sim.inject_packet(a, key, PacketKind::Udp, 100, false, SimTime::ZERO);

@@ -62,10 +62,40 @@ pub struct RunLedger {
 /// The runner hands this to every [`State`]-bearing component; each
 /// call to [`IntervalProbe::component`] runs the provided closure over a
 /// fresh hasher, so components cannot bleed into each other.
+///
+/// A probe can be reused across intervals: [`IntervalProbe::rewind`]
+/// empties it but keeps the label strings, and re-probing the same
+/// labels in the same order — what every interval of a run does —
+/// overwrites the values in place without allocating.
 #[derive(Debug, Default)]
 pub struct IntervalProbe {
-    components: Vec<(String, u64)>,
-    counters: Vec<(String, u64)>,
+    components: Slots,
+    counters: Slots,
+}
+
+/// `(label, value)` slots of which the first `filled` are this
+/// interval's; the rest are last interval's labels, kept for reuse.
+#[derive(Debug, Default)]
+struct Slots {
+    slots: Vec<(String, u64)>,
+    filled: usize,
+}
+
+impl Slots {
+    fn put(&mut self, label: &str, value: u64) {
+        match self.slots.get_mut(self.filled) {
+            Some(slot) if slot.0 == label => slot.1 = value,
+            _ => {
+                self.slots.truncate(self.filled);
+                self.slots.push((label.to_string(), value));
+            }
+        }
+        self.filled += 1;
+    }
+
+    fn filled(&self) -> &[(String, u64)] {
+        &self.slots[..self.filled]
+    }
 }
 
 impl IntervalProbe {
@@ -75,23 +105,29 @@ impl IntervalProbe {
         Self::default()
     }
 
+    /// Empties the probe for the next interval, keeping its labels.
+    pub fn rewind(&mut self) {
+        self.components.filled = 0;
+        self.counters.filled = 0;
+    }
+
     /// Hashes one component under `label` by running `f` over a fresh
     /// hasher.
     pub fn component(&mut self, label: &str, f: impl FnOnce(&mut Fnv64)) {
         let mut h = Fnv64::new();
         f(&mut h);
-        self.components.push((label.to_string(), h.finish()));
+        self.components.put(label, h.finish());
     }
 
     /// Records one cumulative counter value.
     pub fn counter(&mut self, name: &str, value: u64) {
-        self.counters.push((name.to_string(), value));
+        self.counters.put(name, value);
     }
 
     /// Component `(label, raw hash)` pairs recorded so far.
     #[must_use]
     pub fn components(&self) -> &[(String, u64)] {
-        &self.components
+        self.components.filled()
     }
 }
 
@@ -133,27 +169,28 @@ impl LedgerBuilder {
     /// any later interval probing a different set is a programming
     /// error and panics.
     pub fn record_interval(&mut self, at_nanos: u64, probe: &IntervalProbe) {
+        let (components, counters) = (probe.components.filled(), probe.counters.filled());
         if self.intervals.is_empty() {
-            self.components = probe.components.iter().map(|(n, _)| n.clone()).collect();
-            self.counters = probe.counters.iter().map(|(n, _)| n.clone()).collect();
+            self.components = components.iter().map(|(n, _)| n.clone()).collect();
+            self.counters = counters.iter().map(|(n, _)| n.clone()).collect();
             self.chains = vec![0; self.components.len()];
         } else {
             assert_eq!(
                 self.components.len(),
-                probe.components.len(),
+                components.len(),
                 "interval probed a different component set"
             );
-            for (seen, (name, _)) in self.components.iter().zip(&probe.components) {
+            for (seen, (name, _)) in self.components.iter().zip(components) {
                 assert_eq!(seen, name, "interval probed a different component set");
             }
             assert_eq!(
                 self.counters.len(),
-                probe.counters.len(),
+                counters.len(),
                 "interval probed a different counter set"
             );
         }
         let mut hashes = Vec::with_capacity(self.chains.len());
-        for (chain, (_, raw)) in self.chains.iter_mut().zip(&probe.components) {
+        for (chain, (_, raw)) in self.chains.iter_mut().zip(components) {
             let mut h = Fnv64::new();
             h.write_u64(*chain);
             h.write_u64(*raw);
@@ -164,7 +201,7 @@ impl LedgerBuilder {
             index: self.intervals.len() as u64,
             at_nanos,
             hashes,
-            counters: probe.counters.iter().map(|&(_, v)| v).collect(),
+            counters: counters.iter().map(|&(_, v)| v).collect(),
         });
     }
 
@@ -510,6 +547,32 @@ mod tests {
         assert_eq!(a.intervals[0].hashes, b.intervals[0].hashes);
         assert_ne!(a.intervals[1].hashes, b.intervals[1].hashes);
         assert_ne!(a.intervals[2].hashes, b.intervals[2].hashes);
+    }
+
+    #[test]
+    fn rewound_probe_records_what_fresh_probes_do() {
+        let intervals: [&[(&str, u64)]; 3] = [
+            &[("x", 1), ("y", 2)],
+            &[("x", 3), ("y", 4)],
+            &[("x", 5), ("y", 6)],
+        ];
+        let mut fresh = LedgerBuilder::new(header(1));
+        let mut reused = LedgerBuilder::new(header(1));
+        let mut p = IntervalProbe::new();
+        for (i, vals) in intervals.iter().enumerate() {
+            fresh.record_interval(i as u64, &probe(vals, &[("c", i as u64)]));
+            p.rewind();
+            for &(name, v) in *vals {
+                p.component(name, |h| h.write_u64(v));
+            }
+            p.counter("c", i as u64);
+            reused.record_interval(i as u64, &p);
+        }
+        assert_eq!(fresh.finish(Vec::new()), reused.finish(Vec::new()));
+        // A shorter or relabelled re-probe leaves nothing stale behind.
+        p.rewind();
+        p.component("z", |h| h.write_u64(9));
+        assert_eq!(p.components(), probe(&[("z", 9)], &[]).components());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Builds the protected domain of the paper's Figure 1 inside a
 //! [`Simulator`]: one *last-hop router* fronting the victim host, a small
 //! core, and a ring of *ingress routers* with source hosts behind them.
-//! Shortest-path host routes are installed everywhere (BFS), and every
-//! host gets an address from the [`AddressSpace`] plan.
+//! Shortest-path routes are installed everywhere (BFS; see
+//! [`install_host_routes`]), and every host gets an address from the
+//! [`AddressSpace`] plan.
 //!
 //! Link classes (all configurable through [`DomainConfig`]):
 //!
@@ -14,7 +15,7 @@
 //! * the victim link (last-hop ↔ victim): the bottleneck under attack.
 
 use crate::address::AddressSpace;
-use mafic_netsim::{Addr, LinkSpec, NodeId, SimDuration, Simulator};
+use mafic_netsim::{Addr, LinkId, LinkSpec, NodeId, SimDuration, Simulator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -123,7 +124,7 @@ pub struct HostInfo {
     pub ingress_index: usize,
     /// The host → ingress simplex link (the "via" link a LogLog tap sees
     /// when the host's packets enter the domain).
-    pub uplink: mafic_netsim::LinkId,
+    pub uplink: LinkId,
 }
 
 /// The built domain: node handles plus the address plan.
@@ -272,58 +273,129 @@ impl Domain {
     }
 }
 
-/// Installs shortest-path host routes toward every `(address, node)`
-/// destination, BFS-ing over the **entire** simulator graph — links added
-/// after a domain was built (inter-domain wiring) are part of the graph,
-/// so one pass after all topology construction routes across domain
-/// boundaries. Re-running overwrites existing host routes consistently.
+/// Installs shortest-path routes toward every `(address, node)`
+/// destination over the **entire** simulator graph — links added after a
+/// domain was built (inter-domain wiring) are part of the graph, so one
+/// pass after all topology construction routes across domain boundaries.
+/// Re-running overwrites existing routes consistently.
+///
+/// Routing is by attachment point. A destination with a single link is
+/// reached through that link's far end — its *anchor* — and every
+/// shortest path to it is a shortest path to the anchor plus the last
+/// hop, so there is one BFS per distinct anchor (at most one per router)
+/// rather than one per destination. Every node with a choice of next hop
+/// gets its whole table in one address-sorted batch. A node with a
+/// single link has no choice: it stores that link as its uplink and
+/// answers from the simulator's destination directory, which holds
+/// `destinations` once for all of them. All links come in duplex pairs,
+/// so the graph is symmetric and a BFS from the anchor gives the hop
+/// distances toward it.
 pub fn install_host_routes(sim: &mut Simulator, destinations: &[(Addr, NodeId)]) {
     // Adjacency: for each node, the (neighbor, link) pairs.
     let n = sim.node_count();
-    let mut adj: Vec<Vec<(usize, mafic_netsim::LinkId)>> = vec![Vec::new(); n];
+    let mut adj: Vec<Vec<(usize, LinkId)>> = vec![Vec::new(); n];
     for l in 0..sim.link_count() {
-        let link = mafic_netsim::LinkId::from_index(l);
+        let link = LinkId::from_index(l);
         let (from, to) = sim.link_endpoints(link);
         adj[from.index()].push((to.index(), link));
     }
 
-    for &(addr, dst) in destinations {
-        // BFS over the reverse graph from the destination; because all
-        // links are installed in duplex pairs the graph is symmetric,
-        // so a forward BFS gives the same hop distances.
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
-        dist[dst.index()] = 0;
-        queue.push_back(dst.index());
-        while let Some(u) = queue.pop_front() {
-            for &(v, _) in &adj[u] {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    queue.push_back(v);
-                }
+    struct Target {
+        addr: Addr,
+        node: usize,
+        anchor: usize,
+    }
+    let mut targets: Vec<Target> = destinations
+        .iter()
+        .map(|&(addr, dst)| {
+            let node = dst.index();
+            let anchor = match adj[node][..] {
+                [(neighbor, _)] => neighbor,
+                _ => node,
+            };
+            Target { addr, node, anchor }
+        })
+        .collect();
+    // Stable: tables come out ascending, and two destinations claiming
+    // one address stay in call order (the later one wins, as it did).
+    targets.sort_by_key(|t| t.addr);
+
+    // `toward[a][u]`: the link `u` takes toward anchor `a`.
+    let mut toward: Vec<Option<Vec<Option<LinkId>>>> = vec![None; n];
+    // A single-link node may answer from the directory only if it can
+    // reach everything in it; in a partitioned graph it keeps a table,
+    // which says `None` for the far side.
+    let mut reaches_all = vec![true; n];
+    for t in &targets {
+        if toward[t.anchor].is_none() {
+            let hops = next_hops_toward(&adj, t.anchor);
+            for (u, hop) in hops.iter().enumerate() {
+                reaches_all[u] &= hop.is_some() || u == t.anchor;
             }
+            toward[t.anchor] = Some(hops);
         }
-        // At each node, route via the neighbor with the smallest
-        // distance to the destination.
-        for u in 0..n {
-            if u == dst.index() || dist[u] == usize::MAX {
-                continue;
-            }
-            let best = adj[u]
-                .iter()
-                .filter(|&&(v, _)| dist[v] < dist[u])
-                .min_by_key(|&&(v, _)| dist[v]);
-            if let Some(&(_, link)) = best {
-                sim.add_route(NodeId::from_index(u), addr, link);
+    }
+
+    sim.extend_directory(destinations);
+    for u in 0..n {
+        let node = NodeId::from_index(u);
+        if let ([(_, uplink)], true) = (&adj[u][..], reaches_all[u]) {
+            sim.set_uplink(node, *uplink);
+            continue;
+        }
+        // The table lives as long as the simulator: size it once rather
+        // than keep whatever slack growing by doubling would leave.
+        let mut routes: Vec<(Addr, LinkId)> = Vec::with_capacity(targets.len());
+        routes.extend(targets.iter().filter(|t| t.node != u).filter_map(|t| {
+            let link = if t.anchor == u {
+                // The destination hangs off this node: the last hop.
+                let last = adj[u].iter().find(|&&(v, _)| v == t.node);
+                last.map(|&(_, link)| link)
+            } else {
+                toward[t.anchor].as_ref().expect("one BFS per anchor")[u]
+            };
+            Some((t.addr, link?))
+        }));
+        sim.add_routes(node, routes);
+    }
+}
+
+/// For every node, the link it forwards on toward `target`: the one to
+/// the neighbor closest to it, the first such in link order on a tie.
+/// `None` at `target` itself and at nodes that cannot reach it.
+fn next_hops_toward(adj: &[Vec<(usize, LinkId)>], target: usize) -> Vec<Option<LinkId>> {
+    let mut dist = vec![usize::MAX; adj.len()];
+    let mut queue = std::collections::VecDeque::new();
+    dist[target] = 0;
+    queue.push_back(target);
+    while let Some(u) = queue.pop_front() {
+        for &(v, _) in &adj[u] {
+            if dist[v] == usize::MAX {
+                dist[v] = dist[u] + 1;
+                queue.push_back(v);
             }
         }
     }
+    (0..adj.len())
+        .map(|u| {
+            if u == target || dist[u] == usize::MAX {
+                return None;
+            }
+            adj[u]
+                .iter()
+                .filter(|&&(v, _)| dist[v] < dist[u])
+                .min_by_key(|&&(v, _)| dist[v])
+                .map(|&(_, link)| link)
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::internet::{route_destinations, Internet, InternetConfig, TransitTopology};
     use mafic_netsim::{CountingSink, FlowKey, PacketKind, SimTime};
+    use std::collections::BTreeMap;
 
     fn small_config() -> DomainConfig {
         DomainConfig {
@@ -427,5 +499,184 @@ mod tests {
         let cfg = DomainConfig::default();
         assert_eq!(cfg.n_routers, 40);
         assert_eq!(cfg.n_hosts, 50);
+    }
+
+    /// The reference: one BFS per destination and a host route on every
+    /// node that can reach it, as `install_host_routes` did before it
+    /// routed by attachment point. Returns the routes instead of
+    /// installing them.
+    fn oracle_routes(
+        sim: &Simulator,
+        destinations: &[(Addr, NodeId)],
+    ) -> BTreeMap<(NodeId, Addr), LinkId> {
+        let n = sim.node_count();
+        let mut adj: Vec<Vec<(usize, LinkId)>> = vec![Vec::new(); n];
+        for l in 0..sim.link_count() {
+            let link = LinkId::from_index(l);
+            let (from, to) = sim.link_endpoints(link);
+            adj[from.index()].push((to.index(), link));
+        }
+        let mut routes = BTreeMap::new();
+        for &(addr, dst) in destinations {
+            let mut dist = vec![usize::MAX; n];
+            let mut queue = std::collections::VecDeque::new();
+            dist[dst.index()] = 0;
+            queue.push_back(dst.index());
+            while let Some(u) = queue.pop_front() {
+                for &(v, _) in &adj[u] {
+                    if dist[v] == usize::MAX {
+                        dist[v] = dist[u] + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            for u in 0..n {
+                if u == dst.index() || dist[u] == usize::MAX {
+                    continue;
+                }
+                let best = adj[u]
+                    .iter()
+                    .filter(|&&(v, _)| dist[v] < dist[u])
+                    .min_by_key(|&&(v, _)| dist[v]);
+                if let Some(&(_, link)) = best {
+                    routes.insert((NodeId::from_index(u), addr), link);
+                }
+            }
+        }
+        routes
+    }
+
+    /// Every node's answer for every destination address and every
+    /// `stray` one must be the oracle's, `None`s included.
+    fn assert_routes_match_oracle(
+        sim: &Simulator,
+        destinations: &[(Addr, NodeId)],
+        stray: &[Addr],
+    ) {
+        let oracle = oracle_routes(sim, destinations);
+        let addrs: Vec<Addr> = destinations
+            .iter()
+            .map(|&(addr, _)| addr)
+            .chain(stray.iter().copied())
+            .collect();
+        for u in 0..sim.node_count() {
+            let node = NodeId::from_index(u);
+            for &addr in &addrs {
+                assert_eq!(
+                    sim.route(node, addr),
+                    oracle.get(&(node, addr)).copied(),
+                    "route at {node} toward {addr}"
+                );
+            }
+        }
+    }
+
+    /// Addresses nothing is attached to: outside every plan, the
+    /// illegal-spoof pool, and legal-but-unassigned ones a spoofing
+    /// zombie draws (an ACK toward any of them must find no route).
+    fn stray_addrs(space: &AddressSpace) -> Vec<Addr> {
+        vec![
+            Addr::new(1),
+            Addr::from_octets(192, 168, 3, 4),
+            Addr::from_octets(space.base_octet(), 250, 0, 1),
+            Addr::new(space.victim_prefix().as_u32() | 77),
+            space.host_addr(0, 0x9000),
+            space.host_addr(space.ingress_count() - 1, 0xFFFE),
+        ]
+    }
+
+    #[test]
+    fn domain_routes_match_the_per_destination_oracle() {
+        for n_hosts in [50, 500] {
+            let mut sim = Simulator::new(1);
+            let cfg = DomainConfig {
+                n_hosts,
+                ..DomainConfig::default()
+            };
+            let d = Domain::build(&mut sim, &cfg).unwrap();
+            assert_routes_match_oracle(&sim, &d.destinations(), &stray_addrs(&d.address_space));
+        }
+    }
+
+    #[test]
+    fn meshed_graph_routes_match_the_per_destination_oracle() {
+        // The builders only make trees, where shortest paths are unique.
+        // Close the core chain into a ring and chain the ingress routers
+        // so equal-cost next hops exist and the tie-break is on trial.
+        let mut sim = Simulator::new(1);
+        let cfg = DomainConfig {
+            n_routers: 16,
+            n_hosts: 24,
+            ..DomainConfig::default()
+        };
+        let d = Domain::build_unrouted(&mut sim, &cfg).unwrap();
+        let spec = LinkSpec::default();
+        let last_core = *d.core_routers.last().unwrap();
+        sim.add_duplex_link(last_core, d.victim_router, spec);
+        for pair in d.ingress_routers.windows(2) {
+            sim.add_duplex_link(pair[1], pair[0], spec);
+        }
+        install_host_routes(&mut sim, &d.destinations());
+        assert_routes_match_oracle(&sim, &d.destinations(), &stray_addrs(&d.address_space));
+    }
+
+    #[test]
+    fn partitioned_graph_routes_match_the_per_destination_oracle() {
+        // Two domains nobody linked: hosts of one must have no route
+        // toward the other, so they cannot answer from the directory.
+        let mut sim = Simulator::new(1);
+        let mut destinations = Vec::new();
+        for base_octet in [10, 11] {
+            let cfg = DomainConfig {
+                base_octet,
+                ..small_config()
+            };
+            destinations.extend(
+                Domain::build_unrouted(&mut sim, &cfg)
+                    .unwrap()
+                    .destinations(),
+            );
+        }
+        install_host_routes(&mut sim, &destinations);
+        assert_routes_match_oracle(&sim, &destinations, &[Addr::new(1)]);
+    }
+
+    #[test]
+    fn internet_routes_match_the_per_destination_oracle() {
+        let stub = DomainConfig {
+            n_routers: 6,
+            n_hosts: 4,
+            seed: 5,
+            ..DomainConfig::default()
+        };
+        // One idle host per transit domain: a destination no agent binds.
+        let transit_domain = DomainConfig {
+            n_routers: 5,
+            n_hosts: 1,
+            ..DomainConfig::default()
+        };
+        for transit in [
+            TransitTopology::Chain { depth: 2 },
+            TransitTopology::Tree {
+                depth: 2,
+                fanout: 2,
+            },
+        ] {
+            let mut sim = Simulator::new(1);
+            let config = InternetConfig {
+                stubs: vec![stub; 6],
+                transit,
+                transit_domain,
+                inter_link: LinkSpec::new(20e6, SimDuration::from_millis(10), 256),
+            };
+            let net = Internet::build(&mut sim, &config).unwrap();
+            let destinations = route_destinations(&net.domains);
+            // Control addresses are destinations at gateway routers.
+            assert!(destinations.contains(&(net.domains[1].ctrl_addr, net.domains[1].gateway)));
+            let mut stray = stray_addrs(&net.domains[0].domain.address_space);
+            stray.extend(stray_addrs(&net.domains[3].domain.address_space));
+            stray.retain(|a| destinations.iter().all(|(d, _)| d != a));
+            assert_routes_match_oracle(&sim, &destinations, &stray);
+        }
     }
 }

@@ -180,6 +180,23 @@ fn ctrl_addr(index: usize) -> Addr {
     Addr::from_octets(base_octet(index), 250, 0, 1)
 }
 
+/// What the global route pass covers: the hosts of every domain, the
+/// victim endpoint, and every control address (bound at the gateway
+/// routers by the workload layer).
+pub(crate) fn route_destinations(domains: &[InternetDomain]) -> Vec<(Addr, NodeId)> {
+    let mut destinations: Vec<(Addr, NodeId)> = Vec::new();
+    for (i, d) in domains.iter().enumerate() {
+        for h in &d.domain.hosts {
+            destinations.push((h.addr, h.node));
+        }
+        if i == 0 {
+            destinations.push((d.domain.victim_addr, d.domain.victim_host));
+        }
+        destinations.push((d.ctrl_addr, d.gateway));
+    }
+    destinations
+}
+
 impl Internet {
     /// Builds the internet into `sim`: every domain via the single-domain
     /// builder, the inter-domain links, and one global route pass over
@@ -323,20 +340,7 @@ impl Internet {
             attach(sim, &mut domains, child, parent);
         }
 
-        // --- Global routes ----------------------------------------------
-        // Hosts of every domain, the victim endpoint, and every control
-        // address (bound at the gateway routers by the workload layer).
-        let mut destinations: Vec<(Addr, NodeId)> = Vec::new();
-        for (i, d) in domains.iter().enumerate() {
-            for h in &d.domain.hosts {
-                destinations.push((h.addr, h.node));
-            }
-            if i == 0 {
-                destinations.push((d.domain.victim_addr, d.domain.victim_host));
-            }
-            destinations.push((d.ctrl_addr, d.gateway));
-        }
-        install_host_routes(sim, &destinations);
+        install_host_routes(sim, &route_destinations(&domains));
 
         Ok(Internet { domains })
     }

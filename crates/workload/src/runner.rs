@@ -603,24 +603,30 @@ fn hash_filters<'a>(
 /// [`MetricsReport`]. The ledger records one probe per monitor
 /// interval; a checkpoint embeds one as its integrity table and the
 /// restorer recomputes it to verify the overlay.
-fn compute_probe(scenario: &Scenario, state: &RunState) -> IntervalProbe {
+///
+/// `probe` is rewound first and keeps its label strings, so the ledger
+/// path, which hands the same probe in every interval, allocates nothing
+/// here once the first interval has named everything.
+fn compute_probe(scenario: &Scenario, state: &RunState, probe: &mut IntervalProbe) {
     let sim = &scenario.sim;
-    let mut probe = IntervalProbe::new();
-    sim.hash_components(&mut probe);
+    probe.rewind();
+    sim.hash_components(probe);
     if let Some(plan) = scenario.pushback.as_ref() {
-        for (d, dom) in plan.domains.iter().enumerate() {
-            probe.component(&format!("dom{d}/coord"), |h| dom.coordinator.write_state(h));
-            probe.component(&format!("dom{d}/trust"), |h| {
+        for (dom, [coord, trust, filters, meters, channel]) in
+            plan.domains.iter().zip(&state.dom_labels)
+        {
+            probe.component(coord, |h| dom.coordinator.write_state(h));
+            probe.component(trust, |h| {
                 dom.coordinator.ledger().write_state(h);
             });
-            probe.component(&format!("dom{d}/filters"), |h| {
+            probe.component(filters, |h| {
                 h.write_usize(dom.atrs.len());
                 hash_filters(sim, &dom.atrs, h);
             });
-            probe.component(&format!("dom{d}/meters"), |h| {
+            probe.component(meters, |h| {
                 hash_filters(sim, dom.pre_meters.iter().chain(&dom.post_meters), h);
             });
-            probe.component(&format!("dom{d}/channel"), |h| {
+            probe.component(channel, |h| {
                 sim.agent::<ControlChannel>(dom.channel)
                     .expect("control channel installed at build time")
                     .write_state(h);
@@ -677,7 +683,6 @@ fn compute_probe(scenario: &Scenario, state: &RunState) -> IntervalProbe {
     probe.counter("arena/peak", sim.packet_arena_peak() as u64);
     probe.counter("scratch/inbox-drains", state.scratch.drains);
     probe.counter("scratch/sketch-recycles", state.sketch_recycles);
-    probe
 }
 
 /// Sums the control-plane counters of every coordinator, channel, and
@@ -760,6 +765,12 @@ pub struct RunState {
     /// Number of cardinality readings behind the sum.
     cardinality_intervals: u64,
     ledger: Option<LedgerBuilder>,
+    /// The ledger's probe, reused every interval so its labels are
+    /// allocated once per run.
+    probe: IntervalProbe,
+    /// Per-domain component labels `dom<d>/{coord, trust, filters,
+    /// meters, channel}`, built once; empty without a pushback plan.
+    dom_labels: Vec<[String; 5]>,
     next_stop: SimTime,
     last_stop: SimTime,
     /// The encoded checkpoint, once captured. Restored runs arrive with
@@ -937,6 +948,13 @@ fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
                 workers: 0,
             })
         }),
+        probe: IntervalProbe::new(),
+        dom_labels: (0..scenario.pushback.as_ref().map_or(0, |p| p.domains.len()))
+            .map(|d| {
+                ["coord", "trust", "filters", "meters", "channel"]
+                    .map(|part| format!("dom{d}/{part}"))
+            })
+            .collect(),
         next_stop: SimTime::ZERO + scenario.spec.monitor_interval,
         last_stop: SimTime::ZERO,
         checkpoint: None,
@@ -1106,10 +1124,12 @@ fn record_ledger(scenario: &Scenario, state: &mut RunState) {
     if state.ledger.is_none() {
         return;
     }
-    let probe = compute_probe(scenario, state);
+    let mut probe = std::mem::take(&mut state.probe);
+    compute_probe(scenario, state, &mut probe);
     if let Some(builder) = state.ledger.as_mut() {
         builder.record_interval(scenario.sim.now().as_nanos(), &probe);
     }
+    state.probe = probe;
 }
 
 /// Phase 8 — the victim-side detection tail, last in the interval:
@@ -1280,7 +1300,9 @@ pub fn encode_checkpoint(scenario: &Scenario, state: &RunState) -> Vec<u8> {
             .checked_div(interval)
             .unwrap_or(0),
     });
-    snapshot.component_hashes = compute_probe(scenario, state).components().to_vec();
+    let mut probe = IntervalProbe::new();
+    compute_probe(scenario, state, &mut probe);
+    snapshot.component_hashes = probe.components().to_vec();
     scenario.sim.snap_save_into(&mut snapshot);
     snapshot.write_section("workload/run", |w| state.write_state(w));
     if let Some(builder) = state.ledger.as_ref() {
@@ -1408,7 +1430,8 @@ fn restore_with(
     // overlaid state and compare against the capture-time table. A
     // branch variant whose prefix state differs from the capturing
     // spec's fails here with the diverging component named.
-    let probe = compute_probe(&scenario, &state);
+    let mut probe = IntervalProbe::new();
+    compute_probe(&scenario, &state, &mut probe);
     let recomputed = probe.components();
     if recomputed.len() != snapshot.component_hashes.len() {
         return Err(SnapError::Malformed(format!(

@@ -22,7 +22,7 @@ use mafic::{
     RateLimitFilter,
 };
 use mafic_netsim::{
-    Addr, AgentId, FlowKey, LinkSpec, NodeId, RequesterId, SimDuration, SimTime, Simulator,
+    Addr, AgentId, FlowKey, LinkId, LinkSpec, NodeId, RequesterId, SimDuration, SimTime, Simulator,
 };
 use mafic_pushback::{ControlChannel, DomainCoordinator, PushbackRole};
 use mafic_topology::{AddressSpace, Domain, DomainConfig, Internet, InternetConfig, PREFIX_LEN};
@@ -247,7 +247,7 @@ impl Scenario {
         // Victim-domain taps feed the detector (tap first on each chain:
         // it counts arrivals before any dropper); border routers also
         // count inter-domain arrivals as domain entries.
-        let border_links: Vec<(NodeId, mafic_netsim::LinkId)> = internet
+        let border_links: Vec<(NodeId, LinkId)> = internet
             .iter()
             .flat_map(|internet| &internet.domains[0].upstream)
             .map(|e| (e.border, e.in_link))
@@ -539,32 +539,23 @@ fn install_taps(
     sim: &mut Simulator,
     spec: &ScenarioSpec,
     domain: &Domain,
-    border_links: &[(NodeId, mafic_netsim::LinkId)],
+    border_links: &[(NodeId, LinkId)],
 ) -> Vec<(NodeId, usize)> {
+    // What each ingress router fronts: its hosts' uplinks and addresses.
+    let mut fronted: Vec<(Vec<LinkId>, Vec<Addr>)> =
+        vec![Default::default(); domain.ingress_routers.len()];
+    for h in &domain.hosts {
+        fronted[h.ingress_index].0.push(h.uplink);
+        fronted[h.ingress_index].1.push(h.addr);
+    }
+    // `Domain::routers` order: last-hop, core, ingress.
+    let last_hop = (domain.victim_router, (Vec::new(), vec![domain.victim_addr]));
+    let core = domain.core_routers.iter().map(|&r| (r, Default::default()));
+    let ingress = domain.ingress_routers.iter().copied().zip(fronted);
     let mut taps = Vec::new();
-    for &router in &domain.routers() {
-        let (mut ingress_links, egress_addrs): (Vec<_>, Vec<Addr>) = if router
-            == domain.victim_router
-        {
-            (Vec::new(), vec![domain.victim_addr])
-        } else if let Some(ingress_index) = domain.ingress_routers.iter().position(|&r| r == router)
-        {
-            let links = domain
-                .hosts
-                .iter()
-                .filter(|h| h.ingress_index == ingress_index)
-                .map(|h| h.uplink)
-                .collect();
-            let addrs = domain
-                .hosts
-                .iter()
-                .filter(|h| h.ingress_index == ingress_index)
-                .map(|h| h.addr)
-                .collect();
-            (links, addrs)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+    for (router, (mut ingress_links, egress_addrs)) in
+        std::iter::once(last_hop).chain(core).chain(ingress)
+    {
         ingress_links.extend(
             border_links
                 .iter()
@@ -786,6 +777,28 @@ mod tests {
             end: SimTime::from_secs_f64(2.0),
             ..ScenarioSpec::default()
         }
+    }
+
+    /// Set-up must stay linear in flows. Routing by attachment point
+    /// stores routers × destinations table rows plus one uplink per host
+    /// and one directory row per destination, so four times the flows
+    /// is ≈ 4× the entries; a host route on every node for every
+    /// destination (nodes × destinations) was ≈ 15×.
+    #[test]
+    fn route_entries_grow_linearly_in_flows() {
+        let entries = |total_flows| {
+            let spec = ScenarioSpec {
+                total_flows,
+                flow_rate_pps: crate::NominalRate::R100k.pps(),
+                ..ScenarioSpec::default()
+            };
+            Scenario::build(spec).unwrap().sim.route_entries()
+        };
+        let (at_500, at_2000) = (entries(500), entries(2_000));
+        assert!(
+            at_2000 * 10 <= at_500 * 45,
+            "route entries {at_500} at 500 flows, {at_2000} at 2000: more than 4.5x"
+        );
     }
 
     #[test]
