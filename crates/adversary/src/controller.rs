@@ -174,18 +174,13 @@ impl State for AdversaryController {
     /// the snapshot path instead.
     fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.hash_only(|h| h.write_str(self.strategy.label()));
-        w.snap_only(|w| {
-            for word in self.rng.state() {
-                w.write_u64(word);
-            }
-        });
+        w.snap_only(|w| w.write_rng(self.rng.state()));
         w.write_u64(self.interval);
         w.snap_only(|w| w.write_u8(self.spec.strategy.tag()));
-        w.write_usize(self.prev.len());
-        for &(sent, delivered) in &self.prev {
+        w.write_seq(&self.prev, |w, &(sent, delivered)| {
             w.write_u64(sent);
             w.write_u64(delivered);
-        }
+        });
         self.strategy.write_state(w);
     }
 
@@ -193,11 +188,7 @@ impl State for AdversaryController {
     /// source set it was captured with; the strategy tag and source
     /// count are validated (a mismatch is [`SnapError::Malformed`]).
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let mut state = [0u64; 4];
-        for word in &mut state {
-            *word = r.read_u64()?;
-        }
-        self.rng = SmallRng::from_state(state);
+        self.rng = r.read_rng(SmallRng::from_state)?;
         self.interval = r.read_u64()?;
         let tag = r.read_u8()?;
         if tag != self.spec.strategy.tag() {
@@ -214,9 +205,7 @@ impl State for AdversaryController {
             )));
         }
         for slot in &mut self.prev {
-            let sent = r.read_u64()?;
-            let delivered = r.read_u64()?;
-            *slot = (sent, delivered);
+            *slot = (r.read_u64()?, r.read_u64()?);
         }
         self.strategy.read_state(r)
     }
@@ -280,6 +269,9 @@ mod tests {
         let _ = feed(&mut a, 1000, 100);
         let _ = feed(&mut a, 3000, 400);
         let _ = feed(&mut a, 6000, 900);
+        mafic_obs::assert_state_law(&a, || {
+            AdversaryController::new(rotation_spec(), vec![0, 0, 1, 1], 99)
+        });
         let mut w = SnapWriter::new();
         a.write_state(&mut w);
         let bytes = w.into_bytes();

@@ -8,10 +8,10 @@
 
 use crate::policy::TAG_PROPORTIONAL;
 use mafic_netsim::{
-    read_flow_id, read_opt_addr, write_opt_addr, Addr, DropReason, FilterAction, FilterControl,
-    FilterCtx, FlowSlab, Packet, PacketEnv, PacketFilter, StatNote,
+    read_flow_id, Addr, DropReason, FilterAction, FilterControl, FilterCtx, FlowSlab, Packet,
+    PacketEnv, PacketFilter, StatNote,
 };
-use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter, State, StateWrite};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -114,12 +114,8 @@ impl State for ProportionalFilter {
             h.write_u8(TAG_PROPORTIONAL);
             h.write_f64(self.drop_probability);
         });
-        w.snap_only(|w| {
-            for word in self.rng.state() {
-                w.write_u64(word);
-            }
-        });
-        write_opt_addr(self.active, w);
+        w.snap_only(|w| w.write_rng(self.rng.state()));
+        w.write_opt(self.active, |w, victim| w.write_u32(victim.as_u32()));
         w.write_u64(self.examined);
         w.write_u64(self.dropped);
         w.write_usize(self.per_flow_dropped.len());
@@ -130,17 +126,11 @@ impl State for ProportionalFilter {
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let state = [r.read_u64()?, r.read_u64()?, r.read_u64()?, r.read_u64()?];
-        self.rng = SmallRng::from_state(state);
-        self.active = read_opt_addr(r, "proportional-active")?;
+        self.rng = r.read_rng(SmallRng::from_state)?;
+        self.active = r.read_opt("proportional-active", |r| r.read_u32().map(Addr::new))?;
         self.examined = r.read_u64()?;
         self.dropped = r.read_u64()?;
-        self.per_flow_dropped = FlowSlab::new();
-        for _ in 0..r.read_len()? {
-            let id = read_flow_id(r)?;
-            let count = r.read_u64()?;
-            self.per_flow_dropped.insert(id, count);
-        }
+        self.per_flow_dropped = r.read_seq(|r| Ok((read_flow_id(r)?, r.read_u64()?)))?;
         Ok(())
     }
 }
@@ -180,24 +170,12 @@ impl PacketFilter for ProportionalFilter {
             FilterControl::PushbackStop => self.deactivate(),
         }
     }
-
-    fn hash_state(&self, h: &mut Fnv64) {
-        self.write_state(h);
-    }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
-        self.write_state(w);
-    }
-
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.read_state(r)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::{state_bytes, state_hash, FilterHarness};
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash, FilterHarness};
     use mafic_netsim::{FlowKey, PacketKind, Provenance, SimTime};
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001);
@@ -283,6 +261,7 @@ mod tests {
         for _ in 0..50 {
             let _ = h.offer_transit(&mut f, &pkt(VICTIM));
         }
+        assert_state_law(&f, || ProportionalFilter::new(0.5, 999));
         let bytes = state_bytes(&f);
 
         // A different seed proves the restored RNG words drive the
@@ -300,7 +279,7 @@ mod tests {
             state_hash(&crate::RateLimitFilter::new(1.0))
         );
         let mut r = SnapReader::new(&bytes);
-        g.snap_restore(&mut r).expect("restore");
+        g.read_state(&mut r).expect("restore");
         assert!(r.is_empty());
         assert_eq!(g.examined(), 50);
         assert_eq!(g.dropped(), f.dropped());

@@ -32,11 +32,10 @@ use crate::policy::TAG_MAFIC;
 use crate::rate::ArrivalTracker;
 use crate::tables::{FlowState, FlowTables, PdtReason, SftEntry};
 use mafic_netsim::{
-    read_opt_addr, write_opt_addr, Addr, DropReason, FilterAction, FilterControl, FilterCtx,
-    FlowId, FlowKey, Packet, PacketEnv, PacketFilter, PacketKind, Provenance, SimDuration, SimTime,
-    StatNote,
+    Addr, DropReason, FilterAction, FilterControl, FilterCtx, FlowId, FlowKey, Packet, PacketEnv,
+    PacketFilter, PacketKind, Provenance, SimDuration, SimTime, StatNote,
 };
-use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter, State, StateWrite};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -306,12 +305,8 @@ impl State for MaficFilter {
     /// mid-way.
     fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.hash_only(|h| h.write_u8(TAG_MAFIC));
-        write_opt_addr(self.active, w);
-        w.snap_only(|w| {
-            for word in self.rng.state() {
-                w.write_u64(word);
-            }
-        });
+        w.write_opt(self.active, |w, victim| w.write_u32(victim.as_u32()));
+        w.snap_only(|w| w.write_rng(self.rng.state()));
         self.tables.write_state(w);
         self.tracker.write_state(w);
         w.write_u64(self.counters.examined);
@@ -325,9 +320,8 @@ impl State for MaficFilter {
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.active = read_opt_addr(r, "mafic-active")?;
-        let state = [r.read_u64()?, r.read_u64()?, r.read_u64()?, r.read_u64()?];
-        self.rng = SmallRng::from_state(state);
+        self.active = r.read_opt("mafic-active", |r| r.read_u32().map(Addr::new))?;
+        self.rng = r.read_rng(SmallRng::from_state)?;
         self.tables.read_state(r)?;
         self.tracker.read_state(r)?;
         self.counters.examined = r.read_u64()?;
@@ -463,24 +457,12 @@ impl PacketFilter for MaficFilter {
             FilterControl::PushbackStop => self.deactivate(),
         }
     }
-
-    fn hash_state(&self, h: &mut Fnv64) {
-        self.write_state(h);
-    }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
-        self.write_state(w);
-    }
-
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.read_state(r)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::{state_bytes, state_hash, FilterHarness};
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash, FilterHarness};
     use mafic_netsim::AgentId;
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001); // 10.200.0.1
@@ -877,6 +859,9 @@ mod tests {
         let mut c = config();
         c.drop_probability = 0.5;
         c.seed = 777;
+        assert_state_law(&f, || {
+            MaficFilter::new(c.clone(), AddressValidator::AllowAll)
+        });
         let mut g = MaficFilter::new(c, AddressValidator::AllowAll);
         // The RNG is saved, not hashed: before the overlay the two
         // differ only in their seeds.
@@ -886,7 +871,7 @@ mod tests {
         assert_eq!(state_hash(&fresh), state_hash(&g));
         assert_ne!(state_bytes(&fresh), state_bytes(&g));
         let mut r = SnapReader::new(&bytes);
-        g.snap_restore(&mut r).expect("restore");
+        g.read_state(&mut r).expect("restore");
         assert!(r.is_empty(), "trailing bytes after restore");
         assert_eq!(state_hash(&f), state_hash(&g));
 

@@ -185,11 +185,7 @@ impl State for ArrivalTracker {
         w.write_usize(self.active_ids.len());
         for &idx in &self.active_ids {
             w.write_u32(idx);
-            let q = &self.flows[idx as usize];
-            w.write_usize(q.len());
-            for t in q {
-                w.write_u64(t.as_nanos());
-            }
+            w.write_seq(&self.flows[idx as usize], |w, t| w.write_u64(t.as_nanos()));
         }
     }
 
@@ -211,10 +207,7 @@ impl State for ArrivalTracker {
             if idx as usize >= self.flows.len() {
                 self.flows.resize_with(idx as usize + 1, VecDeque::new);
             }
-            let q = &mut self.flows[idx as usize];
-            for _ in 0..r.read_len()? {
-                q.push_back(SimTime::from_nanos(r.read_u64()?));
-            }
+            self.flows[idx as usize] = r.read_seq(|r| r.read_u64().map(SimTime::from_nanos))?;
         }
         Ok(())
     }
@@ -223,7 +216,7 @@ impl State for ArrivalTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::{state_bytes, state_hash};
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash};
 
     fn flow(n: usize) -> FlowId {
         FlowId::from_index(n)
@@ -323,6 +316,7 @@ mod tests {
         tr.record(flow(1), t(10));
         tr.record(flow(2), t(20));
         tr.record(flow(3), t(30)); // forces an eviction, moves the clock
+        assert_state_law(&tr, || ArrivalTracker::new(SimDuration::from_secs(10), 2));
         let bytes = state_bytes(&tr);
 
         let mut back = ArrivalTracker::new(SimDuration::from_secs(10), 2);

@@ -9,10 +9,10 @@
 
 use crate::policy::TAG_RATE_LIMIT;
 use mafic_netsim::{
-    read_opt_addr, write_opt_addr, Addr, DropReason, FilterAction, FilterControl, FilterCtx,
-    Packet, PacketEnv, PacketFilter, SimTime, StatNote,
+    Addr, DropReason, FilterAction, FilterControl, FilterCtx, Packet, PacketEnv, PacketFilter,
+    SimTime, StatNote,
 };
-use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter, State, StateWrite};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 
 /// How much burst the bucket tolerates, as seconds of the sustained
 /// limit. 100 ms absorbs one monitor interval's worth of jitter without
@@ -126,7 +126,7 @@ impl State for RateLimitFilter {
         });
         w.write_f64(self.tokens);
         w.write_u64(self.last_refill.as_nanos());
-        write_opt_addr(self.active, w);
+        w.write_opt(self.active, |w, victim| w.write_u32(victim.as_u32()));
         w.write_u64(self.examined);
         w.write_u64(self.dropped);
     }
@@ -134,7 +134,7 @@ impl State for RateLimitFilter {
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.tokens = r.read_f64()?;
         self.last_refill = SimTime::from_nanos(r.read_u64()?);
-        self.active = read_opt_addr(r, "ratelimit-active")?;
+        self.active = r.read_opt("ratelimit-active", |r| r.read_u32().map(Addr::new))?;
         self.examined = r.read_u64()?;
         self.dropped = r.read_u64()?;
         Ok(())
@@ -173,24 +173,12 @@ impl PacketFilter for RateLimitFilter {
             FilterControl::PushbackStop => self.deactivate(),
         }
     }
-
-    fn hash_state(&self, h: &mut Fnv64) {
-        self.write_state(h);
-    }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
-        self.write_state(w);
-    }
-
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.read_state(r)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::{state_bytes, state_hash, FilterHarness};
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash, FilterHarness};
     use mafic_netsim::{FlowKey, PacketKind, Provenance, SimDuration};
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001);
@@ -317,11 +305,12 @@ mod tests {
         for _ in 0..2 {
             let _ = h.offer_transit(&mut f, &pkt(VICTIM, 500));
         }
+        assert_state_law(&f, || RateLimitFilter::new(10_000.0));
         let bytes = state_bytes(&f);
 
         let mut g = RateLimitFilter::new(10_000.0);
         let mut r = SnapReader::new(&bytes);
-        g.snap_restore(&mut r).expect("restore");
+        g.read_state(&mut r).expect("restore");
         assert!(r.is_empty());
         assert!(g.is_active());
         assert_eq!(g.examined(), 2);

@@ -295,6 +295,7 @@ impl FlowTables {
     }
 
     /// True if the flow passed the probe test.
+    #[cfg(test)]
     #[must_use]
     pub fn nft_contains(&self, flow: FlowId) -> bool {
         matches!(self.states.get(flow), Some(FlowState::Nice { .. }))
@@ -329,6 +330,7 @@ impl FlowTables {
     }
 
     /// The condemnation reason, if the flow is in the PDT.
+    #[cfg(test)]
     #[must_use]
     pub fn pdt_get(&self, flow: FlowId) -> Option<PdtReason> {
         match self.states.get(flow) {
@@ -338,6 +340,7 @@ impl FlowTables {
     }
 
     /// True if every packet of this flow must be dropped.
+    #[cfg(test)]
     #[must_use]
     pub fn pdt_contains(&self, flow: FlowId) -> bool {
         matches!(self.states.get(flow), Some(FlowState::Condemned(_)))
@@ -459,11 +462,10 @@ impl State for Fifo {
     /// compaction trigger depend on it — and the live seats.
     fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.snap_only(|w| {
-            w.write_usize(self.order.len());
-            for &(flow, stamp) in &self.order {
+            w.write_seq(&self.order, |w, &(flow, stamp)| {
                 w.write_usize(flow.index());
                 w.write_u64(stamp);
-            }
+            });
         });
         w.write_usize(self.seats.len());
         w.snap_only(|w| {
@@ -478,18 +480,9 @@ impl State for Fifo {
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.order.clear();
-        for _ in 0..r.read_len()? {
-            let flow = read_flow_id(r)?;
-            let stamp = r.read_u64()?;
-            self.order.push_back((flow, stamp));
-        }
-        self.seats = FlowSlab::new();
-        for _ in 0..r.read_len()? {
-            let flow = read_flow_id(r)?;
-            let stamp = r.read_u64()?;
-            self.seats.insert(flow, stamp);
-        }
+        let seat = |r: &mut SnapReader<'_>| Ok((read_flow_id(r)?, r.read_u64()?));
+        self.order = r.read_seq(seat)?;
+        self.seats = r.read_seq(seat)?;
         self.next_stamp = r.read_u64()?;
         self.evictions = r.read_u64()?;
         Ok(())
@@ -512,12 +505,7 @@ impl State for FlowTables {
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.states = FlowSlab::new();
-        for _ in 0..r.read_len()? {
-            let id = read_flow_id(r)?;
-            let state = read_flow_state(r)?;
-            self.states.insert(id, state);
-        }
+        self.states = r.read_seq(|r| Ok((read_flow_id(r)?, read_flow_state(r)?)))?;
         self.sft.read_state(r)?;
         self.nft.read_state(r)?;
         self.pdt.read_state(r)?;
@@ -531,7 +519,7 @@ impl State for FlowTables {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::{state_bytes, state_hash};
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash};
     use mafic_netsim::{Addr, SimDuration};
 
     fn flow(n: usize) -> FlowId {
@@ -704,6 +692,8 @@ mod tests {
         t.sft_insert(flow(1), entry());
         t.nft_insert(flow(2), SimTime::from_nanos(5));
         t.pdt_insert(flow(3), PdtReason::Unresponsive);
+        assert_state_law(&t, || FlowTables::new(2, 2, 2));
+        assert_state_law(&t.sft, || Fifo::new(2));
         let bytes = state_bytes(&t);
         let mut back = FlowTables::new(2, 2, 2);
         let mut r = SnapReader::new(&bytes);

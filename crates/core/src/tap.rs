@@ -10,7 +10,7 @@
 
 use mafic_loglog::{LogLog, Precision, RouterSketch};
 use mafic_netsim::{Addr, FilterAction, FilterCtx, LinkId, Packet, PacketEnv, PacketFilter};
-use mafic_obs::StateWrite as _;
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use std::collections::BTreeSet;
 
 /// A non-dropping sketch tap installed on a router.
@@ -129,43 +129,34 @@ impl PacketFilter for LogLogTap {
         }
         FilterAction::Forward
     }
+}
 
-    fn snap_save(&self, w: &mut mafic_obs::SnapWriter) {
-        // Ingress/egress membership and precision are build-time; only
-        // the epoch sketch registers and the lifetime counter are state.
+/// Ingress/egress membership and precision are build-time; only the
+/// epoch sketch registers and the lifetime counter are state.
+impl State for LogLogTap {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
         for sketch in [
             self.sketch.source_sketch(),
             self.sketch.destination_sketch(),
+            &self.addr_sketch,
         ] {
             w.write_bytes(sketch.registers());
             w.write_u64(sketch.inserts());
         }
-        w.write_bytes(self.addr_sketch.registers());
-        w.write_u64(self.addr_sketch.inserts());
         w.write_u64(self.packets_seen);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_obs::SnapReader<'_>,
-    ) -> Result<(), mafic_obs::SnapError> {
-        let src_regs = r.read_bytes()?.to_vec();
-        let src_inserts = r.read_u64()?;
-        let dst_regs = r.read_bytes()?.to_vec();
-        let dst_inserts = r.read_u64()?;
-        self.sketch
-            .source_sketch_mut()
-            .restore_parts(&src_regs, src_inserts)
-            .map_err(mafic_obs::SnapError::Malformed)?;
-        self.sketch
-            .destination_sketch_mut()
-            .restore_parts(&dst_regs, dst_inserts)
-            .map_err(mafic_obs::SnapError::Malformed)?;
-        let addr_regs = r.read_bytes()?.to_vec();
-        let addr_inserts = r.read_u64()?;
-        self.addr_sketch
-            .restore_parts(&addr_regs, addr_inserts)
-            .map_err(mafic_obs::SnapError::Malformed)?;
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let restore = |sketch: &mut LogLog, r: &mut SnapReader<'_>| {
+            let registers = r.read_bytes()?;
+            let inserts = r.read_u64()?;
+            sketch
+                .restore_parts(registers, inserts)
+                .map_err(SnapError::Malformed)
+        };
+        restore(self.sketch.source_sketch_mut(), r)?;
+        restore(self.sketch.destination_sketch_mut(), r)?;
+        restore(&mut self.addr_sketch, r)?;
         self.packets_seen = r.read_u64()?;
         Ok(())
     }
@@ -174,7 +165,7 @@ impl PacketFilter for LogLogTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::FilterHarness;
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, FilterHarness};
     use mafic_netsim::{FlowKey, PacketKind, Provenance, SimTime};
 
     fn pkt(id: u64, dst: Addr) -> Packet {
@@ -310,13 +301,12 @@ mod tests {
         for id in 0..600 {
             let _ = h.offer(&mut tap, &pkt(id, victim), Some(ingress), false);
         }
-        let mut w = mafic_obs::SnapWriter::new();
-        tap.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        assert_state_law(&tap, || LogLogTap::new(Precision::P10, [ingress], [victim]));
+        let bytes = state_bytes(&tap);
 
         let mut back = LogLogTap::new(Precision::P10, [ingress], [victim]);
         let mut r = mafic_obs::SnapReader::new(&bytes);
-        back.snap_restore(&mut r).expect("restore");
+        back.read_state(&mut r).expect("restore");
         assert!(r.is_empty());
         assert_eq!(back.packets_seen(), 600);
         assert_eq!(
@@ -331,7 +321,7 @@ mod tests {
         // A wrong-precision tap rejects the register block by length.
         let mut wrong = LogLogTap::new(Precision::P4, [ingress], [victim]);
         let mut r = mafic_obs::SnapReader::new(&bytes);
-        let err = wrong.snap_restore(&mut r).unwrap_err();
+        let err = wrong.read_state(&mut r).unwrap_err();
         assert!(matches!(err, mafic_obs::SnapError::Malformed(_)));
     }
 }

@@ -2,10 +2,9 @@
 //! labels.
 //!
 //! The sketches only need a hash whose bits are close to uniform and
-//! independent of the input structure. We use the SplitMix64 finalizer for
-//! integers (a well-studied bijective mixer) and FNV-1a followed by the same
-//! finalizer for byte strings. Both are deterministic across runs, which the
-//! simulation harness relies on for reproducibility.
+//! independent of the input structure. We use the SplitMix64 finalizer (a
+//! well-studied bijective mixer), which is deterministic across runs — the
+//! simulation harness relies on that for reproducibility.
 
 /// Mixes a 64-bit value through the SplitMix64 finalizer.
 ///
@@ -35,26 +34,6 @@ pub fn mix64(mut x: u64) -> u64 {
 #[must_use]
 pub fn mix2(a: u64, b: u64) -> u64 {
     mix64(a ^ mix64(b))
-}
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Hashes a byte slice with FNV-1a and finalizes with [`mix64`].
-///
-/// FNV-1a alone has detectable bit biases for short keys; the final mix
-/// removes them, which matters because the sketches consume the *leading*
-/// bits for bucket selection.
-#[must_use]
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    mix64(h)
 }
 
 /// Position of the first 1-bit (1-based) in the value, scanning from the
@@ -96,12 +75,6 @@ mod tests {
     #[test]
     fn mix2_is_order_sensitive() {
         assert_ne!(mix2(1, 2), mix2(2, 1));
-    }
-
-    #[test]
-    fn hash_bytes_differs_on_content() {
-        assert_ne!(hash_bytes(b"flow-a"), hash_bytes(b"flow-b"));
-        assert_eq!(hash_bytes(b""), hash_bytes(b""));
     }
 
     #[test]

@@ -140,6 +140,7 @@ impl LogLog {
     }
 
     /// Memory consumed by the register file in bytes.
+    #[cfg(test)]
     #[must_use]
     pub fn register_bytes(&self) -> usize {
         self.registers.len()
@@ -178,7 +179,7 @@ impl LogLog {
     ///
     /// Use this when the caller has hashed a composite key itself; for raw
     /// sequential identifiers prefer [`LogLog::insert_u64`], which mixes.
-    pub fn insert_hash(&mut self, hash: u64) {
+    fn insert_hash(&mut self, hash: u64) {
         let k = self.precision.bits();
         let bucket = (hash >> (64 - k)) as usize;
         let suffix_bits = 64 - k;
@@ -282,7 +283,7 @@ impl LogLog {
     /// # Errors
     ///
     /// Returns [`SketchError`] if the precisions differ.
-    pub fn merge_from(&mut self, other: &LogLog) -> Result<(), SketchError> {
+    fn merge_from(&mut self, other: &LogLog) -> Result<(), SketchError> {
         self.check_precision(other)?;
         for (dst, &src) in self.registers.iter_mut().zip(other.registers.iter()) {
             if src > *dst {

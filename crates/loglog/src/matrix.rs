@@ -153,6 +153,7 @@ impl TrafficMatrix {
 
     /// The egress router with the largest estimated `|D_j|`, if any traffic
     /// was seen at all.
+    #[cfg(test)]
     #[must_use]
     pub fn busiest_egress(&self) -> Option<(RouterSketchId, f64)> {
         self.dest_card

@@ -10,7 +10,7 @@ use crate::flows::FlowId;
 use crate::ids::{AgentId, NodeId};
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
-use mafic_obs::{SnapError, SnapReader, SnapWriter, StateWrite as _};
+use mafic_obs::{DynState, SnapError, SnapReader, State, StateWrite};
 use std::any::Any;
 
 /// Commands an agent queues for the simulator.
@@ -104,8 +104,12 @@ impl<'a> AgentCtx<'a> {
 /// An end-host traffic endpoint (TCP sender, sink, CBR zombie, …).
 ///
 /// `Any` is a supertrait so harnesses can downcast an agent to its
-/// concrete type ([`crate::Simulator::agent`]).
-pub trait Agent: Any {
+/// concrete type ([`crate::Simulator::agent`]). [`DynState`] is one so
+/// the simulator can checkpoint a boxed agent: an agent describes its
+/// run state once, as a [`State`] impl (RNG internals included — a
+/// restored run continues the stream mid-way instead of replaying it
+/// from the seed), and the blanket impl supplies the hooks.
+pub trait Agent: Any + DynState {
     /// Called once at the agent's configured start time.
     fn on_start(&mut self, ctx: &mut AgentCtx<'_>);
 
@@ -114,23 +118,6 @@ pub trait Agent: Any {
 
     /// Called when a timer scheduled via [`AgentCtx::schedule_in`] fires.
     fn on_timer(&mut self, _token: u64, _ctx: &mut AgentCtx<'_>) {}
-
-    /// Serializes this agent's mutable state into a checkpoint payload.
-    ///
-    /// The default is a no-op for stateless agents. Implementations must
-    /// write fields in a fixed order matched by [`Agent::snap_restore`],
-    /// and must include any RNG internals — a restored run continues the
-    /// stream mid-way instead of replaying it from the seed.
-    fn snap_save(&self, _w: &mut SnapWriter) {}
-
-    /// Overlays checkpointed state written by [`Agent::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] when the payload is truncated or malformed.
-    fn snap_restore(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
-    }
 }
 
 /// An agent that counts deliveries and otherwise does nothing.
@@ -178,27 +165,20 @@ impl Agent for CountingSink {
         self.delivered_bytes += u64::from(packet.size_bytes);
         self.last_delivery = Some(ctx.now());
     }
+}
 
-    fn snap_save(&self, w: &mut SnapWriter) {
+impl State for CountingSink {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_u64(self.delivered);
         w.write_u64(self.delivered_bytes);
-        match self.last_delivery {
-            Some(at) => {
-                w.write_bool(true);
-                w.write_u64(at.as_nanos());
-            }
-            None => w.write_bool(false),
-        }
+        w.write_opt(self.last_delivery, |w, at| w.write_u64(at.as_nanos()));
     }
 
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.delivered = r.read_u64()?;
         self.delivered_bytes = r.read_u64()?;
-        self.last_delivery = if r.read_bool()? {
-            Some(SimTime::from_nanos(r.read_u64()?))
-        } else {
-            None
-        };
+        self.last_delivery =
+            r.read_opt("last-delivery", |r| r.read_u64().map(SimTime::from_nanos))?;
         Ok(())
     }
 }

@@ -181,20 +181,18 @@ impl State for PacketArena {
         w.snap_only(|w| w.write_usize(self.slots.len()));
         for (idx, slot) in self.slots.iter().enumerate() {
             let Some(packet) = slot else {
-                w.snap_only(|w| w.write_bool(false));
+                w.snap_only(|w| w.write_u8(0));
                 continue;
             };
             w.hash_only(|h| h.write_usize(idx));
-            w.snap_only(|w| w.write_bool(true));
+            w.snap_only(|w| w.write_u8(1));
             packet.write_state(w);
-            write_opt_flow_id(self.stats_ids[idx], w);
-            write_opt_flow_id(self.flow_ids[idx], w);
+            for id in [self.stats_ids[idx], self.flow_ids[idx]] {
+                w.write_opt(id, |w, id| w.write_usize(id.index()));
+            }
         }
         w.snap_only(|w| {
-            w.write_usize(self.free.len());
-            for &slot in &self.free {
-                w.write_u32(slot);
-            }
+            w.write_seq(&self.free, |w, &slot| w.write_u32(slot));
             w.write_usize(self.live);
             w.write_usize(self.peak);
         });
@@ -202,51 +200,23 @@ impl State for PacketArena {
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.read_len()?;
-        let mut slots = Vec::with_capacity(n);
-        let mut stats_ids = Vec::with_capacity(n);
-        let mut flow_ids = Vec::with_capacity(n);
+        (self.slots, self.stats_ids, self.flow_ids) = Default::default();
         for _ in 0..n {
-            if r.read_bool()? {
-                slots.push(Some(crate::packet::read_packet(r)?));
-                stats_ids.push(read_opt_flow_id(r)?);
-                flow_ids.push(read_opt_flow_id(r)?);
-            } else {
-                slots.push(None);
-                stats_ids.push(None);
-                flow_ids.push(None);
-            }
+            let slot = r.read_opt("arena-slot", |r| {
+                let id = |r: &mut SnapReader<'_>| r.read_opt("flow-id", read_flow_id);
+                Ok((crate::packet::read_packet(r)?, id(r)?, id(r)?))
+            })?;
+            let (packet, stats_id, flow_id) =
+                slot.map_or((None, None, None), |(p, s, f)| (Some(p), s, f));
+            self.slots.push(packet);
+            self.stats_ids.push(stats_id);
+            self.flow_ids.push(flow_id);
         }
-        let n_free = r.read_len()?;
-        let mut free = Vec::with_capacity(n_free);
-        for _ in 0..n_free {
-            free.push(r.read_u32()?);
-        }
-        self.slots = slots;
-        self.stats_ids = stats_ids;
-        self.flow_ids = flow_ids;
-        self.free = free;
+        self.free = r.read_seq(|r| r.read_u32())?;
         self.live = r.read_usize()?;
         self.peak = r.read_usize()?;
         Ok(())
     }
-}
-
-fn write_opt_flow_id<W: StateWrite>(id: Option<FlowId>, w: &mut W) {
-    match id {
-        Some(id) => {
-            w.write_bool(true);
-            w.write_usize(id.index());
-        }
-        None => w.write_bool(false),
-    }
-}
-
-fn read_opt_flow_id(r: &mut SnapReader<'_>) -> Result<Option<FlowId>, SnapError> {
-    Ok(if r.read_bool()? {
-        Some(read_flow_id(r)?)
-    } else {
-        None
-    })
 }
 
 #[cfg(test)]
@@ -254,7 +224,7 @@ mod tests {
     use super::*;
     use crate::ids::{Addr, AgentId};
     use crate::packet::{FlowKey, PacketKind, Provenance};
-    use crate::testkit::{state_bytes, state_hash};
+    use crate::testkit::{assert_state_law, state_bytes, state_hash};
     use crate::time::SimTime;
 
     fn pkt(id: u64) -> Packet {
@@ -312,6 +282,7 @@ mod tests {
         let r2 = a.alloc(pkt(2), None);
         a.set_flow_id(r2, FlowId::from_index(9));
         let _ = a.take(r1);
+        assert_state_law(&a, PacketArena::new);
         let bytes = state_bytes(&a);
         let mut restored = PacketArena::new();
         let mut r = SnapReader::new(&bytes);

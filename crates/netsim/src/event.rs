@@ -185,6 +185,7 @@ impl Scheduler {
     }
 
     /// Number of pending events.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.keys.len()
     }
@@ -203,10 +204,7 @@ impl State for Scheduler {
     /// property of the arrays, not of the process that produced them).
     fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_u64(self.next_seq);
-        w.write_usize(self.keys.len());
-        for &key in &self.keys {
-            w.write_u128(key);
-        }
+        w.write_seq(&self.keys, |w, &key| w.write_u128(key));
         for kind in &self.kinds {
             kind.write_state(w);
         }
@@ -214,17 +212,8 @@ impl State for Scheduler {
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.next_seq = r.read_u64()?;
-        let n = r.read_len()?;
-        let mut keys = Vec::with_capacity(n);
-        for _ in 0..n {
-            keys.push(r.read_u128()?);
-        }
-        let mut kinds = Vec::with_capacity(n);
-        for _ in 0..n {
-            kinds.push(read_event_kind(r)?);
-        }
-        self.keys = keys;
-        self.kinds = kinds;
+        self.keys = r.read_seq(|r| r.read_u128())?;
+        self.kinds = r.read_n(self.keys.len(), read_event_kind)?;
         Ok(())
     }
 }
@@ -303,7 +292,7 @@ fn read_event_kind(r: &mut SnapReader<'_>) -> Result<EventKind, SnapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{state_bytes, state_hash};
+    use crate::testkit::{assert_state_law, state_bytes, state_hash};
     use crate::time::SimDuration;
 
     fn wake(agent: u32, token: u64) -> EventKind {
@@ -364,6 +353,7 @@ mod tests {
             },
         );
         let _ = s.pop();
+        assert_state_law(&s, Scheduler::new);
         let bytes = state_bytes(&s);
         let mut restored = Scheduler::new();
         let mut r = SnapReader::new(&bytes);

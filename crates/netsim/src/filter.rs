@@ -12,7 +12,7 @@ use crate::flows::FlowId;
 use crate::ids::{LinkId, NodeId};
 use crate::packet::{DropReason, Packet};
 use crate::time::{SimDuration, SimTime};
-use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter, StateWrite as _};
+use mafic_obs::{DynState, SnapError, SnapReader, State, StateWrite};
 use std::any::Any;
 
 /// Verdict on a single packet.
@@ -167,13 +167,13 @@ impl<'a> FilterCtx<'a> {
 /// `Any` is a supertrait so harnesses can downcast a chain slot to its
 /// concrete type ([`crate::Simulator::filter`]).
 ///
-/// The three state hooks default to no-ops for stateless filters. A
-/// filter the run ledger hashes implements [`mafic_obs::State`] once and
-/// forwards all three to it — the hooks exist only because a generic
-/// walk cannot be called through `dyn PacketFilter`, and one hook per
-/// sink keeps every primitive write statically dispatched. A filter
-/// that is checkpointed but never hashed writes its snap hooks directly.
-pub trait PacketFilter: Any {
+/// [`DynState`] is a supertrait: a filter describes its run state once,
+/// as a [`State`] impl, and the blanket impl over `State` supplies the
+/// ledger-hash and checkpoint hooks the simulator calls through
+/// `dyn PacketFilter` — there is nothing to forward and no way to be
+/// checkpointed without also being hashable. A new filter is
+/// `on_packet` plus one `State` impl.
+pub trait PacketFilter: Any + DynState {
     /// Called for every packet arriving at the node.
     fn on_packet(
         &mut self,
@@ -190,24 +190,6 @@ pub trait PacketFilter: Any {
 
     /// Called when a control-plane message reaches this node.
     fn on_control(&mut self, _msg: &FilterControl, _ctx: &mut FilterCtx<'_>) {}
-
-    /// Folds this filter's state into the run-ledger hash
-    /// ([`mafic_obs::State::write_state`] over the hasher).
-    fn hash_state(&self, _h: &mut Fnv64) {}
-
-    /// Serializes this filter's mutable state into a checkpoint
-    /// payload, RNG internals included — a restored run continues the
-    /// stream mid-way instead of replaying it from the seed.
-    fn snap_save(&self, _w: &mut SnapWriter) {}
-
-    /// Overlays checkpointed state written by [`PacketFilter::snap_save`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError`] when the payload is truncated or malformed.
-    fn snap_restore(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
-    }
 }
 
 /// A filter that forwards everything; useful as a placeholder and in tests.
@@ -240,12 +222,14 @@ impl PacketFilter for PassthroughFilter {
         self.seen += 1;
         FilterAction::Forward
     }
+}
 
-    fn snap_save(&self, w: &mut SnapWriter) {
+impl State for PassthroughFilter {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_u64(self.seen);
     }
 
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.seen = r.read_u64()?;
         Ok(())
     }

@@ -227,10 +227,7 @@ impl State for FlowInterner {
     /// identical table (interning is a pure function of the key
     /// sequence).
     fn write_state<W: StateWrite>(&self, w: &mut W) {
-        w.write_usize(self.keys.len());
-        for key in &self.keys {
-            key.write_state(w);
-        }
+        w.write_seq(&self.keys, |w, key| key.write_state(w));
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -339,6 +336,16 @@ impl<T> FlowSlab<T> {
     }
 }
 
+/// Lets a counted `(id, value)` sequence of a checkpoint collect
+/// straight into a slab (`SnapReader::read_seq`).
+impl<T> Extend<(FlowId, T)> for FlowSlab<T> {
+    fn extend<I: IntoIterator<Item = (FlowId, T)>>(&mut self, iter: I) {
+        for (id, value) in iter {
+            self.insert(id, value);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,6 +364,20 @@ mod tests {
         assert_eq!(b.index(), 1);
         assert_eq!(interner.intern(key(1)), a);
         assert_eq!(interner.len(), 2);
+    }
+
+    #[test]
+    fn interner_obeys_the_state_law_and_restores_the_same_ids() {
+        let mut interner = FlowInterner::new();
+        for n in 0..40 {
+            let _ = interner.intern(key(n));
+        }
+        crate::testkit::assert_state_law(&interner, FlowInterner::new);
+        let mut restored = FlowInterner::new();
+        let bytes = crate::testkit::state_bytes(&interner);
+        restored.read_state(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(restored.intern(key(17)), interner.intern(key(17)));
+        assert_eq!(restored.intern(key(99)), interner.intern(key(99)));
     }
 
     #[test]

@@ -74,9 +74,8 @@ pub use mafic_obs::{
     SnapError, SnapReader, SnapWriter, Snapshot, SnapshotHeader, State, StateWrite,
 };
 pub use packet::{
-    read_control_msg, read_flow_key, read_opt_addr, write_opt_addr, ControlMsg, ControlVerb,
-    DenyReason, DropReason, FlowKey, Packet, PacketKind, Provenance, RequesterId,
-    CONTROL_PROTOCOL_VERSION,
+    read_control_msg, read_flow_key, ControlMsg, ControlVerb, DenyReason, DropReason, FlowKey,
+    Packet, PacketKind, Provenance, RequesterId, CONTROL_PROTOCOL_VERSION,
 };
 pub use sim::{RunSummary, Simulator};
 pub use stats::{FlowRecord, StatsCollector, VictimBin};

@@ -231,14 +231,8 @@ impl State for Link {
             h.write_usize(self.spec.queue_capacity);
         });
         w.write_u64(self.busy_until.as_nanos());
-        w.write_usize(self.starts.len());
-        for s in &self.starts {
-            w.write_u64(s.as_nanos());
-        }
-        w.write_usize(self.pending_due.len());
-        for d in &self.pending_due {
-            w.write_u64(d.as_nanos());
-        }
+        w.write_seq(&self.starts, |w, s| w.write_u64(s.as_nanos()));
+        w.write_seq(&self.pending_due, |w, d| w.write_u64(d.as_nanos()));
         for r in &self.pending_refs {
             w.write_u32(r.0);
         }
@@ -248,21 +242,10 @@ impl State for Link {
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.busy_until = SimTime::from_nanos(r.read_u64()?);
-        let n_starts = r.read_len()?;
-        self.starts.clear();
-        for _ in 0..n_starts {
-            self.starts.push_back(SimTime::from_nanos(r.read_u64()?));
-        }
-        let n_pending = r.read_len()?;
-        self.pending_due.clear();
-        self.pending_refs.clear();
-        for _ in 0..n_pending {
-            self.pending_due
-                .push_back(SimTime::from_nanos(r.read_u64()?));
-        }
-        for _ in 0..n_pending {
-            self.pending_refs.push_back(PacketRef(r.read_u32()?));
-        }
+        let instant = |r: &mut SnapReader<'_>| r.read_u64().map(SimTime::from_nanos);
+        self.starts = r.read_seq(instant)?;
+        self.pending_due = r.read_seq(instant)?;
+        self.pending_refs = r.read_n(self.pending_due.len(), |r| r.read_u32().map(PacketRef))?;
         self.enqueued = r.read_u64()?;
         self.dropped_queue_full = r.read_u64()?;
         self.last_tx = None;
@@ -273,7 +256,7 @@ impl State for Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::{state_bytes, state_hash};
+    use crate::testkit::{assert_state_law, state_bytes, state_hash};
 
     fn link(cap: usize) -> Link {
         Link::new(
@@ -370,6 +353,7 @@ mod tests {
         let _ = l.enqueue(PacketRef(2), 2000, SimTime::ZERO);
         let _ = l.enqueue(PacketRef(3), 1000, SimTime::ZERO);
         let _ = l.enqueue(PacketRef(4), 1000, SimTime::ZERO); // dropped
+        assert_state_law(&l, || link(2));
         let bytes = state_bytes(&l);
         let mut restored = link(2);
         let mut r = SnapReader::new(&bytes);

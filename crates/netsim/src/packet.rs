@@ -322,18 +322,21 @@ impl PacketKind {
     }
 
     /// True for TCP data segments.
+    #[cfg(test)]
     #[must_use]
     pub fn is_tcp_data(self) -> bool {
         matches!(self, PacketKind::TcpData { .. })
     }
 
     /// True for probe packets.
+    #[cfg(test)]
     #[must_use]
     pub fn is_probe(self) -> bool {
         matches!(self, PacketKind::ProbeDupAck { .. })
     }
 
     /// True for inter-domain pushback control packets.
+    #[cfg(test)]
     #[must_use]
     pub fn is_pushback(self) -> bool {
         matches!(self, PacketKind::Pushback(_))
@@ -420,6 +423,7 @@ pub enum DropReason {
 impl DropReason {
     /// True if the drop was decided by a defense filter rather than by the
     /// network itself.
+    #[cfg(test)]
     #[must_use]
     pub fn is_filter_drop(self) -> bool {
         matches!(
@@ -482,32 +486,6 @@ pub fn read_flow_key(r: &mut SnapReader<'_>) -> Result<FlowKey, SnapError> {
         src_port: r.read_u16()?,
         dst_port: r.read_u16()?,
     })
-}
-
-/// Writes an optional address as a one-byte tag plus the address.
-pub fn write_opt_addr<W: StateWrite>(addr: Option<Addr>, w: &mut W) {
-    match addr {
-        None => w.write_u8(0),
-        Some(addr) => {
-            w.write_u8(1);
-            w.write_u32(addr.as_u32());
-        }
-    }
-}
-
-/// Reads the counterpart of [`write_opt_addr`]; `what` names the field
-/// in the error.
-///
-/// # Errors
-///
-/// [`SnapError::Truncated`] on early end of payload,
-/// [`SnapError::Malformed`] on an unknown tag.
-pub fn read_opt_addr(r: &mut SnapReader<'_>, what: &str) -> Result<Option<Addr>, SnapError> {
-    match r.read_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(Addr::new(r.read_u32()?))),
-        tag => Err(SnapError::Malformed(format!("{what} tag {tag}"))),
-    }
 }
 
 impl DenyReason {

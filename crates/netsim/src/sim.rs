@@ -18,7 +18,7 @@ use crate::stats::StatsCollector;
 use crate::time::SimTime;
 use crate::trace::{TraceBuffer, TraceEvent};
 use crate::wheel::TimerWheel;
-use mafic_obs::{SnapError, State as _, StateWrite};
+use mafic_obs::{SnapError, SnapReader, State as _, StateWrite};
 use std::any::Any;
 
 /// Payload of one armed flow timer: where to deliver the fire.
@@ -111,6 +111,24 @@ impl std::fmt::Debug for Simulator {
             .field("events_processed", &self.events_processed)
             .finish()
     }
+}
+
+/// Reads a count that must equal `have`, the length this simulator
+/// was rebuilt with: a checkpoint overlays state onto a structure, it
+/// never resizes one.
+fn same_count(
+    r: &mut SnapReader<'_>,
+    section: &str,
+    what: impl std::fmt::Display,
+    have: usize,
+) -> Result<(), SnapError> {
+    let n = r.read_usize()?;
+    if n == have {
+        return Ok(());
+    }
+    Err(SnapError::Malformed(format!(
+        "{section}: snapshot has {n} {what}, simulator has {have}"
+    )))
 }
 
 impl Simulator {
@@ -234,10 +252,7 @@ impl Simulator {
         });
         emit("netsim/arena", &|w| self.arena.write_state(w));
         emit("netsim/links", &|w| {
-            w.write_usize(self.links.len());
-            for link in &self.links {
-                link.write_state(w);
-            }
+            w.write_seq(&self.links, |w, link| link.write_state(w));
             for &down in &self.link_down {
                 w.write_bool(down);
             }
@@ -266,30 +281,21 @@ impl Simulator {
     pub fn snap_save_into(&self, snapshot: &mut mafic_obs::Snapshot) {
         self.walk_components(|label, walk| snapshot.write_section(label, walk));
         snapshot.write_section("netsim/flows", |w| self.flows.write_state(w));
-        snapshot.write_section("netsim/trace", |w| match &self.trace {
-            Some(trace) => {
-                w.write_bool(true);
-                trace.write_state(w);
-            }
-            None => w.write_bool(false),
+        snapshot.write_section("netsim/trace", |w| {
+            w.write_opt(self.trace.as_ref(), |w, trace| trace.write_state(w));
         });
         snapshot.write_section("netsim/agents", |w| {
-            w.write_usize(self.agents.len());
-            for agent in &self.agents {
+            w.write_seq(&self.agents, |w, agent| {
                 agent
                     .as_ref()
                     .expect("snapshot taken while an agent is dispatching")
                     .snap_save(w);
-            }
+            });
         });
         snapshot.write_section("netsim/filters", |w| {
-            w.write_usize(self.nodes.len());
-            for node in &self.nodes {
-                w.write_usize(node.filters.len());
-                for filter in &node.filters {
-                    filter.snap_save(w);
-                }
-            }
+            w.write_seq(&self.nodes, |w, node| {
+                w.write_seq(&node.filters, |w, filter| filter.snap_save(w));
+            });
         });
     }
 
@@ -305,108 +311,72 @@ impl Simulator {
     /// match this simulator (wrong counts, trailing bytes) — both signs
     /// the snapshot came from a differently built scenario.
     pub fn snap_restore_from(&mut self, snapshot: &mafic_obs::Snapshot) -> Result<(), SnapError> {
-        let mut r = snapshot.reader("netsim/core")?;
-        self.now = SimTime::from_nanos(r.read_u64()?);
-        self.seed = r.read_u64()?;
-        self.next_packet_id = r.read_u64()?;
-        self.events_processed = r.read_u64()?;
-        r.finish("netsim/core")?;
-
-        let mut r = snapshot.reader("netsim/scheduler")?;
-        self.scheduler.read_state(&mut r)?;
-        r.finish("netsim/scheduler")?;
-
-        let mut r = snapshot.reader("netsim/wheel")?;
-        self.wheel.read_state(&mut r, |r| {
-            Ok(FlowTimerFire {
-                node: NodeId(r.read_u32()?),
-                filter_index: r.read_usize()?,
-                flow: read_flow_id(r)?,
-                kind: r.read_u16()?,
+        snapshot.read_section("netsim/core", |r| {
+            self.now = SimTime::from_nanos(r.read_u64()?);
+            self.seed = r.read_u64()?;
+            self.next_packet_id = r.read_u64()?;
+            self.events_processed = r.read_u64()?;
+            Ok(())
+        })?;
+        snapshot.read_section("netsim/scheduler", |r| self.scheduler.read_state(r))?;
+        snapshot.read_section("netsim/wheel", |r| {
+            self.wheel.read_state(r, |r| {
+                Ok(FlowTimerFire {
+                    node: NodeId(r.read_u32()?),
+                    filter_index: r.read_usize()?,
+                    flow: read_flow_id(r)?,
+                    kind: r.read_u16()?,
+                })
             })
         })?;
-        r.finish("netsim/wheel")?;
-
-        let mut r = snapshot.reader("netsim/arena")?;
-        self.arena.read_state(&mut r)?;
-        r.finish("netsim/arena")?;
-
-        let mut r = snapshot.reader("netsim/links")?;
-        let n_links = r.read_usize()?;
-        if n_links != self.links.len() {
-            return Err(SnapError::Malformed(format!(
-                "netsim/links: snapshot has {n_links} links, simulator has {}",
-                self.links.len()
-            )));
-        }
-        for link in &mut self.links {
-            link.read_state(&mut r)?;
-        }
-        for down in &mut self.link_down {
-            *down = r.read_bool()?;
-        }
-        r.finish("netsim/links")?;
-
-        let mut r = snapshot.reader("netsim/stats")?;
-        self.stats.read_state(&mut r)?;
-        r.finish("netsim/stats")?;
-
-        let mut r = snapshot.reader("netsim/flows")?;
-        self.flows.read_state(&mut r)?;
-        r.finish("netsim/flows")?;
-
-        let mut r = snapshot.reader("netsim/trace")?;
-        let has_trace = r.read_bool()?;
-        match (&mut self.trace, has_trace) {
-            (Some(trace), true) => trace.read_state(&mut r)?,
-            (None, false) => {}
-            (local, saved) => {
-                return Err(SnapError::Malformed(format!(
-                    "netsim/trace: snapshot traced={saved}, simulator traced={}",
-                    local.is_some()
-                )));
+        snapshot.read_section("netsim/arena", |r| self.arena.read_state(r))?;
+        snapshot.read_section("netsim/links", |r| {
+            same_count(r, "netsim/links", "links", self.links.len())?;
+            for link in &mut self.links {
+                link.read_state(r)?;
             }
-        }
-        r.finish("netsim/trace")?;
-
-        let mut r = snapshot.reader("netsim/agents")?;
-        let n_agents = r.read_usize()?;
-        if n_agents != self.agents.len() {
-            return Err(SnapError::Malformed(format!(
-                "netsim/agents: snapshot has {n_agents} agents, simulator has {}",
-                self.agents.len()
-            )));
-        }
-        for agent in &mut self.agents {
-            let agent = agent
-                .as_mut()
-                .expect("restore entered while an agent is dispatching");
-            agent.snap_restore(&mut r)?;
-        }
-        r.finish("netsim/agents")?;
-
-        let mut r = snapshot.reader("netsim/filters")?;
-        let n_nodes = r.read_usize()?;
-        if n_nodes != self.nodes.len() {
-            return Err(SnapError::Malformed(format!(
-                "netsim/filters: snapshot has {n_nodes} nodes, simulator has {}",
-                self.nodes.len()
-            )));
-        }
-        for node in &mut self.nodes {
-            let n_filters = r.read_usize()?;
-            if n_filters != node.filters.len() {
-                return Err(SnapError::Malformed(format!(
-                    "netsim/filters: snapshot has {n_filters} filters on {}, simulator has {}",
-                    node.name,
-                    node.filters.len()
-                )));
+            for down in &mut self.link_down {
+                *down = r.read_bool()?;
             }
-            for filter in &mut node.filters {
-                filter.snap_restore(&mut r)?;
+            Ok(())
+        })?;
+        snapshot.read_section("netsim/stats", |r| self.stats.read_state(r))?;
+        snapshot.read_section("netsim/flows", |r| self.flows.read_state(r))?;
+        snapshot.read_section("netsim/trace", |r| {
+            let restore = |r: &mut SnapReader<'_>| match &mut self.trace {
+                Some(trace) => trace.read_state(r),
+                None => Ok(()),
+            };
+            let saved = r.read_opt("netsim/trace", restore)?.is_some();
+            if saved == self.trace.is_some() {
+                return Ok(());
             }
-        }
-        r.finish("netsim/filters")?;
+            Err(SnapError::Malformed(format!(
+                "netsim/trace: snapshot traced={saved}, simulator traced={}",
+                self.trace.is_some()
+            )))
+        })?;
+        snapshot.read_section("netsim/agents", |r| {
+            same_count(r, "netsim/agents", "agents", self.agents.len())?;
+            for agent in &mut self.agents {
+                agent
+                    .as_mut()
+                    .expect("restore entered while an agent is dispatching")
+                    .snap_restore(r)?;
+            }
+            Ok(())
+        })?;
+        snapshot.read_section("netsim/filters", |r| {
+            same_count(r, "netsim/filters", "nodes", self.nodes.len())?;
+            for node in &mut self.nodes {
+                let what = format_args!("filters on {}", node.name);
+                same_count(r, "netsim/filters", what, node.filters.len())?;
+                for filter in &mut node.filters {
+                    filter.snap_restore(r)?;
+                }
+            }
+            Ok(())
+        })?;
 
         // Invalidate pure caches; each repopulates on first use with
         // values identical to what the snapshotted run held.
@@ -482,6 +452,7 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `link` is not a valid id.
+    #[cfg(test)]
     #[must_use]
     pub fn link_is_down(&self, link: LinkId) -> bool {
         self.link_down[link.index()]
@@ -620,7 +591,7 @@ impl Simulator {
     }
 
     /// The filter at `index` on `node` behind its trait object — for
-    /// callers that drive a hook ([`PacketFilter::hash_state`]) without
+    /// callers that drive a hook ([`mafic_obs::DynState::hash_state`]) without
     /// knowing the concrete type.
     #[must_use]
     pub fn filter_dyn(&self, node: NodeId, index: usize) -> Option<&dyn PacketFilter> {
@@ -815,6 +786,7 @@ impl Simulator {
     }
 
     /// Number of pending events (diagnostics), armed flow timers included.
+    #[cfg(test)]
     #[must_use]
     pub fn pending_events(&self) -> usize {
         self.scheduler.len() + self.wheel.len()
@@ -1297,6 +1269,13 @@ mod tests {
                 _c: &mut FilterCtx<'_>,
             ) -> FilterAction {
                 FilterAction::Drop(DropReason::FilterOther)
+            }
+        }
+        impl mafic_obs::State for DropAll {
+            fn write_state<W: StateWrite>(&self, _w: &mut W) {}
+
+            fn read_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                Ok(())
             }
         }
 

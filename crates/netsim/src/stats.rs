@@ -425,26 +425,23 @@ fn read_flow_record(r: &mut SnapReader<'_>) -> Result<FlowRecord, SnapError> {
 }
 
 fn write_bins<W: StateWrite>(bins: &[VictimBin], w: &mut W) {
-    w.write_usize(bins.len());
-    for bin in bins {
+    w.write_seq(bins, |w, bin| {
         w.write_u64(bin.legit_bytes);
         w.write_u64(bin.attack_bytes);
         w.write_u64(bin.legit_packets);
         w.write_u64(bin.attack_packets);
-    }
+    });
 }
 
-fn read_bins(r: &mut SnapReader<'_>, bins: &mut Vec<VictimBin>) -> Result<(), SnapError> {
-    bins.clear();
-    for _ in 0..r.read_len()? {
-        bins.push(VictimBin {
+fn read_bins(r: &mut SnapReader<'_>) -> Result<Vec<VictimBin>, SnapError> {
+    r.read_seq(|r| {
+        Ok(VictimBin {
             legit_bytes: r.read_u64()?,
             attack_bytes: r.read_u64()?,
             legit_packets: r.read_u64()?,
             attack_packets: r.read_u64()?,
-        });
-    }
-    Ok(())
+        })
+    })
 }
 
 impl State for StatsCollector {
@@ -473,13 +470,10 @@ impl State for StatsCollector {
         self.total_sent = r.read_u64()?;
         self.total_delivered = r.read_u64()?;
         self.interner.read_state(r)?;
-        self.records = FlowSlab::new();
-        for _ in 0..r.read_len()? {
-            let id = read_flow_id(r)?;
-            self.records.insert(id, read_flow_record(r)?);
-        }
-        read_bins(r, &mut self.bins)?;
-        read_bins(r, &mut self.arrival_bins)
+        self.records = r.read_seq(|r| Ok((read_flow_id(r)?, read_flow_record(r)?)))?;
+        self.bins = read_bins(r)?;
+        self.arrival_bins = read_bins(r)?;
+        Ok(())
     }
 }
 
@@ -488,7 +482,7 @@ mod tests {
     use super::*;
     use crate::ids::{Addr, AgentId};
     use crate::packet::PacketKind;
-    use crate::testkit::{state_bytes, state_hash};
+    use crate::testkit::{assert_state_law, state_bytes, state_hash};
 
     fn pkt(attack: bool) -> Packet {
         Packet {
@@ -584,8 +578,13 @@ mod tests {
         let bytes = state_bytes(&s);
         // Restore onto a fresh collector carrying the same build-time
         // watch configuration.
-        let mut restored = StatsCollector::new();
-        restored.watch_victim(NodeId(3), SimDuration::from_millis(100));
+        let blank = || {
+            let mut blank = StatsCollector::new();
+            blank.watch_victim(NodeId(3), SimDuration::from_millis(100));
+            blank
+        };
+        assert_state_law(&s, blank);
+        let mut restored = blank();
         let mut r = SnapReader::new(&bytes);
         restored.read_state(&mut r).unwrap();
         assert!(r.is_empty());

@@ -9,6 +9,12 @@
 //! Each harness owns a [`FlowInterner`], standing in for the simulator's
 //! domain-wide interner: packets offered through a harness get their flow
 //! id minted here, with the same stability guarantees as in a real run.
+//!
+//! The [`State`](mafic_obs::State) law harness ([`assert_state_law`],
+//! with [`state_hash`] and [`state_bytes`]) is re-exported from
+//! `mafic-obs`, where it lives so the two crates that cannot see this
+//! one (`mafic-obs` itself and `mafic-adversary`) hold their own types
+//! to it.
 
 use crate::agent::{Agent, AgentCommand, AgentCtx};
 use crate::event::FilterControl;
@@ -17,23 +23,8 @@ use crate::flows::{FlowId, FlowInterner};
 use crate::ids::{AgentId, LinkId, NodeId};
 use crate::packet::{FlowKey, Packet};
 use crate::time::{SimDuration, SimTime};
-use mafic_obs::{Fnv64, SnapWriter, State};
 
-/// The run-ledger hash of `state`: its walk over a fresh hasher.
-#[must_use]
-pub fn state_hash(state: &impl State) -> u64 {
-    let mut h = Fnv64::new();
-    state.write_state(&mut h);
-    h.finish()
-}
-
-/// The checkpoint payload of `state`: its walk over a fresh writer.
-#[must_use]
-pub fn state_bytes(state: &impl State) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    state.write_state(&mut w);
-    w.into_bytes()
-}
+pub use mafic_obs::{assert_state_law, state_bytes, state_hash};
 
 /// Effects produced by one agent callback.
 #[derive(Debug, Default)]
@@ -300,6 +291,7 @@ mod tests {
         h.advance(SimDuration::from_millis(5));
         let _ = h.deliver(&mut sink, pkt());
         assert_eq!(sink.delivered(), 1);
+        assert_state_law(&sink, CountingSink::new);
     }
 
     #[test]
@@ -309,6 +301,7 @@ mod tests {
         let fx = h.offer_transit(&mut f, &pkt());
         assert_eq!(fx.action, Some(FilterAction::Forward));
         assert_eq!(f.seen(), 1);
+        assert_state_law(&f, PassthroughFilter::new);
     }
 
     #[test]

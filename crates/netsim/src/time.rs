@@ -86,6 +86,7 @@ impl SimDuration {
     }
 
     /// Creates a span from microseconds.
+    #[cfg(test)]
     #[must_use]
     pub const fn from_micros(micros: u64) -> Self {
         SimDuration(micros * 1_000)

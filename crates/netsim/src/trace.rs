@@ -141,37 +141,32 @@ impl State for TraceBuffer {
     /// checkpointed but never hashed: it observes, it does not decide.)
     fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_u64(self.recorded_total);
-        w.write_usize(self.events.len());
-        for event in &self.events {
-            match event {
-                TraceEvent::Drop { at, flow, reason } => {
-                    w.write_u8(0);
-                    w.write_u64(at.as_nanos());
-                    flow.write_state(w);
-                    reason.write_state(w);
-                }
-                TraceEvent::Deliver { at, flow, node } => {
-                    w.write_u8(1);
-                    w.write_u64(at.as_nanos());
-                    flow.write_state(w);
-                    w.write_u32(node.0);
-                }
-                TraceEvent::Control { at, node, summary } => {
-                    w.write_u8(2);
-                    w.write_u64(at.as_nanos());
-                    w.write_u32(node.0);
-                    w.write_str(summary);
-                }
+        w.write_seq(&self.events, |w, event| match event {
+            TraceEvent::Drop { at, flow, reason } => {
+                w.write_u8(0);
+                w.write_u64(at.as_nanos());
+                flow.write_state(w);
+                reason.write_state(w);
             }
-        }
+            TraceEvent::Deliver { at, flow, node } => {
+                w.write_u8(1);
+                w.write_u64(at.as_nanos());
+                flow.write_state(w);
+                w.write_u32(node.0);
+            }
+            TraceEvent::Control { at, node, summary } => {
+                w.write_u8(2);
+                w.write_u64(at.as_nanos());
+                w.write_u32(node.0);
+                w.write_str(summary);
+            }
+        });
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.recorded_total = r.read_u64()?;
-        let n = r.read_len()?;
-        self.events.clear();
-        for _ in 0..n {
-            let event = match r.read_u8()? {
+        self.events = r.read_seq(|r| {
+            Ok(match r.read_u8()? {
                 0 => TraceEvent::Drop {
                     at: SimTime::from_nanos(r.read_u64()?),
                     flow: crate::packet::read_flow_key(r)?,
@@ -187,12 +182,9 @@ impl State for TraceBuffer {
                     node: NodeId(r.read_u32()?),
                     summary: r.read_str()?,
                 },
-                tag => {
-                    return Err(SnapError::Malformed(format!("trace-event tag {tag}")));
-                }
-            };
-            self.events.push_back(event);
-        }
+                tag => return Err(SnapError::Malformed(format!("trace-event tag {tag}"))),
+            })
+        })?;
         Ok(())
     }
 }
@@ -260,6 +252,7 @@ mod tests {
             node: NodeId::from_index(1),
             summary: "pushback-start".into(),
         });
+        crate::testkit::assert_state_law(&t, || TraceBuffer::new(3));
         let bytes = crate::testkit::state_bytes(&t);
         let mut restored = TraceBuffer::new(3);
         let mut r = SnapReader::new(&bytes);

@@ -84,6 +84,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Number of pending timers.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -263,10 +264,7 @@ impl<T> TimerWheel<T> {
                 }
             }
         }
-        w.write_usize(self.overflow.len());
-        for entry in &self.overflow {
-            entry_fn(entry, w);
-        }
+        w.write_seq(&self.overflow, |w, entry| entry_fn(entry, w));
     }
 
     /// Overlays checkpointed wheel state; the expiry cache is
@@ -289,16 +287,10 @@ impl<T> TimerWheel<T> {
         self.scheduled_total = r.read_u64()?;
         for level in [&mut self.level0, &mut self.level1, &mut self.level2] {
             for slot in level.iter_mut() {
-                slot.clear();
-                for _ in 0..r.read_len()? {
-                    slot.push(read_entry(r)?);
-                }
+                *slot = r.read_seq(&mut read_entry)?;
             }
         }
-        self.overflow.clear();
-        for _ in 0..r.read_len()? {
-            self.overflow.push(read_entry(r)?);
-        }
+        self.overflow = r.read_seq(&mut read_entry)?;
         self.cached_next = None;
         self.cache_valid = false;
         Ok(())
@@ -308,10 +300,23 @@ impl<T> TimerWheel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{assert_state_law, state_bytes, state_hash};
     use crate::time::SimDuration;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// The wheel's walk takes its payload codec as an argument; fixing
+    /// it to `u64` gives the law harness a plain [`State`] to drive.
+    impl mafic_obs::State for TimerWheel<u64> {
+        fn write_state<W: StateWrite>(&self, w: &mut W) {
+            TimerWheel::write_state(self, w, |p, w| w.write_u64(*p));
+        }
+
+        fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            TimerWheel::read_state(self, r, |r| r.read_u64())
+        }
     }
 
     #[test]
@@ -422,20 +427,15 @@ mod tests {
         w.insert(t(60_000), 3); // level 2
         w.insert(t(30 * 60_000), 4); // overflow
         assert_eq!(w.pop_expired(t(3)), vec![1]);
-        let mut sw = mafic_obs::SnapWriter::new();
-        w.write_state(&mut sw, |p, sw| sw.write_u64(*p));
-        let bytes = sw.into_bytes();
+        assert_state_law(&w, TimerWheel::new);
+        let bytes = state_bytes(&w);
         let mut restored: TimerWheel<u64> = TimerWheel::new();
         let mut r = SnapReader::new(&bytes);
         restored.read_state(&mut r, |r| r.read_u64()).unwrap();
         assert!(r.is_empty());
         assert_eq!(restored.len(), 3);
         assert_eq!(restored.scheduled_total(), 4);
-        let mut ha = mafic_obs::Fnv64::new();
-        let mut hb = mafic_obs::Fnv64::new();
-        w.write_state(&mut ha, |p, h| h.write_u64(*p));
-        restored.write_state(&mut hb, |p, h| h.write_u64(*p));
-        assert_eq!(ha.finish(), hb.finish());
+        assert_eq!(state_hash(&w), state_hash(&restored));
         assert_eq!(restored.next_expiry(), Some(t(500)));
         assert_eq!(restored.pop_expired(t(30 * 60_000)), vec![2, 3, 4]);
     }

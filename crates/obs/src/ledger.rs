@@ -206,6 +206,7 @@ impl LedgerBuilder {
     }
 
     /// Number of intervals recorded so far.
+    #[cfg(test)]
     #[must_use]
     pub fn interval_count(&self) -> usize {
         self.intervals.len()
@@ -214,6 +215,7 @@ impl LedgerBuilder {
     /// The chained hash of every component as of the last recorded
     /// interval, as `(label, chain)` pairs — the integrity table a
     /// checkpoint embeds.
+    #[cfg(test)]
     #[must_use]
     pub fn chained_hashes(&self) -> Vec<(String, u64)> {
         self.components
@@ -243,65 +245,32 @@ impl LedgerBuilder {
 /// which the snapshot header has already been verified against.
 impl State for LedgerBuilder {
     fn write_state<W: StateWrite>(&self, w: &mut W) {
-        w.write_usize(self.components.len());
-        for name in &self.components {
-            w.write_str(name);
-        }
-        w.write_usize(self.counters.len());
-        for name in &self.counters {
-            w.write_str(name);
-        }
+        w.write_seq(&self.components, |w, name| w.write_str(name));
+        w.write_seq(&self.counters, |w, name| w.write_str(name));
         for chain in &self.chains {
             w.write_u64(*chain);
         }
-        w.write_usize(self.intervals.len());
-        for rec in &self.intervals {
+        w.write_seq(&self.intervals, |w, rec| {
             w.write_u64(rec.index);
             w.write_u64(rec.at_nanos);
-            for h in &rec.hashes {
-                w.write_u64(*h);
+            for v in rec.hashes.iter().chain(&rec.counters) {
+                w.write_u64(*v);
             }
-            for c in &rec.counters {
-                w.write_u64(*c);
-            }
-        }
+        });
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n_components = r.read_len()?;
-        let mut components = Vec::with_capacity(n_components);
-        for _ in 0..n_components {
-            components.push(r.read_str()?);
-        }
-        let n_counters = r.read_len()?;
-        let mut counters = Vec::with_capacity(n_counters);
-        for _ in 0..n_counters {
-            counters.push(r.read_str()?);
-        }
-        let mut chains = Vec::with_capacity(n_components);
-        for _ in 0..n_components {
-            chains.push(r.read_u64()?);
-        }
-        let n_intervals = r.read_len()?;
-        let mut intervals = Vec::with_capacity(n_intervals);
-        for _ in 0..n_intervals {
-            let index = r.read_u64()?;
-            let at_nanos = r.read_u64()?;
-            let mut hashes = Vec::with_capacity(n_components);
-            for _ in 0..n_components {
-                hashes.push(r.read_u64()?);
-            }
-            let mut cvals = Vec::with_capacity(n_counters);
-            for _ in 0..n_counters {
-                cvals.push(r.read_u64()?);
-            }
-            intervals.push(IntervalRecord {
-                index,
-                at_nanos,
-                hashes,
-                counters: cvals,
-            });
-        }
+        let components: Vec<String> = r.read_seq(|r| r.read_str())?;
+        let counters: Vec<String> = r.read_seq(|r| r.read_str())?;
+        let chains = r.read_n(components.len(), |r| r.read_u64())?;
+        let intervals = r.read_seq(|r| {
+            Ok(IntervalRecord {
+                index: r.read_u64()?,
+                at_nanos: r.read_u64()?,
+                hashes: r.read_n(components.len(), |r| r.read_u64())?,
+                counters: r.read_n(counters.len(), |r| r.read_u64())?,
+            })
+        })?;
         self.components = components;
         self.counters = counters;
         self.chains = chains;
@@ -615,6 +584,7 @@ mod tests {
         original.record_interval(100, &probe(&[("x", 1), ("y", 2)], &[("c", 3)]));
         original.record_interval(200, &probe(&[("x", 4), ("y", 5)], &[("c", 6)]));
 
+        crate::assert_state_law(&original, || LedgerBuilder::new(header(5)));
         let mut w = SnapWriter::new();
         original.write_state(&mut w);
         let bytes = w.into_bytes();

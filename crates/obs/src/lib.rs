@@ -3,7 +3,8 @@
 //! This crate sits *below* `mafic-netsim` in the layering DAG and has no
 //! dependencies at all: it defines the vocabulary every other layer uses
 //! to describe its own state — a 64-bit FNV-1a hasher ([`Fnv64`]), the
-//! one-walk [`State`] contract with its two sinks ([`StateWrite`]), and
+//! one-walk [`State`] contract with its two sinks ([`StateWrite`]) and its
+//! object-safe face ([`DynState`]), and
 //! the **run ledger**: a build-metadata header plus one chained
 //! per-component state hash per monitor interval, exported as JSONL and
 //! diffable down to the first diverging interval and component.
@@ -31,7 +32,7 @@ pub use ledger::{IntervalProbe, IntervalRecord, LedgerBuilder, LedgerHeader, Run
 pub use snap::{
     SnapError, SnapReader, SnapWriter, Snapshot, SnapshotHeader, SNAP_MAGIC, SNAP_VERSION,
 };
-pub use state::{State, StateWrite};
+pub use state::{assert_state_law, state_bytes, state_hash, DynState, State, StateWrite};
 
 /// Ledger wire-format version; bump on any incompatible JSONL change.
 pub const LEDGER_VERSION: u32 = 1;

@@ -137,12 +137,6 @@ impl SnapWriter {
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
-
-    /// Appends a length-prefixed byte slice.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        self.write_u64(bytes.len() as u64);
-        self.buf.extend_from_slice(bytes);
-    }
 }
 
 /// The checkpoint sink of a [`State`](crate::State) walk.
@@ -201,14 +195,19 @@ impl<'a> SnapReader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], SnapError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     /// Reads a `u16` (little-endian).
     ///
     /// # Errors
     ///
     /// [`SnapError::Truncated`] at end of input.
     pub fn read_u16(&mut self) -> Result<u16, SnapError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+        self.take_array().map(u16::from_le_bytes)
     }
 
     /// Reads a `u32` (little-endian).
@@ -217,8 +216,7 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Truncated`] at end of input.
     pub fn read_u32(&mut self) -> Result<u32, SnapError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        self.take_array().map(u32::from_le_bytes)
     }
 
     /// Reads a `u64` (little-endian).
@@ -227,10 +225,7 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Truncated`] at end of input.
     pub fn read_u64(&mut self) -> Result<u64, SnapError> {
-        let b = self.take(8)?;
-        let mut le = [0u8; 8];
-        le.copy_from_slice(b);
-        Ok(u64::from_le_bytes(le))
+        self.take_array().map(u64::from_le_bytes)
     }
 
     /// Reads a `u128` (little-endian).
@@ -239,10 +234,7 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Truncated`] at end of input.
     pub fn read_u128(&mut self) -> Result<u128, SnapError> {
-        let b = self.take(16)?;
-        let mut le = [0u8; 16];
-        le.copy_from_slice(b);
-        Ok(u128::from_le_bytes(le))
+        self.take_array().map(u128::from_le_bytes)
     }
 
     /// Reads a `usize` (stored as 64 bits).
@@ -304,9 +296,7 @@ impl<'a> SnapReader<'a> {
     /// [`SnapError::Truncated`] at end of input, or
     /// [`SnapError::Malformed`] on invalid UTF-8.
     pub fn read_str(&mut self) -> Result<String, SnapError> {
-        let n = self.read_usize()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        String::from_utf8(self.read_bytes()?.to_vec())
             .map_err(|_| SnapError::Malformed("non-UTF-8 string".to_string()))
     }
 
@@ -320,22 +310,74 @@ impl<'a> SnapReader<'a> {
         self.take(n)
     }
 
-    /// Ends the read of section `label`: trailing bytes mean the payload
-    /// came from a differently built scenario and are rejected, not
-    /// silently ignored.
+    /// Reads an option written by
+    /// [`StateWrite::write_opt`](crate::StateWrite::write_opt); `what`
+    /// names the field in the error.
     ///
     /// # Errors
     ///
-    /// [`SnapError::Malformed`] naming `label` when bytes remain.
-    pub fn finish(&self, label: &str) -> Result<(), SnapError> {
-        if self.is_empty() {
-            Ok(())
-        } else {
-            Err(SnapError::Malformed(format!(
-                "{label}: {} trailing bytes",
-                self.remaining()
-            )))
+    /// [`SnapError::Truncated`] at end of input, [`SnapError::Malformed`]
+    /// on a tag other than 0 or 1, or whatever `some` returns.
+    pub fn read_opt<T>(
+        &mut self,
+        what: &str,
+        some: impl FnOnce(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<Option<T>, SnapError> {
+        match self.read_u8()? {
+            0 => Ok(None),
+            1 => some(self).map(Some),
+            tag => Err(SnapError::Malformed(format!("{what} tag {tag}"))),
         }
+    }
+
+    /// Reads `n` elements through `each` into any `Default + Extend`
+    /// container — for a run whose count was read earlier (parallel
+    /// arrays under one count); [`SnapReader::read_seq`] otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `each` returns.
+    pub fn read_n<T, C: Default + Extend<T>>(
+        &mut self,
+        n: usize,
+        mut each: impl FnMut(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<C, SnapError> {
+        let mut out = C::default();
+        for _ in 0..n {
+            out.extend(Some(each(self)?));
+        }
+        Ok(out)
+    }
+
+    /// Reads a counted sequence written by
+    /// [`StateWrite::write_seq`](crate::StateWrite::write_seq): the
+    /// count through [`SnapReader::read_len`], then that many elements.
+    ///
+    /// # Errors
+    ///
+    /// As [`SnapReader::read_len`], or whatever `each` returns.
+    pub fn read_seq<T, C: Default + Extend<T>>(
+        &mut self,
+        each: impl FnMut(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<C, SnapError> {
+        let n = self.read_len()?;
+        self.read_n(n, each)
+    }
+
+    /// Reads the four words written by
+    /// [`StateWrite::write_rng`](crate::StateWrite::write_rng) and
+    /// rebuilds the generator through `from_state` (this crate depends
+    /// on no RNG, so the caller names the constructor).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] at end of input.
+    pub fn read_rng<R>(&mut self, from_state: impl FnOnce([u64; 4]) -> R) -> Result<R, SnapError> {
+        let mut words = [0u64; 4];
+        for word in &mut words {
+            *word = self.read_u64()?;
+        }
+        Ok(from_state(words))
     }
 }
 
@@ -406,17 +448,35 @@ impl Snapshot {
         self.add_section(label, w.into_bytes());
     }
 
-    /// A reader over section `label`; pair with [`SnapReader::finish`].
+    /// Reads section `label` through `body` — the whole of a section
+    /// restore. Bytes `body` leaves unread mean the payload came from a
+    /// differently built scenario and are rejected, not silently
+    /// ignored.
     ///
     /// # Errors
     ///
-    /// [`SnapError::MissingSection`] when the section is absent.
-    pub fn reader(&self, label: &str) -> Result<SnapReader<'_>, SnapError> {
-        self.section(label)
-            .map(SnapReader::new)
+    /// [`SnapError::MissingSection`] when the section is absent,
+    /// whatever `body` returns, or [`SnapError::Malformed`] naming
+    /// `label` when bytes remain.
+    pub fn read_section<T>(
+        &self,
+        label: &str,
+        body: impl FnOnce(&mut SnapReader<'_>) -> Result<T, SnapError>,
+    ) -> Result<T, SnapError> {
+        let payload = self
+            .section(label)
             .ok_or_else(|| SnapError::MissingSection {
                 section: label.to_string(),
-            })
+            })?;
+        let mut r = SnapReader::new(payload);
+        let out = body(&mut r)?;
+        if r.is_empty() {
+            return Ok(out);
+        }
+        Err(SnapError::Malformed(format!(
+            "{label}: {} trailing bytes",
+            r.remaining()
+        )))
     }
 
     /// Looks up a section's payload by label.
@@ -445,11 +505,10 @@ impl Snapshot {
         head.write_u64(self.header.spec_fingerprint);
         head.write_u64(self.header.at_nanos);
         head.write_u64(self.header.interval_index);
-        head.write_u64(self.component_hashes.len() as u64);
-        for (label, hash) in &self.component_hashes {
-            head.write_str(label);
-            head.write_u64(*hash);
-        }
+        head.write_seq(&self.component_hashes, |w, (label, hash)| {
+            w.write_str(label);
+            w.write_u64(*hash);
+        });
         let head = head.into_bytes();
 
         let mut out = SnapWriter::new();
@@ -457,12 +516,11 @@ impl Snapshot {
         out.write_u32(SNAP_VERSION);
         out.write_raw(&head);
         out.write_u64(fnv64(&head));
-        out.write_u64(self.sections.len() as u64);
-        for (label, payload) in &self.sections {
-            out.write_str(label);
-            out.write_u64(fnv64(payload));
-            out.write_bytes(payload);
-        }
+        out.write_seq(&self.sections, |w, (label, payload)| {
+            w.write_str(label);
+            w.write_u64(fnv64(payload));
+            w.write_bytes(payload);
+        });
         out.into_bytes()
     }
 
@@ -494,13 +552,7 @@ impl Snapshot {
         let spec_fingerprint = r.read_u64()?;
         let at_nanos = r.read_u64()?;
         let interval_index = r.read_u64()?;
-        let n_hashes = r.read_len()?;
-        let mut component_hashes = Vec::with_capacity(n_hashes);
-        for _ in 0..n_hashes {
-            let label = r.read_str()?;
-            let hash = r.read_u64()?;
-            component_hashes.push((label, hash));
-        }
+        let component_hashes = r.read_seq(|r| Ok((r.read_str()?, r.read_u64()?)))?;
         let head_bytes = &bytes[head_start..r.pos];
         let head_checksum = r.read_u64()?;
         if fnv64(head_bytes) != head_checksum {
@@ -508,17 +560,15 @@ impl Snapshot {
                 section: "header".to_string(),
             });
         }
-        let n_sections = r.read_len()?;
-        let mut sections = Vec::with_capacity(n_sections);
-        for _ in 0..n_sections {
+        let sections = r.read_seq(|r| {
             let label = r.read_str()?;
             let checksum = r.read_u64()?;
             let payload = r.read_bytes()?;
             if fnv64(payload) != checksum {
                 return Err(SnapError::Corrupt { section: label });
             }
-            sections.push((label, payload.to_vec()));
-        }
+            Ok((label, payload.to_vec()))
+        })?;
         if !r.is_empty() {
             return Err(SnapError::Malformed(format!(
                 "{} trailing bytes after the last section",
@@ -715,18 +765,57 @@ mod tests {
     #[test]
     fn section_reader_names_missing_sections_and_trailing_bytes() {
         let s = sample();
-        let mut r = s.reader("dom0/coord").unwrap();
-        assert_eq!(r.read_u8().unwrap(), 1);
-        match r.finish("dom0/coord").unwrap_err() {
+        match s.read_section("dom0/coord", |r| r.read_u8()).unwrap_err() {
             SnapError::Malformed(why) => assert!(why.contains("dom0/coord: 2 trailing"), "{why}"),
             other => panic!("expected Malformed, got {other:?}"),
         }
+        let whole = s.read_section("dom0/coord", |r| {
+            Ok([r.read_u8()?, r.read_u8()?, r.read_u8()?])
+        });
+        assert_eq!(whole.unwrap(), [1, 2, 3]);
         assert_eq!(
-            s.reader("absent").unwrap_err(),
+            s.read_section("absent", |_| Ok(())).unwrap_err(),
             SnapError::MissingSection {
                 section: "absent".to_string()
             }
         );
+    }
+
+    #[test]
+    fn combinators_round_trip_and_name_bad_tags() {
+        use std::collections::{BTreeMap, BTreeSet, VecDeque};
+        let mut w = SnapWriter::new();
+        w.write_opt(Some(7u64), |w, v| w.write_u64(v));
+        w.write_opt(None::<u64>, |w, v| w.write_u64(v));
+        for _ in 0..4 {
+            w.write_seq(&[3u32, 1, 2], |w, &v| w.write_u32(v));
+        }
+        w.write_rng([1, 2, 3, 4]);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(r.read_opt("a", |r| r.read_u64()).unwrap(), Some(7));
+        assert_eq!(r.read_opt("b", |r| r.read_u64()).unwrap(), None);
+        let v: Vec<u32> = r.read_seq(|r| r.read_u32()).unwrap();
+        let d: VecDeque<u32> = r.read_seq(|r| r.read_u32()).unwrap();
+        let set: BTreeSet<u32> = r.read_seq(|r| r.read_u32()).unwrap();
+        let map: BTreeMap<u32, ()> = r.read_seq(|r| Ok((r.read_u32()?, ()))).unwrap();
+        assert_eq!((v, d), (vec![3, 1, 2], VecDeque::from([3, 1, 2])));
+        assert_eq!(set, BTreeSet::from([1, 2, 3]));
+        assert_eq!(map.len(), 3);
+        assert_eq!(r.read_rng(|words| words).unwrap(), [1, 2, 3, 4]);
+        assert!(r.is_empty());
+
+        match SnapReader::new(&[2]).read_opt("stop-after", |r| r.read_u64()) {
+            Err(SnapError::Malformed(why)) => assert_eq!(why, "stop-after tag 2"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        // A count the payload cannot hold is refused before any element
+        // is read or any capacity reserved.
+        let mut w = SnapWriter::new();
+        w.write_u64(u64::MAX >> 1);
+        let bytes = w.into_bytes();
+        let huge: Result<Vec<u8>, _> = SnapReader::new(&bytes).read_seq(|r| r.read_u8());
+        assert_eq!(huge.unwrap_err(), SnapError::Truncated);
     }
 
     #[test]

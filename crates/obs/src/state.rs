@@ -20,12 +20,26 @@
 //!
 //! Pure caches appear in neither: restore invalidates them.
 //!
-//! [`State::read_state`] is the only hand-written inverse. Two gates
-//! check it: every restore recomputes each component's hash over the
-//! overlaid state and compares it with the capture-time table, and
+//! [`State::read_state`] is the hand-written inverse, kept short by
+//! writing each encoding idiom once: an option is
+//! [`StateWrite::write_opt`] / [`SnapReader::read_opt`], a counted
+//! sequence [`StateWrite::write_seq`] / [`SnapReader::read_seq`] (whose
+//! count goes through [`SnapReader::read_len`], so no payload integer
+//! sizes an allocation or bounds a loop unchecked), an RNG's four words
+//! [`StateWrite::write_rng`] / [`SnapReader::read_rng`]. Three gates
+//! check the inverse: the law harness ([`assert_state_law`], called
+//! from every type's round-trip test) proves `write → read → write` is
+//! byte-identical and that no truncated, bit-flipped or stamped payload
+//! panics; every restore recomputes each component's hash over the
+//! overlaid state and compares it with the capture-time table; and
 //! `tests/state_golden.rs` pins both formats byte for byte.
+//!
+//! `State` is generic over its sink and therefore not object-safe;
+//! [`DynState`] is its object-safe face, supplied once by a blanket
+//! impl, for the boxed filters and agents the simulator owns.
 
-use crate::snap::{SnapError, SnapReader};
+use crate::fnv::{fnv64, Fnv64};
+use crate::snap::{SnapError, SnapReader, SnapWriter};
 
 /// A byte sink a [`State`] walk writes into. All multi-byte values are
 /// little-endian; `usize` widens to 64 bits so 32- and 64-bit builds
@@ -77,8 +91,52 @@ pub trait StateWrite {
 
     /// Writes a length-prefixed UTF-8 string.
     fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write_raw(s.as_bytes());
+        self.write_bytes(s.as_bytes());
+    }
+
+    /// Writes a length-prefixed byte slice.
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        self.write_usize(bytes.len());
+        self.write_raw(bytes);
+    }
+
+    /// Writes the four state words of an RNG
+    /// ([`SnapReader::read_rng`] is the inverse).
+    fn write_rng(&mut self, words: [u64; 4]) {
+        for word in words {
+            self.write_u64(word);
+        }
+    }
+
+    /// Writes an option as a one-byte tag — 0 for `None`, 1 for `Some`
+    /// followed by what `some` writes
+    /// ([`SnapReader::read_opt`] is the inverse).
+    fn write_opt<T>(&mut self, value: Option<T>, some: impl FnOnce(&mut Self, T))
+    where
+        Self: Sized,
+    {
+        match value {
+            None => self.write_u8(0),
+            Some(value) => {
+                self.write_u8(1);
+                some(self, value);
+            }
+        }
+    }
+
+    /// Writes a counted sequence: the element count, then what `each`
+    /// writes per element ([`SnapReader::read_seq`] is the inverse).
+    fn write_seq<I>(&mut self, items: I, mut each: impl FnMut(&mut Self, I::Item))
+    where
+        Self: Sized,
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
+        self.write_usize(items.len());
+        for item in items {
+            each(self, item);
+        }
     }
 
     /// Runs `f` only when this sink is the ledger hasher.
@@ -112,4 +170,123 @@ pub trait State {
     ///
     /// [`SnapError`] if the payload is truncated or malformed.
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+/// The run-ledger hash of `state`: its walk over a fresh hasher.
+#[must_use]
+pub fn state_hash(state: &impl State) -> u64 {
+    let mut h = Fnv64::new();
+    state.write_state(&mut h);
+    h.finish()
+}
+
+/// The checkpoint payload of `state`: its walk over a fresh writer.
+#[must_use]
+pub fn state_bytes(state: &impl State) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    state.write_state(&mut w);
+    w.into_bytes()
+}
+
+/// Test support: asserts the two laws every [`State`] impl owes its
+/// hand-written inverse, given a `populated` instance and a `blank`
+/// that rebuilds an empty one of the same build-time shape (what
+/// restore starts from). It lives here, not in a test-support crate,
+/// so that every layer — this one included — can call it from its own
+/// round-trip tests; `mafic_netsim::testkit` re-exports it.
+///
+/// 1. **Round trip.** `write → read → write` is byte-identical, the
+///    read consumes the whole payload, and the restored instance
+///    hashes like the original.
+/// 2. **No panic on hostile bytes.** Every truncation prefix, a fixed
+///    set of single-bit flips, and a `0xFF 0xFF` and a `u64::MAX` stamp
+///    at every offset each make `read_state` *return* — `Ok` or a named
+///    [`SnapError`] — on a fresh blank.
+///
+/// # Panics
+///
+/// Panics when a law is broken (that is its job), naming which.
+pub fn assert_state_law<S: State>(populated: &S, blank: impl Fn() -> S) {
+    let bytes = state_bytes(populated);
+    let mut restored = blank();
+    let mut r = SnapReader::new(&bytes);
+    if let Err(e) = restored.read_state(&mut r) {
+        panic!("state law: a type must read back its own payload: {e}");
+    }
+    assert!(
+        r.is_empty(),
+        "state law: read_state left {} of {} bytes unread",
+        r.remaining(),
+        bytes.len()
+    );
+    assert!(
+        state_bytes(&restored) == bytes,
+        "state law: write -> read -> write is not byte-identical"
+    );
+    assert_eq!(
+        state_hash(&restored),
+        state_hash(populated),
+        "state law: the restored instance hashes differently"
+    );
+
+    let survive = |payload: &[u8]| {
+        let _ = blank().read_state(&mut SnapReader::new(payload));
+    };
+    for cut in 0..bytes.len() {
+        survive(&bytes[..cut]);
+    }
+    let mut doctored = bytes.clone();
+    for flip in 0..256.min(bytes.len()) {
+        // A fixed stream of positions; it need not be a good one.
+        let bit = fnv64(&flip.to_le_bytes()) as usize % (bytes.len() * 8);
+        doctored[bit / 8] ^= 1 << (bit % 8);
+        survive(&doctored);
+        doctored[bit / 8] = bytes[bit / 8];
+    }
+    // Long payloads are stamped on a stride: the cost is quadratic.
+    let stride = bytes.len() / 2048 + 1;
+    for width in [2, 8] {
+        for at in (0..bytes.len().saturating_sub(width - 1)).step_by(stride) {
+            doctored[at..at + width].fill(0xFF);
+            survive(&doctored);
+            doctored[at..at + width].copy_from_slice(&bytes[at..at + width]);
+        }
+    }
+}
+
+/// The object-safe face of [`State`]: one hook per sink, so a walk
+/// reached through `dyn PacketFilter` / `dyn Agent` still runs every
+/// primitive write statically dispatched. Never implemented by hand —
+/// the blanket impl below gives it to every `State` type, which is why
+/// a stateful filter cannot forget to be hashed.
+pub trait DynState {
+    /// Folds the state into the run-ledger hash
+    /// ([`State::write_state`] over the hasher).
+    fn hash_state(&self, h: &mut Fnv64);
+
+    /// Serializes the state into a checkpoint payload
+    /// ([`State::write_state`] over the writer).
+    fn snap_save(&self, w: &mut SnapWriter);
+
+    /// Overlays a payload written by [`DynState::snap_save`]
+    /// ([`State::read_state`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError`] if the payload is truncated or malformed.
+    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+impl<T: State> DynState for T {
+    fn hash_state(&self, h: &mut Fnv64) {
+        self.write_state(h);
+    }
+
+    fn snap_save(&self, w: &mut SnapWriter) {
+        self.write_state(w);
+    }
+
+    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.read_state(r)
+    }
 }

@@ -1,7 +1,7 @@
 //! The control channel: where inter-domain pushback packets land.
 
 use mafic_netsim::{Agent, AgentCtx, ControlMsg, Packet, PacketKind, SimTime};
-use mafic_obs::{SnapError, SnapReader, SnapWriter, State, StateWrite};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 
 /// The agent bound to a domain's control address.
 ///
@@ -68,22 +68,18 @@ impl State for ControlChannel {
             w.write_u64(self.forged_dropped);
         };
         w.hash_only(counters);
-        w.write_usize(self.inbox.len());
-        for (at, msg) in &self.inbox {
+        w.write_seq(&self.inbox, |w, (at, msg)| {
             w.write_u64(at.as_nanos());
             msg.write_state(w);
-        }
+        });
         w.snap_only(counters);
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.read_len()?;
-        self.inbox = Vec::with_capacity(n);
-        for _ in 0..n {
+        self.inbox = r.read_seq(|r| {
             let at = SimTime::from_nanos(r.read_u64()?);
-            let msg = mafic_netsim::read_control_msg(r)?;
-            self.inbox.push((at, msg));
-        }
+            Ok((at, mafic_netsim::read_control_msg(r)?))
+        })?;
         self.received_total = r.read_u64()?;
         self.forged_dropped = r.read_u64()?;
         Ok(())
@@ -103,20 +99,12 @@ impl Agent for ControlChannel {
             self.received_total += 1;
         }
     }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
-        self.write_state(w);
-    }
-
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.read_state(r)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::{state_bytes, state_hash, AgentHarness};
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash, AgentHarness};
     use mafic_netsim::{Addr, ControlVerb, FlowKey, Provenance, RequesterId};
 
     const CTRL_SRC: Addr = Addr::new(0x0BFA_0001);
@@ -260,10 +248,11 @@ mod tests {
             &mut ch,
             push_pkt(CTRL_SRC, envelope(2, ControlVerb::Stop { victim })),
         );
+        assert_state_law(&ch, ControlChannel::new);
         let bytes = state_bytes(&ch);
         let mut restored = ControlChannel::new();
         let mut r = SnapReader::new(&bytes);
-        restored.snap_restore(&mut r).expect("restore succeeds");
+        restored.read_state(&mut r).expect("restore succeeds");
         assert!(r.is_empty());
         assert_eq!(state_hash(&ch), state_hash(&restored));
         // Pinned layouts: a checkpoint leads with the inbox length, the
@@ -284,12 +273,12 @@ mod tests {
     fn snapshot_with_a_hostile_inbox_count_is_truncated_not_a_panic() {
         // Section checksums are recomputable, so the count is attacker
         // controlled: it must bound neither an allocation nor the run.
-        let mut w = SnapWriter::new();
+        let mut w = mafic_obs::SnapWriter::new();
         w.write_u64(u64::MAX >> 2);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         let err = ControlChannel::new()
-            .snap_restore(&mut r)
+            .read_state(&mut r)
             .expect_err("no envelope follows the count");
         assert!(matches!(err, SnapError::Truncated), "{err}");
     }

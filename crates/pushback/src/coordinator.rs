@@ -77,9 +77,7 @@
 
 use crate::plane::ControlPlane;
 use crate::trust::{TrustConfig, TrustLedger};
-use mafic_netsim::{
-    read_opt_addr, write_opt_addr, Addr, ControlMsg, ControlVerb, DenyReason, RequesterId,
-};
+use mafic_netsim::{Addr, ControlMsg, ControlVerb, DenyReason, RequesterId};
 use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -459,6 +457,7 @@ impl DomainCoordinator {
 
     /// Victim-domain entry point: the local defense stood down for an
     /// external reason. Withdraws any escalated upstream defense.
+    #[cfg(test)]
     pub fn local_stop(&mut self, plane: &mut dyn ControlPlane) {
         if !self.is_defending() {
             return;
@@ -829,25 +828,21 @@ impl State for DomainCoordinator {
             LifecycleState::Escalated => 2,
             LifecycleState::StandingDown => 3,
         });
-        write_opt_addr(self.victim, w);
+        w.write_opt(self.victim, |w, addr| w.write_u32(addr.as_u32()));
         w.write_u8(self.budget);
         w.write_u32(self.above);
         w.write_u32(self.healthy);
         w.write_u32(self.since_refresh);
         w.write_u32(self.since_heard);
         w.write_u64(self.next_nonce);
-        w.write_usize(self.denied_by.len());
-        for id in &self.denied_by {
-            w.write_u32(id.addr().as_u32());
-        }
+        w.write_seq(&self.denied_by, |w, id| w.write_u32(id.addr().as_u32()));
         w.write_u32(self.since_report);
-        write_opt_addr(self.lessor.map(RequesterId::addr), w);
-        w.write_usize(self.reports.len());
-        for (id, (aggregate, age)) in &self.reports {
+        w.write_opt(self.lessor, |w, id| w.write_u32(id.addr().as_u32()));
+        w.write_seq(&self.reports, |w, (id, (aggregate, age))| {
             w.write_u32(id.addr().as_u32());
             w.write_u64(*aggregate);
             w.write_u32(*age);
-        }
+        });
         w.write_f64(self.observed_sources);
         self.ledger.write_state(w);
         w.write_u64(self.stats.requests_sent);
@@ -866,28 +861,18 @@ impl State for DomainCoordinator {
             3 => LifecycleState::StandingDown,
             tag => return Err(SnapError::Malformed(format!("lifecycle tag {tag}"))),
         };
-        self.victim = read_opt_addr(r, "victim")?;
+        let requester = |r: &mut SnapReader<'_>| Ok(RequesterId::new(Addr::new(r.read_u32()?)));
+        self.victim = r.read_opt("victim", |r| r.read_u32().map(Addr::new))?;
         self.budget = r.read_u8()?;
         self.above = r.read_u32()?;
         self.healthy = r.read_u32()?;
         self.since_refresh = r.read_u32()?;
         self.since_heard = r.read_u32()?;
         self.next_nonce = r.read_u64()?;
-        let denied = r.read_len()?;
-        self.denied_by = Vec::with_capacity(denied);
-        for _ in 0..denied {
-            self.denied_by
-                .push(RequesterId::new(Addr::new(r.read_u32()?)));
-        }
+        self.denied_by = r.read_seq(requester)?;
         self.since_report = r.read_u32()?;
-        self.lessor = read_opt_addr(r, "lessor")?.map(RequesterId::new);
-        self.reports = BTreeMap::new();
-        for _ in 0..r.read_len()? {
-            let id = RequesterId::new(Addr::new(r.read_u32()?));
-            let aggregate = r.read_u64()?;
-            let age = r.read_u32()?;
-            self.reports.insert(id, (aggregate, age));
-        }
+        self.lessor = r.read_opt("lessor", requester)?;
+        self.reports = r.read_seq(|r| Ok((requester(r)?, (r.read_u64()?, r.read_u32()?))))?;
         self.observed_sources = r.read_f64()?;
         self.ledger.read_state(r)?;
         self.stats.requests_sent = r.read_u64()?;
@@ -904,7 +889,7 @@ impl State for DomainCoordinator {
 mod tests {
     use super::*;
     use crate::plane::BufferedPlane;
-    use mafic_netsim::testkit::{state_bytes, state_hash};
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash};
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001);
 
@@ -1869,9 +1854,14 @@ mod tests {
         let bytes = state_bytes(&c);
         // Restore into a freshly built coordinator with the same
         // build-time wiring — the rebuild-and-overlay contract.
-        let mut restored = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
-        restored.trust_upstream(identity(1));
-        restored.trust_upstream(identity(2));
+        let blank = || {
+            let mut blank = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
+            blank.trust_upstream(identity(1));
+            blank.trust_upstream(identity(2));
+            blank
+        };
+        assert_state_law(&c, blank);
+        let mut restored = blank();
         let mut r = mafic_obs::SnapReader::new(&bytes);
         restored.read_state(&mut r).expect("restore succeeds");
         assert!(r.is_empty(), "payload fully consumed");

@@ -1,7 +1,7 @@
 //! Victim-bound rate metering at an Attack Transit Router.
 
 use mafic_netsim::{Addr, FilterAction, FilterCtx, Packet, PacketEnv, PacketFilter};
-use mafic_obs::{Fnv64, SnapError, SnapReader, SnapWriter, State, StateWrite};
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 
 /// A passive filter counting victim-bound bytes and packets.
 ///
@@ -89,24 +89,12 @@ impl PacketFilter for VictimRateMeter {
         }
         FilterAction::Forward
     }
-
-    fn hash_state(&self, h: &mut Fnv64) {
-        self.write_state(h);
-    }
-
-    fn snap_save(&self, w: &mut SnapWriter) {
-        self.write_state(w);
-    }
-
-    fn snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.read_state(r)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::{state_bytes, state_hash, FilterHarness};
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash, FilterHarness};
     use mafic_netsim::{FlowKey, PacketKind, Provenance, SimTime};
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001);
@@ -155,16 +143,17 @@ mod tests {
         let mut m = VictimRateMeter::new(VICTIM);
         let _ = h.offer_transit(&mut m, &pkt(VICTIM, 500));
         let _ = h.offer_transit(&mut m, &pkt(VICTIM, 300));
+        assert_state_law(&m, || VictimRateMeter::new(VICTIM));
         let bytes = state_bytes(&m);
         let mut restored = VictimRateMeter::new(VICTIM);
         let mut r = SnapReader::new(&bytes);
-        restored.snap_restore(&mut r).expect("restore succeeds");
+        restored.read_state(&mut r).expect("restore succeeds");
         assert!(r.is_empty());
         assert_eq!(state_hash(&m), state_hash(&restored));
         // The victim is configuration: hashed, and not in `bytes`.
         let mut elsewhere = VictimRateMeter::new(Addr::new(7));
         elsewhere
-            .snap_restore(&mut SnapReader::new(&bytes))
+            .read_state(&mut SnapReader::new(&bytes))
             .expect("restore succeeds");
         assert_ne!(state_hash(&m), state_hash(&elsewhere));
         assert_eq!(restored.take_window(), (800, 2), "window survives intact");

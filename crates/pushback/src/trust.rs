@@ -309,21 +309,19 @@ impl State for TrustLedger {
             h.write_f64(self.config.attestation_fraction);
             counters(h);
         });
-        w.write_usize(self.requesters.len());
         // BTreeMap iterates in sorted RequesterId order — deterministic.
-        for (id, state) in &self.requesters {
+        w.write_seq(&self.requesters, |w, (id, state)| {
             w.write_u32(id.addr().as_u32());
             w.write_bool(state.authorized);
             w.write_bool(state.upstream);
             w.write_u64(state.last_nonce);
             w.write_u32(state.installs);
-        }
+        });
         w.snap_only(counters);
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.requesters = BTreeMap::new();
-        for _ in 0..r.read_len()? {
+        self.requesters = r.read_seq(|r| {
             let id = RequesterId::new(Addr::new(r.read_u32()?));
             let state = RequesterState {
                 authorized: r.read_bool()?,
@@ -331,8 +329,8 @@ impl State for TrustLedger {
                 last_nonce: r.read_u64()?,
                 installs: r.read_u32()?,
             };
-            self.requesters.insert(id, state);
-        }
+            Ok((id, state))
+        })?;
         self.granted_installs = r.read_u64()?;
         self.denies.bad_version = r.read_u64()?;
         self.denies.untrusted = r.read_u64()?;
@@ -346,7 +344,7 @@ impl State for TrustLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::{state_bytes, state_hash};
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash};
     use mafic_netsim::{Addr, ControlVerb};
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001);
@@ -553,8 +551,13 @@ mod tests {
             Err(DenyReason::Replayed)
         );
         let bytes = state_bytes(&l);
-        let mut restored = TrustLedger::new(TrustConfig::default());
-        restored.authorize(requester());
+        let blank = || {
+            let mut blank = TrustLedger::new(TrustConfig::default());
+            blank.authorize(requester());
+            blank
+        };
+        assert_state_law(&l, blank);
+        let mut restored = blank();
         let mut r = mafic_obs::SnapReader::new(&bytes);
         restored.read_state(&mut r).expect("restore succeeds");
         assert!(r.is_empty());

@@ -346,6 +346,7 @@ impl Internet {
     }
 
     /// Deepest pushback level in this internet (source stubs included).
+    #[cfg(test)]
     #[must_use]
     pub fn max_level(&self) -> u32 {
         self.domains.iter().map(|d| d.level).max().unwrap_or(0)

@@ -13,7 +13,8 @@
 //! is recorded only in the packet provenance.
 
 use mafic_netsim::{
-    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime, StateWrite as _,
+    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime, SnapError,
+    SnapReader, State, StateWrite,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -271,64 +272,32 @@ impl Agent for UnresponsiveSender {
         }
         self.schedule_next(ctx);
     }
+}
 
-    fn snap_save(&self, w: &mut mafic_netsim::SnapWriter) {
-        for word in self.rng.state() {
-            w.write_u64(word);
-        }
+impl State for UnresponsiveSender {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.write_rng(self.rng.state());
         w.write_u64(self.seq);
         w.write_u64(self.sent);
         w.write_u64(self.ignored_inbound);
-        match self.stop_after {
-            None => w.write_u8(0),
-            Some(t) => {
-                w.write_u8(1);
-                w.write_u64(t.as_nanos());
-            }
-        }
-        match self.second_wave {
-            None => w.write_u8(0),
-            Some((resume, stop)) => {
-                w.write_u8(1);
-                w.write_u64(resume.as_nanos());
-                w.write_u64(stop.as_nanos());
-            }
-        }
+        w.write_opt(self.stop_after, |w, t| w.write_u64(t.as_nanos()));
+        w.write_opt(self.second_wave, |w, (resume, stop)| {
+            w.write_u64(resume.as_nanos());
+            w.write_u64(stop.as_nanos());
+        });
         w.write_u64(self.timer_token);
         w.write_bool(self.paused);
         w.write_u32(self.rate_scale_milli);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_netsim::SnapReader<'_>,
-    ) -> Result<(), mafic_netsim::SnapError> {
-        let state = [r.read_u64()?, r.read_u64()?, r.read_u64()?, r.read_u64()?];
-        self.rng = SmallRng::from_state(state);
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let instant = |r: &mut SnapReader<'_>| r.read_u64().map(SimTime::from_nanos);
+        self.rng = r.read_rng(SmallRng::from_state)?;
         self.seq = r.read_u64()?;
         self.sent = r.read_u64()?;
         self.ignored_inbound = r.read_u64()?;
-        self.stop_after = match r.read_u8()? {
-            0 => None,
-            1 => Some(SimTime::from_nanos(r.read_u64()?)),
-            tag => {
-                return Err(mafic_netsim::SnapError::Malformed(format!(
-                    "stop-after tag {tag}"
-                )))
-            }
-        };
-        self.second_wave = match r.read_u8()? {
-            0 => None,
-            1 => Some((
-                SimTime::from_nanos(r.read_u64()?),
-                SimTime::from_nanos(r.read_u64()?),
-            )),
-            tag => {
-                return Err(mafic_netsim::SnapError::Malformed(format!(
-                    "second-wave tag {tag}"
-                )))
-            }
-        };
+        self.stop_after = r.read_opt("stop-after", instant)?;
+        self.second_wave = r.read_opt("second-wave", |r| Ok((instant(r)?, instant(r)?)))?;
         self.timer_token = r.read_u64()?;
         self.paused = r.read_bool()?;
         self.rate_scale_milli = r.read_u32()?;
@@ -339,7 +308,7 @@ impl Agent for UnresponsiveSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::AgentHarness;
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, AgentHarness};
     use mafic_netsim::Addr;
 
     fn key() -> FlowKey {
@@ -535,12 +504,13 @@ mod tests {
         let _ = h.start(&mut s);
         s.set_paused(true);
         s.set_rate_scale_milli(1500);
-        let mut w = mafic_netsim::SnapWriter::new();
-        s.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        s.set_stop_after(SimTime::from_secs_f64(2.0));
+        s.set_second_wave(SimTime::from_secs_f64(3.0), SimTime::from_secs_f64(4.0));
+        assert_state_law(&s, || sender(CbrProtocol::Udp, 0.2));
+        let bytes = state_bytes(&s);
         let mut restored = sender(CbrProtocol::Udp, 0.2);
         let mut r = mafic_netsim::SnapReader::new(&bytes);
-        restored.snap_restore(&mut r).expect("restore");
+        restored.read_state(&mut r).expect("restore");
         assert!(r.is_empty());
         assert!(restored.paused());
         assert_eq!(restored.rate_scale_milli(), 1500);

@@ -11,7 +11,8 @@
 //! counter-measure.
 
 use mafic_netsim::{
-    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime, StateWrite as _,
+    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime, SnapError,
+    SnapReader, State, StateWrite,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -71,6 +72,7 @@ impl PulseConfig {
     }
 
     /// Average rate over a full period (packets/s).
+    #[cfg(test)]
     #[must_use]
     pub fn mean_rate_pps(&self) -> f64 {
         let period = self.period().as_secs_f64();
@@ -220,11 +222,11 @@ impl Agent for PulsedSender {
             }
         }
     }
+}
 
-    fn snap_save(&self, w: &mut mafic_netsim::SnapWriter) {
-        for word in self.rng.state() {
-            w.write_u64(word);
-        }
+impl State for PulsedSender {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.write_rng(self.rng.state());
         w.write_u8(match self.phase {
             Phase::Bursting => 0,
             Phase::Idle => 1,
@@ -232,60 +234,25 @@ impl Agent for PulsedSender {
         w.write_u64(self.seq);
         w.write_u64(self.sent);
         w.write_u64(self.bursts_completed);
-        match self.stop_after {
-            None => w.write_u8(0),
-            Some(t) => {
-                w.write_u8(1);
-                w.write_u64(t.as_nanos());
-            }
-        }
+        w.write_opt(self.stop_after, |w, t| w.write_u64(t.as_nanos()));
         w.write_u64(self.timer_token);
-        match self.burst_deadline {
-            None => w.write_u8(0),
-            Some(t) => {
-                w.write_u8(1);
-                w.write_u64(t.as_nanos());
-            }
-        }
+        w.write_opt(self.burst_deadline, |w, t| w.write_u64(t.as_nanos()));
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_netsim::SnapReader<'_>,
-    ) -> Result<(), mafic_netsim::SnapError> {
-        let state = [r.read_u64()?, r.read_u64()?, r.read_u64()?, r.read_u64()?];
-        self.rng = SmallRng::from_state(state);
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let instant = |r: &mut SnapReader<'_>| r.read_u64().map(SimTime::from_nanos);
+        self.rng = r.read_rng(SmallRng::from_state)?;
         self.phase = match r.read_u8()? {
             0 => Phase::Bursting,
             1 => Phase::Idle,
-            tag => {
-                return Err(mafic_netsim::SnapError::Malformed(format!(
-                    "pulse-phase tag {tag}"
-                )))
-            }
+            tag => return Err(SnapError::Malformed(format!("pulse-phase tag {tag}"))),
         };
         self.seq = r.read_u64()?;
         self.sent = r.read_u64()?;
         self.bursts_completed = r.read_u64()?;
-        self.stop_after = match r.read_u8()? {
-            0 => None,
-            1 => Some(SimTime::from_nanos(r.read_u64()?)),
-            tag => {
-                return Err(mafic_netsim::SnapError::Malformed(format!(
-                    "stop-after tag {tag}"
-                )))
-            }
-        };
+        self.stop_after = r.read_opt("stop-after", instant)?;
         self.timer_token = r.read_u64()?;
-        self.burst_deadline = match r.read_u8()? {
-            0 => None,
-            1 => Some(SimTime::from_nanos(r.read_u64()?)),
-            tag => {
-                return Err(mafic_netsim::SnapError::Malformed(format!(
-                    "burst-deadline tag {tag}"
-                )))
-            }
-        };
+        self.burst_deadline = r.read_opt("burst-deadline", instant)?;
         Ok(())
     }
 }
@@ -293,7 +260,7 @@ impl Agent for PulsedSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::AgentHarness;
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, AgentHarness};
     use mafic_netsim::Addr;
 
     fn key() -> FlowKey {
@@ -372,6 +339,38 @@ mod tests {
         let fx2 = h.fire_timer(&mut s, fx.timers[0].1);
         assert!(fx2.sent.is_empty());
         assert!(fx2.timers.is_empty());
+    }
+
+    #[test]
+    fn snapshot_round_trips_mid_burst() {
+        let mut h = AgentHarness::new();
+        let mut s = PulsedSender::new(key(), config(), 3);
+        s.set_stop_after(SimTime::from_secs_f64(9.0));
+        let fx = h.start(&mut s);
+        // The first timer opens a burst; two more ticks send inside it.
+        let mut token = fx.timers[0].1;
+        for _ in 0..3 {
+            h.advance(SimDuration::from_millis(10));
+            token = h.fire_timer(&mut s, token).timers[0].1;
+        }
+        assert_eq!(s.phase, Phase::Bursting);
+        assert!(s.burst_deadline.is_some() && s.sent == 3);
+        assert_state_law(&s, || PulsedSender::new(key(), config(), 99));
+
+        let mut restored = PulsedSender::new(key(), config(), 99);
+        let bytes = state_bytes(&s);
+        restored.read_state(&mut SnapReader::new(&bytes)).unwrap();
+        // Both finish the burst on the same tick and go idle together.
+        for _ in 0..12 {
+            h.advance(SimDuration::from_millis(10));
+            let a = h.fire_timer(&mut s, token);
+            let b = h.fire_timer(&mut restored, token);
+            assert_eq!(a.sent.len(), b.sent.len());
+            assert_eq!(a.timers, b.timers);
+            token = a.timers[0].1;
+        }
+        assert_eq!(restored.bursts_completed(), 1);
+        assert_eq!(state_bytes(&restored), state_bytes(&s));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! RTT estimation (Jacobson/Karels smoothing) for the TCP agents.
 
-use mafic_netsim::{SimDuration, StateWrite as _};
+use mafic_netsim::{SimDuration, SnapError, SnapReader, State, StateWrite};
 
 /// Smoothed RTT estimator producing retransmission timeouts.
 ///
@@ -85,34 +85,19 @@ impl RttEstimator {
     pub fn backoff(&mut self) {
         self.rto = (self.rto * 2).min(self.max_rto);
     }
+}
 
-    // Snapshot codecs for the mutable estimator state; the clamping
-    // bounds are construction-time configuration.
-    pub(crate) fn snap_save(&self, w: &mut mafic_netsim::SnapWriter) {
-        match self.srtt {
-            None => w.write_u8(0),
-            Some(s) => {
-                w.write_u8(1);
-                w.write_u64(s.as_nanos());
-            }
-        }
+/// The mutable estimator state; the clamping bounds are
+/// construction-time configuration.
+impl State for RttEstimator {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        w.write_opt(self.srtt, |w, s| w.write_u64(s.as_nanos()));
         w.write_u64(self.rttvar.as_nanos());
         w.write_u64(self.rto.as_nanos());
     }
 
-    pub(crate) fn snap_restore(
-        &mut self,
-        r: &mut mafic_netsim::SnapReader<'_>,
-    ) -> Result<(), mafic_netsim::SnapError> {
-        self.srtt = match r.read_u8()? {
-            0 => None,
-            1 => Some(SimDuration::from_nanos(r.read_u64()?)),
-            tag => {
-                return Err(mafic_netsim::SnapError::Malformed(format!(
-                    "srtt tag {tag}"
-                )))
-            }
-        };
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.srtt = r.read_opt("srtt", |r| r.read_u64().map(SimDuration::from_nanos))?;
         self.rttvar = SimDuration::from_nanos(r.read_u64()?);
         self.rto = SimDuration::from_nanos(r.read_u64()?);
         Ok(())

@@ -14,7 +14,8 @@
 
 use crate::rtt::RttEstimator;
 use mafic_netsim::{
-    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime, StateWrite as _,
+    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime, SnapError,
+    SnapReader, State, StateWrite,
 };
 
 /// Tunables for [`TcpSender`].
@@ -379,16 +380,12 @@ impl Agent for TcpSender {
         self.retransmit_head(ctx);
         self.arm_rto(ctx);
     }
+}
 
-    fn snap_save(&self, w: &mut mafic_netsim::SnapWriter) {
+impl State for TcpSender {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_bool(self.started);
-        match self.stop_after {
-            None => w.write_u8(0),
-            Some(t) => {
-                w.write_u8(1);
-                w.write_u64(t.as_nanos());
-            }
-        }
+        w.write_opt(self.stop_after, |w, t| w.write_u64(t.as_nanos()));
         w.write_u64(self.next_seq);
         w.write_u64(self.snd_una);
         w.write_f64(self.cwnd);
@@ -396,7 +393,7 @@ impl Agent for TcpSender {
         w.write_u32(self.dup_acks);
         w.write_u64(self.recover);
         w.write_bool(self.in_fast_recovery);
-        self.rtt.snap_save(w);
+        self.rtt.write_state(w);
         w.write_u64(self.last_peer_ts.as_nanos());
         w.write_u64(self.rto_generation);
         w.write_u64(self.data_sent);
@@ -405,28 +402,37 @@ impl Agent for TcpSender {
         w.write_u64(self.probes_received);
     }
 
-    fn snap_restore(
-        &mut self,
-        r: &mut mafic_netsim::SnapReader<'_>,
-    ) -> Result<(), mafic_netsim::SnapError> {
-        self.started = r.read_bool()?;
-        self.stop_after = match r.read_u8()? {
-            0 => None,
-            1 => Some(SimTime::from_nanos(r.read_u64()?)),
-            tag => {
-                return Err(mafic_netsim::SnapError::Malformed(format!(
-                    "stop-after tag {tag}"
-                )))
+    /// The window fields size the burst `send_window` emits, so they are
+    /// held to what the sender's own arithmetic can produce: `cwnd` in
+    /// `[1, max(max_cwnd, 2)]`, `ssthresh` likewise or still at its
+    /// configured initial value, and `snd_una <= next_seq`.
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let window = |r: &mut SnapReader<'_>, what: &str, max: f64| {
+            let v = r.read_f64()?;
+            if (1.0..=max).contains(&v) {
+                return Ok(v);
             }
+            Err(SnapError::Malformed(format!(
+                "{what} {v} outside [1, {max}]"
+            )))
         };
+        let max_cwnd = self.config.max_cwnd.max(2.0);
+        self.started = r.read_bool()?;
+        self.stop_after = r.read_opt("stop-after", |r| r.read_u64().map(SimTime::from_nanos))?;
         self.next_seq = r.read_u64()?;
         self.snd_una = r.read_u64()?;
-        self.cwnd = r.read_f64()?;
-        self.ssthresh = r.read_f64()?;
+        if self.snd_una > self.next_seq {
+            return Err(SnapError::Malformed(format!(
+                "snd_una {} beyond next_seq {}",
+                self.snd_una, self.next_seq
+            )));
+        }
+        self.cwnd = window(r, "cwnd", max_cwnd)?;
+        self.ssthresh = window(r, "ssthresh", max_cwnd.max(self.config.initial_ssthresh))?;
         self.dup_acks = r.read_u32()?;
         self.recover = r.read_u64()?;
         self.in_fast_recovery = r.read_bool()?;
-        self.rtt.snap_restore(r)?;
+        self.rtt.read_state(r)?;
         self.last_peer_ts = SimTime::from_nanos(r.read_u64()?);
         self.rto_generation = r.read_u64()?;
         self.data_sent = r.read_u64()?;
@@ -440,7 +446,7 @@ impl Agent for TcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::testkit::AgentHarness;
+    use mafic_netsim::testkit::{assert_state_law, state_bytes, AgentHarness};
     use mafic_netsim::{Addr, AgentId};
 
     fn key() -> FlowKey {
@@ -634,6 +640,9 @@ mod tests {
         // RTT sample = 80ms - 10ms = 70ms.
         assert!(s.rtt.srtt().is_some());
         assert_eq!(s.rtt.srtt().unwrap(), SimDuration::from_millis(70));
+        // With a sample taken the estimator's option is `Some`.
+        assert_state_law(&s.rtt, || sender().rtt);
+        assert_state_law(&s, sender);
     }
 
     #[test]
@@ -670,13 +679,12 @@ mod tests {
         h.advance(SimDuration::from_millis(50));
         let _ = h.deliver(&mut s, ack_packet(2, h.now));
         let _ = h.deliver(&mut s, probe_packet(3, h.now));
-        let mut w = mafic_netsim::SnapWriter::new();
-        s.snap_save(&mut w);
-        let bytes = w.into_bytes();
+        assert_state_law(&s, sender);
+        let bytes = state_bytes(&s);
 
         let mut g = sender();
         let mut r = mafic_netsim::SnapReader::new(&bytes);
-        g.snap_restore(&mut r).expect("restore");
+        g.read_state(&mut r).expect("restore");
         assert!(r.is_empty(), "trailing bytes");
         assert_eq!(g.cwnd(), s.cwnd());
         assert_eq!(g.ssthresh(), s.ssthresh());
@@ -691,6 +699,48 @@ mod tests {
         let gx = h2.deliver(&mut g, ack_packet(recover_point, h2.now));
         assert_eq!(fx.sent.len(), gx.sent.len());
         assert_eq!(s.cwnd(), g.cwnd());
+    }
+
+    #[test]
+    fn restore_rejects_a_window_the_sender_could_not_have_produced() {
+        let mut h = AgentHarness::new();
+        let mut s = sender();
+        let _ = h.start(&mut s);
+        let honest = state_bytes(&s);
+        // Payload layout: started (1 byte), stop-after tag (1),
+        // next_seq, snd_una, cwnd, ssthresh (8 each).
+        let (snd_una, cwnd, ssthresh) = (10, 18, 26);
+        for (at, value, field) in [
+            // A restored 1e12-segment window made `send_window` emit
+            // packets until the allocator gave up.
+            (cwnd, 1e12f64.to_bits(), "cwnd"),
+            (cwnd, f64::NAN.to_bits(), "cwnd"),
+            (cwnd, 0.5f64.to_bits(), "cwnd"),
+            (ssthresh, f64::INFINITY.to_bits(), "ssthresh"),
+            (snd_una, u64::MAX, "snd_una"),
+        ] {
+            let mut doctored = honest.clone();
+            doctored[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            match sender().read_state(&mut SnapReader::new(&doctored)) {
+                Err(SnapError::Malformed(why)) => assert!(why.contains(field), "{why}"),
+                other => panic!("doctored {field} at byte {at}: {other:?}"),
+            }
+        }
+        sender()
+            .read_state(&mut SnapReader::new(&honest))
+            .expect("the honest payload still restores");
+        // A window capped below the default initial ssthresh (cross
+        // traffic is built that way) is honest and must restore.
+        let capped = || {
+            let config = TcpConfig {
+                max_cwnd: 2.0,
+                ..TcpConfig::default()
+            };
+            TcpSender::new(key(), config, false)
+        };
+        let mut slow = capped();
+        let _ = h.start(&mut slow);
+        assert_state_law(&slow, capped);
     }
 
     #[test]

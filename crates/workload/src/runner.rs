@@ -584,7 +584,7 @@ fn drain_meters(sim: &mut Simulator, plan: &mut PushbackPlan, d: usize) -> Drain
 const TRACE_TAIL_EVENTS: usize = 32;
 
 /// Hashes the filters at `slots` through their own
-/// [`mafic_netsim::PacketFilter::hash_state`] hooks.
+/// [`mafic_obs::DynState::hash_state`] hooks.
 fn hash_filters<'a>(
     sim: &Simulator,
     slots: impl IntoIterator<Item = &'a (NodeId, usize)>,
@@ -793,29 +793,22 @@ impl RunState {
     /// ledger builder have sections of their own; `attack_sources` is
     /// build-time wiring.
     fn write_state<W: StateWrite>(&self, w: &mut W) {
-        let baselines = self.detector.baselines();
-        w.write_usize(baselines.len());
-        for b in baselines {
-            w.write_f64(*b);
-        }
+        let instant = |w: &mut W, t: SimTime| w.write_u64(t.as_nanos());
+        w.write_seq(self.detector.baselines(), |w, b| w.write_f64(*b));
         w.write_u64(self.detector.rounds());
-        write_opt_nanos(w, self.triggered_at.map(SimTime::as_nanos));
-        write_opt_nanos(w, self.first_triggered_at.map(SimTime::as_nanos));
-        write_opt_nanos(w, self.fallback.map(SimDuration::as_nanos));
-        w.write_usize(self.atr_nodes.len());
-        for n in &self.atr_nodes {
-            w.write_u32(n.index() as u32);
-        }
-        w.write_usize(self.escalations.len());
-        for &(at, d) in &self.escalations {
+        w.write_opt(self.triggered_at, instant);
+        w.write_opt(self.first_triggered_at, instant);
+        w.write_opt(self.fallback, |w, d| w.write_u64(d.as_nanos()));
+        w.write_seq(&self.atr_nodes, |w, n| w.write_u32(n.index() as u32));
+        w.write_seq(&self.escalations, |w, &(at, d)| {
             w.write_u64(at.as_nanos());
             w.write_usize(d);
-        }
+        });
         w.write_u32(self.max_pushback_depth);
         w.write_u64(self.acct.requests_injected);
         w.write_u64(self.acct.malicious_requests);
-        write_opt_nanos(w, self.acct.stood_down_at.map(SimTime::as_nanos));
-        write_opt_nanos(w, self.acct.teardown_done_at.map(SimTime::as_nanos));
+        w.write_opt(self.acct.stood_down_at, instant);
+        w.write_opt(self.acct.teardown_done_at, instant);
         w.write_bool(self.acct.defense_down);
         w.write_u64(self.scratch.drains);
         w.write_u64(self.sketch_recycles);
@@ -833,33 +826,19 @@ impl RunState {
     /// Overlays a `workload/run` payload onto the fresh state of the
     /// rebuilt `scenario` (which sizes the harvest slots).
     fn read_state(&mut self, r: &mut SnapReader<'_>, scenario: &Scenario) -> Result<(), SnapError> {
-        let n_baselines = r.read_len()?;
-        let mut baselines = Vec::with_capacity(n_baselines);
-        for _ in 0..n_baselines {
-            baselines.push(r.read_f64()?);
-        }
-        let rounds = r.read_u64()?;
-        self.detector.restore_parts(baselines, rounds);
-        self.triggered_at = read_opt_nanos(r)?.map(SimTime::from_nanos);
-        self.first_triggered_at = read_opt_nanos(r)?.map(SimTime::from_nanos);
-        self.fallback = read_opt_nanos(r)?.map(SimDuration::from_nanos);
-        let n_atrs = r.read_len()?;
-        self.atr_nodes = Vec::with_capacity(n_atrs);
-        for _ in 0..n_atrs {
-            self.atr_nodes
-                .push(NodeId::from_index(r.read_u32()? as usize));
-        }
-        let n_escalations = r.read_len()?;
-        self.escalations = Vec::with_capacity(n_escalations);
-        for _ in 0..n_escalations {
-            let at = SimTime::from_nanos(r.read_u64()?);
-            self.escalations.push((at, r.read_usize()?));
-        }
+        let instant = |r: &mut SnapReader<'_>| r.read_u64().map(SimTime::from_nanos);
+        let baselines = r.read_seq(|r| r.read_f64())?;
+        self.detector.restore_parts(baselines, r.read_u64()?);
+        self.triggered_at = r.read_opt("triggered-at", instant)?;
+        self.first_triggered_at = r.read_opt("first-triggered-at", instant)?;
+        self.fallback = r.read_opt("fallback", |r| r.read_u64().map(SimDuration::from_nanos))?;
+        self.atr_nodes = r.read_seq(|r| Ok(NodeId::from_index(r.read_u32()? as usize)))?;
+        self.escalations = r.read_seq(|r| Ok((instant(r)?, r.read_usize()?)))?;
         self.max_pushback_depth = r.read_u32()?;
         self.acct.requests_injected = r.read_u64()?;
         self.acct.malicious_requests = r.read_u64()?;
-        self.acct.stood_down_at = read_opt_nanos(r)?.map(SimTime::from_nanos);
-        self.acct.teardown_done_at = read_opt_nanos(r)?.map(SimTime::from_nanos);
+        self.acct.stood_down_at = r.read_opt("stood-down-at", instant)?;
+        self.acct.teardown_done_at = r.read_opt("teardown-done-at", instant)?;
         self.acct.defense_down = r.read_bool()?;
         self.scratch.drains = r.read_u64()?;
         self.sketch_recycles = r.read_u64()?;
@@ -1254,27 +1233,6 @@ fn assemble_outcome(scenario: &Scenario, state: &mut RunState) -> RunOutcome {
     }
 }
 
-/// Writes an optional instant or span, in nanoseconds, as a one-byte
-/// tag plus the value.
-fn write_opt_nanos<W: StateWrite>(w: &mut W, nanos: Option<u64>) {
-    match nanos {
-        None => w.write_u8(0),
-        Some(nanos) => {
-            w.write_u8(1);
-            w.write_u64(nanos);
-        }
-    }
-}
-
-/// Reads the counterpart of [`write_opt_nanos`].
-fn read_opt_nanos(r: &mut SnapReader<'_>) -> Result<Option<u64>, SnapError> {
-    match r.read_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.read_u64()?)),
-        other => Err(SnapError::Malformed(format!("bad option tag {other}"))),
-    }
-}
-
 /// Re-runs the full snapshot write — probe, every section, wire
 /// encode — over a scenario/state pair (e.g. one [`restore_run`] just
 /// produced). This is the capture path [`ScenarioSpec::checkpoint_at`]
@@ -1404,27 +1362,21 @@ fn restore_with(
     let mut scenario = Scenario::build(spec.clone())?;
     let mut state = fresh_state(&scenario)?;
     scenario.sim.snap_restore_from(&snapshot)?;
-    let mut r = snapshot.reader("workload/run")?;
-    state.read_state(&mut r, &scenario)?;
-    r.finish("workload/run")?;
+    snapshot.read_section("workload/run", |r| state.read_state(r, &scenario))?;
     if let Some(builder) = state.ledger.as_mut() {
-        let mut r = snapshot.reader("workload/ledger")?;
-        builder.read_state(&mut r)?;
-        r.finish("workload/ledger")?;
+        snapshot.read_section("workload/ledger", |r| builder.read_state(r))?;
     }
     if let Some(plan) = scenario.pushback.as_mut() {
         for (d, dom) in plan.domains.iter_mut().enumerate() {
-            let label = format!("workload/dom{d}");
-            let mut r = snapshot.reader(&label)?;
-            dom.coordinator.read_state(&mut r)?;
-            dom.residual_bytes = r.read_u64()?;
-            r.finish(&label)?;
+            snapshot.read_section(&format!("workload/dom{d}"), |r| {
+                dom.coordinator.read_state(r)?;
+                dom.residual_bytes = r.read_u64()?;
+                Ok(())
+            })?;
         }
     }
     if let Some(adv) = state.adversary.as_mut() {
-        let mut r = snapshot.reader("workload/adversary")?;
-        adv.read_state(&mut r)?;
-        r.finish("workload/adversary")?;
+        snapshot.read_section("workload/adversary", |r| adv.read_state(r))?;
     }
     // The integrity gate: recompute every component digest over the
     // overlaid state and compare against the capture-time table. A
