@@ -215,7 +215,7 @@ impl State for AdversaryController {
 mod tests {
     use super::*;
     use crate::spec::StrategyKind;
-    use mafic_obs::{Fnv64, SnapWriter};
+    use mafic_obs::{HashWriter, SnapWriter};
 
     fn rotation_spec() -> AdversarySpec {
         AdversarySpec::with_strategy(StrategyKind::SourceRotation {
@@ -281,8 +281,8 @@ mod tests {
         b.read_state(&mut r).expect("restore");
         assert!(r.is_empty());
 
-        let mut ha = Fnv64::new();
-        let mut hb = Fnv64::new();
+        let mut ha = HashWriter::new();
+        let mut hb = HashWriter::new();
         a.write_state(&mut ha);
         b.write_state(&mut hb);
         assert_eq!(ha.finish(), hb.finish());
@@ -292,7 +292,7 @@ mod tests {
         for (sent, delivered) in [(1000, 100), (3000, 400), (6000, 900)] {
             let _ = feed(&mut c, sent, delivered);
         }
-        let mut hc = Fnv64::new();
+        let mut hc = HashWriter::new();
         c.write_state(&mut hc);
         assert_eq!(ha.finish(), hc.finish());
         let mut wc = SnapWriter::new();

@@ -668,8 +668,8 @@ mod tests {
             let mut r = SnapReader::new(&bytes);
             b.read_state(&mut r).expect("restore");
             assert!(r.is_empty(), "strategy payload fully consumed");
-            let mut ha = mafic_obs::Fnv64::new();
-            let mut hb = mafic_obs::Fnv64::new();
+            let mut ha = mafic_obs::HashWriter::new();
+            let mut hb = mafic_obs::HashWriter::new();
             a.write_state(&mut ha);
             b.write_state(&mut hb);
             assert_eq!(ha.finish(), hb.finish(), "{}", a.label());

@@ -844,7 +844,7 @@ mod tests {
         let mut w = SnapWriter::new();
         key().write_state(&mut w);
         assert_eq!(w.into_bytes().len(), 12, "two addresses, two ports");
-        let mut walked = mafic_obs::Fnv64::new();
+        let mut walked = mafic_obs::HashWriter::new();
         key().write_state(&mut walked);
         let (a, b) = key().as_words();
         let mut words = mafic_obs::Fnv64::new();

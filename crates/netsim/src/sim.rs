@@ -231,8 +231,11 @@ impl Simulator {
     /// counters, the event heap, the timer wheel (with its
     /// `FlowTimerFire` payloads), the packet arena, every link's
     /// queues, and the stats collector. One list serves both
-    /// [`Simulator::hash_components`] and [`Simulator::snap_save_into`].
-    fn walk_components<W: StateWrite>(&self, mut emit: impl FnMut(&str, &dyn Fn(&mut W))) {
+    /// [`Simulator::probe_components`] and [`Simulator::snap_save_into`].
+    pub(crate) fn walk_components<W: StateWrite>(
+        &self,
+        mut emit: impl FnMut(&str, &dyn Fn(&mut W)),
+    ) {
         emit("netsim/core", &|w| {
             w.write_u64(self.now.as_nanos());
             w.write_u64(self.seed);
@@ -260,19 +263,26 @@ impl Simulator {
         emit("netsim/stats", &|w| self.stats.write_state(w));
     }
 
-    /// Folds every simulator-owned component into `probe`, one labelled
-    /// hash each — the netsim half of the run ledger.
+    /// Walks every simulator-owned component into `batch`, one label
+    /// each — the netsim half of the run ledger, hashed with whatever
+    /// else the caller's batch holds.
     ///
-    /// Filters and agents are *not* hashed here: the layers that place
+    /// Filters and agents are *not* walked here: the layers that place
     /// them (workload, pushback) probe them under their own labels.
+    pub fn probe_components(&self, batch: &mut mafic_obs::ProbeBatch<'_>) {
+        self.walk_components(|label, walk| batch.component(label, walk));
+    }
+
+    /// [`Simulator::probe_components`] in a batch of its own: `probe`
+    /// gains the six netsim hashes.
     pub fn hash_components(&self, probe: &mut mafic_obs::IntervalProbe) {
-        self.walk_components(|label, walk| probe.component(label, walk));
+        probe.batch(|batch| self.probe_components(batch));
     }
 
     /// Serializes every simulator-owned component into `snapshot`, one
     /// labelled section each — the netsim half of a checkpoint.
     ///
-    /// Sections are the [`Simulator::hash_components`] components plus
+    /// Sections are the [`Simulator::probe_components`] components plus
     /// the pieces excluded from hashing but required to resume (the flow
     /// interner, the trace buffer, and the agent/filter payloads written
     /// through their trait hooks). Pure caches (send memos, link
@@ -1411,6 +1421,12 @@ mod tests {
             .iter()
             .map(|(label, hash)| (label.clone(), *hash))
             .collect()
+    }
+
+    #[test]
+    fn batched_probe_equals_each_components_serial_hash() {
+        let sim = loaded_sim(SimTime::from_secs_f64(0.01));
+        assert_eq!(probe_hash(&sim), crate::testkit::component_hashes(&sim));
     }
 
     #[test]

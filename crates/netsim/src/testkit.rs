@@ -22,9 +22,24 @@ use crate::filter::{FilterAction, FilterCommand, FilterCtx, PacketEnv, PacketFil
 use crate::flows::{FlowId, FlowInterner};
 use crate::ids::{AgentId, LinkId, NodeId};
 use crate::packet::{FlowKey, Packet};
+use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
 
 pub use mafic_obs::{assert_state_law, state_bytes, state_hash};
+
+/// Each simulator-owned ledger component as `(label, hash)`, every one
+/// walked and hashed alone and serially — the reference a probe's
+/// batched hashes must equal.
+#[must_use]
+pub fn component_hashes(sim: &Simulator) -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    sim.walk_components::<mafic_obs::HashWriter>(|label, walk| {
+        let mut h = mafic_obs::HashWriter::new();
+        walk(&mut h);
+        out.push((label.to_string(), h.finish()));
+    });
+    out
+}
 
 /// Effects produced by one agent callback.
 #[derive(Debug, Default)]

@@ -447,7 +447,7 @@ mod tests {
         w.write_state(&mut sw, |p, sw| sw.write_u64(*p));
         let slots = w.level0.len() + w.level1.len() + w.level2.len();
         assert_eq!(sw.into_bytes().len(), 8 * (4 + slots + 1));
-        let mut walked = mafic_obs::Fnv64::new();
+        let mut walked = mafic_obs::HashWriter::new();
         w.write_state(&mut walked, |p, h| h.write_u64(*p));
         let mut header_only = mafic_obs::Fnv64::new();
         for _ in 0..5 {

@@ -215,6 +215,7 @@ pub fn diff_ledgers(left: &RunLedger, right: &RunLedger) -> DivergenceReport {
 mod tests {
     use super::*;
     use crate::ledger::{IntervalProbe, LedgerBuilder, LedgerHeader};
+    use crate::StateWrite as _;
 
     fn build(seed: u64, per_interval: &[&[(&str, u64)]], counters: &[&[(&str, u64)]]) -> RunLedger {
         let mut b = LedgerBuilder::new(LedgerHeader {
@@ -226,9 +227,11 @@ mod tests {
         });
         for (i, comps) in per_interval.iter().enumerate() {
             let mut p = IntervalProbe::new();
-            for &(name, v) in comps.iter() {
-                p.component(name, |h| h.write_u64(v));
-            }
+            p.batch(|b| {
+                for &(name, v) in comps.iter() {
+                    b.component(name, |h| h.write_u64(v));
+                }
+            });
             for &(name, v) in counters[i].iter() {
                 p.counter(name, v);
             }

@@ -1,7 +1,7 @@
 //! The run ledger: header, per-interval chained component hashes, and
 //! the probe/builder pair the runner drives once per monitor interval.
 
-use crate::fnv::Fnv64;
+use crate::fnv::{fnv64_spans, Fnv64, HashWriter, Span};
 use crate::json::{parse_json_line, JsonValue};
 use crate::snap::{SnapError, SnapReader};
 use crate::state::{State, StateWrite};
@@ -59,18 +59,27 @@ pub struct RunLedger {
 
 /// Collects one interval's component hashes and counters.
 ///
-/// The runner hands this to every [`State`]-bearing component; each
-/// call to [`IntervalProbe::component`] runs the provided closure over a
-/// fresh hasher, so components cannot bleed into each other.
+/// The runner hands this to every [`State`]-bearing component. Hashing
+/// is serialize-then-fold: inside [`IntervalProbe::batch`], each
+/// [`ProbeBatch::component`] appends the component's hash-format walk to
+/// one reusable buffer, and when the batch closes every buffered walk is
+/// hashed through the four-lane FNV-1a kernel. Each raw hash is exactly
+/// `fnv64` of its own walk, so components cannot bleed into each other,
+/// and a probe holds final hashes whenever a call returns.
 ///
 /// A probe can be reused across intervals: [`IntervalProbe::rewind`]
-/// empties it but keeps the label strings, and re-probing the same
-/// labels in the same order — what every interval of a run does —
-/// overwrites the values in place without allocating.
+/// empties it but keeps the label strings and the buffer, and
+/// re-probing the same labels in the same order — what every interval
+/// of a run does — overwrites the values in place without allocating.
 #[derive(Debug, Default)]
 pub struct IntervalProbe {
     components: Slots,
     counters: Slots,
+    /// The open batch's walks, back to back.
+    walks: HashWriter,
+    /// Where each of those walks sits, and which component slot it
+    /// hashes into.
+    pending: Vec<Span>,
 }
 
 /// `(label, value)` slots of which the first `filled` are this
@@ -96,6 +105,12 @@ impl Slots {
     fn filled(&self) -> &[(String, u64)] {
         &self.slots[..self.filled]
     }
+
+    /// Whether the filled labels are `names`, in order.
+    fn named(&self, names: &[String]) -> bool {
+        let filled = self.filled();
+        filled.len() == names.len() && filled.iter().zip(names).all(|((n, _), seen)| n == seen)
+    }
 }
 
 impl IntervalProbe {
@@ -111,12 +126,26 @@ impl IntervalProbe {
         self.counters.filled = 0;
     }
 
-    /// Hashes one component under `label` by running `f` over a fresh
-    /// hasher.
-    pub fn component(&mut self, label: &str, f: impl FnOnce(&mut Fnv64)) {
-        let mut h = Fnv64::new();
-        f(&mut h);
-        self.components.put(label, h.finish());
+    /// Hashes the components `f` walks into the batch, in order. The
+    /// more components one batch holds, the better the kernel's four
+    /// lanes are used: a batch takes about as long as its longest walk
+    /// or a quarter of all its bytes, whichever is more.
+    pub fn batch(&mut self, f: impl FnOnce(&mut ProbeBatch<'_>)) {
+        f(&mut ProbeBatch { probe: self });
+        let slots = &mut self.components.slots;
+        fnv64_spans(&self.walks.buf, &mut self.pending, |slot, hash| {
+            slots[slot].1 = hash;
+        });
+        self.walks.buf.clear();
+        self.pending.clear();
+    }
+
+    /// Frees the walk buffer, which otherwise keeps the capacity of the
+    /// largest batch (the next batch reallocates it) — for a caller about
+    /// to need the heap more than the next interval does, such as a
+    /// checkpoint capture.
+    pub fn free_buffer(&mut self) {
+        self.walks = HashWriter::new();
     }
 
     /// Records one cumulative counter value.
@@ -128,6 +157,27 @@ impl IntervalProbe {
     #[must_use]
     pub fn components(&self) -> &[(String, u64)] {
         self.components.filled()
+    }
+}
+
+/// The open batch of an [`IntervalProbe::batch`] call.
+#[derive(Debug)]
+pub struct ProbeBatch<'a> {
+    probe: &'a mut IntervalProbe,
+}
+
+impl ProbeBatch<'_> {
+    /// Walks one component under `label`: `f` writes its state into the
+    /// probe's hash sink, and the walk is hashed when the batch closes.
+    pub fn component(&mut self, label: &str, f: impl FnOnce(&mut HashWriter)) {
+        let probe = &mut *self.probe;
+        let start = probe.walks.buf.len();
+        f(&mut probe.walks);
+        probe.pending.push(Span {
+            bytes: start..probe.walks.buf.len(),
+            slot: probe.components.filled,
+        });
+        probe.components.put(label, 0);
     }
 }
 
@@ -175,17 +225,12 @@ impl LedgerBuilder {
             self.counters = counters.iter().map(|(n, _)| n.clone()).collect();
             self.chains = vec![0; self.components.len()];
         } else {
-            assert_eq!(
-                self.components.len(),
-                components.len(),
+            assert!(
+                probe.components.named(&self.components),
                 "interval probed a different component set"
             );
-            for (seen, (name, _)) in self.components.iter().zip(components) {
-                assert_eq!(seen, name, "interval probed a different component set");
-            }
-            assert_eq!(
-                self.counters.len(),
-                counters.len(),
+            assert!(
+                probe.counters.named(&self.counters),
                 "interval probed a different counter set"
             );
         }
@@ -490,9 +535,11 @@ mod tests {
 
     fn probe(vals: &[(&str, u64)], counters: &[(&str, u64)]) -> IntervalProbe {
         let mut p = IntervalProbe::new();
-        for &(name, v) in vals {
-            p.component(name, |h| h.write_u64(v));
-        }
+        p.batch(|b| {
+            for &(name, v) in vals {
+                b.component(name, |h| h.write_u64(v));
+            }
+        });
         for &(name, v) in counters {
             p.counter(name, v);
         }
@@ -531,17 +578,40 @@ mod tests {
         for (i, vals) in intervals.iter().enumerate() {
             fresh.record_interval(i as u64, &probe(vals, &[("c", i as u64)]));
             p.rewind();
-            for &(name, v) in *vals {
-                p.component(name, |h| h.write_u64(v));
-            }
+            p.batch(|b| {
+                for &(name, v) in *vals {
+                    b.component(name, |h| h.write_u64(v));
+                }
+            });
             p.counter("c", i as u64);
             reused.record_interval(i as u64, &p);
         }
         assert_eq!(fresh.finish(Vec::new()), reused.finish(Vec::new()));
         // A shorter or relabelled re-probe leaves nothing stale behind.
         p.rewind();
-        p.component("z", |h| h.write_u64(9));
+        p.batch(|b| b.component("z", |h| h.write_u64(9)));
         assert_eq!(p.components(), probe(&[("z", 9)], &[]).components());
+    }
+
+    #[test]
+    fn folded_probe_records_each_walks_own_hash() {
+        // Walks of very different lengths, more of them than lanes, no
+        // two alike from their first byte.
+        let walk = |i: u64, n: u64| {
+            move |h: &mut HashWriter| (0..n).for_each(|v| h.write_u64(v ^ i << 56))
+        };
+        let lens = [0, 900, 3, 40, 40, 7, 2_000];
+        let mut p = IntervalProbe::new();
+        p.batch(|b| {
+            for (i, &n) in (0..).zip(&lens) {
+                b.component(&format!("c{i}"), walk(i, n));
+            }
+        });
+        for ((i, (_, raw)), &n) in (0..).zip(p.components()).zip(&lens) {
+            let mut alone = HashWriter::new();
+            walk(i, n)(&mut alone);
+            assert_eq!(*raw, alone.finish(), "component c{i}");
+        }
     }
 
     #[test]
@@ -550,6 +620,16 @@ mod tests {
         let mut l = LedgerBuilder::new(header(1));
         l.record_interval(100, &probe(&[("x", 1)], &[]));
         l.record_interval(200, &probe(&[("y", 1)], &[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "different counter set")]
+    fn counter_names_are_fixed_by_first_interval() {
+        // Same count, new name: recording it would file `b`'s values
+        // under `a`.
+        let mut l = LedgerBuilder::new(header(1));
+        l.record_interval(100, &probe(&[("x", 1)], &[("a", 1)]));
+        l.record_interval(200, &probe(&[("x", 1)], &[("b", 1)]));
     }
 
     #[test]

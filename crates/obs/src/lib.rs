@@ -2,9 +2,10 @@
 //!
 //! This crate sits *below* `mafic-netsim` in the layering DAG and has no
 //! dependencies at all: it defines the vocabulary every other layer uses
-//! to describe its own state — a 64-bit FNV-1a hasher ([`Fnv64`]), the
-//! one-walk [`State`] contract with its two sinks ([`StateWrite`]) and its
-//! object-safe face ([`DynState`]), and
+//! to describe its own state — 64-bit FNV-1a ([`Fnv64`], [`fnv64`]), the
+//! one-walk [`State`] contract with its two sinks ([`StateWrite`]:
+//! [`HashWriter`] and [`SnapWriter`]) and its object-safe face
+//! ([`DynState`]), and
 //! the **run ledger**: a build-metadata header plus one chained
 //! per-component state hash per monitor interval, exported as JSONL and
 //! diffable down to the first diverging interval and component.
@@ -26,9 +27,11 @@ mod snap;
 mod state;
 
 pub use diff::{diff_ledgers, Divergence, DivergenceReport};
-pub use fnv::{fnv64, Fnv64};
+pub use fnv::{fnv64, Fnv64, HashWriter};
 pub use json::{parse_json_line, JsonValue};
-pub use ledger::{IntervalProbe, IntervalRecord, LedgerBuilder, LedgerHeader, RunLedger};
+pub use ledger::{
+    IntervalProbe, IntervalRecord, LedgerBuilder, LedgerHeader, ProbeBatch, RunLedger,
+};
 pub use snap::{
     SnapError, SnapReader, SnapWriter, Snapshot, SnapshotHeader, SNAP_MAGIC, SNAP_VERSION,
 };

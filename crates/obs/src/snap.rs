@@ -496,31 +496,49 @@ impl Snapshot {
 
     /// Serializes the snapshot to its binary form. Encoding is a pure
     /// function of the contents: identical state produces identical
-    /// bytes.
+    /// bytes. The output is allocated once, at its exact length: it is
+    /// as large as all the sections together, which a checkpoint
+    /// capture holds at the same time.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut head = SnapWriter::new();
-        head.write_str(&self.header.crate_version);
-        head.write_u64(self.header.seed);
-        head.write_u64(self.header.spec_fingerprint);
-        head.write_u64(self.header.at_nanos);
-        head.write_u64(self.header.interval_index);
-        head.write_seq(&self.component_hashes, |w, (label, hash)| {
+        let str_len = |s: &str| 8 + s.len();
+        let head_len = str_len(&self.header.crate_version)
+            + 4 * 8
+            + 8
+            + self
+                .component_hashes
+                .iter()
+                .map(|(label, _)| str_len(label) + 8)
+                .sum::<usize>();
+        let sections_len: usize = self
+            .sections
+            .iter()
+            .map(|(label, payload)| str_len(label) + 8 + 8 + payload.len())
+            .sum();
+        let len = SNAP_MAGIC.len() + 4 + head_len + 8 + 8 + sections_len;
+
+        let mut out = SnapWriter {
+            buf: Vec::with_capacity(len),
+        };
+        out.write_raw(&SNAP_MAGIC);
+        out.write_u32(SNAP_VERSION);
+        let head_start = out.buf.len();
+        out.write_str(&self.header.crate_version);
+        out.write_u64(self.header.seed);
+        out.write_u64(self.header.spec_fingerprint);
+        out.write_u64(self.header.at_nanos);
+        out.write_u64(self.header.interval_index);
+        out.write_seq(&self.component_hashes, |w, (label, hash)| {
             w.write_str(label);
             w.write_u64(*hash);
         });
-        let head = head.into_bytes();
-
-        let mut out = SnapWriter::new();
-        out.write_raw(&SNAP_MAGIC);
-        out.write_u32(SNAP_VERSION);
-        out.write_raw(&head);
-        out.write_u64(fnv64(&head));
+        out.write_u64(fnv64(&out.buf[head_start..]));
         out.write_seq(&self.sections, |w, (label, payload)| {
             w.write_str(label);
             w.write_u64(fnv64(payload));
             w.write_bytes(payload);
         });
+        debug_assert_eq!(out.buf.len(), len);
         out.into_bytes()
     }
 
@@ -828,7 +846,7 @@ mod tests {
         let mut w = SnapWriter::new();
         walk(&mut w);
         assert_eq!(w.into_bytes(), [1, 3]);
-        let mut h = crate::Fnv64::new();
+        let mut h = crate::HashWriter::new();
         walk(&mut h);
         assert_eq!(h.finish(), fnv64(&[1, 2]));
     }

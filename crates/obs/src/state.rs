@@ -1,8 +1,8 @@
 //! The one-walk state contract: [`State`] and its two sinks.
 //!
 //! A stateful component lists its fields **once**, in
-//! [`State::write_state`]. Run over an [`Fnv64`](crate::Fnv64) the walk
-//! is the component's run-ledger hash; run over a
+//! [`State::write_state`]. Run over a [`HashWriter`](crate::HashWriter)
+//! the walk is the component's run-ledger hash input; run over a
 //! [`SnapWriter`](crate::SnapWriter) it is the component's checkpoint
 //! payload — so "what is hashed is what is saved" holds by
 //! construction. Where the two formats legitimately differ, the field
@@ -38,7 +38,7 @@
 //! [`DynState`] is its object-safe face, supplied once by a blanket
 //! impl, for the boxed filters and agents the simulator owns.
 
-use crate::fnv::{fnv64, Fnv64};
+use crate::fnv::{fnv64, HashWriter};
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 
 /// A byte sink a [`State`] walk writes into. All multi-byte values are
@@ -172,10 +172,12 @@ pub trait State {
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
-/// The run-ledger hash of `state`: its walk over a fresh hasher.
+/// The run-ledger hash of `state`: the FNV-1a of its walk over a fresh
+/// [`HashWriter`] — what an [`IntervalProbe`](crate::IntervalProbe)
+/// records for it.
 #[must_use]
 pub fn state_hash(state: &impl State) -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = HashWriter::new();
     state.write_state(&mut h);
     h.finish()
 }
@@ -260,9 +262,9 @@ pub fn assert_state_law<S: State>(populated: &S, blank: impl Fn() -> S) {
 /// the blanket impl below gives it to every `State` type, which is why
 /// a stateful filter cannot forget to be hashed.
 pub trait DynState {
-    /// Folds the state into the run-ledger hash
-    /// ([`State::write_state`] over the hasher).
-    fn hash_state(&self, h: &mut Fnv64);
+    /// Writes the state's run-ledger hash input
+    /// ([`State::write_state`] over the hash sink).
+    fn hash_state(&self, h: &mut HashWriter);
 
     /// Serializes the state into a checkpoint payload
     /// ([`State::write_state`] over the writer).
@@ -278,7 +280,7 @@ pub trait DynState {
 }
 
 impl<T: State> DynState for T {
-    fn hash_state(&self, h: &mut Fnv64) {
+    fn hash_state(&self, h: &mut HashWriter) {
         self.write_state(h);
     }
 

@@ -31,8 +31,8 @@ use mafic_netsim::{
     RequesterId, SimDuration, SimTime, Simulator,
 };
 use mafic_obs::{
-    fnv64, Fnv64, IntervalProbe, LedgerBuilder, LedgerHeader, RunLedger, SnapError, SnapReader,
-    Snapshot, SnapshotHeader, State, StateWrite, SNAP_VERSION,
+    fnv64, HashWriter, IntervalProbe, LedgerBuilder, LedgerHeader, RunLedger, SnapError,
+    SnapReader, Snapshot, SnapshotHeader, State, StateWrite, SNAP_VERSION,
 };
 use mafic_pushback::{ControlChannel, ControlPlane, LifecycleState, PushbackAction};
 use mafic_transport::UnresponsiveSender;
@@ -588,7 +588,7 @@ const TRACE_TAIL_EVENTS: usize = 32;
 fn hash_filters<'a>(
     sim: &Simulator,
     slots: impl IntoIterator<Item = &'a (NodeId, usize)>,
-    h: &mut Fnv64,
+    h: &mut HashWriter,
 ) {
     for &(node, idx) in slots {
         sim.filter_dyn(node, idx)
@@ -604,46 +604,50 @@ fn hash_filters<'a>(
 /// interval; a checkpoint embeds one as its integrity table and the
 /// restorer recomputes it to verify the overlay.
 ///
-/// `probe` is rewound first and keeps its label strings, so the ledger
-/// path, which hands the same probe in every interval, allocates nothing
-/// here once the first interval has named everything.
+/// `probe` is rewound first and keeps its label strings and walk buffer,
+/// so the ledger path, which hands the same probe in every interval,
+/// allocates nothing here once the first interval has named everything.
+/// Every component goes into one batch: the netsim walks hash in the
+/// lanes the longest defense-layer walk leaves free.
 fn compute_probe(scenario: &Scenario, state: &RunState, probe: &mut IntervalProbe) {
     let sim = &scenario.sim;
     probe.rewind();
-    sim.hash_components(probe);
-    if let Some(plan) = scenario.pushback.as_ref() {
-        for (dom, [coord, trust, filters, meters, channel]) in
-            plan.domains.iter().zip(&state.dom_labels)
-        {
-            probe.component(coord, |h| dom.coordinator.write_state(h));
-            probe.component(trust, |h| {
-                dom.coordinator.ledger().write_state(h);
-            });
-            probe.component(filters, |h| {
-                h.write_usize(dom.atrs.len());
-                hash_filters(sim, &dom.atrs, h);
-            });
-            probe.component(meters, |h| {
-                hash_filters(sim, dom.pre_meters.iter().chain(&dom.post_meters), h);
-            });
-            probe.component(channel, |h| {
-                sim.agent::<ControlChannel>(dom.channel)
-                    .expect("control channel installed at build time")
-                    .write_state(h);
+    probe.batch(|batch| {
+        sim.probe_components(batch);
+        if let Some(plan) = scenario.pushback.as_ref() {
+            for (dom, [coord, trust, filters, meters, channel]) in
+                plan.domains.iter().zip(&state.dom_labels)
+            {
+                batch.component(coord, |h| dom.coordinator.write_state(h));
+                batch.component(trust, |h| {
+                    dom.coordinator.ledger().write_state(h);
+                });
+                batch.component(filters, |h| {
+                    h.write_usize(dom.atrs.len());
+                    hash_filters(sim, &dom.atrs, h);
+                });
+                batch.component(meters, |h| {
+                    hash_filters(sim, dom.pre_meters.iter().chain(&dom.post_meters), h);
+                });
+                batch.component(channel, |h| {
+                    sim.agent::<ControlChannel>(dom.channel)
+                        .expect("control channel installed at build time")
+                        .write_state(h);
+                });
+            }
+        } else {
+            batch.component("victim/filters", |h| {
+                h.write_usize(scenario.droppers.len());
+                hash_filters(sim, &scenario.droppers, h);
             });
         }
-    } else {
-        probe.component("victim/filters", |h| {
-            h.write_usize(scenario.droppers.len());
-            hash_filters(sim, &scenario.droppers, h);
-        });
-    }
-    // Only adversarial runs carry the component: a spec without an
-    // adversary produces the same probe stream (and ledger) it always
-    // did.
-    if let Some(adv) = state.adversary.as_ref() {
-        probe.component("adversary", |h| adv.write_state(h));
-    }
+        // Only adversarial runs carry the component: a spec without an
+        // adversary produces the same probe stream (and ledger) it
+        // always did.
+        if let Some(adv) = state.adversary.as_ref() {
+            batch.component("adversary", |h| adv.write_state(h));
+        }
+    });
     let stats = sim.stats();
     let drops = stats.drop_totals();
     for (name, value) in [
@@ -986,7 +990,11 @@ fn maybe_capture(scenario: &Scenario, state: &mut RunState) {
     if state.checkpoint.is_some() || state.last_stop < at {
         return;
     }
-    state.checkpoint = Some(encode_checkpoint(scenario, state));
+    // The ledger's probe computes the integrity table: its labels are
+    // already allocated.
+    let mut probe = std::mem::take(&mut state.probe);
+    state.checkpoint = Some(capture(scenario, state, &mut probe));
+    state.probe = probe;
 }
 
 /// Phase 2 — runs the simulator to the next interval boundary (or the
@@ -1244,6 +1252,11 @@ fn assemble_outcome(scenario: &Scenario, state: &mut RunState) -> RunOutcome {
 /// computed component-hash table as the restore-time integrity gate.
 #[must_use]
 pub fn encode_checkpoint(scenario: &Scenario, state: &RunState) -> Vec<u8> {
+    capture(scenario, state, &mut IntervalProbe::new())
+}
+
+/// [`encode_checkpoint`] computing the integrity table with `probe`.
+fn capture(scenario: &Scenario, state: &RunState, probe: &mut IntervalProbe) -> Vec<u8> {
     let spec = &scenario.spec;
     let interval = spec.monitor_interval.as_nanos();
     let mut snapshot = Snapshot::new(SnapshotHeader {
@@ -1258,9 +1271,12 @@ pub fn encode_checkpoint(scenario: &Scenario, state: &RunState) -> Vec<u8> {
             .checked_div(interval)
             .unwrap_or(0),
     });
-    let mut probe = IntervalProbe::new();
-    compute_probe(scenario, state, &mut probe);
+    compute_probe(scenario, state, probe);
     snapshot.component_hashes = probe.components().to_vec();
+    // The walk buffer is at its largest now and idle until the next
+    // interval: free it before any section is written, since the
+    // sections and the encoded bytes are the run's heap peak.
+    probe.free_buffer();
     scenario.sim.snap_save_into(&mut snapshot);
     snapshot.write_section("workload/run", |w| state.write_state(w));
     if let Some(builder) = state.ledger.as_ref() {
@@ -1792,6 +1808,53 @@ mod tests {
             })) => assert_eq!(field, "seed"),
             other => panic!("expected a seed header mismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn one_batch_probe_equals_each_components_own_hash() {
+        // A finished cascade with an adversary: every component kind,
+        // walks from a few bytes to tens of kilobytes, all in one batch.
+        let spec = ScenarioSpec {
+            adversary: Some(mafic_adversary::AdversarySpec::with_strategy(
+                mafic_adversary::StrategyKind::SourceRotation {
+                    period_intervals: 2,
+                    active_fraction: 0.5,
+                },
+            )),
+            ..quick_multi_spec(2)
+        };
+        let mut scenario = Scenario::build(spec).unwrap();
+        let mut state = fresh_state(&scenario).unwrap();
+        drive(&mut scenario, &mut state).unwrap();
+        let mut probe = IntervalProbe::new();
+        compute_probe(&scenario, &state, &mut probe);
+
+        // Every component walked and hashed alone, serially.
+        let sim = &scenario.sim;
+        let mut expected = mafic_netsim::testkit::component_hashes(sim);
+        let alone = |walk: &dyn Fn(&mut HashWriter)| {
+            let mut h = HashWriter::new();
+            walk(&mut h);
+            h.finish()
+        };
+        let plan = scenario.pushback.as_ref().unwrap();
+        for (dom, labels) in plan.domains.iter().zip(&state.dom_labels) {
+            let channel = sim.agent::<ControlChannel>(dom.channel).unwrap();
+            let hashes = [
+                mafic_obs::state_hash(&dom.coordinator),
+                mafic_obs::state_hash(dom.coordinator.ledger()),
+                alone(&|h| {
+                    h.write_usize(dom.atrs.len());
+                    hash_filters(sim, &dom.atrs, h);
+                }),
+                alone(&|h| hash_filters(sim, dom.pre_meters.iter().chain(&dom.post_meters), h)),
+                mafic_obs::state_hash(channel),
+            ];
+            expected.extend(labels.iter().cloned().zip(hashes));
+        }
+        let adversary = state.adversary.as_ref().unwrap();
+        expected.push(("adversary".to_string(), mafic_obs::state_hash(adversary)));
+        assert_eq!(probe.components(), expected.as_slice());
     }
 
     #[test]
