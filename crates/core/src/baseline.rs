@@ -3,7 +3,7 @@
 //! The authors' earlier set-union-counting pushback work dropped *all*
 //! victim-bound packets — legitimate or malicious — with the same
 //! probability. MAFIC's motivation is the collateral damage this causes;
-//! the baseline is implemented behind the same [`DropPolicy`] surface so
+//! the baseline is one [`crate::DefensePolicy`] among the others, so
 //! every experiment can be re-run with either policy.
 
 use crate::policy::TAG_PROPORTIONAL;
@@ -14,24 +14,6 @@ use mafic_netsim::{
 use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Marker for which drop policy a filter implements (used by reports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropPolicy {
-    /// MAFIC adaptive dropping with probing.
-    Mafic,
-    /// Uniform proportional dropping of all victim-bound packets.
-    Proportional,
-}
-
-impl std::fmt::Display for DropPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DropPolicy::Mafic => f.write_str("MAFIC"),
-            DropPolicy::Proportional => f.write_str("proportional"),
-        }
-    }
-}
 
 /// Uniform proportional dropper (the `[2]` baseline).
 #[derive(Debug)]
@@ -245,12 +227,6 @@ mod tests {
     #[should_panic(expected = "out of [0, 1]")]
     fn probability_validated() {
         let _ = ProportionalFilter::new(1.5, 1);
-    }
-
-    #[test]
-    fn policy_display() {
-        assert_eq!(DropPolicy::Mafic.to_string(), "MAFIC");
-        assert_eq!(DropPolicy::Proportional.to_string(), "proportional");
     }
 
     #[test]

@@ -31,9 +31,27 @@ impl AddressValidator {
     }
 }
 
+/// A flow is "responsive" if its post-probe rate is at most this
+/// fraction of its pre-probe baseline.
+pub(crate) const DECREASE_THRESHOLD: f64 = 0.7;
+/// Duplicate ACKs per probe burst (≥ 3 triggers fast retransmit in
+/// compliant senders).
+pub(crate) const PROBE_DUP_ACKS: u8 = 3;
+/// Probe packet size in bytes.
+pub(crate) const PROBE_SIZE: u32 = 40;
+/// Arrival-history retention for rate measurements.
+pub(crate) const RATE_HORIZON: SimDuration = SimDuration::from_secs(3);
+/// Maximum number of flows tracked by the arrival recorder.
+pub(crate) const RATE_MAX_FLOWS: usize = 8192;
+
 /// Tunables of the MAFIC adaptive dropper.
 ///
 /// Defaults follow the paper's Table II (`Pd = 90%`, timer `= 2 × RTT`).
+/// Only values some caller varies are fields. The values nobody varies
+/// are the constants in this module: the responsiveness threshold
+/// (`DECREASE_THRESHOLD`), the probe burst (`PROBE_DUP_ACKS`,
+/// `PROBE_SIZE`) and the arrival recorder's bounds (`RATE_HORIZON`,
+/// `RATE_MAX_FLOWS`).
 ///
 /// # Example
 ///
@@ -61,14 +79,6 @@ pub struct MaficConfig {
     pub min_rtt: SimDuration,
     /// Upper clamp for per-flow RTT estimates.
     pub max_rtt: SimDuration,
-    /// A flow is "responsive" if its post-probe rate is at most this
-    /// fraction of its pre-probe baseline.
-    pub decrease_threshold: f64,
-    /// Number of duplicate ACKs per probe burst (≥ 3 triggers fast
-    /// retransmit in compliant senders).
-    pub probe_dup_acks: u8,
-    /// Probe packet size in bytes.
-    pub probe_size: u32,
     /// Label storage model for table-memory accounting
     /// ([`crate::FlowTables::approx_bytes`]). Classification itself is
     /// keyed by exact interned flow ids in every mode, so this no longer
@@ -80,10 +90,6 @@ pub struct MaficConfig {
     pub nft_capacity: usize,
     /// PDT capacity.
     pub pdt_capacity: usize,
-    /// Arrival-history retention for rate measurements.
-    pub rate_horizon: SimDuration,
-    /// Maximum number of flows tracked by the arrival recorder.
-    pub rate_max_flows: usize,
     /// Optional NFT re-validation period: a flow that passed the probe
     /// test is re-probed this long after clearing, so pulsing (shrew)
     /// attackers that timed their silent phase over the probation window
@@ -102,15 +108,10 @@ impl Default for MaficConfig {
             default_rtt: SimDuration::from_millis(100),
             min_rtt: SimDuration::from_millis(20),
             max_rtt: SimDuration::from_millis(500),
-            decrease_threshold: 0.7,
-            probe_dup_acks: 3,
-            probe_size: 40,
             label_mode: LabelMode::Hashed,
             sft_capacity: 4096,
             nft_capacity: 4096,
             pdt_capacity: 4096,
-            rate_horizon: SimDuration::from_secs(3),
-            rate_max_flows: 8192,
             nft_revalidate_after: None,
             seed: 0x4D41_4649,
         }
@@ -133,23 +134,8 @@ impl MaficConfig {
         if self.min_rtt > self.max_rtt {
             return Err(ConfigError::new("min_rtt exceeds max_rtt"));
         }
-        if !(0.0..=1.0).contains(&self.decrease_threshold) {
-            return Err(ConfigError::new("decrease_threshold must be in [0, 1]"));
-        }
-        if self.probe_dup_acks == 0 {
-            return Err(ConfigError::new("probe_dup_acks must be >= 1"));
-        }
-        if self.probe_size == 0 {
-            return Err(ConfigError::new("probe_size must be positive"));
-        }
         if self.sft_capacity == 0 || self.nft_capacity == 0 || self.pdt_capacity == 0 {
             return Err(ConfigError::new("table capacities must be positive"));
-        }
-        if self.rate_horizon.is_zero() {
-            return Err(ConfigError::new("rate_horizon must be positive"));
-        }
-        if self.rate_max_flows == 0 {
-            return Err(ConfigError::new("rate_max_flows must be positive"));
         }
         if let Some(period) = self.nft_revalidate_after {
             if period.is_zero() {
@@ -189,7 +175,6 @@ mod tests {
         let c = MaficConfig::default();
         assert_eq!(c.drop_probability, 0.9);
         assert_eq!(c.timer_rtt_multiplier, 2.0);
-        assert_eq!(c.probe_dup_acks, 3);
         assert!(c.validate().is_ok());
     }
 
@@ -198,8 +183,6 @@ mod tests {
         let c = MaficConfig {
             drop_probability: 0.7,
             timer_rtt_multiplier: 4.0,
-            decrease_threshold: 0.5,
-            probe_dup_acks: 5,
             label_mode: LabelMode::Full,
             sft_capacity: 128,
             seed: 9,
@@ -217,14 +200,6 @@ mod tests {
             },
             MaficConfig {
                 timer_rtt_multiplier: 0.0,
-                ..MaficConfig::default()
-            },
-            MaficConfig {
-                decrease_threshold: -0.1,
-                ..MaficConfig::default()
-            },
-            MaficConfig {
-                probe_dup_acks: 0,
                 ..MaficConfig::default()
             },
             MaficConfig {

@@ -27,7 +27,10 @@
 //! (the interner outlives any activation); wheel timers armed before the
 //! flush may still fire and are ignored as stale.
 
-use crate::config::{AddressValidator, MaficConfig};
+use crate::config::{
+    AddressValidator, MaficConfig, DECREASE_THRESHOLD, PROBE_DUP_ACKS, PROBE_SIZE, RATE_HORIZON,
+    RATE_MAX_FLOWS,
+};
 use crate::policy::TAG_MAFIC;
 use crate::rate::ArrivalTracker;
 use crate::tables::{FlowState, FlowTables, PdtReason, SftEntry};
@@ -114,7 +117,7 @@ impl MaficFilter {
             config.nft_capacity,
             config.pdt_capacity,
         );
-        let tracker = ArrivalTracker::new(config.rate_horizon, config.rate_max_flows);
+        let tracker = ArrivalTracker::new(RATE_HORIZON, RATE_MAX_FLOWS);
         let rng = SmallRng::seed_from_u64(config.seed);
         MaficFilter {
             config,
@@ -214,9 +217,9 @@ impl MaficFilter {
             id: ctx.fresh_packet_id(),
             key: FlowKey::new(victim, key.src, key.dst_port, key.src_port),
             kind: PacketKind::ProbeDupAck {
-                count: self.config.probe_dup_acks,
+                count: PROBE_DUP_ACKS,
             },
-            size_bytes: self.config.probe_size,
+            size_bytes: PROBE_SIZE,
             created_at: ctx.now(),
             provenance: Provenance::infrastructure(),
             hops: 0,
@@ -246,7 +249,7 @@ impl MaficFilter {
         let responsive = if first == 0 && second == 0 {
             true
         } else {
-            (second as f64) <= self.config.decrease_threshold * (first as f64)
+            (second as f64) <= DECREASE_THRESHOLD * (first as f64)
         };
         if responsive {
             self.tables.nft_insert(flow, now);

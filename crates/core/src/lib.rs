@@ -50,7 +50,7 @@ pub mod ratelimit;
 pub mod tables;
 pub mod tap;
 
-pub use baseline::{DropPolicy, ProportionalFilter};
+pub use baseline::ProportionalFilter;
 pub use config::{AddressValidator, ConfigError, MaficConfig};
 pub use dropper::{MaficCounters, MaficFilter, TIMER_PROBATION, TIMER_REVALIDATE};
 pub use label::{FlowLabel, LabelMode};

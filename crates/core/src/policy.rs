@@ -16,7 +16,6 @@
 //! request packets (and the flood) still route *through* their links —
 //! exactly the coverage gap partial-deployment studies measure.
 
-use crate::baseline::DropPolicy;
 use std::fmt;
 
 /// Ledger tags telling the defense filter types apart: a policy swap at
@@ -111,17 +110,6 @@ impl DefensePolicy {
     }
 }
 
-impl From<DropPolicy> for DefensePolicy {
-    /// Maps the paper's single-domain drop-policy axis onto the
-    /// per-domain policy surface (the homogeneous special case).
-    fn from(policy: DropPolicy) -> Self {
-        match policy {
-            DropPolicy::Mafic => DefensePolicy::FullMafic,
-            DropPolicy::Proportional => DefensePolicy::ProportionalDrop,
-        }
-    }
-}
-
 impl fmt::Display for DefensePolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -162,18 +150,6 @@ mod tests {
             "rate-limit"
         );
         assert_eq!(DefensePolicy::NonParticipating.label(), "none");
-    }
-
-    #[test]
-    fn drop_policy_maps_to_the_homogeneous_case() {
-        assert_eq!(
-            DefensePolicy::from(DropPolicy::Mafic),
-            DefensePolicy::FullMafic
-        );
-        assert_eq!(
-            DefensePolicy::from(DropPolicy::Proportional),
-            DefensePolicy::ProportionalDrop
-        );
     }
 
     #[test]

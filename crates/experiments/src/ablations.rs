@@ -10,7 +10,7 @@
 use crate::engine::EngineConfig;
 use crate::figure::FigureData;
 use crate::sweep::run_averaged;
-use mafic::{DropPolicy, LabelMode};
+use mafic::{DefensePolicy, LabelMode};
 use mafic_loglog::{LogLog, Precision};
 use mafic_workload::ScenarioSpec;
 
@@ -27,8 +27,8 @@ pub fn policy_comparison(cfg: &EngineConfig) -> Result<FigureData, String> {
         "percent",
     );
     for (label, policy) in [
-        ("MAFIC", DropPolicy::Mafic),
-        ("proportional", DropPolicy::Proportional),
+        ("MAFIC", DefensePolicy::FullMafic),
+        ("proportional", DefensePolicy::ProportionalDrop),
     ] {
         let report = run_averaged(
             &ScenarioSpec {

@@ -80,6 +80,7 @@ impl AgentId {
 
 impl Addr {
     /// The unspecified address (`0.0.0.0`).
+    #[cfg(test)]
     pub const UNSPECIFIED: Addr = Addr(0);
 
     /// Constructs an address from its raw 32-bit value.

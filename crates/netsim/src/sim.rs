@@ -444,6 +444,7 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `link` is not a valid id.
+    #[cfg(test)]
     pub fn set_link_down(&mut self, link: LinkId) {
         self.link_down[link.index()] = true;
     }
@@ -453,6 +454,7 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics if `link` is not a valid id.
+    #[cfg(test)]
     pub fn set_link_up(&mut self, link: LinkId) {
         self.link_down[link.index()] = false;
     }

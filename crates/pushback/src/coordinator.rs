@@ -384,6 +384,7 @@ impl DomainCoordinator {
     }
 
     /// True once this domain has escalated upstream.
+    #[cfg(test)]
     #[must_use]
     pub fn is_escalated(&self) -> bool {
         self.state == LifecycleState::Escalated

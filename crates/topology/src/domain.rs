@@ -7,7 +7,8 @@
 //! [`install_host_routes`]), and every host gets an address from the
 //! [`AddressSpace`] plan.
 //!
-//! Link classes (all configurable through [`DomainConfig`]):
+//! Link classes, each fixed by the constants below (Table II's domain;
+//! [`DomainConfig`] varies only the size, address base and seed):
 //!
 //! * access links (host ↔ ingress): moderate bandwidth, per-host random
 //!   propagation delay — this is what spreads flow RTTs,
@@ -19,7 +20,29 @@ use mafic_netsim::{Addr, LinkId, LinkSpec, NodeId, SimDuration, Simulator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Parameters of the domain topology.
+/// Access-link bandwidth (bits/s).
+const ACCESS_BANDWIDTH_BPS: f64 = 10e6;
+/// Minimum access-link propagation delay.
+const ACCESS_DELAY_MIN: SimDuration = SimDuration::from_millis(5);
+/// Maximum access-link propagation delay.
+const ACCESS_DELAY_MAX: SimDuration = SimDuration::from_millis(40);
+/// Core-link bandwidth (bits/s).
+const CORE_BANDWIDTH_BPS: f64 = 100e6;
+/// Core-link propagation delay.
+const CORE_DELAY: SimDuration = SimDuration::from_millis(2);
+/// Victim-link bandwidth (bits/s) — the bottleneck. The workload layer
+/// derives the pushback rate thresholds from it.
+pub const VICTIM_BANDWIDTH_BPS: f64 = 10e6;
+/// Victim-link propagation delay.
+const VICTIM_DELAY: SimDuration = SimDuration::from_millis(1);
+/// Queue capacity (packets) for access and core links.
+const QUEUE_CAPACITY: usize = 128;
+/// Queue capacity (packets) for the victim link.
+const VICTIM_QUEUE_CAPACITY: usize = 128;
+
+/// Parameters of the domain topology. Link bandwidths, delays and
+/// queues are the module's constants ([`VICTIM_BANDWIDTH_BPS`] and its
+/// private siblings): no caller varies them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainConfig {
     /// Total number of routers `N` (last-hop + core + ingress). Must be ≥ 3.
@@ -27,24 +50,6 @@ pub struct DomainConfig {
     /// Number of source hosts to attach (≥ 1), spread round-robin over the
     /// ingress routers.
     pub n_hosts: usize,
-    /// Access-link bandwidth (bits/s).
-    pub access_bandwidth_bps: f64,
-    /// Minimum access-link propagation delay.
-    pub access_delay_min: SimDuration,
-    /// Maximum access-link propagation delay.
-    pub access_delay_max: SimDuration,
-    /// Core-link bandwidth (bits/s).
-    pub core_bandwidth_bps: f64,
-    /// Core-link propagation delay.
-    pub core_delay: SimDuration,
-    /// Victim-link bandwidth (bits/s) — the bottleneck.
-    pub victim_bandwidth_bps: f64,
-    /// Victim-link propagation delay.
-    pub victim_delay: SimDuration,
-    /// Queue capacity (packets) for access and core links.
-    pub queue_capacity: usize,
-    /// Queue capacity (packets) for the victim link.
-    pub victim_queue_capacity: usize,
     /// Base octet of the domain's address plan (multi-domain topologies
     /// give every domain a distinct base so plans never overlap).
     pub base_octet: u8,
@@ -59,15 +64,6 @@ impl Default for DomainConfig {
         DomainConfig {
             n_routers: 40,
             n_hosts: 50,
-            access_bandwidth_bps: 10e6,
-            access_delay_min: SimDuration::from_millis(5),
-            access_delay_max: SimDuration::from_millis(40),
-            core_bandwidth_bps: 100e6,
-            core_delay: SimDuration::from_millis(2),
-            victim_bandwidth_bps: 10e6,
-            victim_delay: SimDuration::from_millis(1),
-            queue_capacity: 128,
-            victim_queue_capacity: 128,
             base_octet: 10,
             seed: 0,
         }
@@ -86,12 +82,6 @@ impl DomainConfig {
         }
         if self.n_hosts == 0 {
             return Err("n_hosts must be >= 1".into());
-        }
-        if self.access_delay_min > self.access_delay_max {
-            return Err("access_delay_min exceeds access_delay_max".into());
-        }
-        if self.queue_capacity == 0 || self.victim_queue_capacity == 0 {
-            return Err("queue capacities must be >= 1".into());
         }
         if self.base_octet == 0 || self.base_octet == 192 {
             return Err(format!("base_octet {} is reserved", self.base_octet));
@@ -204,11 +194,7 @@ impl Domain {
             .map(|i| sim.add_node(format!("ingress{i}")))
             .collect();
 
-        let core_spec = LinkSpec::new(
-            config.core_bandwidth_bps,
-            config.core_delay,
-            config.queue_capacity,
-        );
+        let core_spec = LinkSpec::new(CORE_BANDWIDTH_BPS, CORE_DELAY, QUEUE_CAPACITY);
         // Core chain rooted at the last-hop router.
         sim.add_duplex_link(victim_router, core_routers[0], core_spec);
         for w in core_routers.windows(2) {
@@ -222,34 +208,21 @@ impl Domain {
 
         // --- Victim host ---------------------------------------------------
         let victim_host = sim.add_node("victim");
-        let victim_spec = LinkSpec::new(
-            config.victim_bandwidth_bps,
-            config.victim_delay,
-            config.victim_queue_capacity,
-        );
+        let victim_spec = LinkSpec::new(VICTIM_BANDWIDTH_BPS, VICTIM_DELAY, VICTIM_QUEUE_CAPACITY);
         sim.add_duplex_link(victim_router, victim_host, victim_spec);
         let victim_addr = address_space.victim_addr();
 
         // --- Source hosts ----------------------------------------------------
         let mut hosts = Vec::with_capacity(config.n_hosts);
         let mut per_ingress_count = vec![0u32; n_ingress];
+        let delay_range = ACCESS_DELAY_MAX.as_nanos() - ACCESS_DELAY_MIN.as_nanos();
         for h in 0..config.n_hosts {
             let ingress_index = h % n_ingress;
             per_ingress_count[ingress_index] += 1;
             let addr = address_space.host_addr(ingress_index, per_ingress_count[ingress_index]);
             let node = sim.add_node(format!("host{h}"));
-            let delay_range =
-                config.access_delay_max.as_nanos() - config.access_delay_min.as_nanos();
-            let delay = SimDuration::from_nanos(
-                config.access_delay_min.as_nanos()
-                    + if delay_range > 0 {
-                        rng.gen_range(0..=delay_range)
-                    } else {
-                        0
-                    },
-            );
-            let access_spec =
-                LinkSpec::new(config.access_bandwidth_bps, delay, config.queue_capacity);
+            let delay = ACCESS_DELAY_MIN + SimDuration::from_nanos(rng.gen_range(0..=delay_range));
+            let access_spec = LinkSpec::new(ACCESS_BANDWIDTH_BPS, delay, QUEUE_CAPACITY);
             let (uplink, _downlink) =
                 sim.add_duplex_link(node, ingress_routers[ingress_index], access_spec);
             hosts.push(HostInfo {

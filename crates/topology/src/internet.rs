@@ -88,13 +88,13 @@ impl TransitTopology {
             }
         }
         // Bound the tier before anyone exponentiates with it: the whole
-        // internet is capped at 100 domains (address bases), so reject
-        // out-of-range tiers here with an error instead of overflowing
-        // (or building half the cap in providers alone).
+        // internet is capped at MAX_DOMAINS, so reject out-of-range
+        // tiers here with an error instead of overflowing (or building
+        // half the cap in providers alone).
         let count = self.domain_count();
-        if count > 100 {
+        if count > MAX_DOMAINS {
             return Err(format!(
-                "transit tier of {count} provider domains exceeds the 100-domain cap"
+                "transit tier of {count} provider domains exceeds the {MAX_DOMAINS}-domain cap"
             ));
         }
         Ok(())
@@ -170,6 +170,9 @@ pub struct Internet {
     pub domains: Vec<InternetDomain>,
 }
 
+/// Most domains one internet holds: each takes an address base octet.
+pub const MAX_DOMAINS: usize = 100;
+
 /// Base octet of domain `index` (victim = 10, then 11, 12, …).
 fn base_octet(index: usize) -> u8 {
     10 + index as u8
@@ -212,9 +215,9 @@ impl Internet {
         config.transit.validate()?;
         let n_transit = config.transit.domain_count();
         let n_total = config.stubs.len() + n_transit;
-        if n_total > 100 {
+        if n_total > MAX_DOMAINS {
             return Err(format!(
-                "at most 100 domains supported (address bases), got {n_total}"
+                "at most {MAX_DOMAINS} domains supported (address bases), got {n_total}"
             ));
         }
 

@@ -34,7 +34,8 @@ pub mod domain;
 pub mod internet;
 
 pub use address::{AddressSpace, PREFIX_LEN};
-pub use domain::{install_host_routes, Domain, DomainConfig, HostInfo};
+pub use domain::{install_host_routes, Domain, DomainConfig, HostInfo, VICTIM_BANDWIDTH_BPS};
 pub use internet::{
     DomainRole, Internet, InternetConfig, InternetDomain, TransitTopology, UpstreamEdge,
+    MAX_DOMAINS,
 };

@@ -18,21 +18,24 @@ use mafic_netsim::{
     SnapReader, State, StateWrite,
 };
 
-/// Tunables for [`TcpSender`].
+/// Segment size in bytes (data packets).
+const SEGMENT_SIZE: u32 = 500;
+/// Initial congestion window (segments).
+const INITIAL_CWND: f64 = 2.0;
+/// Initial slow-start threshold (segments).
+const INITIAL_SSTHRESH: f64 = 32.0;
+/// Initial retransmission timeout before any RTT sample.
+const INITIAL_RTO: SimDuration = SimDuration::from_millis(1000);
+
+/// Tunables for [`TcpSender`]. The segment size and the initial window,
+/// slow-start threshold and RTO are this module's constants: no caller
+/// varies them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
-    /// Segment size in bytes (data packets).
-    pub segment_size: u32,
     /// ACK size in bytes.
     pub ack_size: u32,
-    /// Initial congestion window (segments).
-    pub initial_cwnd: f64,
-    /// Initial slow-start threshold (segments).
-    pub initial_ssthresh: f64,
     /// Upper bound on the congestion window (receiver window stand-in).
     pub max_cwnd: f64,
-    /// Initial retransmission timeout before any RTT sample.
-    pub initial_rto: SimDuration,
     /// Lower bound for the RTO.
     pub min_rto: SimDuration,
     /// Upper bound for the RTO.
@@ -42,12 +45,8 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            segment_size: 500,
             ack_size: 40,
-            initial_cwnd: 2.0,
-            initial_ssthresh: 32.0,
             max_cwnd: 64.0,
-            initial_rto: SimDuration::from_millis(1000),
             min_rto: SimDuration::from_millis(200),
             max_rto: SimDuration::from_secs(8),
         }
@@ -61,17 +60,10 @@ impl TcpConfig {
     ///
     /// Returns a message naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.segment_size == 0 {
-            return Err("segment_size must be positive".into());
-        }
-        if self.initial_cwnd.is_nan() || self.initial_cwnd < 1.0 {
+        if self.max_cwnd.is_nan() || self.max_cwnd < INITIAL_CWND {
             return Err(format!(
-                "initial_cwnd must be >= 1, got {}",
-                self.initial_cwnd
+                "max_cwnd must be >= the initial window ({INITIAL_CWND} segments)"
             ));
-        }
-        if self.max_cwnd.is_nan() || self.max_cwnd < self.initial_cwnd {
-            return Err("max_cwnd must be >= initial_cwnd".into());
         }
         if self.min_rto > self.max_rto {
             return Err("min_rto exceeds max_rto".into());
@@ -151,12 +143,12 @@ impl TcpSender {
             stop_after: None,
             next_seq: 0,
             snd_una: 0,
-            cwnd: config.initial_cwnd,
-            ssthresh: config.initial_ssthresh,
+            cwnd: INITIAL_CWND,
+            ssthresh: INITIAL_SSTHRESH,
             dup_acks: 0,
             recover: 0,
             in_fast_recovery: false,
-            rtt: RttEstimator::new(config.initial_rto, config.min_rto, config.max_rto),
+            rtt: RttEstimator::new(INITIAL_RTO, config.min_rto, config.max_rto),
             last_peer_ts: SimTime::ZERO,
             rto_generation: 0,
             data_sent: 0,
@@ -242,7 +234,7 @@ impl TcpSender {
                 ts: ctx.now(),
                 ts_echo: self.last_peer_ts,
             },
-            size_bytes: self.config.segment_size,
+            size_bytes: SEGMENT_SIZE,
             created_at: ctx.now(),
             provenance: Provenance {
                 origin: ctx.agent_id(),
@@ -405,7 +397,7 @@ impl State for TcpSender {
     /// The window fields size the burst `send_window` emits, so they are
     /// held to what the sender's own arithmetic can produce: `cwnd` in
     /// `[1, max(max_cwnd, 2)]`, `ssthresh` likewise or still at its
-    /// configured initial value, and `snd_una <= next_seq`.
+    /// initial value, and `snd_una <= next_seq`.
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let window = |r: &mut SnapReader<'_>, what: &str, max: f64| {
             let v = r.read_f64()?;
@@ -428,7 +420,7 @@ impl State for TcpSender {
             )));
         }
         self.cwnd = window(r, "cwnd", max_cwnd)?;
-        self.ssthresh = window(r, "ssthresh", max_cwnd.max(self.config.initial_ssthresh))?;
+        self.ssthresh = window(r, "ssthresh", max_cwnd.max(INITIAL_SSTHRESH))?;
         self.dup_acks = r.read_u32()?;
         self.recover = r.read_u64()?;
         self.in_fast_recovery = r.read_bool()?;
@@ -745,18 +737,6 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        assert!(TcpConfig {
-            segment_size: 0,
-            ..TcpConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TcpConfig {
-            initial_cwnd: 0.5,
-            ..TcpConfig::default()
-        }
-        .validate()
-        .is_err());
         assert!(TcpConfig {
             max_cwnd: 1.0,
             ..TcpConfig::default()

@@ -31,8 +31,8 @@ use mafic_netsim::{
     RequesterId, SimDuration, SimTime, Simulator,
 };
 use mafic_obs::{
-    fnv64, HashWriter, IntervalProbe, LedgerBuilder, LedgerHeader, RunLedger, SnapError,
-    SnapReader, Snapshot, SnapshotHeader, State, StateWrite, SNAP_VERSION,
+    HashWriter, IntervalProbe, LedgerBuilder, LedgerHeader, RunLedger, SnapError, SnapReader,
+    Snapshot, SnapshotHeader, State, StateWrite, SNAP_VERSION,
 };
 use mafic_pushback::{ControlChannel, ControlPlane, LifecycleState, PushbackAction};
 use mafic_transport::UnresponsiveSender;
@@ -47,6 +47,11 @@ const PUSHBACK_PORT: u16 = 9;
 /// forged requests — flood-scale by design, so an honest upstream whose
 /// own meter sees only normal traffic cannot corroborate it.
 const MALICIOUS_CLAIM_BPS: u64 = 8_000_000;
+/// In [`DetectionMode::Auto`], if the sketch monitor has not raised the
+/// alarm this long after the attack begins, the victim escalates and
+/// pushback is forced at every ingress (a victim experiencing collapse
+/// notifies its upstreams even without the counting pipeline).
+const DETECTION_FALLBACK: SimDuration = SimDuration::from_millis(500);
 /// Salt mixed into the run seed for the adversary controller's RNG, so
 /// adversary randomness never correlates with workload provisioning
 /// (which derives its streams from the raw seed).
@@ -329,7 +334,7 @@ fn collect_policy_costs(scenario: &Scenario) -> Vec<PolicyCostReport> {
         tally(
             &scenario.sim,
             &mut rows,
-            scenario.spec.base_policy(),
+            scenario.spec.policy,
             &scenario.droppers,
         );
     }
@@ -889,7 +894,7 @@ fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
         detector,
         triggered_at: None,
         first_triggered_at: None,
-        fallback: scenario.spec.detection_fallback,
+        fallback: Some(DETECTION_FALLBACK),
         atr_nodes: Vec::new(),
         escalations: Vec::new(),
         max_pushback_depth: 0,
@@ -923,7 +928,7 @@ fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
                 ledger_version: 0, // the builder stamps the real version
                 crate_version: env!("CARGO_PKG_VERSION").to_string(),
                 seed: scenario.spec.seed,
-                spec_fingerprint: fnv64(format!("{:?}", scenario.spec).as_bytes()),
+                spec_fingerprint: scenario.spec.fingerprint(),
                 // Always 0: a run is single-threaded regardless of how
                 // many engine workers run *other* specs, so ledgers
                 // must be byte-identical at any `MAFIC_JOBS`. The field
@@ -1263,7 +1268,7 @@ fn capture(scenario: &Scenario, state: &RunState, probe: &mut IntervalProbe) -> 
         snap_version: SNAP_VERSION,
         crate_version: env!("CARGO_PKG_VERSION").to_string(),
         seed: spec.seed,
-        spec_fingerprint: fnv64(format!("{spec:?}").as_bytes()),
+        spec_fingerprint: spec.fingerprint(),
         at_nanos: scenario.sim.now().as_nanos(),
         interval_index: state
             .last_stop
@@ -1365,7 +1370,7 @@ fn restore_with(
         .into());
     }
     if check_fingerprint {
-        let fingerprint = fnv64(format!("{spec:?}").as_bytes());
+        let fingerprint = spec.fingerprint();
         if header.spec_fingerprint != fingerprint {
             return Err(SnapError::HeaderMismatch {
                 field: "spec_fingerprint",

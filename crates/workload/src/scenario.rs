@@ -21,6 +21,7 @@ use mafic::{
     AddressValidator, DefensePolicy, LogLogTap, MaficConfig, MaficFilter, ProportionalFilter,
     RateLimitFilter,
 };
+use mafic_loglog::Precision;
 use mafic_netsim::{
     Addr, AgentId, FlowKey, LinkId, LinkSpec, NodeId, RequesterId, SimDuration, SimTime, Simulator,
 };
@@ -177,6 +178,12 @@ const INTER_DOMAIN_BANDWIDTH_BPS: f64 = 20e6;
 const INTER_DOMAIN_DELAY: SimDuration = SimDuration::from_millis(10);
 /// Queue capacity (packets) of every inter-domain link.
 const INTER_DOMAIN_QUEUE: usize = 192;
+/// LogLog sketch precision of the pushback taps.
+const TAP_PRECISION: Precision = Precision::P10;
+/// Legitimate flows start at a seeded instant in `[0, LEGIT_START_SPREAD]`.
+const LEGIT_START_SPREAD: SimDuration = SimDuration::from_millis(500);
+/// Bin width of the victim's time series.
+const VICTIM_BIN: SimDuration = SimDuration::from_millis(50);
 
 impl Scenario {
     /// Builds the scenario described by `spec`: one body for both
@@ -222,10 +229,9 @@ impl Scenario {
             SimTime::ZERO,
         );
         sim.bind_local_addr(domain.victim_host, domain.victim_addr, victim_agent);
+        sim.stats_mut().watch_victim(domain.victim_host, VICTIM_BIN);
         sim.stats_mut()
-            .watch_victim(domain.victim_host, spec.victim_bin);
-        sim.stats_mut()
-            .watch_arrivals(domain.victim_router, domain.victim_addr, spec.victim_bin);
+            .watch_arrivals(domain.victim_router, domain.victim_addr, VICTIM_BIN);
 
         // One source-legality oracle over every domain's address plan: a
         // remote host's genuine address is legal everywhere.
@@ -252,7 +258,7 @@ impl Scenario {
             .flat_map(|internet| &internet.domains[0].upstream)
             .map(|e| (e.border, e.in_link))
             .collect();
-        let taps = install_taps(&mut sim, &spec, &domain, &border_links);
+        let taps = install_taps(&mut sim, &domain, &border_links);
 
         // Defense plane: per-domain filters, meters and coordinators
         // when an internet exists, else just the victim-domain droppers.
@@ -267,7 +273,7 @@ impl Scenario {
                 &domain.ingress_routers,
                 &validator,
                 0,
-                spec.base_policy(),
+                spec.policy,
             ),
         };
 
@@ -537,7 +543,6 @@ fn provision_cross_traffic(
 /// domain entries for the detector's traffic matrix.
 fn install_taps(
     sim: &mut Simulator,
-    spec: &ScenarioSpec,
     domain: &Domain,
     border_links: &[(NodeId, LinkId)],
 ) -> Vec<(NodeId, usize)> {
@@ -562,7 +567,7 @@ fn install_taps(
                 .filter(|&&(node, _)| node == router)
                 .map(|&(_, link)| link),
         );
-        let tap = LogLogTap::new(spec.loglog_precision, ingress_links, egress_addrs);
+        let tap = LogLogTap::new(TAP_PRECISION, ingress_links, egress_addrs);
         let idx = sim.add_filter(router, Box::new(tap));
         taps.push((router, idx));
     }
@@ -631,8 +636,6 @@ fn install_droppers(
                 let config = MaficConfig {
                     drop_probability: spec.drop_probability,
                     timer_rtt_multiplier: spec.timer_rtt_multiplier,
-                    decrease_threshold: spec.decrease_threshold,
-                    label_mode: spec.label_mode,
                     nft_revalidate_after: spec.nft_revalidate_after,
                     seed: filter_seed,
                     ..MaficConfig::default()
@@ -679,7 +682,7 @@ fn provision_flow(
     if !is_attack {
         let key = FlowKey::new(host.addr, victim_addr, src_port, 80);
         let start = SimTime::ZERO
-            + SimDuration::from_nanos(rng.gen_range(0..=spec.legit_start_spread.as_nanos().max(1)));
+            + SimDuration::from_nanos(rng.gen_range(0..=LEGIT_START_SPREAD.as_nanos()));
         // Moderate RTO bounds so nice flows regain their share
         // promptly after passing the probe test (Fig. 4b).
         let tcp_config = TcpConfig {
@@ -755,7 +758,6 @@ fn provision_flow(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic::DropPolicy;
     use mafic_topology::TransitTopology;
 
     fn small_spec() -> ScenarioSpec {
@@ -880,7 +882,7 @@ mod tests {
     #[test]
     fn proportional_policy_installs_baseline_filters() {
         let spec = ScenarioSpec {
-            policy: DropPolicy::Proportional,
+            policy: DefensePolicy::ProportionalDrop,
             ..small_spec()
         };
         let s = Scenario::build(spec).unwrap();

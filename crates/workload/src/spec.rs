@@ -4,14 +4,26 @@
 //! sweeps: traffic volume `Vt`, TCP share `Γ`, flow rate `R`, drop
 //! probability `Pd`, domain size `N`, plus the spoofing mix, the drop
 //! policy under test, and all timing anchors. Defaults follow Table II.
+//!
+//! A field exists only when some caller gives it a different value. The
+//! Table II values nobody varies are constants beside the code that
+//! reads them: the escalation threshold here, the tap precision, legit
+//! start spread and victim bin in `scenario.rs`, the detection fallback
+//! in `runner.rs`, and the link, probe and TCP constants of
+//! `mafic-topology`, `mafic` and `mafic-transport`.
 
-use mafic::{DefensePolicy, DropPolicy, LabelMode};
+use mafic::DefensePolicy;
 use mafic_adversary::AdversarySpec;
 use mafic_loglog::hash::{mix2, mix64};
-use mafic_loglog::Precision;
 use mafic_netsim::{SimDuration, SimTime};
+use mafic_obs::fnv64;
 use mafic_pushback::{PushbackConfig, TrustConfig};
-use mafic_topology::{DomainConfig, TransitTopology};
+use mafic_topology::{TransitTopology, MAX_DOMAINS, VICTIM_BANDWIDTH_BPS};
+
+/// Escalation threshold as a fraction of the victim link capacity: a
+/// defending domain escalates upstream while the victim-bound aggregate
+/// entering its ATRs stays above this for the trigger window.
+const ESCALATION_THRESHOLD: f64 = 0.25;
 
 /// How the pushback trigger is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +75,9 @@ impl NominalRate {
     }
 }
 
-/// Full description of one simulation run.
+/// Full description of one simulation run. Every field is a value some
+/// caller varies; the fixed Table II values are constants (see the
+/// module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// `Vt` — total number of flows (Table II: 50).
@@ -99,11 +113,6 @@ pub struct ScenarioSpec {
     /// victim-domain-only, today's single-domain behaviour; each
     /// transit level costs one hop, the source stubs one more).
     pub pushback_depth: u32,
-    /// Escalation threshold as a fraction of the victim link capacity:
-    /// a defending domain escalates upstream while the victim-bound
-    /// aggregate entering its ATRs stays above this for the trigger
-    /// window. Ignored when `domains == 1`.
-    pub escalation_threshold: f64,
     /// Per-requester install budget of every upstream trust ledger:
     /// how many fresh filter installs one downstream requester may
     /// cause at a given domain over the run. `0` refuses every
@@ -167,8 +176,10 @@ pub struct ScenarioSpec {
     pub malicious_pushback: Option<usize>,
     /// `Pd` — the probing drop probability (Table II: 0.9).
     pub drop_probability: f64,
-    /// Which drop policy runs at the ATRs.
-    pub policy: DropPolicy,
+    /// The [`DefensePolicy`] a domain runs when nothing more specific
+    /// applies: the ATR policy of the paper's single domain, and of the
+    /// victim domain, which must stay participating.
+    pub policy: DefensePolicy,
     /// Default [`DefensePolicy`] of the *transit* (provider) domains in
     /// a multi-domain scenario. `None` inherits the spec's [`policy`]
     /// (the homogeneous deployment of the paper); `Some` lets transit
@@ -195,37 +206,19 @@ pub struct ScenarioSpec {
     /// nearest participating domain upstream. `1.0` (the default)
     /// reproduces the full-deployment behaviour exactly.
     pub participation_fraction: f64,
-    /// Flow-label storage model for table-memory accounting; drop
-    /// behaviour is label-collision-free in every mode since tables are
-    /// keyed by exact interned flow ids.
-    pub label_mode: LabelMode,
     /// Probation timer as a multiple of the flow RTT (paper: 2).
     pub timer_rtt_multiplier: f64,
-    /// Responsiveness threshold for the probe decision.
-    pub decrease_threshold: f64,
     /// Optional NFT re-validation period (anti-pulsing extension; the
     /// paper's algorithm never re-probes).
     pub nft_revalidate_after: Option<SimDuration>,
-    /// LogLog sketch precision for the pushback taps.
-    pub loglog_precision: Precision,
     /// How the pushback trigger is decided.
     pub detection: DetectionMode,
-    /// In [`DetectionMode::Auto`], if the sketch monitor has not raised
-    /// the alarm this long after the attack begins, the victim escalates
-    /// and pushback is forced at every ingress (a victim experiencing
-    /// collapse notifies its upstreams even without the counting
-    /// pipeline). `None` disables the fallback.
-    pub detection_fallback: Option<SimDuration>,
     /// Monitor sampling interval (traffic-matrix epochs).
     pub monitor_interval: SimDuration,
-    /// When legitimate flows start (staggered up to `legit_start_spread`).
-    pub legit_start_spread: SimDuration,
     /// When the attack begins.
     pub attack_start: SimTime,
     /// End of the simulated run.
     pub end: SimTime,
-    /// Victim time-series bin width.
-    pub victim_bin: SimDuration,
     /// Ring capacity of the simulator's [`mafic_netsim::TraceBuffer`].
     /// `0` (the default) leaves tracing off; when positive, the runner
     /// surfaces the last events in [`crate::RunOutcome::trace_tail`]
@@ -259,7 +252,6 @@ impl Default for ScenarioSpec {
             domains: 1,
             transit_topology: TransitTopology::Chain { depth: 2 },
             pushback_depth: 0,
-            escalation_threshold: 0.25,
             trust_budget: 8,
             attestation_fraction: 0.25,
             subsidence_intervals: 8,
@@ -270,22 +262,16 @@ impl Default for ScenarioSpec {
             cross_traffic_bps: 0.0,
             malicious_pushback: None,
             drop_probability: 0.9,
-            policy: DropPolicy::Mafic,
+            policy: DefensePolicy::FullMafic,
             transit_policy: None,
             policy_overrides: Vec::new(),
             participation_fraction: 1.0,
-            label_mode: LabelMode::Hashed,
             timer_rtt_multiplier: 2.0,
-            decrease_threshold: 0.7,
             nft_revalidate_after: None,
-            loglog_precision: Precision::P10,
             detection: DetectionMode::Auto,
-            detection_fallback: Some(SimDuration::from_millis(500)),
             monitor_interval: SimDuration::from_millis(100),
-            legit_start_spread: SimDuration::from_millis(500),
             attack_start: SimTime::from_secs_f64(1.0),
             end: SimTime::from_secs_f64(8.0),
-            victim_bin: SimDuration::from_millis(50),
             trace_capacity: 0,
             ledger: false,
             checkpoint_at: None,
@@ -335,11 +321,12 @@ impl ScenarioSpec {
         }
     }
 
-    /// The [`DefensePolicy`] a domain falls back to when nothing more
-    /// specific applies — the spec's single-domain drop policy.
+    /// The run's identity in ledger and snapshot headers: FNV-1a over
+    /// the spec's `Debug` rendering. A restore checks it, so a
+    /// checkpoint only resumes under the spec that captured it.
     #[must_use]
-    pub fn base_policy(&self) -> DefensePolicy {
-        DefensePolicy::from(self.policy)
+    pub(crate) fn fingerprint(&self) -> u64 {
+        fnv64(format!("{self:?}").as_bytes())
     }
 
     /// The [`PushbackConfig`] every domain coordinator of a
@@ -348,9 +335,9 @@ impl ScenarioSpec {
     /// victim link capacity; trust knobs come straight from the spec.
     #[must_use]
     pub fn pushback_config(&self) -> PushbackConfig {
-        let link_bytes_per_sec = DomainConfig::default().victim_bandwidth_bps / 8.0;
+        let link_bytes_per_sec = VICTIM_BANDWIDTH_BPS / 8.0;
         PushbackConfig {
-            threshold_bps: self.escalation_threshold * link_bytes_per_sec,
+            threshold_bps: ESCALATION_THRESHOLD * link_bytes_per_sec,
             // "Healthy" means not overloaded: normal legitimate load
             // fills the victim link, so the stand-down ceiling sits
             // above capacity, not below the escalation threshold.
@@ -371,9 +358,9 @@ impl ScenarioSpec {
     /// Resolution order per domain: explicit [`policy_overrides`] entry;
     /// else the nested [`participation_fraction`] draw may mark a
     /// non-victim domain [`DefensePolicy::NonParticipating`]; else
-    /// [`transit_policy`] for transit-tier domains; else
-    /// [`base_policy`](ScenarioSpec::base_policy). The victim domain
-    /// (index 0) never enters the participation draw.
+    /// [`transit_policy`] for transit-tier domains; else the spec's
+    /// [`policy`](ScenarioSpec::policy). The victim domain (index 0)
+    /// never enters the participation draw.
     ///
     /// [`policy_overrides`]: ScenarioSpec::policy_overrides
     /// [`participation_fraction`]: ScenarioSpec::participation_fraction
@@ -420,7 +407,7 @@ impl ScenarioSpec {
     pub fn resolved_policies(&self) -> Vec<DefensePolicy> {
         let total = self.total_domain_count();
         if total == 1 {
-            return vec![self.base_policy()];
+            return vec![self.policy];
         }
         let n_transit = self.transit_topology.domain_count();
         let participating = self.participation_set(total);
@@ -430,15 +417,15 @@ impl ScenarioSpec {
                     return p;
                 }
                 if d == 0 {
-                    return self.base_policy();
+                    return self.policy;
                 }
                 if !participating[d] {
                     return DefensePolicy::NonParticipating;
                 }
                 if d <= n_transit {
-                    self.transit_policy.unwrap_or_else(|| self.base_policy())
+                    self.transit_policy.unwrap_or(self.policy)
                 } else {
-                    self.base_policy()
+                    self.policy
                 }
             })
             .collect()
@@ -481,11 +468,15 @@ impl ScenarioSpec {
                 self.tcp_share
             ));
         }
-        if self.flow_rate_pps.is_nan() || self.flow_rate_pps <= 0.0 {
-            return Err("flow_rate_pps must be positive".into());
+        if !self.flow_rate_pps.is_finite() || self.flow_rate_pps <= 0.0 {
+            return Err("flow_rate_pps must be finite and > 0".into());
         }
-        if self.attack_load_factor.is_nan() || self.attack_load_factor < 0.0 {
-            return Err("attack_load_factor must be >= 0".into());
+        // The zombies' constant-rate senders need a finite, positive rate.
+        if !self.attack_load_factor.is_finite() || self.attack_load_factor <= 0.0 {
+            return Err(format!(
+                "attack_load_factor must be finite and > 0, got {}",
+                self.attack_load_factor
+            ));
         }
         for (name, v) in [
             ("attack_tcp_like", self.attack_tcp_like),
@@ -509,17 +500,17 @@ impl ScenarioSpec {
             return Err(format!("domains must be <= 64, got {}", self.domains));
         }
         self.transit_topology.validate()?;
+        let total = self.total_domain_count();
+        if total > MAX_DOMAINS {
+            return Err(format!(
+                "{total} domains in all exceed the {MAX_DOMAINS}-domain cap"
+            ));
+        }
         if self.domains == 1 && self.pushback_depth > 0 {
             return Err("pushback_depth > 0 requires domains >= 2".into());
         }
-        if !self.escalation_threshold.is_finite() || self.escalation_threshold <= 0.0 {
-            return Err(format!(
-                "escalation_threshold must be finite and > 0, got {}",
-                self.escalation_threshold
-            ));
-        }
-        // The derived coordinator config re-checks the threshold and
-        // vets the trust knobs with the typed PushbackConfigError.
+        // The derived coordinator config vets the trust and subsidence
+        // knobs with the typed PushbackConfigError.
         self.pushback_config()
             .validate()
             .map_err(|e| format!("pushback config: {e}"))?;
@@ -596,10 +587,13 @@ impl ScenarioSpec {
                 return Err("participation_fraction < 1 requires domains >= 2".into());
             }
         }
+        self.policy.validate().map_err(|e| format!("policy: {e}"))?;
+        if !self.policy.participating() {
+            return Err("policy must be participating (the victim domain always defends)".into());
+        }
         if let Some(p) = self.transit_policy {
             p.validate().map_err(|e| format!("transit_policy: {e}"))?;
         }
-        let total = self.total_domain_count();
         for (i, &(d, p)) in self.policy_overrides.iter().enumerate() {
             if d >= total {
                 return Err(format!(
@@ -627,20 +621,14 @@ impl ScenarioSpec {
                 self.timer_rtt_multiplier
             ));
         }
-        if !(0.0..=1.0).contains(&self.decrease_threshold) {
-            return Err(format!(
-                "decrease_threshold must be in [0, 1], got {}",
-                self.decrease_threshold
-            ));
+        if self.nft_revalidate_after.is_some_and(SimDuration::is_zero) {
+            return Err("nft_revalidate_after must be positive".into());
         }
         if self.attack_start >= self.end {
             return Err("attack_start must precede end".into());
         }
         if self.monitor_interval.is_zero() {
             return Err("monitor_interval must be positive".into());
-        }
-        if self.victim_bin.is_zero() {
-            return Err("victim_bin must be positive (it bins the victim series)".into());
         }
         if let Some(at) = self.checkpoint_at {
             if at >= self.end {
@@ -737,6 +725,19 @@ mod tests {
         }
         .validate()
         .is_err());
+        // Both of these once validated and then panicked in the build.
+        assert!(ScenarioSpec {
+            attack_load_factor: 0.0,
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
+        assert!(ScenarioSpec {
+            nft_revalidate_after: Some(SimDuration::ZERO),
+            ..base.clone()
+        }
+        .validate()
+        .is_err());
         assert!(ScenarioSpec {
             attack_start: SimTime::from_secs_f64(9.0),
             ..base
@@ -756,20 +757,6 @@ mod tests {
             .validate()
             .expect_err(&format!("timer_rtt_multiplier {bad} must be rejected"));
             assert!(err.contains("timer_rtt_multiplier"), "{err}");
-        }
-    }
-
-    #[test]
-    fn validation_catches_bad_decrease_threshold() {
-        let base = ScenarioSpec::default();
-        for bad in [-0.1, 1.1, f64::NAN] {
-            let err = ScenarioSpec {
-                decrease_threshold: bad,
-                ..base.clone()
-            }
-            .validate()
-            .expect_err(&format!("decrease_threshold {bad} must be rejected"));
-            assert!(err.contains("decrease_threshold"), "{err}");
         }
     }
 
@@ -799,10 +786,10 @@ mod tests {
                 },
             ),
             (
-                "zero threshold",
+                "more than 100 domains in all",
                 ScenarioSpec {
-                    domains: 2,
-                    escalation_threshold: 0.0,
+                    domains: 64,
+                    transit_topology: TransitTopology::Chain { depth: 37 },
                     ..base.clone()
                 },
             ),
@@ -998,6 +985,22 @@ mod tests {
                     ..base.clone()
                 },
             ),
+            (
+                "non-participating base policy",
+                ScenarioSpec {
+                    policy: DefensePolicy::NonParticipating,
+                    ..ScenarioSpec::default()
+                },
+            ),
+            (
+                "invalid base rate limit",
+                ScenarioSpec {
+                    policy: DefensePolicy::AggregateRateLimit {
+                        limit_bytes_per_sec: f64::NAN,
+                    },
+                    ..base.clone()
+                },
+            ),
         ] {
             assert!(bad.validate().is_err(), "{label} must be rejected");
         }
@@ -1007,7 +1010,6 @@ mod tests {
     #[test]
     fn pushback_config_derives_from_the_spec() {
         let spec = ScenarioSpec {
-            escalation_threshold: 0.5,
             trust_budget: 3,
             attestation_fraction: 0.1,
             subsidence_intervals: 4,
@@ -1015,7 +1017,8 @@ mod tests {
         };
         let cfg = spec.pushback_config();
         assert!(cfg.validate().is_ok());
-        assert!((cfg.threshold_bps - 625_000.0).abs() < 1e-6);
+        // A quarter of the 10 Mbit/s victim link, in bytes/s.
+        assert!((cfg.threshold_bps - 312_500.0).abs() < 1e-6);
         assert!(cfg.healthy_bps > cfg.threshold_bps, "healthy above trigger");
         assert_eq!(cfg.trust.request_budget, 3);
         assert!((cfg.trust.attestation_fraction - 0.1).abs() < 1e-12);
@@ -1145,16 +1148,5 @@ mod tests {
             ..multi
         };
         assert!(good.validate().is_ok(), "{:?}", good.validate());
-    }
-
-    #[test]
-    fn validation_catches_zero_victim_bin() {
-        let err = ScenarioSpec {
-            victim_bin: SimDuration::ZERO,
-            ..ScenarioSpec::default()
-        }
-        .validate()
-        .expect_err("zero victim_bin must be rejected");
-        assert!(err.contains("victim_bin"), "{err}");
     }
 }

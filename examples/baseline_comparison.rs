@@ -9,7 +9,7 @@
 //! cargo run --release --example baseline_comparison
 //! ```
 
-use mafic_suite::core::DropPolicy;
+use mafic_suite::core::DefensePolicy;
 use mafic_suite::workload::{run_spec, ScenarioSpec};
 
 fn main() -> Result<(), mafic_suite::workload::WorkloadError> {
@@ -18,7 +18,10 @@ fn main() -> Result<(), mafic_suite::workload::WorkloadError> {
         "policy", "alpha %", "theta_n %", "theta_p %", "Lr %", "beta %"
     );
     for pd in [0.7, 0.8, 0.9] {
-        for policy in [DropPolicy::Mafic, DropPolicy::Proportional] {
+        for (label, policy) in [
+            ("MAFIC", DefensePolicy::FullMafic),
+            ("proportional", DefensePolicy::ProportionalDrop),
+        ] {
             let spec = ScenarioSpec {
                 policy,
                 drop_probability: pd,
@@ -29,7 +32,7 @@ fn main() -> Result<(), mafic_suite::workload::WorkloadError> {
             let r = outcome.report;
             println!(
                 "{:>11} {:>2.0}% {:>10.3} {:>10.3} {:>10.4} {:>10.3} {:>10.2}",
-                policy.to_string(),
+                label,
                 pd * 100.0,
                 r.accuracy_pct,
                 r.false_negative_pct,

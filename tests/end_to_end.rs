@@ -2,7 +2,7 @@
 //! from topology construction through attack, detection, probing, and
 //! metric extraction.
 
-use mafic_suite::core::DropPolicy;
+use mafic_suite::core::DefensePolicy;
 use mafic_suite::netsim::{SimDuration, SimTime};
 use mafic_suite::workload::{run_spec, DetectionMode, ScenarioSpec};
 
@@ -65,7 +65,7 @@ fn all_attack_flows_end_up_condemned() {
 fn mafic_beats_proportional_on_collateral_damage() {
     let mafic = run_spec(small_spec()).expect("mafic run");
     let prop = run_spec(ScenarioSpec {
-        policy: DropPolicy::Proportional,
+        policy: DefensePolicy::ProportionalDrop,
         ..small_spec()
     })
     .expect("baseline run");
@@ -89,7 +89,6 @@ fn undefended_run_floods_the_victim() {
     let defended = run_spec(small_spec()).expect("defended run");
     let undefended = run_spec(ScenarioSpec {
         detection: DetectionMode::Off,
-        detection_fallback: None,
         ..small_spec()
     })
     .expect("undefended run");

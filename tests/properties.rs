@@ -6,17 +6,27 @@
 //! few hundred pseudo-random inputs drawn from a fixed seed, which keeps
 //! failures reproducible without any shrinking machinery.
 
-use mafic_suite::core::{AddressValidator, FlowLabel, LabelMode, MaficConfig, MaficFilter};
+use mafic_suite::core::{
+    AddressValidator, DefensePolicy, FlowLabel, LabelMode, MaficConfig, MaficFilter,
+};
 use mafic_suite::loglog::{LogLog, Precision};
 use mafic_suite::netsim::testkit::FilterHarness;
 use mafic_suite::netsim::{
     Addr, DropReason, FilterAction, FlowInterner, FlowKey, Packet, PacketKind, Provenance,
     SimDuration, SimTime,
 };
+use mafic_suite::topology::TransitTopology;
+use mafic_suite::workload::{
+    run_scenario, AdversarySpec, DetectionMode, Scenario, ScenarioSpec, StrategyKind, WorkloadError,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const CASES: usize = 300;
+/// Generated scenario specs: each is validated, and built and run when
+/// valid, so this stays far below `CASES`.
+const SPEC_CASES: usize = 120;
 
 fn case_rng(salt: u64) -> SmallRng {
     SmallRng::seed_from_u64(0x1B5E_55ED ^ salt)
@@ -253,4 +263,236 @@ fn time_addition_round_trips() {
         let dur = SimDuration::from_nanos(d);
         assert_eq!((time + dur) - time, dur);
     }
+}
+
+/// A draw from `[lo, hi)`; the vendored `rand` samples integer ranges
+/// only.
+fn uniform(rng: &mut SmallRng, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * rng.gen::<f64>()
+}
+
+/// True for the few draws that step outside a knob's legal range.
+fn rarely(rng: &mut SmallRng) -> bool {
+    rng.gen_bool(0.03)
+}
+
+/// A fraction in `[0, 1]`, or now and then just above it.
+fn arbitrary_fraction(rng: &mut SmallRng) -> f64 {
+    if rarely(rng) {
+        1.5
+    } else {
+        uniform(rng, 0.0, 1.0)
+    }
+}
+
+/// One of the four defense policies; a rate limit is sometimes zero.
+fn arbitrary_policy(rng: &mut SmallRng) -> DefensePolicy {
+    if rarely(rng) {
+        return DefensePolicy::AggregateRateLimit {
+            limit_bytes_per_sec: 0.0,
+        };
+    }
+    match rng.gen_range(0..8u32) {
+        0 => DefensePolicy::NonParticipating,
+        1 | 2 => DefensePolicy::AggregateRateLimit {
+            limit_bytes_per_sec: uniform(rng, 1e3, 1e6),
+        },
+        3 | 4 => DefensePolicy::ProportionalDrop,
+        _ => DefensePolicy::FullMafic,
+    }
+}
+
+fn arbitrary_adversary(rng: &mut SmallRng) -> AdversarySpec {
+    let period_intervals = if rarely(rng) { 0 } else { rng.gen_range(1..=6) };
+    let strategy = match rng.gen_range(0..4u32) {
+        0 => StrategyKind::SourceRotation {
+            period_intervals,
+            active_fraction: arbitrary_fraction(rng),
+        },
+        1 => StrategyKind::AttestationShaping {
+            step_milli: rng.gen_range(1..=400),
+            floor_milli: if rarely(rng) {
+                1200
+            } else {
+                rng.gen_range(1..=1000)
+            },
+        },
+        2 => StrategyKind::PulseTuning {
+            boost_milli: if rarely(rng) { 500 } else { 1500 },
+        },
+        _ => StrategyKind::CarpetBombing { period_intervals },
+    };
+    AdversarySpec::with_strategy(strategy)
+}
+
+/// A spec with every knob drawn across its legal range, scaled to run in
+/// milliseconds: at most 12 flows, 8 routers and 0.6 s. Some draws land
+/// just outside a bound, so the rejection path is exercised as well.
+fn arbitrary_spec(rng: &mut SmallRng) -> ScenarioSpec {
+    let end_s = uniform(rng, 0.05, 0.6);
+    let instant = |rng: &mut SmallRng| SimTime::from_secs_f64(uniform(rng, 0.0, end_s));
+    let (domains, transit_topology) = if rng.gen_bool(0.1) {
+        // Near the caps: at most 64 stubs and 100 domains in all.
+        let domains = rng.gen_range(55..=66);
+        let depth = rng.gen_range(95..=105) - domains;
+        (domains, TransitTopology::Chain { depth })
+    } else {
+        let domains = match rng.gen_range(0..10u32) {
+            0 if rarely(rng) => 0,
+            0..=4 => 1,
+            _ => rng.gen_range(2..=5),
+        };
+        let depth = rng.gen_range(0..=3);
+        let transit = if rng.gen_bool(0.7) {
+            TransitTopology::Chain { depth }
+        } else {
+            let fanout = if rarely(rng) { 0 } else { rng.gen_range(1..=3) };
+            TransitTopology::Tree { depth, fanout }
+        };
+        (domains, transit)
+    };
+    let multi = domains >= 2;
+    let total_domains = domains + transit_topology.domain_count();
+    let attack_start = instant(rng);
+    // Mostly after the attack starts; the rest must be rejected.
+    let attack_end = rng.gen_bool(0.3).then(|| {
+        let t = instant(rng);
+        if rarely(rng) {
+            t
+        } else {
+            t.max(attack_start + SimDuration::from_nanos(1))
+        }
+    });
+    let second_wave = if attack_end.is_some() && rng.gen_bool(0.4) {
+        let (a, b) = (instant(rng), instant(rng));
+        Some((a.min(b), a.max(b)))
+    } else {
+        None
+    };
+    ScenarioSpec {
+        total_flows: if rarely(rng) {
+            0
+        } else {
+            rng.gen_range(1..=12)
+        },
+        tcp_share: arbitrary_fraction(rng),
+        flow_rate_pps: if rarely(rng) {
+            0.0
+        } else {
+            [25.0, 125.0, 250.0][rng.gen_range(0..3)]
+        },
+        attack_load_factor: if rarely(rng) {
+            0.0
+        } else {
+            uniform(rng, 0.01, 3.0)
+        },
+        attack_tcp_like: arbitrary_fraction(rng),
+        spoof_illegal: arbitrary_fraction(rng) / 2.0,
+        spoof_legal: arbitrary_fraction(rng) / 2.0,
+        n_routers: if rng.gen_bool(0.1) {
+            rng.gen_range(0..3)
+        } else {
+            rng.gen_range(3..=8)
+        },
+        domains,
+        transit_topology,
+        pushback_depth: if multi || rarely(rng) {
+            rng.gen_range(0..=4)
+        } else {
+            0
+        },
+        trust_budget: rng.gen_range(0..=10),
+        attestation_fraction: arbitrary_fraction(rng),
+        subsidence_intervals: rng.gen_range(0..=10),
+        subsidence_source_floor: if rarely(rng) {
+            -1.0
+        } else {
+            uniform(rng, 0.0, 10.0)
+        },
+        adversary: rng.gen_bool(0.25).then(|| arbitrary_adversary(rng)),
+        attack_end,
+        second_wave,
+        cross_traffic_bps: if multi && rng.gen_bool(0.3) {
+            uniform(rng, 0.0, 200_000.0)
+        } else {
+            0.0
+        },
+        malicious_pushback: (multi && rng.gen_bool(0.2)).then(|| rng.gen_range(0..=total_domains)),
+        drop_probability: arbitrary_fraction(rng),
+        policy: arbitrary_policy(rng),
+        transit_policy: (multi && rng.gen_bool(0.3)).then(|| arbitrary_policy(rng)),
+        policy_overrides: if multi && rng.gen_bool(0.3) {
+            (0..rng.gen_range(1..=2u32))
+                .map(|_| (rng.gen_range(0..=total_domains), arbitrary_policy(rng)))
+                .collect()
+        } else {
+            Vec::new()
+        },
+        participation_fraction: if multi && rng.gen_bool(0.5) {
+            arbitrary_fraction(rng)
+        } else {
+            1.0
+        },
+        timer_rtt_multiplier: if rarely(rng) {
+            0.0
+        } else {
+            uniform(rng, 0.5, 4.0)
+        },
+        nft_revalidate_after: if rarely(rng) {
+            Some(SimDuration::ZERO)
+        } else {
+            rng.gen_bool(0.2)
+                .then(|| SimDuration::from_millis(rng.gen_range(1..=500)))
+        },
+        detection: match rng.gen_range(0..5u32) {
+            0 => DetectionMode::Off,
+            1 => DetectionMode::AtTime(instant(rng)),
+            _ => DetectionMode::Auto,
+        },
+        monitor_interval: SimDuration::from_millis(if rarely(rng) {
+            0
+        } else {
+            rng.gen_range(20..=200)
+        }),
+        attack_start,
+        end: SimTime::from_secs_f64(end_s),
+        trace_capacity: if rng.gen_bool(0.5) {
+            0
+        } else {
+            rng.gen_range(1..=64)
+        },
+        ledger: rng.gen_bool(0.5),
+        checkpoint_at: rng.gen_bool(0.3).then(|| instant(rng)),
+        seed: rng.gen(),
+    }
+}
+
+/// Every spec `validate()` accepts builds and runs to its end without a
+/// panic; every spec it rejects fails `Scenario::build` with
+/// `WorkloadError::Spec`.
+#[test]
+fn validated_specs_build_and_run() {
+    let mut rng = case_rng(11);
+    let mut ran = 0;
+    for case in 0..SPEC_CASES {
+        let spec = arbitrary_spec(&mut rng);
+        let verdict = spec.validate();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            Scenario::build(spec.clone()).and_then(|mut scenario| run_scenario(&mut scenario))
+        }));
+        match (verdict, outcome) {
+            (_, Err(_)) => panic!("case {case} panicked: {spec:#?}"),
+            (Ok(()), Ok(Ok(_))) => ran += 1,
+            (Ok(()), Ok(Err(e))) => panic!("case {case}: valid spec failed with {e}: {spec:#?}"),
+            (Err(_), Ok(Err(WorkloadError::Spec(_)))) => {}
+            (Err(why), Ok(Err(e))) => {
+                panic!("case {case}: rejected ({why}) but build failed with {e}: {spec:#?}")
+            }
+            (Err(why), Ok(Ok(_))) => panic!("case {case}: rejected ({why}) but ran: {spec:#?}"),
+        }
+    }
+    assert!(
+        ran >= SPEC_CASES / 4,
+        "only {ran} of {SPEC_CASES} generated specs were valid"
+    );
 }

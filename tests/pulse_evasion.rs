@@ -31,7 +31,6 @@ fn pulsed_scenario_with(
         spoof_legal: 0.0,
         end: SimTime::from_secs_f64(6.0),
         detection: mafic_suite::workload::DetectionMode::Off,
-        detection_fallback: None,
         nft_revalidate_after: revalidate,
         ..ScenarioSpec::default()
     };
