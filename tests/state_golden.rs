@@ -66,10 +66,10 @@ fn single_domain_ledger_and_snapshot_are_pinned() {
         "single",
         spec,
         &Golden {
-            ledger_fnv: 0x572e_abb4_2f43_7e59,
+            ledger_fnv: 0x8ded_755b_b0c9_3b9b,
             intervals: 25,
             components: 7,
-            snapshot_fnv: 0x4f78_3810_e4e8_82be,
+            snapshot_fnv: 0x5a6c_856f_6622_b6fa,
             snapshot_len: 70_086,
         },
     );
@@ -95,10 +95,10 @@ fn cascade_ledger_and_snapshot_are_pinned() {
         "cascade",
         spec,
         &Golden {
-            ledger_fnv: 0xeada_f275_f5e0_caf1,
+            ledger_fnv: 0x5619_a354_7309_2069,
             intervals: 35,
             components: 26,
-            snapshot_fnv: 0x866a_b00c_8ff0_0686,
+            snapshot_fnv: 0xc51f_d716_3b80_54dd,
             snapshot_len: 95_274,
         },
     );
@@ -130,10 +130,10 @@ fn adversary_ledger_and_snapshot_are_pinned() {
         "adversary",
         spec,
         &Golden {
-            ledger_fnv: 0x4d8c_eefd_7f94_a24d,
+            ledger_fnv: 0x0114_c8c4_b790_827c,
             intervals: 35,
             components: 27,
-            snapshot_fnv: 0xfd6d_7af2_a4c3_351b,
+            snapshot_fnv: 0xfdc5_641b_0890_ad94,
             snapshot_len: 92_766,
         },
     );
