@@ -1,12 +1,12 @@
 //! The [`AdversaryController`] — the per-run closed-loop brain wiring
-//! per-source feedback into an [`AttackStrategy`](crate::AttackStrategy).
+//! per-source feedback into the strategy its [`AdversarySpec`] names.
 
 use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::spec::AdversarySpec;
-use crate::strategies::{apply_lease_gate, build_strategy, AttackStrategy, StrategyCtx};
+use crate::strategies::{Strategy, StrategyCtx};
 
 /// One retargeting command for a single attack source, identified by
 /// its stable index in the botnet's source order.
@@ -38,18 +38,6 @@ pub struct SourceFeedback {
     pub delivered: u64,
 }
 
-/// Per-interval observation derived from two successive
-/// [`SourceFeedback`] samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SourceObs {
-    /// Packets sent during the interval just ended.
-    pub sent_delta: u64,
-    /// Packets delivered during the interval just ended.
-    pub delivered_delta: u64,
-    /// Stub domain hosting the source (attacker-known topology).
-    pub stub_index: u32,
-}
-
 /// Closed-loop controller for one run's attack sources.
 ///
 /// Call [`take_feedback_buf`](Self::take_feedback_buf) each monitor
@@ -62,19 +50,20 @@ pub struct SourceObs {
 #[derive(Debug)]
 pub struct AdversaryController {
     spec: AdversarySpec,
+    /// The only randomness a strategy may use (determinism rule 5).
+    /// No built-in strategy draws from it; it is saved in checkpoints
+    /// so the snapshot layout holds when one does.
     rng: SmallRng,
     /// Monitor intervals observed so far.
     interval: u64,
     /// Previous cumulative (sent, delivered) per source.
     prev: Vec<(u64, u64)>,
-    /// Scratch observations rebuilt each interval.
-    obs: Vec<SourceObs>,
     /// Per-source stub indices, fixed at construction.
     stubs: Vec<u32>,
     /// Loaned-out feedback buffer (empty while on loan).
     feedback: Vec<SourceFeedback>,
     directives: Vec<AdversaryDirective>,
-    strategy: Box<dyn AttackStrategy>,
+    strategy: Strategy,
 }
 
 impl AdversaryController {
@@ -82,15 +71,13 @@ impl AdversaryController {
     /// per-source stub indices are `stubs`, seeded by `seed`.
     #[must_use]
     pub fn new(spec: AdversarySpec, stubs: Vec<u32>, seed: u64) -> Self {
-        let mut strategy = build_strategy(&spec, &stubs);
-        apply_lease_gate(&mut strategy, &spec);
+        let strategy = Strategy::new(&spec, &stubs);
         let n = stubs.len();
         AdversaryController {
             spec,
             rng: SmallRng::seed_from_u64(seed),
             interval: 0,
             prev: vec![(0, 0); n],
-            obs: vec![SourceObs::default(); n],
             stubs,
             feedback: vec![SourceFeedback::default(); n],
             directives: Vec::new(),
@@ -137,11 +124,6 @@ impl AdversaryController {
             let (prev_sent, prev_delivered) = self.prev[i];
             let sent_delta = fb.sent.saturating_sub(prev_sent);
             let delivered_delta = fb.delivered.saturating_sub(prev_delivered);
-            self.obs[i] = SourceObs {
-                sent_delta,
-                delivered_delta,
-                stub_index: self.stubs[i],
-            };
             sent_total += sent_delta;
             delivered_total += delivered_delta;
             self.prev[i] = (fb.sent, fb.delivered);
@@ -152,14 +134,12 @@ impl AdversaryController {
             1.0 - (delivered_total as f64) / (sent_total as f64)
         };
         self.directives.clear();
-        let mut ctx = StrategyCtx {
-            interval: self.interval,
-            sources: &self.obs,
+        let ctx = StrategyCtx {
+            sources: self.stubs.len(),
             loss_rate,
-            rng: &mut self.rng,
             spec: &self.spec,
         };
-        self.strategy.on_interval(&mut ctx, &mut self.directives);
+        self.strategy.on_interval(&ctx, &mut self.directives);
         self.interval += 1;
         self.feedback = feedback;
         &self.directives
@@ -173,7 +153,7 @@ impl State for AdversaryController {
     /// decision-relevant state, and the RNG is restored bit-exactly by
     /// the snapshot path instead.
     fn write_state<W: StateWrite>(&self, w: &mut W) {
-        w.hash_only(|h| h.write_str(self.strategy.label()));
+        w.hash_only(|h| h.write_str(self.spec.strategy.label()));
         w.snap_only(|w| w.write_rng(self.rng.state()));
         w.write_u64(self.interval);
         w.snap_only(|w| w.write_u8(self.spec.strategy.tag()));

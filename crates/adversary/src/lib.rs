@@ -7,13 +7,14 @@
 //! Cheriton's threat model), which is exactly what this crate supplies:
 //! an [`AdversaryController`] that, once per monitor interval, digests
 //! per-source delivered-vs-sent feedback and retargets its sources
-//! through an [`AttackStrategy`] — churning the active source set
-//! faster than the defense's lease expiry ([`StrategyKind::SourceRotation`]),
-//! shaping the aggregate under the attestation floor
-//! ([`StrategyKind::AttestationShaping`]), period-locking pulses to the
-//! coordinator's K-interval hysteresis ([`StrategyKind::PulseTuning`]),
-//! or rotating the flood across sibling stubs to dilute per-requester
-//! install budgets ([`StrategyKind::CarpetBombing`]).
+//! through the strategy its [`StrategyKind`] names — churning the
+//! active source set faster than the defense's lease expiry
+//! ([`StrategyKind::SourceRotation`]), shaping the aggregate under the
+//! attestation floor ([`StrategyKind::AttestationShaping`]),
+//! period-locking pulses to the coordinator's K-interval hysteresis
+//! ([`StrategyKind::PulseTuning`]), or rotating the flood across sibling
+//! stubs to dilute per-requester install budgets
+//! ([`StrategyKind::CarpetBombing`]).
 //!
 //! # Observability boundary
 //!
@@ -49,6 +50,5 @@ mod controller;
 mod spec;
 mod strategies;
 
-pub use controller::{AdversaryController, AdversaryDirective, SourceFeedback, SourceObs};
+pub use controller::{AdversaryController, AdversaryDirective, SourceFeedback};
 pub use spec::{AdversarySpec, StrategyKind};
-pub use strategies::{build_strategy, AttackStrategy, StrategyCtx};

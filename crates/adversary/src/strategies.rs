@@ -1,18 +1,17 @@
-//! The [`AttackStrategy`] trait and the four built-in closed-loop
-//! strategies.
+//! The four built-in closed-loop strategies and the [`Strategy`] enum
+//! that dispatches between them.
 //!
 //! A strategy is a deterministic state machine driven once per monitor
 //! interval by the [`AdversaryController`](crate::AdversaryController).
-//! It sees only the [`StrategyCtx`] — per-source deltas, the aggregate
-//! loss rate, the controller's seeded RNG, and the public protocol
-//! constants — and answers with directives retargeting the attacker's
-//! own sources. Strategies hash into the run ledger and serialize into
-//! checkpoints exactly like defender components.
+//! It sees only the [`StrategyCtx`] — the source count, the aggregate
+//! loss rate, and the public protocol constants — and answers with
+//! directives retargeting the attacker's own sources. Strategies hash
+//! into the run ledger and serialize into checkpoints exactly like
+//! defender components.
 
-use mafic_obs::{SnapError, SnapReader, StateWrite};
-use rand::rngs::SmallRng;
+use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 
-use crate::controller::{AdversaryDirective, SourceObs};
+use crate::controller::AdversaryDirective;
 use crate::spec::{AdversarySpec, StrategyKind};
 
 /// Nominal per-source rate scale, in thousandths (the open-loop level).
@@ -20,75 +19,120 @@ pub(crate) const NOMINAL_MILLI: u32 = 1000;
 
 /// Everything a strategy may legally observe in one monitor interval.
 ///
-/// This struct *is* the observability boundary: per-source send/ack
-/// deltas measured at the attacker's own nodes, an aggregate loss rate
-/// derived from them, the controller's seeded RNG, and the public
+/// This struct *is* the observability boundary: the size of the
+/// attacker's own botnet, the aggregate loss rate derived from the
+/// send/ack counts measured at its nodes, and the public
 /// [`AdversarySpec`] constants. Nothing here comes from defender
 /// runtime state.
-pub struct StrategyCtx<'a> {
-    /// Zero-based monitor interval index (0 = first observation).
-    pub interval: u64,
-    /// Per-source observations for the interval just ended, in stable
-    /// source order.
-    pub sources: &'a [SourceObs],
+pub(crate) struct StrategyCtx<'a> {
+    /// Number of sources under control.
+    pub(crate) sources: usize,
     /// Aggregate loss rate over all sources for the interval, in
     /// `[0, 1]`; `0.0` when nothing was sent.
-    pub loss_rate: f64,
-    /// The controller's seeded RNG — the only randomness a strategy may
-    /// use (determinism rule 5).
-    pub rng: &'a mut SmallRng,
+    pub(crate) loss_rate: f64,
     /// Public protocol constants and strategy parameters.
-    pub spec: &'a AdversarySpec,
+    pub(crate) spec: &'a AdversarySpec,
 }
 
-/// A closed-loop attack strategy.
-///
-/// Implementations must be pure functions of their own state, the
-/// [`StrategyCtx`], and the seeded RNG: no wall-clock, no global state,
-/// no defender internals. The `write_state`/`read_state` pair keeps the
-/// strategy inside the run-ledger and checkpoint contracts.
-pub trait AttackStrategy: std::fmt::Debug {
-    /// Stable label for ledger components and figure legends.
-    fn label(&self) -> &'static str;
-
-    /// Observe one monitor interval and append retargeting directives.
-    fn on_interval(&mut self, ctx: &mut StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>);
-
-    /// Writes the strategy's decision state — the one walk behind both
-    /// its ledger hash and its checkpoint payload (the
-    /// [`mafic_obs::State`] contract; `dyn` because strategies are boxed
-    /// and the walk is a handful of words per monitor interval).
-    fn write_state(&self, w: &mut dyn StateWrite);
-
-    /// Restores the strategy's decision state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError`] on truncated or malformed payloads.
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+/// The strategy named by an [`AdversarySpec`]: a pure function of its
+/// own state and the [`StrategyCtx`] — no wall-clock, no global state,
+/// no defender internals.
+#[derive(Debug)]
+pub(crate) enum Strategy {
+    Rotation(SourceRotation),
+    Shaping(AttestationShaping),
+    Pulse(PulseTuning),
+    Carpet(CarpetBombing),
 }
 
-/// Builds the strategy named by `spec.strategy` for a botnet whose
-/// per-source stub indices are `stubs`.
-#[must_use]
-pub fn build_strategy(spec: &AdversarySpec, stubs: &[u32]) -> Box<dyn AttackStrategy> {
-    match spec.strategy {
-        StrategyKind::SourceRotation {
-            period_intervals,
-            active_fraction,
-        } => Box::new(SourceRotation::new(
-            period_intervals,
-            active_fraction,
-            stubs.len(),
-        )),
-        StrategyKind::AttestationShaping {
-            step_milli,
-            floor_milli,
-        } => Box::new(AttestationShaping::new(step_milli, floor_milli)),
-        StrategyKind::PulseTuning { boost_milli } => Box::new(PulseTuning::new(boost_milli)),
-        StrategyKind::CarpetBombing { period_intervals } => {
-            Box::new(CarpetBombing::new(period_intervals, stubs))
+impl Strategy {
+    /// Builds the strategy named by `spec.strategy` for a botnet whose
+    /// per-source stub indices are `stubs`.
+    pub(crate) fn new(spec: &AdversarySpec, stubs: &[u32]) -> Self {
+        match spec.strategy {
+            StrategyKind::SourceRotation {
+                period_intervals,
+                active_fraction,
+            } => {
+                // Rotating no faster than the published lease cannot
+                // evade, so the best response is the open-loop
+                // baseline (pinned byte-identical by tests): a
+                // permanently idle rotation, latched here at
+                // construction rather than branched on per interval.
+                let mut rotation =
+                    SourceRotation::new(period_intervals, active_fraction, stubs.len());
+                rotation.effective = period_intervals < spec.lease_intervals;
+                Strategy::Rotation(rotation)
+            }
+            StrategyKind::AttestationShaping {
+                step_milli,
+                floor_milli,
+            } => Strategy::Shaping(AttestationShaping::new(step_milli, floor_milli)),
+            StrategyKind::PulseTuning { boost_milli } => {
+                Strategy::Pulse(PulseTuning::new(boost_milli))
+            }
+            StrategyKind::CarpetBombing { period_intervals } => {
+                Strategy::Carpet(CarpetBombing::new(period_intervals, stubs))
+            }
         }
+    }
+
+    /// Observes one monitor interval and appends retargeting directives.
+    pub(crate) fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
+        match self {
+            Strategy::Rotation(s) => s.on_interval(ctx, out),
+            Strategy::Shaping(s) => s.on_interval(ctx, out),
+            Strategy::Pulse(s) => s.on_interval(ctx, out),
+            Strategy::Carpet(s) => s.on_interval(ctx, out),
+        }
+    }
+}
+
+/// The strategy's decision state — the one walk behind both its ledger
+/// hash and its checkpoint payload. No tag: the controller validates
+/// the strategy shape against its spec.
+impl State for Strategy {
+    fn write_state<W: StateWrite>(&self, w: &mut W) {
+        match self {
+            Strategy::Rotation(s) => {
+                w.write_bool(s.effective);
+                w.write_bool(s.engaged);
+                w.write_u32(s.cursor);
+                w.write_u32(s.since_rotate);
+            }
+            Strategy::Shaping(s) => w.write_u32(s.scale_milli),
+            Strategy::Pulse(s) => {
+                w.write_bool(s.engaged);
+                w.write_u32(s.phase);
+            }
+            Strategy::Carpet(s) => {
+                w.write_bool(s.engaged);
+                w.write_u32(s.cursor);
+                w.write_u32(s.since_rotate);
+            }
+        }
+    }
+
+    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match self {
+            Strategy::Rotation(s) => {
+                s.effective = r.read_bool()?;
+                s.engaged = r.read_bool()?;
+                s.cursor = r.read_u32()?;
+                s.since_rotate = r.read_u32()?;
+            }
+            Strategy::Shaping(s) => s.scale_milli = r.read_u32()?,
+            Strategy::Pulse(s) => {
+                s.engaged = r.read_bool()?;
+                s.phase = r.read_u32()?;
+            }
+            Strategy::Carpet(s) => {
+                s.engaged = r.read_bool()?;
+                s.cursor = r.read_u32()?;
+                s.since_rotate = r.read_u32()?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -102,7 +146,7 @@ pub fn build_strategy(spec: &AdversarySpec, stubs: &[u32]) -> Box<dyn AttackStra
 /// defense keeps paying the full detection-and-install latency against
 /// a perpetually fresh source set.
 #[derive(Debug)]
-struct SourceRotation {
+pub(crate) struct SourceRotation {
     period_intervals: u32,
     cohorts: u32,
     n_sources: usize,
@@ -145,14 +189,8 @@ impl SourceRotation {
             }
         }
     }
-}
 
-impl AttackStrategy for SourceRotation {
-    fn label(&self) -> &'static str {
-        "rotation"
-    }
-
-    fn on_interval(&mut self, ctx: &mut StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
+    fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
         if !self.effective || self.cohorts < 2 || self.n_sources == 0 {
             return;
         }
@@ -171,21 +209,6 @@ impl AttackStrategy for SourceRotation {
             self.retarget(out);
         }
     }
-
-    fn write_state(&self, w: &mut dyn StateWrite) {
-        w.write_bool(self.effective);
-        w.write_bool(self.engaged);
-        w.write_u32(self.cursor);
-        w.write_u32(self.since_rotate);
-    }
-
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.effective = r.read_bool()?;
-        self.engaged = r.read_bool()?;
-        self.cursor = r.read_u32()?;
-        self.since_rotate = r.read_u32()?;
-        Ok(())
-    }
 }
 
 /// Hold the aggregate just under the attestation floor.
@@ -196,7 +219,7 @@ impl AttackStrategy for SourceRotation {
 /// escalation starves. When loss falls below half the engage threshold
 /// the shaper probes back up toward nominal.
 #[derive(Debug)]
-struct AttestationShaping {
+pub(crate) struct AttestationShaping {
     step_milli: u32,
     floor_milli: u32,
     scale_milli: u32,
@@ -210,14 +233,8 @@ impl AttestationShaping {
             scale_milli: NOMINAL_MILLI,
         }
     }
-}
 
-impl AttackStrategy for AttestationShaping {
-    fn label(&self) -> &'static str {
-        "attestation"
-    }
-
-    fn on_interval(&mut self, ctx: &mut StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
+    fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
         let prev = self.scale_milli;
         if ctx.loss_rate > ctx.spec.engage_loss {
             self.scale_milli = self
@@ -228,22 +245,13 @@ impl AttackStrategy for AttestationShaping {
             self.scale_milli = (self.scale_milli + self.step_milli).min(NOMINAL_MILLI);
         }
         if self.scale_milli != prev {
-            for src in 0..ctx.sources.len() {
+            for src in 0..ctx.sources {
                 out.push(AdversaryDirective::SetRateScale {
                     source: src,
                     scale_milli: self.scale_milli,
                 });
             }
         }
-    }
-
-    fn write_state(&self, w: &mut dyn StateWrite) {
-        w.write_u32(self.scale_milli);
-    }
-
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.scale_milli = r.read_u32()?;
-        Ok(())
     }
 }
 
@@ -255,7 +263,7 @@ impl AttackStrategy for AttestationShaping {
 /// is never met while the time-averaged rate matches the open-loop
 /// budget.
 #[derive(Debug)]
-struct PulseTuning {
+pub(crate) struct PulseTuning {
     boost_milli: u32,
     engaged: bool,
     phase: u32,
@@ -279,14 +287,8 @@ impl PulseTuning {
             NOMINAL_MILLI * k / (k - 1).max(1)
         }
     }
-}
 
-impl AttackStrategy for PulseTuning {
-    fn label(&self) -> &'static str {
-        "pulse"
-    }
-
-    fn on_interval(&mut self, ctx: &mut StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
+    fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
         let k = ctx.spec.trigger_intervals.max(2);
         if !self.engaged {
             if ctx.loss_rate > ctx.spec.engage_loss {
@@ -300,7 +302,7 @@ impl AttackStrategy for PulseTuning {
         }
         let dark = self.phase == k - 1;
         let boost = self.boost(k);
-        for src in 0..ctx.sources.len() {
+        for src in 0..ctx.sources {
             out.push(AdversaryDirective::SetActive {
                 source: src,
                 active: !dark,
@@ -313,17 +315,6 @@ impl AttackStrategy for PulseTuning {
             }
         }
     }
-
-    fn write_state(&self, w: &mut dyn StateWrite) {
-        w.write_bool(self.engaged);
-        w.write_u32(self.phase);
-    }
-
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engaged = r.read_bool()?;
-        self.phase = r.read_u32()?;
-        Ok(())
-    }
 }
 
 /// Rotate the whole flood across sibling stub domains.
@@ -333,7 +324,7 @@ impl AttackStrategy for PulseTuning {
 /// install costs for a different requesting domain, diluting per-target
 /// install budgets across the sibling set.
 #[derive(Debug)]
-struct CarpetBombing {
+pub(crate) struct CarpetBombing {
     period_intervals: u32,
     /// Distinct stub indices hosting at least one source, sorted.
     stubs: Vec<u32>,
@@ -382,14 +373,8 @@ impl CarpetBombing {
             }
         }
     }
-}
 
-impl AttackStrategy for CarpetBombing {
-    fn label(&self) -> &'static str {
-        "carpet"
-    }
-
-    fn on_interval(&mut self, ctx: &mut StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
+    fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
         // A single stub leaves nothing to rotate across.
         if self.stubs.len() < 2 {
             return;
@@ -409,83 +394,25 @@ impl AttackStrategy for CarpetBombing {
             self.retarget(out);
         }
     }
-
-    fn write_state(&self, w: &mut dyn StateWrite) {
-        w.write_bool(self.engaged);
-        w.write_u32(self.cursor);
-        w.write_u32(self.since_rotate);
-    }
-
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.engaged = r.read_bool()?;
-        self.cursor = r.read_u32()?;
-        self.since_rotate = r.read_u32()?;
-        Ok(())
-    }
-}
-
-/// Marks a freshly built [`SourceRotation`] ineffective when its period
-/// cannot outrun the published lease; called by the controller at
-/// construction so the latch is part of deterministic init, not
-/// per-interval branching.
-pub(crate) fn apply_lease_gate(strategy: &mut Box<dyn AttackStrategy>, spec: &AdversarySpec) {
-    if let StrategyKind::SourceRotation {
-        period_intervals, ..
-    } = spec.strategy
-    {
-        if period_intervals >= spec.lease_intervals {
-            // Rebuild as a permanently idle rotation: rotating slower
-            // than the lease cannot evade, so the best response is the
-            // open-loop baseline (pinned byte-identical by tests).
-            if let StrategyKind::SourceRotation {
-                period_intervals,
-                active_fraction,
-            } = spec.strategy
-            {
-                let mut idle = SourceRotation::new(period_intervals, active_fraction, 0);
-                idle.effective = false;
-                *strategy = Box::new(idle);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    fn obs(n: usize) -> Vec<SourceObs> {
-        (0..n)
-            .map(|i| SourceObs {
-                sent_delta: 100,
-                delivered_delta: 20,
-                stub_index: (i % 3) as u32,
-            })
-            .collect()
-    }
-
-    fn ctx_parts() -> (AdversarySpec, SmallRng) {
-        (AdversarySpec::default(), SmallRng::seed_from_u64(7))
-    }
 
     fn drive(
-        strategy: &mut dyn AttackStrategy,
+        strategy: &mut Strategy,
         spec: &AdversarySpec,
-        rng: &mut SmallRng,
-        sources: &[SourceObs],
-        interval: u64,
+        sources: usize,
         loss_rate: f64,
     ) -> Vec<AdversaryDirective> {
         let mut out = Vec::new();
-        let mut ctx = StrategyCtx {
-            interval,
+        let ctx = StrategyCtx {
             sources,
             loss_rate,
-            rng,
             spec,
         };
-        strategy.on_interval(&mut ctx, &mut out);
+        strategy.on_interval(&ctx, &mut out);
         out
     }
 
@@ -508,30 +435,29 @@ mod tests {
 
     #[test]
     fn rotation_engages_rotates_and_preserves_budget() {
-        let (spec, mut rng) = ctx_parts();
-        let sources = obs(8);
-        let mut s = SourceRotation::new(2, 0.5, sources.len());
+        let spec = AdversarySpec::default();
+        let sources = 8;
+        let mut s = Strategy::Rotation(SourceRotation::new(2, 0.5, sources));
         // Quiet interval: no directives before engagement.
-        assert!(drive(&mut s, &spec, &mut rng, &sources, 0, 0.1).is_empty());
+        assert!(drive(&mut s, &spec, sources, 0.1).is_empty());
         // Heavy loss engages and retargets to cohort 0.
-        let first = drive(&mut s, &spec, &mut rng, &sources, 1, 0.9);
+        let first = drive(&mut s, &spec, sources, 0.9);
         assert!(!first.is_empty());
-        assert_eq!(budget_after(sources.len(), &first), 8 * NOMINAL_MILLI);
+        assert_eq!(budget_after(sources, &first), 8 * NOMINAL_MILLI);
         // One interval later: no rotation yet (period 2).
-        assert!(drive(&mut s, &spec, &mut rng, &sources, 2, 0.9).is_empty());
+        assert!(drive(&mut s, &spec, sources, 0.9).is_empty());
         // Second interval: cohort advances.
-        let second = drive(&mut s, &spec, &mut rng, &sources, 3, 0.9);
+        let second = drive(&mut s, &spec, sources, 0.9);
         assert!(!second.is_empty());
-        assert_eq!(budget_after(sources.len(), &second), 8 * NOMINAL_MILLI);
+        assert_eq!(budget_after(sources, &second), 8 * NOMINAL_MILLI);
         assert_ne!(first, second, "rotation must move the active cohort");
     }
 
     #[test]
     fn rotation_cohort_membership_is_round_robin() {
-        let (spec, mut rng) = ctx_parts();
-        let sources = obs(4);
-        let mut s = SourceRotation::new(1, 0.5, sources.len());
-        let first = drive(&mut s, &spec, &mut rng, &sources, 0, 0.9);
+        let spec = AdversarySpec::default();
+        let mut s = Strategy::Rotation(SourceRotation::new(1, 0.5, 4));
+        let first = drive(&mut s, &spec, 4, 0.9);
         // Cohort 0 of 2 = sources 0 and 2 active.
         let mut active = vec![false; 4];
         for d in &first {
@@ -551,34 +477,31 @@ mod tests {
             },
             ..AdversarySpec::default()
         };
-        let mut strategy = build_strategy(&spec, &[0, 0, 1, 1]);
-        apply_lease_gate(&mut strategy, &spec);
-        let mut rng = SmallRng::seed_from_u64(7);
-        let sources = obs(4);
-        for i in 0..40 {
-            let out = drive(&mut *strategy, &spec, &mut rng, &sources, i, 0.95);
+        let mut strategy = Strategy::new(&spec, &[0, 0, 1, 1]);
+        for _ in 0..40 {
+            let out = drive(&mut strategy, &spec, 4, 0.95);
             assert!(out.is_empty(), "gated rotation must never emit directives");
         }
     }
 
     #[test]
     fn shaping_steps_down_to_floor_then_recovers() {
-        let (spec, mut rng) = ctx_parts();
-        let sources = obs(3);
-        let mut s = AttestationShaping::new(300, 200);
+        let spec = AdversarySpec::default();
+        let sources = 3;
+        let mut s = Strategy::Shaping(AttestationShaping::new(300, 200));
         // Three hot intervals: 1000 -> 700 -> 400 -> 200 (floored).
-        for (i, want) in [(0u64, 700u32), (1, 400), (2, 200)] {
-            let out = drive(&mut s, &spec, &mut rng, &sources, i, 0.9);
-            assert_eq!(out.len(), sources.len());
+        for want in [700u32, 400, 200] {
+            let out = drive(&mut s, &spec, sources, 0.9);
+            assert_eq!(out.len(), sources);
             assert!(out.iter().all(|d| matches!(
                 d,
                 AdversaryDirective::SetRateScale { scale_milli, .. } if *scale_milli == want
             )));
         }
         // Still hot at the floor: no change, no directives.
-        assert!(drive(&mut s, &spec, &mut rng, &sources, 3, 0.9).is_empty());
+        assert!(drive(&mut s, &spec, sources, 0.9).is_empty());
         // Loss subsides: steps back up.
-        let up = drive(&mut s, &spec, &mut rng, &sources, 4, 0.1);
+        let up = drive(&mut s, &spec, sources, 0.1);
         assert!(up.iter().all(|d| matches!(
             d,
             AdversaryDirective::SetRateScale { scale_milli, .. } if *scale_milli == 500
@@ -587,15 +510,14 @@ mod tests {
 
     #[test]
     fn pulse_goes_dark_once_per_hysteresis_window() {
-        let (spec, mut rng) = ctx_parts();
-        let sources = obs(2);
-        let mut s = PulseTuning::new(0);
+        let spec = AdversarySpec::default();
+        let mut s = Strategy::Pulse(PulseTuning::new(0));
         // Engage; K = 4 so the cycle is 3 hot + 1 dark.
         let mut dark_count = 0;
         let mut hot_count = 0;
-        let _ = drive(&mut s, &spec, &mut rng, &sources, 0, 0.9);
-        for i in 1..=8 {
-            let out = drive(&mut s, &spec, &mut rng, &sources, i, 0.9);
+        let _ = drive(&mut s, &spec, 2, 0.9);
+        for _ in 1..=8 {
+            let out = drive(&mut s, &spec, 2, 0.9);
             let dark = out
                 .iter()
                 .any(|d| matches!(d, AdversaryDirective::SetActive { active: false, .. }));
@@ -608,35 +530,34 @@ mod tests {
         assert_eq!(dark_count, 2, "one dark interval per 4-interval window");
         assert_eq!(hot_count, 6);
         // Equal-budget boost: 1000 * 4 / 3 = 1333.
-        assert_eq!(s.boost(4), 1333);
+        let Strategy::Pulse(pulse) = &s else {
+            unreachable!("built as a pulse")
+        };
+        assert_eq!(pulse.boost(4), 1333);
     }
 
     #[test]
     fn carpet_rotates_across_stubs_with_full_budget() {
-        let (spec, mut rng) = ctx_parts();
-        let sources = obs(6); // stubs 0,1,2,0,1,2
-        let mut s = CarpetBombing::new(1, &[0, 1, 2, 0, 1, 2]);
-        let first = drive(&mut s, &spec, &mut rng, &sources, 0, 0.9);
-        assert_eq!(budget_after(sources.len(), &first), 6 * NOMINAL_MILLI);
-        let second = drive(&mut s, &spec, &mut rng, &sources, 1, 0.9);
+        let spec = AdversarySpec::default();
+        let mut s = Strategy::Carpet(CarpetBombing::new(1, &[0, 1, 2, 0, 1, 2]));
+        let first = drive(&mut s, &spec, 6, 0.9);
+        assert_eq!(budget_after(6, &first), 6 * NOMINAL_MILLI);
+        let second = drive(&mut s, &spec, 6, 0.9);
         assert_ne!(first, second, "carpet must move to the next stub");
-        assert_eq!(budget_after(sources.len(), &second), 6 * NOMINAL_MILLI);
+        assert_eq!(budget_after(6, &second), 6 * NOMINAL_MILLI);
     }
 
     #[test]
     fn carpet_single_stub_is_inert() {
-        let (spec, mut rng) = ctx_parts();
-        let sources = obs(4);
-        let mut s = CarpetBombing::new(1, &[0, 0, 0, 0]);
-        for i in 0..10 {
-            assert!(drive(&mut s, &spec, &mut rng, &sources, i, 0.95).is_empty());
+        let spec = AdversarySpec::default();
+        let mut s = Strategy::Carpet(CarpetBombing::new(1, &[0, 0, 0, 0]));
+        for _ in 0..10 {
+            assert!(drive(&mut s, &spec, 4, 0.95).is_empty());
         }
     }
 
     #[test]
     fn strategies_snapshot_round_trip() {
-        let (spec, mut rng) = ctx_parts();
-        let sources = obs(6);
         let stubs = [0u32, 1, 2, 0, 1, 2];
         for kind in [
             StrategyKind::SourceRotation {
@@ -652,19 +573,17 @@ mod tests {
                 period_intervals: 1,
             },
         ] {
-            let spec = AdversarySpec {
-                strategy: kind,
-                ..spec
-            };
-            let mut a = build_strategy(&spec, &stubs);
+            let spec = AdversarySpec::with_strategy(kind);
+            let mut a = Strategy::new(&spec, &stubs);
             // Advance through engagement plus a few intervals.
-            for i in 0..5 {
-                let _ = drive(&mut *a, &spec, &mut rng, &sources, i, 0.9);
+            for _ in 0..5 {
+                let _ = drive(&mut a, &spec, stubs.len(), 0.9);
             }
+            mafic_obs::assert_state_law(&a, || Strategy::new(&spec, &stubs));
             let mut w = mafic_obs::SnapWriter::new();
             a.write_state(&mut w);
             let bytes = w.into_bytes();
-            let mut b = build_strategy(&spec, &stubs);
+            let mut b = Strategy::new(&spec, &stubs);
             let mut r = SnapReader::new(&bytes);
             b.read_state(&mut r).expect("restore");
             assert!(r.is_empty(), "strategy payload fully consumed");
@@ -672,7 +591,7 @@ mod tests {
             let mut hb = mafic_obs::HashWriter::new();
             a.write_state(&mut ha);
             b.write_state(&mut hb);
-            assert_eq!(ha.finish(), hb.finish(), "{}", a.label());
+            assert_eq!(ha.finish(), hb.finish(), "{}", kind.label());
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Figure data containers and plain-text rendering.
 //!
 //! Every experiment produces a [`FigureData`]: named series of `(x, y)`
-//! points matching one panel of the paper. The text renderer prints an
-//! aligned table with one row per x value and one column per series —
-//! the same rows a gnuplot script would consume.
+//! points matching one panel of the paper. Its `Display` impl prints an
+//! aligned table with one row per x value and one column per series.
 
 use std::fmt;
 
@@ -58,8 +57,7 @@ impl FigureData {
     }
 
     /// All distinct x values across series, ascending.
-    #[must_use]
-    pub fn x_values(&self) -> Vec<f64> {
+    fn x_values(&self) -> Vec<f64> {
         let mut xs: Vec<f64> = self
             .series
             .iter()
@@ -71,8 +69,7 @@ impl FigureData {
     }
 
     /// The y value of `series` at `x`, if present.
-    #[must_use]
-    pub fn y_at(&self, series: usize, x: f64) -> Option<f64> {
+    fn y_at(&self, series: usize, x: f64) -> Option<f64> {
         self.series
             .get(series)?
             .points
@@ -84,34 +81,6 @@ impl FigureData {
                     None
                 }
             })
-    }
-}
-
-impl FigureData {
-    /// Renders the figure as a gnuplot-consumable data block: a comment
-    /// header, then one row per x value with one column per series
-    /// (missing points rendered as `nan`).
-    #[must_use]
-    pub fn to_gnuplot(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("# {} — {}\n", self.id, self.title));
-        out.push_str(&format!("# x: {}  y: {}\n", self.x_label, self.y_label));
-        out.push_str("# x");
-        for s in &self.series {
-            out.push_str(&format!(" \"{}\"", s.label));
-        }
-        out.push('\n');
-        for x in self.x_values() {
-            out.push_str(&format!("{x}"));
-            for i in 0..self.series.len() {
-                match self.y_at(i, x) {
-                    Some(y) => out.push_str(&format!(" {y}")),
-                    None => out.push_str(" nan"),
-                }
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -162,17 +131,6 @@ mod tests {
         assert_eq!(fig.y_at(0, 2.0), Some(20.0));
         assert_eq!(fig.y_at(1, 2.0), None);
         assert_eq!(fig.y_at(9, 1.0), None);
-    }
-
-    #[test]
-    fn gnuplot_export_has_header_and_rows() {
-        let text = figure().to_gnuplot();
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[0].starts_with("# Fig. T"));
-        assert!(lines[2].contains("\"a\"") && lines[2].contains("\"b\""));
-        assert!(text.contains("1 10 11"));
-        assert!(text.contains("2 20 nan"));
-        assert!(text.contains("3 nan 31"));
     }
 
     #[test]

@@ -193,24 +193,6 @@ pub fn sweep_pushback_depth(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, Stri
     })
 }
 
-/// Builds Fig. 8(a) — victim-side rates vs deployment depth — from a
-/// finished depth sweep: the residual attack rate (suppression β's
-/// complement, non-increasing in depth) beside the legitimate goodput
-/// (which rises as deeper deployment decongests the transit links).
-/// The warm-vs-cold sweep tests compare figures through this.
-#[must_use]
-pub fn fig8a_from_sweep(sweeps: &[SweepSeries]) -> FigureData {
-    plot_sweep("Fig. 8(a)", Sweep::Depth, &VICTIM_RATES, sweeps)
-}
-
-/// Builds Fig. 8(b) — collateral damage vs deployment depth — from a
-/// finished depth sweep: total legitimate data loss (defense drops +
-/// flood-congestion queue losses) beside the paper's ATR-only `Lr`.
-#[must_use]
-pub fn fig8b_from_sweep(sweeps: &[SweepSeries]) -> FigureData {
-    plot_sweep("Fig. 8(b)", Sweep::Depth, &COLLATERAL, sweeps)
-}
-
 /// The participation-fraction axis of Fig. 9: from a victim-domain-only
 /// deployment (nobody upstream cooperates) to the full federation.
 #[must_use]
@@ -747,6 +729,9 @@ const LR: Plot = Plot {
     y_label: "legit packet dropping rate Lr (%)",
     curves: &[("", lr)],
 };
+/// The residual attack rate (suppression β's complement, non-increasing
+/// in depth) beside the legitimate goodput (which rises as deeper
+/// deployment decongests the transit links).
 const VICTIM_RATES: Plot = Plot {
     title: "Victim-side rates",
     y_label: "rate at the victim (B/s)",
@@ -755,6 +740,8 @@ const VICTIM_RATES: Plot = Plot {
         (" legit goodput", |r| r.legit_goodput_bps),
     ],
 };
+/// Total legitimate data loss (defense drops + flood-congestion queue
+/// losses) beside the paper's ATR-only `Lr`.
 const COLLATERAL: Plot = Plot {
     title: "Collateral damage",
     y_label: "legitimate loss (%)",
@@ -1199,19 +1186,10 @@ mod tests {
 
         // Sweep and grid keys are enum variants, so the compiler checks
         // that each resolves to a run. What it cannot check: a grid row
-        // points at the builder of the figure it names, and the Fig. 8
-        // builders the checkpoint tests call are the Fig. 8 rows.
+        // points at the builder of the figure it names.
         for panel in PANELS {
-            match (panel.name, panel.render) {
-                (name, Render::FromGrid(_, build)) => assert_eq!(build(&[]).id, name),
-                (name, Render::Plot(Sweep::Depth, plot)) => {
-                    let build = match name {
-                        "Fig. 8(a)" => fig8a_from_sweep,
-                        _ => fig8b_from_sweep,
-                    };
-                    assert_eq!(build(&[]), plot_sweep(name, Sweep::Depth, &plot, &[]));
-                }
-                _ => {}
+            if let Render::FromGrid(_, build) = panel.render {
+                assert_eq!(build(&[]).id, panel.name);
             }
         }
     }

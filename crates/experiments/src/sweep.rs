@@ -275,23 +275,6 @@ pub fn sweep_warm<S: Clone + std::fmt::Debug>(
     Ok(out)
 }
 
-/// Builds a [`crate::FigureData`] from sweep output and a metric accessor.
-#[must_use]
-pub fn figure_from_sweep(
-    id: &str,
-    title: &str,
-    x_label: &str,
-    y_label: &str,
-    sweeps: &[SweepSeries],
-    metric: Metric,
-) -> crate::FigureData {
-    let mut fig = crate::FigureData::new(id, title, x_label, y_label);
-    for s in sweeps {
-        fig.push_series(s.label.clone(), s.extract(metric));
-    }
-    fig
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,7 +404,6 @@ mod tests {
         .unwrap();
         assert_eq!(sweeps.len(), 1);
         assert_eq!(sweeps[0].points.len(), 1);
-        let fig = figure_from_sweep("T", "t", "x", "y", &sweeps, |r| r.accuracy_pct);
-        assert_eq!(fig.series.len(), 1);
+        assert_eq!(sweeps[0].extract(|r| r.accuracy_pct).len(), 1);
     }
 }

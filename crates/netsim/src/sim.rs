@@ -709,42 +709,13 @@ impl Simulator {
     // Event loop
     // ------------------------------------------------------------------
 
-    /// The instant of the next pending event across the heap and the
-    /// timer wheel, if any.
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        match (self.scheduler.peek_time(), self.wheel.next_expiry()) {
-            (None, None) => None,
-            (Some(h), None) => Some(h),
-            (None, Some(w)) => Some(w),
-            (Some(h), Some(w)) => Some(h.min(w)),
-        }
-    }
-
-    /// Fires everything due at `now`: wheel flow-timers first (fixed rule
-    /// — a timer deadline belongs to the *start* of its instant), then one
-    /// heap event if one is due.
-    fn advance_to(&mut self, now: SimTime) {
-        debug_assert!(now >= self.now, "event from the past");
-        self.now = now;
-        if self.wheel.next_expiry() == Some(now) {
-            for fire in self.wheel.pop_expired(now) {
-                self.events_processed += 1;
-                self.filter_flow_timer(fire);
-            }
-        } else {
-            let (at, kind) = self.scheduler.pop().expect("peeked event exists");
-            debug_assert!(at == now, "heap event not at the merged instant");
-            self.events_processed += 1;
-            self.dispatch(kind);
-        }
-    }
-
     /// Runs until the event queue is empty or `deadline` is reached.
     /// Returns loop accounting.
     pub fn run_until(&mut self, deadline: SimTime) -> RunSummary {
-        // Open-coded merge of `next_event_time` + `advance_to`: the hot
-        // loop peeks each queue once per iteration instead of twice. The
-        // wheel-before-heap tie rule is the `w <= h` comparison.
+        // Each iteration fires everything due at the earliest pending
+        // instant: all due wheel flow-timers, or one heap event. At a
+        // tie the wheel goes first (the `w <= h` comparison) — a timer
+        // deadline belongs to the *start* of its instant.
         loop {
             let (now, from_wheel) = match (self.scheduler.peek_time(), self.wheel.next_expiry()) {
                 (None, None) => break,
@@ -781,19 +752,6 @@ impl Simulator {
             events_processed: self.events_processed,
             events_scheduled: self.scheduler.scheduled_total() + self.wheel.scheduled_total(),
             ended_at_nanos: self.now.as_nanos(),
-        }
-    }
-
-    /// Processes the events of the next pending instant (all due wheel
-    /// timers, or one heap event). Returns `false` when nothing is
-    /// pending.
-    pub fn step(&mut self) -> bool {
-        match self.next_event_time() {
-            Some(next) => {
-                self.advance_to(next);
-                true
-            }
-            None => false,
         }
     }
 
@@ -1074,12 +1032,14 @@ impl Simulator {
     }
 
     fn control(&mut self, node_id: NodeId, msg: FilterControl) {
-        let at = self.now;
-        self.trace_record(TraceEvent::Control {
-            at,
-            node: node_id,
-            summary: format!("{msg:?}"),
-        });
+        // Rendered only when a trace is on: the summary allocates.
+        if let Some(trace) = self.trace.as_mut() {
+            trace.record(TraceEvent::Control {
+                at: self.now,
+                node: node_id,
+                summary: format!("{msg:?}"),
+            });
+        }
         let mut commands = self.take_filter_buf();
         {
             let now = self.now;

@@ -37,14 +37,12 @@
 #![warn(missing_docs)]
 
 pub mod cbr;
-pub mod pulse;
 pub mod rtt;
 pub mod sink;
 pub mod tcp;
 pub mod victim;
 
 pub use cbr::{CbrConfig, CbrProtocol, UnresponsiveSender};
-pub use pulse::{PulseConfig, PulsedSender};
 pub use rtt::RttEstimator;
 pub use sink::TcpSink;
 pub use tcp::{TcpConfig, TcpPhase, TcpSender};

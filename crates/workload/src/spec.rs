@@ -142,7 +142,7 @@ pub struct ScenarioSpec {
     /// sources: each monitor interval an
     /// [`mafic_adversary::AdversaryController`] digests per-source
     /// delivered-vs-sent feedback and retargets the zombies through the
-    /// configured [`mafic_adversary::AttackStrategy`]. `None` (the
+    /// configured [`mafic_adversary::StrategyKind`]. `None` (the
     /// default) keeps the open-loop senders untouched — and the run
     /// byte-identical to pre-adversary builds.
     pub adversary: Option<AdversarySpec>,

@@ -6,7 +6,8 @@
 //! the figure binaries print.
 
 use mafic_suite::experiments::engine::{run_specs, EngineConfig};
-use mafic_suite::experiments::sweep::{figure_from_sweep, run_averaged, sweep, SweepSeries};
+use mafic_suite::experiments::sweep::{run_averaged, sweep, SweepSeries};
+use mafic_suite::experiments::FigureData;
 use mafic_suite::netsim::SimTime;
 use mafic_suite::obs::diff_ledgers;
 use mafic_suite::workload::ScenarioSpec;
@@ -44,8 +45,11 @@ fn sweep_grid_is_byte_identical_serial_vs_parallel() {
     }
     // ...then the exact rendered bytes the binaries would print.
     let render = |sweeps: &[SweepSeries]| {
-        let fig = figure_from_sweep("Fig. T", "t", "x", "y", sweeps, |r| r.accuracy_pct);
-        format!("{fig}\n{}\n{sweeps:?}", fig.to_gnuplot())
+        let mut fig = FigureData::new("Fig. T", "t", "x", "y");
+        for s in sweeps {
+            fig.push_series(s.label.clone(), s.extract(|r| r.accuracy_pct));
+        }
+        format!("{fig}\n{sweeps:?}")
     };
     assert_eq!(render(&serial), render(&parallel));
 }
