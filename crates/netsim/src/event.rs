@@ -27,7 +27,7 @@ pub enum FilterControl {
 /// Packet payloads live in the simulator's packet arena; events carry
 /// only 4-byte [`PacketRef`] handles, so heap entries stay small, `Copy`,
 /// and sift operations never memcpy packet bodies.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A locally injected packet arrives at `node` (link deliveries ride
     /// [`EventKind::LinkDeliver`], so no arriving-link field is needed).
@@ -67,8 +67,9 @@ pub enum EventKind {
 
 /// The heap's branching factor. Four children per node halves the tree
 /// depth of a binary heap: sift-down — the hot operation, every pop pays
-/// one — does half the entry moves for the same number of comparisons,
-/// and the child scan reads one contiguous cache line.
+/// one — does half the entry moves for the same number of comparisons.
+/// Changing it changes the heap's storage order, and with it the
+/// `netsim/scheduler` ledger and snapshot bytes.
 const HEAP_ARITY: usize = 4;
 
 /// Deterministic event queue ordered by `(time, insertion sequence)`.
@@ -77,16 +78,21 @@ const HEAP_ARITY: usize = 4;
 /// payloads live in two parallel arrays. The key packs `(time, seq)`
 /// into one `u128` (`time` in the high 64 bits), so the lexicographic
 /// tie-break rule is a single integer comparison and the heap order is
-/// a *total* order — any correct priority queue pops the exact same
-/// sequence, which is what keeps replays bit-identical across
-/// representation changes like this one.
+/// a *total* order: any correct priority queue pops the same sequence.
+/// The storage order is not fixed by that, and it is observable — the
+/// `netsim/scheduler` ledger component and snapshot section walk the
+/// arrays index by index. A rewrite of `schedule` or `pop` must leave
+/// every entry where the previous code left it; the differential test
+/// below and `tests/state_golden.rs` check that.
 ///
-/// The SoA split matters for the hot path: sift-down scans a node's
-/// four children, and with keys packed contiguously that scan reads
-/// exactly one 64-byte cache line instead of striding over interleaved
-/// event payloads. Sifts move entries into a hole instead of swapping
-/// (`EventKind` is `Copy`), and a freshly scheduled event — usually the
-/// latest deadline in the queue — settles after one parent comparison.
+/// The SoA split matters for the hot path: sift-down reads a node's
+/// four children as 64 contiguous key bytes (node `h`'s children start
+/// at byte `64h + 16`, so they straddle two cache lines) instead of
+/// striding over interleaved event payloads, and picks the earliest
+/// with a branch-free pairwise tournament. Sifts move entries into a
+/// hole instead of swapping (`EventKind` is `Copy`), and a freshly
+/// scheduled event — usually the latest deadline in the queue — settles
+/// after one parent comparison.
 #[derive(Debug, Default)]
 pub(crate) struct Scheduler {
     keys: Vec<u128>,
@@ -141,23 +147,42 @@ impl Scheduler {
             // the root all the way to a leaf, moving each level's minimum
             // up into the hole — no per-level comparison against the
             // displaced entry, so the descent loop is branch-predictable.
+            //
+            // While a node has all four children, a tournament picks the
+            // minimum: the two pairs, then the two pair winners. Each
+            // round is a select, not a jump, so near-random keys cost no
+            // mispredictions. Ties go to the lower index, so the winner
+            // is the first index holding the minimum — the child a
+            // left-to-right scan picks, which keeps storage order (and
+            // with it the ledger and snapshot bytes) fixed.
             let mut hole = 0;
             loop {
-                let first_child = hole * HEAP_ARITY + 1;
-                if first_child >= len {
+                let first = hole * HEAP_ARITY + 1;
+                let Some(&[c0, c1, c2, c3]) = self.keys.get(first..first + HEAP_ARITY) else {
                     break;
-                }
-                let end = (first_child + HEAP_ARITY).min(len);
-                let mut best = first_child;
-                let mut best_key = self.keys[first_child];
-                for child in first_child + 1..end {
-                    let child_key = self.keys[child];
-                    if child_key < best_key {
+                };
+                let (l, kl) = if c1 < c0 { (1, c1) } else { (0, c0) };
+                let (r, kr) = if c3 < c2 { (3, c3) } else { (2, c2) };
+                let (best, best_key) = if kr < kl {
+                    (first + r, kr)
+                } else {
+                    (first + l, kl)
+                };
+                self.keys[hole] = best_key;
+                self.kinds[hole] = self.kinds[best];
+                hole = best;
+            }
+            // At most one node has one to three children, and they are
+            // leaves: scan them once.
+            let first = hole * HEAP_ARITY + 1;
+            if first < len {
+                let mut best = first;
+                for child in first + 1..len {
+                    if self.keys[child] < self.keys[best] {
                         best = child;
-                        best_key = child_key;
                     }
                 }
-                self.keys[hole] = best_key;
+                self.keys[hole] = self.keys[best];
                 self.kinds[hole] = self.kinds[best];
                 hole = best;
             }
@@ -214,6 +239,21 @@ impl State for Scheduler {
         self.next_seq = r.read_u64()?;
         self.keys = r.read_seq(|r| r.read_u128())?;
         self.kinds = r.read_n(self.keys.len(), read_event_kind)?;
+        // Pop trusts the heap property; a payload that breaks it would
+        // restore and then fire events out of order.
+        for (at, &key) in self.keys.iter().enumerate() {
+            if key as u64 >= self.next_seq {
+                return Err(SnapError::Malformed(format!(
+                    "netsim/scheduler: entry {at} has seq {}, next seq is {}",
+                    key as u64, self.next_seq
+                )));
+            }
+            if at > 0 && key <= self.keys[(at - 1) / HEAP_ARITY] {
+                return Err(SnapError::Malformed(format!(
+                    "netsim/scheduler: entry {at} is not later than its parent"
+                )));
+            }
+        }
         Ok(())
     }
 }
@@ -294,6 +334,8 @@ mod tests {
     use super::*;
     use crate::testkit::{assert_state_law, state_bytes, state_hash};
     use crate::time::SimDuration;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn wake(agent: u32, token: u64) -> EventKind {
         EventKind::AgentWake {
@@ -362,6 +404,172 @@ mod tests {
         assert_eq!(state_hash(&s), state_hash(&restored));
         // The restored heap continues popping in the same total order.
         assert_eq!(s.pop().unwrap().0, restored.pop().unwrap().0);
+    }
+
+    #[test]
+    fn restore_rejects_a_payload_that_is_not_a_heap() {
+        let mut s = Scheduler::new();
+        s.schedule(SimTime::from_nanos(10), wake(0, 0));
+        s.schedule(SimTime::from_nanos(20), wake(0, 1));
+        let doctored = |keys: Vec<u128>, next_seq: u64| {
+            state_bytes(&Scheduler {
+                keys,
+                kinds: s.kinds.clone(),
+                next_seq,
+            })
+        };
+        let swapped = doctored(vec![s.keys[1], s.keys[0]], s.next_seq);
+        let stale_seq = doctored(s.keys.clone(), 1);
+        for bytes in [swapped, stale_seq] {
+            let err = Scheduler::new()
+                .read_state(&mut SnapReader::new(&bytes))
+                .unwrap_err();
+            match err {
+                SnapError::Malformed(why) => assert!(why.starts_with("netsim/scheduler"), "{why}"),
+                other => panic!("unexpected error {other}"),
+            }
+        }
+    }
+
+    /// The scan-based pop and sift-up the tournament replaced, over the
+    /// plain arrays: the oracle for storage order.
+    fn reference_schedule(
+        keys: &mut Vec<u128>,
+        kinds: &mut Vec<EventKind>,
+        key: u128,
+        kind: EventKind,
+    ) {
+        let mut hole = keys.len();
+        keys.push(key);
+        kinds.push(kind);
+        while hole > 0 {
+            let parent = (hole - 1) / HEAP_ARITY;
+            if keys[parent] <= key {
+                break;
+            }
+            keys[hole] = keys[parent];
+            kinds[hole] = kinds[parent];
+            hole = parent;
+        }
+        keys[hole] = key;
+        kinds[hole] = kind;
+    }
+
+    fn reference_pop(
+        keys: &mut Vec<u128>,
+        kinds: &mut Vec<EventKind>,
+    ) -> Option<(u128, EventKind)> {
+        let &key = keys.first()?;
+        let kind = kinds[0];
+        let last_key = keys.pop().expect("heap is non-empty");
+        let last_kind = kinds.pop().expect("heap is non-empty");
+        let len = keys.len();
+        if len > 0 {
+            let mut hole = 0;
+            loop {
+                let first_child = hole * HEAP_ARITY + 1;
+                if first_child >= len {
+                    break;
+                }
+                let end = (first_child + HEAP_ARITY).min(len);
+                let mut best = first_child;
+                for child in first_child + 1..end {
+                    if keys[child] < keys[best] {
+                        best = child;
+                    }
+                }
+                keys[hole] = keys[best];
+                kinds[hole] = kinds[best];
+                hole = best;
+            }
+            while hole > 0 {
+                let parent = (hole - 1) / HEAP_ARITY;
+                if keys[parent] <= last_key {
+                    break;
+                }
+                keys[hole] = keys[parent];
+                kinds[hole] = kinds[parent];
+                hole = parent;
+            }
+            keys[hole] = last_key;
+            kinds[hole] = last_kind;
+        }
+        Some((key, kind))
+    }
+
+    /// Equal arrays and sequence counter: `state_bytes` is a function of
+    /// these alone, so this is the byte-level check, without paying for
+    /// two encodings of a 5,000-entry heap after every operation.
+    fn assert_same(s: &Scheduler, oracle: &Scheduler) {
+        assert_eq!(s.next_seq, oracle.next_seq);
+        assert!(s.keys == oracle.keys, "keys diverge at len {}", s.len());
+        assert!(s.kinds == oracle.kinds, "kinds diverge at len {}", s.len());
+    }
+
+    #[test]
+    fn tournament_pop_matches_the_scan_reference() {
+        let mut rng = SmallRng::seed_from_u64(0x4EA9_5C4E);
+        let mut peak = 0;
+        // Which `len % 4` pops ran on, from heaps of at least two.
+        let mut residues = [false; HEAP_ARITY];
+        for target in [5_200, 700, 90, 9] {
+            let mut s = Scheduler::new();
+            let mut oracle = Scheduler::new();
+            let mut now = 0;
+            // Grow to the target with schedules outnumbering pops, then
+            // drain to empty with pops outnumbering schedules.
+            for growing in [true, false] {
+                while (growing && s.len() < target) || (!growing && s.len() > 0) {
+                    // Bursts make a schedule add about five events on
+                    // average, so draining keeps schedules rare.
+                    let schedule_odds = if growing { 7 } else { 1 };
+                    if rng.gen_range(0..10u32) < schedule_odds {
+                        // A same-instant burst one time in eight; a far
+                        // deadline (a retransmit timer) one time in ten.
+                        let burst = if rng.gen_range(0..8u32) == 0 {
+                            rng.gen_range(1..65u32)
+                        } else {
+                            1
+                        };
+                        let horizon = if rng.gen_range(0..10u32) == 0 {
+                            1_000_000
+                        } else {
+                            2_000
+                        };
+                        let at = SimTime::from_nanos(now + rng.gen_range(0..horizon));
+                        for _ in 0..burst {
+                            let kind = wake(rng.gen_range(0..16u32), oracle.next_seq);
+                            s.schedule(at, kind);
+                            reference_schedule(
+                                &mut oracle.keys,
+                                &mut oracle.kinds,
+                                pack(at, oracle.next_seq),
+                                kind,
+                            );
+                            oracle.next_seq += 1;
+                            assert_same(&s, &oracle);
+                        }
+                    } else {
+                        if s.len() >= 2 {
+                            residues[s.len() % HEAP_ARITY] = true;
+                        }
+                        let want = reference_pop(&mut oracle.keys, &mut oracle.kinds)
+                            .map(|(key, kind)| (unpack_time(key), kind));
+                        let got = s.pop();
+                        assert_eq!(got, want);
+                        if let Some((at, _)) = got {
+                            now = at.as_nanos();
+                        }
+                        assert_same(&s, &oracle);
+                    }
+                    peak = peak.max(s.len());
+                }
+                assert_eq!(state_bytes(&s), state_bytes(&oracle));
+            }
+            assert_eq!(s.pop(), None);
+        }
+        assert!(peak >= 5_000, "peak heap size {peak}");
+        assert_eq!(residues, [true; HEAP_ARITY]);
     }
 
     #[test]
