@@ -131,7 +131,7 @@ impl PacketFilter for ProportionalFilter {
             return FilterAction::Forward;
         }
         self.examined += 1;
-        ctx.note(StatNote::AtrSeen, Some(packet));
+        ctx.note(StatNote::AtrSeen, packet.key);
         if self.rng.gen::<f64>() < self.drop_probability {
             self.dropped += 1;
             match self.per_flow_dropped.get_mut(env.flow) {

@@ -254,7 +254,7 @@ impl MaficFilter {
         if responsive {
             self.tables.nft_insert(flow, now);
             self.counters.flows_nice += 1;
-            ctx.note_flow(StatNote::FlowDeclaredNice, entry.key);
+            ctx.note(StatNote::FlowDeclaredNice, entry.key);
             if let Some(period) = self.config.nft_revalidate_after {
                 // Anti-pulsing extension: evict from the NFT later so the
                 // next packet re-enters probation.
@@ -265,7 +265,7 @@ impl MaficFilter {
         } else {
             self.tables.pdt_insert(flow, PdtReason::Unresponsive);
             self.counters.flows_malicious += 1;
-            ctx.note_flow(StatNote::FlowDeclaredMalicious, entry.key);
+            ctx.note(StatNote::FlowDeclaredMalicious, entry.key);
             false
         }
     }
@@ -295,7 +295,7 @@ impl MaficFilter {
         ctx.schedule_flow_timer(timer, flow, TIMER_PROBATION);
         self.counters.timers_armed += 1;
         self.emit_probe(packet.key, victim, ctx);
-        ctx.note(StatNote::ProbeSent, Some(packet));
+        ctx.note(StatNote::ProbeSent, packet.key);
     }
 }
 
@@ -353,7 +353,7 @@ impl PacketFilter for MaficFilter {
             return FilterAction::Forward;
         }
         self.counters.examined += 1;
-        ctx.note(StatNote::AtrSeen, Some(packet));
+        ctx.note(StatNote::AtrSeen, packet.key);
 
         let flow = env.flow;
         let now = ctx.now();
@@ -406,7 +406,7 @@ impl PacketFilter for MaficFilter {
                     self.tables.pdt_insert(flow, PdtReason::IllegalSource);
                     self.counters.dropped_illegal += 1;
                     self.counters.flows_malicious += 1;
-                    ctx.note(StatNote::FlowDeclaredMalicious, Some(packet));
+                    ctx.note(StatNote::FlowDeclaredMalicious, packet.key);
                     return FilterAction::Drop(DropReason::FilterIllegalSource);
                 }
                 if self.coin() {

@@ -3,12 +3,9 @@
 //! The paper labels each flow by the 4-tuple `{src IP, dst IP, src port,
 //! dst port}` and, "to minimize the storage overhead", stores only the
 //! output of a hash function over the label rather than the label itself.
-//! Both modes are implemented; the hashed mode is the default and the
-//! full-key mode exists for the memory/collision ablation.
-
-use mafic_loglog::hash::{mix2, mix64};
-use mafic_netsim::FlowKey;
-use std::fmt;
+//! The simulated tables index flows by their interned id; [`LabelMode`]
+//! prices one stored label under either choice for the table-memory
+//! accounting and the label-mode ablation.
 
 /// How flows are keyed in the SFT/NFT/PDT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -33,128 +30,13 @@ impl LabelMode {
     }
 }
 
-/// A table key for one flow.
-///
-/// # Example
-///
-/// ```
-/// use mafic::label::{FlowLabel, LabelMode};
-/// use mafic_netsim::{Addr, FlowKey};
-///
-/// let key = FlowKey::new(Addr::new(1), Addr::new(2), 3, 4);
-/// let hashed = FlowLabel::from_key(key, LabelMode::Hashed);
-/// let full = FlowLabel::from_key(key, LabelMode::Full);
-/// assert_eq!(hashed, FlowLabel::from_key(key, LabelMode::Hashed));
-/// assert_ne!(hashed, full);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlowLabel {
-    /// Hash of the 4-tuple.
-    Hashed(u64),
-    /// The 4-tuple itself.
-    Full(FlowKey),
-}
-
-impl FlowLabel {
-    /// Derives the label for `key` under the given mode.
-    #[must_use]
-    pub fn from_key(key: FlowKey, mode: LabelMode) -> Self {
-        match mode {
-            LabelMode::Hashed => {
-                let (a, b) = key.as_words();
-                FlowLabel::Hashed(mix2(a, b))
-            }
-            LabelMode::Full => FlowLabel::Full(key),
-        }
-    }
-
-    /// A 64-bit token identifying this label (used for timer tokens).
-    #[must_use]
-    pub fn token(self) -> u64 {
-        match self {
-            FlowLabel::Hashed(h) => h,
-            FlowLabel::Full(key) => {
-                let (a, b) = key.as_words();
-                mix64(mix2(a, b) ^ 0x5AB3)
-            }
-        }
-    }
-
-    /// Approximate memory footprint of one stored label, in bytes
-    /// (delegates to [`LabelMode::stored_bytes`]).
-    #[must_use]
-    pub fn stored_bytes(self) -> usize {
-        match self {
-            FlowLabel::Hashed(_) => LabelMode::Hashed,
-            FlowLabel::Full(_) => LabelMode::Full,
-        }
-        .stored_bytes()
-    }
-}
-
-impl fmt::Display for FlowLabel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FlowLabel::Hashed(h) => write!(f, "label#{h:016x}"),
-            FlowLabel::Full(key) => write!(f, "label[{key}]"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mafic_netsim::Addr;
-
-    fn key(port: u16) -> FlowKey {
-        FlowKey::new(Addr::new(0x0A000001), Addr::new(0x0AC80001), port, 80)
-    }
-
-    #[test]
-    fn hashed_labels_are_stable_and_distinct() {
-        let a = FlowLabel::from_key(key(1), LabelMode::Hashed);
-        let b = FlowLabel::from_key(key(1), LabelMode::Hashed);
-        let c = FlowLabel::from_key(key(2), LabelMode::Hashed);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn full_labels_preserve_the_tuple() {
-        match FlowLabel::from_key(key(7), LabelMode::Full) {
-            FlowLabel::Full(k) => assert_eq!(k, key(7)),
-            other => panic!("expected full label, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn tokens_are_stable_per_label() {
-        let l = FlowLabel::from_key(key(9), LabelMode::Hashed);
-        assert_eq!(l.token(), l.token());
-        let f = FlowLabel::from_key(key(9), LabelMode::Full);
-        assert_eq!(f.token(), f.token());
-        // Hashed and full tokens need not match, but both must be stable.
-    }
 
     #[test]
     fn stored_bytes_reflect_mode() {
-        assert_eq!(
-            FlowLabel::from_key(key(1), LabelMode::Hashed).stored_bytes(),
-            8
-        );
-        assert_eq!(
-            FlowLabel::from_key(key(1), LabelMode::Full).stored_bytes(),
-            12
-        );
-    }
-
-    #[test]
-    fn display_is_nonempty() {
-        assert!(!FlowLabel::from_key(key(1), LabelMode::Hashed)
-            .to_string()
-            .is_empty());
-        assert!(!FlowLabel::from_key(key(1), LabelMode::Full)
-            .to_string()
-            .is_empty());
+        assert_eq!(LabelMode::Hashed.stored_bytes(), 8);
+        assert_eq!(LabelMode::Full.stored_bytes(), 12);
     }
 }

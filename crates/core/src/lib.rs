@@ -53,7 +53,7 @@ pub mod tap;
 pub use baseline::ProportionalFilter;
 pub use config::{AddressValidator, ConfigError, MaficConfig};
 pub use dropper::{MaficCounters, MaficFilter, TIMER_PROBATION, TIMER_REVALIDATE};
-pub use label::{FlowLabel, LabelMode};
+pub use label::LabelMode;
 pub use policy::DefensePolicy;
 pub use rate::ArrivalTracker;
 pub use ratelimit::RateLimitFilter;

@@ -7,9 +7,9 @@
 //! older proportional dropper, and many do not cooperate at all (the
 //! placement/coverage question of El Defrawy et al. and Li et al.).
 //! [`DefensePolicy`] names what one domain boundary runs; the workload
-//! layer resolves one policy per domain (explicit overrides, a
-//! transit-tier default, and a seeded participation draw) and installs
-//! the matching filter type at that domain's ATRs.
+//! layer resolves one policy per domain (a transit-tier default and a
+//! seeded participation draw) and installs the matching filter type at
+//! that domain's ATRs.
 //!
 //! Non-participating domains install *nothing*: pushback requests skip
 //! over them to the nearest participating domain upstream, while the

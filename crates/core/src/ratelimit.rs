@@ -155,7 +155,7 @@ impl PacketFilter for RateLimitFilter {
             return FilterAction::Forward;
         }
         self.examined += 1;
-        ctx.note(StatNote::AtrSeen, Some(packet));
+        ctx.note(StatNote::AtrSeen, packet.key);
         self.refill(ctx.now());
         let size = f64::from(packet.size_bytes);
         if self.tokens >= size {

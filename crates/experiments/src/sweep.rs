@@ -6,7 +6,7 @@
 use crate::engine::{run_jobs, EngineConfig};
 use mafic_metrics::MetricsReport;
 use mafic_netsim::SimTime;
-use mafic_workload::{restore_branch, resume_scenario, run_spec, ScenarioSpec};
+use mafic_workload::{run_spec, ScenarioSpec};
 
 /// Derives the spec for trial `t` of `base` (per-trial seed decorrelated
 /// with a SplitMix64 increment).
@@ -168,111 +168,22 @@ pub fn sweep<S: Clone + std::fmt::Debug>(
     Ok(out)
 }
 
-/// Runs the same grid as [`sweep`], warm-started: within each
-/// `(series, trial)` group only the **first x cell** runs from time
-/// zero — capturing a verified checkpoint at `branch_at` on the way
-/// through — and every other cell restores that checkpoint
-/// ([`restore_branch`]) and resumes, skipping the shared prefix
-/// entirely. Points reassemble in the exact grid order of [`sweep`],
-/// so output is byte-identical to the cold sweep at any worker count.
-///
-/// Only sweeps whose x knob is inert before `branch_at` are eligible
-/// (for MAFIC figures: knobs that first matter when the defense
-/// triggers, branched before the attack begins). Eligibility is
-/// *checked, not assumed*: restore re-verifies every component's state
-/// digest against the branch cell's freshly built scenario, so a knob
-/// that does perturb the prefix fails loudly with a named component
-/// instead of silently producing wrong data.
+/// [`sweep`] under the name of the retired warm-started sweep, kept only
+/// because the benchmark package still calls it: `_branch_at` is
+/// ignored and every cell runs from time zero, so the grid is exactly
+/// [`sweep`]'s.
 ///
 /// # Errors
 ///
-/// Propagates the first build/run/restore error by grid index (donor
-/// cells first, then branch cells).
+/// As [`sweep`].
 pub fn sweep_warm<S: Clone + std::fmt::Debug>(
     series_values: &[(String, S)],
     x_values: &[f64],
     cfg: &EngineConfig,
-    branch_at: SimTime,
+    _branch_at: SimTime,
     make_spec: impl Fn(&S, f64) -> ScenarioSpec,
 ) -> Result<Vec<SweepSeries>, String> {
-    let trials = cfg.trials as usize;
-    let Some((&x0, rest_xs)) = x_values.split_first() else {
-        return Ok(series_values
-            .iter()
-            .map(|(label, _)| SweepSeries {
-                label: label.clone(),
-                points: Vec::new(),
-            })
-            .collect());
-    };
-    // Phase 1 — donors: the first x cell of every (series, trial) runs
-    // cold with the checkpoint capture armed.
-    let mut donor_specs = Vec::with_capacity(series_values.len() * trials);
-    for (_, sv) in series_values {
-        let base = make_spec(sv, x0);
-        for t in 0..cfg.trials {
-            donor_specs.push(ScenarioSpec {
-                checkpoint_at: Some(branch_at),
-                ..trial_spec(&base, t)
-            });
-        }
-    }
-    let donors = run_jobs(donor_specs, cfg.jobs, |spec| {
-        let outcome = run_spec(spec).map_err(|e| e.to_string())?;
-        let bytes = outcome
-            .checkpoint
-            .ok_or_else(|| "donor run captured no checkpoint".to_string())?;
-        Ok((outcome.report, bytes))
-    })?;
-    // Phase 2 — branches: every remaining cell overlays its trial's
-    // donor checkpoint and resumes mid-run. Cells within one trial
-    // share the donor because `trial_spec` gives every cell of a trial
-    // the same decorrelated seed — which restore also enforces.
-    let mut branch_inputs = Vec::with_capacity(series_values.len() * rest_xs.len() * trials);
-    for (s_idx, (_, sv)) in series_values.iter().enumerate() {
-        for &x in rest_xs {
-            let base = make_spec(sv, x);
-            for t in 0..cfg.trials {
-                let spec = ScenarioSpec {
-                    checkpoint_at: Some(branch_at),
-                    ..trial_spec(&base, t)
-                };
-                branch_inputs.push((s_idx * trials + t as usize, spec));
-            }
-        }
-    }
-    let branch_reports = run_jobs(branch_inputs, cfg.jobs, |(donor_idx, spec)| {
-        let (mut scenario, state) =
-            restore_branch(&spec, &donors[donor_idx].1).map_err(|e| e.to_string())?;
-        resume_scenario(&mut scenario, state)
-            .map(|o| o.report)
-            .map_err(|e| e.to_string())
-    })?;
-    // Reassemble in [`sweep`] grid order: donor reports fill x₀, branch
-    // reports fill the remaining columns.
-    let mut branches = branch_reports.into_iter();
-    let mut out = Vec::with_capacity(series_values.len());
-    for (s_idx, (label, _)) in series_values.iter().enumerate() {
-        let mut points = Vec::with_capacity(x_values.len());
-        let donor_reports: Vec<MetricsReport> =
-            (0..trials).map(|t| donors[s_idx * trials + t].0).collect();
-        points.push(SweepPoint {
-            x: x0,
-            report: average_reports(&donor_reports),
-        });
-        for &x in rest_xs {
-            let point_reports: Vec<MetricsReport> = branches.by_ref().take(trials).collect();
-            points.push(SweepPoint {
-                x,
-                report: average_reports(&point_reports),
-            });
-        }
-        out.push(SweepSeries {
-            label: label.clone(),
-            points,
-        });
-    }
-    Ok(out)
+    sweep(series_values, x_values, cfg, make_spec)
 }
 
 #[cfg(test)]
@@ -352,41 +263,6 @@ mod tests {
     #[should_panic(expected = "cannot average zero reports")]
     fn empty_average_rejected() {
         let _ = average_reports(&[]);
-    }
-
-    #[test]
-    fn warm_sweep_matches_cold_sweep() {
-        // The depth knob is inert until the defense triggers, so
-        // branching at the attack instant must reproduce the cold grid
-        // byte-for-byte — donors, branches, and trial averaging alike.
-        let series = vec![("chain".to_string(), ())];
-        let xs = vec![0.0, 1.0];
-        let cfg = EngineConfig { jobs: 2, trials: 2 };
-        let make = |_: &(), depth: f64| ScenarioSpec {
-            total_flows: 12,
-            n_routers: 6,
-            domains: 3,
-            transit_topology: mafic_topology::TransitTopology::Chain { depth: 1 },
-            pushback_depth: depth as u32,
-            attack_start: SimTime::from_secs_f64(0.8),
-            end: SimTime::from_secs_f64(3.0),
-            ..ScenarioSpec::default()
-        };
-        let cold = sweep(&series, &xs, &cfg, make).unwrap();
-        let warm = sweep_warm(&series, &xs, &cfg, SimTime::from_secs_f64(0.8), make).unwrap();
-        assert_eq!(cold, warm);
-    }
-
-    #[test]
-    fn warm_sweep_with_empty_axis_yields_empty_series() {
-        let series = vec![("s".to_string(), ())];
-        let cfg = EngineConfig { jobs: 1, trials: 1 };
-        let warm = sweep_warm(&series, &[], &cfg, SimTime::ZERO, |(), _| {
-            ScenarioSpec::default()
-        })
-        .unwrap();
-        assert_eq!(warm.len(), 1);
-        assert!(warm[0].points.is_empty());
     }
 
     #[test]

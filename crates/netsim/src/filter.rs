@@ -10,7 +10,7 @@
 use crate::event::FilterControl;
 use crate::flows::FlowId;
 use crate::ids::{LinkId, NodeId};
-use crate::packet::{DropReason, Packet};
+use crate::packet::{DropReason, FlowKey, Packet};
 use crate::time::{SimDuration, SimTime};
 use mafic_obs::{DynState, SnapError, SnapReader, State, StateWrite};
 use std::any::Any;
@@ -65,7 +65,7 @@ pub(crate) enum FilterCommand {
     },
     Note {
         note: StatNote,
-        flow: Option<crate::packet::FlowKey>,
+        flow: FlowKey,
     },
 }
 
@@ -140,21 +140,10 @@ impl<'a> FilterCtx<'a> {
         });
     }
 
-    /// Records a statistics note against the global collector.
-    pub fn note(&mut self, note: StatNote, packet: Option<&Packet>) {
-        self.commands.push(FilterCommand::Note {
-            note,
-            flow: packet.map(|p| p.key),
-        });
-    }
-
-    /// Records a statistics note for a flow when no packet is at hand
-    /// (e.g. a timer-driven classification decision).
-    pub fn note_flow(&mut self, note: StatNote, flow: crate::packet::FlowKey) {
-        self.commands.push(FilterCommand::Note {
-            note,
-            flow: Some(flow),
-        });
+    /// Records a statistics note about `flow` against the global
+    /// collector.
+    pub fn note(&mut self, note: StatNote, flow: FlowKey) {
+        self.commands.push(FilterCommand::Note { note, flow });
     }
 }
 
@@ -239,7 +228,7 @@ impl State for PassthroughFilter {
 mod tests {
     use super::*;
     use crate::ids::{Addr, AgentId};
-    use crate::packet::{FlowKey, PacketKind, Provenance};
+    use crate::packet::{PacketKind, Provenance};
 
     fn pkt() -> Packet {
         Packet {
@@ -264,7 +253,7 @@ mod tests {
         assert_eq!(ctx.fresh_packet_id(), 100);
         assert_eq!(ctx.fresh_packet_id(), 101);
         ctx.schedule_flow_timer(SimDuration::from_millis(1), FlowId::from_index(3), 42);
-        ctx.note(StatNote::ProbeSent, Some(&pkt()));
+        ctx.note(StatNote::ProbeSent, pkt().key);
         assert_eq!(commands.len(), 2);
         assert!(matches!(
             commands[0],
@@ -274,8 +263,8 @@ mod tests {
             commands[1],
             FilterCommand::Note {
                 note: StatNote::ProbeSent,
-                flow: Some(_),
-            }
+                flow,
+            } if flow == pkt().key
         ));
         assert_eq!(next_id, 102);
     }

@@ -8,7 +8,7 @@
 use crate::agent::{Agent, AgentCommand, AgentCtx};
 use crate::arena::{PacketArena, PacketRef};
 use crate::event::{EventKind, FilterControl, Scheduler};
-use crate::filter::{FilterAction, FilterCommand, FilterCtx, PacketEnv, PacketFilter};
+use crate::filter::{FilterAction, FilterCommand, FilterCtx, PacketEnv, PacketFilter, StatNote};
 use crate::flows::{read_flow_id, FlowId, FlowInterner};
 use crate::ids::{Addr, AgentId, LinkId, NodeId};
 use crate::link::{EnqueueOutcome, Link, LinkSpec};
@@ -93,7 +93,6 @@ pub struct Simulator {
     events_processed: u64,
     stats: StatsCollector,
     trace: Option<TraceBuffer>,
-    link_down: Vec<bool>,
     seed: u64,
     /// Recycled command scratch buffers (a stack, not a single buffer:
     /// agent loopback deliveries re-enter dispatch and need a fresh one).
@@ -155,7 +154,6 @@ impl Simulator {
             events_processed: 0,
             stats: StatsCollector::new(),
             trace: None,
-            link_down: Vec::new(),
             seed,
             filter_bufs: Vec::new(),
             agent_bufs: Vec::new(),
@@ -256,8 +254,11 @@ impl Simulator {
         emit("netsim/arena", &|w| self.arena.write_state(w));
         emit("netsim/links", &|w| {
             w.write_seq(&self.links, |w, link| link.write_state(w));
-            for &down in &self.link_down {
-                w.write_bool(down);
+            // One byte per link, always `false`: the retired
+            // administrative link-down flag, kept so the ledger and
+            // snapshot bytes stay as pinned.
+            for _ in &self.links {
+                w.write_bool(false);
             }
         });
         emit("netsim/stats", &|w| self.stats.write_state(w));
@@ -345,8 +346,13 @@ impl Simulator {
             for link in &mut self.links {
                 link.read_state(r)?;
             }
-            for down in &mut self.link_down {
-                *down = r.read_bool()?;
+            for index in 0..self.links.len() {
+                let flag = r.read_u8()?;
+                if flag != 0 {
+                    return Err(SnapError::Malformed(format!(
+                        "netsim/links: link {index} has down flag {flag}; links never go down"
+                    )));
+                }
             }
             Ok(())
         })?;
@@ -433,41 +439,7 @@ impl Simulator {
     pub fn add_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) -> LinkId {
         let id = LinkId(u32::try_from(self.links.len()).expect("link count fits u32"));
         self.links.push(Link::new(from, to, spec));
-        self.link_down.push(false);
         id
-    }
-
-    /// Takes a link administratively down: packets offered to it are
-    /// dropped (`NoRoute`) until [`Simulator::set_link_up`]. Failure
-    /// injection for robustness tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is not a valid id.
-    #[cfg(test)]
-    pub fn set_link_down(&mut self, link: LinkId) {
-        self.link_down[link.index()] = true;
-    }
-
-    /// Restores a failed link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is not a valid id.
-    #[cfg(test)]
-    pub fn set_link_up(&mut self, link: LinkId) {
-        self.link_down[link.index()] = false;
-    }
-
-    /// True if the link is administratively down.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is not a valid id.
-    #[cfg(test)]
-    #[must_use]
-    pub fn link_is_down(&self, link: LinkId) -> bool {
-        self.link_down[link.index()]
     }
 
     /// Adds a duplex link as two simplex links; returns `(from→to, to→from)`.
@@ -627,12 +599,6 @@ impl Simulator {
     pub fn agent_mut<T: 'static>(&mut self, agent: AgentId) -> Option<&mut T> {
         let agent: &mut dyn Any = &mut **self.agents[agent.index()].as_mut()?;
         agent.downcast_mut::<T>()
-    }
-
-    /// The node an agent is attached to.
-    #[must_use]
-    pub fn agent_node(&self, agent: AgentId) -> NodeId {
-        self.agent_home[agent.index()]
     }
 
     /// Schedules a control message for delivery to `node` at `at`.
@@ -928,12 +894,6 @@ impl Simulator {
     }
 
     fn send_on_link(&mut self, link_id: LinkId, pref: PacketRef) {
-        if self.link_down[link_id.index()] {
-            let sid = self.stats_id_of(pref);
-            let packet = self.arena.take(pref);
-            self.record_drop(&packet, sid, DropReason::NoRoute);
-            return;
-        }
         let now = self.now;
         let size = self.arena.get(pref).size_bytes;
         match self.links[link_id.index()].enqueue(pref, size, now) {
@@ -1086,16 +1046,12 @@ impl Simulator {
         }
     }
 
-    fn apply_note(&mut self, note: crate::filter::StatNote, flow: Option<crate::packet::FlowKey>) {
-        use crate::filter::StatNote;
-        match (note, flow) {
-            (StatNote::AtrSeen, Some(key)) => self.stats.on_atr_seen(key),
-            (StatNote::ProbeSent, Some(key)) => self.stats.on_probe_sent(key),
-            (StatNote::FlowDeclaredNice, Some(key)) => self.stats.on_flow_declared(key, true),
-            (StatNote::FlowDeclaredMalicious, Some(key)) => {
-                self.stats.on_flow_declared(key, false);
-            }
-            _ => {}
+    fn apply_note(&mut self, note: StatNote, flow: FlowKey) {
+        match note {
+            StatNote::AtrSeen => self.stats.on_atr_seen(flow),
+            StatNote::ProbeSent => self.stats.on_probe_sent(flow),
+            StatNote::FlowDeclaredNice => self.stats.on_flow_declared(flow, true),
+            StatNote::FlowDeclaredMalicious => self.stats.on_flow_declared(flow, false),
         }
     }
 
@@ -1320,24 +1276,6 @@ mod tests {
     }
 
     #[test]
-    fn downed_link_blackholes_until_restored() {
-        let (mut sim, a, _b, sink, dst) = two_node_sim();
-        let key = FlowKey::new(Addr::from_octets(10, 0, 0, 1), dst, 1, 80);
-        let link = sim.route(a, dst).unwrap();
-        sim.set_link_down(link);
-        assert!(sim.link_is_down(link));
-        sim.inject_packet(a, key, PacketKind::Udp, 100, false, SimTime::ZERO);
-        sim.run_until(SimTime::from_secs_f64(0.5));
-        assert_eq!(sim.agent::<CountingSink>(sink).unwrap().delivered(), 0);
-        assert_eq!(sim.stats().flow(&key).unwrap().dropped_other, 1);
-        // Restore and retry.
-        sim.set_link_up(link);
-        sim.inject_packet(a, key, PacketKind::Udp, 100, false, sim.now());
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(sim.agent::<CountingSink>(sink).unwrap().delivered(), 1);
-    }
-
-    #[test]
     fn trace_records_drops_and_deliveries() {
         let (mut sim, a, _b, _sink, dst) = two_node_sim();
         sim.enable_trace(16);
@@ -1452,6 +1390,38 @@ mod tests {
         let (mut untraced, _a, _b, _sink, _dst) = two_node_sim();
         let err = untraced.snap_restore_from(&decoded).unwrap_err();
         assert!(matches!(err, SnapError::Malformed(_)), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_a_link_marked_down() {
+        let donor = loaded_sim(SimTime::from_secs_f64(0.01));
+        let mut snapshot = mafic_obs::Snapshot::new(mafic_obs::SnapshotHeader {
+            snap_version: mafic_obs::SNAP_VERSION,
+            crate_version: "test".into(),
+            seed: donor.seed(),
+            spec_fingerprint: 0,
+            at_nanos: 0,
+            interval_index: 0,
+        });
+        donor.snap_save_into(&mut snapshot);
+        let mut doctored = mafic_obs::Snapshot::new(snapshot.header.clone());
+        for label in snapshot.section_labels() {
+            let mut payload = snapshot.section(label).expect("listed").to_vec();
+            if label == "netsim/links" {
+                // The section ends with one down-flag byte per link.
+                *payload.last_mut().expect("non-empty") = 1;
+            }
+            doctored.add_section(label, payload);
+        }
+        let err = loaded_sim(SimTime::ZERO)
+            .snap_restore_from(&doctored)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SnapError::Malformed(
+                "netsim/links: link 1 has down flag 1; links never go down".into()
+            )
+        );
     }
 
     #[test]

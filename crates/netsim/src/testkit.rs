@@ -140,7 +140,7 @@ pub struct FilterEffects {
     /// Flow timers armed on the wheel, as `(delay, flow, kind)` triples.
     pub flow_timers: Vec<(SimDuration, FlowId, u16)>,
     /// Statistics notes recorded, with the flow they referred to.
-    pub notes: Vec<(StatNote, Option<FlowKey>)>,
+    pub notes: Vec<(StatNote, FlowKey)>,
 }
 
 /// Drives a single [`PacketFilter`] with a controllable clock.

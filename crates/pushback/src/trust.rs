@@ -56,7 +56,8 @@ impl Default for TrustConfig {
             // cascade needs, tight next to a spammer.
             request_budget: 8,
             // Tolerates a 4-way split of the aggregate across sibling
-            // upstreams (tree fanouts up to 4 stay corroborable).
+            // upstreams (four source stubs under one domain stay
+            // corroborable).
             attestation_fraction: 0.25,
         }
     }

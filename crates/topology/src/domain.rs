@@ -628,28 +628,27 @@ mod tests {
             n_hosts: 1,
             ..DomainConfig::default()
         };
-        for transit in [
-            TransitTopology::Chain { depth: 2 },
-            TransitTopology::Tree {
-                depth: 2,
-                fanout: 2,
-            },
-        ] {
-            let mut sim = Simulator::new(1);
-            let config = InternetConfig {
-                stubs: vec![stub; 6],
-                transit,
-                transit_domain,
-                inter_link: LinkSpec::new(20e6, SimDuration::from_millis(10), 256),
-            };
-            let net = Internet::build(&mut sim, &config).unwrap();
-            let destinations = route_destinations(&net.domains);
-            // Control addresses are destinations at gateway routers.
-            assert!(destinations.contains(&(net.domains[1].ctrl_addr, net.domains[1].gateway)));
-            let mut stray = stray_addrs(&net.domains[0].domain.address_space);
-            stray.extend(stray_addrs(&net.domains[3].domain.address_space));
-            stray.retain(|a| destinations.iter().all(|(d, _)| d != a));
-            assert_routes_match_oracle(&sim, &destinations, &stray);
-        }
+        // Two transit levels under six stubs: the five source stubs all
+        // fan in to the deepest transit domain.
+        let mut sim = Simulator::new(1);
+        let config = InternetConfig {
+            stubs: vec![stub; 6],
+            transit: TransitTopology::Chain { depth: 2 },
+            transit_domain,
+            inter_link: LinkSpec::new(20e6, SimDuration::from_millis(10), 256),
+        };
+        let net = Internet::build(&mut sim, &config).unwrap();
+        assert_eq!(
+            net.domains[2].upstream.len(),
+            5,
+            "fan-in at the deepest level"
+        );
+        let destinations = route_destinations(&net.domains);
+        // Control addresses are destinations at gateway routers.
+        assert!(destinations.contains(&(net.domains[1].ctrl_addr, net.domains[1].gateway)));
+        let mut stray = stray_addrs(&net.domains[0].domain.address_space);
+        stray.extend(stray_addrs(&net.domains[3].domain.address_space));
+        stray.retain(|a| destinations.iter().all(|(d, _)| d != a));
+        assert_routes_match_oracle(&sim, &destinations, &stray);
     }
 }

@@ -3,9 +3,9 @@
 //! Wires several stub domains and a configurable transit tier into one
 //! simulator — the substrate for *inter-domain cascaded pushback*. The
 //! victim's stub domain sits at the bottom; provider (transit) domains
-//! stack upstream of it as a chain or a tree; the remaining stub domains
-//! (where remote zombies and remote legitimate clients live) hang off
-//! the deepest transit level. Every domain reuses the single-domain
+//! stack upstream of it as a chain; the remaining stub domains (where
+//! remote zombies and remote legitimate clients live) hang off the
+//! deepest transit domain. Every domain reuses the single-domain
 //! [`Domain`] builder with its own non-overlapping address base, and the
 //! inter-domain links have their own bandwidth/delay/queue class.
 //!
@@ -36,44 +36,14 @@ pub enum TransitTopology {
         /// Number of provider domains on the path.
         depth: usize,
     },
-    /// A complete tree of provider domains: level 1 is the victim's
-    /// provider (one domain), level `l` has `fanout^(l-1)` domains.
-    /// Source stubs attach round-robin to the deepest level.
-    Tree {
-        /// Number of provider levels (`0` = no transit tier).
-        depth: usize,
-        /// Children per provider domain.
-        fanout: usize,
-    },
 }
 
 impl TransitTopology {
     /// Total number of provider domains this topology creates.
-    /// Saturates instead of overflowing on absurd tree parameters —
-    /// [`TransitTopology::validate`] rejects anything near saturation.
     #[must_use]
     pub fn domain_count(&self) -> usize {
-        match *self {
-            TransitTopology::Chain { depth } => depth,
-            TransitTopology::Tree { depth, fanout } => {
-                let mut total = 0usize;
-                let mut level = 1usize;
-                for _ in 0..depth {
-                    total = total.saturating_add(level);
-                    level = level.saturating_mul(fanout);
-                }
-                total
-            }
-        }
-    }
-
-    /// Number of provider levels between the victim domain and the
-    /// source stubs.
-    #[must_use]
-    pub fn levels(&self) -> usize {
-        match *self {
-            TransitTopology::Chain { depth } | TransitTopology::Tree { depth, .. } => depth,
-        }
+        let TransitTopology::Chain { depth } = *self;
+        depth
     }
 
     /// Validates the topology parameters.
@@ -82,15 +52,9 @@ impl TransitTopology {
     ///
     /// Returns a message naming the offending parameter.
     pub fn validate(&self) -> Result<(), String> {
-        if let TransitTopology::Tree { fanout, .. } = *self {
-            if fanout == 0 {
-                return Err("transit tree fanout must be >= 1".into());
-            }
-        }
-        // Bound the tier before anyone exponentiates with it: the whole
-        // internet is capped at MAX_DOMAINS, so reject out-of-range
-        // tiers here with an error instead of overflowing (or building
-        // half the cap in providers alone).
+        // The whole internet is capped at MAX_DOMAINS: reject an
+        // out-of-range tier here, before anyone adds the stub count to
+        // it, with an error instead of an overflow.
         let count = self.domain_count();
         if count > MAX_DOMAINS {
             return Err(format!(
@@ -251,41 +215,17 @@ impl Internet {
         };
 
         domains.push(build_one(sim, &config.stubs[0], 0, DomainRole::Victim, 0)?);
-        // Transit domains in level order; remember each level's indices.
-        let mut levels: Vec<Vec<usize>> = vec![vec![0]];
-        match config.transit {
-            TransitTopology::Chain { depth } => {
-                for l in 1..=depth {
-                    let index = domains.len();
-                    domains.push(build_one(
-                        sim,
-                        &config.transit_domain,
-                        index,
-                        DomainRole::Transit,
-                        l as u32,
-                    )?);
-                    levels.push(vec![index]);
-                }
-            }
-            TransitTopology::Tree { depth, fanout } => {
-                for l in 1..=depth {
-                    let mut level = Vec::with_capacity(fanout.pow((l - 1) as u32));
-                    for _ in 0..fanout.pow((l - 1) as u32) {
-                        let index = domains.len();
-                        domains.push(build_one(
-                            sim,
-                            &config.transit_domain,
-                            index,
-                            DomainRole::Transit,
-                            l as u32,
-                        )?);
-                        level.push(index);
-                    }
-                    levels.push(level);
-                }
-            }
+        // Transit domain `l` sits at level `l`, so its index is its level.
+        for l in 1..=n_transit {
+            domains.push(build_one(
+                sim,
+                &config.transit_domain,
+                l,
+                DomainRole::Transit,
+                l as u32,
+            )?);
         }
-        let stub_level = levels.len() as u32;
+        let stub_level = n_transit as u32 + 1;
         for s in 1..config.stubs.len() {
             let index = domains.len();
             domains.push(build_one(
@@ -318,29 +258,14 @@ impl Internet {
                 in_link: up_link,
             });
         };
-        // Transit tier: each level-l domain attaches to a level-(l-1)
-        // parent; in a tree, consecutive children share a parent.
-        for l in 1..levels.len() {
-            let (parents, children) = {
-                let p = levels[l - 1].clone();
-                let c = levels[l].clone();
-                (p, c)
-            };
-            let per_parent = children.len().div_ceil(parents.len());
-            for (j, &child) in children.iter().enumerate() {
-                let parent = parents[(j / per_parent).min(parents.len() - 1)];
-                attach(sim, &mut domains, child, parent);
-            }
+        // Each transit domain attaches to the one below it; the source
+        // stubs all attach to the deepest (the victim domain when there
+        // is no transit tier).
+        for child in 1..=n_transit {
+            attach(sim, &mut domains, child, child - 1);
         }
-        // Source stubs round-robin over the deepest transit level (or the
-        // victim domain when there is no transit tier).
-        let deepest = levels
-            .last()
-            .expect("levels starts with the victim")
-            .clone();
-        for (j, child) in (1 + n_transit..n_total).enumerate() {
-            let parent = deepest[j % deepest.len()];
-            attach(sim, &mut domains, child, parent);
+        for child in 1 + n_transit..n_total {
+            attach(sim, &mut domains, child, n_transit);
         }
 
         install_host_routes(sim, &route_destinations(&domains));
@@ -427,30 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_fans_out_per_level() {
-        let mut sim = Simulator::new(1);
-        let cfg = InternetConfig {
-            transit: TransitTopology::Tree {
-                depth: 2,
-                fanout: 2,
-            },
-            ..chain_config(4, 0)
-        };
-        let net = Internet::build(&mut sim, &cfg).unwrap();
-        // victim + (1 + 2) transit + 3 stubs.
-        assert_eq!(net.domains.len(), 7);
-        assert_eq!(net.domains[1].level, 1);
-        assert_eq!(net.domains[2].level, 2);
-        assert_eq!(net.domains[3].level, 2);
-        assert_eq!(net.domains[2].downstream, Some(1));
-        assert_eq!(net.domains[3].downstream, Some(1));
-        // Stubs round-robin over the deepest level {2, 3}.
-        assert_eq!(net.domains[4].downstream, Some(2));
-        assert_eq!(net.domains[5].downstream, Some(3));
-        assert_eq!(net.domains[6].downstream, Some(2));
-    }
-
-    #[test]
     fn address_plans_never_overlap() {
         let mut sim = Simulator::new(1);
         let net = Internet::build(&mut sim, &chain_config(3, 1)).unwrap();
@@ -527,51 +428,20 @@ mod tests {
             ..chain_config(2, 0)
         };
         assert!(Internet::build(&mut sim, &empty).is_err());
-        let bad_tree = InternetConfig {
-            transit: TransitTopology::Tree {
-                depth: 1,
-                fanout: 0,
-            },
-            ..chain_config(2, 0)
-        };
-        assert!(Internet::build(&mut sim, &bad_tree).is_err());
+        // A tier past the cap is rejected before the stubs are added to
+        // it, even at a depth where that sum would overflow.
+        for depth in [MAX_DOMAINS + 1, usize::MAX] {
+            let oversized = chain_config(2, depth);
+            let err = Internet::build(&mut sim, &oversized).expect_err("oversized tier");
+            assert!(err.contains("100-domain cap"), "{err}");
+        }
+        assert!(TransitTopology::Chain { depth: MAX_DOMAINS }
+            .validate()
+            .is_ok());
     }
 
     #[test]
     fn topology_counts() {
         assert_eq!(TransitTopology::Chain { depth: 3 }.domain_count(), 3);
-        assert_eq!(TransitTopology::Chain { depth: 3 }.levels(), 3);
-        let tree = TransitTopology::Tree {
-            depth: 3,
-            fanout: 2,
-        };
-        assert_eq!(tree.domain_count(), 1 + 2 + 4);
-        assert_eq!(tree.levels(), 3);
-    }
-
-    #[test]
-    fn oversized_trees_are_rejected_not_overflowed() {
-        // 3^41 overflows a u64's worth of multiplications; domain_count
-        // must saturate and validate must reject, never panic.
-        let huge = TransitTopology::Tree {
-            depth: 42,
-            fanout: 3,
-        };
-        assert_eq!(huge.domain_count(), usize::MAX);
-        let err = huge.validate().expect_err("oversized tier rejected");
-        assert!(err.contains("100-domain cap"), "{err}");
-        assert!(TransitTopology::Tree {
-            depth: 4,
-            fanout: 5, // 1 + 5 + 25 + 125 = 156 providers
-        }
-        .validate()
-        .is_err());
-        assert!(TransitTopology::Chain { depth: 200 }.validate().is_err());
-        assert!(TransitTopology::Tree {
-            depth: 4,
-            fanout: 4, // 85 providers: large but within the cap
-        }
-        .validate()
-        .is_ok());
     }
 }

@@ -11,9 +11,9 @@
 //! remote stubs flood the victim across a transit tier, and the
 //! inter-domain cascaded pushback (`mafic-pushback`) escalates the
 //! defense up to `pushback_depth` hops toward the zombies. Each domain
-//! runs the [`mafic::DefensePolicy`] the spec resolves for it —
-//! explicit overrides, a transit-tier default, and a seeded
-//! `participation_fraction` placement — so heterogeneous and partially
+//! runs the [`mafic::DefensePolicy`] the spec resolves for it — a
+//! transit-tier default and a seeded `participation_fraction`
+//! placement — so heterogeneous and partially
 //! deployed federations are first-class scenarios: non-participating
 //! domains deploy nothing and escalation requests route *through* them
 //! to the nearest cooperating domain.
@@ -39,8 +39,7 @@ pub mod spec;
 pub use error::WorkloadError;
 pub use mafic_adversary::{AdversarySpec, StrategyKind};
 pub use runner::{
-    encode_checkpoint, restore_branch, restore_run, resume_scenario, run_scenario, run_spec,
-    RunOutcome, RunState,
+    encode_checkpoint, restore_run, resume_scenario, run_scenario, run_spec, RunOutcome, RunState,
 };
 pub use scenario::{
     FlowInfo, PushbackDomainControl, PushbackPlan, PushbackUpstream, Scenario, SpoofMode,

@@ -107,9 +107,7 @@ pub struct RunOutcome {
     /// The encoded state snapshot captured at the first monitor-interval
     /// boundary at or after [`ScenarioSpec::checkpoint_at`]; `None`
     /// when no checkpoint was requested. Feed the bytes to
-    /// [`restore_run`] to rebuild the mid-run scenario, or to
-    /// [`restore_branch`] to warm-start a spec variant from the shared
-    /// prefix.
+    /// [`restore_run`] to rebuild the mid-run scenario.
     pub checkpoint: Option<Vec<u8>>,
 }
 
@@ -122,10 +120,10 @@ impl RunOutcome {
 }
 
 /// Sorts and deduplicates instructed routers. The trigger paths (the
-/// sketch detector, the victim-escalation fallback, fixed-time
-/// activation) and the inter-domain cascade (which may re-activate a
-/// boundary after a lease lapse) each append to the list independently,
-/// so the raw log can name a router more than once.
+/// sketch detector and the victim-escalation fallback) and the
+/// inter-domain cascade (which may re-activate a boundary after a lease
+/// lapse) each append to the list independently, so the raw log can
+/// name a router more than once.
 fn sorted_unique(mut nodes: Vec<NodeId>) -> Vec<NodeId> {
     nodes.sort();
     nodes.dedup();
@@ -890,7 +888,7 @@ fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
     };
     let detector = VictimDetector::new(detector_config).map_err(WorkloadError::Detection)?;
     let attack_flows = || scenario.flows.iter().filter(|f| f.is_attack);
-    let mut state = RunState {
+    Ok(RunState {
         detector,
         triggered_at: None,
         first_triggered_at: None,
@@ -946,14 +944,7 @@ fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
         next_stop: SimTime::ZERO + scenario.spec.monitor_interval,
         last_stop: SimTime::ZERO,
         checkpoint: None,
-    };
-    // Fixed-time detection: `Scenario::build` already queued the control
-    // messages; the loop state only records them.
-    if let DetectionMode::AtTime(at) = scenario.spec.detection {
-        state.latch_trigger(at);
-        state.atr_nodes = scenario.droppers.iter().map(|&(n, _)| n).collect();
-    }
-    Ok(state)
+    })
 }
 
 /// Runs a scenario to completion. The scenario is borrowed, not
@@ -969,9 +960,9 @@ pub fn run_scenario(scenario: &mut Scenario) -> Result<RunOutcome, WorkloadError
     drive(scenario, &mut state)
 }
 
-/// Continues a restored run (see [`restore_run`] / [`restore_branch`])
-/// from its checkpoint instant to the scenario's end, producing the
-/// same [`RunOutcome`] a straight run would.
+/// Continues a restored run (see [`restore_run`]) from its checkpoint
+/// instant to the scenario's end, producing the same [`RunOutcome`] a
+/// straight run would.
 ///
 /// # Errors
 ///
@@ -1324,32 +1315,6 @@ pub fn restore_run(
     spec: &ScenarioSpec,
     bytes: &[u8],
 ) -> Result<(Scenario, RunState), WorkloadError> {
-    restore_with(spec, bytes, true)
-}
-
-/// [`restore_run`] for warm-started sweeps: overlays a checkpoint onto
-/// a *variant* of the capturing spec (same seed, same prefix behavior;
-/// knobs that only matter after the checkpoint instant may differ), so
-/// a sweep runs the shared prefix once and branches per cell. The spec
-/// fingerprint check is relaxed — every other gate, including the full
-/// component-digest verification, still applies, so a variant whose
-/// prefix actually diverges is rejected, not silently branched.
-///
-/// # Errors
-///
-/// As [`restore_run`], minus the fingerprint equality requirement.
-pub fn restore_branch(
-    spec: &ScenarioSpec,
-    bytes: &[u8],
-) -> Result<(Scenario, RunState), WorkloadError> {
-    restore_with(spec, bytes, false)
-}
-
-fn restore_with(
-    spec: &ScenarioSpec,
-    bytes: &[u8],
-    check_fingerprint: bool,
-) -> Result<(Scenario, RunState), WorkloadError> {
     let snapshot = Snapshot::decode(bytes)?;
     let header = &snapshot.header;
     let crate_version = env!("CARGO_PKG_VERSION");
@@ -1369,16 +1334,14 @@ fn restore_with(
         }
         .into());
     }
-    if check_fingerprint {
-        let fingerprint = spec.fingerprint();
-        if header.spec_fingerprint != fingerprint {
-            return Err(SnapError::HeaderMismatch {
-                field: "spec_fingerprint",
-                expected: format!("{fingerprint:016x}"),
-                found: format!("{:016x}", header.spec_fingerprint),
-            }
-            .into());
+    let fingerprint = spec.fingerprint();
+    if header.spec_fingerprint != fingerprint {
+        return Err(SnapError::HeaderMismatch {
+            field: "spec_fingerprint",
+            expected: format!("{fingerprint:016x}"),
+            found: format!("{:016x}", header.spec_fingerprint),
         }
+        .into());
     }
     let mut scenario = Scenario::build(spec.clone())?;
     let mut state = fresh_state(&scenario)?;
@@ -1400,9 +1363,8 @@ fn restore_with(
         snapshot.read_section("workload/adversary", |r| adv.read_state(r))?;
     }
     // The integrity gate: recompute every component digest over the
-    // overlaid state and compare against the capture-time table. A
-    // branch variant whose prefix state differs from the capturing
-    // spec's fails here with the diverging component named.
+    // overlaid state and compare against the capture-time table; a
+    // mismatch fails here with the diverging component named.
     let mut probe = IntervalProbe::new();
     compute_probe(&scenario, &state, &mut probe);
     let recomputed = probe.components();
@@ -1526,17 +1488,6 @@ mod tests {
                 NodeId::from_index(9)
             ]
         );
-    }
-
-    #[test]
-    fn fixed_time_detection_runs_without_monitor() {
-        let spec = ScenarioSpec {
-            detection: DetectionMode::AtTime(SimTime::from_secs_f64(1.0)),
-            ..quick_spec()
-        };
-        let outcome = run_spec(spec).unwrap();
-        assert_eq!(outcome.triggered_at, Some(SimTime::from_secs_f64(1.0)));
-        assert!(outcome.report.accuracy_pct > 90.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   participating domain (routing through the gap).
 
 use crate::error::WorkloadError;
-use crate::spec::{DetectionMode, ScenarioSpec};
+use crate::spec::ScenarioSpec;
 use mafic::{
     AddressValidator, DefensePolicy, LogLogTap, MaficConfig, MaficFilter, ProportionalFilter,
     RateLimitFilter,
@@ -188,7 +188,7 @@ const VICTIM_BIN: SimDuration = SimDuration::from_millis(50);
 impl Scenario {
     /// Builds the scenario described by `spec`: one body for both
     /// shapes, in a fixed order — topology, victim endpoint, validator,
-    /// taps, defense plane, flows, cross traffic, fixed-time trigger.
+    /// taps, defense plane, flows, cross traffic.
     /// The order is part of the behaviour contract: agent ids, filter
     /// chain positions, event sequence numbers and RNG draws all follow
     /// from it, and every pinned digest follows from those.
@@ -311,20 +311,6 @@ impl Scenario {
             }
             _ => Vec::new(),
         };
-
-        // Fixed-time detection installs the victim-domain control
-        // messages up front.
-        if let DetectionMode::AtTime(at) = spec.detection {
-            for &(router, _) in &droppers {
-                sim.send_control(
-                    router,
-                    mafic_netsim::FilterControl::PushbackStart {
-                        victim: domain.victim_addr,
-                    },
-                    at,
-                );
-            }
-        }
 
         Ok(Scenario {
             sim,
@@ -957,13 +943,18 @@ mod tests {
 
     #[test]
     fn non_participating_domain_installs_nothing_and_is_skipped() {
-        // Chain: victim(0) <- transit(1) <- stubs(2, 3). Opt the transit
-        // domain out: the victim's escalation target must jump to the
-        // stubs, two levels away.
-        let spec = ScenarioSpec {
-            policy_overrides: vec![(1, DefensePolicy::NonParticipating)],
-            ..multi_spec()
-        };
+        // Chain: victim(0) <- transit(1) <- stubs(2, 3). Two of the three
+        // upstream domains participate; take the first seed whose draw
+        // opts the transit domain out: the victim's escalation target
+        // must jump to the stubs, two levels away.
+        let spec = (1..)
+            .map(|seed| ScenarioSpec {
+                participation_fraction: 2.0 / 3.0,
+                seed,
+                ..multi_spec()
+            })
+            .find(|spec| !spec.resolved_policies()[1].participating())
+            .expect("some seed opts the transit domain out");
         let s = Scenario::build(spec).unwrap();
         let plan = s.pushback.as_ref().unwrap();
         assert!(plan.domains[1].atrs.is_empty(), "no filters deployed");

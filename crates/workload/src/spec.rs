@@ -31,9 +31,6 @@ pub enum DetectionMode {
     /// The LogLog set-union monitor detects the surge and identifies the
     /// ATRs (the full pipeline of the paper).
     Auto,
-    /// Activate the defense at a fixed time on every ingress router
-    /// (isolates MAFIC behaviour from detector behaviour).
-    AtTime(SimTime),
     /// Never activate (undefended baseline runs).
     Off,
 }
@@ -188,14 +185,6 @@ pub struct ScenarioSpec {
     ///
     /// [`policy`]: ScenarioSpec::policy
     pub transit_policy: Option<DefensePolicy>,
-    /// Explicit per-domain policy overrides, as `(domain index, policy)`
-    /// pairs in [`mafic_topology::Internet::domains`] order (0 = victim
-    /// domain, then transit domains in level order, then source stubs).
-    /// Overrides win over both [`transit_policy`] and the participation
-    /// draw. The victim domain (index 0) must stay participating.
-    ///
-    /// [`transit_policy`]: ScenarioSpec::transit_policy
-    pub policy_overrides: Vec<(usize, DefensePolicy)>,
     /// Fraction of the non-victim domains that participate in the
     /// pushback federation (the partial-deployment axis of El Defrawy
     /// et al.). Placement is deterministic and *nested*: domains are
@@ -264,7 +253,6 @@ impl Default for ScenarioSpec {
             drop_probability: 0.9,
             policy: DefensePolicy::FullMafic,
             transit_policy: None,
-            policy_overrides: Vec::new(),
             participation_fraction: 1.0,
             timer_rtt_multiplier: 2.0,
             nft_revalidate_after: None,
@@ -355,14 +343,13 @@ impl ScenarioSpec {
     /// Resolves one [`DefensePolicy`] per domain, in
     /// [`mafic_topology::Internet::domains`] order.
     ///
-    /// Resolution order per domain: explicit [`policy_overrides`] entry;
-    /// else the nested [`participation_fraction`] draw may mark a
-    /// non-victim domain [`DefensePolicy::NonParticipating`]; else
-    /// [`transit_policy`] for transit-tier domains; else the spec's
+    /// Resolution order per domain: the nested [`participation_fraction`]
+    /// draw may mark a non-victim domain
+    /// [`DefensePolicy::NonParticipating`]; else [`transit_policy`] for
+    /// transit-tier domains; else the spec's
     /// [`policy`](ScenarioSpec::policy). The victim domain (index 0)
     /// never enters the participation draw.
     ///
-    /// [`policy_overrides`]: ScenarioSpec::policy_overrides
     /// [`participation_fraction`]: ScenarioSpec::participation_fraction
     /// [`transit_policy`]: ScenarioSpec::transit_policy
     ///
@@ -370,8 +357,8 @@ impl ScenarioSpec {
     ///
     /// A minimal heterogeneous multi-domain scenario — three stubs over
     /// one transit domain, the transit AS on a cheap aggregate rate
-    /// limit, one source stub explicitly opted out — validated and
-    /// resolved:
+    /// limit, two of the three non-victim domains participating —
+    /// validated and resolved:
     ///
     /// ```
     /// use mafic::DefensePolicy;
@@ -387,7 +374,7 @@ impl ScenarioSpec {
     ///     transit_policy: Some(DefensePolicy::AggregateRateLimit {
     ///         limit_bytes_per_sec: 250_000.0,
     ///     }),
-    ///     policy_overrides: vec![(3, DefensePolicy::NonParticipating)],
+    ///     participation_fraction: 2.0 / 3.0,
     ///     ..ScenarioSpec::default()
     /// };
     /// spec.validate().expect("heterogeneous spec is valid");
@@ -396,8 +383,8 @@ impl ScenarioSpec {
     /// let policies = spec.resolved_policies();
     /// assert_eq!(policies.len(), 4);
     /// assert_eq!(policies[0], DefensePolicy::FullMafic);
-    /// assert_eq!(policies[1].label(), "rate-limit");
-    /// assert_eq!(policies[3], DefensePolicy::NonParticipating);
+    /// let opted_out = policies.iter().filter(|p| !p.participating()).count();
+    /// assert_eq!(opted_out, 1);
     ///
     /// // The spec builds into a fully wired scenario.
     /// let scenario = Scenario::build(spec).expect("buildable");
@@ -413,9 +400,6 @@ impl ScenarioSpec {
         let participating = self.participation_set(total);
         (0..total)
             .map(|d| {
-                if let Some(&(_, p)) = self.policy_overrides.iter().find(|&&(i, _)| i == d) {
-                    return p;
-                }
                 if d == 0 {
                     return self.policy;
                 }
@@ -580,9 +564,6 @@ impl ScenarioSpec {
             if self.transit_policy.is_some() {
                 return Err("transit_policy requires domains >= 2".into());
             }
-            if !self.policy_overrides.is_empty() {
-                return Err("policy_overrides require domains >= 2".into());
-            }
             if self.participation_fraction < 1.0 {
                 return Err("participation_fraction < 1 requires domains >= 2".into());
             }
@@ -593,24 +574,6 @@ impl ScenarioSpec {
         }
         if let Some(p) = self.transit_policy {
             p.validate().map_err(|e| format!("transit_policy: {e}"))?;
-        }
-        for (i, &(d, p)) in self.policy_overrides.iter().enumerate() {
-            if d >= total {
-                return Err(format!(
-                    "policy_overrides[{i}] names domain {d}, but the scenario has {total} domains"
-                ));
-            }
-            if self.policy_overrides[..i]
-                .iter()
-                .any(|&(prev, _)| prev == d)
-            {
-                return Err(format!("policy_overrides name domain {d} more than once"));
-            }
-            p.validate()
-                .map_err(|e| format!("policy_overrides[{i}]: {e}"))?;
-            if d == 0 && !p.participating() {
-                return Err("the victim domain (index 0) must stay participating".into());
-            }
         }
         if !(0.0..=1.0).contains(&self.drop_probability) {
             return Err("drop_probability must be in [0, 1]".into());
@@ -793,17 +756,6 @@ mod tests {
                     ..base.clone()
                 },
             ),
-            (
-                "zero tree fanout",
-                ScenarioSpec {
-                    domains: 2,
-                    transit_topology: TransitTopology::Tree {
-                        depth: 1,
-                        fanout: 0,
-                    },
-                    ..base.clone()
-                },
-            ),
         ] {
             assert!(bad.validate().is_err(), "{label} must be rejected");
         }
@@ -843,30 +795,6 @@ mod tests {
         assert_eq!(policies[2], DefensePolicy::ProportionalDrop);
         assert_eq!(policies[3], DefensePolicy::FullMafic, "source stub");
         assert_eq!(policies[4], DefensePolicy::FullMafic, "source stub");
-    }
-
-    #[test]
-    fn overrides_win_over_everything() {
-        let spec = ScenarioSpec {
-            domains: 2,
-            transit_topology: TransitTopology::Chain { depth: 1 },
-            transit_policy: Some(DefensePolicy::ProportionalDrop),
-            policy_overrides: vec![
-                (
-                    1,
-                    DefensePolicy::AggregateRateLimit {
-                        limit_bytes_per_sec: 1e5,
-                    },
-                ),
-                (2, DefensePolicy::NonParticipating),
-            ],
-            participation_fraction: 1.0,
-            ..ScenarioSpec::default()
-        };
-        assert!(spec.validate().is_ok());
-        let policies = spec.resolved_policies();
-        assert_eq!(policies[1].label(), "rate-limit");
-        assert_eq!(policies[2], DefensePolicy::NonParticipating);
     }
 
     #[test]
@@ -937,43 +865,11 @@ mod tests {
                 },
             ),
             (
-                "single-domain overrides",
-                ScenarioSpec {
-                    domains: 1,
-                    policy_overrides: vec![(0, DefensePolicy::FullMafic)],
-                    ..ScenarioSpec::default()
-                },
-            ),
-            (
                 "single-domain partial participation",
                 ScenarioSpec {
                     domains: 1,
                     participation_fraction: 0.5,
                     ..ScenarioSpec::default()
-                },
-            ),
-            (
-                "out-of-range override index",
-                ScenarioSpec {
-                    policy_overrides: vec![(9, DefensePolicy::FullMafic)],
-                    ..base.clone()
-                },
-            ),
-            (
-                "duplicate override",
-                ScenarioSpec {
-                    policy_overrides: vec![
-                        (1, DefensePolicy::FullMafic),
-                        (1, DefensePolicy::ProportionalDrop),
-                    ],
-                    ..base.clone()
-                },
-            ),
-            (
-                "non-participating victim",
-                ScenarioSpec {
-                    policy_overrides: vec![(0, DefensePolicy::NonParticipating)],
-                    ..base.clone()
                 },
             ),
             (

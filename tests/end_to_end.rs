@@ -158,16 +158,18 @@ fn legit_flows_recover_after_passing_the_probe() {
 fn higher_pd_cuts_harder() {
     let low = run_spec(ScenarioSpec {
         drop_probability: 0.5,
-        detection: DetectionMode::AtTime(SimTime::from_secs_f64(1.3)),
         ..small_spec()
     })
     .expect("low pd");
     let high = run_spec(ScenarioSpec {
         drop_probability: 0.95,
-        detection: DetectionMode::AtTime(SimTime::from_secs_f64(1.3)),
         ..small_spec()
     })
     .expect("high pd");
+    // Nothing before the trigger reads `Pd`, so both runs must trigger
+    // at the same instant: the comparison below is of the cut alone.
+    assert!(low.defense_engaged(), "pushback must trigger");
+    assert_eq!(low.triggered_at, high.triggered_at);
     assert!(
         high.report.traffic_reduction_pct > low.report.traffic_reduction_pct,
         "beta must grow with Pd: {:.2}% vs {:.2}%",

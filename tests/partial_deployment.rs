@@ -37,17 +37,15 @@ fn residual_attack_rate_is_monotone_non_increasing_in_participation() {
 
 #[test]
 fn full_participation_all_mafic_matches_the_homogeneous_path() {
-    // The PR 3 homogeneous path: every domain implicitly runs the
-    // spec's drop policy (full MAFIC), nothing overridden.
+    // The homogeneous path: every domain implicitly runs the spec's
+    // drop policy (full MAFIC).
     let homogeneous = fig8_spec(2);
     // The same deployment, spelled out through the heterogeneous
-    // surface: full participation, the transit default pinned to
-    // FullMafic, and every domain explicitly assigned FullMafic.
-    let total = homogeneous.total_domain_count();
+    // surface: full participation and the transit default pinned to
+    // FullMafic.
     let explicit = ScenarioSpec {
         participation_fraction: 1.0,
         transit_policy: Some(DefensePolicy::FullMafic),
-        policy_overrides: (0..total).map(|d| (d, DefensePolicy::FullMafic)).collect(),
         ..homogeneous.clone()
     };
     let a = run_spec(homogeneous).expect("homogeneous run");
