@@ -66,10 +66,10 @@ fn single_domain_ledger_and_snapshot_are_pinned() {
         "single",
         spec,
         &Golden {
-            ledger_fnv: 0x8ded_755b_b0c9_3b9b,
+            ledger_fnv: 0x6c85_661f_97fe_6ba3,
             intervals: 25,
             components: 7,
-            snapshot_fnv: 0x5a6c_856f_6622_b6fa,
+            snapshot_fnv: 0xbf79_4196_3c81_ab64,
             snapshot_len: 70_086,
         },
     );
@@ -95,10 +95,10 @@ fn cascade_ledger_and_snapshot_are_pinned() {
         "cascade",
         spec,
         &Golden {
-            ledger_fnv: 0x5619_a354_7309_2069,
+            ledger_fnv: 0x2f68_f00e_2390_cd64,
             intervals: 35,
             components: 26,
-            snapshot_fnv: 0xc51f_d716_3b80_54dd,
+            snapshot_fnv: 0x6900_eb87_f7fa_084b,
             snapshot_len: 95_274,
         },
     );
@@ -130,10 +130,10 @@ fn adversary_ledger_and_snapshot_are_pinned() {
         "adversary",
         spec,
         &Golden {
-            ledger_fnv: 0x0114_c8c4_b790_827c,
+            ledger_fnv: 0x94a6_8832_7046_2fcd,
             intervals: 35,
             components: 27,
-            snapshot_fnv: 0xfdc5_641b_0890_ad94,
+            snapshot_fnv: 0xd09b_cec8_0e7d_4cee,
             snapshot_len: 92_766,
         },
     );
