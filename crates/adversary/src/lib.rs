@@ -45,6 +45,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
 mod controller;
 mod spec;

@@ -82,7 +82,7 @@ impl ProportionalFilter {
     }
 
     /// Deactivates the defense.
-    pub fn deactivate(&mut self) {
+    pub(crate) fn deactivate(&mut self) {
         self.active = None;
     }
 }

@@ -45,7 +45,7 @@ use rand::{Rng, SeedableRng};
 /// Wheel-timer kind: the 2×RTT probation deadline of an SFT flow.
 pub const TIMER_PROBATION: u16 = 0;
 /// Wheel-timer kind: NFT re-validation (anti-pulsing extension).
-pub const TIMER_REVALIDATE: u16 = 1;
+pub(crate) const TIMER_REVALIDATE: u16 = 1;
 
 /// Aggregate counters exposed for diagnostics and the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -178,7 +178,7 @@ impl MaficFilter {
 
     /// Deactivates and flushes all tables. Pending wheel timers are left
     /// to fire stale (and be ignored); flow ids stay valid.
-    pub fn deactivate(&mut self) {
+    pub(crate) fn deactivate(&mut self) {
         self.active = None;
         self.tables.flush();
         self.tracker.clear();

@@ -39,23 +39,23 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod baseline;
-pub mod config;
-pub mod dropper;
-pub mod label;
-pub mod policy;
-pub mod rate;
-pub mod ratelimit;
-pub mod tables;
-pub mod tap;
+mod baseline;
+mod config;
+mod dropper;
+mod label;
+mod policy;
+mod rate;
+mod ratelimit;
+mod tables;
+mod tap;
 
 pub use baseline::ProportionalFilter;
 pub use config::{AddressValidator, ConfigError, MaficConfig};
-pub use dropper::{MaficCounters, MaficFilter, TIMER_PROBATION, TIMER_REVALIDATE};
+pub use dropper::{MaficCounters, MaficFilter, TIMER_PROBATION};
 pub use label::LabelMode;
 pub use policy::DefensePolicy;
-pub use rate::ArrivalTracker;
 pub use ratelimit::RateLimitFilter;
 pub use tables::{FlowState, FlowTables, PdtReason, SftEntry};
 pub use tap::LogLogTap;

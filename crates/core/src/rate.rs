@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 /// Sliding-window arrival recorder for all victim-bound flows at one
 /// router.
 #[derive(Debug)]
-pub struct ArrivalTracker {
+pub(crate) struct ArrivalTracker {
     horizon: SimDuration,
     max_flows: usize,
     /// Arrival windows, indexed densely by flow id. An empty deque means
@@ -41,7 +41,7 @@ impl ArrivalTracker {
     ///
     /// Panics if `horizon` is zero or `max_flows` is zero.
     #[must_use]
-    pub fn new(horizon: SimDuration, max_flows: usize) -> Self {
+    pub(crate) fn new(horizon: SimDuration, max_flows: usize) -> Self {
         assert!(!horizon.is_zero(), "horizon must be positive");
         assert!(max_flows > 0, "max_flows must be positive");
         ArrivalTracker {
@@ -54,7 +54,7 @@ impl ArrivalTracker {
     }
 
     /// Records one arrival of `flow` at `now`.
-    pub fn record(&mut self, flow: FlowId, now: SimTime) {
+    pub(crate) fn record(&mut self, flow: FlowId, now: SimTime) {
         let idx = flow.index();
         if idx >= self.flows.len() {
             self.flows.resize_with(idx + 1, VecDeque::new);
@@ -128,7 +128,7 @@ impl ArrivalTracker {
 
     /// Number of arrivals of `flow` within `(end - window, end]`.
     #[must_use]
-    pub fn count_in(&self, flow: FlowId, end: SimTime, window: SimDuration) -> usize {
+    pub(crate) fn count_in(&self, flow: FlowId, end: SimTime, window: SimDuration) -> usize {
         let Some(q) = self.flows.get(flow.index()) else {
             return 0;
         };
@@ -141,22 +141,16 @@ impl ArrivalTracker {
     ///
     /// Returns 0 when the window is zero-length.
     #[must_use]
-    pub fn rate_in(&self, flow: FlowId, end: SimTime, window: SimDuration) -> f64 {
+    pub(crate) fn rate_in(&self, flow: FlowId, end: SimTime, window: SimDuration) -> f64 {
         if window.is_zero() {
             return 0.0;
         }
         self.count_in(flow, end, window) as f64 / window.as_secs_f64()
     }
 
-    /// Number of flows currently tracked.
-    #[must_use]
-    pub fn tracked_flows(&self) -> usize {
-        self.active_ids.len()
-    }
-
     /// Drops all state (table flush at pushback end), keeping the dense
     /// allocation for the next activation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for q in &mut self.flows {
             q.clear();
         }
@@ -285,7 +279,7 @@ mod tests {
         tr.record(flow(1), t(10));
         tr.record(flow(2), t(20));
         tr.record(flow(3), t(30)); // evicts flow 1
-        assert_eq!(tr.tracked_flows(), 2);
+        assert_eq!(tr.active_ids.len(), 2);
         assert_eq!(
             tr.count_in(flow(1), t(100), SimDuration::from_millis(100)),
             0
@@ -301,7 +295,7 @@ mod tests {
         let mut tr = ArrivalTracker::new(SimDuration::from_secs(1), 4);
         tr.record(flow(1), t(10));
         tr.clear();
-        assert_eq!(tr.tracked_flows(), 0);
+        assert_eq!(tr.active_ids.len(), 0);
     }
 
     #[test]
@@ -332,7 +326,7 @@ mod tests {
             .read_state(&mut mafic_obs::SnapReader::new(&bytes))
             .expect("restore");
         assert_ne!(state_hash(&tr), state_hash(&wider));
-        assert_eq!(back.tracked_flows(), 2);
+        assert_eq!(back.active_ids.len(), 2);
         assert_eq!(
             back.count_in(flow(3), t(100), SimDuration::from_millis(100)),
             1

@@ -104,7 +104,7 @@ impl RateLimitFilter {
     }
 
     /// Deactivates the defense.
-    pub fn deactivate(&mut self) {
+    pub(crate) fn deactivate(&mut self) {
         self.active = None;
     }
 

@@ -264,7 +264,7 @@ impl FlowTables {
     }
 
     /// Mutable probation entry.
-    pub fn sft_get_mut(&mut self, flow: FlowId) -> Option<&mut SftEntry> {
+    pub(crate) fn sft_get_mut(&mut self, flow: FlowId) -> Option<&mut SftEntry> {
         match self.states.get_mut(flow) {
             Some(FlowState::Suspicious(entry)) => Some(entry),
             _ => None,
@@ -272,7 +272,7 @@ impl FlowTables {
     }
 
     /// Removes and returns the probation entry.
-    pub fn sft_remove(&mut self, flow: FlowId) -> Option<SftEntry> {
+    pub(crate) fn sft_remove(&mut self, flow: FlowId) -> Option<SftEntry> {
         match self.take_state(flow, Table::Sft) {
             Some(FlowState::Suspicious(entry)) => Some(entry),
             _ => None,
@@ -303,7 +303,7 @@ impl FlowTables {
 
     /// When the flow's current nice verdict was earned, if it has one.
     #[must_use]
-    pub fn nft_since(&self, flow: FlowId) -> Option<SimTime> {
+    pub(crate) fn nft_since(&self, flow: FlowId) -> Option<SimTime> {
         match self.states.get(flow) {
             Some(FlowState::Nice { since }) => Some(*since),
             _ => None,
@@ -318,7 +318,7 @@ impl FlowTables {
 
     /// Removes a flow from the NFT (re-validation); returns whether it
     /// was present.
-    pub fn nft_remove(&mut self, flow: FlowId) -> bool {
+    pub(crate) fn nft_remove(&mut self, flow: FlowId) -> bool {
         self.take_state(flow, Table::Nft).is_some()
     }
 
@@ -364,12 +364,6 @@ impl FlowTables {
         self.pdt.clear();
     }
 
-    /// Total evictions across the tables (capacity-pressure diagnostics).
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.sft.evictions + self.nft.evictions + self.pdt.evictions
-    }
-
     /// Approximate resident memory of the three tables in bytes, using
     /// the label storage cost (the paper's motivation for hashing).
     #[must_use]
@@ -382,7 +376,7 @@ impl FlowTables {
     /// so a defense that stood down before the end of a run still reports
     /// what its tables cost while it was active.
     #[must_use]
-    pub fn approx_peak_bytes(&self, label_bytes: usize) -> usize {
+    pub(crate) fn approx_peak_bytes(&self, label_bytes: usize) -> usize {
         Self::bytes_for(self.peak_sft, self.peak_nft, self.peak_pdt, label_bytes)
     }
 
@@ -526,6 +520,11 @@ mod tests {
         FlowId::from_index(n)
     }
 
+    /// Evictions across the three tables.
+    fn evictions(t: &FlowTables) -> u64 {
+        t.sft.evictions + t.nft.evictions + t.pdt.evictions
+    }
+
     fn entry() -> SftEntry {
         SftEntry {
             key: FlowKey::new(Addr::new(1), Addr::new(2), 1, 80),
@@ -543,7 +542,7 @@ mod tests {
         assert_eq!(t.sft_len(), 0);
         assert_eq!(t.nft_len(), 0);
         assert_eq!(t.pdt_len(), 0);
-        assert_eq!(t.evictions(), 0);
+        assert_eq!(evictions(&t), 0);
         assert!(t.state(flow(0)).is_none());
     }
 
@@ -597,7 +596,7 @@ mod tests {
         assert!(!t.pdt_contains(flow(1)), "oldest evicted first");
         assert!(t.pdt_contains(flow(2)));
         assert!(t.pdt_contains(flow(3)));
-        assert_eq!(t.evictions(), 1);
+        assert_eq!(evictions(&t), 1);
     }
 
     #[test]
@@ -607,7 +606,7 @@ mod tests {
         t.pdt_insert(flow(1), PdtReason::IllegalSource);
         assert_eq!(t.pdt_len(), 1);
         assert_eq!(t.pdt_get(flow(1)), Some(PdtReason::IllegalSource));
-        assert_eq!(t.evictions(), 0);
+        assert_eq!(evictions(&t), 0);
     }
 
     #[test]
@@ -642,7 +641,7 @@ mod tests {
         assert!(t.sft_get(flow(2)).is_none(), "oldest resident evicted");
         assert!(t.sft_get(flow(1)).is_some(), "re-entered flow survives");
         assert!(t.sft_get(flow(3)).is_some());
-        assert_eq!(t.evictions(), 1);
+        assert_eq!(evictions(&t), 1);
         assert_eq!(t.sft_len(), 2);
     }
 

@@ -19,7 +19,7 @@ use mafic_workload::ScenarioSpec;
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn policy_comparison(cfg: &EngineConfig) -> Result<FigureData, String> {
+pub(crate) fn policy_comparison(cfg: &EngineConfig) -> Result<FigureData, String> {
     let mut fig = FigureData::new(
         "Ablation A",
         "MAFIC vs proportional dropping (the [2] baseline)",
@@ -56,7 +56,7 @@ pub fn policy_comparison(cfg: &EngineConfig) -> Result<FigureData, String> {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn timer_multiplier(cfg: &EngineConfig) -> Result<FigureData, String> {
+pub(crate) fn timer_multiplier(cfg: &EngineConfig) -> Result<FigureData, String> {
     let mut fig = FigureData::new(
         "Ablation B",
         "Probation timer length vs classification quality",
@@ -96,7 +96,7 @@ pub fn timer_multiplier(cfg: &EngineConfig) -> Result<FigureData, String> {
 /// modeled resident memory of a populated SFT/NFT/PDT set under each
 /// label size, across table occupancy.
 #[must_use]
-pub fn label_mode() -> FigureData {
+pub(crate) fn label_mode() -> FigureData {
     use mafic::{FlowTables, PdtReason, SftEntry};
     use mafic_netsim::{Addr, FlowId, FlowKey, SimDuration, SimTime};
 
@@ -160,7 +160,7 @@ pub fn label_mode() -> FigureData {
 /// LogLog precision vs cardinality estimation error (pure sketch study —
 /// the memory/accuracy trade-off behind the pushback traffic matrix).
 #[must_use]
-pub fn sketch_precision() -> FigureData {
+pub(crate) fn sketch_precision() -> FigureData {
     let mut fig = FigureData::new(
         "Ablation D",
         "LogLog precision vs estimation error (50k distinct items)",

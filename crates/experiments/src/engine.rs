@@ -76,7 +76,7 @@ impl EngineConfig {
     /// # Errors
     ///
     /// Same contract as [`EngineConfig::from_env`].
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+    pub(crate) fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
         let jobs = match lookup("MAFIC_JOBS") {
             None => default_jobs(),
             Some(raw) => raw

@@ -2,7 +2,7 @@
 //! that run them, and the panel table the `figures` binary prints from.
 //!
 //! The first half builds scenarios and runs them; the second half
-//! ([`PANELS`]) lists every printed block once — its id, the sweep or
+//! (`PANELS`) lists every printed block once — its id, the sweep or
 //! grid it draws from, and the metric or builder that renders it. The
 //! absolute numbers come from our simulator, not the authors' NS-2
 //! testbed; what must match is the *shape* — who wins, the bands, the
@@ -28,13 +28,13 @@ pub fn vt_axis() -> Vec<f64> {
 
 /// The TCP-share axis of Figs. 5(b)/6(b) (percent of flows that are TCP).
 #[must_use]
-pub fn gamma_axis() -> Vec<f64> {
+pub(crate) fn gamma_axis() -> Vec<f64> {
     vec![35.0, 55.0, 75.0, 95.0]
 }
 
 /// The domain-size axis of Figs. 5(c)/6(c).
 #[must_use]
-pub fn domain_axis() -> Vec<f64> {
+pub(crate) fn domain_axis() -> Vec<f64> {
     vec![20.0, 40.0, 80.0, 120.0, 160.0]
 }
 
@@ -62,7 +62,7 @@ fn spec_with_vt_pd(pd: f64, vt: f64, seed: u64) -> ScenarioSpec {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn sweep_pd_vt(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
+pub(crate) fn sweep_pd_vt(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
     sweep(&pd_series(), &vt_axis(), cfg, |&pd, vt| {
         spec_with_vt_pd(pd, vt, 11)
     })
@@ -73,7 +73,7 @@ pub fn sweep_pd_vt(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn sweep_rate_vt(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
+pub(crate) fn sweep_rate_vt(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
     let rates = [NominalRate::R100k, NominalRate::R500k, NominalRate::R1M]
         .map(|r| (r.label().to_string(), r));
     sweep(&rates, &vt_axis(), cfg, |&rate, vt| ScenarioSpec {
@@ -89,7 +89,7 @@ pub fn sweep_rate_vt(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn sweep_vt_gamma(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
+pub(crate) fn sweep_vt_gamma(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
     let vts = [30usize, 70, 100].map(|v| (format!("Vt={v}"), v));
     sweep(&vts, &gamma_axis(), cfg, |&vt, gamma_pct| ScenarioSpec {
         total_flows: vt,
@@ -104,7 +104,7 @@ pub fn sweep_vt_gamma(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn sweep_gamma_domain(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
+pub(crate) fn sweep_gamma_domain(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
     let gammas = [95.0f64, 75.0, 55.0, 35.0].map(|g| (format!("TCP={g:.0}%"), g));
     sweep(&gammas, &domain_axis(), cfg, |&gamma_pct, n| ScenarioSpec {
         total_flows: 50,
@@ -128,7 +128,7 @@ fn lr(r: &MetricsReport) -> f64 {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn fig4b(cfg: &EngineConfig) -> Result<FigureData, String> {
+pub(crate) fn fig4b(cfg: &EngineConfig) -> Result<FigureData, String> {
     let mut fig = FigureData::new(
         "Fig. 4(b)",
         "Flow bandwidth at the victim over time",
@@ -186,7 +186,7 @@ pub fn fig8_spec(depth: u32) -> ScenarioSpec {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn sweep_pushback_depth(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
+pub(crate) fn sweep_pushback_depth(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
     let series = vec![("chain(2)+stubs".to_string(), ())];
     sweep(&series, &depth_axis(), cfg, |(), depth| {
         fig8_spec(depth as u32)
@@ -244,7 +244,7 @@ pub fn fig9_spec(fraction: f64, transit: DefensePolicy) -> ScenarioSpec {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn sweep_partial_deployment(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
+pub(crate) fn sweep_partial_deployment(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
     sweep(
         &transit_policy_series(),
         &participation_axis(),
@@ -383,7 +383,7 @@ fn grid_points(cells: &[GridCell], label: &str, metric: Metric) -> Vec<(f64, f64
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn run_malicious_pushback_grid(cfg: &EngineConfig) -> Result<Vec<GridCell>, String> {
+pub(crate) fn run_malicious_pushback_grid(cfg: &EngineConfig) -> Result<Vec<GridCell>, String> {
     run_budget_grid(&fig10_series(), cfg, |&s, budget| fig10_spec(s, budget))
 }
 
@@ -392,7 +392,7 @@ pub fn run_malicious_pushback_grid(cfg: &EngineConfig) -> Result<Vec<GridCell>, 
 /// budget 0; non-increasing as budget admits the cascade) beside the
 /// victim's legitimate goodput.
 #[must_use]
-pub fn fig10a_from_grid(cells: &[GridCell]) -> FigureData {
+pub(crate) fn fig10a_from_grid(cells: &[GridCell]) -> FigureData {
     let mut fig = FigureData::new(
         "Fig. 10(a)",
         "Honest cascade vs upstream trust budget",
@@ -417,7 +417,7 @@ pub fn fig10a_from_grid(cells: &[GridCell]) -> FigureData {
 /// against the unguarded configuration (goodput falls once the budget
 /// lets the forged install through).
 #[must_use]
-pub fn fig10b_from_grid(cells: &[GridCell]) -> FigureData {
+pub(crate) fn fig10b_from_grid(cells: &[GridCell]) -> FigureData {
     let mut fig = FigureData::new(
         "Fig. 10(b)",
         "Victim goodput under malicious pushback",
@@ -438,7 +438,7 @@ pub fn fig10b_from_grid(cells: &[GridCell]) -> FigureData {
 /// grid the panels use: requests, denials by reason, installs granted,
 /// and the stand-down latency per cell.
 #[must_use]
-pub fn fig10_denial_summary(cells: &[GridCell]) -> String {
+pub(crate) fn fig10_denial_summary(cells: &[GridCell]) -> String {
     let mut out = String::new();
     for cell in cells {
         out.push_str(&mafic_metrics::control_table(
@@ -457,7 +457,7 @@ pub fn fig10_denial_summary(cells: &[GridCell]) -> String {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn fig9_cost_summary(cfg: &EngineConfig) -> Result<String, String> {
+pub(crate) fn fig9_cost_summary(cfg: &EngineConfig) -> Result<String, String> {
     let series = transit_policy_series();
     let specs = series
         .iter()
@@ -561,7 +561,7 @@ pub fn run_adaptive_adversary_grid(cfg: &EngineConfig) -> Result<Vec<GridCell>, 
 /// trust budget. Every adaptive series sits at or above the open-loop
 /// baseline; the gap is what closing the loop buys the attacker.
 #[must_use]
-pub fn fig11a_from_grid(cells: &[GridCell]) -> FigureData {
+pub(crate) fn fig11a_from_grid(cells: &[GridCell]) -> FigureData {
     let mut fig = FigureData::new(
         "Fig. 11(a)",
         "Residual attack rate per adaptive strategy",
@@ -582,7 +582,7 @@ pub fn fig11a_from_grid(cells: &[GridCell]) -> FigureData {
 /// the mean distinct-source cardinality its flood presents (the
 /// subsidence guard's secondary evidence; rotation parks it low).
 #[must_use]
-pub fn fig11b_from_grid(cells: &[GridCell]) -> FigureData {
+pub(crate) fn fig11b_from_grid(cells: &[GridCell]) -> FigureData {
     let mut fig = FigureData::new(
         "Fig. 11(b)",
         "Victim goodput and observed sources per adaptive strategy",
@@ -606,7 +606,7 @@ pub fn fig11b_from_grid(cells: &[GridCell]) -> FigureData {
 /// budget, the strategy that leaves the most attack traffic standing at
 /// the victim, with its margin over the open-loop baseline.
 #[must_use]
-pub fn fig11_best_response_summary(cells: &[GridCell]) -> String {
+pub(crate) fn fig11_best_response_summary(cells: &[GridCell]) -> String {
     let mut out = String::from("Attacker best response per trust budget\n");
     for &budget in &trust_budget_axis() {
         let open_loop = cells
@@ -637,7 +637,7 @@ pub fn fig11_best_response_summary(cells: &[GridCell]) -> String {
 /// configuration where the defense fights hardest and the split between
 /// filter-caused and congestion-caused legitimate losses matters most.
 #[must_use]
-pub fn fig11_cost_summary(cells: &[GridCell]) -> String {
+pub(crate) fn fig11_cost_summary(cells: &[GridCell]) -> String {
     let max_budget = trust_budget_axis().last().copied().unwrap_or_default();
     let mut out = String::new();
     for cell in cells.iter().filter(|c| c.budget == max_budget) {
@@ -655,17 +655,17 @@ pub fn fig11_cost_summary(cells: &[GridCell]) -> String {
 /// A trial-averaged sweep that several panels draw from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Sweep {
-    /// [`sweep_pd_vt`].
+    /// `sweep_pd_vt`.
     PdVt,
-    /// [`sweep_rate_vt`].
+    /// `sweep_rate_vt`.
     RateVt,
-    /// [`sweep_vt_gamma`].
+    /// `sweep_vt_gamma`.
     VtGamma,
-    /// [`sweep_gamma_domain`].
+    /// `sweep_gamma_domain`.
     GammaDomain,
-    /// [`sweep_pushback_depth`].
+    /// `sweep_pushback_depth`.
     Depth,
-    /// [`sweep_partial_deployment`].
+    /// `sweep_partial_deployment`.
     Partial,
 }
 
@@ -686,7 +686,7 @@ impl Sweep {
 /// A single-seed grid of full outcomes that several panels draw from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Grid {
-    /// [`run_malicious_pushback_grid`].
+    /// `run_malicious_pushback_grid`.
     Trust,
     /// [`run_adaptive_adversary_grid`].
     Adaptive,
@@ -804,7 +804,7 @@ const ABLATIONS: &str = "ablations";
 
 /// Every block `figures` can print, in paper order. A panel is added
 /// here and nowhere else.
-pub const PANELS: &[Panel] = &[
+pub(crate) const PANELS: &[Panel] = &[
     Panel {
         id: "tables",
         name: "Table I",
@@ -959,7 +959,7 @@ pub const PANELS: &[Panel] = &[
 
 /// The distinct panel ids, in table order.
 #[must_use]
-pub fn panel_ids() -> Vec<&'static str> {
+pub(crate) fn panel_ids() -> Vec<&'static str> {
     let mut ids: Vec<&str> = PANELS.iter().map(|p| p.id).collect();
     ids.dedup();
     ids

@@ -5,12 +5,12 @@
 //! DESIGN.md.
 //!
 //! Every printed block is one row of the panel table
-//! [`figures::PANELS`]: the row names the sweep or grid it draws from
+//! `figures::PANELS`: the row names the sweep or grid it draws from
 //! and the metric or builder that turns it into a [`FigureData`] (named
 //! series of `(x, y)` points) or a text block. The `figures` binary
 //! prints the rows its ids select as aligned text tables; a sweep shared
 //! by several panels runs once per process. All scenario runs go through
-//! the deterministic parallel [`engine`]: trial averaging is controlled
+//! the deterministic parallel `engine`: trial averaging is controlled
 //! by `MAFIC_TRIALS` (default 3) and worker fan-out by `MAFIC_JOBS`
 //! (default `available_parallelism()`); output is byte-identical at any
 //! worker count.
@@ -34,15 +34,15 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod ablations;
-pub mod engine;
-pub mod figure;
+mod ablations;
+mod engine;
+mod figure;
 pub mod figures;
-pub mod sweep;
-pub mod tables;
+mod sweep;
+mod tables;
 
 pub use engine::{run_jobs, run_specs, EngineConfig};
 pub use figure::{FigureData, Series};
-pub use sweep::{average_reports, run_averaged, sweep, sweep_warm, SweepPoint, SweepSeries};
+pub use sweep::{run_averaged, sweep, sweep_warm, SweepPoint, SweepSeries};

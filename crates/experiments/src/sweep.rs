@@ -32,7 +32,7 @@ fn trial_spec(base: &ScenarioSpec, t: u64) -> ScenarioSpec {
 ///
 /// Panics if `reports` is empty.
 #[must_use]
-pub fn average_reports(reports: &[MetricsReport]) -> MetricsReport {
+pub(crate) fn average_reports(reports: &[MetricsReport]) -> MetricsReport {
     assert!(!reports.is_empty(), "cannot average zero reports");
     let n = reports.len() as f64;
     let mut out = MetricsReport::default();
@@ -93,7 +93,7 @@ pub fn run_averaged(base: &ScenarioSpec, cfg: &EngineConfig) -> Result<MetricsRe
 }
 
 /// Reads one plotted number off a report.
-pub type Metric = fn(&MetricsReport) -> f64;
+pub(crate) type Metric = fn(&MetricsReport) -> f64;
 
 /// One point of a sweep: the x value and its averaged report.
 #[derive(Debug, Clone, PartialEq)]

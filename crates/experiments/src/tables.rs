@@ -7,7 +7,7 @@ use mafic_workload::ScenarioSpec;
 
 /// Renders Table I (notation) as text.
 #[must_use]
-pub fn table_i() -> String {
+pub(crate) fn table_i() -> String {
     let rows: &[(&str, &str)] = &[
         ("Pd", "SFT packet dropping probability"),
         ("R", "Flow rate (packets/second)"),
@@ -33,7 +33,7 @@ pub fn table_i() -> String {
 /// Renders Table II (default parameters) with the paper's value and the
 /// value this reproduction uses.
 #[must_use]
-pub fn table_ii() -> String {
+pub(crate) fn table_ii() -> String {
     let spec = ScenarioSpec::default();
     let rows = [
         (
@@ -82,7 +82,7 @@ pub fn table_ii() -> String {
 /// # Errors
 ///
 /// Propagates build/run errors.
-pub fn default_run_summary(cfg: &EngineConfig) -> Result<String, String> {
+pub(crate) fn default_run_summary(cfg: &EngineConfig) -> Result<String, String> {
     let outcome = run_specs(vec![ScenarioSpec::default()], cfg.jobs)?
         .pop()
         .expect("one spec in, one outcome out");

@@ -8,7 +8,7 @@
 /// How a source file participates in the workspace, which decides which
 /// rules apply to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileClass {
+pub(crate) enum FileClass {
     /// Library source: `crates/*/src/**` (excluding `src/bin/**` and a
     /// crate-root `src/main.rs`) plus the facade's `src/**`. Subject to
     /// every source rule, including stdout purity.
@@ -24,7 +24,7 @@ pub enum FileClass {
 /// Classify a workspace-relative path (forward slashes) into a
 /// [`FileClass`].
 #[must_use]
-pub fn classify(rel_path: &str) -> FileClass {
+pub(crate) fn classify(rel_path: &str) -> FileClass {
     let is_bin = rel_path.contains("/src/bin/") || rel_path.ends_with("/src/main.rs");
     if is_bin {
         return FileClass::Binary;
@@ -225,7 +225,7 @@ impl LintConfig {
     /// Reason `rel_path` is sanctioned for the nondeterminism ban, if
     /// it is.
     #[must_use]
-    pub fn nondet_sanction(&self, rel_path: &str) -> Option<&str> {
+    pub(crate) fn nondet_sanction(&self, rel_path: &str) -> Option<&str> {
         self.sanctioned_nondet
             .iter()
             .find(|(p, _)| p == rel_path)
@@ -234,7 +234,7 @@ impl LintConfig {
 
     /// Look up a crate's layer entry by package name.
     #[must_use]
-    pub fn layer(&self, name: &str) -> Option<&CrateLayer> {
+    pub(crate) fn layer(&self, name: &str) -> Option<&CrateLayer> {
         self.layers.iter().find(|l| l.name == name)
     }
 }

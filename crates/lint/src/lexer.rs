@@ -16,7 +16,7 @@
 
 /// The kind of a lexed token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (`unsafe`, `println`, `std`, ...).
     Ident,
     /// String literal of any flavor: `"..."`, `r#"..."#`, `b"..."`,
@@ -38,7 +38,7 @@ pub enum TokenKind {
 
 /// One lexed token: kind, verbatim text, and 1-based start line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// What kind of token this is.
     pub kind: TokenKind,
     /// The verbatim source text of the token.
@@ -50,7 +50,7 @@ pub struct Token {
 impl Token {
     /// True for the comment kinds.
     #[must_use]
-    pub fn is_comment(&self) -> bool {
+    pub(crate) fn is_comment(&self) -> bool {
         matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
     }
 
@@ -59,7 +59,7 @@ impl Token {
     /// excluded here; rules that inspect format strings ask for
     /// [`TokenKind::Str`] explicitly.
     #[must_use]
-    pub fn is_code(&self) -> bool {
+    pub(crate) fn is_code(&self) -> bool {
         matches!(
             self.kind,
             TokenKind::Ident | TokenKind::Number | TokenKind::Punct
@@ -76,7 +76,7 @@ impl Token {
 /// misclassifying the remainder).
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn lex(source: &str) -> Vec<Token> {
+pub(crate) fn lex(source: &str) -> Vec<Token> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;
@@ -89,6 +89,15 @@ pub fn lex(source: &str) -> Vec<Token> {
             n += 1;
         }
         n
+    }
+
+    // Index past the escape at `bytes[at]` (a backslash); a
+    // line-continuation escape still ends a line.
+    fn skip_escape(bytes: &[u8], at: usize, line: &mut u32) -> usize {
+        if bytes.get(at + 1) == Some(&b'\n') {
+            *line += 1;
+        }
+        at + 2
     }
 
     // Is `word` a raw/byte/C string literal prefix?
@@ -154,7 +163,7 @@ pub fn lex(source: &str) -> Vec<Token> {
             i += 1;
             while i < bytes.len() {
                 match bytes[i] {
-                    b'\\' => i += 2,
+                    b'\\' => i = skip_escape(bytes, i, &mut line),
                     b'"' => {
                         i += 1;
                         break;
@@ -260,7 +269,7 @@ pub fn lex(source: &str) -> Vec<Token> {
                     i = quote_at + 1;
                     while i < bytes.len() {
                         match bytes[i] {
-                            b'\\' => i += 2,
+                            b'\\' => i = skip_escape(bytes, i, &mut line),
                             b'"' => {
                                 i += 1;
                                 break;
@@ -397,6 +406,14 @@ mod tests {
         let c = toks.iter().find(|t| t.text == "c").unwrap();
         assert_eq!((a.line, b.line), (1, 2));
         assert_eq!(c.line, 5, "multi-line string advanced the counter");
+    }
+
+    #[test]
+    fn line_continuation_escape_still_ends_a_line() {
+        let toks = lex("\"one \\\n two\"\nk b\"x\\\ny\"\nz");
+        let k = toks.iter().find(|t| t.text == "k").unwrap();
+        let z = toks.iter().find(|t| t.text == "z").unwrap();
+        assert_eq!((k.line, z.line), (3, 5));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! | `float-ord`     | no `partial_cmp` on sort/event keys; use `total_cmp` |
 //! | `unsafe-code`   | no `unsafe` anywhere |
 //! | `layering`      | manifest dependency sections must match the crate DAG (no back-edges) |
-//! | `lib-attrs`     | crate roots pin `#![forbid(unsafe_code)]` + `#![deny(missing_docs)]` |
+//! | `lib-attrs`     | crate roots pin `#![forbid(unsafe_code)]`, `#![deny(missing_docs)]` and `#![deny(unreachable_pub)]`, and no later `warn`/`allow` lowers them |
+//! | `dead-pub`      | every `pub` item is named by some user outside its crate (another crate, a bin, `tests/`, `examples/`, `benchmark/`, a doc-test) or by the public signature of a live item; items under `#[cfg(test)]` are skipped. Workspace-level, and no pragma suppresses it |
 //! | `pragma`        | suppressions must be well-formed and actually used |
 //!
 //! A finding is suppressed only by a justified inline pragma on the
@@ -48,15 +49,17 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod config;
-pub mod lexer;
-pub mod report;
-pub mod rules;
-pub mod walk;
+mod config;
+mod lexer;
+mod report;
+mod rules;
+mod surface;
+mod walk;
 
-pub use config::{classify, CrateLayer, FileClass, LintConfig};
-pub use lexer::{lex, Token, TokenKind};
+pub use config::{CrateLayer, LintConfig};
 pub use report::{Finding, LintReport, PragmaEntry, RuleId};
 pub use rules::{lint_manifest, lint_source};
+pub use surface::dead_pub;
 pub use walk::lint_workspace;

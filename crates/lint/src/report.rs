@@ -19,9 +19,11 @@ pub enum RuleId {
     UnsafeCode,
     /// Crate-graph back-edge or unknown dependency in a manifest.
     Layering,
-    /// Missing `#![forbid(unsafe_code)]` / `#![deny(missing_docs)]` in
-    /// a crate root.
+    /// A crate root missing one of its pinned lint attributes, or
+    /// lowering one with a later `warn`/`allow`.
     LibAttrs,
+    /// A `pub` item that no file outside its crate names.
+    DeadPub,
     /// Malformed or unused suppression pragma.
     Pragma,
 }
@@ -37,6 +39,7 @@ impl RuleId {
             RuleId::UnsafeCode => "unsafe-code",
             RuleId::Layering => "layering",
             RuleId::LibAttrs => "lib-attrs",
+            RuleId::DeadPub => "dead-pub",
             RuleId::Pragma => "pragma",
         }
     }
@@ -51,21 +54,11 @@ impl RuleId {
             "unsafe-code" => RuleId::UnsafeCode,
             "layering" => RuleId::Layering,
             "lib-attrs" => RuleId::LibAttrs,
+            "dead-pub" => RuleId::DeadPub,
             "pragma" => RuleId::Pragma,
             _ => return None,
         })
     }
-
-    /// Every rule, in report order.
-    pub const ALL: [RuleId; 7] = [
-        RuleId::Nondet,
-        RuleId::StdoutPurity,
-        RuleId::FloatOrd,
-        RuleId::UnsafeCode,
-        RuleId::Layering,
-        RuleId::LibAttrs,
-        RuleId::Pragma,
-    ];
 }
 
 impl fmt::Display for RuleId {
@@ -169,7 +162,16 @@ mod tests {
 
     #[test]
     fn rule_id_round_trip() {
-        for rule in RuleId::ALL {
+        for rule in [
+            RuleId::Nondet,
+            RuleId::StdoutPurity,
+            RuleId::FloatOrd,
+            RuleId::UnsafeCode,
+            RuleId::Layering,
+            RuleId::LibAttrs,
+            RuleId::DeadPub,
+            RuleId::Pragma,
+        ] {
             assert_eq!(RuleId::parse(rule.as_str()), Some(rule));
         }
         assert_eq!(RuleId::parse("no-such-rule"), None);

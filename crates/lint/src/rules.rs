@@ -115,6 +115,14 @@ fn collect_pragmas(
             Some((rule, reason.to_string()))
         })();
         match parsed {
+            Some((RuleId::DeadPub, _)) => findings.push(Finding {
+                path: rel_path.to_string(),
+                line: tok.line,
+                rule: RuleId::Pragma,
+                message: "`dead-pub` cannot be suppressed: an item no other crate names \
+                          becomes `pub(crate)`"
+                    .to_string(),
+            }),
             Some((rule, reason)) => pragmas.push(PragmaEntry {
                 path: rel_path.to_string(),
                 line: tok.line,
@@ -241,35 +249,61 @@ fn scan_unsafe(rel_path: &str, code: &[&Token], findings: &mut Vec<Finding>) {
     }
 }
 
-/// Crate roots must pin `#![forbid(unsafe_code)]` and
-/// `#![deny(missing_docs)]` so the compiler itself enforces the
-/// contracts between linter runs.
+/// The `(level, lint)` pairs every crate root pins.
+const PINNED_LINTS: &[(&str, &str)] = &[
+    ("forbid", "unsafe_code"),
+    ("deny", "missing_docs"),
+    ("deny", "unreachable_pub"),
+];
+
+/// Crate roots must pin `#![forbid(unsafe_code)]`,
+/// `#![deny(missing_docs)]` and `#![deny(unreachable_pub)]` so the
+/// compiler itself enforces the contracts between linter runs. A later
+/// `warn`/`allow`/`expect` of a pinned lint wins over the pin, so it
+/// is a finding too.
 fn scan_lib_attrs(rel_path: &str, cfg: &LintConfig, code: &[&Token], findings: &mut Vec<Finding>) {
     let is_lib_root = rel_path == "src/lib.rs"
         || (rel_path.starts_with("crates/") && rel_path.ends_with("/src/lib.rs"));
     if !is_lib_root || cfg.lib_attr_exempt.iter().any(|p| p == rel_path) {
         return;
     }
-    let has_seq = |seq: &[&str]| {
-        code.windows(seq.len())
-            .any(|w| seq.iter().zip(w).all(|(want, tok)| tok.text == *want))
-    };
-    for (seq, attr) in [
-        (
-            &["forbid", "(", "unsafe_code", ")"][..],
-            "#![forbid(unsafe_code)]",
-        ),
-        (
-            &["deny", "(", "missing_docs", ")"][..],
-            "#![deny(missing_docs)]",
-        ),
-    ] {
-        if !has_seq(seq) {
+    // Every `(level, lint, line)` named by an inner `#![level(...)]`.
+    let mut levels: Vec<(&str, &str, u32)> = Vec::new();
+    for (i, w) in code.windows(5).enumerate() {
+        if w[0].text != "#" || w[1].text != "!" || w[2].text != "[" || w[4].text != "(" {
+            continue;
+        }
+        let level = w[3].text.as_str();
+        if !matches!(level, "forbid" | "deny" | "warn" | "allow" | "expect") {
+            continue;
+        }
+        for tok in code[i + 5..].iter().take_while(|t| t.text != ")") {
+            if tok.kind == TokenKind::Ident {
+                levels.push((level, tok.text.as_str(), tok.line));
+            }
+        }
+    }
+    for &(pinned, lint) in PINNED_LINTS {
+        let mut named = levels.iter().filter(|(_, l, _)| *l == lint);
+        // `any` stops at the pin, so `find` sees only what follows it.
+        if !named.any(|(level, _, _)| *level == pinned) {
             findings.push(Finding {
                 path: rel_path.to_string(),
                 line: 1,
                 rule: RuleId::LibAttrs,
-                message: format!("crate root is missing `{attr}`"),
+                message: format!("crate root is missing `#![{pinned}({lint})]`"),
+            });
+        } else if let Some((level, _, line)) =
+            named.find(|(level, _, _)| matches!(*level, "warn" | "allow" | "expect"))
+        {
+            findings.push(Finding {
+                path: rel_path.to_string(),
+                line: *line,
+                rule: RuleId::LibAttrs,
+                message: format!(
+                    "`#![{level}({lint})]` after `#![{pinned}({lint})]` lowers the pinned \
+                     level (the later attribute wins); delete it"
+                ),
             });
         }
     }

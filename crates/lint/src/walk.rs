@@ -12,6 +12,7 @@ use std::path::{Path, PathBuf};
 use crate::config::LintConfig;
 use crate::report::LintReport;
 use crate::rules::{lint_manifest, lint_source};
+use crate::surface::dead_pub;
 
 /// Recursively collect `*.rs` files under `dir`, sorted by path.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -45,11 +46,15 @@ fn rel(root: &Path, path: &Path) -> String {
 /// all of them by construction.
 const SOURCE_ROOTS: &[&str] = &["src", "tests", "examples"];
 
+/// Roots read only as users of public items by the `dead-pub` rule.
+const USER_ROOTS: &[&str] = &["benchmark/src", "benchmark/tests"];
+
 /// Per-crate subdirectories scanned inside each `crates/*` entry.
 const CRATE_ROOTS: &[&str] = &["src", "tests", "benches"];
 
 /// Lint the whole workspace rooted at `root`: every in-scope `.rs`
-/// file plus the root and per-crate manifests, in sorted order.
+/// file plus the root and per-crate manifests, in sorted order, then
+/// the workspace-level `dead-pub` pass over all of them.
 ///
 /// # Errors
 /// Propagates I/O errors from directory traversal or file reads.
@@ -74,13 +79,27 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> io::Result<LintReport> {
         }
     }
     files.sort();
+    let mut sources = Vec::with_capacity(files.len());
     for path in &files {
-        let source = fs::read_to_string(path)?;
-        let (findings, pragmas) = lint_source(&rel(root, path), &source, cfg);
+        let (rel_path, source) = (rel(root, path), fs::read_to_string(path)?);
+        let (findings, pragmas) = lint_source(&rel_path, &source, cfg);
         report.findings.extend(findings);
         report.pragmas.extend(pragmas);
         report.files_scanned += 1;
+        sources.push((rel_path, source));
     }
+
+    // The public surface: the benchmark is read as a user of the
+    // workspace's items but is not itself linted.
+    let mut bench = Vec::new();
+    for sub in USER_ROOTS {
+        collect_rs(&root.join(sub), &mut bench)?;
+    }
+    bench.sort();
+    for path in &bench {
+        sources.push((rel(root, path), fs::read_to_string(path)?));
+    }
+    report.findings.extend(dead_pub(&sources));
 
     // Manifests: root first, then crates/*/Cargo.toml sorted.
     let mut manifests = vec![root.join("Cargo.toml")];

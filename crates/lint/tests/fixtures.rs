@@ -7,7 +7,7 @@
 //! of the lexer contract: this file is scanned by the workspace pass,
 //! and none of the "violations" below may fire here.
 
-use mafic_lint::{lint_manifest, lint_source, LintConfig, RuleId};
+use mafic_lint::{dead_pub, lint_manifest, lint_source, LintConfig, RuleId};
 
 /// Lint a snippet as if it were the named workspace file, returning
 /// only the findings.
@@ -201,16 +201,34 @@ fn unsafe_fires_once_in_any_file() {
 // ------------------------------------------------------------- lib-attrs
 
 #[test]
-fn lib_rs_missing_both_attrs_fires_twice() {
+fn lib_rs_missing_every_attr_fires_once_per_attr() {
     let found = findings("crates/netsim/src/lib.rs", r#"pub fn x() {}"#);
-    assert_eq!(found.len(), 2, "{found:?}");
+    assert_eq!(found.len(), 3, "{found:?}");
     assert!(found.iter().all(|(r, _)| *r == RuleId::LibAttrs));
 }
 
+/// The three pinned crate-root attributes.
+const PINS: &str = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n#![deny(unreachable_pub)]\n";
+
 #[test]
-fn lib_rs_with_both_attrs_is_clean() {
-    let src = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\npub fn x() {}\n";
-    assert!(findings("crates/netsim/src/lib.rs", src).is_empty());
+fn lib_rs_with_every_attr_is_clean() {
+    let src = format!("{PINS}pub fn x() {{}}\n");
+    assert!(findings("crates/netsim/src/lib.rs", &src).is_empty());
+    let grouped = "#![forbid(unsafe_code)]\n#![deny(missing_docs, unreachable_pub)]\n";
+    assert!(findings("src/lib.rs", grouped).is_empty());
+}
+
+#[test]
+fn lib_rs_lowering_a_pinned_lint_fires_at_the_lowering() {
+    // The later attribute wins, so a `warn` after the `deny` is a
+    // crate that only warns.
+    let src = format!("{PINS}#![warn(missing_docs)]\npub fn x() {{}}\n");
+    assert_eq!(
+        findings("crates/netsim/src/lib.rs", &src),
+        vec![(RuleId::LibAttrs, 4)]
+    );
+    let src = format!("{PINS}#![allow(unreachable_pub)]\n");
+    assert_eq!(findings("src/lib.rs", &src), vec![(RuleId::LibAttrs, 4)]);
 }
 
 #[test]
@@ -381,6 +399,26 @@ fn manifest_unknown_package_fires() {
     assert_eq!(found[0].rule, RuleId::Layering);
 }
 
+// -------------------------------------------------------------- dead-pub
+
+/// Run the workspace-level `dead-pub` pass over `(path, source)` files.
+fn surface(files: &[(&str, &str)]) -> Vec<(RuleId, u32)> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(p, s)| ((*p).to_string(), (*s).to_string()))
+        .collect();
+    dead_pub(&files)
+        .into_iter()
+        .map(|f| (f.rule, f.line))
+        .collect()
+}
+
+#[test]
+fn dead_pub_cannot_be_suppressed() {
+    let src = "// mafic-lint: allow(dead-pub) -- wanted\npub fn x() {}\n";
+    assert_eq!(findings(LIB, src), vec![(RuleId::Pragma, 1)]);
+}
+
 // ----------------------------------------------- each rule class, end-to-end
 
 #[test]
@@ -409,9 +447,10 @@ fn every_rule_class_has_a_firing_fixture() {
             RuleId::LibAttrs,
             findings(
                 "crates/netsim/src/lib.rs",
-                "#![forbid(unsafe_code)]\npub fn x() {}",
+                "#![forbid(unsafe_code)]\n#![deny(unreachable_pub)]\npub fn x() {}",
             ),
         ),
+        (RuleId::DeadPub, surface(&[(LIB, "pub fn only_here() {}")])),
         (
             RuleId::Pragma,
             findings(LIB, "fn x() {}\n// mafic-lint: allow(nondet)\n"),

@@ -14,8 +14,8 @@
 /// # Example
 ///
 /// ```
-/// let a = mafic_loglog::hash::mix64(1);
-/// let b = mafic_loglog::hash::mix64(2);
+/// let a = mafic_loglog::mix64(1);
+/// let b = mafic_loglog::mix64(2);
 /// assert_ne!(a, b);
 /// ```
 #[inline]
@@ -43,7 +43,7 @@ pub fn mix2(a: u64, b: u64) -> u64 {
 /// suffix window (matching the convention of Durand–Flajolet).
 #[inline]
 #[must_use]
-pub fn rho(value: u64, bits: u32) -> u8 {
+pub(crate) fn rho(value: u64, bits: u32) -> u8 {
     debug_assert!(bits <= 64);
     if bits == 0 {
         return 1;

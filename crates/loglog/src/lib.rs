@@ -22,8 +22,8 @@
 //! * [`RouterSketch`] — the per-router `(S, D)` pair,
 //! * [`TrafficMatrix`] — the estimated `a_ij` matrix with victim detection
 //!   and ATR identification ([`AtrReport`]),
-//! * [`hash`] — the 64-bit mixing/hashing helpers shared across the
-//!   workspace.
+//! * [`mix64`] / [`mix2`] — the 64-bit mixing/hashing helpers shared
+//!   across the workspace.
 //!
 //! # Example
 //!
@@ -41,15 +41,16 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod detector;
-pub mod hash;
-pub mod loglog;
-pub mod matrix;
-pub mod setunion;
+mod detector;
+mod hash;
+mod loglog;
+mod matrix;
+mod setunion;
 
 pub use detector::{AtrReport, DetectorConfig, VictimDetector, VictimVerdict};
+pub use hash::{mix2, mix64};
 pub use loglog::{LogLog, Precision, SketchError};
 pub use matrix::{RouterSketchId, TrafficMatrix};
 pub use setunion::RouterSketch;

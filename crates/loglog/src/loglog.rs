@@ -34,7 +34,7 @@ pub enum Precision {
 impl Precision {
     /// The exponent `k` such that `m = 2^k`.
     #[must_use]
-    pub const fn bits(self) -> u32 {
+    pub(crate) const fn bits(self) -> u32 {
         match self {
             Precision::P4 => 4,
             Precision::P6 => 6,
@@ -237,7 +237,7 @@ impl LogLog {
     /// # Errors
     ///
     /// Returns [`SketchError`] if the precisions differ.
-    pub fn union_estimate(&self, other: &LogLog) -> Result<f64, SketchError> {
+    pub(crate) fn union_estimate(&self, other: &LogLog) -> Result<f64, SketchError> {
         self.check_precision(other)?;
         let union = self.registers.iter().zip(&other.registers);
         Ok(self.estimate_over(self.inserts + other.inserts, union.map(|(&a, &b)| a.max(b))))
@@ -311,7 +311,7 @@ impl LogLog {
     /// # Errors
     ///
     /// Returns [`SketchError`] if the precisions differ.
-    pub fn intersection_estimate(&self, other: &LogLog) -> Result<f64, SketchError> {
+    pub(crate) fn intersection_estimate(&self, other: &LogLog) -> Result<f64, SketchError> {
         let union = self.union_estimate(other)?;
         Ok((self.estimate() + other.estimate() - union).max(0.0))
     }

@@ -144,7 +144,7 @@ impl TrafficMatrix {
     ///
     /// Panics if the index is out of range.
     #[must_use]
-    pub fn contributions_to(&self, j: RouterSketchId) -> Vec<(RouterSketchId, f64)> {
+    pub(crate) fn contributions_to(&self, j: RouterSketchId) -> Vec<(RouterSketchId, f64)> {
         assert!(j.0 < self.n, "router index out of range");
         (0..self.n)
             .map(|i| (RouterSketchId(i), self.flows[i * self.n + j.0]))

@@ -32,12 +32,12 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod control;
-pub mod cost;
-pub mod report;
-pub mod series;
+mod control;
+mod cost;
+mod report;
+mod series;
 
 pub use control::{control_table, ControlPlaneReport};
 pub use cost::{cost_table, PolicyCostReport};

@@ -417,18 +417,19 @@ mod tests {
         let legit = pkt(2, false);
         s.declare_flow(attack.key, true, false);
         s.declare_flow(legit.key, false, true);
+        let (attack_id, legit_id) = (s.flow_id(attack.key), s.flow_id(legit.key));
         for _ in 0..100 {
             s.on_atr_seen(attack.key);
             s.on_atr_seen(legit.key);
         }
         for _ in 0..90 {
-            s.on_dropped(&attack, DropReason::FilterPermanent);
+            s.on_dropped_id(attack_id, &attack, DropReason::FilterPermanent);
         }
         for _ in 0..10 {
-            s.on_dropped(&legit, DropReason::FilterProbing);
+            s.on_dropped_id(legit_id, &legit, DropReason::FilterProbing);
         }
         for _ in 0..2 {
-            s.on_dropped(&legit, DropReason::FilterPermanent);
+            s.on_dropped_id(legit_id, &legit, DropReason::FilterPermanent);
         }
         s.on_flow_declared(attack.key, false);
         s.on_flow_declared(legit.key, true);
@@ -460,7 +461,8 @@ mod tests {
     fn flows_never_seen_at_atr_are_excluded() {
         let mut s = collector();
         let stray = pkt(9, false);
-        s.on_sent(&stray); // sent but never crossed the defense line
+        let id = s.flow_id(stray.key);
+        s.on_sent_id(id, &stray); // sent but never crossed the defense line
         let r = MetricsReport::from_stats(&s, &MeasureWindows::default());
         assert_eq!(r.flows.legit_flows, 1);
     }
@@ -471,16 +473,19 @@ mod tests {
         let victim_node = NodeId::from_index(5);
         s.watch_victim(victim_node, SimDuration::from_millis(100));
         let p = pkt(1, true);
+        let id = s.flow_id(p.key);
         // 10 deliveries per 100ms bin before t=1s, 1 per bin after t=1.1s.
         for ms in (0..1000).step_by(10) {
-            s.on_delivered(
+            s.on_delivered_id(
+                id,
                 &p,
                 victim_node,
                 SimTime::ZERO + SimDuration::from_millis(ms),
             );
         }
         for ms in (1100..1500).step_by(100) {
-            s.on_delivered(
+            s.on_delivered_id(
+                id,
                 &p,
                 victim_node,
                 SimTime::ZERO + SimDuration::from_millis(ms),
@@ -523,7 +528,8 @@ mod tests {
         let p = pkt(1, true);
         // One attack packet right after the trigger, nothing else — the
         // series ends early, but the residual denominator stays fixed.
-        s.on_delivered(&p, victim_node, SimTime::from_secs_f64(1.15));
+        let id = s.flow_id(p.key);
+        s.on_delivered_id(id, &p, victim_node, SimTime::from_secs_f64(1.15));
         let windows = MeasureWindows {
             trigger_at: SimTime::from_secs_f64(1.0),
             settle: SimDuration::from_millis(100),
@@ -540,20 +546,22 @@ mod tests {
         let mut s = StatsCollector::new();
         let legit = pkt(2, false);
         s.declare_flow(legit.key, false, true);
+        let legit_id = s.flow_id(legit.key);
         for _ in 0..100 {
-            s.on_sent(&legit);
+            s.on_sent_id(legit_id, &legit);
         }
         // 10 defense drops + 5 congestion (queue) drops: collateral sees
         // both, even though the flow never crossed an active ATR.
         for _ in 0..10 {
-            s.on_dropped(&legit, DropReason::FilterProbing);
+            s.on_dropped_id(legit_id, &legit, DropReason::FilterProbing);
         }
         for _ in 0..5 {
-            s.on_dropped(&legit, DropReason::QueueFull);
+            s.on_dropped_id(legit_id, &legit, DropReason::QueueFull);
         }
         // A UDP "legit" flow (ACK-path record) must not count as data.
         let ack_path = pkt(3, false);
-        s.on_sent(&ack_path);
+        let id = s.flow_id(ack_path.key);
+        s.on_sent_id(id, &ack_path);
         let r = MetricsReport::from_stats(&s, &MeasureWindows::default());
         assert_eq!(r.legit_data_sent, 100);
         assert_eq!(r.legit_data_lost, 15);

@@ -117,7 +117,9 @@ mod tests {
             },
             hops: 0,
         };
-        stats.on_delivered(
+        let id = stats.flow_id(p.key);
+        stats.on_delivered_id(
+            id,
             &p,
             NodeId::from_index(3),
             SimTime::ZERO + SimDuration::from_millis(at_ms),

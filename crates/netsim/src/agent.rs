@@ -143,18 +143,6 @@ impl CountingSink {
     pub fn delivered(&self) -> u64 {
         self.delivered
     }
-
-    /// Bytes delivered so far.
-    #[must_use]
-    pub fn delivered_bytes(&self) -> u64 {
-        self.delivered_bytes
-    }
-
-    /// Time of the most recent delivery.
-    #[must_use]
-    pub fn last_delivery(&self) -> Option<SimTime> {
-        self.last_delivery
-    }
 }
 
 impl Agent for CountingSink {
@@ -239,7 +227,7 @@ mod tests {
         s.on_packet(pkt(100), &mut ctx);
         s.on_packet(pkt(200), &mut ctx);
         assert_eq!(s.delivered(), 2);
-        assert_eq!(s.delivered_bytes(), 300);
-        assert_eq!(s.last_delivery(), Some(t));
+        assert_eq!(s.delivered_bytes, 300);
+        assert_eq!(s.last_delivery, Some(t));
     }
 }

@@ -32,7 +32,7 @@ use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 /// guarantees single ownership (a ref lives in exactly one place: one
 /// scheduled event, one link queue slot, or one delivery FIFO entry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PacketRef(pub(crate) u32);
+pub(crate) struct PacketRef(pub(crate) u32);
 
 impl PacketRef {
     #[inline]
@@ -48,7 +48,7 @@ impl PacketRef {
 /// lifetime instead of once per hop:
 ///
 /// * the stats-collector id (`stats_ids`), known at allocation for agent
-///   sends and injections (the `on_sent` accounting interns it at the
+///   sends and injections (the `on_sent_id` accounting interns it at the
 ///   same instant anyway) and resolved lazily for filter-emitted probes,
 /// * the simulator flow id (`flow_ids`), interned at the packet's first
 ///   node arrival — exactly where the pre-arena path minted it — and

@@ -28,7 +28,7 @@ pub enum FilterControl {
 /// only 4-byte [`PacketRef`] handles, so heap entries stay small, `Copy`,
 /// and sift operations never memcpy packet bodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// A locally injected packet arrives at `node` (link deliveries ride
     /// [`EventKind::LinkDeliver`], so no arriving-link field is needed).
     DeliverToNode {

@@ -42,34 +42,33 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod agent;
-pub mod arena;
-pub mod event;
-pub mod filter;
-pub mod flows;
-pub mod ids;
-pub mod link;
-pub mod node;
-pub mod packet;
-pub mod sim;
-pub mod stats;
+mod agent;
+mod arena;
+mod event;
+mod filter;
+mod flows;
+mod ids;
+mod link;
+mod node;
+mod packet;
+mod sim;
+mod stats;
 pub mod testkit;
-pub mod time;
-pub mod trace;
+mod time;
+mod trace;
 mod wheel;
 
 pub use agent::{Agent, AgentCtx, CountingSink};
-// Checkpoint vocabulary, re-exported so layers that depend only on
-// netsim (e.g. mafic-transport) can implement the snapshot hooks
-// without adding a manifest edge to mafic-obs.
-pub use arena::PacketRef;
 pub use event::FilterControl;
 pub use filter::{FilterAction, FilterCtx, PacketEnv, PacketFilter, PassthroughFilter, StatNote};
 pub use flows::{read_flow_id, FlowId, FlowInterner, FlowSlab};
 pub use ids::{Addr, AgentId, LinkId, NodeId};
 pub use link::LinkSpec;
+// Checkpoint vocabulary, re-exported so layers that depend only on
+// netsim (e.g. mafic-transport) can implement the snapshot hooks
+// without adding a manifest edge to mafic-obs.
 pub use mafic_obs::{
     SnapError, SnapReader, SnapWriter, Snapshot, SnapshotHeader, State, StateWrite,
 };

@@ -44,7 +44,7 @@ impl LinkSpec {
 
     /// Time to serialize `size_bytes` onto the wire.
     #[must_use]
-    pub fn tx_time(&self, size_bytes: u32) -> SimDuration {
+    pub(crate) fn tx_time(&self, size_bytes: u32) -> SimDuration {
         SimDuration::from_secs_f64(f64::from(size_bytes) * 8.0 / self.bandwidth_bps)
     }
 }

@@ -53,7 +53,7 @@ impl FlowKey {
 
     /// Packs the tuple into a 96-bit-equivalent pair for hashing.
     #[must_use]
-    pub fn as_words(self) -> (u64, u64) {
+    pub(crate) fn as_words(self) -> (u64, u64) {
         (
             (u64::from(self.src.as_u32()) << 32) | u64::from(self.dst.as_u32()),
             (u64::from(self.src_port) << 16) | u64::from(self.dst_port),
@@ -380,18 +380,18 @@ pub struct Packet {
     pub created_at: SimTime,
     /// Ground truth (metrics only).
     pub provenance: Provenance,
-    /// Hops traversed so far; packets exceeding [`Packet::MAX_HOPS`] are
+    /// Hops traversed so far; packets exceeding `Packet::MAX_HOPS` are
     /// dropped to keep misconfigured routing from looping forever.
     pub hops: u8,
 }
 
 impl Packet {
     /// Hop limit after which a packet is discarded.
-    pub const MAX_HOPS: u8 = 64;
+    pub(crate) const MAX_HOPS: u8 = 64;
 
     /// True if this packet has exceeded its hop budget.
     #[must_use]
-    pub fn hop_limit_exceeded(&self) -> bool {
+    pub(crate) fn hop_limit_exceeded(&self) -> bool {
         self.hops >= Self::MAX_HOPS
     }
 }
@@ -457,7 +457,7 @@ impl fmt::Display for DropReason {
 
 impl FlowKey {
     /// Writes the 4-tuple: field by field into a checkpoint, as the two
-    /// packed [`FlowKey::as_words`] into the ledger hash (the formats
+    /// packed `FlowKey::as_words` into the ledger hash (the formats
     /// predate the shared walk and are pinned).
     pub fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.hash_only(|h| {

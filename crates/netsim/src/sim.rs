@@ -436,7 +436,7 @@ impl Simulator {
     }
 
     /// Adds a simplex link `from → to`.
-    pub fn add_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) -> LinkId {
+    pub(crate) fn add_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) -> LinkId {
         let id = LinkId(u32::try_from(self.links.len()).expect("link count fits u32"));
         self.links.push(Link::new(from, to, spec));
         id
@@ -714,6 +714,16 @@ impl Simulator {
         if self.now < deadline {
             self.now = deadline;
         }
+        // Packet conservation: every packet an agent sent or a filter
+        // emitted as a probe is delivered, dropped or still in flight.
+        debug_assert_eq!(
+            self.stats.total_sent + self.stats.probes_emitted,
+            self.stats.total_delivered
+                + self.stats.drop_totals().iter().sum::<u64>()
+                + self.arena.live() as u64,
+            "packet conservation broken at {:?}",
+            self.now
+        );
         RunSummary {
             events_processed: self.events_processed,
             events_scheduled: self.scheduler.scheduled_total() + self.wheel.scheduled_total(),
@@ -1113,6 +1123,18 @@ mod tests {
         let sink = sim.add_agent(b, Box::new(CountingSink::new()), SimTime::ZERO);
         sim.bind_local_addr(b, dst, sink);
         (sim, a, b, sink, dst)
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "packet conservation broken")]
+    fn run_until_asserts_packet_conservation() {
+        let (mut sim, a, _b, _sink, dst) = two_node_sim();
+        let key = FlowKey::new(Addr::from_octets(10, 0, 0, 1), dst, 1, 80);
+        sim.inject_packet(a, key, PacketKind::Udp, 1000, false, SimTime::ZERO);
+        // A send the simulator never saw unbalances the books.
+        sim.stats_mut().total_sent += 1;
+        let _ = sim.run_until(SimTime::from_secs_f64(1.0));
     }
 
     #[test]

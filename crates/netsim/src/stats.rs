@@ -218,21 +218,15 @@ impl StatsCollector {
         rec.is_tcp = is_tcp;
     }
 
-    /// Records a packet injection (called by the simulator; public for
-    /// metric-layer tests that synthesize collectors).
-    pub fn on_sent(&mut self, packet: &Packet) {
-        let id = self.flow_id(packet.key);
-        self.on_sent_id(id, packet);
-    }
-
-    /// Id-keyed variant of [`StatsCollector::on_sent`].
+    /// Records a packet injection on flow `id` (minted by
+    /// [`StatsCollector::flow_id`]).
     pub fn on_sent_id(&mut self, id: FlowId, packet: &Packet) {
         self.total_sent += 1;
         self.record_id(id, packet.provenance).sent += 1;
     }
 
     /// Records a packet arriving at `node` (pre-filter, pre-queue).
-    pub fn on_node_arrival(&mut self, packet: &Packet, node: NodeId, now: SimTime) {
+    pub(crate) fn on_node_arrival(&mut self, packet: &Packet, node: NodeId, now: SimTime) {
         let Some(watch) = self.arrival_watch else {
             return;
         };
@@ -253,13 +247,7 @@ impl StatsCollector {
         }
     }
 
-    /// Records a delivery to an agent on `node`.
-    pub fn on_delivered(&mut self, packet: &Packet, node: NodeId, now: SimTime) {
-        let id = self.flow_id(packet.key);
-        self.on_delivered_id(id, packet, node, now);
-    }
-
-    /// Id-keyed variant of [`StatsCollector::on_delivered`].
+    /// Records a delivery of flow `id` to an agent on `node`.
     pub fn on_delivered_id(&mut self, id: FlowId, packet: &Packet, node: NodeId, now: SimTime) {
         self.total_delivered += 1;
         self.record_id(id, packet.provenance).delivered += 1;
@@ -281,13 +269,7 @@ impl StatsCollector {
         }
     }
 
-    /// Records a drop with its reason.
-    pub fn on_dropped(&mut self, packet: &Packet, reason: DropReason) {
-        let id = self.flow_id(packet.key);
-        self.on_dropped_id(id, packet, reason);
-    }
-
-    /// Id-keyed variant of [`StatsCollector::on_dropped`].
+    /// Records a drop of flow `id` with its reason.
     pub fn on_dropped_id(&mut self, id: FlowId, packet: &Packet, reason: DropReason) {
         let rec = self.record_id(id, packet.provenance);
         match reason {
@@ -309,7 +291,7 @@ impl StatsCollector {
     }
 
     /// Records a probe burst toward `key`'s claimed source.
-    pub fn on_probe_sent(&mut self, key: FlowKey) {
+    pub(crate) fn on_probe_sent(&mut self, key: FlowKey) {
         self.probes_emitted += 1;
         self.entry(key).probes_sent += 1;
     }
@@ -503,11 +485,12 @@ mod tests {
     fn accounting_by_reason() {
         let mut s = StatsCollector::new();
         let p = pkt(true);
-        s.on_sent(&p);
-        s.on_dropped(&p, DropReason::FilterProbing);
-        s.on_dropped(&p, DropReason::FilterPermanent);
-        s.on_dropped(&p, DropReason::QueueFull);
-        s.on_dropped(&p, DropReason::NoRoute);
+        let id = s.flow_id(p.key);
+        s.on_sent_id(id, &p);
+        s.on_dropped_id(id, &p, DropReason::FilterProbing);
+        s.on_dropped_id(id, &p, DropReason::FilterPermanent);
+        s.on_dropped_id(id, &p, DropReason::QueueFull);
+        s.on_dropped_id(id, &p, DropReason::NoRoute);
         let rec = s.flow(&p.key).unwrap();
         assert!(rec.is_attack);
         assert_eq!(rec.sent, 1);
@@ -525,10 +508,11 @@ mod tests {
         s.watch_victim(NodeId(3), SimDuration::from_millis(100));
         let legit = pkt(false);
         let attack = pkt(true);
-        s.on_delivered(&legit, NodeId(3), SimTime::from_secs_f64(0.05));
-        s.on_delivered(&attack, NodeId(3), SimTime::from_secs_f64(0.25));
+        let (legit_id, attack_id) = (s.flow_id(legit.key), s.flow_id(attack.key));
+        s.on_delivered_id(legit_id, &legit, NodeId(3), SimTime::from_secs_f64(0.05));
+        s.on_delivered_id(attack_id, &attack, NodeId(3), SimTime::from_secs_f64(0.25));
         // Delivery at a different node is not binned.
-        s.on_delivered(&legit, NodeId(9), SimTime::from_secs_f64(0.05));
+        s.on_delivered_id(legit_id, &legit, NodeId(9), SimTime::from_secs_f64(0.05));
         let bins = s.victim_bins();
         assert_eq!(bins.len(), 3);
         assert_eq!(bins[0].legit_bytes, 500);
@@ -570,10 +554,11 @@ mod tests {
         s.watch_victim(NodeId(3), SimDuration::from_millis(100));
         let legit = pkt(false);
         let attack = pkt(true);
-        s.on_sent(&legit);
-        s.on_sent(&attack);
-        s.on_delivered(&legit, NodeId(3), SimTime::from_secs_f64(0.05));
-        s.on_dropped(&attack, DropReason::FilterProbing);
+        let (legit_id, attack_id) = (s.flow_id(legit.key), s.flow_id(attack.key));
+        s.on_sent_id(legit_id, &legit);
+        s.on_sent_id(attack_id, &attack);
+        s.on_delivered_id(legit_id, &legit, NodeId(3), SimTime::from_secs_f64(0.05));
+        s.on_dropped_id(attack_id, &attack, DropReason::FilterProbing);
         s.on_probe_sent(legit.key);
         let bytes = state_bytes(&s);
         // Restore onto a fresh collector carrying the same build-time

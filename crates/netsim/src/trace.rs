@@ -123,12 +123,6 @@ impl TraceBuffer {
         self.events.is_empty()
     }
 
-    /// Total events ever recorded (including evicted ones).
-    #[must_use]
-    pub fn recorded_total(&self) -> u64 {
-        self.recorded_total
-    }
-
     /// Drops all retained events.
     pub fn clear(&mut self) {
         self.events.clear();
@@ -209,7 +203,7 @@ mod tests {
             t.record(drop_event(ms));
         }
         assert_eq!(t.len(), 3);
-        assert_eq!(t.recorded_total(), 5);
+        assert_eq!(t.recorded_total, 5);
         let first = t.iter().next().unwrap();
         assert_eq!(first.at(), SimTime::from_nanos(2_000_000));
     }
@@ -238,7 +232,7 @@ mod tests {
         t.record(drop_event(1));
         t.clear();
         assert!(t.is_empty());
-        assert_eq!(t.recorded_total(), 1);
+        assert_eq!(t.recorded_total, 1);
     }
 
     #[test]
@@ -258,7 +252,7 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         restored.read_state(&mut r).unwrap();
         assert!(r.is_empty());
-        assert_eq!(restored.recorded_total(), 6);
+        assert_eq!(restored.recorded_total, 6);
         let a: Vec<_> = t.iter().collect();
         let b: Vec<_> = restored.iter().collect();
         assert_eq!(a, b);

@@ -44,7 +44,7 @@ impl JsonValue {
 
     /// The value as `u64`, if it is a number.
     #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Num(n) => Some(*n),
             _ => None,
@@ -53,7 +53,7 @@ impl JsonValue {
 
     /// The value as an array slice, if it is an array.
     #[must_use]
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
+    pub(crate) fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Arr(items) => Some(items),
             _ => None,
@@ -62,7 +62,7 @@ impl JsonValue {
 
     /// The value as a vector of strings, if it is an array of strings.
     #[must_use]
-    pub fn as_str_array(&self) -> Option<Vec<String>> {
+    pub(crate) fn as_str_array(&self) -> Option<Vec<String>> {
         let items = self.as_array()?;
         items
             .iter()
@@ -238,7 +238,7 @@ impl<'a> Parser<'a> {
 /// # Errors
 ///
 /// Returns a message locating the first malformed byte.
-pub fn parse_json_line(line: &str) -> Result<JsonValue, String> {
+pub(crate) fn parse_json_line(line: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: line.as_bytes(),
         pos: 0,

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 /// `MAFIC_JOBS=1` vs `MAFIC_JOBS=4` ledger pair must diff clean).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerHeader {
-    /// Wire-format version ([`LEDGER_VERSION`] at write time).
+    /// Wire-format version (`LEDGER_VERSION` at write time).
     pub ledger_version: u32,
     /// Version of the crate that recorded the ledger.
     pub crate_version: String,
@@ -198,7 +198,7 @@ pub struct LedgerBuilder {
 
 impl LedgerBuilder {
     /// Starts a ledger with `header` (its version field is overwritten
-    /// with [`LEDGER_VERSION`]).
+    /// with `LEDGER_VERSION`).
     #[must_use]
     pub fn new(mut header: LedgerHeader) -> Self {
         header.ledger_version = LEDGER_VERSION;
@@ -647,6 +647,67 @@ mod tests {
         let text = ledger.to_jsonl();
         let back = RunLedger::from_jsonl(&text).expect("roundtrip parses");
         assert_eq!(ledger, back);
+    }
+
+    /// The reader returns `Ok` or `Err` on every prefix, every
+    /// single-bit flip and every out-of-range stamp of a three-interval
+    /// ledger; a panic fails the test.
+    #[test]
+    fn from_jsonl_survives_hostile_bytes() {
+        let mut b = LedgerBuilder::new(header(7));
+        for (i, at) in [100_000_000u64, 200_000_000, 300_000_000]
+            .into_iter()
+            .enumerate()
+        {
+            let v = i as u64;
+            b.record_interval(
+                at,
+                &probe(&[("alpha", v), ("beta", !v)], &[("drops", 10 * v)]),
+            );
+        }
+        let text = b
+            .finish(vec!["t=0.3 drop reason=\"queue\"".into()])
+            .to_jsonl();
+        let bytes = text.as_bytes();
+        let mut inputs: Vec<String> = (0..bytes.len())
+            .map(|n| String::from_utf8_lossy(&bytes[..n]).into_owned())
+            .collect();
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.to_vec();
+                flipped[at] ^= 1 << bit;
+                inputs.push(String::from_utf8_lossy(&flipped).into_owned());
+            }
+        }
+        let max = u64::MAX.to_string();
+        for stamp in [
+            max.clone(),
+            format!("{max}0"),
+            "18446744073709551616".to_string(),
+        ] {
+            inputs.push(text.replace("\"at_nanos\":200000000", &format!("\"at_nanos\":{stamp}")));
+            inputs.push(text.replace("\"seed\":7", &format!("\"seed\":{stamp}")));
+        }
+        assert_eq!(inputs.len(), 9 * bytes.len() + 6);
+        let accepted = inputs
+            .iter()
+            .filter(|input| RunLedger::from_jsonl(input).is_ok())
+            .count();
+        assert!(
+            accepted > 0 && accepted < inputs.len(),
+            "{accepted} accepted"
+        );
+        // `u64::MAX` is a valid stamp; one past it is not.
+        let at_max = text.replace("\"at_nanos\":200000000", &format!("\"at_nanos\":{max}"));
+        assert_eq!(
+            RunLedger::from_jsonl(&at_max).map(|l| l.intervals[1].at_nanos),
+            Ok(u64::MAX)
+        );
+        let past = text.replace(
+            "\"at_nanos\":200000000",
+            "\"at_nanos\":18446744073709551616",
+        );
+        assert!(RunLedger::from_jsonl(&past).is_err());
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
 mod diff;
 mod fnv;
@@ -28,14 +29,12 @@ mod state;
 
 pub use diff::{diff_ledgers, Divergence, DivergenceReport};
 pub use fnv::{fnv64, Fnv64, HashWriter};
-pub use json::{parse_json_line, JsonValue};
+pub use json::JsonValue;
 pub use ledger::{
     IntervalProbe, IntervalRecord, LedgerBuilder, LedgerHeader, ProbeBatch, RunLedger,
 };
-pub use snap::{
-    SnapError, SnapReader, SnapWriter, Snapshot, SnapshotHeader, SNAP_MAGIC, SNAP_VERSION,
-};
+pub use snap::{SnapError, SnapReader, SnapWriter, Snapshot, SnapshotHeader, SNAP_VERSION};
 pub use state::{assert_state_law, state_bytes, state_hash, DynState, State, StateWrite};
 
 /// Ledger wire-format version; bump on any incompatible JSONL change.
-pub const LEDGER_VERSION: u32 = 1;
+pub(crate) const LEDGER_VERSION: u32 = 1;

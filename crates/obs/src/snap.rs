@@ -29,14 +29,14 @@ use std::fmt;
 pub const SNAP_VERSION: u32 = 1;
 
 /// The 8-byte magic that opens every snapshot file.
-pub const SNAP_MAGIC: [u8; 8] = *b"MAFICSNP";
+pub(crate) const SNAP_MAGIC: [u8; 8] = *b"MAFICSNP";
 
 /// Why a snapshot failed to decode or restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
     /// The byte stream ended before a complete value.
     Truncated,
-    /// The file does not start with [`SNAP_MAGIC`].
+    /// The file does not start with `SNAP_MAGIC`.
     BadMagic,
     /// The format version is not [`SNAP_VERSION`].
     Version {
@@ -166,7 +166,7 @@ impl<'a> SnapReader<'a> {
 
     /// Bytes not yet consumed.
     #[must_use]
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -257,7 +257,7 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] at end of input or when the count
-    /// exceeds [`SnapReader::remaining`].
+    /// exceeds `SnapReader::remaining`.
     pub fn read_len(&mut self) -> Result<usize, SnapError> {
         let n = self.read_usize()?;
         if n > self.remaining() {

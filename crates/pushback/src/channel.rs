@@ -44,12 +44,6 @@ impl ControlChannel {
         std::mem::swap(&mut self.inbox, out);
     }
 
-    /// Envelopes accepted over the channel's lifetime.
-    #[must_use]
-    pub fn received_total(&self) -> u64 {
-        self.received_total
-    }
-
     /// Envelopes dropped because the claimed requester identity did not
     /// match the packet's source address.
     #[must_use]
@@ -159,7 +153,7 @@ mod tests {
         ));
         assert!(matches!(msgs[1].1.verb, ControlVerb::Refresh { .. }));
         assert!(ch.drain().is_empty(), "drain empties the inbox");
-        assert_eq!(ch.received_total(), 2);
+        assert_eq!(ch.received_total, 2);
         assert_eq!(ch.forged_dropped(), 0);
     }
 
@@ -202,7 +196,7 @@ mod tests {
         );
         let _ = h.deliver(&mut ch, forged);
         assert!(ch.drain().is_empty());
-        assert_eq!(ch.received_total(), 0);
+        assert_eq!(ch.received_total, 0);
         assert_eq!(ch.forged_dropped(), 1);
     }
 
@@ -222,7 +216,7 @@ mod tests {
         p.kind = PacketKind::Udp;
         let _ = h.deliver(&mut ch, p);
         assert!(ch.drain().is_empty());
-        assert_eq!(ch.received_total(), 0);
+        assert_eq!(ch.received_total, 0);
     }
 
     #[test]

@@ -1738,9 +1738,17 @@ mod tests {
     /// not lapse the lease the *other* sibling granted. Refreshes keep
     /// flowing (skipping only the denied target) and the denied target
     /// is never asked again.
+    /// A plane whose upstream sends address siblings 1 and 2.
+    fn two_sibling_plane() -> BufferedPlane {
+        BufferedPlane {
+            upstream_targets: vec![identity(1), identity(2)],
+            ..BufferedPlane::default()
+        }
+    }
+
     #[test]
     fn sibling_deny_keeps_the_corroborated_branch_refreshed() {
-        let mut plane = BufferedPlane::with_targets(vec![identity(1), identity(2)]);
+        let mut plane = two_sibling_plane();
         let mut c = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
         c.trust_upstream(identity(1));
         c.trust_upstream(identity(2));
@@ -1798,7 +1806,7 @@ mod tests {
     /// against the all-targets-denied fallback.
     #[test]
     fn duplicate_deny_from_one_sibling_counts_once() {
-        let mut plane = BufferedPlane::with_targets(vec![identity(1), identity(2)]);
+        let mut plane = two_sibling_plane();
         let mut c = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
         c.trust_upstream(identity(1));
         c.trust_upstream(identity(2));
@@ -1826,7 +1834,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_an_escalated_coordinator() {
-        let mut plane = BufferedPlane::with_targets(vec![identity(1), identity(2)]);
+        let mut plane = two_sibling_plane();
         let mut c = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
         c.trust_upstream(identity(1));
         c.trust_upstream(identity(2));
@@ -1870,8 +1878,8 @@ mod tests {
         assert_eq!(state_hash(&c), state_hash(&restored));
         // The restored machine continues identically: both refresh on
         // the same interval, still skipping the denied sibling.
-        let mut p1 = BufferedPlane::with_targets(vec![identity(1), identity(2)]);
-        let mut p2 = BufferedPlane::with_targets(vec![identity(1), identity(2)]);
+        let mut p1 = two_sibling_plane();
+        let mut p2 = two_sibling_plane();
         for _ in 0..2 {
             let _ = tick(&mut c, 5000.0, &mut p1);
             let _ = tick(&mut restored, 5000.0, &mut p2);

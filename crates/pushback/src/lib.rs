@@ -54,12 +54,13 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod channel;
-pub mod coordinator;
-pub mod meter;
-pub mod plane;
-pub mod trust;
+mod channel;
+mod coordinator;
+mod meter;
+mod plane;
+mod trust;
 
 pub use channel::ControlChannel;
 pub use coordinator::{

@@ -69,15 +69,6 @@ impl BufferedPlane {
         BufferedPlane::default()
     }
 
-    /// Creates an empty plane with the given named upstream targets.
-    #[must_use]
-    pub fn with_targets(targets: Vec<RequesterId>) -> Self {
-        BufferedPlane {
-            upstream_targets: targets,
-            ..BufferedPlane::default()
-        }
-    }
-
     /// Drops everything buffered so far (targets are kept).
     pub fn clear(&mut self) {
         self.upstream.clear();

@@ -99,15 +99,6 @@ impl DenyTally {
             DenyReason::BudgetExhausted => self.budget_exhausted += 1,
         }
     }
-
-    /// Adds another tally into this one.
-    pub fn merge(&mut self, other: &DenyTally) {
-        self.bad_version += other.bad_version;
-        self.untrusted += other.untrusted;
-        self.replayed += other.replayed;
-        self.uncorroborated += other.uncorroborated;
-        self.budget_exhausted += other.budget_exhausted;
-    }
 }
 
 /// Per-requester running state.
@@ -157,14 +148,14 @@ impl TrustLedger {
     /// Marks `identity` as one of this domain's upstream escalation
     /// targets, whose downstream replies (`Deny`, `Report`) are
     /// believed. Wired at scenario-build time.
-    pub fn authorize_upstream(&mut self, identity: RequesterId) {
+    pub(crate) fn authorize_upstream(&mut self, identity: RequesterId) {
         self.requesters.entry(identity).or_default().upstream = true;
     }
 
     /// Tallies a denial decided by the coordinator outside the ledger's
     /// own checks (e.g. a renewal from someone other than the lessor),
     /// so every `Deny` sent stays visible in the denial counters.
-    pub fn note_denial(&mut self, reason: DenyReason) {
+    pub(crate) fn note_denial(&mut self, reason: DenyReason) {
         self.denies.count(reason);
     }
 
@@ -176,7 +167,7 @@ impl TrustLedger {
     /// # Errors
     ///
     /// Returns the [`DenyReason`] on failure.
-    pub fn vet_upstream(&mut self, msg: &ControlMsg) -> Result<(), DenyReason> {
+    pub(crate) fn vet_upstream(&mut self, msg: &ControlMsg) -> Result<(), DenyReason> {
         self.vet_sender(msg, |state| state.upstream)
     }
 
@@ -199,7 +190,7 @@ impl TrustLedger {
     /// # Errors
     ///
     /// Returns (and tallies) the [`DenyReason`] on failure.
-    pub fn vet_identity(&mut self, msg: &ControlMsg) -> Result<(), DenyReason> {
+    pub(crate) fn vet_identity(&mut self, msg: &ControlMsg) -> Result<(), DenyReason> {
         self.vet_sender(msg, |state| state.authorized)
     }
 
@@ -254,7 +245,7 @@ impl TrustLedger {
     /// # Errors
     ///
     /// Returns (and tallies) the [`DenyReason`] on failure.
-    pub fn vet_install(
+    pub(crate) fn vet_install(
         &mut self,
         msg: &ControlMsg,
         claimed_bps: Option<f64>,
@@ -525,16 +516,14 @@ mod tests {
     }
 
     #[test]
-    fn tally_totals_and_merges() {
-        let mut a = DenyTally::default();
-        a.count(DenyReason::BadVersion);
-        a.count(DenyReason::BudgetExhausted);
-        let mut b = DenyTally::default();
-        b.count(DenyReason::Uncorroborated);
-        b.merge(&a);
-        assert_eq!(b.total(), 3);
-        assert_eq!(b.bad_version, 1);
-        assert_eq!(b.uncorroborated, 1);
+    fn tally_totals_by_reason() {
+        let mut t = DenyTally::default();
+        t.count(DenyReason::BadVersion);
+        t.count(DenyReason::BudgetExhausted);
+        t.count(DenyReason::Uncorroborated);
+        assert_eq!(t.total(), 3);
+        assert_eq!(t.bad_version, 1);
+        assert_eq!(t.uncorroborated, 1);
     }
 
     #[test]

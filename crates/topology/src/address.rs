@@ -55,7 +55,7 @@ impl AddressSpace {
     /// Panics if `n_ingress` exceeds 180, or if `base_octet` is 0 or 192
     /// (reserved for the unspecified address and illegal spoofs).
     #[must_use]
-    pub fn with_base(base_octet: u8, n_ingress: usize) -> Self {
+    pub(crate) fn with_base(base_octet: u8, n_ingress: usize) -> Self {
         assert!(
             n_ingress <= 180,
             "address pool supports at most 180 ingresses"

@@ -91,7 +91,7 @@ impl DomainConfig {
 
     /// Number of core routers for `n_routers` (at least one).
     #[must_use]
-    pub fn core_count(&self) -> usize {
+    pub(crate) fn core_count(&self) -> usize {
         (self.n_routers.saturating_sub(1) / 5).max(1)
     }
 
@@ -162,7 +162,7 @@ impl Domain {
 
     /// The routable endpoints of this domain: every host plus the victim.
     #[must_use]
-    pub fn destinations(&self) -> Vec<(Addr, NodeId)> {
+    pub(crate) fn destinations(&self) -> Vec<(Addr, NodeId)> {
         let mut destinations: Vec<(Addr, NodeId)> =
             self.hosts.iter().map(|h| (h.addr, h.node)).collect();
         destinations.push((self.victim_addr, self.victim_host));
@@ -178,7 +178,10 @@ impl Domain {
     /// # Errors
     ///
     /// Returns the validation message if `config` is out of range.
-    pub fn build_unrouted(sim: &mut Simulator, config: &DomainConfig) -> Result<Domain, String> {
+    pub(crate) fn build_unrouted(
+        sim: &mut Simulator,
+        config: &DomainConfig,
+    ) -> Result<Domain, String> {
         config.validate()?;
         let mut rng = SmallRng::seed_from_u64(config.seed ^ 0x746F_706F);
         let n_core = config.core_count();
@@ -263,7 +266,7 @@ impl Domain {
 /// `destinations` once for all of them. All links come in duplex pairs,
 /// so the graph is symmetric and a BFS from the anchor gives the hop
 /// distances toward it.
-pub fn install_host_routes(sim: &mut Simulator, destinations: &[(Addr, NodeId)]) {
+pub(crate) fn install_host_routes(sim: &mut Simulator, destinations: &[(Addr, NodeId)]) {
     // Adjacency: for each node, the (neighbor, link) pairs.
     let n = sim.node_count();
     let mut adj: Vec<Vec<(usize, LinkId)>> = vec![Vec::new(); n];

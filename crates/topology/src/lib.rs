@@ -27,14 +27,14 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod address;
-pub mod domain;
-pub mod internet;
+mod address;
+mod domain;
+mod internet;
 
 pub use address::{AddressSpace, PREFIX_LEN};
-pub use domain::{install_host_routes, Domain, DomainConfig, HostInfo, VICTIM_BANDWIDTH_BPS};
+pub use domain::{Domain, DomainConfig, HostInfo, VICTIM_BANDWIDTH_BPS};
 pub use internet::{
     DomainRole, Internet, InternetConfig, InternetDomain, TransitTopology, UpstreamEdge,
     MAX_DOMAINS,

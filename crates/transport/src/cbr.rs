@@ -166,22 +166,10 @@ impl UnresponsiveSender {
         self.rate_scale_milli = scale_milli;
     }
 
-    /// Current rate scale in thousandths of nominal.
-    #[must_use]
-    pub fn rate_scale_milli(&self) -> u32 {
-        self.rate_scale_milli
-    }
-
     /// Packets transmitted.
     #[must_use]
     pub fn sent(&self) -> u64 {
         self.sent
-    }
-
-    /// Inbound packets (ACKs, probes) received and ignored.
-    #[must_use]
-    pub fn ignored_inbound(&self) -> u64 {
-        self.ignored_inbound
     }
 
     /// The flow key this sender transmits on.
@@ -378,7 +366,7 @@ mod tests {
         };
         let fx = h.deliver(&mut s, probe);
         assert!(fx.sent.is_empty(), "no reaction to probes");
-        assert_eq!(s.ignored_inbound(), 1);
+        assert_eq!(s.ignored_inbound, 1);
     }
 
     #[test]
@@ -513,7 +501,7 @@ mod tests {
         restored.read_state(&mut r).expect("restore");
         assert!(r.is_empty());
         assert!(restored.paused());
-        assert_eq!(restored.rate_scale_milli(), 1500);
+        assert_eq!(restored.rate_scale_milli, 1500);
     }
 
     #[test]

@@ -34,13 +34,13 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod cbr;
-pub mod rtt;
-pub mod sink;
-pub mod tcp;
-pub mod victim;
+mod cbr;
+mod rtt;
+mod sink;
+mod tcp;
+mod victim;
 
 pub use cbr::{CbrConfig, CbrProtocol, UnresponsiveSender};
 pub use rtt::RttEstimator;

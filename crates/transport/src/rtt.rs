@@ -82,7 +82,7 @@ impl RttEstimator {
     }
 
     /// Exponential backoff after a retransmission timeout.
-    pub fn backoff(&mut self) {
+    pub(crate) fn backoff(&mut self) {
         self.rto = (self.rto * 2).min(self.max_rto);
     }
 }

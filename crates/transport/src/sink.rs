@@ -45,24 +45,6 @@ impl TcpSink {
         }
     }
 
-    /// Next expected sequence number.
-    #[must_use]
-    pub fn rcv_next(&self) -> u64 {
-        self.rcv_next
-    }
-
-    /// ACKs generated so far.
-    #[must_use]
-    pub fn acks_sent(&self) -> u64 {
-        self.acks_sent
-    }
-
-    /// Data segments received (including duplicates).
-    #[must_use]
-    pub fn segments_received(&self) -> u64 {
-        self.segments_received
-    }
-
     fn send_ack(&mut self, ts_echo: SimTime, ctx: &mut AgentCtx<'_>) {
         let ack = Packet {
             id: ctx.fresh_packet_id(),
@@ -201,8 +183,8 @@ mod tests {
             assert_eq!(ack_of(&fx.sent[0]), seq + 1);
             assert_eq!(fx.sent[0].key, key().reversed());
         }
-        assert_eq!(s.rcv_next(), 3);
-        assert_eq!(s.acks_sent(), 3);
+        assert_eq!(s.rcv_next, 3);
+        assert_eq!(s.acks_sent, 3);
     }
 
     #[test]
@@ -218,7 +200,7 @@ mod tests {
         // Retransmission of 1 fills the hole and ACK jumps to 4.
         let fx1 = h.deliver(&mut s, data(1, h.now));
         assert_eq!(ack_of(&fx1.sent[0]), 4);
-        assert_eq!(s.rcv_next(), 4);
+        assert_eq!(s.rcv_next, 4);
     }
 
     #[test]
@@ -247,7 +229,7 @@ mod tests {
             ..data(0, h.now)
         };
         assert!(h.deliver(&mut s, udp).sent.is_empty());
-        assert_eq!(s.segments_received(), 0);
+        assert_eq!(s.segments_received, 0);
     }
 
     #[test]
@@ -257,6 +239,6 @@ mod tests {
         let _ = h.deliver(&mut s, data(0, h.now));
         let _ = h.deliver(&mut s, data(0, h.now));
         assert_eq!(s.duplicate_segments, 1);
-        assert_eq!(s.rcv_next(), 1);
+        assert_eq!(s.rcv_next, 1);
     }
 }

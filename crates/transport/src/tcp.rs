@@ -170,12 +170,6 @@ impl TcpSender {
         self.cwnd
     }
 
-    /// Current slow-start threshold.
-    #[must_use]
-    pub fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
     /// The congestion-control phase.
     #[must_use]
     pub fn phase(&self) -> TcpPhase {
@@ -186,30 +180,6 @@ impl TcpSender {
         } else {
             TcpPhase::CongestionAvoidance
         }
-    }
-
-    /// Data segments transmitted (including retransmissions).
-    #[must_use]
-    pub fn data_sent(&self) -> u64 {
-        self.data_sent
-    }
-
-    /// Retransmitted segments.
-    #[must_use]
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits
-    }
-
-    /// Retransmission timeouts experienced.
-    #[must_use]
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    /// MAFIC probe bursts received.
-    #[must_use]
-    pub fn probes_received(&self) -> u64 {
-        self.probes_received
     }
 
     /// The flow key this sender transmits on.
@@ -528,7 +498,7 @@ mod tests {
         let fx = h.deliver(&mut s, ack_packet(3, h.now));
         assert_eq!(s.phase(), TcpPhase::FastRecovery);
         assert!(s.cwnd() < before, "window must shrink on loss");
-        assert_eq!(s.retransmits(), 1);
+        assert_eq!(s.retransmits, 1);
         assert_eq!(fx.sent.len(), 1, "head-of-line retransmission");
         assert!(matches!(
             fx.sent[0].kind,
@@ -546,7 +516,7 @@ mod tests {
         let _ = h.deliver(&mut s, ack_packet(4, h.now));
         let before = s.cwnd();
         let fx = h.deliver(&mut s, probe_packet(3, h.now));
-        assert_eq!(s.probes_received(), 1);
+        assert_eq!(s.probes_received, 1);
         assert_eq!(s.phase(), TcpPhase::FastRecovery);
         assert!(s.cwnd() <= before / 2.0 + 1e-9);
         assert_eq!(fx.sent.len(), 1, "probe also triggers a retransmission");
@@ -574,7 +544,7 @@ mod tests {
         // Fire the armed RTO (generation 1) without any ACK.
         let fx = h.fire_timer(&mut s, 1);
         assert_eq!(s.cwnd(), 1.0);
-        assert_eq!(s.timeouts(), 1);
+        assert_eq!(s.timeouts, 1);
         assert_eq!(fx.sent.len(), 1);
         assert!(matches!(
             fx.sent[0].kind,
@@ -591,7 +561,7 @@ mod tests {
         let _ = h.deliver(&mut s, ack_packet(2, h.now)); // re-arms => generation 2
         let fx = h.fire_timer(&mut s, 1);
         assert!(fx.sent.is_empty());
-        assert_eq!(s.timeouts(), 0);
+        assert_eq!(s.timeouts, 0);
     }
 
     #[test]
@@ -679,9 +649,9 @@ mod tests {
         g.read_state(&mut r).expect("restore");
         assert!(r.is_empty(), "trailing bytes");
         assert_eq!(g.cwnd(), s.cwnd());
-        assert_eq!(g.ssthresh(), s.ssthresh());
+        assert_eq!(g.ssthresh, s.ssthresh);
         assert_eq!(g.phase(), TcpPhase::FastRecovery);
-        assert_eq!(g.probes_received(), 1);
+        assert_eq!(g.probes_received, 1);
         assert_eq!(g.rtt.srtt(), s.rtt.srtt());
         // Both exit recovery on the same covering ACK and resume in step.
         let recover_point = s.next_seq;

@@ -29,12 +29,12 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod error;
-pub mod runner;
-pub mod scenario;
-pub mod spec;
+mod error;
+mod runner;
+mod scenario;
+mod spec;
 
 pub use error::WorkloadError;
 pub use mafic_adversary::{AdversarySpec, StrategyKind};

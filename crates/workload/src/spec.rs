@@ -14,7 +14,7 @@
 
 use mafic::DefensePolicy;
 use mafic_adversary::AdversarySpec;
-use mafic_loglog::hash::{mix2, mix64};
+use mafic_loglog::{mix2, mix64};
 use mafic_netsim::{SimDuration, SimTime};
 use mafic_obs::fnv64;
 use mafic_pushback::{PushbackConfig, TrustConfig};
@@ -271,14 +271,14 @@ impl Default for ScenarioSpec {
 impl ScenarioSpec {
     /// Number of legitimate TCP flows.
     #[must_use]
-    pub fn legit_flow_count(&self) -> usize {
+    pub(crate) fn legit_flow_count(&self) -> usize {
         self.total_flows - self.attack_flow_count()
     }
 
     /// Number of attack flows — at least one whenever flows exist, so the
     /// "under attack" scenarios stay meaningful across the `Γ` sweep.
     #[must_use]
-    pub fn attack_flow_count(&self) -> usize {
+    pub(crate) fn attack_flow_count(&self) -> usize {
         if self.total_flows == 0 {
             return 0;
         }
@@ -301,7 +301,7 @@ impl ScenarioSpec {
     /// scenario). Indices follow [`mafic_topology::Internet::domains`]
     /// order: victim stub, transit domains in level order, source stubs.
     #[must_use]
-    pub fn total_domain_count(&self) -> usize {
+    pub(crate) fn total_domain_count(&self) -> usize {
         if self.domains <= 1 {
             1
         } else {
@@ -322,7 +322,7 @@ impl ScenarioSpec {
     /// the healthy (subsidence) ceiling are both derived from the
     /// victim link capacity; trust knobs come straight from the spec.
     #[must_use]
-    pub fn pushback_config(&self) -> PushbackConfig {
+    pub(crate) fn pushback_config(&self) -> PushbackConfig {
         let link_bytes_per_sec = VICTIM_BANDWIDTH_BPS / 8.0;
         PushbackConfig {
             threshold_bps: ESCALATION_THRESHOLD * link_bytes_per_sec,

@@ -38,7 +38,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub use mafic as core;
 pub use mafic_adversary as adversary;

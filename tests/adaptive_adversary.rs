@@ -8,10 +8,10 @@
 //! mid-engagement must restore the controller and resume
 //! byte-identically.
 
-use mafic_suite::experiments::engine::run_specs;
 use mafic_suite::experiments::figures::{
     adversary_strategy_series, fig11_spec, run_adaptive_adversary_grid, trust_budget_axis,
 };
+use mafic_suite::experiments::run_specs;
 use mafic_suite::experiments::EngineConfig;
 use mafic_suite::netsim::SimTime;
 use mafic_suite::workload::{

@@ -5,7 +5,7 @@
 //! the last pre-arena build on the exact same specs; any divergence
 //! means the refactor changed simulation behavior, not just layout.
 
-use mafic_suite::experiments::engine::run_specs;
+use mafic_suite::experiments::run_specs;
 use mafic_suite::netsim::SimTime;
 use mafic_suite::workload::{run_spec, RunOutcome, ScenarioSpec};
 

@@ -7,10 +7,10 @@
 //! budget admits it. The whole grid is deterministic at any engine
 //! worker count.
 
-use mafic_suite::experiments::engine::run_specs;
 use mafic_suite::experiments::figures::{
     fig10_honest_spec, fig10_malicious_spec, trust_budget_axis,
 };
+use mafic_suite::experiments::run_specs;
 use mafic_suite::workload::run_spec;
 
 #[test]

@@ -5,9 +5,9 @@
 //! contract at the `FigureData`/`MetricsReport` level — the exact bytes
 //! the figure binaries print.
 
-use mafic_suite::experiments::engine::{run_specs, EngineConfig};
-use mafic_suite::experiments::sweep::{run_averaged, sweep, SweepSeries};
 use mafic_suite::experiments::FigureData;
+use mafic_suite::experiments::{run_averaged, sweep, SweepSeries};
+use mafic_suite::experiments::{run_specs, EngineConfig};
 use mafic_suite::netsim::SimTime;
 use mafic_suite::obs::diff_ledgers;
 use mafic_suite::workload::ScenarioSpec;

@@ -8,10 +8,10 @@
 //! deterministic at any engine worker count.
 
 use mafic_suite::core::DefensePolicy;
-use mafic_suite::experiments::engine::run_specs;
 use mafic_suite::experiments::figures::{
     fig8_spec, fig9_spec, participation_axis, transit_policy_series, FIG9_RATE_LIMIT_BPS,
 };
+use mafic_suite::experiments::run_specs;
 use mafic_suite::workload::{run_spec, RunOutcome, ScenarioSpec};
 
 fn run_fraction(fraction: f64) -> RunOutcome {

@@ -6,8 +6,8 @@
 //! stubs, with collateral damage reported at every depth — and the
 //! whole sweep must be deterministic at any engine worker count.
 
-use mafic_suite::experiments::engine::run_specs;
 use mafic_suite::experiments::figures::{depth_axis, fig8_spec};
+use mafic_suite::experiments::run_specs;
 use mafic_suite::workload::{run_spec, RunOutcome};
 
 fn run_depth(depth: u32) -> RunOutcome {
