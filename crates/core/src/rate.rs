@@ -7,13 +7,163 @@
 //! over arbitrary sub-windows — the rate just before the probe
 //! (baseline) and the rate just before the 2×RTT deadline.
 //!
-//! Storage is a dense vector indexed by the interned [`FlowId`]: the
-//! per-packet `record` is an array index plus a ring-buffer push, no
-//! hashing.
+//! Storage is a dense vector of window headers indexed by the interned
+//! [`FlowId`], over one pool of fixed-size timestamp chunks shared by
+//! every flow: a window is a linked run of chunks, so the per-packet
+//! `record` is an array index plus a slot write, no hashing. A chunk a
+//! window prunes past, or an evicted window's chunks, go on a free list
+//! and are the next handed out, so which chunk is reused depends only
+//! on the event sequence, and the pool grows only when every chunk is
+//! in use.
 
 use mafic_netsim::{FlowId, SimDuration, SimTime};
 use mafic_obs::{SnapError, SnapReader, State, StateWrite};
-use std::collections::VecDeque;
+
+/// Timestamps per pool chunk.
+const CHUNK: usize = 16;
+
+/// The "no chunk" link.
+const NIL: u32 = u32::MAX;
+
+/// One pool chunk: a run of timestamps and the link to the window's
+/// next chunk (or, while free, to the next free chunk).
+#[derive(Debug)]
+struct Chunk {
+    stamps: [SimTime; CHUNK],
+    next: u32,
+}
+
+/// A flow's arrival window: `len` non-decreasing timestamps laid out
+/// from offset `start` of chunk `head` through chunk `tail`.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    head: u32,
+    tail: u32,
+    start: u32,
+    len: u32,
+}
+
+impl Window {
+    /// An untracked flow (never seen, or evicted).
+    const EMPTY: Window = Window {
+        head: NIL,
+        tail: NIL,
+        start: 0,
+        len: 0,
+    };
+}
+
+/// The chunk pool with its free list threaded through `Chunk::next`.
+#[derive(Debug)]
+struct StampPool {
+    chunks: Vec<Chunk>,
+    free: u32,
+}
+
+impl StampPool {
+    fn new() -> Self {
+        StampPool {
+            chunks: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Hands out the most recently freed chunk, else a new one.
+    fn alloc(&mut self) -> u32 {
+        if self.free == NIL {
+            self.chunks.push(Chunk {
+                stamps: [SimTime::ZERO; CHUNK],
+                next: NIL,
+            });
+            return u32::try_from(self.chunks.len() - 1).expect("pool chunk count fits u32");
+        }
+        let c = self.free;
+        self.free = std::mem::replace(&mut self.chunks[c as usize].next, NIL);
+        c
+    }
+
+    fn release(&mut self, c: u32) {
+        self.chunks[c as usize].next = self.free;
+        self.free = c;
+    }
+
+    /// Forgets every chunk, keeping the pool's capacity.
+    fn clear(&mut self) {
+        self.chunks.clear();
+        self.free = NIL;
+    }
+
+    fn push(&mut self, w: &mut Window, t: SimTime) {
+        debug_assert!(w.len == 0 || self.back(w) <= t, "arrivals out of order");
+        let pos = (w.start + w.len) as usize % CHUNK;
+        if w.len == 0 {
+            let c = self.alloc();
+            *w = Window {
+                head: c,
+                tail: c,
+                start: 0,
+                len: 0,
+            };
+        } else if pos == 0 {
+            let c = self.alloc();
+            self.chunks[w.tail as usize].next = c;
+            w.tail = c;
+        }
+        self.chunks[w.tail as usize].stamps[pos] = t;
+        w.len += 1;
+    }
+
+    fn front(&self, w: &Window) -> SimTime {
+        self.chunks[w.head as usize].stamps[w.start as usize]
+    }
+
+    fn back(&self, w: &Window) -> SimTime {
+        let pos = (w.start + w.len - 1) as usize % CHUNK;
+        self.chunks[w.tail as usize].stamps[pos]
+    }
+
+    fn pop_front(&mut self, w: &mut Window) {
+        w.start += 1;
+        w.len -= 1;
+        if w.len == 0 {
+            self.release(w.head);
+            *w = Window::EMPTY;
+        } else if w.start as usize == CHUNK {
+            let old = w.head;
+            w.head = self.chunks[old as usize].next;
+            w.start = 0;
+            self.release(old);
+        }
+    }
+
+    /// Returns every chunk of `w` to the free list, head first.
+    fn release_window(&mut self, w: &mut Window) {
+        let mut c = w.head;
+        for _ in 0..(w.start + w.len).div_ceil(CHUNK as u32) {
+            let next = self.chunks[c as usize].next;
+            self.release(c);
+            c = next;
+        }
+        *w = Window::EMPTY;
+    }
+
+    /// The window's timestamps as one sorted slice per chunk.
+    fn segments(&self, w: Window) -> impl Iterator<Item = &[SimTime]> + '_ {
+        let (mut c, mut start, mut left) = (w.head, w.start as usize, w.len as usize);
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            let chunk = &self.chunks[c as usize];
+            let end = CHUNK.min(start + left);
+            let seg = &chunk.stamps[start..end];
+            left -= end - start;
+            start = 0;
+            c = chunk.next;
+            Some(seg)
+        })
+    }
+}
 
 /// Sliding-window arrival recorder for all victim-bound flows at one
 /// router.
@@ -21,9 +171,11 @@ use std::collections::VecDeque;
 pub(crate) struct ArrivalTracker {
     horizon: SimDuration,
     max_flows: usize,
-    /// Arrival windows, indexed densely by flow id. An empty deque means
-    /// the flow is untracked (never seen, or evicted).
-    flows: Vec<VecDeque<SimTime>>,
+    /// Arrival windows, indexed densely by flow id. An empty window
+    /// means the flow is untracked (never seen, or evicted).
+    flows: Vec<Window>,
+    /// Every window's timestamps.
+    pool: StampPool,
     /// Indices of the non-empty windows, in first-tracked order. Bounds
     /// the eviction scan to the tracked population (≤ `max_flows`)
     /// instead of every flow id the domain ever minted.
@@ -48,6 +200,7 @@ impl ArrivalTracker {
             horizon,
             max_flows,
             flows: Vec::new(),
+            pool: StampPool::new(),
             active_ids: Vec::new(),
             evict_cursor: 0,
         }
@@ -57,30 +210,21 @@ impl ArrivalTracker {
     pub(crate) fn record(&mut self, flow: FlowId, now: SimTime) {
         let idx = flow.index();
         if idx >= self.flows.len() {
-            self.flows.resize_with(idx + 1, VecDeque::new);
+            self.flows.resize(idx + 1, Window::EMPTY);
         }
-        if self.flows[idx].is_empty() {
+        if self.flows[idx].len == 0 {
             if self.active_ids.len() >= self.max_flows {
                 self.evict_stalest();
             }
             self.active_ids.push(idx as u32);
         }
-        let q = &mut self.flows[idx];
-        q.push_back(now);
-        // Prune beyond the horizon.
-        let cutoff = now.saturating_since(SimTime::ZERO);
-        let keep_from = if cutoff > self.horizon {
-            now.saturating_since(SimTime::ZERO) - self.horizon
-        } else {
-            SimDuration::ZERO
-        };
-        let keep_from = SimTime::ZERO + keep_from;
-        while let Some(&front) = q.front() {
-            if front < keep_from {
-                q.pop_front();
-            } else {
-                break;
-            }
+        let w = &mut self.flows[idx];
+        self.pool.push(w, now);
+        // Prune beyond the horizon; `now` itself always stays.
+        let since_zero = now.saturating_since(SimTime::ZERO);
+        let keep_from = SimTime::ZERO + (since_zero - since_zero.min(self.horizon));
+        while self.pool.front(w) < keep_from {
+            self.pool.pop_front(w);
         }
     }
 
@@ -105,22 +249,17 @@ impl ArrivalTracker {
         for i in 0..sample {
             let pos = (self.evict_cursor + i) % len;
             let idx = self.active_ids[pos];
-            let last = self.flows[idx as usize]
-                .back()
-                .copied()
-                .unwrap_or(SimTime::ZERO);
+            let last = self.pool.back(&self.flows[idx as usize]);
             match best {
                 Some((b_last, b_idx, _)) if (b_last, b_idx) <= (last, idx) => {}
                 _ => best = Some((last, idx, pos)),
             }
         }
         if let Some((_, idx, pos)) = best {
-            // Replace rather than clear: an evicted flood flow can hold a
-            // full horizon of timestamps, and under sustained eviction
-            // pressure retained capacities would grow with every distinct
-            // flow ever tracked. The dense index keeps only the empty
-            // deque header (a few words) per id.
-            self.flows[idx as usize] = VecDeque::new();
+            // The evicted window's chunks go back to the pool, so under
+            // sustained eviction pressure the pool stays sized to the
+            // tracked population, not to every flow ever tracked.
+            self.pool.release_window(&mut self.flows[idx as usize]);
             self.active_ids.swap_remove(pos);
             self.evict_cursor = if len > 1 { (pos + 1) % (len - 1) } else { 0 };
         }
@@ -129,12 +268,23 @@ impl ArrivalTracker {
     /// Number of arrivals of `flow` within `(end - window, end]`.
     #[must_use]
     pub(crate) fn count_in(&self, flow: FlowId, end: SimTime, window: SimDuration) -> usize {
-        let Some(q) = self.flows.get(flow.index()) else {
+        let Some(&w) = self.flows.get(flow.index()) else {
             return 0;
         };
         let since_zero = end.saturating_since(SimTime::ZERO);
         let lo = SimTime::ZERO + (since_zero - since_zero.min(window));
-        q.iter().filter(|&&t| t > lo && t <= end).count()
+        let mut n = 0;
+        for seg in self.pool.segments(w) {
+            let (first, last) = (seg[0], seg[seg.len() - 1]);
+            if last <= lo {
+                continue;
+            }
+            if first > end {
+                break;
+            }
+            n += seg.partition_point(|&t| t <= end) - seg.partition_point(|&t| t <= lo);
+        }
+        n
     }
 
     /// Arrival rate (packets/s) of `flow` over `[end - window, end]`.
@@ -149,11 +299,12 @@ impl ArrivalTracker {
     }
 
     /// Drops all state (table flush at pushback end), keeping the dense
-    /// allocation for the next activation.
+    /// index and the pool's capacity for the next activation.
     pub(crate) fn clear(&mut self) {
-        for q in &mut self.flows {
-            q.clear();
+        for &idx in &self.active_ids {
+            self.flows[idx as usize] = Window::EMPTY;
         }
+        self.pool.clear();
         self.active_ids.clear();
         self.evict_cursor = 0;
     }
@@ -166,10 +317,12 @@ const MAX_RESTORED_FLOW_INDEX: u32 = 1 << 20;
 impl State for ArrivalTracker {
     /// The eviction clock and the active windows. `active_ids` order is
     /// part of the eviction clock, so it is written positionally; the
-    /// per-flow windows follow in that same order. `horizon` and
-    /// `max_flows` are build-time configuration (hashed, not saved). The
-    /// dense `flows` vector is rebuilt sized to the largest saved id —
-    /// empty trailing headers are capacity, not state.
+    /// per-flow windows follow in that same order, each as a counted
+    /// sequence of timestamps. `horizon` and `max_flows` are build-time
+    /// configuration (hashed, not saved). Which pool chunks hold a
+    /// window is layout, not state: restore lays the windows out afresh,
+    /// and the dense `flows` vector is rebuilt sized to the largest
+    /// saved id — empty trailing headers are capacity, not state.
     fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.hash_only(|h| {
             h.write_u64(self.horizon.as_nanos());
@@ -178,14 +331,25 @@ impl State for ArrivalTracker {
         w.write_usize(self.evict_cursor);
         w.write_usize(self.active_ids.len());
         for &idx in &self.active_ids {
+            let window = self.flows[idx as usize];
             w.write_u32(idx);
-            w.write_seq(&self.flows[idx as usize], |w, t| w.write_u64(t.as_nanos()));
+            w.write_usize(window.len as usize);
+            for seg in self.pool.segments(window) {
+                for t in seg {
+                    w.write_u64(t.as_nanos());
+                }
+            }
         }
     }
 
+    /// Rejects what the windows cannot hold: a flow listed twice (its
+    /// chunks would be linked twice), an empty window (`record` would
+    /// list the flow again), and timestamps that decrease (`count_in`
+    /// searches each chunk as a sorted run).
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.evict_cursor = r.read_usize()?;
         self.flows.clear();
+        self.pool.clear();
         self.active_ids.clear();
         for _ in 0..r.read_len()? {
             let idx = r.read_u32()?;
@@ -197,11 +361,31 @@ impl State for ArrivalTracker {
                     "flow index {idx} out of range"
                 )));
             }
-            self.active_ids.push(idx);
             if idx as usize >= self.flows.len() {
-                self.flows.resize_with(idx as usize + 1, VecDeque::new);
+                self.flows.resize(idx as usize + 1, Window::EMPTY);
             }
-            self.flows[idx as usize] = r.read_seq(|r| r.read_u64().map(SimTime::from_nanos))?;
+            let w = &mut self.flows[idx as usize];
+            if w.len != 0 {
+                return Err(SnapError::Malformed(format!(
+                    "flow index {idx} listed twice"
+                )));
+            }
+            let n = r.read_len()?;
+            if n == 0 {
+                return Err(SnapError::Malformed(format!(
+                    "flow index {idx} has an empty window"
+                )));
+            }
+            for _ in 0..n {
+                let t = SimTime::from_nanos(r.read_u64()?);
+                if w.len != 0 && t < self.pool.back(w) {
+                    return Err(SnapError::Malformed(format!(
+                        "flow index {idx}: arrival timestamps decrease"
+                    )));
+                }
+                self.pool.push(w, t);
+            }
+            self.active_ids.push(idx);
         }
         Ok(())
     }
@@ -211,6 +395,164 @@ impl State for ArrivalTracker {
 mod tests {
     use super::*;
     use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
+
+    /// The tracker as it was before the chunk pool: one deque per flow.
+    /// The differential test below holds the pool to it, answer for
+    /// answer and byte for byte.
+    struct Oracle {
+        horizon: SimDuration,
+        max_flows: usize,
+        flows: Vec<VecDeque<SimTime>>,
+        active_ids: Vec<u32>,
+        evict_cursor: usize,
+    }
+
+    impl Oracle {
+        fn new(horizon: SimDuration, max_flows: usize) -> Self {
+            Oracle {
+                horizon,
+                max_flows,
+                flows: Vec::new(),
+                active_ids: Vec::new(),
+                evict_cursor: 0,
+            }
+        }
+
+        fn record(&mut self, flow: FlowId, now: SimTime) {
+            let idx = flow.index();
+            if idx >= self.flows.len() {
+                self.flows.resize_with(idx + 1, VecDeque::new);
+            }
+            if self.flows[idx].is_empty() {
+                if self.active_ids.len() >= self.max_flows {
+                    self.evict_stalest();
+                }
+                self.active_ids.push(idx as u32);
+            }
+            let q = &mut self.flows[idx];
+            q.push_back(now);
+            let since_zero = now.saturating_since(SimTime::ZERO);
+            let keep_from = SimTime::ZERO + (since_zero - since_zero.min(self.horizon));
+            while q.front().is_some_and(|&front| front < keep_from) {
+                q.pop_front();
+            }
+        }
+
+        fn evict_stalest(&mut self) {
+            let len = self.active_ids.len();
+            let sample = ArrivalTracker::EVICTION_SAMPLE.min(len);
+            let mut best: Option<(SimTime, u32, usize)> = None;
+            for i in 0..sample {
+                let pos = (self.evict_cursor + i) % len;
+                let idx = self.active_ids[pos];
+                let last = *self.flows[idx as usize].back().unwrap();
+                match best {
+                    Some((b_last, b_idx, _)) if (b_last, b_idx) <= (last, idx) => {}
+                    _ => best = Some((last, idx, pos)),
+                }
+            }
+            let (_, idx, pos) = best.unwrap();
+            self.flows[idx as usize] = VecDeque::new();
+            self.active_ids.swap_remove(pos);
+            self.evict_cursor = if len > 1 { (pos + 1) % (len - 1) } else { 0 };
+        }
+
+        fn count_in(&self, flow: FlowId, end: SimTime, window: SimDuration) -> usize {
+            let Some(q) = self.flows.get(flow.index()) else {
+                return 0;
+            };
+            let since_zero = end.saturating_since(SimTime::ZERO);
+            let lo = SimTime::ZERO + (since_zero - since_zero.min(window));
+            q.iter().filter(|&&t| t > lo && t <= end).count()
+        }
+
+        fn clear(&mut self) {
+            for q in &mut self.flows {
+                q.clear();
+            }
+            self.active_ids.clear();
+            self.evict_cursor = 0;
+        }
+    }
+
+    impl State for Oracle {
+        fn write_state<W: StateWrite>(&self, w: &mut W) {
+            w.hash_only(|h| {
+                h.write_u64(self.horizon.as_nanos());
+                h.write_usize(self.max_flows);
+            });
+            w.write_usize(self.evict_cursor);
+            w.write_usize(self.active_ids.len());
+            for &idx in &self.active_ids {
+                w.write_u32(idx);
+                w.write_seq(&self.flows[idx as usize], |w, t| w.write_u64(t.as_nanos()));
+            }
+        }
+
+        fn read_state(&mut self, _: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            unreachable!("the oracle is never restored")
+        }
+    }
+
+    #[test]
+    fn pool_matches_per_flow_deques() {
+        const FLOWS: usize = 24;
+        let horizon = SimDuration::from_millis(60);
+        for seed in [1u64, 2, 3] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut pool = ArrivalTracker::new(horizon, 6);
+            let mut oracle = Oracle::new(horizon, 6);
+            let mut now = SimTime::ZERO;
+            let mut longest = 0;
+            for op in 0..4_000 {
+                // Steps of zero put equal timestamps in one window.
+                now += SimDuration::from_nanos(rng.gen_range(0..500_000));
+                if op % 1_300 == 1_299 {
+                    pool.clear();
+                    oracle.clear();
+                } else {
+                    // A few hot flows keep windows chunks long; the
+                    // rest churn through eviction.
+                    let f = if rng.gen_bool(0.6) {
+                        rng.gen_range(0..3)
+                    } else {
+                        rng.gen_range(0..FLOWS)
+                    };
+                    pool.record(flow(f), now);
+                    oracle.record(flow(f), now);
+                    longest = longest.max(pool.flows[f].len as usize);
+                }
+                assert_eq!(
+                    state_bytes(&pool),
+                    state_bytes(&oracle),
+                    "seed {seed} op {op}"
+                );
+                assert_eq!(
+                    state_hash(&pool),
+                    state_hash(&oracle),
+                    "seed {seed} op {op}"
+                );
+                for f in 0..=FLOWS {
+                    let end = SimTime::from_nanos(
+                        now.as_nanos()
+                            .saturating_sub(rng.gen_range(0..80_000_000u64)),
+                    );
+                    let window = SimDuration::from_nanos(rng.gen_range(0..90_000_000u64));
+                    for (end, window) in [(end, window), (now, horizon), (now, SimDuration::ZERO)] {
+                        assert_eq!(
+                            pool.count_in(flow(f), end, window),
+                            oracle.count_in(flow(f), end, window),
+                            "seed {seed} op {op} flow {f}"
+                        );
+                    }
+                }
+            }
+            assert!(longest > 2 * CHUNK, "windows must span several chunks");
+        }
+    }
 
     fn flow(n: usize) -> FlowId {
         FlowId::from_index(n)
@@ -331,6 +673,54 @@ mod tests {
             back.count_in(flow(3), t(100), SimDuration::from_millis(100)),
             1
         );
+    }
+
+    /// A tracker holding flows 1 and 2, and its payload.
+    fn two_flow_payload() -> (ArrivalTracker, Vec<u8>) {
+        let mut tr = ArrivalTracker::new(SimDuration::from_secs(10), 4);
+        tr.record(flow(1), t(10));
+        tr.record(flow(1), t(20));
+        tr.record(flow(2), t(30));
+        let bytes = state_bytes(&tr);
+        (tr, bytes)
+    }
+
+    fn restore(bytes: &[u8]) -> Result<(), SnapError> {
+        ArrivalTracker::new(SimDuration::from_secs(10), 4).read_state(&mut SnapReader::new(bytes))
+    }
+
+    // Payload layout: evict_cursor (u64), active count (u64), then per
+    // flow its u32 index, its window length (u64) and the timestamps.
+    const FLOW1_AT: usize = 16;
+    const FLOW2_AT: usize = FLOW1_AT + 4 + 8 + 2 * 8;
+
+    #[test]
+    fn restore_rejects_a_flow_listed_twice() {
+        let (_, mut bytes) = two_flow_payload();
+        assert!(restore(&bytes).is_ok());
+        bytes[FLOW2_AT..FLOW2_AT + 4].copy_from_slice(&1u32.to_le_bytes());
+        let err = restore(&bytes).expect_err("a repeated flow index must be refused");
+        assert!(matches!(err, SnapError::Malformed(_)), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_decreasing_timestamps() {
+        let (_, mut bytes) = two_flow_payload();
+        let stamps = FLOW1_AT + 4 + 8;
+        let (a, b) = bytes[stamps..stamps + 16].split_at_mut(8);
+        a.swap_with_slice(b);
+        let err = restore(&bytes).expect_err("a window that runs backwards must be refused");
+        assert!(matches!(err, SnapError::Malformed(_)), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_an_empty_window() {
+        let (_, mut bytes) = two_flow_payload();
+        // Flow 2 is last: cut its one timestamp and zero its count.
+        bytes.truncate(bytes.len() - 8);
+        bytes[FLOW2_AT + 4..FLOW2_AT + 12].copy_from_slice(&0u64.to_le_bytes());
+        let err = restore(&bytes).expect_err("an active flow with no arrivals must be refused");
+        assert!(matches!(err, SnapError::Malformed(_)), "{err}");
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! arrive while the transmitter is busy wait in a bounded FIFO queue and
 //! are dropped (drop-tail) when the queue is full — the same model NS-2's
 //! `SimplexLink` + `DropTail` queue combination provides.
+//!
+//! Accepted packets wait out their propagation delay in one FIFO of
+//! `(due, handle)` pairs per link; the ring keeps its capacity as it
+//! drains, so a link allocates only while its deepest backlog grows.
 
 use crate::arena::PacketRef;
 use crate::ids::NodeId;
@@ -77,9 +81,9 @@ pub(crate) enum EnqueueOutcome {
 /// scheduler: the only event a traversal costs is the delivery at the
 /// far end.
 ///
-/// Packets are held by arena handle only. The delivery FIFO is two
-/// parallel arrays (due instants and handles, SoA) drained in one pass
-/// per [`crate::event::EventKind::LinkDeliver`]; `starts` records the
+/// Packets are held by arena handle only. The delivery FIFO is one
+/// deque of `(due instant, handle)` pairs drained in one pass per
+/// [`crate::event::EventKind::LinkDeliver`]; `starts` records the
 /// serialization-start instants of packets that may still be waiting,
 /// which is exactly the state drop-tail admission needs (a packet
 /// occupies the queue while `now < start`).
@@ -100,11 +104,10 @@ pub(crate) struct Link {
     /// to recomputing because [`LinkSpec::tx_time`] is a pure function of
     /// `(size, spec)` and `spec` is immutable after construction.
     last_tx: Option<(u32, SimDuration)>,
-    /// Propagation-delay FIFO: completion instants (non-decreasing —
-    /// serialization finishes in order and delay is constant) ...
-    pending_due: VecDeque<SimTime>,
-    /// ... and the matching packet handles.
-    pending_refs: VecDeque<PacketRef>,
+    /// Propagation-delay FIFO of `(due, handle)` pairs. Dues are
+    /// non-decreasing — serialization finishes in order and delay is
+    /// constant — so [`Link::pop_due`] need only look at the front.
+    pending: VecDeque<(SimTime, PacketRef)>,
     /// Counters for observability.
     pub(crate) enqueued: u64,
     pub(crate) dropped_queue_full: u64,
@@ -119,8 +122,7 @@ impl Link {
             busy_until: SimTime::ZERO,
             starts: VecDeque::new(),
             last_tx: None,
-            pending_due: VecDeque::new(),
-            pending_refs: VecDeque::new(),
+            pending: VecDeque::new(),
             enqueued: 0,
             dropped_queue_full: 0,
         }
@@ -184,20 +186,18 @@ impl Link {
     /// end at `due`.
     pub(crate) fn push_delivery(&mut self, due: SimTime, packet: PacketRef) {
         debug_assert!(
-            self.pending_due.back().is_none_or(|&last| due >= last),
+            self.pending.back().is_none_or(|&(last, _)| due >= last),
             "delivery dues must be non-decreasing"
         );
-        self.pending_due.push_back(due);
-        self.pending_refs.push_back(packet);
+        self.pending.push_back((due, packet));
     }
 
     /// Pops the next delivery if it is due at or before `now`.
     pub(crate) fn pop_due(&mut self, now: SimTime) -> Option<PacketRef> {
-        if *self.pending_due.front()? > now {
+        if self.pending.front()?.0 > now {
             return None;
         }
-        self.pending_due.pop_front();
-        self.pending_refs.pop_front()
+        self.pending.pop_front().map(|(_, packet)| packet)
     }
 
     /// Queue occupancy at `now` (excluding the packet on the wire):
@@ -221,7 +221,9 @@ impl State for Link {
     /// The `last_tx` serialization-time memo is in neither: it is a pure
     /// cache over the immutable spec, and whether it is warm depends
     /// only on call history the queues already pin down; restore resets
-    /// it.
+    /// it. The delivery FIFO is written as two runs, every due under one
+    /// count and then every handle, the layout of the parallel arrays
+    /// it once was.
     fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.hash_only(|h| {
             h.write_u32(self.from.0);
@@ -232,8 +234,8 @@ impl State for Link {
         });
         w.write_u64(self.busy_until.as_nanos());
         w.write_seq(&self.starts, |w, s| w.write_u64(s.as_nanos()));
-        w.write_seq(&self.pending_due, |w, d| w.write_u64(d.as_nanos()));
-        for r in &self.pending_refs {
+        w.write_seq(&self.pending, |w, (d, _)| w.write_u64(d.as_nanos()));
+        for (_, r) in &self.pending {
             w.write_u32(r.0);
         }
         w.write_u64(self.enqueued);
@@ -244,8 +246,20 @@ impl State for Link {
         self.busy_until = SimTime::from_nanos(r.read_u64()?);
         let instant = |r: &mut SnapReader<'_>| r.read_u64().map(SimTime::from_nanos);
         self.starts = r.read_seq(instant)?;
-        self.pending_due = r.read_seq(instant)?;
-        self.pending_refs = r.read_n(self.pending_due.len(), |r| r.read_u32().map(PacketRef))?;
+        let dues: Vec<SimTime> = r.read_seq(instant)?;
+        // `pop_due` looks only at the front: a due behind a later one
+        // would never be delivered on time.
+        if let Some(pair) = dues.windows(2).find(|pair| pair[1] < pair[0]) {
+            return Err(SnapError::Malformed(format!(
+                "link delivery dues decrease: {} ns after {} ns",
+                pair[1].as_nanos(),
+                pair[0].as_nanos()
+            )));
+        }
+        self.pending.clear();
+        for due in dues {
+            self.pending.push_back((due, PacketRef(r.read_u32()?)));
+        }
         self.enqueued = r.read_u64()?;
         self.dropped_queue_full = r.read_u64()?;
         self.last_tx = None;
@@ -371,6 +385,23 @@ mod tests {
         // The spec is configuration: hashed, not saved.
         assert_ne!(state_hash(&link(3)), state_hash(&link(2)));
         assert_eq!(state_bytes(&link(3)), state_bytes(&link(2)));
+    }
+
+    #[test]
+    fn restore_rejects_decreasing_dues() {
+        let mut l = link(2);
+        let _ = l.enqueue(PacketRef(1), 1000, SimTime::ZERO);
+        let _ = l.enqueue(PacketRef(2), 1000, SimTime::ZERO);
+        let mut bytes = state_bytes(&l);
+        // Layout: busy_until, the `starts` count and entries, the due
+        // count, then the dues. Swap the two dues.
+        let first = 8 + 8 + 8 * l.starts.len() + 8;
+        let (a, b) = bytes[first..first + 16].split_at_mut(8);
+        a.swap_with_slice(b);
+        let err = link(2)
+            .read_state(&mut SnapReader::new(&bytes))
+            .expect_err("a due behind a later one must be refused");
+        assert!(matches!(err, SnapError::Malformed(_)), "{err}");
     }
 
     #[test]

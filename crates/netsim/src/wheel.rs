@@ -19,6 +19,12 @@
 //! on the entry); the wheel's granularity affects bucketing only, never
 //! firing times.
 //!
+//! Popping allocates nothing in steady state: expired timers are
+//! appended to a buffer the caller owns (the simulator keeps one across
+//! the whole run), the wheel sorts them in a scratch vector it keeps,
+//! and a bucket that cascades is swapped for a recycled empty vector
+//! rather than left without capacity.
+//!
 //! There is no cancel operation: consumers (the MAFIC dropper) treat a
 //! stale fire as a no-op by re-checking per-flow state, which is cheaper
 //! than tombstone bookkeeping on the arm-heavy path.
@@ -65,6 +71,11 @@ pub(crate) struct TimerWheel<T> {
     /// Cached earliest deadline; `None` when it must be recomputed.
     cached_next: Option<SimTime>,
     cache_valid: bool,
+    /// Scratch kept across pops, empty between them: the entries one
+    /// pop fires, gathered for sorting ...
+    fired: Vec<Entry<T>>,
+    /// ... and the empty vector swapped in for a bucket that cascades.
+    spare: Vec<Entry<T>>,
 }
 
 impl<T> TimerWheel<T> {
@@ -80,6 +91,8 @@ impl<T> TimerWheel<T> {
             scheduled_total: 0,
             cached_next: None,
             cache_valid: true,
+            fired: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -170,15 +183,20 @@ impl<T> TimerWheel<T> {
         best
     }
 
-    /// Advances the wheel to `now` and returns every timer with
-    /// `deadline <= now`, in `(deadline, sequence)` order.
-    pub(crate) fn pop_expired(&mut self, now: SimTime) -> Vec<T> {
+    /// Advances the wheel to `now` and appends every timer with
+    /// `deadline <= now` to `out`, in `(deadline, sequence)` order.
+    ///
+    /// `out` belongs to the caller, which drains it between calls, and
+    /// the wheel's own sort and cascade scratch is kept across calls:
+    /// once the buffers have grown to the largest batch, a pop
+    /// allocates nothing.
+    pub(crate) fn pop_expired(&mut self, now: SimTime, out: &mut Vec<T>) {
         if self.len == 0 {
             self.cur_tick = self.cur_tick.max(tick_of(now));
-            return Vec::new();
+            return;
         }
         let target_tick = tick_of(now);
-        let mut fired: Vec<Entry<T>> = Vec::new();
+        let mut fired = std::mem::take(&mut self.fired);
         loop {
             let slot = &mut self.level0[(self.cur_tick % L0_SPAN) as usize];
             if !slot.is_empty() {
@@ -199,29 +217,39 @@ impl<T> TimerWheel<T> {
             self.cur_tick += 1;
             if self.cur_tick.is_multiple_of(L0_SPAN) {
                 let l1_slot = ((self.cur_tick / L0_SPAN) % L1_SLOTS as u64) as usize;
-                let entries = std::mem::take(&mut self.level1[l1_slot]);
-                for e in entries {
-                    self.place(e);
-                }
+                let entries =
+                    std::mem::replace(&mut self.level1[l1_slot], std::mem::take(&mut self.spare));
+                self.cascade(entries);
             }
             if self.cur_tick.is_multiple_of(L1_SPAN) {
                 let l2_slot = ((self.cur_tick / L1_SPAN) % L2_SLOTS as u64) as usize;
-                let entries = std::mem::take(&mut self.level2[l2_slot]);
-                for e in entries {
-                    self.place(e);
-                }
+                let entries =
+                    std::mem::replace(&mut self.level2[l2_slot], std::mem::take(&mut self.spare));
+                self.cascade(entries);
             }
             if self.cur_tick.is_multiple_of(L2_SPAN) {
-                let entries = std::mem::take(&mut self.overflow);
-                for e in entries {
-                    self.place(e);
-                }
+                let entries =
+                    std::mem::replace(&mut self.overflow, std::mem::take(&mut self.spare));
+                self.cascade(entries);
             }
         }
-        fired.sort_by_key(|e| (e.at, e.seq));
+        // `(at, seq)` is unique per entry, so the unstable sort yields
+        // the one order a stable sort would, without a merge buffer.
+        fired.sort_unstable_by_key(|e| (e.at, e.seq));
         self.len -= fired.len();
         self.cache_valid = false;
-        fired.into_iter().map(|e| e.payload).collect()
+        out.extend(fired.drain(..).map(|e| e.payload));
+        self.fired = fired;
+    }
+
+    /// Re-places the entries of a bucket the wheel just turned past,
+    /// then keeps the emptied vector as the spare the next turned-past
+    /// bucket is swapped for.
+    fn cascade(&mut self, mut entries: Vec<Entry<T>>) {
+        for e in entries.drain(..) {
+            self.place(e);
+        }
+        self.spare = entries;
     }
 
     /// Walks the wheel in physical storage order — every slot of every
@@ -307,6 +335,131 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
+    impl<T> TimerWheel<T> {
+        /// One pop into a fresh buffer.
+        fn pop(&mut self, now: SimTime) -> Vec<T> {
+            let mut out = Vec::new();
+            self.pop_expired(now, &mut out);
+            out
+        }
+
+        /// `pop_expired` as it was before the caller-owned buffer: a
+        /// fresh `Vec` per call, cascades through `mem::take`, a stable
+        /// sort. The differential test holds the new pop to it.
+        fn pop_returning_vec(&mut self, now: SimTime) -> Vec<T> {
+            if self.len == 0 {
+                self.cur_tick = self.cur_tick.max(tick_of(now));
+                return Vec::new();
+            }
+            let target_tick = tick_of(now);
+            let mut fired: Vec<Entry<T>> = Vec::new();
+            loop {
+                let slot = &mut self.level0[(self.cur_tick % L0_SPAN) as usize];
+                let mut i = 0;
+                while i < slot.len() {
+                    if slot[i].at <= now {
+                        fired.push(slot.swap_remove(i));
+                    } else {
+                        i += 1;
+                    }
+                }
+                if self.cur_tick >= target_tick {
+                    break;
+                }
+                self.cur_tick += 1;
+                if self.cur_tick.is_multiple_of(L0_SPAN) {
+                    let l1_slot = ((self.cur_tick / L0_SPAN) % L1_SLOTS as u64) as usize;
+                    for e in std::mem::take(&mut self.level1[l1_slot]) {
+                        self.place(e);
+                    }
+                }
+                if self.cur_tick.is_multiple_of(L1_SPAN) {
+                    let l2_slot = ((self.cur_tick / L1_SPAN) % L2_SLOTS as u64) as usize;
+                    for e in std::mem::take(&mut self.level2[l2_slot]) {
+                        self.place(e);
+                    }
+                }
+                if self.cur_tick.is_multiple_of(L2_SPAN) {
+                    for e in std::mem::take(&mut self.overflow) {
+                        self.place(e);
+                    }
+                }
+            }
+            fired.sort_by_key(|e| (e.at, e.seq));
+            self.len -= fired.len();
+            self.cache_valid = false;
+            fired.into_iter().map(|e| e.payload).collect()
+        }
+    }
+
+    #[test]
+    fn reused_buffer_pop_matches_returned_vec_pop() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        // Horizons by where an insert lands: level 0, level 1, level 2,
+        // overflow (level 2 spans about 18 minutes).
+        const HORIZONS_MS: [(u64, u64); 4] = [
+            (0, 260),
+            (300, 16_000),
+            (20_000, 1_000_000),
+            (1_200_000, 2_400_000),
+        ];
+        for seed in [1u64, 2, 3] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut new: TimerWheel<u64> = TimerWheel::new();
+            let mut old: TimerWheel<u64> = TimerWheel::new();
+            let mut horizon_of = Vec::new();
+            let mut fired_by_horizon = [0usize; 4];
+            let mut out = Vec::new();
+            let mut now = SimTime::ZERO;
+            while now < t(3 * 3_600_000) {
+                for _ in 0..rng.gen_range(0u32..6) {
+                    let h = rng.gen_range(0..HORIZONS_MS.len());
+                    let (lo, hi) = HORIZONS_MS[h];
+                    // Odd nanoseconds split ticks; a burst shares one
+                    // deadline, so only the sequence orders it.
+                    let mut at = now + SimDuration::from_millis(rng.gen_range(lo..hi));
+                    if rng.gen_bool(0.5) {
+                        at += SimDuration::from_nanos(rng.gen_range(0..1 << 21));
+                    }
+                    let burst = if rng.gen_bool(0.1) {
+                        rng.gen_range(3u32..40)
+                    } else {
+                        1
+                    };
+                    for _ in 0..burst {
+                        let id = horizon_of.len() as u64;
+                        horizon_of.push(h);
+                        new.insert(at, id);
+                        old.insert(at, id);
+                    }
+                }
+                now = match new.next_expiry() {
+                    Some(next) if rng.gen_bool(0.7) => next.max(now),
+                    _ => now + SimDuration::from_millis(rng.gen_range(0..120_000)),
+                };
+                assert_eq!(new.next_expiry(), old.next_expiry());
+                new.pop_expired(now, &mut out);
+                let expected = old.pop_returning_vec(now);
+                assert_eq!(out, expected, "seed {seed} at {now:?}");
+                for &id in &out {
+                    fired_by_horizon[horizon_of[id as usize]] += 1;
+                }
+                out.clear();
+                assert_eq!(
+                    state_bytes(&new),
+                    state_bytes(&old),
+                    "seed {seed} at {now:?}"
+                );
+                assert_eq!(state_hash(&new), state_hash(&old), "seed {seed} at {now:?}");
+            }
+            assert!(
+                fired_by_horizon.iter().all(|&n| n >= 20),
+                "every level must cascade timers out: {fired_by_horizon:?}"
+            );
+        }
+    }
+
     /// The wheel's walk takes its payload codec as an argument; fixing
     /// it to `u64` gives the law harness a plain [`State`] to drive.
     impl mafic_obs::State for TimerWheel<u64> {
@@ -326,9 +479,9 @@ mod tests {
         w.insert(t(5), "a");
         w.insert(t(10), "c");
         assert_eq!(w.next_expiry(), Some(t(5)));
-        assert_eq!(w.pop_expired(t(5)), vec!["a"]);
+        assert_eq!(w.pop(t(5)), vec!["a"]);
         assert_eq!(w.next_expiry(), Some(t(10)));
-        assert_eq!(w.pop_expired(t(10)), vec!["b", "c"]);
+        assert_eq!(w.pop(t(10)), vec!["b", "c"]);
         assert_eq!(w.next_expiry(), None);
         assert_eq!(w.len(), 0);
     }
@@ -342,9 +495,9 @@ mod tests {
         w.insert(b, "late");
         w.insert(a, "early");
         assert_eq!(w.next_expiry(), Some(a));
-        assert_eq!(w.pop_expired(a), vec!["early"]);
+        assert_eq!(w.pop(a), vec!["early"]);
         assert_eq!(w.next_expiry(), Some(b));
-        assert_eq!(w.pop_expired(b), vec!["late"]);
+        assert_eq!(w.pop(b), vec!["late"]);
     }
 
     #[test]
@@ -355,11 +508,11 @@ mod tests {
         w.insert(t(60_000), 2);
         w.insert(t(30 * 60_000), 3);
         assert_eq!(w.next_expiry(), Some(t(500)));
-        assert_eq!(w.pop_expired(t(500)), vec![1]);
+        assert_eq!(w.pop(t(500)), vec![1]);
         assert_eq!(w.next_expiry(), Some(t(60_000)));
-        assert_eq!(w.pop_expired(t(60_000)), vec![2]);
+        assert_eq!(w.pop(t(60_000)), vec![2]);
         assert_eq!(w.next_expiry(), Some(t(30 * 60_000)));
-        assert_eq!(w.pop_expired(t(30 * 60_000)), vec![3]);
+        assert_eq!(w.pop(t(30 * 60_000)), vec![3]);
         assert_eq!(w.len(), 0);
     }
 
@@ -369,17 +522,17 @@ mod tests {
         for ms in [7u64, 3, 900, 40, 3] {
             w.insert(t(ms), ms);
         }
-        let fired = w.pop_expired(t(1_000));
+        let fired = w.pop(t(1_000));
         assert_eq!(fired, vec![3, 3, 7, 40, 900]);
     }
 
     #[test]
     fn past_deadlines_fire_immediately() {
         let mut w = TimerWheel::new();
-        let _ = w.pop_expired(t(100)); // advance the wheel
+        let _ = w.pop(t(100)); // advance the wheel
         w.insert(t(50), "stale");
         assert_eq!(w.next_expiry(), Some(t(50)));
-        assert_eq!(w.pop_expired(t(100)), vec!["stale"]);
+        assert_eq!(w.pop(t(100)), vec!["stale"]);
     }
 
     #[test]
@@ -391,14 +544,14 @@ mod tests {
         let tick = |t: u64| SimTime::from_nanos(t << 20);
         let mut w = TimerWheel::new();
         w.insert(tick(100), "warm");
-        assert_eq!(w.pop_expired(tick(100)), vec!["warm"]); // cur_tick = 100
+        assert_eq!(w.pop(tick(100)), vec!["warm"]); // cur_tick = 100
         w.insert(tick(400), "outer"); // delta 300 -> level 1
-        let _ = w.pop_expired(tick(200)); // advance; no 256 boundary crossed
+        let _ = w.pop(tick(200)); // advance; no 256 boundary crossed
         w.insert(tick(420), "inner"); // delta 220 -> level 0
         assert_eq!(w.next_expiry(), Some(tick(400)), "outer entry is nearest");
-        assert_eq!(w.pop_expired(tick(400)), vec!["outer"]);
+        assert_eq!(w.pop(tick(400)), vec!["outer"]);
         assert_eq!(w.next_expiry(), Some(tick(420)));
-        assert_eq!(w.pop_expired(tick(420)), vec!["inner"]);
+        assert_eq!(w.pop(tick(420)), vec!["inner"]);
     }
 
     #[test]
@@ -410,13 +563,13 @@ mod tests {
         let tick = |t: u64| SimTime::from_nanos(t << 20);
         let mut w = TimerWheel::new();
         w.insert(tick(100), "warm");
-        assert_eq!(w.pop_expired(tick(100)), vec!["warm"]); // cur_tick = 100
+        assert_eq!(w.pop(tick(100)), vec!["warm"]); // cur_tick = 100
         w.insert(tick(16_400), "far"); // delta 16300 -> level-1 slot 0 (next rotation)
         w.insert(tick(400), "near"); // level-1 slot 1, this rotation
         assert_eq!(w.next_expiry(), Some(tick(400)), "near entry wins");
-        assert_eq!(w.pop_expired(tick(400)), vec!["near"]);
+        assert_eq!(w.pop(tick(400)), vec!["near"]);
         assert_eq!(w.next_expiry(), Some(tick(16_400)));
-        assert_eq!(w.pop_expired(tick(16_400)), vec!["far"]);
+        assert_eq!(w.pop(tick(16_400)), vec!["far"]);
     }
 
     #[test]
@@ -426,7 +579,7 @@ mod tests {
         w.insert(t(500), 2); // level 1
         w.insert(t(60_000), 3); // level 2
         w.insert(t(30 * 60_000), 4); // overflow
-        assert_eq!(w.pop_expired(t(3)), vec![1]);
+        assert_eq!(w.pop(t(3)), vec![1]);
         assert_state_law(&w, TimerWheel::new);
         let bytes = state_bytes(&w);
         let mut restored: TimerWheel<u64> = TimerWheel::new();
@@ -437,7 +590,7 @@ mod tests {
         assert_eq!(restored.scheduled_total(), 4);
         assert_eq!(state_hash(&w), state_hash(&restored));
         assert_eq!(restored.next_expiry(), Some(t(500)));
-        assert_eq!(restored.pop_expired(t(30 * 60_000)), vec![2, 3, 4]);
+        assert_eq!(restored.pop(t(30 * 60_000)), vec![2, 3, 4]);
     }
 
     #[test]
@@ -460,11 +613,11 @@ mod tests {
     fn interleaved_insert_and_pop_keeps_count() {
         let mut w = TimerWheel::new();
         w.insert(t(10), 1);
-        assert_eq!(w.pop_expired(t(10)), vec![1]);
+        assert_eq!(w.pop(t(10)), vec![1]);
         w.insert(t(700), 2); // level 1 relative to tick ~10ms
         w.insert(t(20), 3);
         assert_eq!(w.len(), 2);
-        assert_eq!(w.pop_expired(t(700)), vec![3, 2]);
+        assert_eq!(w.pop(t(700)), vec![3, 2]);
         assert_eq!(w.scheduled_total(), 3);
     }
 }

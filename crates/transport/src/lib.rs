@@ -41,6 +41,7 @@ mod rtt;
 mod sink;
 mod tcp;
 mod victim;
+mod window;
 
 pub use cbr::{CbrConfig, CbrProtocol, UnresponsiveSender};
 pub use rtt::RttEstimator;

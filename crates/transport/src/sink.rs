@@ -4,13 +4,15 @@
 //! the sender's timestamp so both the sender and the routers on the path
 //! can estimate the flow RTT — the paper's "RTT information is available
 //! in most TCP traffic flows by checking the time stamp in the packet
-//! header".
+//! header". The reorder buffer behind the cumulative ACK is the
+//! [`ReceiveWindow`] the victim's sink keeps per flow.
 
 use mafic_netsim::{
     Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimTime, SnapError, SnapReader,
     State, StateWrite,
 };
-use std::collections::BTreeSet;
+
+use crate::window::{Arrival, ReceiveWindow};
 
 /// A TCP receiver that ACKs every in-order or out-of-order segment.
 ///
@@ -23,8 +25,7 @@ pub struct TcpSink {
     /// The *forward* flow key (sender → sink); ACKs use the reverse.
     forward_key: FlowKey,
     ack_size: u32,
-    rcv_next: u64,
-    out_of_order: BTreeSet<u64>,
+    window: ReceiveWindow,
     acks_sent: u64,
     segments_received: u64,
     duplicate_segments: u64,
@@ -37,8 +38,7 @@ impl TcpSink {
         TcpSink {
             forward_key,
             ack_size,
-            rcv_next: 0,
-            out_of_order: BTreeSet::new(),
+            window: ReceiveWindow::default(),
             acks_sent: 0,
             segments_received: 0,
             duplicate_segments: 0,
@@ -50,7 +50,7 @@ impl TcpSink {
             id: ctx.fresh_packet_id(),
             key: self.forward_key.reversed(),
             kind: PacketKind::TcpAck {
-                ack: self.rcv_next,
+                ack: self.window.rcv_next(),
                 ts: ctx.now(),
                 ts_echo,
             },
@@ -78,15 +78,7 @@ impl Agent for TcpSink {
             return; // Not our flow (shared host).
         }
         self.segments_received += 1;
-        if seq == self.rcv_next {
-            self.rcv_next += 1;
-            // Drain any contiguous buffered run.
-            while self.out_of_order.remove(&self.rcv_next) {
-                self.rcv_next += 1;
-            }
-        } else if seq > self.rcv_next {
-            self.out_of_order.insert(seq);
-        } else {
+        if self.window.receive(seq) == Arrival::Old {
             self.duplicate_segments += 1;
         }
         self.send_ack(ts, ctx);
@@ -95,16 +87,14 @@ impl Agent for TcpSink {
 
 impl State for TcpSink {
     fn write_state<W: StateWrite>(&self, w: &mut W) {
-        w.write_u64(self.rcv_next);
-        w.write_seq(&self.out_of_order, |w, &seq| w.write_u64(seq));
+        self.window.write_state(w);
         w.write_u64(self.acks_sent);
         w.write_u64(self.segments_received);
         w.write_u64(self.duplicate_segments);
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.rcv_next = r.read_u64()?;
-        self.out_of_order = r.read_seq(|r| r.read_u64())?;
+        self.window.read_state(r)?;
         self.acks_sent = r.read_u64()?;
         self.segments_received = r.read_u64()?;
         self.duplicate_segments = r.read_u64()?;
@@ -150,7 +140,7 @@ mod tests {
         for seq in [0, 3, 5, 6, 0] {
             let _ = h.deliver(&mut s, data(seq, h.now));
         }
-        assert_eq!(s.out_of_order.len(), 3);
+        assert_eq!(s.window.buffered(), 3);
         assert_eq!(s.duplicate_segments, 1);
         assert_state_law(&s, || TcpSink::new(key(), 40));
 
@@ -183,7 +173,7 @@ mod tests {
             assert_eq!(ack_of(&fx.sent[0]), seq + 1);
             assert_eq!(fx.sent[0].key, key().reversed());
         }
-        assert_eq!(s.rcv_next, 3);
+        assert_eq!(s.window.rcv_next(), 3);
         assert_eq!(s.acks_sent, 3);
     }
 
@@ -200,7 +190,7 @@ mod tests {
         // Retransmission of 1 fills the hole and ACK jumps to 4.
         let fx1 = h.deliver(&mut s, data(1, h.now));
         assert_eq!(ack_of(&fx1.sent[0]), 4);
-        assert_eq!(s.rcv_next, 4);
+        assert_eq!(s.window.rcv_next(), 4);
     }
 
     #[test]
@@ -239,6 +229,6 @@ mod tests {
         let _ = h.deliver(&mut s, data(0, h.now));
         let _ = h.deliver(&mut s, data(0, h.now));
         assert_eq!(s.duplicate_segments, 1);
-        assert_eq!(s.rcv_next, 1);
+        assert_eq!(s.window.rcv_next(), 1);
     }
 }

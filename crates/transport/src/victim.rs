@@ -4,19 +4,16 @@
 //! A single agent is bound to the victim address, so it must keep
 //! per-flow receiver state: TCP flows get cumulative ACKs (making the
 //! senders' congestion control — and MAFIC's probing — work end to end),
-//! UDP floods are merely counted and absorbed.
+//! UDP floods are merely counted and absorbed. Each TCP flow's state is
+//! one [`ReceiveWindow`], the same reorder buffer [`crate::TcpSink`]
+//! keeps.
 
 use mafic_netsim::{
     Agent, AgentCtx, FlowKey, FlowSlab, Packet, PacketKind, Provenance, SimTime, SnapError,
     SnapReader, State, StateWrite,
 };
-use std::collections::BTreeSet;
 
-#[derive(Debug, Default)]
-struct FlowState {
-    rcv_next: u64,
-    out_of_order: BTreeSet<u64>,
-}
+use crate::window::ReceiveWindow;
 
 /// A sink absorbing every flow addressed to the victim.
 ///
@@ -27,7 +24,7 @@ struct FlowState {
 #[derive(Debug)]
 pub struct VictimSink {
     ack_size: u32,
-    tcp_flows: FlowSlab<FlowState>,
+    tcp_flows: FlowSlab<ReceiveWindow>,
     tcp_segments: u64,
     udp_datagrams: u64,
     acks_sent: u64,
@@ -100,18 +97,11 @@ impl Agent for VictimSink {
                         // would.
                         return;
                     }
-                    self.tcp_flows.insert(flow, FlowState::default());
+                    self.tcp_flows.insert(flow, ReceiveWindow::default());
                 }
-                let state = self.tcp_flows.get_mut(flow).expect("just ensured");
-                if seq == state.rcv_next {
-                    state.rcv_next += 1;
-                    while state.out_of_order.remove(&state.rcv_next) {
-                        state.rcv_next += 1;
-                    }
-                } else if seq > state.rcv_next {
-                    state.out_of_order.insert(seq);
-                }
-                let ack = state.rcv_next;
+                let window = self.tcp_flows.get_mut(flow).expect("just ensured");
+                window.receive(seq);
+                let ack = window.rcv_next();
                 self.ack(packet.key, ack, ts, ctx);
             }
             PacketKind::Udp => {
@@ -127,10 +117,9 @@ impl Agent for VictimSink {
 impl State for VictimSink {
     fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_usize(self.tcp_flows.len());
-        for (flow, state) in self.tcp_flows.iter() {
+        for (flow, window) in self.tcp_flows.iter() {
             w.write_usize(flow.index());
-            w.write_u64(state.rcv_next);
-            w.write_seq(&state.out_of_order, |w, &seq| w.write_u64(seq));
+            window.write_state(w);
         }
         w.write_u64(self.tcp_segments);
         w.write_u64(self.udp_datagrams);
@@ -140,11 +129,9 @@ impl State for VictimSink {
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.tcp_flows = r.read_seq(|r| {
             let flow = mafic_netsim::read_flow_id(r)?;
-            let state = FlowState {
-                rcv_next: r.read_u64()?,
-                out_of_order: r.read_seq(|r| r.read_u64())?,
-            };
-            Ok((flow, state))
+            let mut window = ReceiveWindow::default();
+            window.read_state(r)?;
+            Ok((flow, window))
         })?;
         self.tcp_segments = r.read_u64()?;
         self.udp_datagrams = r.read_u64()?;

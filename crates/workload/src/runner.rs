@@ -36,6 +36,7 @@ use mafic_obs::{
 };
 use mafic_pushback::{ControlChannel, ControlPlane, LifecycleState, PushbackAction};
 use mafic_transport::UnresponsiveSender;
+use std::cell::OnceCell;
 
 /// Propagation allowance for intra-domain control messages.
 const CONTROL_DELAY: SimDuration = SimDuration::from_millis(5);
@@ -619,7 +620,7 @@ fn compute_probe(scenario: &Scenario, state: &RunState, probe: &mut IntervalProb
         sim.probe_components(batch);
         if let Some(plan) = scenario.pushback.as_ref() {
             for (dom, [coord, trust, filters, meters, channel]) in
-                plan.domains.iter().zip(&state.dom_labels)
+                plan.domains.iter().zip(state.dom_labels(plan))
             {
                 batch.component(coord, |h| dom.coordinator.write_state(h));
                 batch.component(trust, |h| {
@@ -776,8 +777,9 @@ pub struct RunState {
     /// allocated once per run.
     probe: IntervalProbe,
     /// Per-domain component labels `dom<d>/{coord, trust, filters,
-    /// meters, channel}`, built once; empty without a pushback plan.
-    dom_labels: Vec<[String; 5]>,
+    /// meters, channel}`, built by the first probe: a run with the
+    /// ledger and the checkpoint off never formats them.
+    dom_labels: OnceCell<Vec<[String; 5]>>,
     next_stop: SimTime,
     last_stop: SimTime,
     /// The encoded checkpoint, once captured. Restored runs arrive with
@@ -787,6 +789,18 @@ pub struct RunState {
 }
 
 impl RunState {
+    /// The per-domain component labels of `plan`.
+    fn dom_labels(&self, plan: &PushbackPlan) -> &[[String; 5]] {
+        self.dom_labels.get_or_init(|| {
+            (0..plan.domains.len())
+                .map(|d| {
+                    ["coord", "trust", "filters", "meters", "channel"]
+                        .map(|part| format!("dom{d}/{part}"))
+                })
+                .collect()
+        })
+    }
+
     /// Latches the current wave's trigger at `at`; the first wave's
     /// instant sticks for reporting.
     fn latch_trigger(&mut self, at: SimTime) {
@@ -935,12 +949,7 @@ fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
             })
         }),
         probe: IntervalProbe::new(),
-        dom_labels: (0..scenario.pushback.as_ref().map_or(0, |p| p.domains.len()))
-            .map(|d| {
-                ["coord", "trust", "filters", "meters", "channel"]
-                    .map(|part| format!("dom{d}/{part}"))
-            })
-            .collect(),
+        dom_labels: OnceCell::new(),
         next_stop: SimTime::ZERO + scenario.spec.monitor_interval,
         last_stop: SimTime::ZERO,
         checkpoint: None,
@@ -1794,7 +1803,7 @@ mod tests {
             h.finish()
         };
         let plan = scenario.pushback.as_ref().unwrap();
-        for (dom, labels) in plan.domains.iter().zip(&state.dom_labels) {
+        for (dom, labels) in plan.domains.iter().zip(state.dom_labels(plan)) {
             let channel = sim.agent::<ControlChannel>(dom.channel).unwrap();
             let hashes = [
                 mafic_obs::state_hash(&dom.coordinator),
