@@ -9,7 +9,8 @@
 //!
 //! `diff` exits 1 when the ledgers diverge (and prints each ledger's
 //! embedded trace tail around the divergence point), 0 when identical,
-//! 2 on usage or I/O errors — so CI can gate on it directly.
+//! 2 on usage or I/O errors or a malformed ledger (the error names the
+//! offending line) — so CI can gate on it directly.
 //! `snapshot` exits 1 when the bytes fail to decode (truncation, bad
 //! magic, checksum mismatch — the error names the offending section).
 

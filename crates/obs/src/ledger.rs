@@ -2,11 +2,11 @@
 //! the probe/builder pair the runner drives once per monitor interval.
 
 use crate::fnv::{fnv64_spans, Fnv64, HashWriter, Span};
-use crate::json::{parse_json_line, JsonValue};
 use crate::snap::{SnapError, SnapReader};
 use crate::state::{State, StateWrite};
 use crate::LEDGER_VERSION;
 use std::fmt::Write as _;
+use std::str::FromStr;
 
 /// Build metadata identifying the run a ledger describes.
 ///
@@ -189,11 +189,9 @@ impl ProbeBatch<'_> {
 /// guaranteed to be the first real divergence.
 #[derive(Debug)]
 pub struct LedgerBuilder {
-    header: LedgerHeader,
-    components: Vec<String>,
-    counters: Vec<String>,
-    chains: Vec<u64>,
-    intervals: Vec<IntervalRecord>,
+    /// The ledger so far; its trace tail stays empty until
+    /// [`LedgerBuilder::finish`].
+    ledger: RunLedger,
 }
 
 impl LedgerBuilder {
@@ -203,12 +201,20 @@ impl LedgerBuilder {
     pub fn new(mut header: LedgerHeader) -> Self {
         header.ledger_version = LEDGER_VERSION;
         LedgerBuilder {
-            header,
-            components: Vec::new(),
-            counters: Vec::new(),
-            chains: Vec::new(),
-            intervals: Vec::new(),
+            ledger: RunLedger {
+                header,
+                components: Vec::new(),
+                counters: Vec::new(),
+                intervals: Vec::new(),
+                trace_tail: Vec::new(),
+            },
         }
+    }
+
+    /// Component `i`'s chained hash as of the last recorded interval;
+    /// every chain starts at zero.
+    fn chain(&self, i: usize) -> u64 {
+        self.ledger.intervals.last().map_or(0, |rec| rec.hashes[i])
     }
 
     /// Folds one interval's probe into the ledger.
@@ -220,30 +226,30 @@ impl LedgerBuilder {
     /// error and panics.
     pub fn record_interval(&mut self, at_nanos: u64, probe: &IntervalProbe) {
         let (components, counters) = (probe.components.filled(), probe.counters.filled());
-        if self.intervals.is_empty() {
-            self.components = components.iter().map(|(n, _)| n.clone()).collect();
-            self.counters = counters.iter().map(|(n, _)| n.clone()).collect();
-            self.chains = vec![0; self.components.len()];
+        if self.ledger.intervals.is_empty() {
+            self.ledger.components = components.iter().map(|(n, _)| n.clone()).collect();
+            self.ledger.counters = counters.iter().map(|(n, _)| n.clone()).collect();
         } else {
             assert!(
-                probe.components.named(&self.components),
+                probe.components.named(&self.ledger.components),
                 "interval probed a different component set"
             );
             assert!(
-                probe.counters.named(&self.counters),
+                probe.counters.named(&self.ledger.counters),
                 "interval probed a different counter set"
             );
         }
-        let mut hashes = Vec::with_capacity(self.chains.len());
-        for (chain, (_, raw)) in self.chains.iter_mut().zip(components) {
-            let mut h = Fnv64::new();
-            h.write_u64(*chain);
-            h.write_u64(*raw);
-            *chain = h.finish();
-            hashes.push(*chain);
-        }
-        self.intervals.push(IntervalRecord {
-            index: self.intervals.len() as u64,
+        let hashes = (0..)
+            .zip(components)
+            .map(|(i, &(_, raw))| {
+                let mut h = Fnv64::new();
+                h.write_u64(self.chain(i));
+                h.write_u64(raw);
+                h.finish()
+            })
+            .collect();
+        self.ledger.intervals.push(IntervalRecord {
+            index: self.ledger.intervals.len() as u64,
             at_nanos,
             hashes,
             counters: counters.iter().map(|&(_, v)| v).collect(),
@@ -254,7 +260,7 @@ impl LedgerBuilder {
     #[cfg(test)]
     #[must_use]
     pub fn interval_count(&self) -> usize {
-        self.intervals.len()
+        self.ledger.intervals.len()
     }
 
     /// The chained hash of every component as of the last recorded
@@ -263,10 +269,9 @@ impl LedgerBuilder {
     #[cfg(test)]
     #[must_use]
     pub fn chained_hashes(&self) -> Vec<(String, u64)> {
-        self.components
-            .iter()
-            .cloned()
-            .zip(self.chains.iter().copied())
+        (0..)
+            .zip(&self.ledger.components)
+            .map(|(i, label)| (label.clone(), self.chain(i)))
             .collect()
     }
 
@@ -274,11 +279,8 @@ impl LedgerBuilder {
     #[must_use]
     pub fn finish(self, trace_tail: Vec<String>) -> RunLedger {
         RunLedger {
-            header: self.header,
-            components: self.components,
-            counters: self.counters,
-            intervals: self.intervals,
             trace_tail,
+            ..self.ledger
         }
     }
 }
@@ -287,15 +289,18 @@ impl LedgerBuilder {
 /// chain values, interval records) so a checkpointed run's restored
 /// ledger continues the exact same chains. The header is *not* part of
 /// the payload: the restorer rebuilds it from the spec it was handed,
-/// which the snapshot header has already been verified against.
+/// which the snapshot header has already been verified against. The
+/// chains repeat the last interval's hashes (zeros before the first),
+/// and a payload whose chains differ is rejected.
 impl State for LedgerBuilder {
     fn write_state<W: StateWrite>(&self, w: &mut W) {
-        w.write_seq(&self.components, |w, name| w.write_str(name));
-        w.write_seq(&self.counters, |w, name| w.write_str(name));
-        for chain in &self.chains {
-            w.write_u64(*chain);
+        let l = &self.ledger;
+        w.write_seq(&l.components, |w, name| w.write_str(name));
+        w.write_seq(&l.counters, |w, name| w.write_str(name));
+        for i in 0..l.components.len() {
+            w.write_u64(self.chain(i));
         }
-        w.write_seq(&self.intervals, |w, rec| {
+        w.write_seq(&l.intervals, |w, rec| {
             w.write_u64(rec.index);
             w.write_u64(rec.at_nanos);
             for v in rec.hashes.iter().chain(&rec.counters) {
@@ -307,8 +312,8 @@ impl State for LedgerBuilder {
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let components: Vec<String> = r.read_seq(|r| r.read_str())?;
         let counters: Vec<String> = r.read_seq(|r| r.read_str())?;
-        let chains = r.read_n(components.len(), |r| r.read_u64())?;
-        let intervals = r.read_seq(|r| {
+        let chains: Vec<u64> = r.read_n(components.len(), |r| r.read_u64())?;
+        let intervals: Vec<IntervalRecord> = r.read_seq(|r| {
             Ok(IntervalRecord {
                 index: r.read_u64()?,
                 at_nanos: r.read_u64()?,
@@ -316,10 +321,15 @@ impl State for LedgerBuilder {
                 counters: r.read_n(counters.len(), |r| r.read_u64())?,
             })
         })?;
-        self.components = components;
-        self.counters = counters;
-        self.chains = chains;
-        self.intervals = intervals;
+        let zeros = vec![0; components.len()];
+        if chains != *intervals.last().map_or(&zeros, |rec| &rec.hashes) {
+            return Err(SnapError::Malformed(
+                "ledger chains differ from the last interval's hashes".to_string(),
+            ));
+        }
+        self.ledger.components = components;
+        self.ledger.counters = counters;
+        self.ledger.intervals = intervals;
         Ok(())
     }
 }
@@ -406,117 +416,216 @@ impl RunLedger {
         out
     }
 
-    /// Parses a ledger back from its JSONL form.
+    /// Parses a ledger back from its JSONL form: exactly the lines
+    /// [`RunLedger::to_jsonl`] writes, plus blank and `#` comment lines.
+    /// The header must come first and only once, each interval's index
+    /// must equal its position, and each interval must carry one hash
+    /// per component and one value per counter.
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending line on malformed input.
     pub fn from_jsonl(text: &str) -> Result<RunLedger, String> {
-        let mut header: Option<LedgerHeader> = None;
-        let mut components = Vec::new();
-        let mut counters = Vec::new();
-        let mut intervals = Vec::new();
-        let mut trace_tail = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
+        let mut ledger = None;
+        for (lineno, line) in (1..).zip(text.lines()) {
             // `#` comments let tooling annotate concatenated ledgers
             // (e.g. `run_ledger`'s `# run <n>` separators).
-            if line.is_empty() || line.starts_with('#') {
+            if line.trim().is_empty() || line.starts_with('#') {
                 continue;
             }
-            let v = parse_json_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-            let kind = v
-                .get("type")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("line {}: missing \"type\"", lineno + 1))?;
-            match kind {
-                "header" => {
-                    components = v
-                        .get("components")
-                        .and_then(JsonValue::as_str_array)
-                        .ok_or_else(|| format!("line {}: bad components", lineno + 1))?;
-                    counters = v
-                        .get("counters")
-                        .and_then(JsonValue::as_str_array)
-                        .ok_or_else(|| format!("line {}: bad counters", lineno + 1))?;
-                    header = Some(LedgerHeader {
-                        ledger_version: v
-                            .get("ledger_version")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or_else(|| format!("line {}: bad ledger_version", lineno + 1))?
-                            as u32,
-                        crate_version: v
-                            .get("crate_version")
-                            .and_then(JsonValue::as_str)
-                            .unwrap_or("")
-                            .to_string(),
-                        seed: v
-                            .get("seed")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or_else(|| format!("line {}: bad seed", lineno + 1))?,
-                        spec_fingerprint: v
-                            .get("spec_fingerprint")
-                            .and_then(JsonValue::as_str)
-                            .and_then(|s| u64::from_str_radix(s, 16).ok())
-                            .ok_or_else(|| format!("line {}: bad spec_fingerprint", lineno + 1))?,
-                        workers: v.get("workers").and_then(JsonValue::as_u64).unwrap_or(0) as u32,
-                    });
-                }
-                "interval" => {
-                    let hashes = v
-                        .get("hashes")
-                        .and_then(JsonValue::as_array)
-                        .ok_or_else(|| format!("line {}: bad hashes", lineno + 1))?
-                        .iter()
-                        .map(|h| {
-                            h.as_str()
-                                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                                .ok_or_else(|| format!("line {}: bad hash entry", lineno + 1))
-                        })
-                        .collect::<Result<Vec<u64>, String>>()?;
-                    let cvals = v
-                        .get("counters")
-                        .and_then(JsonValue::as_array)
-                        .ok_or_else(|| format!("line {}: bad counters", lineno + 1))?
-                        .iter()
-                        .map(|c| {
-                            c.as_u64()
-                                .ok_or_else(|| format!("line {}: bad counter entry", lineno + 1))
-                        })
-                        .collect::<Result<Vec<u64>, String>>()?;
-                    intervals.push(IntervalRecord {
-                        index: v
-                            .get("index")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or_else(|| format!("line {}: bad index", lineno + 1))?,
-                        at_nanos: v
-                            .get("at_nanos")
-                            .and_then(JsonValue::as_u64)
-                            .ok_or_else(|| format!("line {}: bad at_nanos", lineno + 1))?,
-                        hashes,
-                        counters: cvals,
-                    });
-                }
-                "trace" => {
-                    trace_tail.push(
-                        v.get("line")
-                            .and_then(JsonValue::as_str)
-                            .unwrap_or("")
-                            .to_string(),
-                    );
-                }
-                other => return Err(format!("line {}: unknown type {other:?}", lineno + 1)),
-            }
+            read_line(&mut ledger, line).map_err(|e| format!("line {lineno}: {e}"))?;
         }
-        let header = header.ok_or_else(|| "missing header line".to_string())?;
-        Ok(RunLedger {
-            header,
-            components,
-            counters,
-            intervals,
-            trace_tail,
-        })
+        ledger.ok_or_else(|| "missing header line".to_string())
     }
+}
+
+/// Reads one non-comment line into `ledger`, field by field in the
+/// order [`RunLedger::to_jsonl`] writes them.
+fn read_line(ledger: &mut Option<RunLedger>, line: &str) -> Result<(), String> {
+    let mut c = Cursor { line, pos: 0 };
+    if c.eat("{\"type\":\"header\",\"ledger_version\":") {
+        if ledger.is_some() {
+            return Err("second header".to_string());
+        }
+        *ledger = Some(RunLedger {
+            header: LedgerHeader {
+                ledger_version: c.uint()?,
+                crate_version: c.field("crate_version", Cursor::str)?,
+                seed: c.field("seed", Cursor::uint)?,
+                spec_fingerprint: c.field("spec_fingerprint", Cursor::hash)?,
+                workers: c.field("workers", Cursor::uint)?,
+            },
+            components: c.field("components", |c| c.list(Cursor::str))?,
+            counters: c.field("counters", |c| c.list(Cursor::str))?,
+            intervals: Vec::new(),
+            trace_tail: Vec::new(),
+        });
+    } else if c.eat("{\"type\":\"interval\",\"index\":") {
+        let ledger = ledger.as_mut().ok_or("interval before the header")?;
+        let rec = IntervalRecord {
+            index: c.uint()?,
+            at_nanos: c.field("at_nanos", Cursor::uint)?,
+            hashes: c.field("hashes", |c| c.list(Cursor::hash))?,
+            counters: c.field("counters", |c| c.list(Cursor::uint))?,
+        };
+        if rec.index != ledger.intervals.len() as u64 || !ledger.trace_tail.is_empty() {
+            return Err(format!("interval index {} out of order", rec.index));
+        }
+        if rec.hashes.len() != ledger.components.len()
+            || rec.counters.len() != ledger.counters.len()
+        {
+            return Err(format!(
+                "{} hashes and {} counter values for {} components and {} counters",
+                rec.hashes.len(),
+                rec.counters.len(),
+                ledger.components.len(),
+                ledger.counters.len()
+            ));
+        }
+        ledger.intervals.push(rec);
+    } else {
+        c.lit("{\"type\":\"trace\",\"line\":")?;
+        let ledger = ledger.as_mut().ok_or("trace line before the header")?;
+        ledger.trace_tail.push(c.str()?);
+    }
+    if c.rest() == "}" {
+        Ok(())
+    } else {
+        Err(c.error("'}' ending the line"))
+    }
+}
+
+/// A cursor over one ledger line. Each read consumes exactly what
+/// [`RunLedger::to_jsonl`] writes for one value — no whitespace, no
+/// sign, no leading zero, lowercase hex — or fails naming the byte.
+struct Cursor<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl Cursor<'_> {
+    fn rest(&self) -> &str {
+        &self.line[self.pos..]
+    }
+
+    fn error(&self, what: &str) -> String {
+        format!("expected {what} at byte {}", self.pos + 1)
+    }
+
+    /// Consumes `text` if the line continues with it.
+    fn eat(&mut self, text: &str) -> bool {
+        let found = self.rest().starts_with(text);
+        if found {
+            self.pos += text.len();
+        }
+        found
+    }
+
+    fn lit(&mut self, text: &str) -> Result<(), String> {
+        if self.eat(text) {
+            Ok(())
+        } else {
+            Err(self.error(&format!("{text:?}")))
+        }
+    }
+
+    /// `,"<key>":` and the value `read` reads.
+    fn field<T>(
+        &mut self,
+        key: &str,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        self.lit(",\"")?;
+        self.lit(key)?;
+        self.lit("\":")?;
+        read(self)
+    }
+
+    fn uint<T: FromStr>(&mut self) -> Result<T, String> {
+        let digits = self.rest().bytes().take_while(u8::is_ascii_digit).count();
+        let text = &self.rest()[..digits];
+        match text.parse() {
+            Ok(v) if digits == 1 || !text.starts_with('0') => {
+                self.pos += digits;
+                Ok(v)
+            }
+            _ => Err(self.error("an unsigned integer in range")),
+        }
+    }
+
+    /// A quoted 16-digit hash.
+    fn hash(&mut self) -> Result<u64, String> {
+        self.lit("\"")?;
+        let v = self
+            .rest()
+            .get(..16)
+            .and_then(lower_hex)
+            .ok_or_else(|| self.error("16 lowercase hex digits"))?;
+        self.pos += 16;
+        self.lit("\"")?;
+        Ok(v)
+    }
+
+    /// A quoted string with the escapes `push_json_str` writes.
+    fn str(&mut self) -> Result<String, String> {
+        self.lit("\"")?;
+        let mut out = String::new();
+        loop {
+            let rest = self.rest();
+            let run = rest
+                .find(|c: char| c == '"' || c == '\\' || c < ' ')
+                .unwrap_or(rest.len());
+            out.push_str(&rest[..run]);
+            self.pos += run;
+            let (c, len) = match self.rest().as_bytes() {
+                [b'"', ..] => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                [b'\\', b'"', ..] => ('"', 2),
+                [b'\\', b'\\', ..] => ('\\', 2),
+                [b'\\', b'n', ..] => ('\n', 2),
+                [b'\\', b'r', ..] => ('\r', 2),
+                [b'\\', b't', ..] => ('\t', 2),
+                [b'\\', b'u', b'0', b'0', ..] => match self.rest().get(4..6).and_then(lower_hex) {
+                    Some(v @ 0..=0x1f) if !matches!(v, 0x09 | 0x0a | 0x0d) => {
+                        (char::from(v as u8), 6)
+                    }
+                    _ => return Err(self.error("a control character as \\u00xx")),
+                },
+                _ => return Err(self.error("a closing '\"' or an escape")),
+            };
+            out.push(c);
+            self.pos += len;
+        }
+    }
+
+    /// `[item,item,…]`.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.lit("[")?;
+        let mut items = Vec::new();
+        if self.eat("]") {
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if self.eat("]") {
+                return Ok(items);
+            }
+            self.lit(",")?;
+        }
+    }
+}
+
+/// The value of `digits` if it is all lowercase hex, as `{:x}` writes.
+fn lower_hex(digits: &str) -> Option<u64> {
+    let lower = digits
+        .bytes()
+        .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    u64::from_str_radix(digits, 16).ok().filter(|_| lower)
 }
 
 #[cfg(test)]
@@ -717,6 +826,127 @@ mod tests {
         assert!(RunLedger::from_jsonl("").is_err());
     }
 
+    /// Header and interval lines of a two-component ledger, the second
+    /// carrying `hashes` verbatim.
+    fn two_component_ledger(hashes: &str) -> String {
+        format!(
+            "{{\"type\":\"header\",\"ledger_version\":1,\"crate_version\":\"0.1.0\",\"seed\":1,\
+             \"spec_fingerprint\":\"00000000deadbeef\",\"workers\":0,\"components\":[\"a\",\"b\"],\
+             \"counters\":[]}}\n\
+             {{\"type\":\"interval\",\"index\":0,\"at_nanos\":100,\"hashes\":[{hashes}],\
+             \"counters\":[]}}\n"
+        )
+    }
+
+    fn line_2_error(text: &str) -> String {
+        let err = RunLedger::from_jsonl(text).expect_err("malformed ledger accepted");
+        assert!(err.starts_with("line 2: "), "{err}");
+        err
+    }
+
+    #[test]
+    fn an_interval_with_more_hashes_than_components_is_rejected() {
+        // The differ indexes component labels by hash position, so a
+        // third hash that differs would be read past the label list.
+        for third in ["0000000000000003", "00000000000000ff"] {
+            let text = two_component_ledger(&format!(
+                "\"0000000000000001\",\"0000000000000002\",\"{third}\""
+            ));
+            let err = line_2_error(&text);
+            assert!(err.contains("3 hashes"), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_interval_with_fewer_hashes_than_components_is_rejected() {
+        // A missing hash would diff clean against any value.
+        let whole = two_component_ledger("\"0000000000000001\",\"00000000000000ff\"");
+        assert_eq!(
+            RunLedger::from_jsonl(&whole).unwrap().intervals[0].hashes,
+            [1, 0xff]
+        );
+        let err = line_2_error(&two_component_ledger("\"0000000000000001\""));
+        assert!(err.contains("1 hashes"), "{err}");
+        // Counter values are held to the counter names the same way.
+        let counted = whole.replace("ff\"],\"counters\":[]", "ff\"],\"counters\":[7]");
+        assert!(line_2_error(&counted).contains("1 counter values"));
+    }
+
+    #[test]
+    fn lines_out_of_writer_order_are_rejected() {
+        let text = two_component_ledger("\"0000000000000001\",\"0000000000000002\"");
+        let (header, interval) = text.split_once('\n').unwrap();
+        let trace = "{\"type\":\"trace\",\"line\":\"t=0.1\"}\n";
+        let next = interval.replace("\"index\":0", "\"index\":1");
+        for (doctored, why) in [
+            (format!("{header}\n{text}"), "second header"),
+            (format!("{interval}{header}\n"), "before the header"),
+            (format!("{header}\n{next}"), "index 1 out of order"),
+            (format!("{text}{trace}{next}"), "index 1 out of order"),
+        ] {
+            let err = RunLedger::from_jsonl(&doctored).expect_err(why);
+            assert!(err.contains(why), "{err}");
+        }
+        // Blank and `#` comment lines may sit anywhere.
+        let annotated = format!("# run 0\n\n{header}\n  \n# note\n{interval}");
+        assert_eq!(
+            RunLedger::from_jsonl(&annotated),
+            RunLedger::from_jsonl(&text)
+        );
+    }
+
+    #[test]
+    fn escapes_round_trip_through_every_string_field() {
+        let odd = "q\"b\\n\nr\rt\tc\u{1}\u{1f}é→";
+        let mut header = header(3);
+        header.crate_version = format!("v{odd}");
+        let mut b = LedgerBuilder::new(header);
+        b.record_interval(100, &probe(&[(&format!("c{odd}"), 1)], &[]));
+        let ledger = b.finish(vec![format!("t=0.1 {odd}")]);
+        let text = ledger.to_jsonl();
+        assert!(text.contains(r#"q\"b\\n\nr\rt\tc\u0001\u001fé→"#), "{text}");
+        assert_eq!(RunLedger::from_jsonl(&text), Ok(ledger));
+        // Refused: escapes the writer never emits, a raw control
+        // character, a short escape spelt `\u00xx`, uppercase hex.
+        for bad in [r"\/", "\t", r"\u000a", r"\u001F", r"\x"] {
+            let doctored = text.replacen("é", bad, 1);
+            assert!(RunLedger::from_jsonl(&doctored).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn from_jsonl_rejects_forms_the_writer_never_emits() {
+        let mut b = LedgerBuilder::new(header(9));
+        b.record_interval(1_000, &probe(&[("x", 1)], &[("drops", 5)]));
+        let text = b.finish(vec!["t=0.1".into()]).to_jsonl();
+        assert!(RunLedger::from_jsonl(&text).is_ok());
+        for (from, to) in [
+            ("}\n{\"type\":\"interval\"", "} \n{\"type\":\"interval\""),
+            ("]}\n{\"type\":\"trace\"", "]}x\n{\"type\":\"trace\""),
+            ("\"seed\":9", "\"seed\": 9"),
+            ("\"type\":\"trace\"", "\"type\" :\"trace\""),
+            ("\"counters\":[5]", "\"counters\":[ 5]"),
+            ("\"at_nanos\":1000", "\"at_nanos\":1000.0"),
+            ("\"at_nanos\":1000", "\"at_nanos\":1e3"),
+            ("\"at_nanos\":1000", "\"at_nanos\":-1000"),
+            ("\"seed\":9", "\"seed\":-9"),
+            ("\"seed\":9", "\"seed\":09"),
+            ("\"workers\":0", "\"workers\":4294967296"),
+            (
+                "\"spec_fingerprint\":\"00000000deadbeef\"",
+                "\"spec_fingerprint\":\"00000000DEADBEEF\"",
+            ),
+            (
+                "\"spec_fingerprint\":\"00000000deadbeef\"",
+                "\"spec_fingerprint\":\"deadbeef\"",
+            ),
+        ] {
+            let doctored = text.replacen(from, to, 1);
+            assert_ne!(doctored, text, "{to}");
+            assert!(RunLedger::from_jsonl(&doctored).is_err(), "{to}");
+        }
+    }
+
     #[test]
     fn builder_snapshot_round_trip_continues_the_chains() {
         use crate::snap::{SnapReader, SnapWriter};
@@ -748,6 +978,35 @@ mod tests {
             restored.finish(Vec::new()),
             "a restored builder must continue the chains bit-for-bit"
         );
+    }
+
+    #[test]
+    fn builder_restore_rejects_chains_that_are_not_the_last_hashes() {
+        use crate::snap::{SnapReader, SnapWriter};
+
+        let mut b = LedgerBuilder::new(header(5));
+        b.record_interval(100, &probe(&[("x", 1), ("y", 2)], &[]));
+        b.record_interval(200, &probe(&[("x", 3), ("y", 4)], &[]));
+        let bytes = crate::state_bytes(&b);
+        let chain = b.chained_hashes()[1].1.to_le_bytes();
+        // The chains sit before the interval records.
+        let at = bytes.windows(8).position(|w| w == chain).unwrap();
+        let mut doctored = bytes.clone();
+        doctored[at] ^= 1;
+        let mut fresh = LedgerBuilder::new(header(5));
+        assert!(fresh.read_state(&mut SnapReader::new(&bytes)).is_ok());
+        assert!(matches!(
+            fresh.read_state(&mut SnapReader::new(&doctored)),
+            Err(SnapError::Malformed(why)) if why.contains("chains")
+        ));
+        // Before the first interval every chain is zero.
+        let mut w = SnapWriter::new();
+        w.write_seq(&["x"], |w, name| w.write_str(name));
+        w.write_seq(&[""; 0], |w, name| w.write_str(name));
+        w.write_u64(7);
+        w.write_seq(&[(); 0], |_, ()| {});
+        let bytes = w.into_bytes();
+        assert!(fresh.read_state(&mut SnapReader::new(&bytes)).is_err());
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! [`HashWriter`] and [`SnapWriter`]) and its object-safe face
 //! ([`DynState`]), and
 //! the **run ledger**: a build-metadata header plus one chained
-//! per-component state hash per monitor interval, exported as JSONL and
-//! diffable down to the first diverging interval and component.
+//! per-component state hash per monitor interval, exported as JSONL,
+//! read back by a reader that accepts only the lines the writer emits
+//! (and names the line of anything else), and diffable down to the
+//! first diverging interval and component.
 //!
 //! The ledger exists so a determinism failure is *bisectable*: instead
 //! of "whole-run digests differ", the differ answers "interval 17,
@@ -22,14 +24,12 @@
 
 mod diff;
 mod fnv;
-mod json;
 mod ledger;
 mod snap;
 mod state;
 
 pub use diff::{diff_ledgers, Divergence, DivergenceReport};
 pub use fnv::{fnv64, Fnv64, HashWriter};
-pub use json::JsonValue;
 pub use ledger::{
     IntervalProbe, IntervalRecord, LedgerBuilder, LedgerHeader, ProbeBatch, RunLedger,
 };

@@ -712,6 +712,59 @@ mod tests {
         ));
     }
 
+    /// The mutation schedule `RunLedger::from_jsonl` is held to: every
+    /// strict prefix is rejected, and no single-bit flip panics. The
+    /// only flips `decode` accepts are in section labels, which no
+    /// checksum covers (an ASCII label flipped in its low seven bits
+    /// stays UTF-8); restore then misses the section by name.
+    #[test]
+    fn decode_rejects_every_prefix_and_flips_outside_labels() {
+        let s = sample();
+        let bytes = s.encode();
+        for n in 0..bytes.len() {
+            assert!(
+                Snapshot::decode(&bytes[..n]).is_err(),
+                "prefix of {n} bytes"
+            );
+        }
+        // Each section label's byte range (its last occurrence: the
+        // component table names the same labels earlier).
+        let labels: Vec<(&str, std::ops::Range<usize>)> = s
+            .section_labels()
+            .into_iter()
+            .map(|label| {
+                let at = bytes
+                    .windows(label.len())
+                    .rposition(|w| w == label.as_bytes())
+                    .expect("label present");
+                (label, at..at + label.len())
+            })
+            .collect();
+        let mut accepted = 0;
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                let Ok(decoded) = Snapshot::decode(&flipped) else {
+                    continue;
+                };
+                accepted += 1;
+                let (label, _) = labels
+                    .iter()
+                    .find(|(_, range)| range.contains(&at))
+                    .unwrap_or_else(|| panic!("flip of bit {bit} at byte {at} accepted"));
+                assert_eq!(
+                    decoded.read_section(label, |_| Ok(())),
+                    Err(SnapError::MissingSection {
+                        section: label.to_string()
+                    })
+                );
+            }
+        }
+        let label_bytes: usize = labels.iter().map(|(_, range)| range.len()).sum();
+        assert_eq!((label_bytes, accepted), (21, 7 * label_bytes));
+    }
+
     #[test]
     #[should_panic(expected = "duplicate snapshot section")]
     fn duplicate_sections_are_rejected() {
