@@ -36,12 +36,19 @@
 //!
 //! # Equal-budget contract
 //!
-//! Every strategy preserves the attacker's aggregate budget: when a
-//! cohort pauses, the surviving active sources scale up so the summed
-//! nominal rate stays at the open-loop level (`Σ scale ≈ 1000 × n`).
-//! Comparisons against the open-loop baseline are therefore
-//! like-for-like — adaptivity, not extra volume, explains any extra
-//! residual.
+//! The strategies spend the attacker's aggregate budget, not more:
+//! when a cohort pauses, the surviving active sources scale up so the
+//! summed nominal rate stays at the open-loop level (`Σ scale ≈ 1000 ×
+//! n`), and comparisons against the open-loop baseline are like-for-like
+//! — adaptivity, not extra volume, explains any extra residual. One
+//! exception is recorded, not yet fixed: source rotation scales each
+//! active source by the cohort count, so uneven cohorts alternate above
+//! and below the budget (5 sources in 2 cohorts send 6000, then 4000
+//! milli-units, against 5000).
+//!
+//! Source rotation and carpet bombing are one cohort-rotation state
+//! machine built two ways: round-robin cohorts at `cohorts × nominal`,
+//! or one cohort per stub at `n / |cohort| × nominal`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

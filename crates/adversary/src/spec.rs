@@ -2,9 +2,11 @@
 
 /// Which closed-loop strategy drives the controller's retargeting.
 ///
-/// All variants honour the equal-budget contract (see the crate docs):
-/// pausing a cohort scales the survivors up so the aggregate nominal
-/// rate never exceeds the open-loop baseline's.
+/// Pausing a cohort scales the survivors up toward the open-loop
+/// baseline's aggregate nominal rate (the crate docs' equal-budget
+/// contract). Source rotation holds that rate only when its cohort count
+/// divides the source count; otherwise its turns alternate above and
+/// below it (see [`StrategyKind::SourceRotation`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StrategyKind {
     /// Churn the botnet's active source cohort faster than the
@@ -17,6 +19,11 @@ pub enum StrategyKind {
     /// outrun the soft state and the strategy's own best response is to
     /// not rotate at all — it emits no directives and the run is
     /// behaviorally identical to the open-loop baseline.
+    ///
+    /// Each active source sends at `cohorts × nominal`, which breaks
+    /// the equal budget when the cohorts are uneven: 5 sources in 2
+    /// cohorts send 3 × 2000 = 6000, then 2 × 2000 = 4000 milli-units,
+    /// against the baseline's 5000.
     SourceRotation {
         /// Monitor intervals between cohort switches.
         period_intervals: u32,
@@ -46,7 +53,8 @@ pub enum StrategyKind {
         boost_milli: u32,
     },
     /// Rotate the whole flood across sibling stub domains: each period
-    /// only one stub's sources transmit (scaled to the full budget), so
+    /// only one stub's sources transmit (each at `n / |stub's sources|`
+    /// × nominal, exactly the full budget), so
     /// every upstream trust ledger keeps paying fresh install costs for
     /// a different requester — per-target install budgets dilute.
     CarpetBombing {

@@ -1,5 +1,6 @@
 //! The four built-in closed-loop strategies and the [`Strategy`] enum
-//! that dispatches between them.
+//! that dispatches between them. Source rotation and carpet bombing are
+//! one [`CohortRotation`] built two ways.
 //!
 //! A strategy is a deterministic state machine driven once per monitor
 //! interval by the [`AdversaryController`](crate::AdversaryController).
@@ -39,10 +40,10 @@ pub(crate) struct StrategyCtx<'a> {
 /// no defender internals.
 #[derive(Debug)]
 pub(crate) enum Strategy {
-    Rotation(SourceRotation),
+    Rotation(CohortRotation),
     Shaping(AttestationShaping),
     Pulse(PulseTuning),
-    Carpet(CarpetBombing),
+    Carpet(CohortRotation),
 }
 
 impl Strategy {
@@ -60,7 +61,7 @@ impl Strategy {
                 // permanently idle rotation, latched here at
                 // construction rather than branched on per interval.
                 let mut rotation =
-                    SourceRotation::new(period_intervals, active_fraction, stubs.len());
+                    CohortRotation::round_robin(period_intervals, active_fraction, stubs.len());
                 rotation.effective = period_intervals < spec.lease_intervals;
                 Strategy::Rotation(rotation)
             }
@@ -72,7 +73,7 @@ impl Strategy {
                 Strategy::Pulse(PulseTuning::new(boost_milli))
             }
             StrategyKind::CarpetBombing { period_intervals } => {
-                Strategy::Carpet(CarpetBombing::new(period_intervals, stubs))
+                Strategy::Carpet(CohortRotation::by_stub(period_intervals, stubs))
             }
         }
     }
@@ -80,10 +81,9 @@ impl Strategy {
     /// Observes one monitor interval and appends retargeting directives.
     pub(crate) fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
         match self {
-            Strategy::Rotation(s) => s.on_interval(ctx, out),
+            Strategy::Rotation(s) | Strategy::Carpet(s) => s.on_interval(ctx, out),
             Strategy::Shaping(s) => s.on_interval(ctx, out),
             Strategy::Pulse(s) => s.on_interval(ctx, out),
-            Strategy::Carpet(s) => s.on_interval(ctx, out),
         }
     }
 }
@@ -96,20 +96,14 @@ impl State for Strategy {
         match self {
             Strategy::Rotation(s) => {
                 w.write_bool(s.effective);
-                w.write_bool(s.engaged);
-                w.write_u32(s.cursor);
-                w.write_u32(s.since_rotate);
+                s.write_turn(w);
             }
             Strategy::Shaping(s) => w.write_u32(s.scale_milli),
             Strategy::Pulse(s) => {
                 w.write_bool(s.engaged);
                 w.write_u32(s.phase);
             }
-            Strategy::Carpet(s) => {
-                w.write_bool(s.engaged);
-                w.write_u32(s.cursor);
-                w.write_u32(s.since_rotate);
-            }
+            Strategy::Carpet(s) => s.write_turn(w),
         }
     }
 
@@ -117,40 +111,44 @@ impl State for Strategy {
         match self {
             Strategy::Rotation(s) => {
                 s.effective = r.read_bool()?;
-                s.engaged = r.read_bool()?;
-                s.cursor = r.read_u32()?;
-                s.since_rotate = r.read_u32()?;
+                s.read_turn(r)?;
             }
             Strategy::Shaping(s) => s.scale_milli = r.read_u32()?,
             Strategy::Pulse(s) => {
                 s.engaged = r.read_bool()?;
                 s.phase = r.read_u32()?;
             }
-            Strategy::Carpet(s) => {
-                s.engaged = r.read_bool()?;
-                s.cursor = r.read_u32()?;
-                s.since_rotate = r.read_u32()?;
-            }
+            Strategy::Carpet(s) => s.read_turn(r)?,
         }
         Ok(())
     }
 }
 
-/// Churn the active source cohort faster than the defense's lease.
+/// Rotate the transmitting cohort: once engaged, only the cursor
+/// cohort's sources send, each at its cohort's rate scale, and the
+/// cursor advances every `period_intervals`.
 ///
-/// Sources are partitioned round-robin into `cohorts` cohorts; only the
-/// cursor cohort transmits, scaled up by the cohort count to preserve
-/// the aggregate budget. A paused cohort's meters drain, the victim
-/// coordinator observes subsidence and stands its filters down, and by
-/// the time the cohort returns its soft state has been flushed — so the
-/// defense keeps paying the full detection-and-install latency against
-/// a perpetually fresh source set.
+/// Two strategies are this one machine with different cohorts:
+///
+/// * **Source rotation** ([`CohortRotation::round_robin`]) churns the
+///   active cohort faster than the defense's lease. A paused cohort's
+///   meters drain, the victim coordinator observes subsidence and stands
+///   its filters down, and by the time the cohort returns its soft state
+///   has been flushed — so the defense keeps paying the full
+///   detection-and-install latency against a perpetually fresh source
+///   set.
+/// * **Carpet bombing** ([`CohortRotation::by_stub`]) rotates the whole
+///   flood across sibling stub domains. Every upstream trust ledger then
+///   keeps paying fresh install costs for a different requesting domain,
+///   diluting per-target install budgets across the sibling set.
 #[derive(Debug)]
-pub(crate) struct SourceRotation {
+pub(crate) struct CohortRotation {
     period_intervals: u32,
-    cohorts: u32,
-    n_sources: usize,
-    /// Rotation only pays off when it outruns the lease; see
+    /// Per-source cohort index, in stable source order.
+    cohort_of: Vec<u32>,
+    /// Per-cohort rate scale of its active sources, in thousandths.
+    scale_milli: Vec<u32>,
+    /// Source rotation only pays off when it outruns the lease; see
     /// [`StrategyKind::SourceRotation`]. Latched at construction.
     effective: bool,
     engaged: bool,
@@ -158,13 +156,42 @@ pub(crate) struct SourceRotation {
     since_rotate: u32,
 }
 
-impl SourceRotation {
-    fn new(period_intervals: u32, active_fraction: f64, n_sources: usize) -> Self {
+impl CohortRotation {
+    /// Source rotation: source `src` joins cohort `src % c` of
+    /// `c = round(1 / active_fraction)`, and every cohort sends at
+    /// `c × nominal`. That keeps the budget only when `c` divides the
+    /// source count: with 5 sources in 2 cohorts, the turns send 6 and
+    /// 4 nominal units against the baseline's 5.
+    fn round_robin(period_intervals: u32, active_fraction: f64, n_sources: usize) -> Self {
         let cohorts = (1.0 / active_fraction).round().max(1.0) as u32;
-        SourceRotation {
+        let cohort_of = (0..n_sources).map(|src| src as u32 % cohorts).collect();
+        let scale_milli = vec![NOMINAL_MILLI * cohorts; cohorts as usize];
+        CohortRotation::new(period_intervals, cohort_of, scale_milli)
+    }
+
+    /// Carpet bombing: one cohort per distinct stub, in stub order, each
+    /// sending at `n / |cohort| × nominal` — exactly the full budget.
+    fn by_stub(period_intervals: u32, source_stub: &[u32]) -> Self {
+        let mut stubs: Vec<u32> = source_stub.to_vec();
+        stubs.sort_unstable();
+        stubs.dedup();
+        let rank = |stub| stubs.binary_search(&stub).expect("stub listed") as u32;
+        let cohort_of: Vec<u32> = source_stub.iter().map(|&stub| rank(stub)).collect();
+        let n = source_stub.len() as u32;
+        let scale_milli = (0..stubs.len() as u32)
+            .map(|c| {
+                let members = cohort_of.iter().filter(|&&k| k == c).count();
+                NOMINAL_MILLI * n / members as u32
+            })
+            .collect();
+        CohortRotation::new(period_intervals, cohort_of, scale_milli)
+    }
+
+    fn new(period_intervals: u32, cohort_of: Vec<u32>, scale_milli: Vec<u32>) -> Self {
+        CohortRotation {
             period_intervals,
-            cohorts,
-            n_sources,
+            cohort_of,
+            scale_milli,
             effective: true,
             engaged: false,
             cursor: 0,
@@ -172,11 +199,35 @@ impl SourceRotation {
         }
     }
 
+    /// The rotation's turn state: engaged, cursor and interval count.
+    fn write_turn<W: StateWrite>(&self, w: &mut W) {
+        w.write_bool(self.engaged);
+        w.write_u32(self.cursor);
+        w.write_u32(self.since_rotate);
+    }
+
+    /// Reads [`CohortRotation::write_turn`]'s fields, rejecting a cursor
+    /// past the last cohort.
+    fn read_turn(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.engaged = r.read_bool()?;
+        self.cursor = r.read_u32()?;
+        self.since_rotate = r.read_u32()?;
+        if self.cursor as usize >= self.scale_milli.len().max(1) {
+            return Err(SnapError::Malformed(format!(
+                "rotation cursor {} past {} cohorts",
+                self.cursor,
+                self.scale_milli.len()
+            )));
+        }
+        Ok(())
+    }
+
     /// Emits directives activating cohort `cursor` and pausing all
-    /// others, scaled for equal budget.
+    /// others.
     fn retarget(&self, out: &mut Vec<AdversaryDirective>) {
-        for src in 0..self.n_sources {
-            let active = (src as u32) % self.cohorts == self.cursor;
+        let scale_milli = self.scale_milli[self.cursor as usize];
+        for (src, &cohort) in self.cohort_of.iter().enumerate() {
+            let active = cohort == self.cursor;
             out.push(AdversaryDirective::SetActive {
                 source: src,
                 active,
@@ -184,14 +235,16 @@ impl SourceRotation {
             if active {
                 out.push(AdversaryDirective::SetRateScale {
                     source: src,
-                    scale_milli: NOMINAL_MILLI * self.cohorts,
+                    scale_milli,
                 });
             }
         }
     }
 
     fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
-        if !self.effective || self.cohorts < 2 || self.n_sources == 0 {
+        // Fewer than two cohorts, or no sources, leave nothing to rotate.
+        let cohorts = self.scale_milli.len() as u32;
+        if !self.effective || cohorts < 2 || self.cohort_of.is_empty() {
             return;
         }
         if !self.engaged {
@@ -205,7 +258,7 @@ impl SourceRotation {
         self.since_rotate += 1;
         if self.since_rotate >= self.period_intervals {
             self.since_rotate = 0;
-            self.cursor = (self.cursor + 1) % self.cohorts;
+            self.cursor = (self.cursor + 1) % cohorts;
             self.retarget(out);
         }
     }
@@ -317,85 +370,6 @@ impl PulseTuning {
     }
 }
 
-/// Rotate the whole flood across sibling stub domains.
-///
-/// Each period only the cursor stub's sources transmit, scaled to the
-/// full budget. Every upstream trust ledger then keeps paying fresh
-/// install costs for a different requesting domain, diluting per-target
-/// install budgets across the sibling set.
-#[derive(Debug)]
-pub(crate) struct CarpetBombing {
-    period_intervals: u32,
-    /// Distinct stub indices hosting at least one source, sorted.
-    stubs: Vec<u32>,
-    /// Per-source stub index, in stable source order.
-    source_stub: Vec<u32>,
-    engaged: bool,
-    cursor: u32,
-    since_rotate: u32,
-}
-
-impl CarpetBombing {
-    fn new(period_intervals: u32, source_stub: &[u32]) -> Self {
-        let mut stubs: Vec<u32> = source_stub.to_vec();
-        stubs.sort_unstable();
-        stubs.dedup();
-        CarpetBombing {
-            period_intervals,
-            stubs,
-            source_stub: source_stub.to_vec(),
-            engaged: false,
-            cursor: 0,
-            since_rotate: 0,
-        }
-    }
-
-    fn retarget(&self, out: &mut Vec<AdversaryDirective>) {
-        let active_stub = self.stubs[self.cursor as usize % self.stubs.len()];
-        let active_count = self
-            .source_stub
-            .iter()
-            .filter(|&&s| s == active_stub)
-            .count()
-            .max(1);
-        let scale = NOMINAL_MILLI * (self.source_stub.len() as u32) / (active_count as u32);
-        for (src, &stub) in self.source_stub.iter().enumerate() {
-            let active = stub == active_stub;
-            out.push(AdversaryDirective::SetActive {
-                source: src,
-                active,
-            });
-            if active {
-                out.push(AdversaryDirective::SetRateScale {
-                    source: src,
-                    scale_milli: scale,
-                });
-            }
-        }
-    }
-
-    fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
-        // A single stub leaves nothing to rotate across.
-        if self.stubs.len() < 2 {
-            return;
-        }
-        if !self.engaged {
-            if ctx.loss_rate > ctx.spec.engage_loss {
-                self.engaged = true;
-                self.since_rotate = 0;
-                self.retarget(out);
-            }
-            return;
-        }
-        self.since_rotate += 1;
-        if self.since_rotate >= self.period_intervals {
-            self.since_rotate = 0;
-            self.cursor = (self.cursor + 1) % (self.stubs.len() as u32);
-            self.retarget(out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,7 +411,7 @@ mod tests {
     fn rotation_engages_rotates_and_preserves_budget() {
         let spec = AdversarySpec::default();
         let sources = 8;
-        let mut s = Strategy::Rotation(SourceRotation::new(2, 0.5, sources));
+        let mut s = Strategy::Rotation(CohortRotation::round_robin(2, 0.5, sources));
         // Quiet interval: no directives before engagement.
         assert!(drive(&mut s, &spec, sources, 0.1).is_empty());
         // Heavy loss engages and retargets to cohort 0.
@@ -456,7 +430,7 @@ mod tests {
     #[test]
     fn rotation_cohort_membership_is_round_robin() {
         let spec = AdversarySpec::default();
-        let mut s = Strategy::Rotation(SourceRotation::new(1, 0.5, 4));
+        let mut s = Strategy::Rotation(CohortRotation::round_robin(1, 0.5, 4));
         let first = drive(&mut s, &spec, 4, 0.9);
         // Cohort 0 of 2 = sources 0 and 2 active.
         let mut active = vec![false; 4];
@@ -539,7 +513,7 @@ mod tests {
     #[test]
     fn carpet_rotates_across_stubs_with_full_budget() {
         let spec = AdversarySpec::default();
-        let mut s = Strategy::Carpet(CarpetBombing::new(1, &[0, 1, 2, 0, 1, 2]));
+        let mut s = Strategy::Carpet(CohortRotation::by_stub(1, &[0, 1, 2, 0, 1, 2]));
         let first = drive(&mut s, &spec, 6, 0.9);
         assert_eq!(budget_after(6, &first), 6 * NOMINAL_MILLI);
         let second = drive(&mut s, &spec, 6, 0.9);
@@ -547,10 +521,45 @@ mod tests {
         assert_eq!(budget_after(6, &second), 6 * NOMINAL_MILLI);
     }
 
+    /// Rotation's `c × nominal` keeps the budget only when the cohort
+    /// count divides the sources; carpet's `n / |cohort|` always does.
+    /// Fig. 11's five sources in two cohorts overshoot, then undershoot.
+    #[test]
+    fn rotation_budget_drifts_on_uneven_cohorts_where_carpet_holds() {
+        let spec = AdversarySpec::default();
+        let stubs = [1u32, 2, 0, 1, 2];
+        let n = stubs.len();
+        let mut rotation = Strategy::Rotation(CohortRotation::round_robin(1, 0.5, n));
+        let mut carpet = Strategy::Carpet(CohortRotation::by_stub(1, &stubs));
+        let turns = |s: &mut Strategy| -> Vec<u32> {
+            (0..4)
+                .map(|_| budget_after(n, &drive(s, &spec, n, 0.9)))
+                .collect()
+        };
+        assert_eq!(turns(&mut rotation), [6000, 4000, 6000, 4000]);
+        assert_eq!(turns(&mut carpet), [5000; 4]);
+    }
+
+    #[test]
+    fn restore_rejects_a_cursor_past_the_last_cohort() {
+        let spec = AdversarySpec::with_strategy(StrategyKind::CarpetBombing {
+            period_intervals: 1,
+        });
+        let stubs = [0u32, 1, 0];
+        let mut w = mafic_obs::SnapWriter::new();
+        w.write_bool(true);
+        w.write_u32(2);
+        w.write_u32(0);
+        let bytes = w.into_bytes();
+        let mut s = Strategy::new(&spec, &stubs);
+        let err = s.read_state(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapError::Malformed(_)), "{err}");
+    }
+
     #[test]
     fn carpet_single_stub_is_inert() {
         let spec = AdversarySpec::default();
-        let mut s = Strategy::Carpet(CarpetBombing::new(1, &[0, 0, 0, 0]));
+        let mut s = Strategy::Carpet(CohortRotation::by_stub(1, &[0, 0, 0, 0]));
         for _ in 0..10 {
             assert!(drive(&mut s, &spec, 4, 0.95).is_empty());
         }

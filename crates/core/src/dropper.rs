@@ -36,7 +36,7 @@ use crate::rate::ArrivalTracker;
 use crate::tables::{FlowState, FlowTables, PdtReason, SftEntry};
 use mafic_netsim::{
     Addr, DropReason, FilterAction, FilterControl, FilterCtx, FlowId, FlowKey, Packet, PacketEnv,
-    PacketFilter, PacketKind, Provenance, SimDuration, SimTime, StatNote,
+    PacketFilter, PacketKind, SimDuration, SimTime, StatNote,
 };
 use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use rand::rngs::SmallRng;
@@ -213,18 +213,13 @@ impl MaficFilter {
     fn emit_probe(&mut self, key: FlowKey, victim: Addr, ctx: &mut FilterCtx<'_>) {
         // Duplicate ACKs claim to come from the destination the flow is
         // sending to (the victim side), addressed to the claimed source.
-        let probe = Packet {
-            id: ctx.fresh_packet_id(),
-            key: FlowKey::new(victim, key.src, key.dst_port, key.src_port),
-            kind: PacketKind::ProbeDupAck {
+        ctx.emit(
+            FlowKey::new(victim, key.src, key.dst_port, key.src_port),
+            PacketKind::ProbeDupAck {
                 count: PROBE_DUP_ACKS,
             },
-            size_bytes: PROBE_SIZE,
-            created_at: ctx.now(),
-            provenance: Provenance::infrastructure(),
-            hops: 0,
-        };
-        ctx.emit_packet(probe);
+            PROBE_SIZE,
+        );
         self.counters.probes_sent += 1;
     }
 
@@ -466,7 +461,7 @@ impl PacketFilter for MaficFilter {
 mod tests {
     use super::*;
     use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash, FilterHarness};
-    use mafic_netsim::AgentId;
+    use mafic_netsim::{AgentId, Provenance};
 
     const VICTIM: Addr = Addr::new(0x0AC8_0001); // 10.200.0.1
 

@@ -17,7 +17,7 @@
 //! * **β** (traffic reduction rate) — relative drop of the victim's
 //!   arrival rate from just before the pushback trigger to just after.
 
-use mafic_netsim::{SimDuration, SimTime, StatsCollector};
+use mafic_netsim::{BinSeries, SimDuration, SimTime, StatsCollector, VictimBin};
 use std::fmt;
 
 /// Measurement windows anchored at the pushback trigger.
@@ -183,11 +183,16 @@ impl MetricsReport {
                 report.flows.legit_flows += 1;
             }
         }
-        let (before, after) = victim_rates(stats, windows);
+        // Rates at the victim come from the offered-load series (arrivals
+        // at its last-hop router, before the defense and the bottleneck
+        // act, where the paper measures) when one was recorded, else
+        // from the delivery series; goodput always from deliveries.
+        let offered = stats.arrival_series().or(stats.victim_series());
+        let (before, after) = victim_rates(offered, windows);
         report.victim_rate_before = before;
         report.victim_rate_after = after;
-        report.residual_attack_bps = residual_attack_rate(stats, windows);
-        report.legit_goodput_bps = legit_goodput_rate(stats, windows);
+        report.residual_attack_bps = residual_rate(offered, windows, |b| b.attack_bytes);
+        report.legit_goodput_bps = residual_rate(stats.victim_series(), windows, |b| b.legit_bytes);
         report.recompute_derived();
         report
     }
@@ -277,105 +282,55 @@ fn percent(numerator: u64, denominator: u64) -> f64 {
     }
 }
 
-/// Mean victim arrival rates (bytes/s) in the before/after windows.
-///
-/// Prefers the *offered load* series (arrivals at the victim's last-hop
-/// router, before the defense and the bottleneck act) when one was
-/// recorded, matching where the paper measures its traffic-reduction
-/// rate; otherwise falls back to the delivery series.
-fn victim_rates(stats: &StatsCollector, windows: &MeasureWindows) -> (f64, f64) {
-    let Some((bin_width, bins)) = victim_series(stats) else {
+/// Mean victim arrival rates (bytes/s) in the before/after windows of
+/// `offered`.
+fn victim_rates(offered: Option<&BinSeries>, windows: &MeasureWindows) -> (f64, f64) {
+    let Some(series) = offered else {
         return (0.0, 0.0);
-    };
-    let rate_in = |from: SimTime, to: SimTime| -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        let lo = (from.as_nanos() / bin_width.as_nanos()) as usize;
-        let hi = ((to.as_nanos().saturating_sub(1)) / bin_width.as_nanos()) as usize;
-        let mut bytes = 0u64;
-        let mut count = 0u64;
-        for idx in lo..=hi {
-            if let Some(bin) = bins.get(idx) {
-                bytes += bin.total_bytes();
-            }
-            count += 1;
-        }
-        if count == 0 {
-            0.0
-        } else {
-            bytes as f64 / (count as f64 * bin_width.as_secs_f64())
-        }
     };
     let trigger = windows.trigger_at;
     let since_zero = trigger.saturating_since(SimTime::ZERO);
     let before_start = SimTime::ZERO + (since_zero - since_zero.min(windows.before));
-    let before = rate_in(before_start, trigger);
+    let before = window_rate(series, before_start, trigger, VictimBin::total_bytes);
     let after_start = trigger + windows.settle;
-    let after = rate_in(after_start, after_start + windows.after);
+    let after_end = after_start + windows.after;
+    let after = window_rate(series, after_start, after_end, VictimBin::total_bytes);
     (before, after)
 }
 
-/// The victim time series used for rate measurements: the offered-load
-/// (arrival) series when one was recorded, else the delivery series.
-fn victim_series(stats: &StatsCollector) -> Option<(SimDuration, &[mafic_netsim::VictimBin])> {
-    if let Some(w) = stats.arrival_bin_width() {
-        Some((w, stats.arrival_bins()))
-    } else {
-        stats.victim_bin_width().map(|w| (w, stats.victim_bins()))
-    }
-}
-
 /// Mean byte rate of `extract`-selected traffic over the fixed-length
-/// residual window behind the trigger. Bins past the recorded series
-/// count as empty, keeping the denominator identical across runs.
-fn residual_window_rate(
-    bin_width: SimDuration,
-    bins: &[mafic_netsim::VictimBin],
+/// residual window behind the trigger.
+fn residual_rate(
+    series: Option<&BinSeries>,
     windows: &MeasureWindows,
-    extract: impl Fn(&mafic_netsim::VictimBin) -> u64,
+    extract: impl Fn(&VictimBin) -> u64,
 ) -> f64 {
-    if windows.residual.is_zero() {
+    let Some(series) = series else {
         return 0.0;
-    }
+    };
     let from = windows.trigger_at + windows.settle;
-    let Some(to) = from.checked_add(windows.residual) else {
-        return 0.0;
-    };
-    let lo = (from.as_nanos() / bin_width.as_nanos()) as usize;
-    let hi = ((to.as_nanos().saturating_sub(1)) / bin_width.as_nanos()) as usize;
-    let mut bytes = 0u64;
-    let mut count = 0u64;
-    for idx in lo..=hi {
-        if let Some(bin) = bins.get(idx) {
-            bytes += extract(bin);
-        }
-        count += 1;
-    }
-    if count == 0 {
-        0.0
-    } else {
-        bytes as f64 / (count as f64 * bin_width.as_secs_f64())
-    }
+    from.checked_add(windows.residual)
+        .map_or(0.0, |to| window_rate(series, from, to, extract))
 }
 
-/// Mean **attack** arrival rate (bytes/s) at the victim over the
-/// residual window.
-fn residual_attack_rate(stats: &StatsCollector, windows: &MeasureWindows) -> f64 {
-    let Some((bin_width, bins)) = victim_series(stats) else {
+/// Mean byte rate of `extract`-selected traffic in `series` over
+/// `[from, to)`, 0 for an empty window. Bins past the recorded series
+/// count as empty, keeping the denominator identical across runs.
+fn window_rate(
+    series: &BinSeries,
+    from: SimTime,
+    to: SimTime,
+    extract: impl Fn(&VictimBin) -> u64,
+) -> f64 {
+    if to <= from {
         return 0.0;
-    };
-    residual_window_rate(bin_width, bins, windows, |b| b.attack_bytes)
-}
-
-/// Mean **legitimate delivered** rate (bytes/s) at the victim over the
-/// residual window — always from the delivery series, never the
-/// offered-load series.
-fn legit_goodput_rate(stats: &StatsCollector, windows: &MeasureWindows) -> f64 {
-    let Some(bin_width) = stats.victim_bin_width() else {
-        return 0.0;
-    };
-    residual_window_rate(bin_width, stats.victim_bins(), windows, |b| b.legit_bytes)
+    }
+    let width = series.width();
+    let lo = (from.as_nanos() / width.as_nanos()) as usize;
+    let hi = ((to.as_nanos() - 1) / width.as_nanos()) as usize;
+    let bins = series.bins();
+    let bytes: u64 = (lo..=hi).filter_map(|idx| bins.get(idx)).map(extract).sum();
+    bytes as f64 / ((hi - lo + 1) as f64 * width.as_secs_f64())
 }
 
 #[cfg(test)]

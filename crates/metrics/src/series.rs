@@ -1,6 +1,6 @@
 //! Time-series extraction for the flow-bandwidth figures (Fig. 4b).
 
-use mafic_netsim::StatsCollector;
+use mafic_netsim::{BinSeries, StatsCollector};
 
 /// One point of the victim-side bandwidth series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,7 +21,9 @@ impl BandwidthPoint {
     }
 }
 
-/// Extracts the victim arrival-bandwidth series from a run's statistics.
+/// Extracts the victim's delivery-bandwidth series — what reached the
+/// victim host, after the defense and the bottleneck — from a run's
+/// statistics.
 ///
 /// Returns an empty vector when no victim watch was configured.
 ///
@@ -36,20 +38,7 @@ impl BandwidthPoint {
 /// ```
 #[must_use]
 pub fn victim_bandwidth_series(stats: &StatsCollector) -> Vec<BandwidthPoint> {
-    let Some(bin) = stats.victim_bin_width() else {
-        return Vec::new();
-    };
-    let width_s = bin.as_secs_f64();
-    stats
-        .victim_bins()
-        .iter()
-        .enumerate()
-        .map(|(i, b)| BandwidthPoint {
-            time_s: i as f64 * width_s,
-            legit_bps: b.legit_bytes as f64 / width_s,
-            attack_bps: b.attack_bytes as f64 / width_s,
-        })
-        .collect()
+    points(stats.victim_series())
 }
 
 /// Extracts the *offered load* series — arrivals at the watched router
@@ -59,12 +48,17 @@ pub fn victim_bandwidth_series(stats: &StatsCollector) -> Vec<BandwidthPoint> {
 /// Returns an empty vector when no arrival watch was configured.
 #[must_use]
 pub fn victim_arrival_series(stats: &StatsCollector) -> Vec<BandwidthPoint> {
-    let Some(bin) = stats.arrival_bin_width() else {
+    points(stats.arrival_series())
+}
+
+/// One byte-rate point per bin of `series`.
+fn points(series: Option<&BinSeries>) -> Vec<BandwidthPoint> {
+    let Some(series) = series else {
         return Vec::new();
     };
-    let width_s = bin.as_secs_f64();
-    stats
-        .arrival_bins()
+    let width_s = series.width().as_secs_f64();
+    series
+        .bins()
         .iter()
         .enumerate()
         .map(|(i, b)| BandwidthPoint {

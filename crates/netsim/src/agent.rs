@@ -8,7 +8,7 @@
 
 use crate::flows::FlowId;
 use crate::ids::{AgentId, NodeId};
-use crate::packet::Packet;
+use crate::packet::{FlowKey, Packet, PacketKind, Provenance};
 use crate::time::{SimDuration, SimTime};
 use mafic_obs::{DynState, SnapError, SnapReader, State, StateWrite};
 use std::any::Any;
@@ -58,12 +58,6 @@ impl<'a> AgentCtx<'a> {
         self.now
     }
 
-    /// This agent's id.
-    #[must_use]
-    pub fn agent_id(&self) -> AgentId {
-        self.agent
-    }
-
     /// The node the agent is attached to.
     #[must_use]
     pub fn node(&self) -> NodeId {
@@ -78,19 +72,20 @@ impl<'a> AgentCtx<'a> {
         self.flow
     }
 
-    /// Allocates a fresh domain-unique packet id.
-    pub fn fresh_packet_id(&mut self) -> u64 {
-        let id = *self.next_packet_id;
-        *self.next_packet_id += 1;
-        id
-    }
-
-    /// Sends a packet into the network from the agent's node.
+    /// Sends a packet of `kind` on flow `key` into the network from the
+    /// agent's node. The simulator stamps its header: the next
+    /// domain-unique id, `now` as its creation time, this agent as its
+    /// origin, and hop 0; `is_attack` is the flow's ground truth.
     ///
     /// The packet enters the node's normal forwarding path (it will be
-    /// routed toward `packet.key.dst`); it does not traverse the node's own
+    /// routed toward `key.dst`); it does not traverse the node's own
     /// filter chain, matching a host stack injecting onto its access link.
-    pub fn send_packet(&mut self, packet: Packet) {
+    pub fn send(&mut self, key: FlowKey, kind: PacketKind, size: u32, is_attack: bool) {
+        let provenance = Provenance {
+            origin: self.agent,
+            is_attack,
+        };
+        let packet = Packet::stamp(self.next_packet_id, key, kind, size, self.now, provenance);
         self.commands.push(AgentCommand::SendPacket(packet));
     }
 
@@ -175,7 +170,6 @@ impl State for CountingSink {
 mod tests {
     use super::*;
     use crate::ids::Addr;
-    use crate::packet::{FlowKey, PacketKind, Provenance};
 
     fn pkt(size: u32) -> Packet {
         Packet {
@@ -196,25 +190,36 @@ mod tests {
     fn ctx_allocates_monotonic_ids_and_buffers() {
         let mut next = 5u64;
         let mut cmds = Vec::new();
-        let mut ctx = AgentCtx::new(
-            SimTime::ZERO,
-            AgentId(1),
-            NodeId(2),
-            None,
-            &mut next,
-            &mut cmds,
-        );
-        assert_eq!(ctx.agent_id(), AgentId(1));
+        let now = SimTime::from_secs_f64(0.5);
+        let mut ctx = AgentCtx::new(now, AgentId(1), NodeId(2), None, &mut next, &mut cmds);
         assert_eq!(ctx.node(), NodeId(2));
-        assert_eq!(ctx.fresh_packet_id(), 5);
-        ctx.send_packet(pkt(10));
+        let key = pkt(0).key;
+        ctx.send(key, PacketKind::Udp, 10, true);
         ctx.schedule_in(SimDuration::from_millis(3), 9);
-        assert_eq!(cmds.len(), 2);
-        assert!(matches!(cmds[0], AgentCommand::SendPacket(_)));
+        ctx.send(key.reversed(), PacketKind::Udp, 40, false);
+        assert_eq!(cmds.len(), 3);
         assert!(matches!(
             cmds[1],
             AgentCommand::ScheduleTimer { token: 9, .. }
         ));
+        // Each send stamps the next id, `now`, this agent and hop 0.
+        let sent: Vec<&Packet> = cmds
+            .iter()
+            .filter_map(|cmd| match cmd {
+                AgentCommand::SendPacket(p) => Some(p),
+                AgentCommand::ScheduleTimer { .. } => None,
+            })
+            .collect();
+        for (packet, (id, is_attack)) in sent.iter().zip([(5, true), (6, false)]) {
+            assert_eq!(packet.id, id);
+            assert_eq!(packet.created_at, now);
+            assert_eq!(packet.provenance.origin, AgentId(1));
+            assert_eq!(packet.provenance.is_attack, is_attack);
+            assert_eq!(packet.hops, 0);
+        }
+        assert_eq!((sent[0].key, sent[0].size_bytes), (key, 10));
+        assert_eq!(sent[1].key, key.reversed());
+        assert_eq!(next, 7);
     }
 
     #[test]

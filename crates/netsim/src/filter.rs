@@ -10,7 +10,7 @@
 use crate::event::FilterControl;
 use crate::flows::FlowId;
 use crate::ids::{LinkId, NodeId};
-use crate::packet::{DropReason, FlowKey, Packet};
+use crate::packet::{DropReason, FlowKey, Packet, PacketKind, Provenance};
 use crate::time::{SimDuration, SimTime};
 use mafic_obs::{DynState, SnapError, SnapReader, State, StateWrite};
 use std::any::Any;
@@ -111,16 +111,14 @@ impl<'a> FilterCtx<'a> {
         self.node
     }
 
-    /// Allocates a fresh domain-unique packet id (for emitted probes).
-    pub fn fresh_packet_id(&mut self) -> u64 {
-        let id = *self.next_packet_id;
-        *self.next_packet_id += 1;
-        id
-    }
-
-    /// Emits a packet from this node; it is routed like any transit packet
-    /// but does *not* re-enter this node's filter chain.
-    pub fn emit_packet(&mut self, packet: Packet) {
+    /// Emits a packet of `kind` on flow `key` from this node (MAFIC's
+    /// probes). The simulator stamps its header: the next domain-unique
+    /// id, `now`, infrastructure [`Provenance`] and hop 0. It is routed
+    /// like any transit packet but does *not* re-enter this node's
+    /// filter chain.
+    pub fn emit(&mut self, key: FlowKey, kind: PacketKind, size: u32) {
+        let provenance = Provenance::infrastructure();
+        let packet = Packet::stamp(self.next_packet_id, key, kind, size, self.now, provenance);
         self.commands.push(FilterCommand::EmitPacket(packet));
     }
 
@@ -228,7 +226,6 @@ impl State for PassthroughFilter {
 mod tests {
     use super::*;
     use crate::ids::{Addr, AgentId};
-    use crate::packet::{PacketKind, Provenance};
 
     fn pkt() -> Packet {
         Packet {
@@ -249,23 +246,37 @@ mod tests {
     fn ctx_buffers_commands_in_order() {
         let mut next_id = 100u64;
         let mut commands = Vec::new();
-        let mut ctx = FilterCtx::new(SimTime::ZERO, NodeId(0), 0, &mut next_id, &mut commands);
-        assert_eq!(ctx.fresh_packet_id(), 100);
-        assert_eq!(ctx.fresh_packet_id(), 101);
+        let now = SimTime::from_secs_f64(2.0);
+        let mut ctx = FilterCtx::new(now, NodeId(0), 0, &mut next_id, &mut commands);
+        let probe = PacketKind::ProbeDupAck { count: 3 };
+        ctx.emit(pkt().key, probe, 40);
         ctx.schedule_flow_timer(SimDuration::from_millis(1), FlowId::from_index(3), 42);
         ctx.note(StatNote::ProbeSent, pkt().key);
-        assert_eq!(commands.len(), 2);
+        ctx.emit(pkt().key.reversed(), probe, 40);
+        assert_eq!(commands.len(), 4);
         assert!(matches!(
-            commands[0],
+            commands[1],
             FilterCommand::ScheduleFlowTimer { kind: 42, .. }
         ));
         assert!(matches!(
-            commands[1],
+            commands[2],
             FilterCommand::Note {
                 note: StatNote::ProbeSent,
                 flow,
             } if flow == pkt().key
         ));
+        // Each emit stamps the next id, `now`, infrastructure provenance
+        // and hop 0.
+        for (cmd, id) in [(&commands[0], 100), (&commands[3], 101)] {
+            let FilterCommand::EmitPacket(packet) = cmd else {
+                panic!("expected an emit")
+            };
+            assert_eq!(packet.id, id);
+            assert_eq!(packet.created_at, now);
+            assert_eq!(packet.provenance, Provenance::infrastructure());
+            assert_eq!((packet.kind, packet.size_bytes), (probe, 40));
+            assert_eq!(packet.hops, 0);
+        }
         assert_eq!(next_id, 102);
     }
 

@@ -12,10 +12,18 @@
 //!   delay, and bounded drop-tail queues,
 //! * **Agents** — end-host endpoints (TCP senders, sinks, attack zombies
 //!   live in `mafic-transport`) driven by packet deliveries and timers,
+//!   sending through [`AgentCtx::send`],
 //! * **Packet filters** — router-resident hooks (the MAFIC dropper, the
-//!   LogLog traffic taps) that can drop, emit probes, and keep timers,
+//!   LogLog traffic taps) that can drop, emit probes
+//!   ([`FilterCtx::emit`]), and keep timers,
 //! * a **control plane** for pushback start/stop messages, and
-//! * a global [`StatsCollector`] with per-flow ground-truth accounting.
+//! * a global [`StatsCollector`] with per-flow ground-truth accounting
+//!   and two [`BinSeries`] at the victim: deliveries and offered load.
+//!
+//! Agents and filters name a packet's flow, kind and size; the simulator
+//! stamps the rest of the header — the next packet id, the creation
+//! time, the [`Provenance`] origin and hop 0 — so the ground truth the
+//! metrics read cannot be forged by the code under test.
 //!
 //! Everything is single-threaded and deterministic: the event queue breaks
 //! timestamp ties by insertion order, and no component consults ambient
@@ -77,6 +85,6 @@ pub use packet::{
     Packet, PacketKind, Provenance, RequesterId, CONTROL_PROTOCOL_VERSION,
 };
 pub use sim::{RunSummary, Simulator};
-pub use stats::{FlowRecord, StatsCollector, VictimBin};
+pub use stats::{BinSeries, FlowRecord, StatsCollector, VictimBin};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceBuffer, TraceEvent};

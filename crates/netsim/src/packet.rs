@@ -389,6 +389,30 @@ impl Packet {
     /// Hop limit after which a packet is discarded.
     pub(crate) const MAX_HOPS: u8 = 64;
 
+    /// A new packet at hop 0, numbered with the next id from `next_id`
+    /// — the one place outside tests that builds a header, so no agent
+    /// or filter chooses its own id, time or [`Provenance`].
+    pub(crate) fn stamp(
+        next_id: &mut u64,
+        key: FlowKey,
+        kind: PacketKind,
+        size_bytes: u32,
+        created_at: SimTime,
+        provenance: Provenance,
+    ) -> Packet {
+        let id = *next_id;
+        *next_id += 1;
+        Packet {
+            id,
+            key,
+            kind,
+            size_bytes,
+            created_at,
+            provenance,
+            hops: 0,
+        }
+    }
+
     /// True if this packet has exceeded its hop budget.
     #[must_use]
     pub(crate) fn hop_limit_exceeded(&self) -> bool {

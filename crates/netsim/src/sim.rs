@@ -13,7 +13,7 @@ use crate::flows::{read_flow_id, FlowId, FlowInterner};
 use crate::ids::{Addr, AgentId, LinkId, NodeId};
 use crate::link::{EnqueueOutcome, Link, LinkSpec};
 use crate::node::Node;
-use crate::packet::{DropReason, FlowKey, Packet};
+use crate::packet::{DropReason, FlowKey, Packet, Provenance};
 use crate::stats::StatsCollector;
 use crate::time::SimTime;
 use crate::trace::{TraceBuffer, TraceEvent};
@@ -626,25 +626,17 @@ impl Simulator {
         node: NodeId,
         key: crate::packet::FlowKey,
         kind: crate::packet::PacketKind,
-        size_bytes: u32,
+        size: u32,
         is_attack: bool,
         at: SimTime,
     ) -> u64 {
         assert!(at >= self.now, "packet injected in the past");
-        let id = self.next_packet_id;
-        self.next_packet_id += 1;
-        let packet = Packet {
-            id,
-            key,
-            kind,
-            size_bytes,
-            created_at: at,
-            provenance: crate::packet::Provenance {
-                origin: AgentId(u32::MAX),
-                is_attack,
-            },
-            hops: 0,
+        let provenance = Provenance {
+            origin: AgentId(u32::MAX),
+            is_attack,
         };
+        let packet = Packet::stamp(&mut self.next_packet_id, key, kind, size, at, provenance);
+        let id = packet.id;
         let sid = self.stats.flow_id(packet.key);
         self.stats.on_sent_id(sid, &packet);
         let packet = self.arena.alloc(packet, Some(sid));
@@ -768,8 +760,12 @@ impl Simulator {
                 self.node_receive(node, packet, None);
             }
             EventKind::LinkDeliver { link } => self.link_deliver(link),
-            EventKind::AgentStart { agent } => self.agent_start(agent),
-            EventKind::AgentWake { agent, token } => self.agent_wake(agent, token),
+            EventKind::AgentStart { agent } => {
+                self.dispatch_agent(agent, None, |a, ctx| a.on_start(ctx));
+            }
+            EventKind::AgentWake { agent, token } => {
+                self.dispatch_agent(agent, None, |a, ctx| a.on_timer(token, ctx));
+            }
             EventKind::Control { node, msg } => self.control(node, msg),
         }
     }
@@ -896,24 +892,7 @@ impl Simulator {
             flow: packet.key,
             node: node_id,
         });
-        let mut commands = self.take_agent_buf();
-        {
-            let mut agent = self.agents[agent_id.index()]
-                .take()
-                .expect("agent re-entered during its own dispatch");
-            let mut ctx = AgentCtx::new(
-                self.now,
-                agent_id,
-                node_id,
-                Some(flow),
-                &mut self.next_packet_id,
-                &mut commands,
-            );
-            agent.on_packet(packet, &mut ctx);
-            self.agents[agent_id.index()] = Some(agent);
-        }
-        self.run_agent_commands(agent_id, &mut commands);
-        self.put_agent_buf(commands);
+        self.dispatch_agent(agent_id, Some(flow), |a, ctx| a.on_packet(packet, ctx));
     }
 
     fn forward(&mut self, node_id: NodeId, pref: PacketRef) {
@@ -957,48 +936,30 @@ impl Simulator {
         }
     }
 
-    fn agent_start(&mut self, agent_id: AgentId) {
+    /// Runs one agent callback against a context at the agent's home
+    /// node, then executes the commands it queued. `flow` is the
+    /// delivered packet's handle for `on_packet`, else `None`.
+    fn dispatch_agent(
+        &mut self,
+        agent_id: AgentId,
+        flow: Option<FlowId>,
+        callback: impl FnOnce(&mut dyn Agent, &mut AgentCtx<'_>),
+    ) {
         let mut commands = self.take_agent_buf();
-        {
-            let Some(mut agent) = self.agents[agent_id.index()].take() else {
-                self.put_agent_buf(commands);
-                return;
-            };
-            let node = self.agent_home[agent_id.index()];
-            let mut ctx = AgentCtx::new(
-                self.now,
-                agent_id,
-                node,
-                None,
-                &mut self.next_packet_id,
-                &mut commands,
-            );
-            agent.on_start(&mut ctx);
-            self.agents[agent_id.index()] = Some(agent);
-        }
-        self.run_agent_commands(agent_id, &mut commands);
-        self.put_agent_buf(commands);
-    }
-
-    fn agent_wake(&mut self, agent_id: AgentId, token: u64) {
-        let mut commands = self.take_agent_buf();
-        {
-            let Some(mut agent) = self.agents[agent_id.index()].take() else {
-                self.put_agent_buf(commands);
-                return;
-            };
-            let node = self.agent_home[agent_id.index()];
-            let mut ctx = AgentCtx::new(
-                self.now,
-                agent_id,
-                node,
-                None,
-                &mut self.next_packet_id,
-                &mut commands,
-            );
-            agent.on_timer(token, &mut ctx);
-            self.agents[agent_id.index()] = Some(agent);
-        }
+        let mut agent = self.agents[agent_id.index()]
+            .take()
+            .expect("agent re-entered during its own dispatch");
+        let node = self.agent_home[agent_id.index()];
+        let mut ctx = AgentCtx::new(
+            self.now,
+            agent_id,
+            node,
+            flow,
+            &mut self.next_packet_id,
+            &mut commands,
+        );
+        callback(&mut *agent, &mut ctx);
+        self.agents[agent_id.index()] = Some(agent);
         self.run_agent_commands(agent_id, &mut commands);
         self.put_agent_buf(commands);
     }

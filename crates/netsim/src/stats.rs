@@ -1,15 +1,16 @@
 //! The global statistics collector.
 //!
 //! Records per-flow packet accounting (sent / delivered / dropped, broken
-//! down by drop reason) plus optional binned time series of deliveries at
-//! a watched node (the victim). The metrics crate turns these raw counts
-//! into the paper's α, β, θp, θn and Lr.
+//! down by drop reason) plus two optional [`BinSeries`] at the victim:
+//! the deliveries to its host and the offered load arriving at its
+//! router. The metrics crate turns these raw counts into the paper's α,
+//! β, θp, θn and Lr.
 //!
 //! Ground-truth fields (`is_attack`) come from packet [`Provenance`] and
 //! are written here and only here — the defense filters cannot see them.
 
 use crate::flows::{read_flow_id, FlowId, FlowInterner, FlowSlab};
-use crate::ids::NodeId;
+use crate::ids::{Addr, NodeId};
 use crate::packet::{DropReason, FlowKey, Packet, Provenance};
 use crate::time::{SimDuration, SimTime};
 use mafic_obs::{SnapError, SnapReader, State, StateWrite};
@@ -88,19 +89,59 @@ impl VictimBin {
     }
 }
 
-/// Configuration of the victim watch time series.
-#[derive(Debug, Clone, Copy)]
-struct VictimWatch {
+/// A binned time series of the traffic seen at one watched node: every
+/// packet the watch matches adds its bytes and a packet count to the
+/// bin holding its instant, split by ground truth.
+#[derive(Debug)]
+pub struct BinSeries {
     node: NodeId,
-    bin: SimDuration,
+    /// Counts only packets bound to this address, when set.
+    dst: Option<Addr>,
+    width: SimDuration,
+    bins: Vec<VictimBin>,
 }
 
-/// Configuration of the arrival (offered-load) watch.
-#[derive(Debug, Clone, Copy)]
-struct ArrivalWatch {
-    node: NodeId,
-    dst: crate::ids::Addr,
-    bin: SimDuration,
+impl BinSeries {
+    fn new(node: NodeId, dst: Option<Addr>, width: SimDuration) -> Self {
+        assert!(!width.is_zero(), "bin width must be positive");
+        BinSeries {
+            node,
+            dst,
+            width,
+            bins: Vec::new(),
+        }
+    }
+
+    /// Width of each bin.
+    #[must_use]
+    pub fn width(&self) -> SimDuration {
+        self.width
+    }
+
+    /// The bins, from time zero; trailing empty bins are not stored.
+    #[must_use]
+    pub fn bins(&self) -> &[VictimBin] {
+        &self.bins
+    }
+
+    /// Adds `packet`, seen at `node` at `now`, if the watch matches it.
+    fn note(&mut self, packet: &Packet, node: NodeId, now: SimTime) {
+        if self.node != node || self.dst.is_some_and(|dst| dst != packet.key.dst) {
+            return;
+        }
+        let idx = (now.as_nanos() / self.width.as_nanos()) as usize;
+        if idx >= self.bins.len() {
+            self.bins.resize(idx + 1, VictimBin::default());
+        }
+        let bin = &mut self.bins[idx];
+        if packet.provenance.is_attack {
+            bin.attack_bytes += u64::from(packet.size_bytes);
+            bin.attack_packets += 1;
+        } else {
+            bin.legit_bytes += u64::from(packet.size_bytes);
+            bin.legit_packets += 1;
+        }
+    }
 }
 
 /// Global per-run statistics.
@@ -114,10 +155,8 @@ struct ArrivalWatch {
 pub struct StatsCollector {
     interner: FlowInterner,
     records: FlowSlab<FlowRecord>,
-    watch: Option<VictimWatch>,
-    bins: Vec<VictimBin>,
-    arrival_watch: Option<ArrivalWatch>,
-    arrival_bins: Vec<VictimBin>,
+    victim: Option<BinSeries>,
+    arrival: Option<BinSeries>,
     /// Probe packets emitted by filters, domain-wide.
     pub probes_emitted: u64,
     /// Total packets injected by agents.
@@ -139,10 +178,8 @@ impl StatsCollector {
         StatsCollector {
             interner: FlowInterner::new(),
             records: FlowSlab::new(),
-            watch: None,
-            bins: Vec::new(),
-            arrival_watch: None,
-            arrival_bins: Vec::new(),
+            victim: None,
+            arrival: None,
             probes_emitted: 0,
             total_sent: 0,
             total_delivered: 0,
@@ -158,9 +195,8 @@ impl StatsCollector {
     /// # Panics
     ///
     /// Panics if `bin` is zero.
-    pub fn watch_arrivals(&mut self, node: NodeId, dst: crate::ids::Addr, bin: SimDuration) {
-        assert!(!bin.is_zero(), "bin width must be positive");
-        self.arrival_watch = Some(ArrivalWatch { node, dst, bin });
+    pub fn watch_arrivals(&mut self, node: NodeId, dst: Addr, bin: SimDuration) {
+        self.arrival = Some(BinSeries::new(node, Some(dst), bin));
     }
 
     /// Starts recording a delivery time series at `node` with bins of
@@ -170,8 +206,7 @@ impl StatsCollector {
     ///
     /// Panics if `bin` is zero.
     pub fn watch_victim(&mut self, node: NodeId, bin: SimDuration) {
-        assert!(!bin.is_zero(), "bin width must be positive");
-        self.watch = Some(VictimWatch { node, bin });
+        self.victim = Some(BinSeries::new(node, None, bin));
     }
 
     /// The record slot for `key`, created on first touch.
@@ -227,23 +262,8 @@ impl StatsCollector {
 
     /// Records a packet arriving at `node` (pre-filter, pre-queue).
     pub(crate) fn on_node_arrival(&mut self, packet: &Packet, node: NodeId, now: SimTime) {
-        let Some(watch) = self.arrival_watch else {
-            return;
-        };
-        if watch.node != node || packet.key.dst != watch.dst {
-            return;
-        }
-        let idx = (now.as_nanos() / watch.bin.as_nanos()) as usize;
-        if idx >= self.arrival_bins.len() {
-            self.arrival_bins.resize(idx + 1, VictimBin::default());
-        }
-        let bin = &mut self.arrival_bins[idx];
-        if packet.provenance.is_attack {
-            bin.attack_bytes += u64::from(packet.size_bytes);
-            bin.attack_packets += 1;
-        } else {
-            bin.legit_bytes += u64::from(packet.size_bytes);
-            bin.legit_packets += 1;
+        if let Some(series) = &mut self.arrival {
+            series.note(packet, node, now);
         }
     }
 
@@ -251,21 +271,8 @@ impl StatsCollector {
     pub fn on_delivered_id(&mut self, id: FlowId, packet: &Packet, node: NodeId, now: SimTime) {
         self.total_delivered += 1;
         self.record_id(id, packet.provenance).delivered += 1;
-        if let Some(watch) = self.watch {
-            if watch.node == node {
-                let idx = (now.as_nanos() / watch.bin.as_nanos()) as usize;
-                if idx >= self.bins.len() {
-                    self.bins.resize(idx + 1, VictimBin::default());
-                }
-                let bin = &mut self.bins[idx];
-                if packet.provenance.is_attack {
-                    bin.attack_bytes += u64::from(packet.size_bytes);
-                    bin.attack_packets += 1;
-                } else {
-                    bin.legit_bytes += u64::from(packet.size_bytes);
-                    bin.legit_packets += 1;
-                }
-            }
+        if let Some(series) = &mut self.victim {
+            series.note(packet, node, now);
         }
     }
 
@@ -321,30 +328,18 @@ impl StatsCollector {
             .map(|(id, rec)| (self.interner.resolve(id), rec))
     }
 
-    /// The victim delivery time series (empty unless a watch was set).
+    /// The delivery series at the victim, if [`StatsCollector::watch_victim`]
+    /// set one.
     #[must_use]
-    pub fn victim_bins(&self) -> &[VictimBin] {
-        &self.bins
+    pub fn victim_series(&self) -> Option<&BinSeries> {
+        self.victim.as_ref()
     }
 
-    /// Width of the victim series bins, if a watch was configured.
+    /// The offered-load series, if [`StatsCollector::watch_arrivals`] set
+    /// one.
     #[must_use]
-    pub fn victim_bin_width(&self) -> Option<SimDuration> {
-        self.watch.map(|w| w.bin)
-    }
-
-    /// The offered-load time series (empty unless an arrival watch was
-    /// set).
-    #[must_use]
-    pub fn arrival_bins(&self) -> &[VictimBin] {
-        &self.arrival_bins
-    }
-
-    /// Width of the arrival series bins, if an arrival watch was
-    /// configured.
-    #[must_use]
-    pub fn arrival_bin_width(&self) -> Option<SimDuration> {
-        self.arrival_watch.map(|w| w.bin)
+    pub fn arrival_series(&self) -> Option<&BinSeries> {
+        self.arrival.as_ref()
     }
 
     /// Cumulative drop counts by reason group, summed over every flow:
@@ -406,8 +401,8 @@ fn read_flow_record(r: &mut SnapReader<'_>) -> Result<FlowRecord, SnapError> {
     })
 }
 
-fn write_bins<W: StateWrite>(bins: &[VictimBin], w: &mut W) {
-    w.write_seq(bins, |w, bin| {
+fn write_bins<W: StateWrite>(series: Option<&BinSeries>, w: &mut W) {
+    w.write_seq(series.map_or(&[][..], BinSeries::bins), |w, bin| {
         w.write_u64(bin.legit_bytes);
         w.write_u64(bin.attack_bytes);
         w.write_u64(bin.legit_packets);
@@ -415,15 +410,23 @@ fn write_bins<W: StateWrite>(bins: &[VictimBin], w: &mut W) {
     });
 }
 
-fn read_bins(r: &mut SnapReader<'_>) -> Result<Vec<VictimBin>, SnapError> {
-    r.read_seq(|r| {
+/// Restores a series' bins; a payload with bins but no watch to hold
+/// them came from a differently built run.
+fn read_bins(series: Option<&mut BinSeries>, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    let bins = r.read_seq(|r| {
         Ok(VictimBin {
             legit_bytes: r.read_u64()?,
             attack_bytes: r.read_u64()?,
             legit_packets: r.read_u64()?,
             attack_packets: r.read_u64()?,
         })
-    })
+    })?;
+    if let Some(series) = series {
+        series.bins = bins;
+    } else if !bins.is_empty() {
+        return Err(SnapError::Malformed("stats: unwatched bins".into()));
+    }
+    Ok(())
 }
 
 impl State for StatsCollector {
@@ -431,7 +434,7 @@ impl State for StatsCollector {
     /// A checkpoint also carries the interner's key slab, which the
     /// ledger summarises by length. The watch configurations are
     /// build-time settings (recreated by the scenario builder) and
-    /// appear in neither.
+    /// appear in neither; a series without its watch writes no bins.
     fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_u64(self.probes_emitted);
         w.write_u64(self.total_sent);
@@ -443,8 +446,8 @@ impl State for StatsCollector {
             w.write_usize(id.index());
             rec.write_state(w);
         }
-        write_bins(&self.bins, w);
-        write_bins(&self.arrival_bins, w);
+        write_bins(self.victim.as_ref(), w);
+        write_bins(self.arrival.as_ref(), w);
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -453,9 +456,8 @@ impl State for StatsCollector {
         self.total_delivered = r.read_u64()?;
         self.interner.read_state(r)?;
         self.records = r.read_seq(|r| Ok((read_flow_id(r)?, read_flow_record(r)?)))?;
-        self.bins = read_bins(r)?;
-        self.arrival_bins = read_bins(r)?;
-        Ok(())
+        read_bins(self.victim.as_mut(), r)?;
+        read_bins(self.arrival.as_mut(), r)
     }
 }
 
@@ -513,13 +515,71 @@ mod tests {
         s.on_delivered_id(attack_id, &attack, NodeId(3), SimTime::from_secs_f64(0.25));
         // Delivery at a different node is not binned.
         s.on_delivered_id(legit_id, &legit, NodeId(9), SimTime::from_secs_f64(0.05));
-        let bins = s.victim_bins();
+        // Every delivery at the node counts, whatever its destination;
+        // an arrival is not a delivery.
+        let mut elsewhere = pkt(false);
+        elsewhere.key = FlowKey::new(Addr::new(1), Addr::new(77), 1, 2);
+        let elsewhere_id = s.flow_id(elsewhere.key);
+        s.on_delivered_id(
+            elsewhere_id,
+            &elsewhere,
+            NodeId(3),
+            SimTime::from_secs_f64(0.06),
+        );
+        s.on_node_arrival(&legit, NodeId(3), SimTime::from_secs_f64(0.07));
+        let series = s.victim_series().unwrap();
+        let bins = series.bins();
         assert_eq!(bins.len(), 3);
-        assert_eq!(bins[0].legit_bytes, 500);
+        assert_eq!(bins[0].legit_bytes, 1000);
+        assert_eq!(bins[0].legit_packets, 2);
         assert_eq!(bins[0].attack_bytes, 0);
         assert_eq!(bins[2].attack_packets, 1);
         assert_eq!(bins[2].total_bytes(), 500);
-        assert_eq!(s.victim_bin_width(), Some(SimDuration::from_millis(100)));
+        assert_eq!(series.width(), SimDuration::from_millis(100));
+        assert!(s.arrival_series().is_none());
+    }
+
+    #[test]
+    fn arrival_series_counts_only_its_address_at_its_node() {
+        let mut s = StatsCollector::new();
+        let victim = pkt(true);
+        s.watch_arrivals(NodeId(3), victim.key.dst, SimDuration::from_millis(100));
+        let mut elsewhere = pkt(true);
+        elsewhere.key = FlowKey::new(Addr::new(1), Addr::new(77), 1, 2);
+        s.on_node_arrival(&victim, NodeId(3), SimTime::from_secs_f64(0.15));
+        // Another destination, another node, and a delivery: none count.
+        s.on_node_arrival(&elsewhere, NodeId(3), SimTime::from_secs_f64(0.15));
+        s.on_node_arrival(&victim, NodeId(4), SimTime::from_secs_f64(0.15));
+        let id = s.flow_id(victim.key);
+        s.on_delivered_id(id, &victim, NodeId(3), SimTime::from_secs_f64(0.25));
+        let bins = s.arrival_series().unwrap().bins();
+        assert_eq!(bins.len(), 2);
+        assert_eq!(bins[0], VictimBin::default());
+        assert_eq!(bins[1].attack_packets, 1);
+        assert_eq!(bins[1].attack_bytes, 500);
+        assert!(s.victim_series().is_none());
+    }
+
+    #[test]
+    fn restore_rejects_bins_without_a_watch() {
+        let mut s = StatsCollector::new();
+        s.watch_victim(NodeId(3), SimDuration::from_millis(100));
+        let p = pkt(false);
+        let id = s.flow_id(p.key);
+        s.on_delivered_id(id, &p, NodeId(3), SimTime::ZERO);
+        let bytes = state_bytes(&s);
+        let err = StatsCollector::new()
+            .read_state(&mut SnapReader::new(&bytes))
+            .unwrap_err();
+        assert!(matches!(err, SnapError::Malformed(_)), "{err}");
+        // An empty series restores onto a collector without the watch.
+        let empty = state_bytes(&StatsCollector::new());
+        let mut blank = StatsCollector::new();
+        blank.watch_victim(NodeId(3), SimDuration::from_millis(100));
+        blank.read_state(&mut SnapReader::new(&empty)).unwrap();
+        StatsCollector::new()
+            .read_state(&mut SnapReader::new(&empty))
+            .unwrap();
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! is recorded only in the packet provenance.
 
 use mafic_netsim::{
-    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime, SnapError,
-    SnapReader, State, StateWrite,
+    Agent, AgentCtx, FlowKey, Packet, PacketKind, SimDuration, SimTime, SnapError, SnapReader,
+    State, StateWrite,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -200,19 +200,7 @@ impl UnresponsiveSender {
                 ts_echo: SimTime::ZERO,
             },
         };
-        let pkt = Packet {
-            id: ctx.fresh_packet_id(),
-            key: self.key,
-            kind,
-            size_bytes: self.config.packet_size,
-            created_at: ctx.now(),
-            provenance: Provenance {
-                origin: ctx.agent_id(),
-                is_attack: self.is_attack,
-            },
-            hops: 0,
-        };
-        ctx.send_packet(pkt);
+        ctx.send(self.key, kind, self.config.packet_size, self.is_attack);
         self.seq += 1;
         self.sent += 1;
     }
@@ -297,7 +285,7 @@ impl State for UnresponsiveSender {
 mod tests {
     use super::*;
     use mafic_netsim::testkit::{assert_state_law, state_bytes, AgentHarness};
-    use mafic_netsim::Addr;
+    use mafic_netsim::{Addr, Provenance};
 
     fn key() -> FlowKey {
         FlowKey::new(

@@ -8,8 +8,7 @@
 //! [`ReceiveWindow`] the victim's sink keeps per flow.
 
 use mafic_netsim::{
-    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimTime, SnapError, SnapReader,
-    State, StateWrite,
+    Agent, AgentCtx, FlowKey, Packet, PacketKind, SimTime, SnapError, SnapReader, State, StateWrite,
 };
 
 use crate::window::{Arrival, ReceiveWindow};
@@ -46,23 +45,12 @@ impl TcpSink {
     }
 
     fn send_ack(&mut self, ts_echo: SimTime, ctx: &mut AgentCtx<'_>) {
-        let ack = Packet {
-            id: ctx.fresh_packet_id(),
-            key: self.forward_key.reversed(),
-            kind: PacketKind::TcpAck {
-                ack: self.window.rcv_next(),
-                ts: ctx.now(),
-                ts_echo,
-            },
-            size_bytes: self.ack_size,
-            created_at: ctx.now(),
-            provenance: Provenance {
-                origin: ctx.agent_id(),
-                is_attack: false,
-            },
-            hops: 0,
+        let kind = PacketKind::TcpAck {
+            ack: self.window.rcv_next(),
+            ts: ctx.now(),
+            ts_echo,
         };
-        ctx.send_packet(ack);
+        ctx.send(self.forward_key.reversed(), kind, self.ack_size, false);
         self.acks_sent += 1;
     }
 }
@@ -106,7 +94,7 @@ impl State for TcpSink {
 mod tests {
     use super::*;
     use mafic_netsim::testkit::{assert_state_law, state_bytes, AgentHarness};
-    use mafic_netsim::{Addr, SimDuration};
+    use mafic_netsim::{Addr, Provenance, SimDuration};
 
     fn key() -> FlowKey {
         FlowKey::new(

@@ -14,8 +14,8 @@
 
 use crate::rtt::RttEstimator;
 use mafic_netsim::{
-    Agent, AgentCtx, FlowKey, Packet, PacketKind, Provenance, SimDuration, SimTime, SnapError,
-    SnapReader, State, StateWrite,
+    Agent, AgentCtx, FlowKey, Packet, PacketKind, SimDuration, SimTime, SnapError, SnapReader,
+    State, StateWrite,
 };
 
 /// Segment size in bytes (data packets).
@@ -195,23 +195,13 @@ impl TcpSender {
         }
     }
 
-    fn make_segment(&self, seq: u64, ctx: &mut AgentCtx<'_>) -> Packet {
-        Packet {
-            id: ctx.fresh_packet_id(),
-            key: self.key,
-            kind: PacketKind::TcpData {
-                seq,
-                ts: ctx.now(),
-                ts_echo: self.last_peer_ts,
-            },
-            size_bytes: SEGMENT_SIZE,
-            created_at: ctx.now(),
-            provenance: Provenance {
-                origin: ctx.agent_id(),
-                is_attack: self.is_attack,
-            },
-            hops: 0,
-        }
+    fn send_segment(&self, seq: u64, ctx: &mut AgentCtx<'_>) {
+        let kind = PacketKind::TcpData {
+            seq,
+            ts: ctx.now(),
+            ts_echo: self.last_peer_ts,
+        };
+        ctx.send(self.key, kind, SEGMENT_SIZE, self.is_attack);
     }
 
     fn send_window(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -220,9 +210,7 @@ impl TcpSender {
         }
         let window = self.cwnd.floor().max(1.0) as u64;
         while self.next_seq < self.snd_una + window {
-            let seq = self.next_seq;
-            let pkt = self.make_segment(seq, ctx);
-            ctx.send_packet(pkt);
+            self.send_segment(self.next_seq, ctx);
             self.next_seq += 1;
             self.data_sent += 1;
         }
@@ -232,8 +220,7 @@ impl TcpSender {
         if self.snd_una >= self.next_seq {
             return;
         }
-        let pkt = self.make_segment(self.snd_una, ctx);
-        ctx.send_packet(pkt);
+        self.send_segment(self.snd_una, ctx);
         self.data_sent += 1;
         self.retransmits += 1;
     }
@@ -409,7 +396,7 @@ impl State for TcpSender {
 mod tests {
     use super::*;
     use mafic_netsim::testkit::{assert_state_law, state_bytes, AgentHarness};
-    use mafic_netsim::{Addr, AgentId};
+    use mafic_netsim::{Addr, AgentId, Provenance};
 
     fn key() -> FlowKey {
         FlowKey::new(

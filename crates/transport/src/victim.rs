@@ -9,8 +9,8 @@
 //! keeps.
 
 use mafic_netsim::{
-    Agent, AgentCtx, FlowKey, FlowSlab, Packet, PacketKind, Provenance, SimTime, SnapError,
-    SnapReader, State, StateWrite,
+    Agent, AgentCtx, FlowKey, FlowSlab, Packet, PacketKind, SimTime, SnapError, SnapReader, State,
+    StateWrite,
 };
 
 use crate::window::ReceiveWindow;
@@ -52,23 +52,12 @@ impl VictimSink {
     }
 
     fn ack(&mut self, key: FlowKey, ack: u64, ts_echo: SimTime, ctx: &mut AgentCtx<'_>) {
-        let pkt = Packet {
-            id: ctx.fresh_packet_id(),
-            key: key.reversed(),
-            kind: PacketKind::TcpAck {
-                ack,
-                ts: ctx.now(),
-                ts_echo,
-            },
-            size_bytes: self.ack_size,
-            created_at: ctx.now(),
-            provenance: Provenance {
-                origin: ctx.agent_id(),
-                is_attack: false,
-            },
-            hops: 0,
+        let kind = PacketKind::TcpAck {
+            ack,
+            ts: ctx.now(),
+            ts_echo,
         };
-        ctx.send_packet(pkt);
+        ctx.send(key.reversed(), kind, self.ack_size, false);
         self.acks_sent += 1;
     }
 }
@@ -144,7 +133,7 @@ impl State for VictimSink {
 mod tests {
     use super::*;
     use mafic_netsim::testkit::{assert_state_law, state_bytes, AgentHarness};
-    use mafic_netsim::Addr;
+    use mafic_netsim::{Addr, Provenance};
 
     fn key(port: u16) -> FlowKey {
         FlowKey::new(
