@@ -1,16 +1,16 @@
 //! Emits run ledgers for a fixed spec grid as JSONL on stdout.
 //!
-//! The CI determinism gate runs this twice — `MAFIC_JOBS=1` and
-//! `MAFIC_JOBS=4` — and requires byte-identical output: every run is
-//! single-threaded internally and outcomes return in spec order, so the
-//! worker count must never leak into a ledger. Ledgers for the grid's
-//! specs are concatenated in order, separated by a `# run <n>` comment
-//! line (ignored by [`mafic_obs::RunLedger::from_jsonl`]).
+//! Every run is single-threaded internally and outcomes return in spec
+//! order, so the output is byte-identical at any `MAFIC_JOBS`;
+//! `tests/parallel_determinism.rs` holds the grid's multi-domain spec
+//! to that. Ledgers for the grid's specs are concatenated in order,
+//! separated by a `# run <n>` comment line (ignored by
+//! [`mafic_obs::RunLedger::from_jsonl`]).
 //!
 //! Usage: `run_ledger [--seed N] [--only I]` — `--seed` perturbs the
 //! whole grid (the seeded-divergence CI smoke uses it to prove the
-//! differ actually fails the gate on real divergence); `--only` emits a
-//! single grid entry so `mafic_trace diff` gets a one-ledger file.
+//! differ fails on real divergence); `--only` emits a single grid
+//! entry so `mafic_trace diff` gets a one-ledger file.
 
 use mafic_experiments::{run_specs, EngineConfig};
 use mafic_netsim::SimTime;

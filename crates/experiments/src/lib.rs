@@ -30,7 +30,8 @@
 //! | `ablations` | DESIGN.md ablations A–D |
 //! | *(no id)* | everything above except the ablations |
 //!
-//! `run_ledger` and `checkpoint` are CI gate binaries, not figures.
+//! `run_ledger` is a tool, not a figure: it prints the run ledgers of a
+//! fixed spec grid as JSONL.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

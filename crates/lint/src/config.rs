@@ -1,9 +1,11 @@
-//! Linter policy: sanctioned files, the crate-layering DAG, and file
-//! classification.
+//! Linter policy: sanctioned files, the crate-layering DAG, the size
+//! pins, and file classification.
 //!
 //! The defaults encode *this workspace's* contracts (ARCHITECTURE.md
 //! "Static guarantees"); tests construct custom configs to exercise the
 //! rule engine in isolation.
+
+use crate::report::{Finding, RuleId};
 
 /// How a source file participates in the workspace, which decides which
 /// rules apply to it.
@@ -67,6 +69,12 @@ pub struct LintConfig {
     /// Dependency names that are not workspace crates but are allowed
     /// anywhere (the vendored, registry-free stand-ins).
     pub external_allowed: Vec<&'static str>,
+    /// The `size` rule's pins per library crate directory (`"total"`
+    /// for their sum): code lines, then `pub` items.
+    pub code_size: Vec<(&'static str, usize, usize)>,
+    /// The `size` rule's pins per named type: a struct's `pub` fields,
+    /// an enum's variants.
+    pub type_size: Vec<(&'static str, usize)>,
 }
 
 impl LintConfig {
@@ -94,13 +102,7 @@ impl LintConfig {
                 (
                     "crates/experiments/src/bin/run_ledger.rs".into(),
                     "ledger emitter CLI: std::env::args and process exit codes (runs \
-                     themselves stay deterministic — that is what the CI gate checks)"
-                        .into(),
-                ),
-                (
-                    "crates/experiments/src/bin/checkpoint.rs".into(),
-                    "checkpoint gate CLI: std::env::args and process exit codes (the \
-                     round trip it gates is itself byte-deterministic)"
+                     themselves stay deterministic — tests/parallel_determinism.rs checks it)"
                         .into(),
                 ),
                 (
@@ -219,7 +221,53 @@ impl LintConfig {
                 },
             ],
             external_allowed: vec!["rand"],
+            // Each pin is its measure's exact value: a change that moves
+            // a measure moves its pin in the same diff.
+            code_size: vec![
+                ("adversary", 519, 15),
+                ("core", 1469, 67),
+                ("experiments", 1425, 45),
+                ("loglog", 508, 53),
+                ("metrics", 391, 19),
+                ("netsim", 3494, 209),
+                ("obs", 1452, 77),
+                ("pushback", 929, 50),
+                ("topology", 497, 34),
+                ("transport", 788, 35),
+                ("workload", 1923, 29),
+                ("total", 13395, 633),
+            ],
+            type_size: vec![
+                ("ScenarioSpec", 34),
+                ("MaficConfig", 11),
+                ("DomainConfig", 4),
+                ("TcpConfig", 4),
+                ("PushbackConfig", 8),
+                ("TransitTopology", 1),
+                ("DetectionMode", 2),
+                ("DefensePolicy", 4),
+                ("StrategyKind", 4),
+            ],
         }
+    }
+
+    /// A finding for each sanctioned path that is not among the
+    /// `walked` ones: like an unused pragma, a stale sanction is an
+    /// excuse nothing needs any more.
+    #[must_use]
+    pub(crate) fn stale_sanctions(&self, walked: &[&str]) -> Vec<Finding> {
+        self.sanctioned_nondet
+            .iter()
+            .filter(|(sanctioned, _)| !walked.contains(&sanctioned.as_str()))
+            .map(|(sanctioned, _)| Finding {
+                path: sanctioned.clone(),
+                line: 0,
+                rule: RuleId::Pragma,
+                message: "sanctioned for `nondet` but not in the tree; remove its \
+                          `sanctioned_nondet` entry"
+                    .to_string(),
+            })
+            .collect()
     }
 
     /// Reason `rel_path` is sanctioned for the nondeterminism ban, if
@@ -242,6 +290,23 @@ impl LintConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_sanction_the_walk_no_longer_finds_is_a_finding() {
+        let cfg = LintConfig::workspace();
+        let walked: Vec<&str> = cfg
+            .sanctioned_nondet
+            .iter()
+            .map(|(p, _)| p.as_str())
+            .collect();
+        assert!(cfg.stale_sanctions(&walked).is_empty());
+        let stale = cfg.stale_sanctions(&walked[1..]);
+        assert_eq!(stale.len(), 1, "{stale:?}");
+        assert_eq!(
+            (stale[0].path.as_str(), stale[0].rule),
+            (walked[0], RuleId::Pragma)
+        );
+    }
 
     #[test]
     fn classification() {

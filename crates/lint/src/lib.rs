@@ -19,7 +19,8 @@
 //! | `layering`      | manifest dependency sections must match the crate DAG (no back-edges) |
 //! | `lib-attrs`     | crate roots pin `#![forbid(unsafe_code)]`, `#![deny(missing_docs)]` and `#![deny(unreachable_pub)]`, and no later `warn`/`allow` lowers them |
 //! | `dead-pub`      | every `pub` item is named by some user outside its crate (another crate, a bin, `tests/`, `examples/`, `benchmark/`, a doc-test) or by the public signature of a live item; items under `#[cfg(test)]` are skipped. Workspace-level, and no pragma suppresses it |
-//! | `pragma`        | suppressions must be well-formed and actually used |
+//! | `size`          | code lines and `pub` items per library crate and in total, the config structs' `pub` fields and the spec-facing enums' variants each equal their pin in [`LintConfig::workspace`]; test code is what `dead-pub` skips. Workspace-level, and no pragma suppresses it |
+//! | `pragma`        | suppressions must be well-formed and actually used, and every sanctioned file must exist |
 //!
 //! A finding is suppressed only by a justified inline pragma on the
 //! same line or the line above:
@@ -55,11 +56,13 @@ mod config;
 mod lexer;
 mod report;
 mod rules;
+mod size;
 mod surface;
 mod walk;
 
 pub use config::{CrateLayer, LintConfig};
 pub use report::{Finding, LintReport, PragmaEntry, RuleId};
 pub use rules::{lint_manifest, lint_source};
+pub use size::size;
 pub use surface::dead_pub;
 pub use walk::lint_workspace;

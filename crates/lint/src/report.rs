@@ -24,6 +24,8 @@ pub enum RuleId {
     LibAttrs,
     /// A `pub` item that no file outside its crate names.
     DeadPub,
+    /// A code-size measure that differs from its pin.
+    Size,
     /// Malformed or unused suppression pragma.
     Pragma,
 }
@@ -40,6 +42,7 @@ impl RuleId {
             RuleId::Layering => "layering",
             RuleId::LibAttrs => "lib-attrs",
             RuleId::DeadPub => "dead-pub",
+            RuleId::Size => "size",
             RuleId::Pragma => "pragma",
         }
     }
@@ -55,6 +58,7 @@ impl RuleId {
             "layering" => RuleId::Layering,
             "lib-attrs" => RuleId::LibAttrs,
             "dead-pub" => RuleId::DeadPub,
+            "size" => RuleId::Size,
             "pragma" => RuleId::Pragma,
             _ => return None,
         })
@@ -170,6 +174,7 @@ mod tests {
             RuleId::Layering,
             RuleId::LibAttrs,
             RuleId::DeadPub,
+            RuleId::Size,
             RuleId::Pragma,
         ] {
             assert_eq!(RuleId::parse(rule.as_str()), Some(rule));

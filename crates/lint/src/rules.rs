@@ -115,13 +115,11 @@ fn collect_pragmas(
             Some((rule, reason.to_string()))
         })();
         match parsed {
-            Some((RuleId::DeadPub, _)) => findings.push(Finding {
+            Some((rule @ (RuleId::DeadPub | RuleId::Size), _)) => findings.push(Finding {
                 path: rel_path.to_string(),
                 line: tok.line,
                 rule: RuleId::Pragma,
-                message: "`dead-pub` cannot be suppressed: an item no other crate names \
-                          becomes `pub(crate)`"
-                    .to_string(),
+                message: format!("`{rule}` is workspace-level: no pragma suppresses it"),
             }),
             Some((rule, reason)) => pragmas.push(PragmaEntry {
                 path: rel_path.to_string(),

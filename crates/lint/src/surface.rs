@@ -125,25 +125,37 @@ fn signature<'t>(code: &[&'t Token], at: usize) -> Vec<&'t str> {
     idents
 }
 
-/// Every `pub` item in one file's code tokens, skipping exactly the
-/// items `#[cfg(test)]` annotates (and the whole file under
-/// `#![cfg(test)]`).
-fn pub_items<'t>(code: &[&'t Token]) -> Vec<PubItem<'t>> {
+/// One file's non-comment tokens less exactly the items `#[cfg(test)]`
+/// annotates (and none at all under `#![cfg(test)]`).
+/// `dead-pub` and `size` both read this view, so they agree on what
+/// test code is.
+pub(crate) fn non_test(tokens: &[Token]) -> Vec<&Token> {
     const CFG_TEST: &[&str] = &["[", "cfg", "(", "test", ")", "]"];
-    let mut items = Vec::new();
+    let code: Vec<&Token> = tokens.iter().filter(|t| !t.is_comment()).collect();
+    let mut kept = Vec::with_capacity(code.len());
     let mut i = 0;
     while i < code.len() {
         if code[i].text == "#" {
-            if starts_with(code, i + 1, CFG_TEST) {
-                i = skip_item(code, i + 1 + CFG_TEST.len());
+            if starts_with(&code, i + 1, CFG_TEST) {
+                i = skip_item(&code, i + 1 + CFG_TEST.len());
                 continue;
             }
-            if code.get(i + 1).is_some_and(|t| t.text == "!") && starts_with(code, i + 2, CFG_TEST)
+            if code.get(i + 1).is_some_and(|t| t.text == "!") && starts_with(&code, i + 2, CFG_TEST)
             {
                 return Vec::new();
             }
         }
-        if code[i].text == "pub" {
+        kept.push(code[i]);
+        i += 1;
+    }
+    kept
+}
+
+/// Every `pub` item in one file's [`non_test`] tokens.
+fn pub_items<'t>(code: &[&'t Token]) -> Vec<PubItem<'t>> {
+    let mut items = Vec::new();
+    for (i, tok) in code.iter().enumerate() {
+        if tok.text == "pub" {
             let mut k = i + 1;
             // `pub const fn`, `pub async fn`, `pub unsafe fn`.
             if code.get(k + 1).is_some_and(|t| t.text == "fn")
@@ -155,13 +167,12 @@ fn pub_items<'t>(code: &[&'t Token]) -> Vec<PubItem<'t>> {
                 if ITEM_KINDS.contains(&kind.text.as_str()) && name.text != "_" {
                     items.push(PubItem {
                         name: &name.text,
-                        line: code[i].line,
+                        line: tok.line,
                         signature: signature(code, k),
                     });
                 }
             }
         }
-        i += 1;
     }
     items
 }
@@ -231,8 +242,11 @@ pub fn dead_pub(files: &[(String, String)]) -> Vec<Finding> {
     let mut items = Vec::new();
     for (path, tokens) in &lexed {
         let Some(krate) = owner(path) else { continue };
-        let code: Vec<&Token> = tokens.iter().filter(|t| t.is_code()).collect();
-        items.extend(pub_items(&code).into_iter().map(|it| (*path, krate, it)));
+        items.extend(
+            pub_items(&non_test(tokens))
+                .into_iter()
+                .map(|it| (*path, krate, it)),
+        );
     }
     let mut by_name: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
     for (idx, (_, krate, it)) in items.iter().enumerate() {

@@ -12,6 +12,7 @@ use std::path::{Path, PathBuf};
 use crate::config::LintConfig;
 use crate::report::LintReport;
 use crate::rules::{lint_manifest, lint_source};
+use crate::size::size;
 use crate::surface::dead_pub;
 
 /// Recursively collect `*.rs` files under `dir`, sorted by path.
@@ -54,7 +55,8 @@ const CRATE_ROOTS: &[&str] = &["src", "tests", "benches"];
 
 /// Lint the whole workspace rooted at `root`: every in-scope `.rs`
 /// file plus the root and per-crate manifests, in sorted order, then
-/// the workspace-level `dead-pub` pass over all of them.
+/// the workspace-level `dead-pub` and `size` passes over all of them
+/// and a check that every sanctioned file is among them.
 ///
 /// # Errors
 /// Propagates I/O errors from directory traversal or file reads.
@@ -88,6 +90,9 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> io::Result<LintReport> {
         report.files_scanned += 1;
         sources.push((rel_path, source));
     }
+    let walked: Vec<&str> = sources.iter().map(|(path, _)| path.as_str()).collect();
+    report.findings.extend(cfg.stale_sanctions(&walked));
+    report.findings.extend(size(&sources, cfg));
 
     // The public surface: the benchmark is read as a user of the
     // workspace's items but is not itself linted.

@@ -7,7 +7,7 @@
 //! of the lexer contract: this file is scanned by the workspace pass,
 //! and none of the "violations" below may fire here.
 
-use mafic_lint::{dead_pub, lint_manifest, lint_source, LintConfig, RuleId};
+use mafic_lint::{dead_pub, lint_manifest, lint_source, size, Finding, LintConfig, RuleId};
 
 /// Lint a snippet as if it were the named workspace file, returning
 /// only the findings.
@@ -417,6 +417,114 @@ fn surface(files: &[(&str, &str)]) -> Vec<(RuleId, u32)> {
 fn dead_pub_cannot_be_suppressed() {
     let src = "// mafic-lint: allow(dead-pub) -- wanted\npub fn x() {}\n";
     assert_eq!(findings(LIB, src), vec![(RuleId::Pragma, 1)]);
+    // Nor can `size`, the other workspace-level rule.
+    let src = src.replace("dead-pub", "size");
+    assert_eq!(findings(LIB, &src), vec![(RuleId::Pragma, 1)]);
+}
+
+// ------------------------------------------------------------------ size
+
+/// Run the workspace-level `size` pass over `(path, source)` files
+/// against only the given pins.
+fn size_pass(
+    files: &[(&str, &str)],
+    code_size: Vec<(&'static str, usize, usize)>,
+    type_size: Vec<(&'static str, usize)>,
+) -> Vec<Finding> {
+    let cfg = LintConfig {
+        code_size,
+        type_size,
+        ..LintConfig::workspace()
+    };
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(p, s)| ((*p).to_string(), (*s).to_string()))
+        .collect();
+    let found = size(&files, &cfg);
+    assert!(found.iter().all(|f| f.rule == RuleId::Size), "{found:?}");
+    found
+}
+
+/// The `size` messages for one fixture crate `crates/a` pinned at
+/// `(code lines, pub items)` for both itself and the total.
+fn sized(src: &str, pin: (usize, usize), types: &[(&'static str, usize)]) -> Vec<String> {
+    let pins = vec![("a", pin.0, pin.1), ("total", pin.0, pin.1)];
+    size_pass(&[("crates/a/src/lib.rs", src)], pins, types.to_vec())
+        .into_iter()
+        .map(|f| f.message)
+        .collect()
+}
+
+#[test]
+fn size_counts_lines_holding_code_tokens_and_pub_items() {
+    // Comment-only lines do not count; each line a string spans does.
+    let src = "/* block\n   comment */\npub fn a() -> &'static str {\n    // note\n    \"two\n     lines\"\n}\n";
+    assert_eq!(sized(src, (4, 1), &[]), Vec::<String>::new());
+}
+
+#[test]
+fn size_fires_above_and_below_its_pin() {
+    let src = "pub fn a() {}\npub fn b() {}\n";
+    assert!(sized(src, (2, 2), &[]).is_empty());
+    let above = sized(src, (1, 2), &[]);
+    assert_eq!(above.len(), 2, "the crate and the total: {above:?}");
+    assert_eq!(above[0], "`a` code lines is 2, above its pin 1: justify the growth and raise the pin in `LintConfig::workspace()`");
+    let below = sized(src, (2, 3), &[]);
+    assert_eq!(below.len(), 2, "{below:?}");
+    assert!(
+        below[0].starts_with("`a` pub items is 2, below its pin 3"),
+        "{}",
+        below[0]
+    );
+}
+
+#[test]
+fn size_skips_a_cfg_test_method_inside_an_impl() {
+    let src = "impl S {\n    pub fn a() {}\n    #[cfg(test)]\n    pub fn helper() {}\n}\n";
+    assert!(sized(src, (3, 1), &[]).is_empty());
+}
+
+#[test]
+fn size_does_not_count_restricted_visibility() {
+    let src = "pub(crate) fn a() {}\npub(super) struct B;\npub use c::D;\n";
+    assert!(sized(src, (3, 1), &[]).is_empty());
+}
+
+#[test]
+fn size_counts_pub_fields_and_variants_of_pinned_types() {
+    let fields = "pub struct Cfg {\n    pub a: u8,\n    b: u8,\n    pub(crate) c: u8,\n}\n";
+    let variants =
+        "pub enum Mode {\n    #[default]\n    A,\n    B(u8, u16),\n    C { x: u8, y: u8 },\n}\n";
+    let src = format!("{fields}{variants}");
+    let types = [("Cfg", 1), ("Mode", 3)];
+    assert!(sized(&src, (11, 2), &types).is_empty());
+    // A new `pub` field is a new knob: the pin must move with it.
+    let src = src.replace("    b: u8,", "    pub b: u8,");
+    assert_eq!(
+        sized(&src, (11, 2), &types),
+        vec!["`Cfg` pub fields is 2, above its pin 1: justify the growth and raise the pin in `LintConfig::workspace()`"]
+    );
+}
+
+#[test]
+fn size_flags_an_unpinned_crate_and_an_unmatched_pin() {
+    let found = sized("pub fn a() {}\n", (1, 1), &[("Gone", 1)]);
+    assert_eq!(
+        found,
+        vec!["type `Gone` is pinned but no library crate defines it"]
+    );
+    let files = [("crates/a/src/lib.rs", "pub fn a() {}\n")];
+    let found: Vec<String> = size_pass(&files, vec![("total", 1, 1), ("b", 1, 1)], vec![])
+        .into_iter()
+        .map(|f| f.message)
+        .collect();
+    assert_eq!(
+        found,
+        vec![
+            "crate `b` is pinned but has no library sources",
+            "crate `a` has no size pin in `LintConfig::workspace()`"
+        ]
+    );
 }
 
 // ----------------------------------------------- each rule class, end-to-end
@@ -451,6 +559,13 @@ fn every_rule_class_has_a_firing_fixture() {
             ),
         ),
         (RuleId::DeadPub, surface(&[(LIB, "pub fn only_here() {}")])),
+        (
+            RuleId::Size,
+            size_pass(&[(LIB, "pub fn a() {}")], vec![("netsim", 1, 0)], vec![])
+                .into_iter()
+                .map(|f| (f.rule, f.line))
+                .collect(),
+        ),
         (
             RuleId::Pragma,
             findings(LIB, "fn x() {}\n// mafic-lint: allow(nondet)\n"),

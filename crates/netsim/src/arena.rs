@@ -215,6 +215,17 @@ impl State for PacketArena {
         self.free = r.read_seq(|r| r.read_u32())?;
         self.live = r.read_usize()?;
         self.peak = r.read_usize()?;
+        // Only the free list's depth is hashed, so the restore-time
+        // digest cannot see a doctored entry, and the next `alloc` would
+        // overwrite a live packet or index past the slab: the free list
+        // must be exactly the vacant slots, each once.
+        let mut unlisted: Vec<bool> = self.slots.iter().map(Option::is_none).collect();
+        let listed = |&slot: &u32| unlisted.get_mut(slot as usize).is_some_and(std::mem::take);
+        let exact = self.free.iter().all(listed) && !unlisted.contains(&true);
+        if !exact || self.live != self.slots.len() - self.free.len() || self.peak < self.live {
+            let why = "netsim/arena: free list, live count or peak disagrees with the slots";
+            return Err(SnapError::Malformed(why.to_string()));
+        }
         Ok(())
     }
 }
@@ -316,6 +327,36 @@ mod tests {
         let (hash_b, bytes_b) = freed(1, 0);
         assert_eq!(hash_a, hash_b);
         assert_ne!(bytes_a, bytes_b);
+    }
+
+    #[test]
+    fn restore_rejects_a_free_list_live_count_or_peak_the_slots_cannot_have() {
+        type Doctor = fn(&mut PacketArena);
+        // Slot 0 vacant, slot 1 live.
+        let arena = |doctor: Doctor| {
+            let mut a = PacketArena::new();
+            let r0 = a.alloc(pkt(1), None);
+            a.alloc(pkt(2), None);
+            let _ = a.take(r0);
+            doctor(&mut a);
+            state_bytes(&a)
+        };
+        let restore = |bytes: Vec<u8>| PacketArena::new().read_state(&mut SnapReader::new(&bytes));
+        assert!(restore(arena(|_| {})).is_ok());
+        let doctored: [(&str, Doctor); 6] = [
+            ("live slot listed free", |a| a.free = vec![1]),
+            ("out-of-range slot listed free", |a| a.free = vec![7]),
+            ("vacant slot listed twice", |a| a.free = vec![0, 0]),
+            ("vacant slot left off", |a| a.free.clear()),
+            ("live count off", |a| a.live = 2),
+            ("peak below live", |a| a.peak = 0),
+        ];
+        for (case, doctor) in doctored {
+            match restore(arena(doctor)) {
+                Err(SnapError::Malformed(why)) => assert!(why.starts_with("netsim/arena"), "{why}"),
+                other => panic!("{case}: expected Malformed, got {other:?}"),
+            }
+        }
     }
 
     #[test]

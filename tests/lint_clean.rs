@@ -4,7 +4,9 @@
 //! This is the offline counterpart of the `lint-static` CI job — a
 //! contributor who only runs `cargo test` still cannot land a wall
 //! clock, a stdout leak in a library crate, a `partial_cmp` sort key,
-//! an unsanctioned `unsafe`, or a crate-graph back-edge.
+//! an unsanctioned `unsafe`, a crate-graph back-edge, or a change in
+//! code size, public items, config fields or enum variants that does
+//! not move its pin in `LintConfig::workspace()`.
 
 use mafic_lint::{lint_workspace, LintConfig};
 use std::path::Path;

@@ -10,6 +10,7 @@ use mafic_suite::experiments::{run_averaged, sweep, SweepSeries};
 use mafic_suite::experiments::{run_specs, EngineConfig};
 use mafic_suite::netsim::SimTime;
 use mafic_suite::obs::diff_ledgers;
+use mafic_suite::topology::TransitTopology;
 use mafic_suite::workload::ScenarioSpec;
 
 /// A reduced but non-trivial grid: 2 series × 2 x values × 2 trials =
@@ -90,22 +91,34 @@ fn run_averaged_is_identical_at_any_worker_count() {
 /// The run ledger must be byte-identical at any worker count: each run
 /// is single-threaded internally, so `MAFIC_JOBS` may change scheduling
 /// of *whole runs* but must never leak into per-interval state hashes.
-/// This is the in-process twin of the CI `run_ledger` 1-vs-4 cmp gate;
-/// on mismatch the differ names the first diverging interval+component.
+/// The first spec is `run_ledger`'s multi-domain one, the slowest, so
+/// outcomes reassembled in completion order instead of spec order fail
+/// here too. On mismatch the differ names the first diverging interval
+/// and component.
 #[test]
 fn ledgers_are_byte_identical_at_jobs_1_and_4() {
-    let specs: Vec<ScenarioSpec> = [3u64, 9]
-        .iter()
-        .map(|&seed| ScenarioSpec {
-            total_flows: 10,
-            n_routers: 5,
-            end: SimTime::from_secs_f64(2.5),
-            ledger: true,
-            trace_capacity: 32,
-            seed,
-            ..ScenarioSpec::default()
-        })
-        .collect();
+    let multi_domain = ScenarioSpec {
+        total_flows: 12,
+        n_routers: 6,
+        domains: 3,
+        transit_topology: TransitTopology::Chain { depth: 1 },
+        pushback_depth: 2,
+        end: SimTime::from_secs_f64(3.0),
+        ledger: true,
+        trace_capacity: 64,
+        seed: 1 ^ 0x5eed,
+        ..ScenarioSpec::default()
+    };
+    let single_domain = [3u64, 9].map(|seed| ScenarioSpec {
+        total_flows: 10,
+        n_routers: 5,
+        end: SimTime::from_secs_f64(2.5),
+        ledger: true,
+        trace_capacity: 32,
+        seed,
+        ..ScenarioSpec::default()
+    });
+    let specs: Vec<ScenarioSpec> = [multi_domain].into_iter().chain(single_domain).collect();
     let serial = run_specs(specs.clone(), 1).unwrap();
     let parallel = run_specs(specs, 4).unwrap();
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
