@@ -3,7 +3,8 @@
 //! These quantify the design choices DESIGN.md calls out:
 //!
 //! * MAFIC vs the proportional baseline (the motivating comparison),
-//! * probe timer multiplier (1×, 2×, 4× RTT),
+//! * probe timer multiplier (1×, 2×, 4× RTT; a plot row of the panel
+//!   table, `figures::Sweep::Timer`),
 //! * hashed vs full flow labels (memory and collision cost),
 //! * LogLog precision vs traffic-matrix accuracy.
 
@@ -48,39 +49,6 @@ pub(crate) fn policy_comparison(cfg: &EngineConfig) -> Result<FigureData, String
             ],
         );
     }
-    Ok(fig)
-}
-
-/// Probe-timer multiplier ablation: 1×, 2× (paper), 4× RTT.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub(crate) fn timer_multiplier(cfg: &EngineConfig) -> Result<FigureData, String> {
-    let mut fig = FigureData::new(
-        "Ablation B",
-        "Probation timer length vs classification quality",
-        "timer (x RTT)",
-        "percent",
-    );
-    let mut accuracy = Vec::new();
-    let mut legit_drops = Vec::new();
-    let mut fpr = Vec::new();
-    for mult in [1.0f64, 2.0, 4.0] {
-        let report = run_averaged(
-            &ScenarioSpec {
-                timer_rtt_multiplier: mult,
-                ..ScenarioSpec::default()
-            },
-            cfg,
-        )?;
-        accuracy.push((mult, report.accuracy_pct));
-        legit_drops.push((mult, report.legit_drop_pct));
-        fpr.push((mult, report.false_positive_pct));
-    }
-    fig.push_series("alpha", accuracy);
-    fig.push_series("Lr", legit_drops);
-    fig.push_series("theta_p", fpr);
     Ok(fig)
 }
 

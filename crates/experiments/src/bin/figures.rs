@@ -3,9 +3,11 @@
 //!
 //! Usage: `figures [id…]` with ids from `tables fig3 … fig11 ablations`.
 //! No ids prints the tables and Figs. 3–11. Panels print in paper order
-//! whatever the argument order, and a sweep or grid shared by several
-//! panels runs once. `MAFIC_JOBS` and `MAFIC_TRIALS` apply as
-//! everywhere; stdout is byte-identical at any `MAFIC_JOBS`.
+//! whatever the argument order, and a sweep shared by several panels
+//! runs once, so a bare run prints every panel of the per-figure ids
+//! without running any scenario twice. `MAFIC_JOBS` and `MAFIC_TRIALS`
+//! apply as everywhere (Figs. 10 and 11 stay at one trial); stdout is
+//! byte-identical at any `MAFIC_JOBS`.
 
 use mafic_experiments::figures::{select_panels, PanelRuns};
 use mafic_experiments::EngineConfig;

@@ -1,16 +1,16 @@
-//! The paper's figures: spec builders and axes, the sweeps and grids
-//! that run them, and the panel table the `figures` binary prints from.
+//! The paper's figures: spec builders and axes, the sweeps that run
+//! them, and the panel table the `figures` binary prints from.
 //!
-//! The first half builds scenarios and runs them; the second half
-//! (`PANELS`) lists every printed block once — its id, the sweep or
-//! grid it draws from, and the metric or builder that renders it. The
-//! absolute numbers come from our simulator, not the authors' NS-2
-//! testbed; what must match is the *shape* — who wins, the bands, the
-//! trends (see EXPERIMENTS.md for the side-by-side record).
+//! The first half builds scenarios; the second half (`PANELS`) lists
+//! every printed block once — its id, the sweep it draws from, and the
+//! metrics or text builder that renders it. The absolute numbers come
+//! from our simulator, not the authors' NS-2 testbed; what must match
+//! is the *shape* — who wins, the bands, the trends (see EXPERIMENTS.md
+//! for the side-by-side record).
 
 use crate::engine::{run_specs, EngineConfig};
 use crate::figure::FigureData;
-use crate::sweep::{sweep, Metric, SweepSeries};
+use crate::sweep::{Metric, SweepPlan, SweepSeries};
 use crate::{ablations, tables};
 use mafic::DefensePolicy;
 use mafic_adversary::{AdversarySpec, StrategyKind};
@@ -46,73 +46,6 @@ pub fn pd_series() -> Vec<(String, f64)> {
         ("Pd=80%".to_string(), 0.8),
         ("Pd=70%".to_string(), 0.7),
     ]
-}
-
-fn spec_with_vt_pd(pd: f64, vt: f64, seed: u64) -> ScenarioSpec {
-    ScenarioSpec {
-        total_flows: vt as usize,
-        drop_probability: pd,
-        seed,
-        ..ScenarioSpec::default()
-    }
-}
-
-/// Runs the `(Pd × Vt)` sweep shared by Figs. 3(a), 4(a), 5(a), 6(a), 7.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub(crate) fn sweep_pd_vt(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
-    sweep(&pd_series(), &vt_axis(), cfg, |&pd, vt| {
-        spec_with_vt_pd(pd, vt, 11)
-    })
-}
-
-/// Runs the `(R × Vt)` sweep of Fig. 3(b).
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub(crate) fn sweep_rate_vt(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
-    let rates = [NominalRate::R100k, NominalRate::R500k, NominalRate::R1M]
-        .map(|r| (r.label().to_string(), r));
-    sweep(&rates, &vt_axis(), cfg, |&rate, vt| ScenarioSpec {
-        total_flows: vt as usize,
-        flow_rate_pps: rate.pps(),
-        seed: 13,
-        ..ScenarioSpec::default()
-    })
-}
-
-/// Runs the `(Vt × Γ)` sweep of Figs. 5(b)/6(b).
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub(crate) fn sweep_vt_gamma(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
-    let vts = [30usize, 70, 100].map(|v| (format!("Vt={v}"), v));
-    sweep(&vts, &gamma_axis(), cfg, |&vt, gamma_pct| ScenarioSpec {
-        total_flows: vt,
-        tcp_share: gamma_pct / 100.0,
-        seed: 17,
-        ..ScenarioSpec::default()
-    })
-}
-
-/// Runs the `(Γ × N)` sweep of Figs. 5(c)/6(c).
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub(crate) fn sweep_gamma_domain(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
-    let gammas = [95.0f64, 75.0, 55.0, 35.0].map(|g| (format!("TCP={g:.0}%"), g));
-    sweep(&gammas, &domain_axis(), cfg, |&gamma_pct, n| ScenarioSpec {
-        total_flows: 50,
-        tcp_share: gamma_pct / 100.0,
-        n_routers: n as usize,
-        seed: 19,
-        ..ScenarioSpec::default()
-    })
 }
 
 fn lr(r: &MetricsReport) -> f64 {
@@ -181,18 +114,6 @@ pub fn fig8_spec(depth: u32) -> ScenarioSpec {
     }
 }
 
-/// Runs the pushback-depth sweep shared by both Fig. 8 panels.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub(crate) fn sweep_pushback_depth(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
-    let series = vec![("chain(2)+stubs".to_string(), ())];
-    sweep(&series, &depth_axis(), cfg, |(), depth| {
-        fig8_spec(depth as u32)
-    })
-}
-
 /// The participation-fraction axis of Fig. 9: from a victim-domain-only
 /// deployment (nobody upstream cooperates) to the full federation.
 #[must_use]
@@ -238,21 +159,6 @@ pub fn fig9_spec(fraction: f64, transit: DefensePolicy) -> ScenarioSpec {
     }
 }
 
-/// Runs the participation-fraction × transit-policy sweep shared by
-/// both Fig. 9 panels.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub(crate) fn sweep_partial_deployment(cfg: &EngineConfig) -> Result<Vec<SweepSeries>, String> {
-    sweep(
-        &transit_policy_series(),
-        &participation_axis(),
-        cfg,
-        |&transit, fraction| fig9_spec(fraction, transit),
-    )
-}
-
 /// The trust-budget axis of Fig. 10: fresh installs each requester may
 /// cause at an upstream domain, from "trust nobody" to generous.
 #[must_use]
@@ -296,182 +202,14 @@ pub fn fig10_malicious_spec(trust_budget: u32, attested: bool) -> ScenarioSpec {
     }
 }
 
-/// The three Fig. 10 configurations, as `(label, spec builder input)`.
-fn fig10_series() -> Vec<(String, Fig10Series)> {
+/// The three Fig. 10 configurations: the honest cascade (`None`) and
+/// the malicious requester, attested or not.
+fn fig10_series() -> Vec<(String, Option<bool>)> {
     vec![
-        ("honest cascade".to_string(), Fig10Series::Honest),
-        (
-            "malicious, attested".to_string(),
-            Fig10Series::Malicious { attested: true },
-        ),
-        (
-            "malicious, unguarded".to_string(),
-            Fig10Series::Malicious { attested: false },
-        ),
+        ("honest cascade".to_string(), None),
+        ("malicious, attested".to_string(), Some(true)),
+        ("malicious, unguarded".to_string(), Some(false)),
     ]
-}
-
-/// One Fig. 10 series selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fig10Series {
-    Honest,
-    Malicious { attested: bool },
-}
-
-fn fig10_spec(series: Fig10Series, trust_budget: u32) -> ScenarioSpec {
-    match series {
-        Fig10Series::Honest => fig10_honest_spec(trust_budget),
-        Fig10Series::Malicious { attested } => fig10_malicious_spec(trust_budget, attested),
-    }
-}
-
-/// One evaluated cell of a single-seed `(series × trust budget)` grid
-/// (Figs. 10 and 11).
-#[derive(Debug)]
-pub struct GridCell {
-    /// Series label (`honest cascade`, `rotation`, …).
-    pub label: String,
-    /// The swept trust budget.
-    pub budget: f64,
-    /// The cell's full run outcome (report + control-plane counters).
-    pub outcome: mafic_workload::RunOutcome,
-}
-
-/// Runs one spec per `(series, trust budget)` cell, in grid order.
-fn run_budget_grid<S>(
-    series: &[(String, S)],
-    cfg: &EngineConfig,
-    make_spec: impl Fn(&S, u32) -> ScenarioSpec,
-) -> Result<Vec<GridCell>, String> {
-    let budgets = trust_budget_axis();
-    let mut meta = Vec::new();
-    let mut specs = Vec::new();
-    for (label, s) in series {
-        for &budget in &budgets {
-            meta.push((label.clone(), budget));
-            specs.push(make_spec(s, budget as u32));
-        }
-    }
-    let outcomes = run_specs(specs, cfg.jobs)?;
-    Ok(meta
-        .into_iter()
-        .zip(outcomes)
-        .map(|((label, budget), outcome)| GridCell {
-            label,
-            budget,
-            outcome,
-        })
-        .collect())
-}
-
-/// Extracts `(budget, metric)` points for one series label.
-fn grid_points(cells: &[GridCell], label: &str, metric: Metric) -> Vec<(f64, f64)> {
-    cells
-        .iter()
-        .filter(|c| c.label == label)
-        .map(|c| (c.budget, metric(&c.outcome.report)))
-        .collect()
-}
-
-/// Runs the `(requester honesty × trust budget)` grid once — both
-/// Fig. 10 panels and the denial tables derive from the same outcomes.
-/// One deterministic run per cell: the control-plane counters (denials
-/// by reason, stand-down latency) are not trial-averageable, so
-/// Fig. 10 is a single-seed figure; the engine still fans the grid
-/// across `MAFIC_JOBS` workers, byte-identical at any count.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub(crate) fn run_malicious_pushback_grid(cfg: &EngineConfig) -> Result<Vec<GridCell>, String> {
-    run_budget_grid(&fig10_series(), cfg, |&s, budget| fig10_spec(s, budget))
-}
-
-/// Builds Fig. 10(a) — the honest cascade under trust budgets — from a
-/// finished grid: residual attack rate (every escalation denied at
-/// budget 0; non-increasing as budget admits the cascade) beside the
-/// victim's legitimate goodput.
-#[must_use]
-pub(crate) fn fig10a_from_grid(cells: &[GridCell]) -> FigureData {
-    let mut fig = FigureData::new(
-        "Fig. 10(a)",
-        "Honest cascade vs upstream trust budget",
-        "trust budget (installs per requester)",
-        "rate at the victim (B/s)",
-    );
-    let label = "honest cascade";
-    fig.push_series(
-        format!("{label} residual attack"),
-        grid_points(cells, label, |r| r.residual_attack_bps),
-    );
-    fig.push_series(
-        format!("{label} legit goodput"),
-        grid_points(cells, label, |r| r.legit_goodput_bps),
-    );
-    fig
-}
-
-/// Builds Fig. 10(b) — malicious pushback vs attestation — from a
-/// finished grid: the victim's legitimate goodput with the trust
-/// ledgers corroborating claims (flat: forged requests are denied)
-/// against the unguarded configuration (goodput falls once the budget
-/// lets the forged install through).
-#[must_use]
-pub(crate) fn fig10b_from_grid(cells: &[GridCell]) -> FigureData {
-    let mut fig = FigureData::new(
-        "Fig. 10(b)",
-        "Victim goodput under malicious pushback",
-        "trust budget (installs per requester)",
-        "legit goodput at the victim (B/s)",
-    );
-    for label in ["malicious, attested", "malicious, unguarded"] {
-        fig.push_series(
-            format!("{label} goodput"),
-            grid_points(cells, label, |r| r.legit_goodput_bps),
-        );
-        fig.push_series(format!("{label} Lr"), grid_points(cells, label, lr));
-    }
-    fig
-}
-
-/// Renders the control-plane denial tables of Fig. 10 from the same
-/// grid the panels use: requests, denials by reason, installs granted,
-/// and the stand-down latency per cell.
-#[must_use]
-pub(crate) fn fig10_denial_summary(cells: &[GridCell]) -> String {
-    let mut out = String::new();
-    for cell in cells {
-        out.push_str(&mafic_metrics::control_table(
-            &format!("Control plane @ {}, budget {}", cell.label, cell.budget),
-            &cell.outcome.control,
-        ));
-    }
-    out
-}
-
-/// Renders the per-policy deployment-cost table at full participation:
-/// one fully deployed run per transit policy (fanned across the
-/// engine), each reporting table state bytes and timer events per
-/// policy label.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub(crate) fn fig9_cost_summary(cfg: &EngineConfig) -> Result<String, String> {
-    let series = transit_policy_series();
-    let specs = series
-        .iter()
-        .map(|&(_, transit)| fig9_spec(1.0, transit))
-        .collect();
-    let outcomes = run_specs(specs, cfg.jobs)?;
-    let mut out = String::new();
-    for ((label, _), outcome) in series.iter().zip(&outcomes) {
-        out.push_str(&mafic_metrics::cost_table(
-            &format!("Policy cost proxies @ full participation, {label}"),
-            &outcome.policy_costs,
-        ));
-    }
-    Ok(out)
 }
 
 /// The closed-loop strategies Fig. 11 sweeps, plus the open-loop
@@ -539,195 +277,175 @@ pub fn fig11_spec(strategy: Option<StrategyKind>, trust_budget: u32) -> Scenario
     }
 }
 
-/// Runs the `(attack strategy × trust budget)` grid once — both Fig. 11
-/// panels, the best-response summary, and the collateral cost tables
-/// derive from the same outcomes. Single-seed per cell, like Fig. 10:
-/// the closed feedback loop makes per-trial outcomes non-averageable
-/// (each trial is a different *game*, not a noisy sample of one), and
-/// the engine still fans the grid across `MAFIC_JOBS` workers,
-/// byte-identical at any count.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub fn run_adaptive_adversary_grid(cfg: &EngineConfig) -> Result<Vec<GridCell>, String> {
-    run_budget_grid(&adversary_strategy_series(), cfg, |&strategy, budget| {
-        fig11_spec(strategy, budget)
-    })
-}
-
-/// Builds Fig. 11(a) — the residual-attack surface — from a finished
-/// grid: residual attack rate at the victim per strategy, across the
-/// trust budget. Every adaptive series sits at or above the open-loop
-/// baseline; the gap is what closing the loop buys the attacker.
-#[must_use]
-pub(crate) fn fig11a_from_grid(cells: &[GridCell]) -> FigureData {
-    let mut fig = FigureData::new(
-        "Fig. 11(a)",
-        "Residual attack rate per adaptive strategy",
-        "trust budget (installs per requester)",
-        "residual attack at the victim (B/s)",
-    );
-    for (label, _) in adversary_strategy_series() {
-        fig.push_series(
-            format!("{label} residual attack"),
-            grid_points(cells, &label, |r| r.residual_attack_bps),
-        );
-    }
-    fig
-}
-
-/// Builds Fig. 11(b) — what the adaptation costs the bystanders — from
-/// a finished grid: the victim's legitimate goodput per strategy beside
-/// the mean distinct-source cardinality its flood presents (the
-/// subsidence guard's secondary evidence; rotation parks it low).
-#[must_use]
-pub(crate) fn fig11b_from_grid(cells: &[GridCell]) -> FigureData {
-    let mut fig = FigureData::new(
-        "Fig. 11(b)",
-        "Victim goodput and observed sources per adaptive strategy",
-        "trust budget (installs per requester)",
-        "legit goodput (B/s) / distinct sources",
-    );
-    for (label, _) in adversary_strategy_series() {
-        fig.push_series(
-            format!("{label} goodput"),
-            grid_points(cells, &label, |r| r.legit_goodput_bps),
-        );
-        fig.push_series(
-            format!("{label} sources"),
-            grid_points(cells, &label, |r| r.victim_source_cardinality),
-        );
-    }
-    fig
-}
-
-/// Renders the best-response table of Fig. 11 from the grid: per trust
-/// budget, the strategy that leaves the most attack traffic standing at
-/// the victim, with its margin over the open-loop baseline.
-#[must_use]
-pub(crate) fn fig11_best_response_summary(cells: &[GridCell]) -> String {
-    let mut out = String::from("Attacker best response per trust budget\n");
-    for &budget in &trust_budget_axis() {
-        let open_loop = cells
-            .iter()
-            .find(|c| c.label == "open loop" && c.budget == budget)
-            .map_or(0.0, |c| c.outcome.report.residual_attack_bps);
-        let best = cells.iter().filter(|c| c.budget == budget).max_by(|a, b| {
-            a.outcome
-                .report
-                .residual_attack_bps
-                .total_cmp(&b.outcome.report.residual_attack_bps)
-        });
-        if let Some(best) = best {
-            let residual = best.outcome.report.residual_attack_bps;
-            out.push_str(&format!(
-                "  budget {budget:>3}: {:<12} {residual:>10.0} B/s residual \
-                 (open loop {open_loop:>10.0} B/s, margin {:>+8.0} B/s)\n",
-                best.label,
-                residual - open_loop,
-            ));
-        }
-    }
-    out
-}
-
-/// Renders the per-policy cost tables (with the collateral attribution
-/// columns) for every Fig. 11 cell at the largest trust budget — the
-/// configuration where the defense fights hardest and the split between
-/// filter-caused and congestion-caused legitimate losses matters most.
-#[must_use]
-pub(crate) fn fig11_cost_summary(cells: &[GridCell]) -> String {
-    let max_budget = trust_budget_axis().last().copied().unwrap_or_default();
-    let mut out = String::new();
-    for cell in cells.iter().filter(|c| c.budget == max_budget) {
-        out.push_str(&mafic_metrics::cost_table(
-            &format!(
-                "Policy costs @ {}, budget {} (filtered vs queue legit drops)",
-                cell.label, cell.budget
-            ),
-            &cell.outcome.policy_costs,
-        ));
-    }
-    out
-}
-
-/// A trial-averaged sweep that several panels draw from.
+/// A shared run that one or more panels draw from: series × x axis ×
+/// trials, run at most once per process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Sweep {
-    /// `sweep_pd_vt`.
+    /// `(Pd × Vt)`: Figs. 3(a), 4(a), 5(a), 6(a), 7.
     PdVt,
-    /// `sweep_rate_vt`.
+    /// `(R × Vt)`: Fig. 3(b).
     RateVt,
-    /// `sweep_vt_gamma`.
+    /// `(Vt × Γ)`: Figs. 5(b)/6(b).
     VtGamma,
-    /// `sweep_gamma_domain`.
+    /// `(Γ × N)`: Figs. 5(c)/6(c).
     GammaDomain,
-    /// `sweep_pushback_depth`.
+    /// Pushback depth: both Fig. 8 panels.
     Depth,
-    /// `sweep_partial_deployment`.
+    /// Participation fraction × transit policy: Fig. 9.
     Partial,
+    /// Requester honesty × trust budget: Fig. 10.
+    Trust,
+    /// Attack strategy × trust budget: Fig. 11.
+    Adaptive,
+    /// Probe-timer multiplier, 1×, 2× (paper), 4× RTT: Ablation B.
+    Timer,
 }
 
 impl Sweep {
-    /// The x axis every panel of this sweep is plotted against: the
-    /// phrase its title ends on and the axis label.
-    fn x_axis(self) -> (&'static str, &'static str) {
+    /// The run's cells and trial count. Figs. 10 and 11 run one trial
+    /// whatever `cfg.trials` says: their control-plane counters (denials
+    /// by reason, stand-down latency) are not trial-averageable, and the
+    /// closed feedback loop makes each Fig. 11 trial a different *game*,
+    /// not a noisy sample of one.
+    pub(crate) fn plan(self, cfg: &EngineConfig) -> SweepPlan {
+        let trials = cfg.trials;
         match self {
-            Sweep::PdVt | Sweep::RateVt => ("traffic volume", "Vt (flows)"),
-            Sweep::VtGamma => ("percentage of TCP traffic", "TCP share (%)"),
-            Sweep::GammaDomain => ("domain size", "N (routers)"),
-            Sweep::Depth => ("pushback depth", "pushback depth (domains upstream)"),
-            Sweep::Partial => ("participation fraction", "participation fraction"),
+            Sweep::PdVt => {
+                SweepPlan::new(&pd_series(), &vt_axis(), trials, |&pd, vt| ScenarioSpec {
+                    total_flows: vt as usize,
+                    drop_probability: pd,
+                    seed: 11,
+                    ..ScenarioSpec::default()
+                })
+            }
+            Sweep::RateVt => {
+                let rates = [NominalRate::R100k, NominalRate::R500k, NominalRate::R1M]
+                    .map(|r| (r.label().to_string(), r));
+                SweepPlan::new(&rates, &vt_axis(), trials, |&rate, vt| ScenarioSpec {
+                    total_flows: vt as usize,
+                    flow_rate_pps: rate.pps(),
+                    seed: 13,
+                    ..ScenarioSpec::default()
+                })
+            }
+            Sweep::VtGamma => {
+                let vts = [30usize, 70, 100].map(|v| (format!("Vt={v}"), v));
+                SweepPlan::new(&vts, &gamma_axis(), trials, |&vt, gamma_pct| ScenarioSpec {
+                    total_flows: vt,
+                    tcp_share: gamma_pct / 100.0,
+                    seed: 17,
+                    ..ScenarioSpec::default()
+                })
+            }
+            Sweep::GammaDomain => {
+                let gammas = [95.0f64, 75.0, 55.0, 35.0].map(|g| (format!("TCP={g:.0}%"), g));
+                SweepPlan::new(&gammas, &domain_axis(), trials, |&gamma_pct, n| {
+                    ScenarioSpec {
+                        total_flows: 50,
+                        tcp_share: gamma_pct / 100.0,
+                        n_routers: n as usize,
+                        seed: 19,
+                        ..ScenarioSpec::default()
+                    }
+                })
+            }
+            Sweep::Depth => {
+                let series = [("chain(2)+stubs".to_string(), ())];
+                SweepPlan::new(&series, &depth_axis(), trials, |(), depth| {
+                    fig8_spec(depth as u32)
+                })
+            }
+            Sweep::Partial => SweepPlan::new(
+                &transit_policy_series(),
+                &participation_axis(),
+                trials,
+                |&transit, fraction| fig9_spec(fraction, transit),
+            ),
+            Sweep::Trust => SweepPlan::new(
+                &fig10_series(),
+                &trust_budget_axis(),
+                1,
+                |&attested, budget| match attested {
+                    None => fig10_honest_spec(budget as u32),
+                    Some(attested) => fig10_malicious_spec(budget as u32, attested),
+                },
+            ),
+            Sweep::Adaptive => SweepPlan::new(
+                &adversary_strategy_series(),
+                &trust_budget_axis(),
+                1,
+                |&strategy, budget| fig11_spec(strategy, budget as u32),
+            ),
+            Sweep::Timer => {
+                let series = [(String::new(), ())];
+                SweepPlan::new(&series, &[1.0, 2.0, 4.0], trials, |(), mult| ScenarioSpec {
+                    timer_rtt_multiplier: mult,
+                    ..ScenarioSpec::default()
+                })
+            }
         }
     }
-}
 
-/// A single-seed grid of full outcomes that several panels draw from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Grid {
-    /// `run_malicious_pushback_grid`.
-    Trust,
-    /// [`run_adaptive_adversary_grid`].
-    Adaptive,
+    /// The x axis every panel of this run is plotted against: the
+    /// phrase a panel title ends on (`None`: the plot's title stands
+    /// alone) and the axis label.
+    fn x_axis(self) -> (Option<&'static str>, &'static str) {
+        match self {
+            Sweep::PdVt | Sweep::RateVt => (Some("traffic volume"), "Vt (flows)"),
+            Sweep::VtGamma => (Some("percentage of TCP traffic"), "TCP share (%)"),
+            Sweep::GammaDomain => (Some("domain size"), "N (routers)"),
+            Sweep::Depth => (Some("pushback depth"), "pushback depth (domains upstream)"),
+            Sweep::Partial => (Some("participation fraction"), "participation fraction"),
+            Sweep::Trust | Sweep::Adaptive => (None, "trust budget (installs per requester)"),
+            Sweep::Timer => (None, "timer (x RTT)"),
+        }
+    }
 }
 
 /// What a sweep-backed panel plots.
 #[derive(Debug, Clone, Copy)]
 pub struct Plot {
-    /// The plotted quantity; the panel title is `<title> vs <x axis>`.
+    /// The panel title, followed by ` vs <x phrase>` when the run's x
+    /// axis has one.
     pub title: &'static str,
     /// Y-axis label.
     pub y_label: &'static str,
-    /// One curve per sweep series and entry: the suffix appended to the
+    /// One curve per drawn series and entry: the suffix appended to the
     /// series label, and the metric read off each point's report.
     pub curves: &'static [(&'static str, Metric)],
+    /// The series drawn, by label; empty draws every series of the run.
+    pub series: &'static [&'static str],
 }
 
 const ALPHA: Plot = Plot {
     title: "Attack packet dropping accuracy",
     y_label: "accuracy alpha (%)",
     curves: &[("", |r| r.accuracy_pct)],
+    series: &[],
 };
 const BETA: Plot = Plot {
     title: "Traffic reduction rate",
     y_label: "traffic reduction beta (%)",
     curves: &[("", |r| r.traffic_reduction_pct)],
+    series: &[],
 };
 const THETA_P: Plot = Plot {
     title: "False positive rate",
     y_label: "false positive rate (%)",
     curves: &[("", |r| r.false_positive_pct)],
+    series: &[],
 };
 const THETA_N: Plot = Plot {
     title: "False negative rate",
     y_label: "false negative rate (%)",
     curves: &[("", |r| r.false_negative_pct)],
+    series: &[],
 };
 const LR: Plot = Plot {
     title: "Legitimate packet dropping rate",
     y_label: "legit packet dropping rate Lr (%)",
     curves: &[("", lr)],
+    series: &[],
 };
 /// The residual attack rate (suppression β's complement, non-increasing
 /// in depth) beside the legitimate goodput (which rises as deeper
@@ -739,6 +457,7 @@ const VICTIM_RATES: Plot = Plot {
         (" residual attack", |r| r.residual_attack_bps),
         (" legit goodput", |r| r.legit_goodput_bps),
     ],
+    series: &[],
 };
 /// Total legitimate data loss (defense drops + flood-congestion queue
 /// losses) beside the paper's ATR-only `Lr`.
@@ -746,14 +465,72 @@ const COLLATERAL: Plot = Plot {
     title: "Collateral damage",
     y_label: "legitimate loss (%)",
     curves: &[(" collateral", |r| r.collateral_pct), (" Lr", lr)],
+    series: &[],
+};
+/// The honest cascade under trust budgets: residual attack rate (every
+/// escalation denied at budget 0; non-increasing as budget admits the
+/// cascade) beside the victim's legitimate goodput.
+const HONEST_CASCADE: Plot = Plot {
+    title: "Honest cascade vs upstream trust budget",
+    series: &["honest cascade"],
+    ..VICTIM_RATES
+};
+/// Malicious pushback vs attestation: the victim's legitimate goodput
+/// with the trust ledgers corroborating claims (flat: forged requests
+/// are denied) against the unguarded configuration (goodput falls once
+/// the budget lets the forged install through).
+const MALICIOUS_PUSHBACK: Plot = Plot {
+    title: "Victim goodput under malicious pushback",
+    y_label: "legit goodput at the victim (B/s)",
+    curves: &[(" goodput", |r| r.legit_goodput_bps), (" Lr", lr)],
+    series: &["malicious, attested", "malicious, unguarded"],
+};
+/// Residual attack rate per strategy: every adaptive series sits at or
+/// above the open-loop baseline; the gap is what closing the loop buys
+/// the attacker.
+const ADAPTIVE_RESIDUAL: Plot = Plot {
+    title: "Residual attack rate per adaptive strategy",
+    y_label: "residual attack at the victim (B/s)",
+    curves: &[(" residual attack", |r| r.residual_attack_bps)],
+    series: &[],
+};
+/// What the adaptation costs the bystanders: the victim's legitimate
+/// goodput per strategy beside the mean distinct-source cardinality its
+/// flood presents (the subsidence guard's secondary evidence; rotation
+/// parks it low).
+const ADAPTIVE_GOODPUT: Plot = Plot {
+    title: "Victim goodput and observed sources per adaptive strategy",
+    y_label: "legit goodput (B/s) / distinct sources",
+    curves: &[
+        (" goodput", |r| r.legit_goodput_bps),
+        (" sources", |r| r.victim_source_cardinality),
+    ],
+    series: &[],
+};
+/// Ablation B: one curve per metric of the run's single series.
+const TIMER: Plot = Plot {
+    title: "Probation timer length vs classification quality",
+    y_label: "percent",
+    curves: &[
+        ("alpha", |r| r.accuracy_pct),
+        ("Lr", lr),
+        ("theta_p", |r| r.false_positive_pct),
+    ],
+    series: &[],
 };
 
 /// Plots a finished sweep as the figure called `name`.
 fn plot_sweep(name: &str, key: Sweep, plot: &Plot, sweeps: &[SweepSeries]) -> FigureData {
     let (x_title, x_label) = key.x_axis();
-    let title = format!("{} vs {x_title}", plot.title);
+    let title = match x_title {
+        Some(x_title) => format!("{} vs {x_title}", plot.title),
+        None => plot.title.to_string(),
+    };
     let mut fig = FigureData::new(name, title, x_label, plot.y_label);
-    for s in sweeps {
+    let drawn = sweeps
+        .iter()
+        .filter(|s| plot.series.is_empty() || plot.series.contains(&s.label.as_str()));
+    for s in drawn {
         for &(suffix, metric) in plot.curves {
             fig.push_series(format!("{}{suffix}", s.label), s.extract(metric));
         }
@@ -761,16 +538,92 @@ fn plot_sweep(name: &str, key: Sweep, plot: &Plot, sweeps: &[SweepSeries]) -> Fi
     fig
 }
 
-/// How a [`Panel`] is produced: from which shared sweep or grid, by
-/// which plot or builder.
+/// The per-policy deployment-cost table at full participation, read off
+/// the Fig. 9 run's last column: table state bytes and timer events per
+/// policy label.
+fn fig9_cost_summary(sweeps: &[SweepSeries]) -> String {
+    let mut out = String::new();
+    for s in sweeps {
+        for p in s.points.iter().filter(|p| p.x == 1.0) {
+            out.push_str(&mafic_metrics::cost_table(
+                &format!("Policy cost proxies @ full participation, {}", s.label),
+                &p.policy_costs,
+            ));
+        }
+    }
+    out
+}
+
+/// The control-plane denial tables of Fig. 10: requests, denials by
+/// reason, installs granted, and the stand-down latency per cell.
+fn fig10_denial_summary(sweeps: &[SweepSeries]) -> String {
+    let mut out = String::new();
+    for s in sweeps {
+        for p in &s.points {
+            out.push_str(&mafic_metrics::control_table(
+                &format!("Control plane @ {}, budget {}", s.label, p.x),
+                &p.control,
+            ));
+        }
+    }
+    out
+}
+
+/// The best-response table of Fig. 11: per trust budget, the strategy
+/// that leaves the most attack traffic standing at the victim, with its
+/// margin over the open-loop baseline.
+fn fig11_best_response_summary(sweeps: &[SweepSeries]) -> String {
+    let mut out = String::from("Attacker best response per trust budget\n");
+    for &budget in &trust_budget_axis() {
+        let at_budget = || {
+            sweeps.iter().filter_map(move |s| {
+                let p = s.points.iter().find(|p| p.x == budget)?;
+                Some((s.label.as_str(), p.report.residual_attack_bps))
+            })
+        };
+        let open_loop = at_budget()
+            .find(|&(label, _)| label == "open loop")
+            .map_or(0.0, |(_, residual)| residual);
+        if let Some((label, residual)) = at_budget().max_by(|a, b| a.1.total_cmp(&b.1)) {
+            out.push_str(&format!(
+                "  budget {budget:>3}: {label:<12} {residual:>10.0} B/s residual \
+                 (open loop {open_loop:>10.0} B/s, margin {:>+8.0} B/s)\n",
+                residual - open_loop,
+            ));
+        }
+    }
+    out
+}
+
+/// The per-policy cost tables (with the collateral attribution columns)
+/// for every Fig. 11 series at the largest trust budget — the
+/// configuration where the defense fights hardest and the split between
+/// filter-caused and congestion-caused legitimate losses matters most.
+fn fig11_cost_summary(sweeps: &[SweepSeries]) -> String {
+    let max_budget = trust_budget_axis().last().copied().unwrap_or_default();
+    let mut out = String::new();
+    for s in sweeps {
+        for p in s.points.iter().filter(|p| p.x == max_budget) {
+            out.push_str(&mafic_metrics::cost_table(
+                &format!(
+                    "Policy costs @ {}, budget {} (filtered vs queue legit drops)",
+                    s.label, p.x
+                ),
+                &p.policy_costs,
+            ));
+        }
+    }
+    out
+}
+
+/// How a [`Panel`] is produced: from which shared run, by which plot or
+/// text builder.
 #[derive(Debug, Clone, Copy)]
 pub enum Render {
     /// A figure plotted from a finished sweep.
     Plot(Sweep, Plot),
-    /// A figure built from a finished grid.
-    FromGrid(Grid, fn(&[GridCell]) -> FigureData),
-    /// A text block built from a finished grid.
-    GridText(Grid, fn(&[GridCell]) -> String),
+    /// A text block built from a finished sweep.
+    Text(Sweep, fn(&[SweepSeries]) -> String),
     /// A figure that shares no run with another panel.
     Own(fn(&EngineConfig) -> Result<FigureData, String>),
     /// A text block that shares no run with another panel.
@@ -795,7 +648,7 @@ impl Panel {
     /// output.
     #[must_use]
     pub fn is_text(&self) -> bool {
-        matches!(self.render, Render::GridText(..) | Render::OwnText(_))
+        matches!(self.render, Render::Text(..) | Render::OwnText(_))
     }
 }
 
@@ -898,42 +751,42 @@ pub(crate) const PANELS: &[Panel] = &[
     Panel {
         id: "fig9",
         name: "Fig. 9 policy costs",
-        render: Render::OwnText(fig9_cost_summary),
+        render: Render::Text(Sweep::Partial, fig9_cost_summary),
     },
     Panel {
         id: "fig10",
         name: "Fig. 10(a)",
-        render: Render::FromGrid(Grid::Trust, fig10a_from_grid),
+        render: Render::Plot(Sweep::Trust, HONEST_CASCADE),
     },
     Panel {
         id: "fig10",
         name: "Fig. 10(b)",
-        render: Render::FromGrid(Grid::Trust, fig10b_from_grid),
+        render: Render::Plot(Sweep::Trust, MALICIOUS_PUSHBACK),
     },
     Panel {
         id: "fig10",
         name: "Fig. 10 denials",
-        render: Render::GridText(Grid::Trust, fig10_denial_summary),
+        render: Render::Text(Sweep::Trust, fig10_denial_summary),
     },
     Panel {
         id: "fig11",
         name: "Fig. 11(a)",
-        render: Render::FromGrid(Grid::Adaptive, fig11a_from_grid),
+        render: Render::Plot(Sweep::Adaptive, ADAPTIVE_RESIDUAL),
     },
     Panel {
         id: "fig11",
         name: "Fig. 11(b)",
-        render: Render::FromGrid(Grid::Adaptive, fig11b_from_grid),
+        render: Render::Plot(Sweep::Adaptive, ADAPTIVE_GOODPUT),
     },
     Panel {
         id: "fig11",
         name: "Fig. 11 best response",
-        render: Render::GridText(Grid::Adaptive, fig11_best_response_summary),
+        render: Render::Text(Sweep::Adaptive, fig11_best_response_summary),
     },
     Panel {
         id: "fig11",
         name: "Fig. 11 policy costs",
-        render: Render::GridText(Grid::Adaptive, fig11_cost_summary),
+        render: Render::Text(Sweep::Adaptive, fig11_cost_summary),
     },
     Panel {
         id: ABLATIONS,
@@ -943,7 +796,7 @@ pub(crate) const PANELS: &[Panel] = &[
     Panel {
         id: ABLATIONS,
         name: "Ablation B",
-        render: Render::Own(ablations::timer_multiplier),
+        render: Render::Plot(Sweep::Timer, TIMER),
     },
     Panel {
         id: ABLATIONS,
@@ -991,13 +844,12 @@ pub fn select_panels(ids: &[String]) -> Result<Vec<&'static Panel>, String> {
         .collect())
 }
 
-/// Renders panels, keeping every finished [`Sweep`] and [`Grid`] so that
-/// each runs at most once per process however many panels draw from it.
+/// Renders panels, keeping every finished [`Sweep`] so that each runs
+/// at most once per process however many panels draw from it.
 #[derive(Debug)]
 pub struct PanelRuns {
     cfg: EngineConfig,
     sweeps: BTreeMap<Sweep, Vec<SweepSeries>>,
-    grids: BTreeMap<Grid, Vec<GridCell>>,
 }
 
 impl PanelRuns {
@@ -1007,49 +859,28 @@ impl PanelRuns {
         PanelRuns {
             cfg,
             sweeps: BTreeMap::new(),
-            grids: BTreeMap::new(),
         }
     }
 
     fn sweep(&mut self, key: Sweep) -> Result<&[SweepSeries], String> {
-        let cfg = &self.cfg;
         Ok(match self.sweeps.entry(key) {
             Entry::Occupied(done) => done.into_mut(),
-            Entry::Vacant(slot) => slot.insert(match key {
-                Sweep::PdVt => sweep_pd_vt(cfg)?,
-                Sweep::RateVt => sweep_rate_vt(cfg)?,
-                Sweep::VtGamma => sweep_vt_gamma(cfg)?,
-                Sweep::GammaDomain => sweep_gamma_domain(cfg)?,
-                Sweep::Depth => sweep_pushback_depth(cfg)?,
-                Sweep::Partial => sweep_partial_deployment(cfg)?,
-            }),
+            Entry::Vacant(slot) => slot.insert(key.plan(&self.cfg).run(self.cfg.jobs)?),
         })
     }
 
-    fn grid(&mut self, key: Grid) -> Result<&[GridCell], String> {
-        let cfg = &self.cfg;
-        Ok(match self.grids.entry(key) {
-            Entry::Occupied(done) => done.into_mut(),
-            Entry::Vacant(slot) => slot.insert(match key {
-                Grid::Trust => run_malicious_pushback_grid(cfg)?,
-                Grid::Adaptive => run_adaptive_adversary_grid(cfg)?,
-            }),
-        })
-    }
-
-    /// Renders one panel as printed, running its sweep or grid if no
-    /// earlier panel did.
+    /// Renders one panel as printed, running its sweep if no earlier
+    /// panel did.
     ///
     /// # Errors
     ///
-    /// Propagates build/run/restore errors.
+    /// Propagates build/run errors.
     pub fn render(&mut self, panel: &Panel) -> Result<String, String> {
         Ok(match panel.render {
-            Render::Plot(sweep, plot) => {
-                plot_sweep(panel.name, sweep, &plot, self.sweep(sweep)?).to_string()
+            Render::Plot(key, plot) => {
+                plot_sweep(panel.name, key, &plot, self.sweep(key)?).to_string()
             }
-            Render::FromGrid(grid, build) => build(self.grid(grid)?).to_string(),
-            Render::GridText(grid, build) => build(self.grid(grid)?),
+            Render::Text(key, build) => build(self.sweep(key)?),
             Render::Own(build) => build(&self.cfg)?.to_string(),
             Render::OwnText(build) => build(&self.cfg)?,
         })
@@ -1184,12 +1015,46 @@ mod tests {
         assert!(err.contains("\"fig12\""), "{err}");
         assert!(err.contains(&panel_ids().join(" ")), "{err}");
 
-        // Sweep and grid keys are enum variants, so the compiler checks
-        // that each resolves to a run. What it cannot check: a grid row
-        // points at the builder of the figure it names.
+        // Sweep keys are enum variants, so the compiler checks that each
+        // resolves to a run. What it cannot check, it is checked here
+        // from the plans alone, without running a scenario.
+        let cfg = EngineConfig { jobs: 1, trials: 3 };
         for panel in PANELS {
-            if let Render::FromGrid(_, build) = panel.render {
-                assert_eq!(build(&[]).id, panel.name);
+            if let Render::Plot(key, plot) = panel.render {
+                let plan = key.plan(&cfg);
+                for name in plot.series {
+                    assert!(
+                        plan.series.iter().any(|(label, _)| label == name),
+                        "{} draws {name:?}, which {key:?} does not run",
+                        panel.name
+                    );
+                }
+            }
+        }
+        // Figs. 10 and 11 stay at one trial whatever `MAFIC_TRIALS` says.
+        assert_eq!(Sweep::Trust.plan(&cfg).jobs().len(), 3 * 4);
+        assert_eq!(Sweep::Adaptive.plan(&cfg).jobs().len(), 5 * 4);
+        // Nothing runs twice in a bare pass: no base spec appears in two
+        // cells of the runs behind it.
+        let mut keys: Vec<Sweep> = select_panels(&[])
+            .expect("no ids")
+            .iter()
+            .filter_map(|p| match p.render {
+                Render::Plot(key, _) | Render::Text(key, _) => Some(key),
+                Render::Own(_) | Render::OwnText(_) => None,
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut bases: Vec<(Sweep, f64, ScenarioSpec)> = Vec::new();
+        for key in keys {
+            for (_, cells) in key.plan(&cfg).series {
+                for (x, spec) in cells {
+                    if let Some((other, other_x, _)) = bases.iter().find(|(.., b)| *b == spec) {
+                        panic!("{key:?} at x = {x} reruns {other:?} at x = {other_x}");
+                    }
+                    bases.push((key, x, spec));
+                }
             }
         }
     }

@@ -5,15 +5,17 @@
 //! DESIGN.md.
 //!
 //! Every printed block is one row of the panel table
-//! `figures::PANELS`: the row names the sweep or grid it draws from
-//! and the metric or builder that turns it into a [`FigureData`] (named
-//! series of `(x, y)` points) or a text block. The `figures` binary
-//! prints the rows its ids select as aligned text tables; a sweep shared
-//! by several panels runs once per process. All scenario runs go through
-//! the deterministic parallel `engine`: trial averaging is controlled
-//! by `MAFIC_TRIALS` (default 3) and worker fan-out by `MAFIC_JOBS`
-//! (default `available_parallelism()`); output is byte-identical at any
-//! worker count.
+//! `figures::PANELS`: the row names the sweep it draws from (series ×
+//! x axis × trials, one [`SweepSeries`] per series) and the metrics or
+//! text builder that turn it into a [`FigureData`] (named series of
+//! `(x, y)` points) or a text block; the few blocks that share no run
+//! build their own. The `figures` binary prints the rows its ids select
+//! as aligned text tables; a sweep shared by several panels runs once
+//! per process. All scenario runs go through the deterministic parallel
+//! `engine`: trial averaging is controlled by `MAFIC_TRIALS` (default
+//! 3; Figs. 10 and 11 always run one trial) and worker fan-out by
+//! `MAFIC_JOBS` (default `available_parallelism()`); output is
+//! byte-identical at any worker count.
 //!
 //! | `figures <id>` | Regenerates |
 //! |----------------|-------------|

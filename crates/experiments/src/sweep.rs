@@ -4,7 +4,7 @@
 //! grid order — so output is byte-identical at any worker count.
 
 use crate::engine::{run_jobs, EngineConfig};
-use mafic_metrics::MetricsReport;
+use mafic_metrics::{ControlPlaneReport, MetricsReport, PolicyCostReport};
 use mafic_netsim::SimTime;
 use mafic_workload::{run_spec, ScenarioSpec};
 
@@ -72,15 +72,6 @@ pub(crate) fn average_reports(reports: &[MetricsReport]) -> MetricsReport {
     out
 }
 
-/// Runs every spec on the engine keeping only the reports — grid runs
-/// discard the (much larger) time series immediately, so peak memory
-/// stays proportional to the grid count, not to full [`RunOutcome`]s.
-fn run_reports(specs: Vec<ScenarioSpec>, jobs: usize) -> Result<Vec<MetricsReport>, String> {
-    run_jobs(specs, jobs, |spec| {
-        run_spec(spec).map(|o| o.report).map_err(|e| e.to_string())
-    })
-}
-
 /// Runs `base` once per trial seed (fanned across the engine's workers)
 /// and aggregates the reports.
 ///
@@ -89,19 +80,28 @@ fn run_reports(specs: Vec<ScenarioSpec>, jobs: usize) -> Result<Vec<MetricsRepor
 /// Propagates the first build/run error by trial index.
 pub fn run_averaged(base: &ScenarioSpec, cfg: &EngineConfig) -> Result<MetricsReport, String> {
     let specs = (0..cfg.trials).map(|t| trial_spec(base, t)).collect();
-    Ok(average_reports(&run_reports(specs, cfg.jobs)?))
+    let reports = run_jobs(specs, cfg.jobs, |spec| {
+        run_spec(spec).map(|o| o.report).map_err(|e| e.to_string())
+    })?;
+    Ok(average_reports(&reports))
 }
 
 /// Reads one plotted number off a report.
 pub(crate) type Metric = fn(&MetricsReport) -> f64;
 
-/// One point of a sweep: the x value and its averaged report.
+/// One point of a sweep: the x value, its averaged report, and what the
+/// text blocks read off the point's first trial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// The swept x value.
     pub x: f64,
     /// The trial-averaged report at this point.
     pub report: MetricsReport,
+    /// Trial 0's control-plane counters: denials and stand-down latency
+    /// are not trial-averageable.
+    pub control: ControlPlaneReport,
+    /// Trial 0's deployment-cost proxies, one row per policy.
+    pub policy_costs: Vec<PolicyCostReport>,
 }
 
 /// One swept series: a legend label plus its points.
@@ -124,11 +124,83 @@ impl SweepSeries {
     }
 }
 
+/// A sweep before it runs: per series, its label and one base spec per
+/// x value, and the seeds each point averages.
+#[derive(Debug)]
+pub(crate) struct SweepPlan {
+    pub(crate) series: Vec<(String, Vec<(f64, ScenarioSpec)>)>,
+    pub(crate) trials: u64,
+}
+
+impl SweepPlan {
+    /// The `series × x` grid whose cell `(s, x)` is `make_spec(s, x)`.
+    pub(crate) fn new<S>(
+        series_values: &[(String, S)],
+        x_values: &[f64],
+        trials: u64,
+        make_spec: impl Fn(&S, f64) -> ScenarioSpec,
+    ) -> Self {
+        let series = series_values
+            .iter()
+            .map(|(label, sv)| {
+                let cells = x_values.iter().map(|&x| (x, make_spec(sv, x))).collect();
+                (label.clone(), cells)
+            })
+            .collect();
+        SweepPlan { series, trials }
+    }
+
+    /// Every run of the plan in grid order: each base spec once per
+    /// trial seed.
+    pub(crate) fn jobs(&self) -> Vec<ScenarioSpec> {
+        self.series
+            .iter()
+            .flat_map(|(_, cells)| cells)
+            .flat_map(|(_, base)| (0..self.trials).map(|t| trial_spec(base, t)))
+            .collect()
+    }
+
+    /// Runs the whole `series × x × trial` grid as one flat job list on
+    /// the engine, so every run — not just runs within one point —
+    /// proceeds in parallel; reassembly follows grid order. Each run's
+    /// time series is dropped as it finishes, so peak memory follows
+    /// the grid's size, not that of its full
+    /// [`RunOutcome`](mafic_workload::RunOutcome)s.
+    pub(crate) fn run(self, jobs: usize) -> Result<Vec<SweepSeries>, String> {
+        let mut runs = run_jobs(self.jobs(), jobs, |spec| {
+            run_spec(spec)
+                .map(|o| (o.report, o.control, o.policy_costs))
+                .map_err(|e| e.to_string())
+        })?
+        .into_iter();
+        let trials = self.trials as usize;
+        let mut out = Vec::with_capacity(self.series.len());
+        for (label, cells) in self.series {
+            let mut points = Vec::with_capacity(cells.len());
+            for (x, _) in cells {
+                let mut point_runs = runs.by_ref().take(trials);
+                let (first, control, policy_costs) = point_runs
+                    .next()
+                    .expect("a sweep point runs at least one trial");
+                let mut reports = vec![first];
+                reports.extend(point_runs.map(|(report, ..)| report));
+                points.push(SweepPoint {
+                    x,
+                    report: average_reports(&reports),
+                    control,
+                    policy_costs,
+                });
+            }
+            out.push(SweepSeries { label, points });
+        }
+        Ok(out)
+    }
+}
+
 /// Runs a two-dimensional sweep: for each `(series value, x value)` pair
 /// `make_spec` produces the scenario, which is run `cfg.trials` times.
 /// The whole `series × x × trial` grid is one flat job list on the
-/// engine, so every run — not just runs within one point — proceeds in
-/// parallel; reassembly follows grid order.
+/// engine; reassembly follows grid order.
 ///
 /// # Errors
 ///
@@ -139,33 +211,7 @@ pub fn sweep<S: Clone + std::fmt::Debug>(
     cfg: &EngineConfig,
     make_spec: impl Fn(&S, f64) -> ScenarioSpec,
 ) -> Result<Vec<SweepSeries>, String> {
-    let trials = cfg.trials as usize;
-    let mut specs = Vec::with_capacity(series_values.len() * x_values.len() * trials);
-    for (_, sv) in series_values {
-        for &x in x_values {
-            let base = make_spec(sv, x);
-            for t in 0..cfg.trials {
-                specs.push(trial_spec(&base, t));
-            }
-        }
-    }
-    let mut reports = run_reports(specs, cfg.jobs)?.into_iter();
-    let mut out = Vec::with_capacity(series_values.len());
-    for (label, _) in series_values {
-        let mut points = Vec::with_capacity(x_values.len());
-        for &x in x_values {
-            let point_reports: Vec<MetricsReport> = reports.by_ref().take(trials).collect();
-            points.push(SweepPoint {
-                x,
-                report: average_reports(&point_reports),
-            });
-        }
-        out.push(SweepSeries {
-            label: label.clone(),
-            points,
-        });
-    }
-    Ok(out)
+    SweepPlan::new(series_values, x_values, cfg.trials, make_spec).run(cfg.jobs)
 }
 
 /// [`sweep`] under the name of the retired warm-started sweep, kept only

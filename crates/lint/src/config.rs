@@ -226,7 +226,7 @@ impl LintConfig {
             code_size: vec![
                 ("adversary", 519, 15),
                 ("core", 1469, 67),
-                ("experiments", 1425, 45),
+                ("experiments", 1339, 42),
                 ("loglog", 508, 53),
                 ("metrics", 391, 19),
                 ("netsim", 3494, 209),
@@ -235,7 +235,7 @@ impl LintConfig {
                 ("topology", 497, 34),
                 ("transport", 788, 35),
                 ("workload", 1923, 29),
-                ("total", 13395, 633),
+                ("total", 13309, 630),
             ],
             type_size: vec![
                 ("ScenarioSpec", 34),

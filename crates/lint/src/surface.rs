@@ -61,18 +61,62 @@ fn skip_group(code: &[&Token], open: usize) -> usize {
     code.len()
 }
 
-/// Index just past the item starting at `code[at]`, outer attributes
-/// included: it ends at a `;` outside any group or with its first
-/// top-level `{ ... }` block.
+/// Keywords that start an item once its visibility is skipped.
+const ITEM_STARTS: &[&str] = &[
+    "fn",
+    "struct",
+    "enum",
+    "union",
+    "trait",
+    "type",
+    "const",
+    "static",
+    "mod",
+    "impl",
+    "use",
+    "extern",
+    "unsafe",
+    "async",
+    "macro_rules",
+];
+
+/// Index just past the entry starting at `code[at]`, outer attributes
+/// included. An item (an [`ITEM_STARTS`] keyword after any visibility)
+/// ends at a `;` outside any group or with its first top-level
+/// `{ ... }` block. Any other entry — a field, a variant, a match arm,
+/// a statement — ends after its first `,` or `;` outside any group or
+/// type's `<...>`, or just before the closer of the group it sits in.
 fn skip_item(code: &[&Token], mut at: usize) -> usize {
     while at + 1 < code.len() && code[at].text == "#" && code[at + 1].text == "[" {
         at = skip_group(code, at + 1);
     }
+    let mut head = at;
+    if code.get(head).is_some_and(|t| t.text == "pub") {
+        head += 1;
+        if code.get(head).is_some_and(|t| t.text == "(") {
+            head = skip_group(code, head);
+        }
+    }
+    let is_item = code
+        .get(head)
+        .is_some_and(|t| ITEM_STARTS.contains(&t.text.as_str()));
+    // Open `<`s of a type such as `BTreeMap<K, V>`.
+    let mut angles = 0usize;
     while at < code.len() {
         match code[at].text.as_str() {
             ";" => return at + 1,
-            "{" => return skip_group(code, at),
-            "(" | "[" => at = skip_group(code, at),
+            "{" if is_item => return skip_group(code, at),
+            "(" | "[" | "{" => at = skip_group(code, at),
+            ")" | "]" | "}" => return at,
+            "," if !is_item && angles == 0 => return at + 1,
+            "<" => {
+                angles += 1;
+                at += 1;
+            }
+            ">" if code[at - 1].text != "-" => {
+                angles = angles.saturating_sub(1);
+                at += 1;
+            }
             _ => at += 1,
         }
     }
@@ -344,6 +388,16 @@ mod tests {
             run(&[("crates/a/src/sim.rs", src)]),
             vec![("crates/a/src/sim.rs".to_string(), 8)]
         );
+    }
+
+    #[test]
+    fn cfg_test_field_skips_only_the_field() {
+        let src = "pub struct S {\n    #[cfg(test)]\n    pub a: u8,\n}\npub fn after() {}\n";
+        let found = run(&[
+            ("crates/a/src/sim.rs", src),
+            ("tests/t.rs", "fn t(s: S) {}"),
+        ]);
+        assert_eq!(found, vec![("crates/a/src/sim.rs".to_string(), 5)]);
     }
 
     #[test]

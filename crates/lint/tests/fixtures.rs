@@ -485,6 +485,29 @@ fn size_skips_a_cfg_test_method_inside_an_impl() {
 }
 
 #[test]
+fn size_ends_a_cfg_test_field_at_its_comma() {
+    // The skipped field stops at its own comma, not at the next item's
+    // block: the `pub fn` after the struct is still measured.
+    let src =
+        "pub struct S {\n    #[cfg(test)]\n    a: BTreeMap<u8, u8>,\n    b: u8,\n}\npub fn f() {}\n";
+    assert_eq!(sized(src, (4, 2), &[]), Vec::<String>::new());
+}
+
+#[test]
+fn size_ends_a_cfg_test_variant_before_its_closer() {
+    // A last variant without a comma stops before the enum's `}`.
+    let src = "pub enum E {\n    A,\n    #[cfg(test)]\n    B(u8)\n}\npub fn g() {}\n";
+    assert_eq!(sized(src, (4, 2), &[]), Vec::<String>::new());
+}
+
+#[test]
+fn size_skips_a_whole_cfg_test_generic_fn() {
+    // A generic's comma does not end an item: the whole fn is skipped.
+    let src = "#[cfg(test)]\nfn f<A, B>() {}\npub fn h() {}\n";
+    assert_eq!(sized(src, (1, 1), &[]), Vec::<String>::new());
+}
+
+#[test]
 fn size_does_not_count_restricted_visibility() {
     let src = "pub(crate) fn a() {}\npub(super) struct B;\npub use c::D;\n";
     assert!(sized(src, (3, 1), &[]).is_empty());

@@ -8,11 +8,8 @@
 //! mid-engagement must restore the controller and resume
 //! byte-identically.
 
-use mafic_suite::experiments::figures::{
-    adversary_strategy_series, fig11_spec, run_adaptive_adversary_grid, trust_budget_axis,
-};
-use mafic_suite::experiments::run_specs;
-use mafic_suite::experiments::EngineConfig;
+use mafic_suite::experiments::figures::{adversary_strategy_series, fig11_spec, trust_budget_axis};
+use mafic_suite::experiments::{run_specs, sweep, EngineConfig};
 use mafic_suite::netsim::SimTime;
 use mafic_suite::workload::{
     restore_run, resume_scenario, run_spec, AdversarySpec, RunOutcome, ScenarioSpec, StrategyKind,
@@ -20,15 +17,20 @@ use mafic_suite::workload::{
 
 #[test]
 fn every_adaptive_strategy_at_least_matches_open_loop_at_equal_budget() {
-    let cells =
-        run_adaptive_adversary_grid(&EngineConfig { jobs: 4, trials: 1 }).expect("fig11 grid runs");
+    let series = sweep(
+        &adversary_strategy_series(),
+        &trust_budget_axis(),
+        &EngineConfig { jobs: 4, trials: 1 },
+        |&strategy, budget| fig11_spec(strategy, budget as u32),
+    )
+    .expect("fig11 sweep runs");
     for &budget in &trust_budget_axis() {
         let residual = |label: &str| {
-            cells
+            series
                 .iter()
-                .find(|c| c.label == label && c.budget == budget)
+                .find(|s| s.label == label)
+                .and_then(|s| s.points.iter().find(|p| p.x == budget))
                 .unwrap_or_else(|| panic!("cell {label}@{budget} missing"))
-                .outcome
                 .report
                 .residual_attack_bps
         };
