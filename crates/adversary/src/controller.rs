@@ -137,7 +137,6 @@ impl AdversaryController {
         let ctx = StrategyCtx {
             sources: self.stubs.len(),
             loss_rate,
-            spec: &self.spec,
         };
         self.strategy.on_interval(&ctx, &mut self.directives);
         self.interval += 1;

@@ -25,7 +25,7 @@
 //!    cumulative sent/delivered counters a real zombie could measure
 //!    from its own acknowledgement stream, folded into per-interval
 //!    deltas and a loss rate, and
-//! 3. *public* protocol constants carried in [`AdversarySpec`]
+//! 3. *public* protocol constants, which are constants of this crate
 //!    (Kerckhoffs's principle: the defense's lease length and
 //!    hysteresis window are published defaults, not secrets).
 //!

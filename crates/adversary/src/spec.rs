@@ -15,7 +15,7 @@ pub enum StrategyKind {
     /// cohort returns to a clean slate before re-detection completes.
     ///
     /// When `period_intervals` is *not* shorter than the published
-    /// lease ([`AdversarySpec::lease_intervals`]), rotation cannot
+    /// lease (the coordinator's default `hold_intervals`), rotation cannot
     /// outrun the soft state and the strategy's own best response is to
     /// not rotate at all — it emits no directives and the run is
     /// behaviorally identical to the open-loop baseline.
@@ -43,9 +43,9 @@ pub enum StrategyKind {
     },
     /// Period-lock pulses to the coordinator's K-interval hysteresis:
     /// transmit boosted for `K - 1` intervals, then go dark for one —
-    /// the dip resets the escalation counter
-    /// ([`AdversarySpec::trigger_intervals`] consecutive hot intervals
-    /// are required), so upstream escalation never fires.
+    /// the dip resets the escalation counter (the coordinator's default
+    /// `trigger_intervals` consecutive hot intervals are required), so
+    /// upstream escalation never fires.
     PulseTuning {
         /// Active-phase rate in thousandths of nominal. `0` derives the
         /// equal-budget boost `1000 × K / (K - 1)` from the published
@@ -88,52 +88,24 @@ impl StrategyKind {
     }
 }
 
-/// Full description of one adaptive adversary.
+/// Full description of one adaptive adversary: the strategy it runs.
 ///
-/// The protocol constants (`lease_intervals`, `trigger_intervals`) are
-/// *public* defense parameters — the published defaults of the pushback
-/// configuration — not leaked runtime state; see the crate-level
-/// observability-boundary discussion.
+/// The protocol constants the strategies read (the defense's lease
+/// length and escalation hysteresis window) are *public* defense
+/// parameters — the published defaults of the pushback configuration —
+/// not leaked runtime state, so they are constants of this crate; see
+/// the crate-level observability-boundary discussion.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversarySpec {
     /// The closed-loop strategy to run.
     pub strategy: StrategyKind,
-    /// Published lease length of the defense's soft state, in monitor
-    /// intervals (the coordinator's `hold_intervals` default).
-    pub lease_intervals: u32,
-    /// Published escalation hysteresis window, in monitor intervals
-    /// (the coordinator's `trigger_intervals` default).
-    pub trigger_intervals: u32,
-    /// Aggregate loss rate above which the attacker considers the
-    /// defense engaged, in `(0, 1]`.
-    pub engage_loss: f64,
-}
-
-impl Default for AdversarySpec {
-    fn default() -> Self {
-        AdversarySpec {
-            strategy: StrategyKind::SourceRotation {
-                period_intervals: 4,
-                active_fraction: 0.5,
-            },
-            // Matches PushbackConfig::default(): hold_intervals = 12,
-            // trigger_intervals = 4. Published defaults, not secrets.
-            lease_intervals: 12,
-            trigger_intervals: 4,
-            engage_loss: 0.5,
-        }
-    }
 }
 
 impl AdversarySpec {
-    /// An [`AdversarySpec`] running `strategy` with the published
-    /// protocol defaults.
+    /// An [`AdversarySpec`] running `strategy`.
     #[must_use]
     pub fn with_strategy(strategy: StrategyKind) -> Self {
-        AdversarySpec {
-            strategy,
-            ..AdversarySpec::default()
-        }
+        AdversarySpec { strategy }
     }
 
     /// Validates the specification.
@@ -142,21 +114,6 @@ impl AdversarySpec {
     ///
     /// Returns a message naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.lease_intervals == 0 {
-            return Err("lease_intervals must be >= 1".into());
-        }
-        if self.trigger_intervals < 2 {
-            return Err(format!(
-                "trigger_intervals must be >= 2 (a pulse needs one dark interval), got {}",
-                self.trigger_intervals
-            ));
-        }
-        if !(self.engage_loss > 0.0 && self.engage_loss <= 1.0) {
-            return Err(format!(
-                "engage_loss must be in (0, 1], got {}",
-                self.engage_loss
-            ));
-        }
         match self.strategy {
             StrategyKind::SourceRotation {
                 period_intervals,
@@ -207,10 +164,15 @@ mod tests {
 
     #[test]
     fn defaults_validate_and_match_published_constants() {
-        let spec = AdversarySpec::default();
-        assert!(spec.validate().is_ok());
-        assert_eq!(spec.lease_intervals, 12);
-        assert_eq!(spec.trigger_intervals, 4);
+        let rotation = StrategyKind::SourceRotation {
+            period_intervals: 4,
+            active_fraction: 0.5,
+        };
+        assert!(AdversarySpec::with_strategy(rotation).validate().is_ok());
+        // `PushbackConfig::default()`'s `hold_intervals` and
+        // `trigger_intervals`.
+        assert_eq!(crate::strategies::LEASE_INTERVALS, 12);
+        assert_eq!(crate::strategies::TRIGGER_INTERVALS, 4);
     }
 
     #[test]
@@ -242,27 +204,6 @@ mod tests {
     #[test]
     fn validation_catches_bad_specs() {
         for (label, bad) in [
-            (
-                "zero lease",
-                AdversarySpec {
-                    lease_intervals: 0,
-                    ..AdversarySpec::default()
-                },
-            ),
-            (
-                "degenerate hysteresis",
-                AdversarySpec {
-                    trigger_intervals: 1,
-                    ..AdversarySpec::default()
-                },
-            ),
-            (
-                "engage_loss out of range",
-                AdversarySpec {
-                    engage_loss: 0.0,
-                    ..AdversarySpec::default()
-                },
-            ),
             (
                 "zero rotation period",
                 AdversarySpec::with_strategy(StrategyKind::SourceRotation {

@@ -18,21 +18,32 @@ use crate::spec::{AdversarySpec, StrategyKind};
 /// Nominal per-source rate scale, in thousandths (the open-loop level).
 pub(crate) const NOMINAL_MILLI: u32 = 1000;
 
+/// The defense's published soft-state lease, in monitor intervals
+/// (`PushbackConfig::default().hold_intervals`).
+pub(crate) const LEASE_INTERVALS: u32 = 12;
+
+/// The defense's published escalation hysteresis window, in monitor
+/// intervals (`PushbackConfig::default().trigger_intervals`). A pulse
+/// needs one dark interval in it, so it is at least 2.
+pub(crate) const TRIGGER_INTERVALS: u32 = 4;
+const _: () = assert!(TRIGGER_INTERVALS >= 2);
+
+/// Aggregate loss rate above which the attacker reads the defense as
+/// engaged.
+const ENGAGE_LOSS: f64 = 0.5;
+
 /// Everything a strategy may legally observe in one monitor interval.
 ///
-/// This struct *is* the observability boundary: the size of the
-/// attacker's own botnet, the aggregate loss rate derived from the
-/// send/ack counts measured at its nodes, and the public
-/// [`AdversarySpec`] constants. Nothing here comes from defender
-/// runtime state.
-pub(crate) struct StrategyCtx<'a> {
+/// This struct and the published protocol constants above are the
+/// observability boundary: the size of the attacker's own botnet and
+/// the aggregate loss rate derived from the send/ack counts measured at
+/// its nodes. Nothing here comes from defender runtime state.
+pub(crate) struct StrategyCtx {
     /// Number of sources under control.
     pub(crate) sources: usize,
     /// Aggregate loss rate over all sources for the interval, in
     /// `[0, 1]`; `0.0` when nothing was sent.
     pub(crate) loss_rate: f64,
-    /// Public protocol constants and strategy parameters.
-    pub(crate) spec: &'a AdversarySpec,
 }
 
 /// The strategy named by an [`AdversarySpec`]: a pure function of its
@@ -62,7 +73,7 @@ impl Strategy {
                 // construction rather than branched on per interval.
                 let mut rotation =
                     CohortRotation::round_robin(period_intervals, active_fraction, stubs.len());
-                rotation.effective = period_intervals < spec.lease_intervals;
+                rotation.effective = period_intervals < LEASE_INTERVALS;
                 Strategy::Rotation(rotation)
             }
             StrategyKind::AttestationShaping {
@@ -79,7 +90,7 @@ impl Strategy {
     }
 
     /// Observes one monitor interval and appends retargeting directives.
-    pub(crate) fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
+    pub(crate) fn on_interval(&mut self, ctx: &StrategyCtx, out: &mut Vec<AdversaryDirective>) {
         match self {
             Strategy::Rotation(s) | Strategy::Carpet(s) => s.on_interval(ctx, out),
             Strategy::Shaping(s) => s.on_interval(ctx, out),
@@ -241,14 +252,14 @@ impl CohortRotation {
         }
     }
 
-    fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
+    fn on_interval(&mut self, ctx: &StrategyCtx, out: &mut Vec<AdversaryDirective>) {
         // Fewer than two cohorts, or no sources, leave nothing to rotate.
         let cohorts = self.scale_milli.len() as u32;
         if !self.effective || cohorts < 2 || self.cohort_of.is_empty() {
             return;
         }
         if !self.engaged {
-            if ctx.loss_rate > ctx.spec.engage_loss {
+            if ctx.loss_rate > ENGAGE_LOSS {
                 self.engaged = true;
                 self.since_rotate = 0;
                 self.retarget(out);
@@ -287,14 +298,14 @@ impl AttestationShaping {
         }
     }
 
-    fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
+    fn on_interval(&mut self, ctx: &StrategyCtx, out: &mut Vec<AdversaryDirective>) {
         let prev = self.scale_milli;
-        if ctx.loss_rate > ctx.spec.engage_loss {
+        if ctx.loss_rate > ENGAGE_LOSS {
             self.scale_milli = self
                 .scale_milli
                 .saturating_sub(self.step_milli)
                 .max(self.floor_milli);
-        } else if ctx.loss_rate < ctx.spec.engage_loss * 0.5 && self.scale_milli < NOMINAL_MILLI {
+        } else if ctx.loss_rate < ENGAGE_LOSS * 0.5 && self.scale_milli < NOMINAL_MILLI {
             self.scale_milli = (self.scale_milli + self.step_milli).min(NOMINAL_MILLI);
         }
         if self.scale_milli != prev {
@@ -341,10 +352,10 @@ impl PulseTuning {
         }
     }
 
-    fn on_interval(&mut self, ctx: &StrategyCtx<'_>, out: &mut Vec<AdversaryDirective>) {
-        let k = ctx.spec.trigger_intervals.max(2);
+    fn on_interval(&mut self, ctx: &StrategyCtx, out: &mut Vec<AdversaryDirective>) {
+        let k = TRIGGER_INTERVALS;
         if !self.engaged {
-            if ctx.loss_rate > ctx.spec.engage_loss {
+            if ctx.loss_rate > ENGAGE_LOSS {
                 self.engaged = true;
                 self.phase = 0;
             } else {
@@ -374,18 +385,9 @@ impl PulseTuning {
 mod tests {
     use super::*;
 
-    fn drive(
-        strategy: &mut Strategy,
-        spec: &AdversarySpec,
-        sources: usize,
-        loss_rate: f64,
-    ) -> Vec<AdversaryDirective> {
+    fn drive(strategy: &mut Strategy, sources: usize, loss_rate: f64) -> Vec<AdversaryDirective> {
         let mut out = Vec::new();
-        let ctx = StrategyCtx {
-            sources,
-            loss_rate,
-            spec,
-        };
+        let ctx = StrategyCtx { sources, loss_rate };
         strategy.on_interval(&ctx, &mut out);
         out
     }
@@ -409,19 +411,18 @@ mod tests {
 
     #[test]
     fn rotation_engages_rotates_and_preserves_budget() {
-        let spec = AdversarySpec::default();
         let sources = 8;
         let mut s = Strategy::Rotation(CohortRotation::round_robin(2, 0.5, sources));
         // Quiet interval: no directives before engagement.
-        assert!(drive(&mut s, &spec, sources, 0.1).is_empty());
+        assert!(drive(&mut s, sources, 0.1).is_empty());
         // Heavy loss engages and retargets to cohort 0.
-        let first = drive(&mut s, &spec, sources, 0.9);
+        let first = drive(&mut s, sources, 0.9);
         assert!(!first.is_empty());
         assert_eq!(budget_after(sources, &first), 8 * NOMINAL_MILLI);
         // One interval later: no rotation yet (period 2).
-        assert!(drive(&mut s, &spec, sources, 0.9).is_empty());
+        assert!(drive(&mut s, sources, 0.9).is_empty());
         // Second interval: cohort advances.
-        let second = drive(&mut s, &spec, sources, 0.9);
+        let second = drive(&mut s, sources, 0.9);
         assert!(!second.is_empty());
         assert_eq!(budget_after(sources, &second), 8 * NOMINAL_MILLI);
         assert_ne!(first, second, "rotation must move the active cohort");
@@ -429,9 +430,8 @@ mod tests {
 
     #[test]
     fn rotation_cohort_membership_is_round_robin() {
-        let spec = AdversarySpec::default();
         let mut s = Strategy::Rotation(CohortRotation::round_robin(1, 0.5, 4));
-        let first = drive(&mut s, &spec, 4, 0.9);
+        let first = drive(&mut s, 4, 0.9);
         // Cohort 0 of 2 = sources 0 and 2 active.
         let mut active = vec![false; 4];
         for d in &first {
@@ -444,28 +444,24 @@ mod tests {
 
     #[test]
     fn lease_gate_disables_slow_rotation_permanently() {
-        let spec = AdversarySpec {
-            strategy: StrategyKind::SourceRotation {
-                period_intervals: 12,
-                active_fraction: 0.5,
-            },
-            ..AdversarySpec::default()
-        };
+        let spec = AdversarySpec::with_strategy(StrategyKind::SourceRotation {
+            period_intervals: 12,
+            active_fraction: 0.5,
+        });
         let mut strategy = Strategy::new(&spec, &[0, 0, 1, 1]);
         for _ in 0..40 {
-            let out = drive(&mut strategy, &spec, 4, 0.95);
+            let out = drive(&mut strategy, 4, 0.95);
             assert!(out.is_empty(), "gated rotation must never emit directives");
         }
     }
 
     #[test]
     fn shaping_steps_down_to_floor_then_recovers() {
-        let spec = AdversarySpec::default();
         let sources = 3;
         let mut s = Strategy::Shaping(AttestationShaping::new(300, 200));
         // Three hot intervals: 1000 -> 700 -> 400 -> 200 (floored).
         for want in [700u32, 400, 200] {
-            let out = drive(&mut s, &spec, sources, 0.9);
+            let out = drive(&mut s, sources, 0.9);
             assert_eq!(out.len(), sources);
             assert!(out.iter().all(|d| matches!(
                 d,
@@ -473,9 +469,9 @@ mod tests {
             )));
         }
         // Still hot at the floor: no change, no directives.
-        assert!(drive(&mut s, &spec, sources, 0.9).is_empty());
+        assert!(drive(&mut s, sources, 0.9).is_empty());
         // Loss subsides: steps back up.
-        let up = drive(&mut s, &spec, sources, 0.1);
+        let up = drive(&mut s, sources, 0.1);
         assert!(up.iter().all(|d| matches!(
             d,
             AdversaryDirective::SetRateScale { scale_milli, .. } if *scale_milli == 500
@@ -484,14 +480,13 @@ mod tests {
 
     #[test]
     fn pulse_goes_dark_once_per_hysteresis_window() {
-        let spec = AdversarySpec::default();
         let mut s = Strategy::Pulse(PulseTuning::new(0));
         // Engage; K = 4 so the cycle is 3 hot + 1 dark.
         let mut dark_count = 0;
         let mut hot_count = 0;
-        let _ = drive(&mut s, &spec, 2, 0.9);
+        let _ = drive(&mut s, 2, 0.9);
         for _ in 1..=8 {
-            let out = drive(&mut s, &spec, 2, 0.9);
+            let out = drive(&mut s, 2, 0.9);
             let dark = out
                 .iter()
                 .any(|d| matches!(d, AdversaryDirective::SetActive { active: false, .. }));
@@ -512,11 +507,10 @@ mod tests {
 
     #[test]
     fn carpet_rotates_across_stubs_with_full_budget() {
-        let spec = AdversarySpec::default();
         let mut s = Strategy::Carpet(CohortRotation::by_stub(1, &[0, 1, 2, 0, 1, 2]));
-        let first = drive(&mut s, &spec, 6, 0.9);
+        let first = drive(&mut s, 6, 0.9);
         assert_eq!(budget_after(6, &first), 6 * NOMINAL_MILLI);
-        let second = drive(&mut s, &spec, 6, 0.9);
+        let second = drive(&mut s, 6, 0.9);
         assert_ne!(first, second, "carpet must move to the next stub");
         assert_eq!(budget_after(6, &second), 6 * NOMINAL_MILLI);
     }
@@ -526,15 +520,12 @@ mod tests {
     /// Fig. 11's five sources in two cohorts overshoot, then undershoot.
     #[test]
     fn rotation_budget_drifts_on_uneven_cohorts_where_carpet_holds() {
-        let spec = AdversarySpec::default();
         let stubs = [1u32, 2, 0, 1, 2];
         let n = stubs.len();
         let mut rotation = Strategy::Rotation(CohortRotation::round_robin(1, 0.5, n));
         let mut carpet = Strategy::Carpet(CohortRotation::by_stub(1, &stubs));
         let turns = |s: &mut Strategy| -> Vec<u32> {
-            (0..4)
-                .map(|_| budget_after(n, &drive(s, &spec, n, 0.9)))
-                .collect()
+            (0..4).map(|_| budget_after(n, &drive(s, n, 0.9))).collect()
         };
         assert_eq!(turns(&mut rotation), [6000, 4000, 6000, 4000]);
         assert_eq!(turns(&mut carpet), [5000; 4]);
@@ -558,10 +549,9 @@ mod tests {
 
     #[test]
     fn carpet_single_stub_is_inert() {
-        let spec = AdversarySpec::default();
         let mut s = Strategy::Carpet(CohortRotation::by_stub(1, &[0, 0, 0, 0]));
         for _ in 0..10 {
-            assert!(drive(&mut s, &spec, 4, 0.95).is_empty());
+            assert!(drive(&mut s, 4, 0.95).is_empty());
         }
     }
 
@@ -586,7 +576,7 @@ mod tests {
             let mut a = Strategy::new(&spec, &stubs);
             // Advance through engagement plus a few intervals.
             for _ in 0..5 {
-                let _ = drive(&mut a, &spec, stubs.len(), 0.9);
+                let _ = drive(&mut a, stubs.len(), 0.9);
             }
             mafic_obs::assert_state_law(&a, || Strategy::new(&spec, &stubs));
             let mut w = mafic_obs::SnapWriter::new();

@@ -3,53 +3,52 @@
 //! These quantify the design choices DESIGN.md calls out:
 //!
 //! * MAFIC vs the proportional baseline (the motivating comparison),
+//!   read off the probe-timer run's 2× column, which carries the
+//!   baseline beside the default scenario,
 //! * probe timer multiplier (1×, 2×, 4× RTT; a plot row of the panel
-//!   table, `figures::Sweep::Timer`),
+//!   table),
+//!
+//! both drawn from `figures::Sweep::Timer`, and two that run no
+//! scenario:
+//!
 //! * hashed vs full flow labels (memory and collision cost),
 //! * LogLog precision vs traffic-matrix accuracy.
 
-use crate::engine::EngineConfig;
 use crate::figure::FigureData;
-use crate::sweep::run_averaged;
-use mafic::{DefensePolicy, LabelMode};
+use crate::sweep::SweepSeries;
+use mafic::LabelMode;
 use mafic_loglog::{LogLog, Precision};
-use mafic_workload::ScenarioSpec;
 
-/// MAFIC vs proportional baseline across the paper's metrics.
-///
-/// # Errors
-///
-/// Propagates build/run errors.
-pub(crate) fn policy_comparison(cfg: &EngineConfig) -> Result<FigureData, String> {
+/// MAFIC vs proportional baseline across the paper's metrics: one
+/// column per series of the probe-timer run at its 2× (paper) point.
+/// The timer curves' series has the empty label; it is MAFIC's.
+pub(crate) fn policy_comparison(sweeps: &[SweepSeries]) -> String {
     let mut fig = FigureData::new(
         "Ablation A",
         "MAFIC vs proportional dropping (the [2] baseline)",
         "metric index (1=alpha 2=theta_n 3=theta_p 4=Lr 5=beta)",
         "percent",
     );
-    for (label, policy) in [
-        ("MAFIC", DefensePolicy::FullMafic),
-        ("proportional", DefensePolicy::ProportionalDrop),
-    ] {
-        let report = run_averaged(
-            &ScenarioSpec {
-                policy,
-                ..ScenarioSpec::default()
-            },
-            cfg,
-        )?;
-        fig.push_series(
-            label,
-            vec![
-                (1.0, report.accuracy_pct),
-                (2.0, report.false_negative_pct),
-                (3.0, report.false_positive_pct),
-                (4.0, report.legit_drop_pct),
-                (5.0, report.traffic_reduction_pct),
-            ],
-        );
+    for s in sweeps {
+        let label = if s.label.is_empty() {
+            "MAFIC"
+        } else {
+            &s.label
+        };
+        for report in s.points.iter().filter(|p| p.x == 2.0).map(|p| &p.report) {
+            fig.push_series(
+                label,
+                vec![
+                    (1.0, report.accuracy_pct),
+                    (2.0, report.false_negative_pct),
+                    (3.0, report.false_positive_pct),
+                    (4.0, report.legit_drop_pct),
+                    (5.0, report.traffic_reduction_pct),
+                ],
+            );
+        }
     }
-    Ok(fig)
+    fig.to_string()
 }
 
 /// Hashed vs full flow labels — modeled router table memory.
@@ -152,6 +151,61 @@ pub(crate) fn sketch_precision() -> FigureData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepPoint;
+    use mafic_metrics::{ControlPlaneReport, MetricsReport};
+
+    #[test]
+    fn policy_comparison_reads_each_series_at_2x_only() {
+        // Metric k of a point reads `base + k - 1`, so every cell names
+        // the point and the metric it came from.
+        let point = |x: f64, base: f64| SweepPoint {
+            x,
+            report: MetricsReport {
+                accuracy_pct: base,
+                false_negative_pct: base + 1.0,
+                false_positive_pct: base + 2.0,
+                legit_drop_pct: base + 3.0,
+                traffic_reduction_pct: base + 4.0,
+                ..MetricsReport::default()
+            },
+            control: ControlPlaneReport::default(),
+            policy_costs: Vec::new(),
+        };
+        let sweeps = [
+            SweepSeries {
+                label: String::new(),
+                points: vec![point(1.0, 70.0), point(2.0, 10.0), point(4.0, 80.0)],
+            },
+            SweepSeries {
+                label: "proportional".to_string(),
+                points: vec![point(2.0, 40.0)],
+            },
+        ];
+        let text = policy_comparison(&sweeps);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines.len(),
+            3 + 5,
+            "title, y label, header, five metrics:\n{text}"
+        );
+        assert!(
+            lines[2].ends_with("          MAFIC   proportional"),
+            "{text}"
+        );
+        for (k, row) in lines[3..].iter().enumerate() {
+            let cells: Vec<f64> = row
+                .split_whitespace()
+                .map(|c| c.parse().expect("numeric cell"))
+                .collect();
+            let k = k as f64;
+            assert_eq!(
+                cells,
+                vec![k + 1.0, 10.0 + k, 40.0 + k],
+                "metric {}",
+                k + 1.0
+            );
+        }
+    }
 
     #[test]
     fn sketch_precision_error_shrinks_with_registers() {

@@ -5,10 +5,10 @@
 //! `tests/parallel_determinism.rs` holds the grid's multi-domain spec
 //! to that. Ledgers for the grid's specs are concatenated in order,
 //! separated by a `# run <n>` comment line (ignored by
-//! [`mafic_obs::RunLedger::from_jsonl`]).
+//! `mafic_obs::RunLedger::from_jsonl`).
 //!
 //! Usage: `run_ledger [--seed N] [--only I]` — `--seed` perturbs the
-//! whole grid (the seeded-divergence CI smoke uses it to prove the
+//! whole grid (`tests/seeded_divergence.rs` uses it to prove the
 //! differ fails on real divergence); `--only` emits a single grid
 //! entry so `mafic_trace diff` gets a one-ledger file.
 

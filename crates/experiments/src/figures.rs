@@ -297,7 +297,8 @@ pub enum Sweep {
     Trust,
     /// Attack strategy × trust budget: Fig. 11.
     Adaptive,
-    /// Probe-timer multiplier, 1×, 2× (paper), 4× RTT: Ablation B.
+    /// Probe-timer multiplier, 1×, 2× (paper), 4× RTT, plus the
+    /// proportional baseline at 2×: Ablations A and B.
     Timer,
 }
 
@@ -377,11 +378,18 @@ impl Sweep {
                 |&strategy, budget| fig11_spec(strategy, budget as u32),
             ),
             Sweep::Timer => {
-                let series = [(String::new(), ())];
-                SweepPlan::new(&series, &[1.0, 2.0, 4.0], trials, |(), mult| ScenarioSpec {
+                let timer = |&policy: &DefensePolicy, mult| ScenarioSpec {
+                    policy,
                     timer_rtt_multiplier: mult,
                     ..ScenarioSpec::default()
-                })
+                };
+                let mafic = [(String::new(), DefensePolicy::FullMafic)];
+                let mut plan = SweepPlan::new(&mafic, &[1.0, 2.0, 4.0], trials, timer);
+                // Ablation A's baseline, at the paper's 2x only.
+                let baseline = [("proportional".to_string(), DefensePolicy::ProportionalDrop)];
+                plan.series
+                    .extend(SweepPlan::new(&baseline, &[2.0], trials, timer).series);
+                plan
             }
         }
     }
@@ -507,7 +515,8 @@ const ADAPTIVE_GOODPUT: Plot = Plot {
     ],
     series: &[],
 };
-/// Ablation B: one curve per metric of the run's single series.
+/// Ablation B: one curve per metric of the run's MAFIC series (the
+/// unlabelled one).
 const TIMER: Plot = Plot {
     title: "Probation timer length vs classification quality",
     y_label: "percent",
@@ -516,7 +525,7 @@ const TIMER: Plot = Plot {
         ("Lr", lr),
         ("theta_p", |r| r.false_positive_pct),
     ],
-    series: &[],
+    series: &[""],
 };
 
 /// Plots a finished sweep as the figure called `name`.
@@ -791,7 +800,7 @@ pub(crate) const PANELS: &[Panel] = &[
     Panel {
         id: ABLATIONS,
         name: "Ablation A",
-        render: Render::Own(ablations::policy_comparison),
+        render: Render::Text(Sweep::Timer, ablations::policy_comparison),
     },
     Panel {
         id: ABLATIONS,
@@ -1034,26 +1043,37 @@ mod tests {
         // Figs. 10 and 11 stay at one trial whatever `MAFIC_TRIALS` says.
         assert_eq!(Sweep::Trust.plan(&cfg).jobs().len(), 3 * 4);
         assert_eq!(Sweep::Adaptive.plan(&cfg).jobs().len(), 5 * 4);
-        // Nothing runs twice in a bare pass: no base spec appears in two
-        // cells of the runs behind it.
-        let mut keys: Vec<Sweep> = select_panels(&[])
-            .expect("no ids")
+        // Ablation A's baseline is one cell, beside Ablation B's 2x.
+        let timer = Sweep::Timer.plan(&cfg);
+        let baseline: Vec<f64> = timer
+            .series
             .iter()
-            .filter_map(|p| match p.render {
-                Render::Plot(key, _) | Render::Text(key, _) => Some(key),
-                Render::Own(_) | Render::OwnText(_) => None,
-            })
+            .filter(|(label, _)| label == "proportional")
+            .flat_map(|(_, cells)| cells.iter().map(|(x, _)| *x))
             .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut bases: Vec<(Sweep, f64, ScenarioSpec)> = Vec::new();
-        for key in keys {
-            for (_, cells) in key.plan(&cfg).series {
-                for (x, spec) in cells {
-                    if let Some((other, other_x, _)) = bases.iter().find(|(.., b)| *b == spec) {
-                        panic!("{key:?} at x = {x} reruns {other:?} at x = {other_x}");
+        assert_eq!(baseline, vec![2.0]);
+        // Nothing runs twice in a bare pass or in `figures ablations`:
+        // no base spec appears in two cells of the runs behind it.
+        for ids in [&[][..], &["ablations".to_string()][..]] {
+            let mut keys: Vec<Sweep> = select_panels(ids)
+                .expect("known ids")
+                .iter()
+                .filter_map(|p| match p.render {
+                    Render::Plot(key, _) | Render::Text(key, _) => Some(key),
+                    Render::Own(_) | Render::OwnText(_) => None,
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let mut bases: Vec<(Sweep, f64, ScenarioSpec)> = Vec::new();
+            for key in keys {
+                for (_, cells) in key.plan(&cfg).series {
+                    for (x, spec) in cells {
+                        if let Some((other, other_x, _)) = bases.iter().find(|(.., b)| *b == spec) {
+                            panic!("{key:?} at x = {x} reruns {other:?} at x = {other_x}");
+                        }
+                        bases.push((key, x, spec));
                     }
-                    bases.push((key, x, spec));
                 }
             }
         }

@@ -48,4 +48,4 @@ mod tables;
 
 pub use engine::{run_jobs, run_specs, EngineConfig};
 pub use figure::{FigureData, Series};
-pub use sweep::{run_averaged, sweep, sweep_warm, SweepPoint, SweepSeries};
+pub use sweep::{sweep, sweep_warm, SweepPoint, SweepSeries};

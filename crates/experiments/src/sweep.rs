@@ -32,7 +32,7 @@ fn trial_spec(base: &ScenarioSpec, t: u64) -> ScenarioSpec {
 ///
 /// Panics if `reports` is empty.
 #[must_use]
-pub(crate) fn average_reports(reports: &[MetricsReport]) -> MetricsReport {
+fn average_reports(reports: &[MetricsReport]) -> MetricsReport {
     assert!(!reports.is_empty(), "cannot average zero reports");
     let n = reports.len() as f64;
     let mut out = MetricsReport::default();
@@ -70,20 +70,6 @@ pub(crate) fn average_reports(reports: &[MetricsReport]) -> MetricsReport {
     // One shared definition of the five formulas (mafic-metrics owns it).
     out.recompute_derived();
     out
-}
-
-/// Runs `base` once per trial seed (fanned across the engine's workers)
-/// and aggregates the reports.
-///
-/// # Errors
-///
-/// Propagates the first build/run error by trial index.
-pub fn run_averaged(base: &ScenarioSpec, cfg: &EngineConfig) -> Result<MetricsReport, String> {
-    let specs = (0..cfg.trials).map(|t| trial_spec(base, t)).collect();
-    let reports = run_jobs(specs, cfg.jobs, |spec| {
-        run_spec(spec).map(|o| o.report).map_err(|e| e.to_string())
-    })?;
-    Ok(average_reports(&reports))
 }
 
 /// Reads one plotted number off a report.

@@ -965,25 +965,9 @@ impl Simulator {
     }
 
     fn filter_flow_timer(&mut self, fire: FlowTimerFire) {
-        let mut commands = self.take_filter_buf();
-        {
-            let now = self.now;
-            let node = &mut self.nodes[fire.node.index()];
-            let Some(filter) = node.filters.get_mut(fire.filter_index) else {
-                self.put_filter_buf(commands);
-                return;
-            };
-            let mut ctx = FilterCtx::new(
-                now,
-                fire.node,
-                fire.filter_index,
-                &mut self.next_packet_id,
-                &mut commands,
-            );
-            filter.on_flow_timer(fire.flow, fire.kind, &mut ctx);
-        }
-        self.run_filter_commands(fire.node, &mut commands);
-        self.put_filter_buf(commands);
+        self.dispatch_filters(fire.node, Some(fire.filter_index), |filter, ctx| {
+            filter.on_flow_timer(fire.flow, fire.kind, ctx);
+        });
     }
 
     fn control(&mut self, node_id: NodeId, msg: FilterControl) {
@@ -995,15 +979,28 @@ impl Simulator {
                 summary: format!("{msg:?}"),
             });
         }
+        self.dispatch_filters(node_id, None, |filter, ctx| filter.on_control(&msg, ctx));
+    }
+
+    /// Runs one filter callback per filter of the node's chain (`only`:
+    /// just the filter at that index, if the chain has one), each with
+    /// its own context, then executes the commands they queued. The
+    /// per-packet chain in `node_receive` stays inline: it stops at the
+    /// first drop.
+    fn dispatch_filters(
+        &mut self,
+        node_id: NodeId,
+        only: Option<usize>,
+        mut callback: impl FnMut(&mut dyn PacketFilter, &mut FilterCtx<'_>),
+    ) {
         let mut commands = self.take_filter_buf();
-        {
-            let now = self.now;
-            let node = &mut self.nodes[node_id.index()];
-            for (index, filter) in node.filters.iter_mut().enumerate() {
-                let mut ctx =
-                    FilterCtx::new(now, node_id, index, &mut self.next_packet_id, &mut commands);
-                filter.on_control(&msg, &mut ctx);
-            }
+        let now = self.now;
+        let (skip, take) = only.map_or((0, usize::MAX), |index| (index, 1));
+        let filters = &mut self.nodes[node_id.index()].filters;
+        for (index, filter) in filters.iter_mut().enumerate().skip(skip).take(take) {
+            let mut ctx =
+                FilterCtx::new(now, node_id, index, &mut self.next_packet_id, &mut commands);
+            callback(filter.as_mut(), &mut ctx);
         }
         self.run_filter_commands(node_id, &mut commands);
         self.put_filter_buf(commands);

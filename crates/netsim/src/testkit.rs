@@ -190,21 +190,7 @@ impl FilterHarness {
             dst_is_local,
             flow: self.interner.intern(packet.key),
         };
-        let mut commands = Vec::new();
-        let action;
-        {
-            let mut ctx = FilterCtx::new(
-                self.now,
-                self.node,
-                0,
-                &mut self.next_packet_id,
-                &mut commands,
-            );
-            action = filter.on_packet(packet, &env, &mut ctx);
-        }
-        let mut fx = Self::collect(commands);
-        fx.action = Some(action);
-        fx
+        self.drive(filter, |f, ctx| Some(f.on_packet(packet, &env, ctx)))
     }
 
     /// Offers a packet that arrived on no particular link and is not
@@ -224,38 +210,39 @@ impl FilterHarness {
         flow: FlowId,
         kind: u16,
     ) -> FilterEffects {
-        let mut commands = Vec::new();
-        {
-            let mut ctx = FilterCtx::new(
-                self.now,
-                self.node,
-                0,
-                &mut self.next_packet_id,
-                &mut commands,
-            );
-            filter.on_flow_timer(flow, kind, &mut ctx);
-        }
-        Self::collect(commands)
+        self.drive(filter, |f, ctx| {
+            f.on_flow_timer(flow, kind, ctx);
+            None
+        })
     }
 
     /// Delivers a control message.
     pub fn control(&mut self, filter: &mut dyn PacketFilter, msg: &FilterControl) -> FilterEffects {
-        let mut commands = Vec::new();
-        {
-            let mut ctx = FilterCtx::new(
-                self.now,
-                self.node,
-                0,
-                &mut self.next_packet_id,
-                &mut commands,
-            );
-            filter.on_control(msg, &mut ctx);
-        }
-        Self::collect(commands)
+        self.drive(filter, |f, ctx| {
+            f.on_control(msg, ctx);
+            None
+        })
     }
 
-    fn collect(commands: Vec<FilterCommand>) -> FilterEffects {
-        let mut fx = FilterEffects::default();
+    /// Runs one callback (returning the verdict, if it has one) against
+    /// a context as filter 0 of the harness node, and collects what it
+    /// queued.
+    fn drive<F>(&mut self, filter: &mut dyn PacketFilter, f: F) -> FilterEffects
+    where
+        F: FnOnce(&mut dyn PacketFilter, &mut FilterCtx<'_>) -> Option<FilterAction>,
+    {
+        let mut commands = Vec::new();
+        let mut ctx = FilterCtx::new(
+            self.now,
+            self.node,
+            0,
+            &mut self.next_packet_id,
+            &mut commands,
+        );
+        let mut fx = FilterEffects {
+            action: f(filter, &mut ctx),
+            ..FilterEffects::default()
+        };
         for cmd in commands {
             match cmd {
                 FilterCommand::EmitPacket(p) => fx.emitted.push(p),

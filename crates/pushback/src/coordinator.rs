@@ -439,40 +439,53 @@ impl DomainCoordinator {
         ControlMsg::new(self.identity, self.next_nonce, verb)
     }
 
-    /// Victim-domain entry point: the local detector triggered the
-    /// defense with `budget` escalation hops available. Idempotent.
-    pub fn local_start(&mut self, victim: Addr, budget: u8) {
-        if self.is_defending() {
-            return;
-        }
+    /// The edge into Defending: `victim` with `budget` escalation hops,
+    /// installed by `lessor` (`None`: started by the local detector).
+    /// Every per-engagement counter of either role restarts. A
+    /// victim-role coordinator never moves `since_heard` or
+    /// `since_report`, and an upstream one never moves `healthy`, so
+    /// resetting the other role's counters changes nothing.
+    fn engage(&mut self, victim: Addr, budget: u8, lessor: Option<RequesterId>) {
         self.state = LifecycleState::Defending;
         self.victim = Some(victim);
         self.budget = budget;
         self.above = 0;
         self.healthy = 0;
         self.since_refresh = 0;
+        self.since_heard = 0;
+        self.since_report = 0;
         self.denied_by.clear();
+        self.lessor = lessor;
+        self.reports.clear();
+    }
+
+    /// The edge into Idle: the engagement is forgotten.
+    fn disengage(&mut self) {
+        self.state = LifecycleState::Idle;
+        self.victim = None;
+        self.above = 0;
+        self.healthy = 0;
+        self.since_heard = 0;
         self.lessor = None;
         self.reports.clear();
     }
 
+    /// Victim-domain entry point: the local detector triggered the
+    /// defense with `budget` escalation hops available. Idempotent.
+    pub fn local_start(&mut self, victim: Addr, budget: u8) {
+        if !self.is_defending() {
+            self.engage(victim, budget, None);
+        }
+    }
+
     /// Victim-domain entry point: the local defense stood down for an
-    /// external reason. Withdraws any escalated upstream defense.
+    /// external reason (the host deactivates its own filters).
+    /// Withdraws any escalated upstream defense.
     #[cfg(test)]
     pub fn local_stop(&mut self, plane: &mut dyn ControlPlane) {
-        if !self.is_defending() {
-            return;
+        if self.is_defending() {
+            self.stand_down(plane, &mut Vec::new());
         }
-        if self.state == LifecycleState::Escalated {
-            let victim = self.victim.expect("escalated implies a victim");
-            let msg = self.envelope(ControlVerb::Withdraw { victim });
-            plane.send_upstream(msg);
-            self.stats.withdraws_sent += 1;
-        }
-        self.state = LifecycleState::Idle;
-        self.above = 0;
-        self.healthy = 0;
-        self.victim = None;
     }
 
     /// Deactivate the local defense and cascade the withdrawal. Used
@@ -486,13 +499,7 @@ impl DomainCoordinator {
             plane.send_upstream(msg);
             self.stats.withdraws_sent += 1;
         }
-        self.state = LifecycleState::Idle;
-        self.above = 0;
-        self.healthy = 0;
-        self.since_heard = 0;
-        self.victim = None;
-        self.lessor = None;
-        self.reports.clear();
+        self.disengage();
     }
 
     /// Installs (or renews) a vetted defense. Fresh installs activate
@@ -506,20 +513,12 @@ impl DomainCoordinator {
         budget: u8,
         actions: &mut Vec<PushbackAction>,
     ) {
-        self.since_heard = 0;
         if self.is_defending() {
+            self.since_heard = 0;
             // A repeated request can only widen the budget.
             self.budget = self.budget.max(budget);
         } else {
-            self.state = LifecycleState::Defending;
-            self.victim = Some(victim);
-            self.budget = budget;
-            self.above = 0;
-            self.since_refresh = 0;
-            self.since_report = 0;
-            self.denied_by.clear();
-            self.lessor = Some(requester);
-            self.reports.clear();
+            self.engage(victim, budget, Some(requester));
             actions.push(PushbackAction::ActivateLocal { victim });
         }
     }
@@ -699,10 +698,7 @@ impl DomainCoordinator {
         match self.state {
             LifecycleState::Idle => return,
             LifecycleState::StandingDown => {
-                self.state = LifecycleState::Idle;
-                self.victim = None;
-                self.lessor = None;
-                self.reports.clear();
+                self.disengage();
                 return;
             }
             LifecycleState::Defending | LifecycleState::Escalated => {}
@@ -1662,6 +1658,69 @@ mod tests {
         c.local_start(VICTIM, 1);
         assert!(c.is_defending());
         assert!(!c.is_escalated());
+    }
+
+    /// `engage` and `disengage` reset every counter of both roles, which
+    /// changes nothing only while each role leaves the other's counters
+    /// at zero: a victim never moves `since_heard` or `since_report`,
+    /// an upstream never moves `healthy`. Pinned through a whole
+    /// engagement of a victim and its upstream, wired back to back.
+    #[test]
+    fn each_role_keeps_the_other_roles_counters_at_zero() {
+        /// One interval: both coordinators tick, then each receives
+        /// what the other sent; the invariants must hold after it.
+        fn interval(
+            victim: &mut DomainCoordinator,
+            upstream: &mut DomainCoordinator,
+            victim_bps: f64,
+            upstream_bps: f64,
+        ) {
+            let (mut down, mut up) = (BufferedPlane::new(), BufferedPlane::new());
+            let _ = tick(victim, victim_bps, &mut down);
+            let _ = tick(upstream, upstream_bps, &mut up);
+            for msg in down.upstream {
+                let _ = deliver(upstream, msg, upstream_bps, &mut up);
+            }
+            for (_, msg) in up.downstream {
+                let _ = deliver(victim, msg, victim_bps, &mut BufferedPlane::new());
+            }
+            assert_roles(victim, upstream);
+        }
+        fn assert_roles(victim: &DomainCoordinator, upstream: &DomainCoordinator) {
+            let at = (victim.state, upstream.state);
+            assert_eq!(victim.since_heard, 0, "victim since_heard at {at:?}");
+            assert_eq!(victim.since_report, 0, "victim since_report at {at:?}");
+            assert_eq!(upstream.healthy, 0, "upstream healthy at {at:?}");
+        }
+        let mut cfg = config();
+        cfg.subsidence_intervals = 3;
+        let mut victim = DomainCoordinator::new(cfg, PushbackRole::Victim, identity(0));
+        victim.trust_upstream(identity(1));
+        let mut upstream = DomainCoordinator::new(cfg, PushbackRole::Upstream, identity(1));
+        upstream.authorize(identity(0));
+        // The second engagement has the budget for the upstream to
+        // escalate in turn; in the first it defends at healthy inflow
+        // while the victim stands down.
+        for budget in [1, 2] {
+            // Engage, then escalate: the victim's request installs the
+            // upstream defense.
+            victim.local_start(VICTIM, budget);
+            assert_roles(&victim, &upstream);
+            for _ in 0..12 {
+                interval(&mut victim, &mut upstream, 5000.0, 9000.0);
+            }
+            assert!(victim.is_escalated() && upstream.is_defending());
+            assert_eq!(upstream.is_escalated(), budget > 1);
+            // Report: the upstream's status reaches the victim.
+            assert!(upstream.stats().reports_sent > 0 && victim.has_fresh_reports());
+            // Stand down: the reported flood subsides, the victim stops
+            // the chain and idles one interval later.
+            for _ in 0..8 {
+                interval(&mut victim, &mut upstream, 1500.0, 500.0);
+            }
+            assert_eq!(victim.state(), LifecycleState::Idle, "budget {budget}");
+            assert_eq!(upstream.state(), LifecycleState::Idle, "budget {budget}");
+        }
     }
 
     #[test]

@@ -27,9 +27,10 @@
 //!   defense against *malicious pushback* (an attacker asking an
 //!   upstream to drop a victim's legitimate traffic).
 //! * [`ControlPlane`] — the transport abstraction the coordinator sends
-//!   envelopes through. The workload runner implements it over routed
-//!   simulator packets (the deterministic in-band channel); the
-//!   [`BufferedPlane`] records envelopes in memory for tests and
+//!   envelopes through: a skip-list upstream send, a downstream send
+//!   and an upstream target count. The workload runner implements it
+//!   over routed simulator packets (the deterministic in-band channel);
+//!   the [`BufferedPlane`] records envelopes in memory for tests and
 //!   out-of-simulator hosts.
 //! * [`VictimRateMeter`] — a passive packet filter measuring the
 //!   victim-bound byte rate at an Attack Transit Router, windowed per

@@ -12,32 +12,30 @@ use mafic_netsim::{ControlMsg, RequesterId};
 
 /// Where a coordinator's outbound envelopes go.
 ///
-/// Two directions, mirroring the pushback topology: `send_upstream`
-/// fans an envelope out to every upstream escalation target (toward the
-/// traffic sources); `send_downstream` answers one specific requester
-/// (toward the victim — the only downstream party a coordinator ever
-/// addresses is someone who just asked it for something).
+/// Two directions, mirroring the pushback topology: upstream sends fan
+/// an envelope out to the domain's upstream escalation targets (toward
+/// the traffic sources), less any that already denied the victim;
+/// `send_downstream` answers one specific requester (toward the victim
+/// — the only downstream party a coordinator ever addresses is someone
+/// who just asked it for something). A plane supplies the skip-list
+/// send, the downstream send and its target count; `send_upstream` is
+/// the skip-list send with nothing skipped.
 pub trait ControlPlane {
-    /// Sends `msg` to every upstream escalation target of this domain.
-    fn send_upstream(&mut self, msg: ControlMsg);
+    /// Sends `msg` upstream, skipping the targets in `except` (parents
+    /// that already denied this victim).
+    fn send_upstream_except(&mut self, msg: ControlMsg, except: &[RequesterId]);
 
     /// Sends `msg` back downstream to the requester it answers.
     fn send_downstream(&mut self, to: RequesterId, msg: ControlMsg);
 
-    /// How many distinct upstream targets `send_upstream` fans out to.
-    ///
+    /// How many distinct upstream targets an upstream send fans out to.
     /// A coordinator only abandons escalation once *every* target has
-    /// denied it; planes with one anonymous target keep the default.
-    fn upstream_count(&self) -> usize {
-        1
-    }
+    /// denied it.
+    fn upstream_count(&self) -> usize;
 
-    /// Sends `msg` upstream, skipping the targets in `except` (parents
-    /// that already denied this victim). The default ignores the skip
-    /// list: a single-target plane that reaches this path has an empty
-    /// list, because one denial already ends escalation.
-    fn send_upstream_except(&mut self, msg: ControlMsg, _except: &[RequesterId]) {
-        self.send_upstream(msg);
+    /// Sends `msg` to every upstream escalation target of this domain.
+    fn send_upstream(&mut self, msg: ControlMsg) {
+        self.send_upstream_except(msg, &[]);
     }
 }
 
@@ -78,11 +76,6 @@ impl BufferedPlane {
 }
 
 impl ControlPlane for BufferedPlane {
-    fn send_upstream(&mut self, msg: ControlMsg) {
-        self.upstream.push(msg);
-        self.upstream_skips.push(Vec::new());
-    }
-
     fn send_downstream(&mut self, to: RequesterId, msg: ControlMsg) {
         self.downstream.push((to, msg));
     }

@@ -203,10 +203,6 @@ impl InBandPlane<'_> {
 }
 
 impl ControlPlane for InBandPlane<'_> {
-    fn send_upstream(&mut self, msg: ControlMsg) {
-        self.send_upstream_except(msg, &[]);
-    }
-
     fn send_downstream(&mut self, to: RequesterId, msg: ControlMsg) {
         self.inject(self.gateway, to.addr(), msg);
     }

@@ -11,8 +11,9 @@
 use mafic_suite::experiments::figures::{adversary_strategy_series, fig11_spec, trust_budget_axis};
 use mafic_suite::experiments::{run_specs, sweep, EngineConfig};
 use mafic_suite::netsim::SimTime;
+use mafic_suite::pushback::PushbackConfig;
 use mafic_suite::workload::{
-    restore_run, resume_scenario, run_spec, AdversarySpec, RunOutcome, ScenarioSpec, StrategyKind,
+    restore_run, resume_scenario, run_spec, RunOutcome, ScenarioSpec, StrategyKind,
 };
 
 #[test]
@@ -90,7 +91,8 @@ fn rotation_no_faster_than_the_lease_is_identical_to_open_loop() {
     // directives and the armed run must reproduce the adversary-free
     // run exactly.
     let open = run_spec(fig11_spec(None, 2)).expect("open-loop run");
-    let lease = AdversarySpec::default().lease_intervals;
+    // The published lease the adversary's rotation gate compares with.
+    let lease = PushbackConfig::default().hold_intervals;
     let inert = run_spec(fig11_spec(
         Some(StrategyKind::SourceRotation {
             period_intervals: lease,

@@ -6,8 +6,8 @@
 //! the figure binaries print.
 
 use mafic_suite::experiments::FigureData;
-use mafic_suite::experiments::{run_averaged, sweep, SweepSeries};
 use mafic_suite::experiments::{run_specs, EngineConfig};
+use mafic_suite::experiments::{sweep, SweepSeries};
 use mafic_suite::netsim::SimTime;
 use mafic_suite::obs::diff_ledgers;
 use mafic_suite::topology::TransitTopology;
@@ -72,20 +72,6 @@ fn sweep_respects_mafic_jobs_from_env() {
         format!("{parallel:?}"),
         "jobs={env_jobs} diverged from serial"
     );
-}
-
-#[test]
-fn run_averaged_is_identical_at_any_worker_count() {
-    let base = ScenarioSpec {
-        total_flows: 10,
-        n_routers: 5,
-        end: SimTime::from_secs_f64(2.5),
-        seed: 77,
-        ..ScenarioSpec::default()
-    };
-    let serial = run_averaged(&base, &EngineConfig::serial(3)).unwrap();
-    let parallel = run_averaged(&base, &EngineConfig { jobs: 3, trials: 3 }).unwrap();
-    assert_eq!(serial, parallel);
 }
 
 /// The run ledger must be byte-identical at any worker count: each run

@@ -118,7 +118,6 @@ fn adversary_ledger_and_snapshot_are_pinned() {
                 period_intervals: 4,
                 active_fraction: 0.5,
             },
-            ..AdversarySpec::default()
         }),
         end: SimTime::from_secs_f64(3.5),
         ledger: true,
