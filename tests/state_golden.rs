@@ -129,10 +129,10 @@ fn adversary_ledger_and_snapshot_are_pinned() {
         "adversary",
         spec,
         &Golden {
-            ledger_fnv: 0x94a6_8832_7046_2fcd,
+            ledger_fnv: 0x5205_8f03_2720_055a,
             intervals: 35,
             components: 27,
-            snapshot_fnv: 0xd09b_cec8_0e7d_4cee,
+            snapshot_fnv: 0xd8d9_1bc0_009f_fe8d,
             snapshot_len: 92_766,
         },
     );
