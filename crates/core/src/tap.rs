@@ -11,14 +11,13 @@
 use mafic_loglog::{LogLog, Precision, RouterSketch};
 use mafic_netsim::{Addr, FilterAction, FilterCtx, LinkId, Packet, PacketEnv, PacketFilter};
 use mafic_obs::{SnapError, SnapReader, State, StateWrite};
-use std::collections::BTreeSet;
 
 /// A non-dropping sketch tap installed on a router.
 ///
-/// Membership sets are `BTreeSet`s: tiny (a handful of access links per
-/// router), branch-predictable, and deterministic to iterate — the
-/// simulation crates ban `std::collections::HashSet` outright (see
-/// `clippy.toml`).
+/// Membership sets are sorted, deduplicated `Vec`s searched by
+/// bisection: a handful of access links or egress addresses per router,
+/// read by every packet through the router, in one contiguous array
+/// rather than a tree's nodes.
 #[derive(Debug)]
 pub struct LogLogTap {
     sketch: RouterSketch,
@@ -29,8 +28,8 @@ pub struct LogLogTap {
     /// source reads as cardinality ≈ 1 rather than a flood.
     addr_sketch: LogLog,
     precision: Precision,
-    ingress_links: BTreeSet<LinkId>,
-    egress_addrs: BTreeSet<Addr>,
+    ingress_links: Vec<LinkId>,
+    egress_addrs: Vec<Addr>,
     packets_seen: u64,
 }
 
@@ -51,8 +50,8 @@ impl LogLogTap {
             sketch: RouterSketch::new(precision),
             addr_sketch: LogLog::new(precision),
             precision,
-            ingress_links: ingress_links.into_iter().collect(),
-            egress_addrs: egress_addrs.into_iter().collect(),
+            ingress_links: sorted_set(ingress_links),
+            egress_addrs: sorted_set(egress_addrs),
             packets_seen: 0,
         }
     }
@@ -104,6 +103,13 @@ impl LogLogTap {
     }
 }
 
+fn sorted_set<T: Ord>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut set: Vec<T> = items.into_iter().collect();
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
 impl PacketFilter for LogLogTap {
     fn on_packet(
         &mut self,
@@ -113,13 +119,13 @@ impl PacketFilter for LogLogTap {
     ) -> FilterAction {
         self.packets_seen += 1;
         if let Some(via) = env.via_link {
-            if self.ingress_links.contains(&via) {
+            if self.ingress_links.binary_search(&via).is_ok() {
                 self.sketch.record_source(packet.id);
                 self.addr_sketch
                     .insert_u64(u64::from(packet.key.src.as_u32()));
             }
         }
-        if self.egress_addrs.contains(&packet.key.dst) {
+        if self.egress_addrs.binary_search(&packet.key.dst).is_ok() {
             self.sketch.record_destination(packet.id);
             // The victim router's tap watches only egress addresses
             // (no ingress links), so the distinct-sender evidence must

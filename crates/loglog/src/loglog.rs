@@ -227,35 +227,36 @@ impl LogLog {
     /// usable across the whole range the simulations exercise.
     #[must_use]
     pub fn estimate(&self) -> f64 {
-        self.estimate_over(self.inserts, self.registers.iter().copied())
+        self.estimate_over(self.inserts, &self.registers, &self.registers)
     }
 
     /// Estimates `|A ∪ B|`: what `self.merged(other)?.estimate()`
-    /// returns, bit for bit, read off both register files in one pass
-    /// with no merged sketch built.
+    /// returns, bit for bit, read off both register files in one chunked
+    /// pass ([`max_scan`]) with no merged sketch built.
     ///
     /// # Errors
     ///
     /// Returns [`SketchError`] if the precisions differ.
     pub(crate) fn union_estimate(&self, other: &LogLog) -> Result<f64, SketchError> {
         self.check_precision(other)?;
-        let union = self.registers.iter().zip(&other.registers);
-        Ok(self.estimate_over(self.inserts + other.inserts, union.map(|(&a, &b)| a.max(b))))
+        Ok(self.estimate_over(
+            self.inserts + other.inserts,
+            &self.registers,
+            &other.registers,
+        ))
     }
 
-    /// The estimator over a register file of this sketch's precision
-    /// that took `inserts` insertions. Register sums are small integers,
-    /// so summing them as `u64` loses nothing against an `f64` sum.
-    fn estimate_over(&self, inserts: u64, registers: impl Iterator<Item = u8>) -> f64 {
+    /// The estimator over the max-merge of two register files of this
+    /// sketch's precision (one file twice: the file itself) that took
+    /// `inserts` insertions between them. Register sums are small
+    /// integers, so summing them as `u64` loses nothing against an `f64`
+    /// sum.
+    fn estimate_over(&self, inserts: u64, a: &[u8], b: &[u8]) -> f64 {
         if inserts == 0 {
             return 0.0;
         }
         let m = self.precision.registers() as f64;
-        let (mut zeros, mut sum) = (0usize, 0u64);
-        for r in registers {
-            zeros += usize::from(r == 0);
-            sum += u64::from(r);
-        }
+        let (zeros, sum) = max_scan(a, b);
         if zeros > 0 {
             // Linear counting is far more accurate while registers remain
             // empty; LogLog's geometric mean is badly biased there.
@@ -315,6 +316,42 @@ impl LogLog {
         let union = self.union_estimate(other)?;
         Ok((self.estimate() + other.estimate() - union).max(0.0))
     }
+}
+
+/// Registers per [`max_scan`] chunk: one vector of `u8` lanes.
+const LANES: usize = 32;
+/// Chunks a `u16` lane may absorb before it is flushed: 257 maxima of
+/// 255 would overflow it, 256 cannot.
+const CHUNKS_PER_FLUSH: usize = 256;
+
+/// Zero count and sum of the element-wise maxima of `a` and `b` (equal
+/// lengths). Whole chunks widen each maximum into a `u16` lane and
+/// flush the lanes to `u64` every [`CHUNKS_PER_FLUSH`] chunks, a shape
+/// the compiler turns into vector code; the tail is summed one by one.
+fn max_scan(a: &[u8], b: &[u8]) -> (usize, u64) {
+    debug_assert_eq!(a.len(), b.len());
+    let (mut zeros, mut sum) = (0usize, 0u64);
+    let (a_chunks, b_chunks) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let (a_tail, b_tail) = (a_chunks.remainder(), b_chunks.remainder());
+    let mut pairs = a_chunks.zip(b_chunks).peekable();
+    while pairs.peek().is_some() {
+        let (mut lane_sums, mut lane_zeros) = ([0u16; LANES], [0u16; LANES]);
+        for (ca, cb) in pairs.by_ref().take(CHUNKS_PER_FLUSH) {
+            for i in 0..LANES {
+                let r = ca[i].max(cb[i]);
+                lane_sums[i] += u16::from(r);
+                lane_zeros[i] += u16::from(r == 0);
+            }
+        }
+        sum += lane_sums.iter().map(|&s| u64::from(s)).sum::<u64>();
+        zeros += lane_zeros.iter().map(|&z| usize::from(z)).sum::<usize>();
+    }
+    for (&ra, &rb) in a_tail.iter().zip(b_tail) {
+        let r = ra.max(rb);
+        zeros += usize::from(r == 0);
+        sum += u64::from(r);
+    }
+    (zeros, sum)
 }
 
 impl Default for LogLog {
@@ -414,6 +451,41 @@ mod tests {
         );
     }
 
+    /// The estimator as one scalar pass over the merged registers: the
+    /// reference [`max_scan`] must match bit for bit.
+    fn scalar_estimate(sketch: &LogLog, inserts: u64, merged: &[u8]) -> f64 {
+        if inserts == 0 {
+            return 0.0;
+        }
+        let m = sketch.precision.registers() as f64;
+        let zeros = merged.iter().filter(|&&r| r == 0).count();
+        let sum: u64 = merged.iter().map(|&r| u64::from(r)).sum();
+        if zeros > 0 {
+            let lc = m * (m / zeros as f64).ln();
+            if lc < 2.5 * m {
+                return lc;
+            }
+        }
+        sketch.alpha() * m * 2f64.powf(sum as f64 / m)
+    }
+
+    /// `a.union_estimate(b)` equals the merged sketch's estimate and the
+    /// scalar reference, bit for bit, both ways round.
+    fn assert_union_exact(a: &LogLog, b: &LogLog, case: &str) {
+        let merged = a.merged(b).unwrap();
+        let reference = scalar_estimate(a, a.inserts + b.inserts, merged.registers());
+        let fused = a.union_estimate(b).unwrap();
+        assert_eq!(fused.to_bits(), reference.to_bits(), "{case}");
+        assert_eq!(fused.to_bits(), merged.estimate().to_bits(), "{case}");
+        assert_eq!(
+            fused.to_bits(),
+            b.union_estimate(a).unwrap().to_bits(),
+            "{case}"
+        );
+        let scalar = scalar_estimate(a, a.inserts, a.registers());
+        assert_eq!(a.estimate().to_bits(), scalar.to_bits(), "{case}");
+    }
+
     #[test]
     fn union_estimate_is_the_merged_estimate_bit_for_bit() {
         // (items in a, items in b) per case: both empty, one empty, the
@@ -427,7 +499,8 @@ mod tests {
             (20_000, 5),
             (40_000, 70_000),
         ];
-        for precision in [Precision::P8, Precision::P10] {
+        // Every precision: P4's 16 registers are less than one chunk.
+        for precision in Precision::all() {
             for (seed, &(n_a, n_b)) in cases.iter().enumerate() {
                 let mut a = LogLog::new(precision);
                 let mut b = LogLog::new(precision);
@@ -439,10 +512,23 @@ mod tests {
                 for i in 0..n_b {
                     b.insert_u64(base + n_a / 2 + i);
                 }
-                let fused = a.union_estimate(&b).unwrap();
-                let merged = a.merged(&b).unwrap().estimate();
-                assert_eq!(fused.to_bits(), merged.to_bits(), "{precision} {n_a}/{n_b}");
-                assert_eq!(fused.to_bits(), b.union_estimate(&a).unwrap().to_bits());
+                assert_union_exact(&a, &b, &format!("{precision} {n_a}/{n_b}"));
+            }
+            // Registers at the ceiling, where a lane that absorbed too
+            // many chunks would overflow: the highest rank a hash can
+            // give at this precision, and the highest a `u8` (a doctored
+            // checkpoint) can hold. b keeps a third of a's maxima.
+            let m = precision.registers();
+            let max_rank = u8::try_from(64 - precision.bits() + 1).unwrap();
+            for top in [max_rank, u8::MAX] {
+                let (mut a, mut b) = (LogLog::new(precision), LogLog::new(precision));
+                a.restore_parts(&vec![top; m], 1).unwrap();
+                let mixed: Vec<u8> = (0..m)
+                    .map(|i| if i % 3 == 0 { top } else { (i % 5) as u8 })
+                    .collect();
+                b.restore_parts(&mixed, 1).unwrap();
+                assert_union_exact(&a, &b, &format!("{precision} ceiling {top}"));
+                assert_union_exact(&b, &b, &format!("{precision} mixed {top}"));
             }
         }
         let err = LogLog::new(Precision::P8).union_estimate(&LogLog::new(Precision::P10));

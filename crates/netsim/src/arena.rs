@@ -23,6 +23,7 @@
 //! identity stays [`Packet::id`]).
 
 use crate::flows::{read_flow_id, FlowId};
+use crate::ids::{Addr, NodeId};
 use crate::packet::Packet;
 use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 
@@ -50,9 +51,10 @@ impl PacketRef {
 /// * the stats-collector id (`stats_ids`), known at allocation for agent
 ///   sends and injections (the `on_sent_id` accounting interns it at the
 ///   same instant anyway) and resolved lazily for filter-emitted probes,
-/// * the simulator flow id (`flow_ids`), interned at the packet's first
-///   node arrival — exactly where the pre-arena path minted it — and
-///   reused at every later hop.
+/// * the simulator flow id (`flow_ids`), set at the packet's first node
+///   arrival — exactly where the pre-arena path minted it — and reused
+///   at every later hop. It is resolved through the [`FlowCache`] row of
+///   the stats id, so only a flow's first packet probes the interner.
 #[derive(Debug, Default)]
 pub(crate) struct PacketArena {
     slots: Vec<Option<Packet>>,
@@ -161,6 +163,74 @@ impl PacketArena {
     /// High-water mark of simultaneously resident packets.
     pub(crate) fn peak(&self) -> usize {
         self.peak
+    }
+}
+
+/// Per-flow answers the packet path would otherwise search for, keyed
+/// by the stats-collector id a packet carries in its arena slot: the
+/// simulator [`FlowId`] minted for the flow's key, and the destination
+/// directory slot of its `dst`. A pure cache: no state walk reads it, a
+/// hit always equals what the search would answer, and restore empties
+/// it. The flow id is filled in only once a node arrival has minted it,
+/// so the interner's mint order is the one the searches gave.
+#[derive(Debug, Default)]
+pub(crate) struct FlowCache {
+    rows: Vec<[u32; 2]>,
+}
+
+/// A [`FlowCache`] field not filled in yet.
+const UNSET: u32 = u32::MAX;
+/// A [`FlowCache`] slot for a destination outside the directory.
+const OFF_DIRECTORY: u32 = u32::MAX - 1;
+
+impl FlowCache {
+    fn row(&mut self, sid: FlowId) -> &mut [u32; 2] {
+        let i = sid.index();
+        if i >= self.rows.len() {
+            self.rows.resize(i + 1, [UNSET; 2]);
+        }
+        &mut self.rows[i]
+    }
+
+    /// The simulator flow id of stats flow `sid`: cached, or `mint`ed
+    /// (interned by the caller) and remembered.
+    #[inline]
+    pub(crate) fn flow(&mut self, sid: FlowId, mint: impl FnOnce() -> FlowId) -> FlowId {
+        let row = self.row(sid);
+        if row[0] == UNSET {
+            row[0] = mint().index() as u32;
+        }
+        FlowId::from_index(row[0] as usize)
+    }
+
+    /// The directory slot of `dst`, the destination of stats flow `sid`,
+    /// or `None` when the directory (sorted by address) lacks it.
+    #[inline]
+    pub(crate) fn dst_slot(
+        &mut self,
+        sid: FlowId,
+        dst: Addr,
+        directory: &[(Addr, NodeId)],
+    ) -> Option<usize> {
+        let row = self.row(sid);
+        if row[1] == UNSET {
+            let slot = directory.binary_search_by_key(&dst, |&(a, _)| a);
+            row[1] = slot.map_or(OFF_DIRECTORY, |slot| slot as u32);
+        }
+        (row[1] != OFF_DIRECTORY).then_some(row[1] as usize)
+    }
+
+    /// Forgets every directory slot: the directory was re-sorted.
+    pub(crate) fn forget_slots(&mut self) {
+        for row in &mut self.rows {
+            row[1] = UNSET;
+        }
+    }
+
+    /// Stats flows with a row (test inspection).
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
     }
 }
 

@@ -6,17 +6,23 @@
 //! agents), and an ordered chain of packet filters — the hook the MAFIC
 //! dropper and the LogLog taps attach to, mirroring the NS-2 `Connector`
 //! objects the paper inserts at link heads.
+//!
+//! The per-packet path does not search either table: a packet's flow
+//! caches the directory slot of its destination, and a router answers
+//! from a next-hop row per slot, rebuilt whenever its routes or the
+//! directory change. Only addresses outside the directory (hand-wired
+//! host routes, filter probes) still search the route table.
 
 use crate::filter::PacketFilter;
 use crate::ids::{Addr, AgentId, LinkId, NodeId};
 
+/// A `hops` entry for a directory slot this node has no route for.
+const NO_HOP: u32 = u32::MAX;
+
 /// A router or host in the simulated domain.
 ///
-/// Routing and local-binding tables are address-sorted `Vec`s: a router
-/// holds one entry per routable destination, installed in one sorted
-/// bulk, and a binary search over that dense array beats a `BTreeMap`'s
-/// pointer chases on the per-hop path; sorted order keeps every table
-/// walk deterministic — the simulation crates ban
+/// The host routes and local bindings are address-sorted `Vec`s, so
+/// every table walk is deterministic — the simulation crates ban
 /// `std::collections::HashMap` (see `clippy.toml`).
 pub(crate) struct Node {
     pub(crate) id: NodeId,
@@ -27,11 +33,11 @@ pub(crate) struct Node {
     /// to *another* node leaves through it, so a leaf stores this one
     /// link instead of a row per destination.
     uplink: Option<LinkId>,
-    /// Memo of the most recent `route_for` lookup. Forwarding is heavily
-    /// skewed toward one destination (the victim), so this turns most
-    /// route lookups into a single compare. Invalidated on any table
-    /// change; a hit always equals what the table would answer.
-    last_route: Option<(Addr, Option<LinkId>)>,
+    /// What [`Node::lookup`] answers for each directory slot's address,
+    /// as a link index ([`NO_HOP`]: none). Empty while the node has no
+    /// host routes: the uplink rule then answers straight from the
+    /// directory. A pure cache, rebuilt by [`Node::reindex`].
+    hops: Vec<u32>,
     /// Locally attached addresses, sorted; hosts carry one or two entries.
     local: Vec<(Addr, AgentId)>,
     pub(crate) filters: Vec<Box<dyn PacketFilter>>,
@@ -44,29 +50,27 @@ impl Node {
             name,
             routes: Vec::new(),
             uplink: None,
-            last_route: None,
+            hops: Vec::new(),
             local: Vec::new(),
             filters: Vec::new(),
         }
     }
 
-    /// Installs or replaces a host route.
+    /// Installs or replaces a host route. The caller reindexes.
     pub(crate) fn add_route(&mut self, dst: Addr, via: LinkId) {
         match self.routes.binary_search_by_key(&dst, |&(a, _)| a) {
             Ok(i) => self.routes[i].1 = via,
             Err(i) => self.routes.insert(i, (dst, via)),
         }
-        self.last_route = None;
     }
 
     /// Installs `routes` as repeated [`Node::add_route`] calls would. A
     /// strictly ascending batch into an empty table — what the topology
     /// builders hand every router — becomes the table as it stands, with
-    /// no search or shift per entry.
+    /// no search or shift per entry. The caller reindexes.
     pub(crate) fn add_routes(&mut self, routes: Vec<(Addr, LinkId)>) {
         if self.routes.is_empty() && routes.windows(2).all(|w| w[0].0 < w[1].0) {
             self.routes = routes;
-            self.last_route = None;
         } else {
             for (dst, via) in routes {
                 self.add_route(dst, via);
@@ -75,15 +79,30 @@ impl Node {
     }
 
     /// Routes this node by attachment point: `via` carries every
-    /// directory destination attached elsewhere.
+    /// directory destination attached elsewhere. The caller reindexes.
     pub(crate) fn set_uplink(&mut self, via: LinkId) {
         self.uplink = Some(via);
-        self.last_route = None;
     }
 
-    /// Drops the lookup memo; the directory it was answered from changed.
-    pub(crate) fn forget_last_route(&mut self) {
-        self.last_route = None;
+    /// Rebuilds the per-slot next hops against `directory` (sorted by
+    /// address): one merge walk of the two sorted tables, answering as
+    /// [`Node::lookup`] would for every slot.
+    pub(crate) fn reindex(&mut self, directory: &[(Addr, NodeId)]) {
+        self.hops.clear();
+        if self.routes.is_empty() {
+            return;
+        }
+        // The row lives as long as the topology: no doubling slack.
+        self.hops.reserve_exact(directory.len());
+        let mut rows = self.routes.iter().peekable();
+        for &(addr, at) in directory {
+            while rows.next_if(|&&(dst, _)| dst < addr).is_some() {}
+            let hop = match rows.peek() {
+                Some(&&(dst, via)) if dst == addr => Some(via),
+                _ => self.uplink.filter(|_| at != self.id),
+            };
+            self.hops.push(hop.map_or(NO_HOP, |via| via.0));
+        }
     }
 
     /// Stored route entries: table rows plus the uplink.
@@ -105,16 +124,14 @@ impl Node {
         (directory[i].1 != self.id).then_some(uplink)
     }
 
-    /// [`Node::lookup`] behind the one-entry memo.
-    pub(crate) fn route_for(&mut self, dst: Addr, directory: &[(Addr, NodeId)]) -> Option<LinkId> {
-        if let Some((memo_dst, via)) = self.last_route {
-            if memo_dst == dst {
-                return via;
-            }
+    /// [`Node::lookup`] for the address in directory slot `slot`, by
+    /// index: no search.
+    #[inline]
+    pub(crate) fn hop_at(&self, slot: usize, directory: &[(Addr, NodeId)]) -> Option<LinkId> {
+        match self.hops.get(slot) {
+            Some(&hop) => (hop != NO_HOP).then_some(LinkId(hop)),
+            None => self.uplink.filter(|_| directory[slot].1 != self.id),
         }
-        let via = self.lookup(dst, directory);
-        self.last_route = Some((dst, via));
-        via
     }
 
     /// Binds a local address to an agent (delivery up the stack).
@@ -165,37 +182,38 @@ mod tests {
         let other = Addr::from_octets(10, 0, 0, 2);
         let directory = [(own, NodeId(0)), (other, NodeId(4))];
         n.set_uplink(LinkId(9));
-        assert_eq!(n.route_for(other, &directory), Some(LinkId(9)));
-        assert_eq!(n.route_for(own, &directory), None);
+        assert_eq!(n.lookup(other, &directory), Some(LinkId(9)));
+        assert_eq!(n.lookup(own, &directory), None);
+        assert_eq!(n.lookup(Addr::from_octets(10, 0, 0, 3), &directory), None);
+        n.reindex(&directory);
         assert_eq!(
-            n.route_for(Addr::from_octets(10, 0, 0, 3), &directory),
-            None
+            [0, 1].map(|slot| n.hop_at(slot, &directory)),
+            [None, Some(LinkId(9))]
         );
         // A hand-wired host route still answers first.
         n.add_route(own, LinkId(3));
-        assert_eq!(n.route_for(own, &directory), Some(LinkId(3)));
+        assert_eq!(n.lookup(own, &directory), Some(LinkId(3)));
+        n.reindex(&directory);
+        assert_eq!(n.hop_at(0, &directory), Some(LinkId(3)));
         assert_eq!(n.route_entries(), 2);
     }
 
     #[test]
     fn no_route_without_a_table_or_uplink() {
-        let mut n = Node::new(NodeId(0), "r0".into());
-        assert_eq!(
-            n.route_for(Addr::new(5), &[(Addr::new(5), NodeId(1))]),
-            None
-        );
+        let n = Node::new(NodeId(0), "r0".into());
+        assert_eq!(n.lookup(Addr::new(5), &[(Addr::new(5), NodeId(1))]), None);
     }
 
     #[test]
     fn bulk_routes_behave_like_repeated_add_route() {
         let mut n = Node::new(NodeId(0), "r0".into());
         n.add_routes(vec![(Addr::new(1), LinkId(1)), (Addr::new(2), LinkId(2))]);
-        assert_eq!(n.route_for(Addr::new(2), &[]), Some(LinkId(2)));
+        assert_eq!(n.lookup(Addr::new(2), &[]), Some(LinkId(2)));
         // Into a non-empty table, out of order: later entries win.
         n.add_routes(vec![(Addr::new(3), LinkId(3)), (Addr::new(1), LinkId(4))]);
-        assert_eq!(n.route_for(Addr::new(1), &[]), Some(LinkId(4)));
-        assert_eq!(n.route_for(Addr::new(2), &[]), Some(LinkId(2)));
-        assert_eq!(n.route_for(Addr::new(3), &[]), Some(LinkId(3)));
+        assert_eq!(n.lookup(Addr::new(1), &[]), Some(LinkId(4)));
+        assert_eq!(n.lookup(Addr::new(2), &[]), Some(LinkId(2)));
+        assert_eq!(n.lookup(Addr::new(3), &[]), Some(LinkId(3)));
         assert_eq!(n.route_entries(), 3);
     }
 

@@ -6,7 +6,7 @@
 //! the simulator exclusively through buffered commands.
 
 use crate::agent::{Agent, AgentCommand, AgentCtx};
-use crate::arena::{PacketArena, PacketRef};
+use crate::arena::{FlowCache, PacketArena, PacketRef};
 use crate::event::{EventKind, FilterControl, Scheduler};
 use crate::filter::{FilterAction, FilterCommand, FilterCtx, PacketEnv, PacketFilter, StatNote};
 use crate::flows::{read_flow_id, FlowId, FlowInterner};
@@ -81,10 +81,13 @@ pub struct Simulator {
     scheduler: Scheduler,
     /// Hierarchical timer wheel carrying filter flow-timers.
     wheel: TimerWheel<FlowTimerFire>,
-    /// The domain-wide flow interner; every packet's 4-tuple is interned
-    /// exactly once per node arrival and the dense id rides along in
-    /// [`PacketEnv`] / [`AgentCtx`].
+    /// The domain-wide flow interner. A flow's id is minted at its first
+    /// packet's first node arrival and rides along in [`PacketEnv`] /
+    /// [`AgentCtx`]; later packets of the flow read it from `flow_cache`.
     flows: FlowInterner,
+    /// Per stats flow: its simulator flow id and destination directory
+    /// slot (a pure cache; see [`FlowCache`]).
+    flow_cache: FlowCache,
     /// In-flight packet storage: events, link queues, and delivery FIFOs
     /// hold 4-byte [`PacketRef`] handles into this slab.
     arena: PacketArena,
@@ -151,6 +154,7 @@ impl Simulator {
             scheduler: Scheduler::new(),
             wheel: TimerWheel::new(),
             flows: FlowInterner::new(),
+            flow_cache: FlowCache::default(),
             arena: PacketArena::new(),
             now: SimTime::ZERO,
             next_packet_id: 0,
@@ -290,9 +294,10 @@ impl Simulator {
     /// Sections are the [`Simulator::probe_components`] components plus
     /// the pieces excluded from hashing but required to resume (the flow
     /// interner, the trace buffer, and the agent/filter payloads written
-    /// through their trait hooks). Pure caches (send memos, link
-    /// serialization memos, wheel expiry cache) are not saved; restore
-    /// invalidates them.
+    /// through their trait hooks). Pure caches (send memos, the flow
+    /// cache, per-node next-hop rows, link serialization memos, wheel
+    /// expiry cache) are not saved; restore invalidates them or, for the
+    /// next-hop rows, which depend on the topology alone, keeps them.
     pub fn snap_save_into(&self, snapshot: &mut mafic_obs::Snapshot) {
         self.walk_components(|label, walk| snapshot.write_section(label, walk));
         snapshot.write_section("netsim/flows", |w| self.flows.write_state(w));
@@ -403,6 +408,7 @@ impl Simulator {
         for memo in &mut self.agent_send_memo {
             *memo = None;
         }
+        self.flow_cache = FlowCache::default();
         Ok(())
     }
 
@@ -474,6 +480,7 @@ impl Simulator {
             "route via a link that does not start at {node}"
         );
         self.nodes[node.index()].add_route(dst, via);
+        self.nodes[node.index()].reindex(&self.directory);
     }
 
     /// Installs a batch of host routes on `node`, as repeated
@@ -493,6 +500,7 @@ impl Simulator {
             );
         }
         self.nodes[node.index()].add_routes(routes);
+        self.nodes[node.index()].reindex(&self.directory);
     }
 
     /// Routes `node` by attachment point: every address the destination
@@ -511,6 +519,7 @@ impl Simulator {
             "uplink via a link that does not start at {node}"
         );
         self.nodes[node.index()].set_uplink(via);
+        self.nodes[node.index()].reindex(&self.directory);
     }
 
     /// Records which node each address is attached to. An address
@@ -527,8 +536,9 @@ impl Simulator {
             same
         });
         for node in &mut self.nodes {
-            node.forget_last_route();
+            node.reindex(&self.directory);
         }
+        self.flow_cache.forget_slots();
     }
 
     /// The link `node` forwards a packet for the non-local address `dst`
@@ -784,14 +794,21 @@ impl Simulator {
         }
         self.stats
             .on_node_arrival(self.arena.get(pref), node_id, self.now);
-        // Run the filter chain. The flow id is interned exactly once, at
-        // the packet's first node arrival, then cached in its arena slot;
-        // every filter downstream indexes its tables by the dense id.
+        // Run the filter chain. The flow id is set at the packet's first
+        // node arrival, then cached in its arena slot; every filter
+        // downstream indexes its tables by the dense id. Only the flow's
+        // first packet interns: the rest read the stats flow's cache row.
+        // A probe has no stats id yet, and minting one here would reorder
+        // the collector's ids, so it interns.
         let dst_is_local = self.nodes[node_id.index()].is_local(key.dst);
         let flow = match self.arena.flow_id(pref) {
             Some(flow) => flow,
             None => {
-                let flow = self.flows.intern(key);
+                let flows = &mut self.flows;
+                let flow = match self.arena.stats_id(pref) {
+                    Some(sid) => self.flow_cache.flow(sid, || flows.intern(key)),
+                    None => flows.intern(key),
+                };
                 self.arena.set_flow_id(pref, flow);
                 flow
             }
@@ -826,7 +843,7 @@ impl Simulator {
                     }
                 }
             }
-            self.run_filter_commands(node_id, &mut commands);
+            self.run_filter_commands(node_id, Some(pref), &mut commands);
             self.put_filter_buf(commands);
         }
         match verdict {
@@ -896,14 +913,30 @@ impl Simulator {
     }
 
     fn forward(&mut self, node_id: NodeId, pref: PacketRef) {
-        let dst = self.arena.get(pref).key.dst;
-        let Some(link_id) = self.nodes[node_id.index()].route_for(dst, &self.directory) else {
+        let Some(link_id) = self.next_hop(node_id, pref) else {
             let sid = self.stats_id_of(pref);
             let packet = self.arena.take(pref);
             self.record_drop(&packet, sid, DropReason::NoRoute);
             return;
         };
         self.send_on_link(link_id, pref);
+    }
+
+    /// What [`Simulator::route`] answers for the packet in `pref` at
+    /// `node_id`, by index on its flow's cached directory slot. A probe
+    /// (no stats id yet) and an address outside the directory search.
+    fn next_hop(&mut self, node_id: NodeId, pref: PacketRef) -> Option<LinkId> {
+        let dst = self.arena.get(pref).key.dst;
+        let node = &self.nodes[node_id.index()];
+        let cache = &mut self.flow_cache;
+        let slot = self
+            .arena
+            .stats_id(pref)
+            .and_then(|sid| cache.dst_slot(sid, dst, &self.directory));
+        match slot {
+            Some(slot) => node.hop_at(slot, &self.directory),
+            None => node.lookup(dst, &self.directory),
+        }
     }
 
     fn send_on_link(&mut self, link_id: LinkId, pref: PacketRef) {
@@ -1002,11 +1035,19 @@ impl Simulator {
                 FilterCtx::new(now, node_id, index, &mut self.next_packet_id, &mut commands);
             callback(filter.as_mut(), &mut ctx);
         }
-        self.run_filter_commands(node_id, &mut commands);
+        self.run_filter_commands(node_id, None, &mut commands);
         self.put_filter_buf(commands);
     }
 
-    fn run_filter_commands(&mut self, node_id: NodeId, commands: &mut Vec<FilterCommand>) {
+    /// Executes queued filter commands in order. `in_hand` is the packet
+    /// the chain was run on, if any: a note about its flow bumps the
+    /// record at its stats id instead of searching the collector.
+    fn run_filter_commands(
+        &mut self,
+        node_id: NodeId,
+        in_hand: Option<PacketRef>,
+        commands: &mut Vec<FilterCommand>,
+    ) {
         for cmd in commands.drain(..) {
             match cmd {
                 FilterCommand::EmitPacket(packet) => {
@@ -1033,14 +1074,20 @@ impl Simulator {
                         },
                     );
                 }
-                FilterCommand::Note { note, flow } => self.apply_note(note, flow),
+                FilterCommand::Note { note, flow } => self.apply_note(note, flow, in_hand),
             }
         }
     }
 
-    fn apply_note(&mut self, note: StatNote, flow: FlowKey) {
+    fn apply_note(&mut self, note: StatNote, flow: FlowKey, in_hand: Option<PacketRef>) {
         match note {
-            StatNote::AtrSeen => self.stats.on_atr_seen(flow),
+            StatNote::AtrSeen => match in_hand.filter(|&pref| self.arena.get(pref).key == flow) {
+                Some(pref) => {
+                    let sid = self.stats_id_of(pref);
+                    self.stats.on_atr_seen_id(sid);
+                }
+                None => self.stats.on_atr_seen(flow),
+            },
             StatNote::ProbeSent => self.stats.on_probe_sent(flow),
             StatNote::FlowDeclaredNice => self.stats.on_flow_declared(flow, true),
             StatNote::FlowDeclaredMalicious => self.stats.on_flow_declared(flow, false),
@@ -1350,10 +1397,19 @@ mod tests {
         let bytes = snapshot.encode();
 
         let mut restored = loaded_sim(SimTime::ZERO);
+        assert!(
+            restored.flow_cache.len() > 0,
+            "the first arrival warmed the cache"
+        );
         let decoded = mafic_obs::Snapshot::decode(&bytes).unwrap();
         // Four counters; the interner length is hashed, not saved here.
         assert_eq!(decoded.section("netsim/core").map(<[u8]>::len), Some(32));
         restored.snap_restore_from(&decoded).unwrap();
+        assert_eq!(
+            restored.flow_cache.len(),
+            0,
+            "restore empties the flow cache"
+        );
         assert_eq!(probe_hash(&donor), probe_hash(&restored));
         assert_eq!(restored.now(), pause);
 
@@ -1366,6 +1422,128 @@ mod tests {
         let tail_b = restored.trace_tail(8);
         assert_eq!(tail_a, tail_b);
         assert!(!tail_a.is_empty());
+    }
+
+    #[test]
+    fn a_packet_before_its_first_node_arrival_has_no_flow_id_on_a_warm_path() {
+        let (mut sim, a, _b, _sink, dst) = two_node_sim();
+        let key = FlowKey::new(Addr::from_octets(10, 0, 0, 1), dst, 1, 80);
+        sim.inject_packet(a, key, PacketKind::Udp, 100, false, SimTime::ZERO);
+        sim.run_until(SimTime::from_secs_f64(0.5));
+        assert_eq!(
+            sim.flow_cache.len(),
+            1,
+            "the delivered packet warmed the cache"
+        );
+        // The flow's next packet reuses the freed slot. In flight, before
+        // any node has seen it, the walked arena holds no flow id for it.
+        let at = SimTime::from_secs_f64(0.6);
+        let id = sim.inject_packet(a, key, PacketKind::Udp, 100, false, at);
+        let pref = PacketRef(0);
+        assert_eq!((sim.arena.live(), sim.arena.get(pref).id), (1, id));
+        assert_eq!(sim.arena.flow_id(pref), None);
+        sim.run_until(at);
+        assert_eq!(sim.arena.flow_id(pref), sim.flow_interner().lookup(key));
+    }
+
+    /// Parks a packet to `dst` in the arena with its stats id, as a send
+    /// would: a handle the route index can be asked about.
+    fn park(sim: &mut Simulator, dst: Addr) -> PacketRef {
+        let key = FlowKey::new(Addr::new(1), dst, 1, 2);
+        let sid = sim.stats.flow_id(key);
+        let provenance = Provenance::infrastructure();
+        let packet = Packet::stamp(
+            &mut sim.next_packet_id,
+            key,
+            PacketKind::Udp,
+            100,
+            SimTime::ZERO,
+            provenance,
+        );
+        sim.arena.alloc(packet, Some(sid))
+    }
+
+    /// Every node's indexed next hop for every parked packet equals
+    /// [`Node::lookup`] for its destination. The packets stay parked, so
+    /// a later call reads warm flow-cache rows.
+    fn assert_indexed_routes(sim: &mut Simulator, parked: &[PacketRef], case: &str) {
+        for &pref in parked {
+            let dst = sim.arena.get(pref).key.dst;
+            for node in (0..sim.node_count()).map(NodeId::from_index) {
+                let want = sim.route(node, dst);
+                assert_eq!(sim.next_hop(node, pref), want, "{case}: {node} to {dst}");
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_routes_equal_lookup_on_generated_topologies() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let addr = |i: usize| Addr::from_octets(10, 0, 0, i as u8);
+        let routed_only = Addr::from_octets(192, 168, 0, 1);
+        let unknown = Addr::from_octets(172, 16, 0, 1);
+        for seed in 0..60u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut sim = Simulator::new(seed);
+            let n = rng.gen_range(2usize..10);
+            let nodes: Vec<NodeId> = (0..n).map(|i| sim.add_node(format!("n{i}"))).collect();
+            // A random tree plus chords, so every node has a link.
+            let mut out: Vec<Vec<LinkId>> = vec![Vec::new(); n];
+            let chords = rng.gen_range(0..n);
+            let mut pairs: Vec<(usize, usize)> = (1..n).map(|b| (rng.gen_range(0..b), b)).collect();
+            pairs.extend((0..chords).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))));
+            for (a, b) in pairs.into_iter().filter(|(a, b)| a != b) {
+                let (ab, ba) = sim.add_duplex_link(nodes[a], nodes[b], LinkSpec::default());
+                out[a].push(ab);
+                out[b].push(ba);
+            }
+            let link_of = |rng: &mut SmallRng, i: usize| out[i][rng.gen_range(0..out[i].len())];
+            // Each node's own address, then extras; a repeat moves one.
+            let mut directory: Vec<(Addr, NodeId)> = (0..n).map(|i| (addr(i), nodes[i])).collect();
+            for _ in 0..rng.gen_range(0..2 * n) {
+                directory.push((addr(rng.gen_range(0..3 * n)), nodes[rng.gen_range(0..n)]));
+            }
+            sim.extend_directory(&directory);
+            for (i, &node) in nodes.iter().enumerate() {
+                if rng.gen_bool(0.5) {
+                    let via = link_of(&mut rng, i);
+                    sim.set_uplink(node, via);
+                }
+                if rng.gen_bool(0.6) {
+                    let mut routes = Vec::new();
+                    for &(dst, _) in &directory {
+                        if rng.gen_bool(0.4) {
+                            routes.push((dst, link_of(&mut rng, i)));
+                        }
+                    }
+                    routes.push((routed_only, link_of(&mut rng, i)));
+                    sim.add_routes(node, routes);
+                }
+            }
+            let mut parked: Vec<PacketRef> = directory
+                .iter()
+                .map(|&(dst, _)| dst)
+                .chain([routed_only, unknown])
+                .map(|dst| park(&mut sim, dst))
+                .collect();
+            assert_indexed_routes(&mut sim, &parked, &format!("seed {seed} built"));
+            // Each kind of table change, landing on warm caches.
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            let (dst, via) = (addr(rng.gen_range(0..n)), link_of(&mut rng, i));
+            sim.add_route(nodes[i], dst, via);
+            assert_indexed_routes(&mut sim, &parked, &format!("seed {seed} add_route"));
+            let via = link_of(&mut rng, j);
+            sim.set_uplink(nodes[j], via);
+            assert_indexed_routes(&mut sim, &parked, &format!("seed {seed} set_uplink"));
+            // A new lowest address shifts every slot; the routed-only
+            // address joins the directory and an address moves.
+            let lowest = Addr::from_octets(9, 0, 0, 1);
+            let moved = (addr(rng.gen_range(0..n)), nodes[rng.gen_range(0..n)]);
+            sim.extend_directory(&[(lowest, nodes[i]), (routed_only, nodes[j]), moved]);
+            parked.push(park(&mut sim, lowest));
+            assert_indexed_routes(&mut sim, &parked, &format!("seed {seed} extend_directory"));
+        }
     }
 
     #[test]

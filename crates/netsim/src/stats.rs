@@ -297,6 +297,11 @@ impl StatsCollector {
         self.entry(key).seen_at_atr += 1;
     }
 
+    /// [`StatsCollector::on_atr_seen`] for flow `id`, with no search.
+    pub(crate) fn on_atr_seen_id(&mut self, id: FlowId) {
+        self.entry_id(id).seen_at_atr += 1;
+    }
+
     /// Records a probe burst toward `key`'s claimed source.
     pub(crate) fn on_probe_sent(&mut self, key: FlowKey) {
         self.probes_emitted += 1;
