@@ -28,6 +28,12 @@ pub enum PdtReason {
     Unresponsive,
 }
 
+impl PdtReason {
+    /// Every reason in declaration order: a reason's wire tag is its
+    /// index here.
+    const ALL: [PdtReason; 2] = [PdtReason::IllegalSource, PdtReason::Unresponsive];
+}
+
 /// One probation entry in the SFT.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SftEntry {
@@ -423,10 +429,7 @@ impl FlowState {
             }
             FlowState::Condemned(reason) => {
                 w.write_u8(2);
-                w.write_u8(match reason {
-                    PdtReason::IllegalSource => 0,
-                    PdtReason::Unresponsive => 1,
-                });
+                w.write_u8(*reason as u8);
             }
         }
     }
@@ -438,11 +441,7 @@ fn read_flow_state(r: &mut SnapReader<'_>) -> Result<FlowState, SnapError> {
         1 => FlowState::Nice {
             since: SimTime::from_nanos(r.read_u64()?),
         },
-        2 => FlowState::Condemned(match r.read_u8()? {
-            0 => PdtReason::IllegalSource,
-            1 => PdtReason::Unresponsive,
-            tag => return Err(SnapError::Malformed(format!("pdt-reason tag {tag}"))),
-        }),
+        2 => FlowState::Condemned(r.read_tag("pdt-reason", &PdtReason::ALL)?),
         tag => return Err(SnapError::Malformed(format!("flow-state tag {tag}"))),
     })
 }
@@ -735,6 +734,23 @@ mod tests {
             .read_state(&mut SnapReader::new(&bytes))
             .expect_err("no interner ever minted that id");
         assert!(matches!(err, SnapError::Malformed(_)), "{err}");
+    }
+
+    #[test]
+    fn pdt_reasons_tag_as_their_declaration_index() {
+        for (i, reason) in PdtReason::ALL.into_iter().enumerate() {
+            let state = FlowState::Condemned(reason);
+            let mut w = mafic_obs::SnapWriter::new();
+            state.write_state(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, [2, i as u8]);
+            assert_eq!(read_flow_state(&mut SnapReader::new(&bytes)), Ok(state));
+        }
+        let unused = [2, PdtReason::ALL.len() as u8];
+        assert_eq!(
+            read_flow_state(&mut SnapReader::new(&unused)),
+            Err(SnapError::Malformed("pdt-reason tag 2".to_string()))
+        );
     }
 
     #[test]

@@ -374,8 +374,8 @@ mod tests {
         s.declare_flow(legit.key, false, true);
         let (attack_id, legit_id) = (s.flow_id(attack.key), s.flow_id(legit.key));
         for _ in 0..100 {
-            s.on_atr_seen(attack.key);
-            s.on_atr_seen(legit.key);
+            s.on_atr_seen_id(attack_id);
+            s.on_atr_seen_id(legit_id);
         }
         for _ in 0..90 {
             s.on_dropped_id(attack_id, &attack, DropReason::FilterPermanent);
@@ -386,8 +386,8 @@ mod tests {
         for _ in 0..2 {
             s.on_dropped_id(legit_id, &legit, DropReason::FilterPermanent);
         }
-        s.on_flow_declared(attack.key, false);
-        s.on_flow_declared(legit.key, true);
+        s.on_flow_declared_id(attack_id, false);
+        s.on_flow_declared_id(legit_id, true);
         s
     }
 

@@ -513,26 +513,23 @@ pub fn read_flow_key(r: &mut SnapReader<'_>) -> Result<FlowKey, SnapError> {
 }
 
 impl DenyReason {
+    /// Every variant in declaration order: a reason's wire tag is its
+    /// index here.
+    pub(crate) const ALL: [DenyReason; 5] = [
+        DenyReason::BadVersion,
+        DenyReason::UntrustedRequester,
+        DenyReason::Replayed,
+        DenyReason::Uncorroborated,
+        DenyReason::BudgetExhausted,
+    ];
+
     fn write_state<W: StateWrite>(self, w: &mut W) {
-        w.write_u8(match self {
-            DenyReason::BadVersion => 0,
-            DenyReason::UntrustedRequester => 1,
-            DenyReason::Replayed => 2,
-            DenyReason::Uncorroborated => 3,
-            DenyReason::BudgetExhausted => 4,
-        });
+        w.write_u8(self as u8);
     }
 }
 
 fn read_deny_reason(r: &mut SnapReader<'_>) -> Result<DenyReason, SnapError> {
-    Ok(match r.read_u8()? {
-        0 => DenyReason::BadVersion,
-        1 => DenyReason::UntrustedRequester,
-        2 => DenyReason::Replayed,
-        3 => DenyReason::Uncorroborated,
-        4 => DenyReason::BudgetExhausted,
-        tag => return Err(SnapError::Malformed(format!("deny-reason tag {tag}"))),
-    })
+    r.read_tag("deny-reason", &DenyReason::ALL)
 }
 
 impl ControlVerb {
@@ -711,34 +708,27 @@ pub(crate) fn read_packet(r: &mut SnapReader<'_>) -> Result<Packet, SnapError> {
 }
 
 impl DropReason {
+    /// Every variant in declaration order: a reason's wire tag is its
+    /// index here.
+    pub(crate) const ALL: [DropReason; 9] = [
+        DropReason::QueueFull,
+        DropReason::NoRoute,
+        DropReason::HopLimit,
+        DropReason::FilterProbing,
+        DropReason::FilterPermanent,
+        DropReason::FilterIllegalSource,
+        DropReason::FilterProportional,
+        DropReason::FilterRateLimit,
+        DropReason::FilterOther,
+    ];
+
     pub(crate) fn write_state<W: StateWrite>(self, w: &mut W) {
-        w.write_u8(match self {
-            DropReason::QueueFull => 0,
-            DropReason::NoRoute => 1,
-            DropReason::HopLimit => 2,
-            DropReason::FilterProbing => 3,
-            DropReason::FilterPermanent => 4,
-            DropReason::FilterIllegalSource => 5,
-            DropReason::FilterProportional => 6,
-            DropReason::FilterRateLimit => 7,
-            DropReason::FilterOther => 8,
-        });
+        w.write_u8(self as u8);
     }
 }
 
 pub(crate) fn read_drop_reason(r: &mut SnapReader<'_>) -> Result<DropReason, SnapError> {
-    Ok(match r.read_u8()? {
-        0 => DropReason::QueueFull,
-        1 => DropReason::NoRoute,
-        2 => DropReason::HopLimit,
-        3 => DropReason::FilterProbing,
-        4 => DropReason::FilterPermanent,
-        5 => DropReason::FilterIllegalSource,
-        6 => DropReason::FilterProportional,
-        7 => DropReason::FilterRateLimit,
-        8 => DropReason::FilterOther,
-        tag => return Err(SnapError::Malformed(format!("drop-reason tag {tag}"))),
-    })
+    r.read_tag("drop-reason", &DropReason::ALL)
 }
 
 #[cfg(test)]
@@ -875,6 +865,34 @@ mod tests {
         words.write_u64(a);
         words.write_u64(b);
         assert_eq!(walked.finish(), words.finish());
+    }
+
+    #[test]
+    fn drop_and_deny_reasons_tag_as_their_declaration_index() {
+        for (i, reason) in DropReason::ALL.into_iter().enumerate() {
+            let mut w = SnapWriter::new();
+            reason.write_state(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, [i as u8]);
+            assert_eq!(read_drop_reason(&mut SnapReader::new(&bytes)), Ok(reason));
+        }
+        for (i, reason) in DenyReason::ALL.into_iter().enumerate() {
+            let mut w = SnapWriter::new();
+            reason.write_state(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, [i as u8]);
+            assert_eq!(read_deny_reason(&mut SnapReader::new(&bytes)), Ok(reason));
+        }
+        let unused = [DropReason::ALL.len() as u8];
+        assert_eq!(
+            read_drop_reason(&mut SnapReader::new(&unused)),
+            Err(SnapError::Malformed("drop-reason tag 9".to_string()))
+        );
+        let unused = [DenyReason::ALL.len() as u8];
+        assert_eq!(
+            read_deny_reason(&mut SnapReader::new(&unused)),
+            Err(SnapError::Malformed("deny-reason tag 5".to_string()))
+        );
     }
 
     #[test]

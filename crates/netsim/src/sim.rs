@@ -1080,17 +1080,15 @@ impl Simulator {
     }
 
     fn apply_note(&mut self, note: StatNote, flow: FlowKey, in_hand: Option<PacketRef>) {
+        let sid = match in_hand.filter(|&pref| self.arena.get(pref).key == flow) {
+            Some(pref) => self.stats_id_of(pref),
+            None => self.stats.flow_id(flow),
+        };
         match note {
-            StatNote::AtrSeen => match in_hand.filter(|&pref| self.arena.get(pref).key == flow) {
-                Some(pref) => {
-                    let sid = self.stats_id_of(pref);
-                    self.stats.on_atr_seen_id(sid);
-                }
-                None => self.stats.on_atr_seen(flow),
-            },
-            StatNote::ProbeSent => self.stats.on_probe_sent(flow),
-            StatNote::FlowDeclaredNice => self.stats.on_flow_declared(flow, true),
-            StatNote::FlowDeclaredMalicious => self.stats.on_flow_declared(flow, false),
+            StatNote::AtrSeen => self.stats.on_atr_seen_id(sid),
+            StatNote::ProbeSent => self.stats.on_probe_sent_id(sid),
+            StatNote::FlowDeclaredNice => self.stats.on_flow_declared_id(sid, true),
+            StatNote::FlowDeclaredMalicious => self.stats.on_flow_declared_id(sid, false),
         }
     }
 

@@ -209,12 +209,6 @@ impl StatsCollector {
         self.victim = Some(BinSeries::new(node, None, bin));
     }
 
-    /// The record slot for `key`, created on first touch.
-    fn entry(&mut self, key: FlowKey) -> &mut FlowRecord {
-        let id = self.flow_id(key);
-        self.records.get_mut(id).expect("just ensured")
-    }
-
     /// Interns `key` into the collector's id space, creating the record
     /// slot on first touch. The id lets hot-path callers skip re-hashing
     /// the 4-tuple on every subsequent accounting call (the simulator
@@ -248,7 +242,8 @@ impl StatsCollector {
     /// the flow's agent is created so records exist even for flows whose
     /// every packet is dropped.
     pub fn declare_flow(&mut self, key: FlowKey, is_attack: bool, is_tcp: bool) {
-        let rec = self.entry(key);
+        let id = self.flow_id(key);
+        let rec = self.entry_id(id);
         rec.is_attack = is_attack;
         rec.is_tcp = is_tcp;
     }
@@ -292,25 +287,20 @@ impl StatsCollector {
         }
     }
 
-    /// Records that an active defense filter examined a packet of `key`.
-    pub fn on_atr_seen(&mut self, key: FlowKey) {
-        self.entry(key).seen_at_atr += 1;
-    }
-
-    /// [`StatsCollector::on_atr_seen`] for flow `id`, with no search.
-    pub(crate) fn on_atr_seen_id(&mut self, id: FlowId) {
+    /// Records that an active defense filter examined a packet of flow `id`.
+    pub fn on_atr_seen_id(&mut self, id: FlowId) {
         self.entry_id(id).seen_at_atr += 1;
     }
 
-    /// Records a probe burst toward `key`'s claimed source.
-    pub(crate) fn on_probe_sent(&mut self, key: FlowKey) {
+    /// Records a probe burst toward flow `id`'s claimed source.
+    pub(crate) fn on_probe_sent_id(&mut self, id: FlowId) {
         self.probes_emitted += 1;
-        self.entry(key).probes_sent += 1;
+        self.entry_id(id).probes_sent += 1;
     }
 
-    /// Records a classification decision for `key`.
-    pub fn on_flow_declared(&mut self, key: FlowKey, nice: bool) {
-        let rec = self.entry(key);
+    /// Records a classification decision for flow `id`.
+    pub fn on_flow_declared_id(&mut self, id: FlowId, nice: bool) {
+        let rec = self.entry_id(id);
         if nice {
             rec.declared_nice = 1;
         } else {
@@ -602,10 +592,11 @@ mod tests {
     fn notes_accumulate() {
         let mut s = StatsCollector::new();
         let key = pkt(false).key;
-        s.on_atr_seen(key);
-        s.on_atr_seen(key);
-        s.on_probe_sent(key);
-        s.on_flow_declared(key, true);
+        let id = s.flow_id(key);
+        s.on_atr_seen_id(id);
+        s.on_atr_seen_id(id);
+        s.on_probe_sent_id(id);
+        s.on_flow_declared_id(id, true);
         let rec = s.flow(&key).unwrap();
         assert_eq!(rec.seen_at_atr, 2);
         assert_eq!(rec.probes_sent, 1);
@@ -624,7 +615,7 @@ mod tests {
         s.on_sent_id(attack_id, &attack);
         s.on_delivered_id(legit_id, &legit, NodeId(3), SimTime::from_secs_f64(0.05));
         s.on_dropped_id(attack_id, &attack, DropReason::FilterProbing);
-        s.on_probe_sent(legit.key);
+        s.on_probe_sent_id(legit_id);
         let bytes = state_bytes(&s);
         // Restore onto a fresh collector carrying the same build-time
         // watch configuration.

@@ -330,6 +330,21 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    /// Reads a fieldless enum written as its declaration index: `all`
+    /// lists the variants in declaration order, and `what` names the
+    /// enum in the error.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] at end of input, or
+    /// [`SnapError::Malformed`] on a tag past the end of `all`.
+    pub fn read_tag<T: Copy>(&mut self, what: &str, all: &[T]) -> Result<T, SnapError> {
+        let tag = self.read_u8()?;
+        all.get(usize::from(tag))
+            .copied()
+            .ok_or_else(|| SnapError::Malformed(format!("{what} tag {tag}")))
+    }
+
     /// Reads `n` elements through `each` into any `Default + Extend`
     /// container — for a run whose count was read earlier (parallel
     /// arrays under one count); [`SnapReader::read_seq`] otherwise.

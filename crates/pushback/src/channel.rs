@@ -30,15 +30,9 @@ impl ControlChannel {
         ControlChannel::default()
     }
 
-    /// Removes and returns the queued envelopes in arrival order.
-    pub fn drain(&mut self) -> Vec<(SimTime, ControlMsg)> {
-        std::mem::take(&mut self.inbox)
-    }
-
-    /// Moves the queued envelopes into `out` (clearing it first) — the
-    /// allocation-free variant of [`drain`](ControlChannel::drain): the
-    /// buffers swap, so a monitor draining once per interval recycles
-    /// the same two allocations for the whole run.
+    /// Moves the queued envelopes, in arrival order, into `out`
+    /// (clearing it first). The buffers swap, so a monitor draining once
+    /// per interval recycles the same two allocations for the whole run.
     pub fn drain_into(&mut self, out: &mut Vec<(SimTime, ControlMsg)>) {
         out.clear();
         std::mem::swap(&mut self.inbox, out);
@@ -107,6 +101,12 @@ mod tests {
         ControlMsg::new(RequesterId::new(CTRL_SRC), nonce, verb)
     }
 
+    fn drained(ch: &mut ControlChannel) -> Vec<(SimTime, ControlMsg)> {
+        let mut out = Vec::new();
+        ch.drain_into(&mut out);
+        out
+    }
+
     fn push_pkt(src: Addr, msg: ControlMsg) -> Packet {
         Packet {
             id: 1,
@@ -145,14 +145,14 @@ mod tests {
                 envelope(2, ControlVerb::Refresh { victim, budget: 1 }),
             ),
         );
-        let msgs = ch.drain();
+        let msgs = drained(&mut ch);
         assert_eq!(msgs.len(), 2);
         assert!(matches!(
             msgs[0].1.verb,
             ControlVerb::Request { budget: 2, .. }
         ));
         assert!(matches!(msgs[1].1.verb, ControlVerb::Refresh { .. }));
-        assert!(ch.drain().is_empty(), "drain empties the inbox");
+        assert!(drained(&mut ch).is_empty(), "drain empties the inbox");
         assert_eq!(ch.received_total, 2);
         assert_eq!(ch.forged_dropped(), 0);
     }
@@ -195,7 +195,7 @@ mod tests {
             ),
         );
         let _ = h.deliver(&mut ch, forged);
-        assert!(ch.drain().is_empty());
+        assert!(drained(&mut ch).is_empty());
         assert_eq!(ch.received_total, 0);
         assert_eq!(ch.forged_dropped(), 1);
     }
@@ -215,7 +215,7 @@ mod tests {
         );
         p.kind = PacketKind::Udp;
         let _ = h.deliver(&mut ch, p);
-        assert!(ch.drain().is_empty());
+        assert!(drained(&mut ch).is_empty());
         assert_eq!(ch.received_total, 0);
     }
 
@@ -257,7 +257,7 @@ mod tests {
         counters_first.write_u64(0);
         counters_first.write(&bytes[..bytes.len() - 16]);
         assert_eq!(state_hash(&ch), counters_first.finish());
-        let msgs = restored.drain();
+        let msgs = drained(&mut restored);
         assert_eq!(msgs.len(), 2);
         assert!(matches!(msgs[0].1.verb, ControlVerb::Request { .. }));
         assert!(matches!(msgs[1].1.verb, ControlVerb::Stop { .. }));

@@ -259,6 +259,17 @@ pub enum LifecycleState {
     StandingDown,
 }
 
+impl LifecycleState {
+    /// Every state in declaration order: a state's wire tag is its index
+    /// here.
+    const ALL: [LifecycleState; 4] = [
+        LifecycleState::Idle,
+        LifecycleState::Defending,
+        LifecycleState::Escalated,
+        LifecycleState::StandingDown,
+    ];
+}
+
 /// A local effect the coordinator asks its host (the workload runner)
 /// to apply. Inter-domain envelopes never appear here — they go through
 /// the [`ControlPlane`].
@@ -577,35 +588,20 @@ impl DomainCoordinator {
         actions: &mut Vec<PushbackAction>,
     ) {
         match msg.verb {
-            ControlVerb::Request {
-                victim,
-                aggregate_bps,
-                budget,
-            } => {
-                let vetted = if self.is_defending() {
-                    self.vet_renewal(&msg, victim)
-                } else {
-                    self.ledger.vet_install(
-                        &msg,
-                        Some(aggregate_bps as f64),
-                        self.config.threshold_bps,
-                        inflow_bps,
-                    )
-                };
-                match vetted {
-                    Ok(()) => self.install(msg.requester, victim, budget, actions),
-                    Err(reason) => self.deny(msg.requester, victim, reason, plane),
-                }
-            }
-            ControlVerb::Refresh { victim, budget } => {
+            ControlVerb::Request { victim, budget, .. }
+            | ControlVerb::Refresh { victim, budget } => {
                 let vetted = if self.is_defending() {
                     self.vet_renewal(&msg, victim)
                 } else {
                     // Fresh install from a refresh (lost request or
                     // lapsed lease): no claim to corroborate, so the
                     // local meter itself must show attack scale.
+                    let claim = match msg.verb {
+                        ControlVerb::Request { aggregate_bps, .. } => Some(aggregate_bps as f64),
+                        _ => None,
+                    };
                     self.ledger
-                        .vet_install(&msg, None, self.config.threshold_bps, inflow_bps)
+                        .vet_install(&msg, claim, self.config.threshold_bps, inflow_bps)
                 };
                 match vetted {
                     Ok(()) => self.install(msg.requester, victim, budget, actions),
@@ -819,12 +815,7 @@ impl State for DomainCoordinator {
             });
             h.write_u32(self.identity.addr().as_u32());
         });
-        w.write_u8(match self.state {
-            LifecycleState::Idle => 0,
-            LifecycleState::Defending => 1,
-            LifecycleState::Escalated => 2,
-            LifecycleState::StandingDown => 3,
-        });
+        w.write_u8(self.state as u8);
         w.write_opt(self.victim, |w, addr| w.write_u32(addr.as_u32()));
         w.write_u8(self.budget);
         w.write_u32(self.above);
@@ -851,13 +842,7 @@ impl State for DomainCoordinator {
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.state = match r.read_u8()? {
-            0 => LifecycleState::Idle,
-            1 => LifecycleState::Defending,
-            2 => LifecycleState::Escalated,
-            3 => LifecycleState::StandingDown,
-            tag => return Err(SnapError::Malformed(format!("lifecycle tag {tag}"))),
-        };
+        self.state = r.read_tag("lifecycle", &LifecycleState::ALL)?;
         let requester = |r: &mut SnapReader<'_>| Ok(RequesterId::new(Addr::new(r.read_u32()?)));
         self.victim = r.read_opt("victim", |r| r.read_u32().map(Addr::new))?;
         self.budget = r.read_u8()?;
@@ -1952,6 +1937,26 @@ mod tests {
             .read_state(&mut mafic_obs::SnapReader::new(&bytes))
             .expect("restore succeeds");
         assert_ne!(state_hash(&c), state_hash(&upstream));
+    }
+
+    #[test]
+    fn lifecycle_states_tag_as_their_declaration_index() {
+        for (i, state) in LifecycleState::ALL.into_iter().enumerate() {
+            let mut c = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
+            c.state = state;
+            let bytes = state_bytes(&c);
+            assert_eq!(bytes[0], i as u8);
+            let mut restored = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
+            let mut r = mafic_obs::SnapReader::new(&bytes);
+            restored.read_state(&mut r).expect("restore succeeds");
+            assert_eq!(restored.state, state);
+        }
+        let unused = [LifecycleState::ALL.len() as u8];
+        let mut c = DomainCoordinator::new(config(), PushbackRole::Victim, identity(0));
+        let err = c
+            .read_state(&mut mafic_obs::SnapReader::new(&unused))
+            .expect_err("the first unused tag is invalid");
+        assert_eq!(err, SnapError::Malformed("lifecycle tag 4".to_string()));
     }
 
     #[test]

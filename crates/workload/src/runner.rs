@@ -268,7 +268,7 @@ struct ControlAccounting {
 fn collect_policy_costs(scenario: &Scenario) -> Vec<PolicyCostReport> {
     use std::collections::BTreeMap;
     // Collateral attribution: legitimate losses split by the policy tier
-    // that caused them. The drop reasons map onto policy labels — MAFIC
+    // that caused them. The drop reasons map onto policies — MAFIC
     // owns probing/permanent-table/illegal drops, the proportional
     // baseline its own bucket, the rate limit its own — while queue
     // overflow belongs to no filter and is reported as shared context.
@@ -285,13 +285,23 @@ fn collect_policy_costs(scenario: &Scenario) -> Vec<PolicyCostReport> {
         legit_rate_limit += rec.dropped_rate_limited;
         legit_queue += rec.dropped_queue;
     }
+    // One deployment list: the plan's domains, or the single domain's
+    // droppers under the spec's policy.
+    let single = scenario
+        .pushback
+        .is_none()
+        .then_some((scenario.spec.policy, &scenario.droppers[..]));
+    let deployments = scenario
+        .pushback
+        .iter()
+        .flat_map(|plan| &plan.domains)
+        .map(|d| (d.policy, &d.atrs[..]))
+        .chain(single);
+    let sim = &scenario.sim;
     let mut rows: BTreeMap<&'static str, PolicyCostReport> = BTreeMap::new();
-    let tally = |sim: &Simulator,
-                 rows: &mut BTreeMap<&'static str, PolicyCostReport>,
-                 policy: DefensePolicy,
-                 atrs: &[(NodeId, usize)]| {
+    for (policy, atrs) in deployments {
         if atrs.is_empty() {
-            return;
+            continue;
         }
         let row = rows
             .entry(policy.label())
@@ -302,7 +312,12 @@ fn collect_policy_costs(scenario: &Scenario) -> Vec<PolicyCostReport> {
                 table_bytes: 0,
                 timer_events: 0,
                 probes_sent: 0,
-                legit_drops_filtered: 0,
+                legit_drops_filtered: match policy {
+                    DefensePolicy::FullMafic => legit_mafic,
+                    DefensePolicy::ProportionalDrop => legit_proportional,
+                    DefensePolicy::AggregateRateLimit { .. } => legit_rate_limit,
+                    DefensePolicy::NonParticipating => 0,
+                },
                 legit_drops_queue: legit_queue,
             });
         row.domains += 1;
@@ -320,26 +335,6 @@ fn collect_policy_costs(scenario: &Scenario) -> Vec<PolicyCostReport> {
                 debug_assert!(false, "unaccounted filter type at {node:?}[{idx}]");
             }
         }
-    };
-    if let Some(plan) = scenario.pushback.as_ref() {
-        for d in &plan.domains {
-            tally(&scenario.sim, &mut rows, d.policy, &d.atrs);
-        }
-    } else {
-        tally(
-            &scenario.sim,
-            &mut rows,
-            scenario.spec.policy,
-            &scenario.droppers,
-        );
-    }
-    for row in rows.values_mut() {
-        row.legit_drops_filtered = match row.policy.as_str() {
-            "mafic" => legit_mafic,
-            "proportional" => legit_proportional,
-            "rate-limit" => legit_rate_limit,
-            _ => 0,
-        };
     }
     rows.into_values().collect()
 }

@@ -18,8 +18,7 @@
 use crate::error::WorkloadError;
 use crate::spec::ScenarioSpec;
 use mafic::{
-    AddressValidator, DefensePolicy, LogLogTap, MaficConfig, MaficFilter, ProportionalFilter,
-    RateLimitFilter,
+    AddressValidator, DefensePolicy, LogLogTap, MaficFilter, ProportionalFilter, RateLimitFilter,
 };
 use mafic_loglog::Precision;
 use mafic_netsim::{
@@ -618,19 +617,13 @@ fn install_droppers(
             .wrapping_add(domain_salt.wrapping_mul(0x10_0001))
             .wrapping_add(i as u64);
         let idx = match policy {
-            DefensePolicy::FullMafic => {
-                let config = MaficConfig {
-                    drop_probability: spec.drop_probability,
-                    timer_rtt_multiplier: spec.timer_rtt_multiplier,
-                    nft_revalidate_after: spec.nft_revalidate_after,
-                    seed: filter_seed,
-                    ..MaficConfig::default()
-                };
-                sim.add_filter(
-                    router,
-                    Box::new(MaficFilter::new(config, validator.clone())),
-                )
-            }
+            DefensePolicy::FullMafic => sim.add_filter(
+                router,
+                Box::new(MaficFilter::new(
+                    spec.mafic_config(filter_seed),
+                    validator.clone(),
+                )),
+            ),
             DefensePolicy::ProportionalDrop => sim.add_filter(
                 router,
                 Box::new(ProportionalFilter::new(spec.drop_probability, filter_seed)),

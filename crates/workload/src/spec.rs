@@ -12,7 +12,7 @@
 //! in `runner.rs`, and the link, probe and TCP constants of
 //! `mafic-topology`, `mafic` and `mafic-transport`.
 
-use mafic::DefensePolicy;
+use mafic::{DefensePolicy, MaficConfig};
 use mafic_adversary::AdversarySpec;
 use mafic_loglog::{mix2, mix64};
 use mafic_netsim::{SimDuration, SimTime};
@@ -340,6 +340,19 @@ impl ScenarioSpec {
         }
     }
 
+    /// The [`MaficConfig`] of every MAFIC filter the scenario installs:
+    /// the probing knobs come from the spec, `seed` is the filter's own.
+    #[must_use]
+    pub(crate) fn mafic_config(&self, seed: u64) -> MaficConfig {
+        MaficConfig {
+            drop_probability: self.drop_probability,
+            timer_rtt_multiplier: self.timer_rtt_multiplier,
+            nft_revalidate_after: self.nft_revalidate_after,
+            seed,
+            ..MaficConfig::default()
+        }
+    }
+
     /// Resolves one [`DefensePolicy`] per domain, in
     /// [`mafic_topology::Internet::domains`] order.
     ///
@@ -575,18 +588,9 @@ impl ScenarioSpec {
         if let Some(p) = self.transit_policy {
             p.validate().map_err(|e| format!("transit_policy: {e}"))?;
         }
-        if !(0.0..=1.0).contains(&self.drop_probability) {
-            return Err("drop_probability must be in [0, 1]".into());
-        }
-        if !self.timer_rtt_multiplier.is_finite() || self.timer_rtt_multiplier <= 0.0 {
-            return Err(format!(
-                "timer_rtt_multiplier must be finite and > 0, got {}",
-                self.timer_rtt_multiplier
-            ));
-        }
-        if self.nft_revalidate_after.is_some_and(SimDuration::is_zero) {
-            return Err("nft_revalidate_after must be positive".into());
-        }
+        self.mafic_config(self.seed)
+            .validate()
+            .map_err(|e| e.to_string())?;
         if self.attack_start >= self.end {
             return Err("attack_start must precede end".into());
         }

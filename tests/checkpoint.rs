@@ -225,6 +225,20 @@ fn format_version_mismatch_is_rejected() {
 }
 
 #[test]
+fn wrong_crate_version_is_rejected_by_field() {
+    let (spec, bytes) = captured();
+    let mut snap = Snapshot::decode(&bytes).expect("the captured snapshot decodes");
+    snap.header.crate_version.push_str("-edited");
+    match snap_err(restore_run(&spec, &snap.encode())) {
+        SnapError::HeaderMismatch { field, found, .. } => {
+            assert_eq!(field, "crate_version");
+            assert!(found.ends_with("-edited"), "{found}");
+        }
+        other => panic!("expected a crate_version mismatch, got {other}"),
+    }
+}
+
+#[test]
 fn wrong_seed_and_wrong_fingerprint_are_rejected_by_field() {
     let (spec, bytes) = captured();
     let reseeded = ScenarioSpec {
