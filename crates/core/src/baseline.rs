@@ -8,8 +8,8 @@
 
 use crate::policy::TAG_PROPORTIONAL;
 use mafic_netsim::{
-    read_flow_id, Addr, DropReason, FilterAction, FilterControl, FilterCtx, FlowSlab, Packet,
-    PacketEnv, PacketFilter, StatNote,
+    read_flow_id, Addr, DropReason, FilterAction, FilterControl, FilterCtx, FlowId, FlowSlab,
+    Packet, PacketEnv, PacketFilter, StatNote,
 };
 use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 use rand::rngs::SmallRng;
@@ -69,11 +69,11 @@ impl ProportionalFilter {
     }
 
     /// Approximate per-flow state held by this filter, in bytes: one
-    /// slab slot per flow that lost a packet (drop diagnostics only —
+    /// slab entry per flow that lost a packet (drop diagnostics only —
     /// the policy itself keeps no classification state).
     #[must_use]
     pub fn approx_state_bytes(&self) -> usize {
-        self.per_flow_dropped.len() * std::mem::size_of::<Option<u64>>()
+        self.per_flow_dropped.len() * std::mem::size_of::<(FlowId, u64)>()
     }
 
     /// Activates the defense for `victim`.

@@ -7,16 +7,17 @@
 //! over arbitrary sub-windows — the rate just before the probe
 //! (baseline) and the rate just before the 2×RTT deadline.
 //!
-//! Storage is a dense vector of window headers indexed by the interned
+//! Storage is a [`FlowSlab`] of window headers keyed by the interned
 //! [`FlowId`], over one pool of fixed-size timestamp chunks shared by
 //! every flow: a window is a linked run of chunks, so the per-packet
-//! `record` is an array index plus a slot write, no hashing. A chunk a
+//! `record` is a slab probe plus a slot write, no hashing, and a router
+//! pays a header only for the flows it tracks. A chunk a
 //! window prunes past, or an evicted window's chunks, go on a free list
 //! and are the next handed out, so which chunk is reused depends only
 //! on the event sequence, and the pool grows only when every chunk is
 //! in use.
 
-use mafic_netsim::{FlowId, SimDuration, SimTime};
+use mafic_netsim::{FlowId, FlowSlab, SimDuration, SimTime};
 use mafic_obs::{SnapError, SnapReader, State, StateWrite};
 
 /// Timestamps per pool chunk.
@@ -171,15 +172,14 @@ impl StampPool {
 pub(crate) struct ArrivalTracker {
     horizon: SimDuration,
     max_flows: usize,
-    /// Arrival windows, indexed densely by flow id. An empty window
-    /// means the flow is untracked (never seen, or evicted).
-    flows: Vec<Window>,
+    /// The tracked flows' windows, none empty. The slab's storage order
+    /// is the eviction clock's: a newly tracked flow goes last, and an
+    /// evicted flow's place goes to the last one. The clock samples by
+    /// position, so its scan is bounded by the tracked population
+    /// (≤ `max_flows`), not by every flow id the domain ever minted.
+    flows: FlowSlab<Window>,
     /// Every window's timestamps.
     pool: StampPool,
-    /// Indices of the non-empty windows, in first-tracked order. Bounds
-    /// the eviction scan to the tracked population (≤ `max_flows`)
-    /// instead of every flow id the domain ever minted.
-    active_ids: Vec<u32>,
     /// Clock hand for sampled eviction.
     evict_cursor: usize,
 }
@@ -199,26 +199,24 @@ impl ArrivalTracker {
         ArrivalTracker {
             horizon,
             max_flows,
-            flows: Vec::new(),
+            flows: FlowSlab::new(),
             pool: StampPool::new(),
-            active_ids: Vec::new(),
             evict_cursor: 0,
         }
     }
 
     /// Records one arrival of `flow` at `now`.
     pub(crate) fn record(&mut self, flow: FlowId, now: SimTime) {
-        let idx = flow.index();
-        if idx >= self.flows.len() {
-            self.flows.resize(idx + 1, Window::EMPTY);
-        }
-        if self.flows[idx].len == 0 {
-            if self.active_ids.len() >= self.max_flows {
-                self.evict_stalest();
+        let w = match self.flows.get_mut(flow) {
+            Some(w) => w,
+            None => {
+                if self.flows.len() >= self.max_flows {
+                    self.evict_stalest();
+                }
+                self.flows.insert(flow, Window::EMPTY);
+                self.flows.get_mut(flow).expect("just tracked")
             }
-            self.active_ids.push(idx as u32);
-        }
-        let w = &mut self.flows[idx];
+        };
         self.pool.push(w, now);
         // Prune beyond the horizon; `now` itself always stays.
         let since_zero = now.saturating_since(SimTime::ZERO);
@@ -240,27 +238,27 @@ impl ArrivalTracker {
         // the per-packet path. The sample keeps eviction O(1) and stays
         // deterministic: cursor movement depends only on the event
         // sequence.
-        let len = self.active_ids.len();
+        let len = self.flows.len();
         if len == 0 {
             return;
         }
         let sample = Self::EVICTION_SAMPLE.min(len);
-        let mut best: Option<(SimTime, u32, usize)> = None;
+        let mut best: Option<(SimTime, FlowId, usize)> = None;
         for i in 0..sample {
             let pos = (self.evict_cursor + i) % len;
-            let idx = self.active_ids[pos];
-            let last = self.pool.back(&self.flows[idx as usize]);
+            let (flow, w) = self.flows.entry_at(pos);
+            let last = self.pool.back(w);
             match best {
-                Some((b_last, b_idx, _)) if (b_last, b_idx) <= (last, idx) => {}
-                _ => best = Some((last, idx, pos)),
+                Some((b_last, b_flow, _)) if (b_last, b_flow) <= (last, flow) => {}
+                _ => best = Some((last, flow, pos)),
             }
         }
-        if let Some((_, idx, pos)) = best {
+        if let Some((_, flow, pos)) = best {
             // The evicted window's chunks go back to the pool, so under
             // sustained eviction pressure the pool stays sized to the
             // tracked population, not to every flow ever tracked.
-            self.pool.release_window(&mut self.flows[idx as usize]);
-            self.active_ids.swap_remove(pos);
+            let mut w = self.flows.remove(flow).expect("sampled from the slab");
+            self.pool.release_window(&mut w);
             self.evict_cursor = if len > 1 { (pos + 1) % (len - 1) } else { 0 };
         }
     }
@@ -268,7 +266,7 @@ impl ArrivalTracker {
     /// Number of arrivals of `flow` within `(end - window, end]`.
     #[must_use]
     pub(crate) fn count_in(&self, flow: FlowId, end: SimTime, window: SimDuration) -> usize {
-        let Some(&w) = self.flows.get(flow.index()) else {
+        let Some(&w) = self.flows.get(flow) else {
             return 0;
         };
         let since_zero = end.saturating_since(SimTime::ZERO);
@@ -298,14 +296,11 @@ impl ArrivalTracker {
         self.count_in(flow, end, window) as f64 / window.as_secs_f64()
     }
 
-    /// Drops all state (table flush at pushback end), keeping the dense
-    /// index and the pool's capacity for the next activation.
+    /// Drops all state (table flush at pushback end), keeping the slab's
+    /// and the pool's capacity for the next activation.
     pub(crate) fn clear(&mut self) {
-        for &idx in &self.active_ids {
-            self.flows[idx as usize] = Window::EMPTY;
-        }
+        self.flows.clear();
         self.pool.clear();
-        self.active_ids.clear();
         self.evict_cursor = 0;
     }
 }
@@ -315,24 +310,24 @@ impl ArrivalTracker {
 const MAX_RESTORED_FLOW_INDEX: u32 = 1 << 20;
 
 impl State for ArrivalTracker {
-    /// The eviction clock and the active windows. `active_ids` order is
-    /// part of the eviction clock, so it is written positionally; the
-    /// per-flow windows follow in that same order, each as a counted
-    /// sequence of timestamps. `horizon` and `max_flows` are build-time
-    /// configuration (hashed, not saved). Which pool chunks hold a
-    /// window is layout, not state: restore lays the windows out afresh,
-    /// and the dense `flows` vector is rebuilt sized to the largest
-    /// saved id — empty trailing headers are capacity, not state.
+    /// The eviction clock and the tracked windows. The slab's storage
+    /// order is part of the eviction clock, so the windows are written
+    /// in it, each as its flow index and a counted sequence of
+    /// timestamps; restore inserts them in the same order, which
+    /// rebuilds the same storage order. `horizon` and `max_flows` are
+    /// build-time configuration (hashed, not saved). Which pool chunks
+    /// hold a window is layout, not state: restore lays the windows out
+    /// afresh.
     fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.hash_only(|h| {
             h.write_u64(self.horizon.as_nanos());
             h.write_usize(self.max_flows);
         });
         w.write_usize(self.evict_cursor);
-        w.write_usize(self.active_ids.len());
-        for &idx in &self.active_ids {
-            let window = self.flows[idx as usize];
-            w.write_u32(idx);
+        w.write_usize(self.flows.len());
+        for pos in 0..self.flows.len() {
+            let (flow, &window) = self.flows.entry_at(pos);
+            w.write_u32(flow.index() as u32);
             w.write_usize(window.len as usize);
             for seg in self.pool.segments(window) {
                 for t in seg {
@@ -350,10 +345,9 @@ impl State for ArrivalTracker {
         self.evict_cursor = r.read_usize()?;
         self.flows.clear();
         self.pool.clear();
-        self.active_ids.clear();
         for _ in 0..r.read_len()? {
             let idx = r.read_u32()?;
-            // The index sizes `flows` and section checksums are
+            // The index sizes the slab's index and section checksums are
             // recomputable, so it is attacker-controlled: same bound as
             // `mafic_netsim::read_flow_id`.
             if idx > MAX_RESTORED_FLOW_INDEX {
@@ -361,11 +355,8 @@ impl State for ArrivalTracker {
                     "flow index {idx} out of range"
                 )));
             }
-            if idx as usize >= self.flows.len() {
-                self.flows.resize(idx as usize + 1, Window::EMPTY);
-            }
-            let w = &mut self.flows[idx as usize];
-            if w.len != 0 {
+            let flow = FlowId::from_index(idx as usize);
+            if self.flows.contains(flow) {
                 return Err(SnapError::Malformed(format!(
                     "flow index {idx} listed twice"
                 )));
@@ -376,16 +367,17 @@ impl State for ArrivalTracker {
                     "flow index {idx} has an empty window"
                 )));
             }
+            let mut w = Window::EMPTY;
             for _ in 0..n {
                 let t = SimTime::from_nanos(r.read_u64()?);
-                if w.len != 0 && t < self.pool.back(w) {
+                if w.len != 0 && t < self.pool.back(&w) {
                     return Err(SnapError::Malformed(format!(
                         "flow index {idx}: arrival timestamps decrease"
                     )));
                 }
-                self.pool.push(w, t);
+                self.pool.push(&mut w, t);
             }
-            self.active_ids.push(idx);
+            self.flows.insert(flow, w);
         }
         Ok(())
     }
@@ -523,7 +515,7 @@ mod tests {
                     };
                     pool.record(flow(f), now);
                     oracle.record(flow(f), now);
-                    longest = longest.max(pool.flows[f].len as usize);
+                    longest = longest.max(pool.flows.get(flow(f)).map_or(0, |w| w.len as usize));
                 }
                 assert_eq!(
                     state_bytes(&pool),
@@ -621,7 +613,7 @@ mod tests {
         tr.record(flow(1), t(10));
         tr.record(flow(2), t(20));
         tr.record(flow(3), t(30)); // evicts flow 1
-        assert_eq!(tr.active_ids.len(), 2);
+        assert_eq!(tr.flows.len(), 2);
         assert_eq!(
             tr.count_in(flow(1), t(100), SimDuration::from_millis(100)),
             0
@@ -637,7 +629,7 @@ mod tests {
         let mut tr = ArrivalTracker::new(SimDuration::from_secs(1), 4);
         tr.record(flow(1), t(10));
         tr.clear();
-        assert_eq!(tr.active_ids.len(), 0);
+        assert_eq!(tr.flows.len(), 0);
     }
 
     #[test]
@@ -668,7 +660,7 @@ mod tests {
             .read_state(&mut mafic_obs::SnapReader::new(&bytes))
             .expect("restore");
         assert_ne!(state_hash(&tr), state_hash(&wider));
-        assert_eq!(back.active_ids.len(), 2);
+        assert_eq!(back.flows.len(), 2);
         assert_eq!(
             back.count_in(flow(3), t(100), SimDuration::from_millis(100)),
             1

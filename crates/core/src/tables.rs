@@ -1,4 +1,4 @@
-//! The three MAFIC flow tables, stored as one dense slab.
+//! The three MAFIC flow tables, stored as one slab.
 //!
 //! * **SFT** — Suspicious Flow Table: flows under probation. Each entry
 //!   remembers when the probe started, the pre-probe baseline rate, the
@@ -8,12 +8,16 @@
 //! * **PDT** — Permanently Drop Table: flows whose rate did not respond,
 //!   plus flows with illegal source addresses; every packet dropped.
 //!
-//! Classification state lives in a single [`FlowSlab`] indexed by the
+//! Classification state lives in a single [`FlowSlab`] keyed by the
 //! interned [`FlowId`]: the packet hot path resolves a flow's standing
-//! with **one array probe** ([`FlowTables::state`]) instead of the three
+//! with **one slab probe** ([`FlowTables::state`]) instead of the three
 //! hash lookups the label-keyed tables used to pay. All three logical
 //! tables remain capacity-bounded with FIFO eviction, matching a router's
-//! fixed memory budget.
+//! fixed memory budget. A flow sits in exactly one table, the one its
+//! [`FlowState`] names, so the stamp of its FIFO seat is kept beside its
+//! state in the same slab entry: one index per filter serves the
+//! standing and all three tables' seats, and the tables cost what they
+//! hold, not the run's whole flow-id space.
 
 use mafic_netsim::{read_flow_id, FlowId, FlowKey, FlowSlab, SimTime};
 use mafic_obs::{SnapError, SnapReader, State, StateWrite};
@@ -69,12 +73,17 @@ pub enum FlowState {
     Condemned(PdtReason),
 }
 
-/// Which logical table a [`FlowState`] belongs to.
+/// Which logical table a [`FlowState`] belongs to; a table's index in
+/// `FlowTables::fifos`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Table {
     Sft,
     Nft,
     Pdt,
+}
+
+impl Table {
+    const ALL: [Table; 3] = [Table::Sft, Table::Nft, Table::Pdt];
 }
 
 fn table_of(state: &FlowState) -> Table {
@@ -85,19 +94,39 @@ fn table_of(state: &FlowState) -> Table {
     }
 }
 
+/// A flow held by the tables: its standing, and the stamp of its live
+/// seat in the FIFO of the table that standing names. A flow sits in
+/// exactly one table, so one stamp per flow is every seat there is.
+#[derive(Debug)]
+struct Resident {
+    state: FlowState,
+    stamp: u64,
+}
+
+/// True if `(flow, stamp)` is `table`'s live seat for `flow`.
+fn seated(states: &FlowSlab<Resident>, table: Table, flow: FlowId, stamp: u64) -> bool {
+    states
+        .get(flow)
+        .is_some_and(|r| r.stamp == stamp && table_of(&r.state) == table)
+}
+
 /// FIFO occupancy bound for one logical table.
 ///
 /// Because a flow can leave a table and re-enter it later (probation →
 /// nice → re-validation → probation again), the order deque may hold
 /// stale entries for a flow's *earlier* residence. Each seat therefore
 /// carries a stamp, and only the entry matching the flow's live stamp
-/// counts — a stale front entry is skipped, never treated as the oldest
-/// resident.
-#[derive(Debug, Default)]
+/// (kept on its [`Resident`]) counts — a stale front entry is skipped,
+/// never treated as the oldest resident.
+#[derive(Debug)]
 struct Fifo {
     order: VecDeque<(FlowId, u64)>,
-    /// flow → stamp of its live seat in `order`; absent = not resident.
-    seats: FlowSlab<u64>,
+    /// Live seats: the flows whose standing names this table.
+    len: usize,
+    /// Lifetime peak of `len` — cost accounting that survives the
+    /// `PushbackStop` flush (a withdrawn defense still paid for its
+    /// tables while it ran).
+    peak: usize,
     capacity: usize,
     next_stamp: u64,
     evictions: u64,
@@ -108,46 +137,40 @@ impl Fifo {
         assert!(capacity > 0, "table capacity must be positive");
         Fifo {
             order: VecDeque::new(),
-            seats: FlowSlab::new(),
+            len: 0,
+            peak: 0,
             capacity,
             next_stamp: 0,
             evictions: 0,
         }
     }
 
-    fn len(&self) -> usize {
-        self.seats.len()
-    }
-
-    /// Seats `flow` at the back of the FIFO.
-    fn occupy(&mut self, flow: FlowId) {
+    /// Seats `flow` at the back of `table`'s FIFO and returns the seat's
+    /// stamp, which the caller stores on the flow's resident.
+    fn occupy(&mut self, table: Table, flow: FlowId, states: &FlowSlab<Resident>) -> u64 {
         // Stale entries are normally reclaimed by `pop_oldest`, which
         // only runs at capacity; below capacity a long transition churn
         // (probation → nice → re-validation → probation …) would grow
         // the deque without bound. Compact once it doubles: retaining
         // the ≤ capacity live seats keeps the amortized cost O(1).
         if self.order.len() >= self.capacity.saturating_mul(2).max(16) {
-            let seats = &self.seats;
             self.order
-                .retain(|&(flow, stamp)| seats.get(flow) == Some(&stamp));
+                .retain(|&(flow, stamp)| seated(states, table, flow, stamp));
         }
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         self.order.push_back((flow, stamp));
-        self.seats.insert(flow, stamp);
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+        stamp
     }
 
-    /// Releases `flow`'s seat (its order entry goes stale in place).
-    fn release(&mut self, flow: FlowId) {
-        self.seats.remove(flow);
-    }
-
-    /// Removes and returns the oldest current resident, skipping stale
-    /// order entries.
-    fn pop_oldest(&mut self) -> Option<FlowId> {
+    /// Removes and returns the oldest current resident of `table`,
+    /// skipping stale order entries. The caller drops its resident.
+    fn pop_oldest(&mut self, table: Table, states: &FlowSlab<Resident>) -> Option<FlowId> {
         while let Some((flow, stamp)) = self.order.pop_front() {
-            if self.seats.get(flow) == Some(&stamp) {
-                self.seats.remove(flow);
+            if seated(states, table, flow, stamp) {
+                self.len -= 1;
                 self.evictions += 1;
                 return Some(flow);
             }
@@ -157,24 +180,17 @@ impl Fifo {
 
     fn clear(&mut self) {
         self.order.clear();
-        self.seats.clear();
+        self.len = 0;
     }
 }
 
-/// The complete MAFIC table set: one slab of [`FlowState`] tags plus
-/// per-table FIFO occupancy bounds.
+/// The complete MAFIC table set: one slab of residents (standing plus
+/// seat stamp) and per-table FIFO occupancy bounds.
 #[derive(Debug)]
 pub struct FlowTables {
-    states: FlowSlab<FlowState>,
-    sft: Fifo,
-    nft: Fifo,
-    pdt: Fifo,
-    /// Lifetime peak occupancies — cost accounting that survives the
-    /// `PushbackStop` flush (a withdrawn defense still paid for its
-    /// tables while it ran).
-    peak_sft: usize,
-    peak_nft: usize,
-    peak_pdt: usize,
+    states: FlowSlab<Resident>,
+    /// Indexed by [`Table`].
+    fifos: [Fifo; 3],
 }
 
 impl FlowTables {
@@ -187,12 +203,11 @@ impl FlowTables {
     pub fn new(sft_capacity: usize, nft_capacity: usize, pdt_capacity: usize) -> Self {
         FlowTables {
             states: FlowSlab::new(),
-            sft: Fifo::new(sft_capacity),
-            nft: Fifo::new(nft_capacity),
-            pdt: Fifo::new(pdt_capacity),
-            peak_sft: 0,
-            peak_nft: 0,
-            peak_pdt: 0,
+            fifos: [
+                Fifo::new(sft_capacity),
+                Fifo::new(nft_capacity),
+                Fifo::new(pdt_capacity),
+            ],
         }
     }
 
@@ -200,57 +215,45 @@ impl FlowTables {
     /// per-packet fast path.
     #[must_use]
     pub fn state(&self, flow: FlowId) -> Option<&FlowState> {
-        self.states.get(flow)
+        self.states.get(flow).map(|r| &r.state)
     }
 
-    fn fifo_mut(&mut self, table: Table) -> &mut Fifo {
-        match table {
-            Table::Sft => &mut self.sft,
-            Table::Nft => &mut self.nft,
-            Table::Pdt => &mut self.pdt,
-        }
+    fn state_mut(&mut self, flow: FlowId) -> Option<&mut FlowState> {
+        self.states.get_mut(flow).map(|r| &mut r.state)
+    }
+
+    fn fifo(&self, table: Table) -> &Fifo {
+        &self.fifos[table as usize]
     }
 
     /// Transitions `flow` into `state`'s logical table, evicting the
-    /// FIFO-oldest resident if that table is full. Returns the previous
-    /// whole-slab state.
-    fn set_state(&mut self, flow: FlowId, state: FlowState) -> Option<FlowState> {
+    /// FIFO-oldest resident if that table is full.
+    fn set_state(&mut self, flow: FlowId, state: FlowState) {
         let target = table_of(&state);
         // Same-table overwrite keeps the original FIFO seat.
-        if self.states.get(flow).map(table_of) == Some(target) {
-            return self.states.insert(flow, state);
+        if let Some(held) = self.state_mut(flow).filter(|held| table_of(held) == target) {
+            *held = state;
+            return;
         }
-        let victim = {
-            let fifo = self.fifo_mut(target);
-            if fifo.len() >= fifo.capacity {
-                fifo.pop_oldest()
-            } else {
-                None
+        let fifo = &mut self.fifos[target as usize];
+        if fifo.len >= fifo.capacity {
+            if let Some(victim) = fifo.pop_oldest(target, &self.states) {
+                self.states.remove(victim);
             }
-        };
-        if let Some(victim) = victim {
-            self.states.remove(victim);
         }
-        self.fifo_mut(target).occupy(flow);
-        let old = self.states.insert(flow, state);
-        if let Some(ref prev) = old {
+        let stamp = fifo.occupy(target, flow, &self.states);
+        if let Some(prev) = self.states.insert(flow, Resident { state, stamp }) {
             // The flow migrated from another table; release that seat.
-            let from = table_of(prev);
-            self.fifo_mut(from).release(flow);
+            self.fifos[table_of(&prev.state) as usize].len -= 1;
         }
-        self.peak_sft = self.peak_sft.max(self.sft.len());
-        self.peak_nft = self.peak_nft.max(self.nft.len());
-        self.peak_pdt = self.peak_pdt.max(self.pdt.len());
-        old
     }
 
     fn take_state(&mut self, flow: FlowId, want: Table) -> Option<FlowState> {
-        if self.states.get(flow).map(table_of) != Some(want) {
+        if self.state(flow).map(table_of) != Some(want) {
             return None;
         }
-        let old = self.states.remove(flow);
-        self.fifo_mut(want).release(flow);
-        old
+        self.fifos[want as usize].len -= 1;
+        self.states.remove(flow).map(|r| r.state)
     }
 
     // --- SFT ---------------------------------------------------------
@@ -263,7 +266,7 @@ impl FlowTables {
     /// The probation entry for `flow`, if any.
     #[must_use]
     pub fn sft_get(&self, flow: FlowId) -> Option<&SftEntry> {
-        match self.states.get(flow) {
+        match self.state(flow) {
             Some(FlowState::Suspicious(entry)) => Some(entry),
             _ => None,
         }
@@ -271,7 +274,7 @@ impl FlowTables {
 
     /// Mutable probation entry.
     pub(crate) fn sft_get_mut(&mut self, flow: FlowId) -> Option<&mut SftEntry> {
-        match self.states.get_mut(flow) {
+        match self.state_mut(flow) {
             Some(FlowState::Suspicious(entry)) => Some(entry),
             _ => None,
         }
@@ -288,7 +291,7 @@ impl FlowTables {
     /// Number of flows on probation.
     #[must_use]
     pub fn sft_len(&self) -> usize {
-        self.sft.len()
+        self.fifo(Table::Sft).len
     }
 
     // --- NFT ---------------------------------------------------------
@@ -304,13 +307,13 @@ impl FlowTables {
     #[cfg(test)]
     #[must_use]
     pub fn nft_contains(&self, flow: FlowId) -> bool {
-        matches!(self.states.get(flow), Some(FlowState::Nice { .. }))
+        matches!(self.state(flow), Some(FlowState::Nice { .. }))
     }
 
     /// When the flow's current nice verdict was earned, if it has one.
     #[must_use]
     pub(crate) fn nft_since(&self, flow: FlowId) -> Option<SimTime> {
-        match self.states.get(flow) {
+        match self.state(flow) {
             Some(FlowState::Nice { since }) => Some(*since),
             _ => None,
         }
@@ -319,7 +322,7 @@ impl FlowTables {
     /// Number of nice flows.
     #[must_use]
     pub fn nft_len(&self) -> usize {
-        self.nft.len()
+        self.fifo(Table::Nft).len
     }
 
     /// Removes a flow from the NFT (re-validation); returns whether it
@@ -339,7 +342,7 @@ impl FlowTables {
     #[cfg(test)]
     #[must_use]
     pub fn pdt_get(&self, flow: FlowId) -> Option<PdtReason> {
-        match self.states.get(flow) {
+        match self.state(flow) {
             Some(FlowState::Condemned(reason)) => Some(*reason),
             _ => None,
         }
@@ -349,13 +352,13 @@ impl FlowTables {
     #[cfg(test)]
     #[must_use]
     pub fn pdt_contains(&self, flow: FlowId) -> bool {
-        matches!(self.states.get(flow), Some(FlowState::Condemned(_)))
+        matches!(self.state(flow), Some(FlowState::Condemned(_)))
     }
 
     /// Number of condemned flows.
     #[must_use]
     pub fn pdt_len(&self) -> usize {
-        self.pdt.len()
+        self.fifo(Table::Pdt).len
     }
 
     // --- Global ------------------------------------------------------
@@ -365,16 +368,16 @@ impl FlowTables {
     /// outlives any flush, only classification state is dropped.
     pub fn flush(&mut self) {
         self.states.clear();
-        self.sft.clear();
-        self.nft.clear();
-        self.pdt.clear();
+        for fifo in &mut self.fifos {
+            fifo.clear();
+        }
     }
 
     /// Approximate resident memory of the three tables in bytes, using
     /// the label storage cost (the paper's motivation for hashing).
     #[must_use]
     pub fn approx_bytes(&self, label_bytes: usize) -> usize {
-        Self::bytes_for(self.sft.len(), self.nft.len(), self.pdt.len(), label_bytes)
+        Self::bytes_for(self.sft_len(), self.nft_len(), self.pdt_len(), label_bytes)
     }
 
     /// Approximate **peak** memory the tables ever held, in bytes. Unlike
@@ -383,7 +386,8 @@ impl FlowTables {
     /// what its tables cost while it was active.
     #[must_use]
     pub(crate) fn approx_peak_bytes(&self, label_bytes: usize) -> usize {
-        Self::bytes_for(self.peak_sft, self.peak_nft, self.peak_pdt, label_bytes)
+        let [sft, nft, pdt] = self.fifos.each_ref().map(|f| f.peak);
+        Self::bytes_for(sft, nft, pdt, label_bytes)
     }
 
     fn bytes_for(sft: usize, nft: usize, pdt: usize, label_bytes: usize) -> usize {
@@ -446,38 +450,71 @@ fn read_flow_state(r: &mut SnapReader<'_>) -> Result<FlowState, SnapError> {
     })
 }
 
-impl State for Fifo {
-    /// Seat order inside a FIFO is derivable from the stamps, so the
-    /// ledger pins the occupancy machinery with the resident count, the
-    /// (build-time) capacity, the stamp counter and the evictions,
-    /// without walking stale deque entries. A checkpoint carries the
-    /// deque verbatim — stale entries included: future evictions and the
-    /// compaction trigger depend on it — and the live seats.
-    fn write_state<W: StateWrite>(&self, w: &mut W) {
+impl FlowTables {
+    /// One table's FIFO machinery. Seat order inside a FIFO is
+    /// derivable from the stamps, so the ledger pins it with the
+    /// resident count, the (build-time) capacity, the stamp counter and
+    /// the evictions, without walking stale deque entries. A checkpoint
+    /// carries the deque verbatim — stale entries included: future
+    /// evictions and the compaction trigger depend on it — and the live
+    /// seats in id order.
+    fn write_fifo<W: StateWrite>(&self, table: Table, w: &mut W) {
+        let fifo = self.fifo(table);
         w.snap_only(|w| {
-            w.write_seq(&self.order, |w, &(flow, stamp)| {
+            w.write_seq(&fifo.order, |w, &(flow, stamp)| {
                 w.write_usize(flow.index());
                 w.write_u64(stamp);
             });
         });
-        w.write_usize(self.seats.len());
+        w.write_usize(fifo.len);
         w.snap_only(|w| {
-            for (flow, &stamp) in self.seats.iter() {
-                w.write_usize(flow.index());
-                w.write_u64(stamp);
+            for (flow, r) in self.states.iter() {
+                if table_of(&r.state) == table {
+                    w.write_usize(flow.index());
+                    w.write_u64(r.stamp);
+                }
             }
         });
-        w.hash_only(|h| h.write_usize(self.capacity));
-        w.write_u64(self.next_stamp);
-        w.write_u64(self.evictions);
+        w.hash_only(|h| h.write_usize(fifo.capacity));
+        w.write_u64(fifo.next_stamp);
+        w.write_u64(fifo.evictions);
     }
 
-    fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// Restores one table's FIFO onto residents already read. Its seats
+    /// must be exactly that table's residents, in ascending id order:
+    /// each seat's stamp lands on its resident, so a seat without one, a
+    /// repeated seat or a resident left unseated would break the
+    /// occupancy count.
+    fn read_fifo(&mut self, table: Table, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let seat = |r: &mut SnapReader<'_>| Ok((read_flow_id(r)?, r.read_u64()?));
-        self.order = r.read_seq(seat)?;
-        self.seats = r.read_seq(seat)?;
-        self.next_stamp = r.read_u64()?;
-        self.evictions = r.read_u64()?;
+        let order = r.read_seq(seat)?;
+        let n = r.read_len()?;
+        let mut last = None;
+        for _ in 0..n {
+            let (flow, stamp) = seat(r)?;
+            match self.states.get_mut(flow) {
+                Some(res) if last < Some(flow) && table_of(&res.state) == table => {
+                    res.stamp = stamp
+                }
+                _ => {
+                    return Err(SnapError::Malformed(format!(
+                        "{table:?} seat for {flow} is not its next resident"
+                    )))
+                }
+            }
+            last = Some(flow);
+        }
+        let residents = |(_, res): &(FlowId, &Resident)| table_of(&res.state) == table;
+        if self.states.iter().filter(residents).count() != n {
+            return Err(SnapError::Malformed(format!(
+                "{table:?}: a resident without a seat"
+            )));
+        }
+        let fifo = &mut self.fifos[table as usize];
+        fifo.order = order;
+        fifo.len = n;
+        fifo.next_stamp = r.read_u64()?;
+        fifo.evictions = r.read_u64()?;
         Ok(())
     }
 }
@@ -485,26 +522,30 @@ impl State for Fifo {
 impl State for FlowTables {
     fn write_state<W: StateWrite>(&self, w: &mut W) {
         w.write_usize(self.states.len());
-        for (id, state) in self.states.iter() {
+        for (id, r) in self.states.iter() {
             w.write_usize(id.index());
-            state.write_state(w);
+            r.state.write_state(w);
         }
-        self.sft.write_state(w);
-        self.nft.write_state(w);
-        self.pdt.write_state(w);
-        w.write_usize(self.peak_sft);
-        w.write_usize(self.peak_nft);
-        w.write_usize(self.peak_pdt);
+        for table in Table::ALL {
+            self.write_fifo(table, w);
+        }
+        for fifo in &self.fifos {
+            w.write_usize(fifo.peak);
+        }
     }
 
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.states = r.read_seq(|r| Ok((read_flow_id(r)?, read_flow_state(r)?)))?;
-        self.sft.read_state(r)?;
-        self.nft.read_state(r)?;
-        self.pdt.read_state(r)?;
-        self.peak_sft = r.read_usize()?;
-        self.peak_nft = r.read_usize()?;
-        self.peak_pdt = r.read_usize()?;
+        self.states = r.read_seq(|r| {
+            let flow = read_flow_id(r)?;
+            let state = read_flow_state(r)?;
+            Ok((flow, Resident { state, stamp: 0 }))
+        })?;
+        for table in Table::ALL {
+            self.read_fifo(table, r)?;
+        }
+        for fifo in &mut self.fifos {
+            fifo.peak = r.read_usize()?;
+        }
         Ok(())
     }
 }
@@ -514,6 +555,9 @@ mod tests {
     use super::*;
     use mafic_netsim::testkit::{assert_state_law, state_bytes, state_hash};
     use mafic_netsim::{Addr, SimDuration};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn flow(n: usize) -> FlowId {
         FlowId::from_index(n)
@@ -521,7 +565,7 @@ mod tests {
 
     /// Evictions across the three tables.
     fn evictions(t: &FlowTables) -> u64 {
-        t.sft.evictions + t.nft.evictions + t.pdt.evictions
+        t.fifos.iter().map(|f| f.evictions).sum()
     }
 
     fn entry() -> SftEntry {
@@ -691,7 +735,6 @@ mod tests {
         t.nft_insert(flow(2), SimTime::from_nanos(5));
         t.pdt_insert(flow(3), PdtReason::Unresponsive);
         assert_state_law(&t, || FlowTables::new(2, 2, 2));
-        assert_state_law(&t.sft, || Fifo::new(2));
         let bytes = state_bytes(&t);
         let mut back = FlowTables::new(2, 2, 2);
         let mut r = SnapReader::new(&bytes);
@@ -706,18 +749,237 @@ mod tests {
     fn a_stale_deque_entry_is_saved_but_not_hashed() {
         // Same residents, stamps and evictions; `b` additionally holds a
         // dead order entry for a seat that was overwritten in place.
-        let mut a = Fifo::new(4);
-        a.occupy(flow(1));
-        let mut b = Fifo::new(4);
-        b.occupy(flow(1));
-        b.order.push_front((flow(9), 77));
+        let mut a = FlowTables::new(4, 4, 4);
+        a.nft_insert(flow(1), SimTime::ZERO);
+        let mut b = FlowTables::new(4, 4, 4);
+        b.nft_insert(flow(1), SimTime::ZERO);
+        b.fifos[Table::Nft as usize].order.push_front((flow(9), 77));
         assert_eq!(state_hash(&a), state_hash(&b));
         assert_ne!(state_bytes(&a), state_bytes(&b));
         // The capacity is configuration: hashed, not saved.
-        let mut c = Fifo::new(5);
-        c.occupy(flow(1));
+        let mut c = FlowTables::new(4, 5, 4);
+        c.nft_insert(flow(1), SimTime::ZERO);
         assert_ne!(state_hash(&a), state_hash(&c));
         assert_eq!(state_bytes(&a), state_bytes(&c));
+    }
+
+    /// The tables as they were before the seat fold: each FIFO kept an
+    /// id-indexed seat map of its own beside one map of standings. The
+    /// churn test below holds the folded tables to it, seat count for
+    /// seat count and byte for byte.
+    struct Unfolded {
+        states: BTreeMap<usize, FlowState>,
+        fifos: [UnfoldedFifo; 3],
+    }
+
+    struct UnfoldedFifo {
+        order: VecDeque<(usize, u64)>,
+        seats: BTreeMap<usize, u64>,
+        capacity: usize,
+        next_stamp: u64,
+        evictions: u64,
+        peak: usize,
+    }
+
+    impl Unfolded {
+        fn new(capacities: [usize; 3]) -> Self {
+            Unfolded {
+                states: BTreeMap::new(),
+                fifos: capacities.map(|capacity| UnfoldedFifo {
+                    order: VecDeque::new(),
+                    seats: BTreeMap::new(),
+                    capacity,
+                    next_stamp: 0,
+                    evictions: 0,
+                    peak: 0,
+                }),
+            }
+        }
+
+        fn set(&mut self, flow: usize, state: FlowState) {
+            let target = table_of(&state);
+            if self.states.get(&flow).map(table_of) == Some(target) {
+                self.states.insert(flow, state);
+                return;
+            }
+            let f = &mut self.fifos[target as usize];
+            if f.seats.len() >= f.capacity {
+                while let Some((victim, stamp)) = f.order.pop_front() {
+                    if f.seats.get(&victim) == Some(&stamp) {
+                        f.seats.remove(&victim);
+                        f.evictions += 1;
+                        self.states.remove(&victim);
+                        break;
+                    }
+                }
+            }
+            if f.order.len() >= f.capacity.saturating_mul(2).max(16) {
+                let seats = &f.seats;
+                f.order.retain(|(v, stamp)| seats.get(v) == Some(stamp));
+            }
+            f.order.push_back((flow, f.next_stamp));
+            f.seats.insert(flow, f.next_stamp);
+            f.next_stamp += 1;
+            if let Some(prev) = self.states.insert(flow, state) {
+                self.fifos[table_of(&prev) as usize].seats.remove(&flow);
+            }
+            for f in &mut self.fifos {
+                f.peak = f.peak.max(f.seats.len());
+            }
+        }
+
+        fn take(&mut self, flow: usize, want: Table) -> Option<FlowState> {
+            if self.states.get(&flow).map(table_of) != Some(want) {
+                return None;
+            }
+            self.fifos[want as usize].seats.remove(&flow);
+            self.states.remove(&flow)
+        }
+
+        fn flush(&mut self) {
+            self.states.clear();
+            for f in &mut self.fifos {
+                f.order.clear();
+                f.seats.clear();
+            }
+        }
+
+        /// The walk the unfolded tables wrote.
+        fn write<W: StateWrite>(&self, w: &mut W) {
+            w.write_usize(self.states.len());
+            for (&id, state) in &self.states {
+                w.write_usize(id);
+                state.write_state(w);
+            }
+            for f in &self.fifos {
+                w.snap_only(|w| {
+                    w.write_seq(&f.order, |w, &(flow, stamp)| {
+                        w.write_usize(flow);
+                        w.write_u64(stamp);
+                    });
+                });
+                w.write_usize(f.seats.len());
+                w.snap_only(|w| {
+                    for (&flow, &stamp) in &f.seats {
+                        w.write_usize(flow);
+                        w.write_u64(stamp);
+                    }
+                });
+                w.hash_only(|h| h.write_usize(f.capacity));
+                w.write_u64(f.next_stamp);
+                w.write_u64(f.evictions);
+            }
+            for f in &self.fifos {
+                w.write_usize(f.peak);
+            }
+        }
+    }
+
+    #[test]
+    fn folded_seats_match_the_unfolded_tables_under_churn() {
+        const FLOWS: usize = 32;
+        // The NFT stays below capacity, so its stale order entries pile
+        // up to the compaction trigger; the others evict.
+        let caps = [3, 10, 2];
+        let mut rng = SmallRng::seed_from_u64(46);
+        let mut t = FlowTables::new(caps[0], caps[1], caps[2]);
+        let mut m = Unfolded::new(caps);
+        let mut longest_order = 0;
+        for step in 0..4_000u64 {
+            let n = rng.gen_range(0..FLOWS);
+            let f = flow(n);
+            let probation = |arrivals| SftEntry {
+                arrivals_since_probe: arrivals,
+                ..entry()
+            };
+            match rng.gen_range(0..100u32) {
+                // Suspected: onto probation (a re-suspicion overwrites
+                // in place and keeps its seat).
+                0..=29 => {
+                    t.sft_insert(f, probation(step));
+                    m.set(n, FlowState::Suspicious(probation(step)));
+                }
+                // The probe decides: nice or condemned.
+                30..=44 => {
+                    let decided = t.sft_remove(f);
+                    assert_eq!(
+                        decided.clone().map(FlowState::Suspicious),
+                        m.take(n, Table::Sft)
+                    );
+                    if decided.is_some() {
+                        if rng.gen_bool(0.5) {
+                            t.nft_insert(f, SimTime::from_nanos(step));
+                            m.set(
+                                n,
+                                FlowState::Nice {
+                                    since: SimTime::from_nanos(step),
+                                },
+                            );
+                        } else {
+                            t.pdt_insert(f, PdtReason::Unresponsive);
+                            m.set(n, FlowState::Condemned(PdtReason::Unresponsive));
+                        }
+                    }
+                }
+                // Re-validation: a nice flow goes back on probation.
+                45..=59 => {
+                    let was_nice = t.nft_remove(f);
+                    assert_eq!(was_nice, m.take(n, Table::Nft).is_some());
+                    if was_nice {
+                        t.sft_insert(f, probation(step));
+                        m.set(n, FlowState::Suspicious(probation(step)));
+                    }
+                }
+                // An illegal source is condemned from any standing.
+                60..=74 => {
+                    t.pdt_insert(f, PdtReason::IllegalSource);
+                    m.set(n, FlowState::Condemned(PdtReason::IllegalSource));
+                }
+                // A nice verdict overwrites any standing.
+                75..=89 => {
+                    let since = SimTime::from_nanos(step);
+                    t.nft_insert(f, since);
+                    m.set(n, FlowState::Nice { since });
+                }
+                90..=97 => {
+                    if let Some(e) = t.sft_get_mut(f) {
+                        e.arrivals_since_probe += 1;
+                    }
+                    if let Some(FlowState::Suspicious(e)) = m.states.get_mut(&n) {
+                        e.arrivals_since_probe += 1;
+                    }
+                }
+                _ => {
+                    t.flush();
+                    m.flush();
+                }
+            }
+            for (fifo, model) in t.fifos.iter().zip(&m.fifos) {
+                assert_eq!(fifo.len, model.seats.len(), "step {step}");
+                longest_order = longest_order.max(fifo.order.len());
+            }
+            assert_eq!(
+                [t.sft_len(), t.nft_len(), t.pdt_len()],
+                m.fifos.each_ref().map(|f| f.seats.len())
+            );
+            for n in 0..FLOWS {
+                assert_eq!(t.state(flow(n)), m.states.get(&n), "step {step} flow {n}");
+            }
+            let mut want = mafic_obs::SnapWriter::new();
+            m.write(&mut want);
+            assert_eq!(state_bytes(&t), want.into_bytes(), "step {step}");
+            let mut want = mafic_obs::HashWriter::new();
+            m.write(&mut want);
+            assert_eq!(state_hash(&t), want.finish(), "step {step}");
+            if step % 101 == 0 {
+                assert_state_law(&t, || FlowTables::new(caps[0], caps[1], caps[2]));
+            }
+        }
+        assert!(evictions(&t) > 0, "the churn reached capacity");
+        assert!(
+            longest_order >= 16,
+            "the churn reached the compaction trigger"
+        );
     }
 
     #[test]
@@ -734,6 +996,48 @@ mod tests {
             .read_state(&mut SnapReader::new(&bytes))
             .expect_err("no interner ever minted that id");
         assert!(matches!(err, SnapError::Malformed(_)), "{err}");
+    }
+
+    #[test]
+    fn seats_that_are_not_the_residents_are_malformed() {
+        // One resident, flow 1 in the NFT, and the given seat lists.
+        let payload = |sft: &[usize], nft: &[usize]| {
+            let mut w = mafic_obs::SnapWriter::new();
+            w.write_usize(1); // one state entry
+            w.write_usize(1); // its flow index
+            w.write_u8(1); // FlowState::Nice
+            w.write_u64(0); // since
+            for seats in [sft, nft, &[]] {
+                w.write_usize(0); // an empty order deque
+                w.write_usize(seats.len());
+                for &flow in seats {
+                    w.write_usize(flow);
+                    w.write_u64(0);
+                }
+                w.write_u64(1); // next stamp
+                w.write_u64(0); // evictions
+            }
+            for _ in 0..3 {
+                w.write_usize(1); // peaks
+            }
+            w.into_bytes()
+        };
+        let restore =
+            |bytes: Vec<u8>| FlowTables::new(4, 4, 4).read_state(&mut SnapReader::new(&bytes));
+        let malformed = |why: &str| Err(SnapError::Malformed(why.to_string()));
+        assert_eq!(restore(payload(&[], &[1])), Ok(()));
+        assert_eq!(
+            restore(payload(&[1], &[1])),
+            malformed("Sft seat for f1 is not its next resident")
+        );
+        assert_eq!(
+            restore(payload(&[], &[1, 1])),
+            malformed("Nft seat for f1 is not its next resident")
+        );
+        assert_eq!(
+            restore(payload(&[], &[])),
+            malformed("Nft: a resident without a seat")
+        );
     }
 
     #[test]

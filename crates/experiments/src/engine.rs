@@ -11,11 +11,12 @@
 //! regardless of worker count or completion order.
 //!
 //! Std-only by design: the build environment has no registry access, so
-//! the pool is `std::thread::scope` + `std::sync::mpsc`, nothing else.
+//! the pool is `std::thread::scope` + a `Mutex`-guarded queue and result
+//! slots, nothing else.
 
 use mafic_workload::{run_spec, RunOutcome, ScenarioSpec};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Jobs below this count run without progress lines; small grids (unit
 /// tests, single runs) should not chatter on stderr.
@@ -109,9 +110,9 @@ impl EngineConfig {
 /// loop would have hit first — regardless of completion order.
 ///
 /// Workers pull the next job index from a shared counter (dynamic load
-/// balancing: grid points vary widely in cost) and report `(index,
-/// result)` over an mpsc channel; only the calling thread assembles, so
-/// ordering never depends on scheduling. After the first error arrives,
+/// balancing: grid points vary widely in cost) and file each result in
+/// its job's slot; the calling thread assembles the slots in index
+/// order, so ordering never depends on scheduling. After the first error arrives,
 /// workers stop claiming new jobs (in-flight jobs still finish), so a
 /// failing grid returns about as fast as the serial loop would have.
 ///
@@ -134,45 +135,37 @@ where
     // run, so contention is irrelevant.
     let queue = Mutex::new(inputs.into_iter().enumerate());
     let cancelled = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<(usize, Result<O, String>)>();
-
-    let mut results: Vec<Option<Result<O, String>>> = Vec::new();
-    results.resize_with(n, || None);
+    // Each worker files its result in the job's own slot. The calling
+    // thread only waits for the workers, so it allocates nothing while
+    // jobs run: a caller that watches the heap around each job (the
+    // benchmark's per-cell peak) sees that job's allocations alone.
+    let mut slots: Vec<Option<Result<O, String>>> = Vec::new();
+    slots.resize_with(n, || None);
+    let slots = Mutex::new(slots);
+    let done = AtomicUsize::new(0);
+    // Coarse progress for big grids. Progress goes to stderr only —
+    // stdout stays reserved for figure data and byte-identical across
+    // worker counts.
+    let progress_every = n.div_ceil(10);
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(|| {
-                let tx = tx; // move the clone, borrow everything else
-                loop {
-                    if cancelled.load(Ordering::Relaxed) {
-                        break; // Fail fast: an earlier job already errored.
-                    }
-                    let Some((idx, input)) = queue.lock().expect("job queue poisoned").next()
-                    else {
-                        break;
-                    };
-                    let result = worker(input);
-                    if result.is_err() {
-                        cancelled.store(true, Ordering::Relaxed);
-                    }
-                    if tx.send((idx, result)).is_err() {
-                        break; // Collector gone: nothing left to report to.
-                    }
+            scope.spawn(|| loop {
+                if cancelled.load(Ordering::Relaxed) {
+                    break; // Fail fast: an earlier job already errored.
+                }
+                let Some((idx, input)) = queue.lock().expect("job queue poisoned").next() else {
+                    break;
+                };
+                let result = worker(input);
+                if result.is_err() {
+                    cancelled.store(true, Ordering::Relaxed);
+                }
+                slots.lock().expect("result slots poisoned")[idx] = Some(result);
+                let done = done.fetch_add(1, Ordering::Relaxed) + 1;
+                if n >= PROGRESS_MIN_JOBS && (done.is_multiple_of(progress_every) || done == n) {
+                    eprintln!("[engine] {done}/{n} runs complete ({workers} workers)");
                 }
             });
-        }
-        drop(tx);
-        // Collect on the calling thread; emit coarse progress for big
-        // grids. Progress goes to stderr only — stdout stays reserved
-        // for figure data and byte-identical across worker counts.
-        let progress_every = n.div_ceil(10);
-        let mut done = 0usize;
-        while let Ok((idx, result)) = rx.recv() {
-            results[idx] = Some(result);
-            done += 1;
-            if n >= PROGRESS_MIN_JOBS && (done.is_multiple_of(progress_every) || done == n) {
-                eprintln!("[engine] {done}/{n} runs complete ({workers} workers)");
-            }
         }
     });
 
@@ -183,7 +176,7 @@ where
     // error deterministic even though *which* later jobs got skipped is
     // scheduling-dependent.
     let mut out = Vec::with_capacity(n);
-    for result in results {
+    for result in slots.into_inner().expect("result slots poisoned") {
         match result {
             Some(Ok(o)) => out.push(o),
             Some(Err(e)) => return Err(e),

@@ -8,8 +8,13 @@
 //!
 //! Ground-truth fields (`is_attack`) come from packet [`Provenance`] and
 //! are written here and only here — the defense filters cannot see them.
+//!
+//! The collector's own interner mints ids densely and every id gets its
+//! record when it is minted, so the records are a plain vector indexed
+//! by id: the accounting path, the hottest per-packet bookkeeping, needs
+//! no position index. Restore holds a checkpoint to the same shape.
 
-use crate::flows::{read_flow_id, FlowId, FlowInterner, FlowSlab};
+use crate::flows::{FlowId, FlowInterner};
 use crate::ids::{Addr, NodeId};
 use crate::packet::{DropReason, FlowKey, Packet, Provenance};
 use crate::time::{SimDuration, SimTime};
@@ -146,15 +151,17 @@ impl BinSeries {
 
 /// Global per-run statistics.
 ///
-/// Per-flow records live in a dense [`FlowSlab`] behind the collector's
-/// own [`FlowInterner`]: the accounting calls on the packet hot path cost
-/// one interner probe plus an array index, and iteration runs in id
-/// (first-seen) order — deterministic, unlike the `std` hash map this
-/// replaced.
+/// Per-flow records live in a plain vector behind the collector's own
+/// [`FlowInterner`]: the interner mints ids densely and each new id gets
+/// its record at once, so record `i` belongs to id `i`. The accounting
+/// calls on the packet hot path cost one array index, with no position
+/// table in between, and iteration runs in id (first-seen) order —
+/// deterministic, unlike the `std` hash map this replaced.
 #[derive(Debug)]
 pub struct StatsCollector {
     interner: FlowInterner,
-    records: FlowSlab<FlowRecord>,
+    /// Indexed by id: every id the interner minted has its record.
+    records: Vec<FlowRecord>,
     victim: Option<BinSeries>,
     arrival: Option<BinSeries>,
     /// Probe packets emitted by filters, domain-wide.
@@ -177,7 +184,7 @@ impl StatsCollector {
     pub fn new() -> Self {
         StatsCollector {
             interner: FlowInterner::new(),
-            records: FlowSlab::new(),
+            records: Vec::new(),
             victim: None,
             arrival: None,
             probes_emitted: 0,
@@ -215,8 +222,8 @@ impl StatsCollector {
     /// caches it alongside the in-flight packet).
     pub fn flow_id(&mut self, key: FlowKey) -> FlowId {
         let id = self.interner.intern(key);
-        if !self.records.contains(id) {
-            self.records.insert(id, FlowRecord::default());
+        if id.index() == self.records.len() {
+            self.records.push(FlowRecord::default());
         }
         id
     }
@@ -227,9 +234,7 @@ impl StatsCollector {
     ///
     /// Panics if `id` did not come from this collector.
     fn entry_id(&mut self, id: FlowId) -> &mut FlowRecord {
-        self.records
-            .get_mut(id)
-            .expect("id minted by this collector")
+        &mut self.records[id.index()]
     }
 
     fn record_id(&mut self, id: FlowId, provenance: Provenance) -> &mut FlowRecord {
@@ -313,14 +318,15 @@ impl StatsCollector {
     pub fn flow(&self, key: &FlowKey) -> Option<&FlowRecord> {
         self.interner
             .lookup(*key)
-            .and_then(|id| self.records.get(id))
+            .map(|id| &self.records[id.index()])
     }
 
     /// Iterates over all flow records in id (first-seen) order.
     pub fn flows(&self) -> impl Iterator<Item = (FlowKey, &FlowRecord)> {
-        self.records
+        self.interner
             .iter()
-            .map(|(id, rec)| (self.interner.resolve(id), rec))
+            .zip(&self.records)
+            .map(|((_, key), rec)| (key, rec))
     }
 
     /// The delivery series at the victim, if [`StatsCollector::watch_victim`]
@@ -343,7 +349,7 @@ impl StatsCollector {
     #[must_use]
     pub fn drop_totals(&self) -> [u64; 7] {
         let mut totals = [0u64; 7];
-        for (_, rec) in self.records.iter() {
+        for rec in &self.records {
             totals[0] += rec.dropped_probing;
             totals[1] += rec.dropped_permanent;
             totals[2] += rec.dropped_illegal;
@@ -437,20 +443,40 @@ impl State for StatsCollector {
         w.hash_only(|h| h.write_usize(self.interner.len()));
         w.snap_only(|w| self.interner.write_state(w));
         w.write_usize(self.records.len());
-        for (id, rec) in self.records.iter() {
-            w.write_usize(id.index());
+        for (i, rec) in self.records.iter().enumerate() {
+            w.write_usize(i);
             rec.write_state(w);
         }
         write_bins(self.victim.as_ref(), w);
         write_bins(self.arrival.as_ref(), w);
     }
 
+    /// Records are indexed by id, so the list must name exactly the
+    /// ids `0..n` in order, one per interned key; anything else came
+    /// from no honest run.
     fn read_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.probes_emitted = r.read_u64()?;
         self.total_sent = r.read_u64()?;
         self.total_delivered = r.read_u64()?;
         self.interner.read_state(r)?;
-        self.records = r.read_seq(|r| Ok((read_flow_id(r)?, read_flow_record(r)?)))?;
+        let mut next = 0;
+        self.records = r.read_seq(|r| {
+            let index = r.read_usize()?;
+            if index != next {
+                return Err(SnapError::Malformed(format!(
+                    "stats: record {next} names flow index {index}"
+                )));
+            }
+            next += 1;
+            read_flow_record(r)
+        })?;
+        if self.records.len() != self.interner.len() {
+            return Err(SnapError::Malformed(format!(
+                "stats: {} records for {} interned flows",
+                self.records.len(),
+                self.interner.len()
+            )));
+        }
         read_bins(self.victim.as_mut(), r)?;
         read_bins(self.arrival.as_mut(), r)
     }

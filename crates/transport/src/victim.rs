@@ -6,7 +6,9 @@
 //! senders' congestion control — and MAFIC's probing — work end to end),
 //! UDP floods are merely counted and absorbed. Each TCP flow's state is
 //! one [`ReceiveWindow`], the same reorder buffer [`crate::TcpSink`]
-//! keeps.
+//! keeps, in a [`FlowSlab`]: a window is paid for only by the TCP flows
+//! the sink tracks, while the flood's UDP flows cost at most an index
+//! slot each.
 
 use mafic_netsim::{
     Agent, AgentCtx, FlowKey, FlowSlab, Packet, PacketKind, SimTime, SnapError, SnapReader, State,
@@ -17,10 +19,10 @@ use crate::window::ReceiveWindow;
 
 /// A sink absorbing every flow addressed to the victim.
 ///
-/// Per-flow receiver state is a dense [`FlowSlab`] indexed by the
-/// interned flow id the simulator delivers with each packet
+/// Per-flow receiver state is a [`FlowSlab`] keyed by the interned flow
+/// id the simulator delivers with each packet
 /// ([`AgentCtx::packet_flow`]) — under a many-flow flood the per-segment
-/// cost is one array probe, not a 4-tuple hash.
+/// cost is one slab probe, not a 4-tuple hash.
 #[derive(Debug)]
 pub struct VictimSink {
     ack_size: u32,

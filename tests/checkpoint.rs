@@ -191,27 +191,83 @@ fn flipped_byte_in_every_section_names_that_section() {
     }
 }
 
+/// Re-encodes `bytes` with `edit` applied to section `target`'s
+/// payload; every wire checksum is recomputed, so the edit reaches the
+/// component's own restore.
+fn doctored(bytes: &[u8], target: &str, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let snap = Snapshot::decode(bytes).expect("decodes");
+    let mut doctored = Snapshot::new(snap.header.clone());
+    doctored.component_hashes.clone_from(&snap.component_hashes);
+    let mut edit = Some(edit);
+    for label in snap.section_labels() {
+        let mut payload = snap.section(label).expect("listed").to_vec();
+        if label == target {
+            (edit.take().expect("one section per label"))(&mut payload);
+        }
+        doctored.add_section(label, payload);
+    }
+    doctored.encode()
+}
+
 #[test]
 fn doctored_payload_with_fixed_checksums_names_the_component() {
     // Re-encoding after the flip recomputes the wire checksums, so only
     // the state-hash verification stands between a doctored snapshot
     // and a silently wrong resume.
     let (spec, bytes) = captured();
-    let snap = Snapshot::decode(&bytes).expect("decodes");
-    let mut doctored = Snapshot::new(snap.header.clone());
-    doctored.component_hashes.clone_from(&snap.component_hashes);
-    for label in snap.section_labels() {
-        let mut payload = snap.section(label).expect("listed").to_vec();
-        if label == "netsim/stats" {
-            *payload.last_mut().expect("non-empty") ^= 0x01;
-        }
-        doctored.add_section(label, payload);
-    }
-    let e = snap_err(restore_run(&spec, &doctored.encode()));
+    let bad = doctored(&bytes, "netsim/stats", |payload| {
+        *payload.last_mut().expect("non-empty") ^= 0x01;
+    });
+    let e = snap_err(restore_run(&spec, &bad));
     match e {
         SnapError::StateMismatch { component, .. } => assert_eq!(component, "netsim/stats"),
         other => panic!("expected a state-hash mismatch, got {other}"),
     }
+}
+
+#[test]
+fn stats_records_that_are_not_the_interned_ids_are_malformed() {
+    // The stats collector indexes its records by flow id, so restore
+    // holds the record list to the interner instead of trusting it.
+    // Payload: three u64 counters; the interned keys (a count, then 12
+    // bytes each); the record count, then each record's flow index, two
+    // bools and thirteen u64 counters.
+    const KEY: usize = 12;
+    const RECORD: usize = 8 + 2 + 13 * 8;
+    let (spec, bytes) = captured();
+    let records_at = |payload: &[u8]| {
+        let mut pos = 3 * 8;
+        let keys = u64_at(payload, &mut pos) as usize;
+        pos + keys * KEY
+    };
+    let stats = Snapshot::decode(&bytes).expect("decodes");
+    let stats = stats.section("netsim/stats").expect("listed");
+    let n = u64_at(stats, &mut records_at(stats));
+    assert!(n >= 2, "the corpus run interned {n} flows");
+
+    // The first two records trade ids.
+    let swapped = doctored(&bytes, "netsim/stats", |payload| {
+        let first = records_at(payload) + 8;
+        payload[first..first + 8].copy_from_slice(&1u64.to_le_bytes());
+        let second = first + RECORD;
+        payload[second..second + 8].copy_from_slice(&0u64.to_le_bytes());
+    });
+    assert_eq!(
+        snap_err(restore_run(&spec, &swapped)),
+        SnapError::Malformed("stats: record 0 names flow index 1".to_string())
+    );
+
+    // The last record goes missing: one record fewer than interned keys.
+    let short = doctored(&bytes, "netsim/stats", |payload| {
+        let at = records_at(payload);
+        payload[at..at + 8].copy_from_slice(&(n - 1).to_le_bytes());
+        let last = at + 8 + (n as usize - 1) * RECORD;
+        payload.drain(last..last + RECORD);
+    });
+    assert_eq!(
+        snap_err(restore_run(&spec, &short)),
+        SnapError::Malformed(format!("stats: {} records for {n} interned flows", n - 1))
+    );
 }
 
 #[test]
