@@ -15,7 +15,7 @@ pub enum StrategyKind {
     /// cohort returns to a clean slate before re-detection completes.
     ///
     /// When `period_intervals` is *not* shorter than the published
-    /// lease (the coordinator's default `hold_intervals`), rotation cannot
+    /// lease (the coordinator's `HOLD_INTERVALS`), rotation cannot
     /// outrun the soft state and the strategy's own best response is to
     /// not rotate at all — it emits no directives and the run is
     /// behaviorally identical to the open-loop baseline.
@@ -43,8 +43,8 @@ pub enum StrategyKind {
     },
     /// Period-lock pulses to the coordinator's K-interval hysteresis:
     /// transmit boosted for `K - 1` intervals, then go dark for one —
-    /// the dip resets the escalation counter (the coordinator's default
-    /// `trigger_intervals` consecutive hot intervals are required), so
+    /// the dip resets the escalation counter (the coordinator's
+    /// `TRIGGER_INTERVALS` consecutive hot intervals are required), so
     /// upstream escalation never fires.
     PulseTuning {
         /// Active-phase rate in thousandths of nominal. `0` derives the
@@ -169,8 +169,7 @@ mod tests {
             active_fraction: 0.5,
         };
         assert!(AdversarySpec::with_strategy(rotation).validate().is_ok());
-        // `PushbackConfig::default()`'s `hold_intervals` and
-        // `trigger_intervals`.
+        // The coordinator's `HOLD_INTERVALS` and `TRIGGER_INTERVALS`.
         assert_eq!(crate::strategies::LEASE_INTERVALS, 12);
         assert_eq!(crate::strategies::TRIGGER_INTERVALS, 4);
     }

@@ -19,11 +19,11 @@ use crate::spec::{AdversarySpec, StrategyKind};
 pub(crate) const NOMINAL_MILLI: u32 = 1000;
 
 /// The defense's published soft-state lease, in monitor intervals
-/// (`PushbackConfig::default().hold_intervals`).
+/// (`mafic_pushback::HOLD_INTERVALS`).
 pub(crate) const LEASE_INTERVALS: u32 = 12;
 
 /// The defense's published escalation hysteresis window, in monitor
-/// intervals (`PushbackConfig::default().trigger_intervals`). A pulse
+/// intervals (the pushback coordinator's `TRIGGER_INTERVALS`). A pulse
 /// needs one dark interval in it, so it is at least 2.
 pub(crate) const TRIGGER_INTERVALS: u32 = 4;
 const _: () = assert!(TRIGGER_INTERVALS >= 2);

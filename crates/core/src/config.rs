@@ -43,6 +43,12 @@ pub(crate) const PROBE_SIZE: u32 = 40;
 pub(crate) const RATE_HORIZON: SimDuration = SimDuration::from_secs(3);
 /// Maximum number of flows tracked by the arrival recorder.
 pub(crate) const RATE_MAX_FLOWS: usize = 8192;
+/// Fallback RTT when a flow carries no usable timestamp.
+pub(crate) const DEFAULT_RTT: SimDuration = SimDuration::from_millis(100);
+/// Lower clamp for per-flow RTT estimates.
+pub(crate) const MIN_RTT: SimDuration = SimDuration::from_millis(20);
+/// Upper clamp for per-flow RTT estimates.
+pub(crate) const MAX_RTT: SimDuration = SimDuration::from_millis(500);
 
 /// Tunables of the MAFIC adaptive dropper.
 ///
@@ -50,8 +56,9 @@ pub(crate) const RATE_MAX_FLOWS: usize = 8192;
 /// Only values some caller varies are fields. The values nobody varies
 /// are the constants in this module: the responsiveness threshold
 /// (`DECREASE_THRESHOLD`), the probe burst (`PROBE_DUP_ACKS`,
-/// `PROBE_SIZE`) and the arrival recorder's bounds (`RATE_HORIZON`,
-/// `RATE_MAX_FLOWS`).
+/// `PROBE_SIZE`), the arrival recorder's bounds (`RATE_HORIZON`,
+/// `RATE_MAX_FLOWS`) and the per-flow RTT fallback and clamps
+/// (`DEFAULT_RTT`, `MIN_RTT`, `MAX_RTT`).
 ///
 /// # Example
 ///
@@ -73,12 +80,6 @@ pub struct MaficConfig {
     pub drop_probability: f64,
     /// Timer length as a multiple of the flow RTT (the paper uses 2).
     pub timer_rtt_multiplier: f64,
-    /// Fallback RTT when a flow carries no usable timestamp.
-    pub default_rtt: SimDuration,
-    /// Lower clamp for per-flow RTT estimates.
-    pub min_rtt: SimDuration,
-    /// Upper clamp for per-flow RTT estimates.
-    pub max_rtt: SimDuration,
     /// Label storage model for table-memory accounting
     /// ([`crate::FlowTables::approx_bytes`]). Classification itself is
     /// keyed by exact interned flow ids in every mode, so this no longer
@@ -105,9 +106,6 @@ impl Default for MaficConfig {
         MaficConfig {
             drop_probability: 0.9,
             timer_rtt_multiplier: 2.0,
-            default_rtt: SimDuration::from_millis(100),
-            min_rtt: SimDuration::from_millis(20),
-            max_rtt: SimDuration::from_millis(500),
             label_mode: LabelMode::Hashed,
             sft_capacity: 4096,
             nft_capacity: 4096,
@@ -130,9 +128,6 @@ impl MaficConfig {
         }
         if !(self.timer_rtt_multiplier > 0.0 && self.timer_rtt_multiplier.is_finite()) {
             return Err(ConfigError::new("timer_rtt_multiplier must be positive"));
-        }
-        if self.min_rtt > self.max_rtt {
-            return Err(ConfigError::new("min_rtt exceeds max_rtt"));
         }
         if self.sft_capacity == 0 || self.nft_capacity == 0 || self.pdt_capacity == 0 {
             return Err(ConfigError::new("table capacities must be positive"));
@@ -204,10 +199,6 @@ mod tests {
             },
             MaficConfig {
                 pdt_capacity: 0,
-                ..MaficConfig::default()
-            },
-            MaficConfig {
-                min_rtt: SimDuration::from_secs(2),
                 ..MaficConfig::default()
             },
         ];

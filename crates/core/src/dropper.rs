@@ -28,8 +28,8 @@
 //! flush may still fire and are ignored as stale.
 
 use crate::config::{
-    AddressValidator, MaficConfig, DECREASE_THRESHOLD, PROBE_DUP_ACKS, PROBE_SIZE, RATE_HORIZON,
-    RATE_MAX_FLOWS,
+    AddressValidator, MaficConfig, DECREASE_THRESHOLD, DEFAULT_RTT, MAX_RTT, MIN_RTT,
+    PROBE_DUP_ACKS, PROBE_SIZE, RATE_HORIZON, RATE_MAX_FLOWS,
 };
 use crate::policy::TAG_MAFIC;
 use crate::rate::ArrivalTracker;
@@ -188,9 +188,9 @@ impl MaficFilter {
     ///
     /// The sender stamps `ts` at transmission; `now − ts` is the one-way
     /// source→router delay, so the source→router→source round trip the
-    /// probe must cover is approximately twice that. Clamped to the
-    /// configured bounds; flows without a usable timestamp get the
-    /// default RTT.
+    /// probe must cover is approximately twice that. Clamped to
+    /// `MIN_RTT..=MAX_RTT`; flows without a usable timestamp get
+    /// `DEFAULT_RTT`.
     fn estimate_rtt(&self, packet: &Packet, now: SimTime) -> SimDuration {
         let ts = match packet.kind {
             PacketKind::TcpData { ts, .. } | PacketKind::TcpAck { ts, .. } => ts,
@@ -199,11 +199,11 @@ impl MaficFilter {
             }
         };
         let estimate = if ts == SimTime::ZERO {
-            self.config.default_rtt
+            DEFAULT_RTT
         } else {
             now.saturating_since(ts).mul_f64(2.0)
         };
-        estimate.max(self.config.min_rtt).min(self.config.max_rtt)
+        estimate.max(MIN_RTT).min(MAX_RTT)
     }
 
     fn coin(&mut self) -> bool {
@@ -467,9 +467,6 @@ mod tests {
 
     fn config() -> MaficConfig {
         MaficConfig {
-            default_rtt: SimDuration::from_millis(50),
-            min_rtt: SimDuration::from_millis(20),
-            max_rtt: SimDuration::from_millis(200),
             seed: 42,
             ..MaficConfig::default()
         }
@@ -619,17 +616,20 @@ mod tests {
     fn unresponsive_flow_is_condemned() {
         let mut h = FilterHarness::new();
         let mut f = active_filter(1.0);
-        // Steady 100 pps arrivals; the first packet starts probation and
-        // the arrivals continue right through the probation window, so the
-        // decision fires on the packet path once the deadline passes.
+        // Steady 100 pps arrivals for twice the probation window (ts ==
+        // ZERO at t=0 gives DEFAULT_RTT, 2x timer); the first packet starts
+        // probation and the arrivals continue right through the window, so
+        // the decision fires on the packet path once the deadline passes.
+        let step = SimDuration::from_millis(10);
+        let window = (DEFAULT_RTT * 2).as_nanos() / step.as_nanos();
         let mut all_notes = Vec::new();
-        for i in 0..20 {
+        for i in 0..2 * window {
             let fx = h.offer_transit(&mut f, &pkt(1, h.now));
             if i == 0 {
                 assert_eq!(fx.flow_timers.len(), 1);
             }
             all_notes.extend(fx.notes);
-            h.advance(SimDuration::from_millis(10));
+            h.advance(step);
         }
         assert_eq!(f.tables().pdt_len(), 1, "flow condemned");
         assert!(all_notes
@@ -661,13 +661,15 @@ mod tests {
     fn unresponsive_decision_on_packet_path_drops() {
         let mut h = FilterHarness::new();
         let mut f = active_filter(1.0);
-        // Continuous 250 pps arrivals straight through the 100 ms probation
-        // window (ts == ZERO at t=0 gives the 50 ms default RTT, 2x timer).
-        // The packet arriving after the deadline forces the decision on the
-        // packet path, with both window halves equally full.
-        for _ in 0..30 {
+        // Continuous 250 pps arrivals straight through the probation window
+        // (ts == ZERO at t=0 gives DEFAULT_RTT, 2x timer), five packets
+        // past it. The packet arriving after the deadline forces the
+        // decision on the packet path, with both window halves equally full.
+        let step = SimDuration::from_millis(4);
+        let window = (DEFAULT_RTT * 2).as_nanos() / step.as_nanos();
+        for _ in 0..window + 5 {
             let _ = h.offer_transit(&mut f, &pkt(1, h.now));
-            h.advance(SimDuration::from_millis(4));
+            h.advance(step);
         }
         assert_eq!(f.tables().pdt_len(), 1, "steady flow must be condemned");
         let fx = h.offer_transit(&mut f, &pkt(1, h.now));

@@ -224,24 +224,24 @@ impl LintConfig {
             // a measure moves its pin in the same diff.
             code_size: vec![
                 ("adversary", 487, 15),
-                ("core", 1485, 67),
+                ("core", 1479, 67),
                 ("experiments", 1322, 41),
                 ("loglog", 534, 53),
                 ("metrics", 391, 19),
                 ("netsim", 3572, 210),
                 ("obs", 1458, 78),
-                ("pushback", 898, 49),
+                ("pushback", 875, 50),
                 ("topology", 497, 34),
-                ("transport", 788, 35),
-                ("workload", 1907, 29),
-                ("total", 13339, 630),
+                ("transport", 787, 35),
+                ("workload", 1887, 29),
+                ("total", 13289, 631),
             ],
             type_size: vec![
                 ("ScenarioSpec", 34),
-                ("MaficConfig", 11),
+                ("MaficConfig", 8),
                 ("DomainConfig", 4),
-                ("TcpConfig", 4),
-                ("PushbackConfig", 8),
+                ("TcpConfig", 3),
+                ("PushbackConfig", 5),
                 ("AdversarySpec", 1),
                 ("TransitTopology", 1),
                 ("DetectionMode", 2),

@@ -13,12 +13,13 @@
 //!   (idle → defending → escalated → standing-down → idle). It watches
 //!   the victim-bound aggregate entering the domain boundary and, when
 //!   its local MAFIC deployment cannot stop the flood at the source
-//!   (sustained pressure for `trigger_intervals` monitor intervals),
+//!   (sustained pressure for `TRIGGER_INTERVALS` monitor intervals),
 //!   escalates one hop upstream with a depth budget. Upstream defenses
 //!   are soft-state leases: renewed (or re-installed after a lost
 //!   request / lapsed lease) by full-state `Refresh` envelopes, torn
-//!   down by `Withdraw`, victim-initiated `Stop`, or expiry, so a
-//!   vanished requester cannot leave stale drops behind.
+//!   down by `Withdraw`, victim-initiated `Stop`, or expiry after
+//!   [`HOLD_INTERVALS`] silent intervals, so a vanished requester cannot
+//!   leave stale drops behind.
 //! * [`TrustLedger`] — the per-requester trust state every upstream
 //!   coordinator vets envelopes against: protocol version, authorized
 //!   downstream identity, replay nonce, attestation of the claimed
@@ -66,7 +67,7 @@ mod trust;
 pub use channel::ControlChannel;
 pub use coordinator::{
     CoordinatorStats, DomainCoordinator, LifecycleState, PushbackAction, PushbackConfig,
-    PushbackConfigError, PushbackRole,
+    PushbackConfigError, PushbackRole, HOLD_INTERVALS,
 };
 pub use meter::VictimRateMeter;
 pub use plane::{BufferedPlane, ControlPlane};

@@ -26,18 +26,19 @@ const INITIAL_CWND: f64 = 2.0;
 const INITIAL_SSTHRESH: f64 = 32.0;
 /// Initial retransmission timeout before any RTT sample.
 const INITIAL_RTO: SimDuration = SimDuration::from_millis(1000);
+/// Lower bound for the RTO.
+const MIN_RTO: SimDuration = SimDuration::from_millis(200);
 
-/// Tunables for [`TcpSender`]. The segment size and the initial window,
-/// slow-start threshold and RTO are this module's constants: no caller
-/// varies them.
+/// Tunables for [`TcpSender`]. The values no caller varies are this
+/// module's constants: the segment size (`SEGMENT_SIZE`), the initial
+/// window, slow-start threshold and RTO (`INITIAL_CWND`,
+/// `INITIAL_SSTHRESH`, `INITIAL_RTO`) and the RTO floor (`MIN_RTO`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
     /// ACK size in bytes.
     pub ack_size: u32,
     /// Upper bound on the congestion window (receiver window stand-in).
     pub max_cwnd: f64,
-    /// Lower bound for the RTO.
-    pub min_rto: SimDuration,
     /// Upper bound for the RTO.
     pub max_rto: SimDuration,
 }
@@ -47,7 +48,6 @@ impl Default for TcpConfig {
         TcpConfig {
             ack_size: 40,
             max_cwnd: 64.0,
-            min_rto: SimDuration::from_millis(200),
             max_rto: SimDuration::from_secs(8),
         }
     }
@@ -65,8 +65,8 @@ impl TcpConfig {
                 "max_cwnd must be >= the initial window ({INITIAL_CWND} segments)"
             ));
         }
-        if self.min_rto > self.max_rto {
-            return Err("min_rto exceeds max_rto".into());
+        if self.max_rto < MIN_RTO {
+            return Err(format!("max_rto must be >= the RTO floor ({MIN_RTO})"));
         }
         Ok(())
     }
@@ -148,7 +148,7 @@ impl TcpSender {
             dup_acks: 0,
             recover: 0,
             in_fast_recovery: false,
-            rtt: RttEstimator::new(INITIAL_RTO, config.min_rto, config.max_rto),
+            rtt: RttEstimator::new(INITIAL_RTO, MIN_RTO, config.max_rto),
             last_peer_ts: SimTime::ZERO,
             rto_generation: 0,
             data_sent: 0,
@@ -696,6 +696,12 @@ mod tests {
     fn config_validation() {
         assert!(TcpConfig {
             max_cwnd: 1.0,
+            ..TcpConfig::default()
+        }
+        .validate()
+        .is_err());
+        assert!(TcpConfig {
+            max_rto: MIN_RTO / 2,
             ..TcpConfig::default()
         }
         .validate()

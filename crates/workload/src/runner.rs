@@ -101,10 +101,6 @@ pub struct RunOutcome {
     /// with [`mafic_obs::diff_ledgers`] to name the first diverging
     /// interval and component.
     pub ledger: Option<RunLedger>,
-    /// The last simulator trace events (oldest first), rendered as
-    /// display strings. Empty unless [`ScenarioSpec::trace_capacity`]
-    /// is positive.
-    pub trace_tail: Vec<String>,
     /// The encoded state snapshot captured at the first monitor-interval
     /// boundary at or after [`ScenarioSpec::checkpoint_at`]; `None`
     /// when no checkpoint was requested. Feed the bytes to
@@ -542,40 +538,32 @@ struct DrainedMeters {
 }
 
 /// Drains domain `d`'s pre/post meter windows, accumulates the residual
-/// and returns the offered totals. Indexed loops — the meter handles
-/// are Copy pairs — so draining borrows the plan and the simulator one
-/// statement at a time, no clones.
+/// and returns the offered totals. The meter handles are Copy pairs,
+/// read through one closure that alone borrows the simulator.
 fn drain_meters(sim: &mut Simulator, plan: &mut PushbackPlan, d: usize) -> DrainedMeters {
-    let mut inflow_bytes = 0u64;
-    let mut local_bytes = 0u64;
-    for m in 0..plan.domains[d].pre_meters.len() {
-        let (node, idx) = plan.domains[d].pre_meters[m];
-        let meter = sim
-            .filter_mut::<mafic_pushback::VictimRateMeter>(node, idx)
-            .expect("meter installed at build time");
-        let bytes = meter.take_window().0;
+    let dom = &mut plan.domains[d];
+    let mut take = |(node, idx): (NodeId, usize)| {
+        sim.filter_mut::<mafic_pushback::VictimRateMeter>(node, idx)
+            .expect("meter installed at build time")
+            .take_window()
+            .0
+    };
+    let (mut inflow_bytes, mut local_bytes) = (0, 0);
+    for &(node, idx) in &dom.pre_meters {
+        let bytes = take((node, idx));
         inflow_bytes += bytes;
-        if plan.domains[d].border_nodes.binary_search(&node).is_err() {
+        if dom.border_nodes.binary_search(&node).is_err() {
             local_bytes += bytes;
         }
     }
-    let mut residual_bytes = 0u64;
-    for m in 0..plan.domains[d].post_meters.len() {
-        let (node, idx) = plan.domains[d].post_meters[m];
-        let meter = sim
-            .filter_mut::<mafic_pushback::VictimRateMeter>(node, idx)
-            .expect("meter installed at build time");
-        residual_bytes += meter.take_window().0;
-    }
-    plan.domains[d].residual_bytes += residual_bytes;
+    dom.residual_bytes += dom.post_meters.iter().map(|&slot| take(slot)).sum::<u64>();
     DrainedMeters {
         inflow_bytes,
         local_bytes,
     }
 }
 
-/// How many trailing trace events the runner surfaces in
-/// [`RunOutcome::trace_tail`] and embeds in the ledger.
+/// How many trailing trace events the runner embeds in the ledger.
 const TRACE_TAIL_EVENTS: usize = 32;
 
 /// Hashes the filters at `slots` through their own
@@ -764,9 +752,6 @@ pub struct RunState {
     /// Number of cardinality readings behind the sum.
     cardinality_intervals: u64,
     ledger: Option<LedgerBuilder>,
-    /// The ledger's probe, reused every interval so its labels are
-    /// allocated once per run.
-    probe: IntervalProbe,
     /// Per-domain component labels `dom<d>/{coord, trust, filters,
     /// meters, channel}`, built by the first probe: a run with the
     /// ledger and the checkpoint off never formats them.
@@ -939,7 +924,6 @@ fn fresh_state(scenario: &Scenario) -> Result<RunState, WorkloadError> {
                 workers: 0,
             })
         }),
-        probe: IntervalProbe::new(),
         dom_labels: OnceCell::new(),
         next_stop: SimTime::ZERO + scenario.spec.monitor_interval,
         last_stop: SimTime::ZERO,
@@ -979,18 +963,14 @@ pub fn resume_scenario(
 /// the slot pre-filled). Runs only at the top of the monitor loop, so
 /// the capture point is always an interval boundary with the previous
 /// interval fully processed: the exact state a resumed loop re-enters.
-fn maybe_capture(scenario: &Scenario, state: &mut RunState) {
+fn maybe_capture(scenario: &Scenario, state: &mut RunState, probe: &mut IntervalProbe) {
     let Some(at) = scenario.spec.checkpoint_at else {
         return;
     };
     if state.checkpoint.is_some() || state.last_stop < at {
         return;
     }
-    // The ledger's probe computes the integrity table: its labels are
-    // already allocated.
-    let mut probe = std::mem::take(&mut state.probe);
-    state.checkpoint = Some(capture(scenario, state, &mut probe));
-    state.probe = probe;
+    state.checkpoint = Some(capture(scenario, state, probe));
 }
 
 /// Phase 2 — runs the simulator to the next interval boundary (or the
@@ -1103,16 +1083,14 @@ fn step_adversary(scenario: &mut Scenario, state: &mut RunState) {
 /// with the *next* interval (the pinned chains record exactly that),
 /// and no early return in the detection tail can decide whether an
 /// interval is hashed — every interval is, once, at this loop point.
-fn record_ledger(scenario: &Scenario, state: &mut RunState) {
+fn record_ledger(scenario: &Scenario, state: &mut RunState, probe: &mut IntervalProbe) {
     if state.ledger.is_none() {
         return;
     }
-    let mut probe = std::mem::take(&mut state.probe);
-    compute_probe(scenario, state, &mut probe);
+    compute_probe(scenario, state, probe);
     if let Some(builder) = state.ledger.as_mut() {
-        builder.record_interval(scenario.sim.now().as_nanos(), &probe);
+        builder.record_interval(scenario.sim.now().as_nanos(), probe);
     }
-    state.probe = probe;
 }
 
 /// Phase 8 — the victim-side detection tail, last in the interval:
@@ -1163,22 +1141,25 @@ fn detect(scenario: &mut Scenario, state: &mut RunState) -> Result<(), WorkloadE
 }
 
 /// The monitor loop shared by fresh and resumed runs: eight phases in a
-/// fixed order, each documenting the ordering it depends on.
+/// fixed order, each documenting the ordering it depends on. The ledger
+/// and the checkpoint share one probe, reused every interval so its
+/// labels are allocated once per run.
 fn drive(scenario: &mut Scenario, state: &mut RunState) -> Result<RunOutcome, WorkloadError> {
+    let mut probe = IntervalProbe::new();
     while scenario.sim.now() < scenario.spec.end {
-        maybe_capture(scenario, state);
+        maybe_capture(scenario, state, &mut probe);
         let elapsed = advance(scenario, state);
         let victim_cardinality = harvest_taps(scenario, state);
         step_cascade(scenario, state, elapsed, victim_cardinality);
         rearm_after_teardown(scenario, state);
         step_adversary(scenario, state);
-        record_ledger(scenario, state);
+        record_ledger(scenario, state, &mut probe);
         detect(scenario, state)?;
     }
     // A checkpoint requested inside the final interval lands here: the
     // loop has exited, but the capture (at `end`, trivially resumable)
     // must still happen rather than silently not.
-    maybe_capture(scenario, state);
+    maybe_capture(scenario, state, &mut probe);
     Ok(assemble_outcome(scenario, state))
 }
 
@@ -1214,7 +1195,6 @@ fn assemble_outcome(scenario: &Scenario, state: &mut RunState) -> RunOutcome {
     } else {
         0.0
     };
-    let trace_tail = scenario.sim.trace_tail(TRACE_TAIL_EVENTS);
     RunOutcome {
         report,
         series: victim_arrival_series(stats),
@@ -1231,8 +1211,7 @@ fn assemble_outcome(scenario: &Scenario, state: &mut RunState) -> RunOutcome {
         ledger: state
             .ledger
             .take()
-            .map(|builder| builder.finish(trace_tail.clone())),
-        trace_tail,
+            .map(|builder| builder.finish(scenario.sim.trace_tail(TRACE_TAIL_EVENTS))),
         checkpoint: state.checkpoint.take(),
     }
 }
@@ -1317,31 +1296,28 @@ pub fn restore_run(
 ) -> Result<(Scenario, RunState), WorkloadError> {
     let snapshot = Snapshot::decode(bytes)?;
     let header = &snapshot.header;
-    let crate_version = env!("CARGO_PKG_VERSION");
-    if header.crate_version != crate_version {
-        return Err(SnapError::HeaderMismatch {
-            field: "crate_version",
-            expected: crate_version.to_string(),
-            found: header.crate_version.clone(),
+    let identity = [
+        (
+            "crate_version",
+            env!("CARGO_PKG_VERSION").to_string(),
+            header.crate_version.clone(),
+        ),
+        ("seed", spec.seed.to_string(), header.seed.to_string()),
+        (
+            "spec_fingerprint",
+            format!("{:016x}", spec.fingerprint()),
+            format!("{:016x}", header.spec_fingerprint),
+        ),
+    ];
+    for (field, expected, found) in identity {
+        if expected != found {
+            return Err(SnapError::HeaderMismatch {
+                field,
+                expected,
+                found,
+            }
+            .into());
         }
-        .into());
-    }
-    if header.seed != spec.seed {
-        return Err(SnapError::HeaderMismatch {
-            field: "seed",
-            expected: spec.seed.to_string(),
-            found: header.seed.to_string(),
-        }
-        .into());
-    }
-    let fingerprint = spec.fingerprint();
-    if header.spec_fingerprint != fingerprint {
-        return Err(SnapError::HeaderMismatch {
-            field: "spec_fingerprint",
-            expected: format!("{fingerprint:016x}"),
-            found: format!("{:016x}", header.spec_fingerprint),
-        }
-        .into());
     }
     let mut scenario = Scenario::build(spec.clone())?;
     let mut state = fresh_state(&scenario)?;

@@ -509,7 +509,6 @@ fn provision_cross_traffic(
         sim.bind_local_addr(dst_host.node, dst_host.addr, sink);
         let tcp_config = TcpConfig {
             max_cwnd,
-            min_rto: SimDuration::from_millis(200),
             max_rto: SimDuration::from_secs(2),
             ..TcpConfig::default()
         };
@@ -665,7 +664,6 @@ fn provision_flow(
         // Moderate RTO bounds so nice flows regain their share
         // promptly after passing the probe test (Fig. 4b).
         let tcp_config = TcpConfig {
-            min_rto: SimDuration::from_millis(200),
             max_rto: SimDuration::from_secs(2),
             ..TcpConfig::default()
         };

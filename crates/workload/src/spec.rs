@@ -210,8 +210,8 @@ pub struct ScenarioSpec {
     pub end: SimTime,
     /// Ring capacity of the simulator's [`mafic_netsim::TraceBuffer`].
     /// `0` (the default) leaves tracing off; when positive, the runner
-    /// surfaces the last events in [`crate::RunOutcome::trace_tail`]
-    /// and embeds them in the run ledger.
+    /// embeds the last events in the run ledger's
+    /// [`mafic_obs::RunLedger::trace_tail`].
     pub trace_capacity: usize,
     /// Record a per-interval [`mafic_obs::RunLedger`] of chained
     /// component state hashes. Off by default: the hot path pays
@@ -336,7 +336,6 @@ impl ScenarioSpec {
                 request_budget: self.trust_budget,
                 attestation_fraction: self.attestation_fraction,
             },
-            ..PushbackConfig::default()
         }
     }
 

@@ -11,7 +11,7 @@
 use mafic_suite::experiments::figures::{adversary_strategy_series, fig11_spec, trust_budget_axis};
 use mafic_suite::experiments::{run_specs, sweep, EngineConfig};
 use mafic_suite::netsim::SimTime;
-use mafic_suite::pushback::PushbackConfig;
+use mafic_suite::pushback::HOLD_INTERVALS;
 use mafic_suite::workload::{
     restore_run, resume_scenario, run_spec, RunOutcome, ScenarioSpec, StrategyKind,
 };
@@ -91,11 +91,10 @@ fn rotation_no_faster_than_the_lease_is_identical_to_open_loop() {
     // directives and the armed run must reproduce the adversary-free
     // run exactly.
     let open = run_spec(fig11_spec(None, 2)).expect("open-loop run");
-    // The published lease the adversary's rotation gate compares with.
-    let lease = PushbackConfig::default().hold_intervals;
     let inert = run_spec(fig11_spec(
         Some(StrategyKind::SourceRotation {
-            period_intervals: lease,
+            // The published lease the rotation gate compares with.
+            period_intervals: HOLD_INTERVALS,
             active_fraction: 0.5,
         }),
         2,

@@ -58,7 +58,7 @@ fn assert_replay(a: &RunOutcome, b: &RunOutcome) {
     assert!(
         report.is_identical(),
         "replay diverged:\n{report}\ntrace tail (run a):\n{}",
-        a.trace_tail.join("\n")
+        la.trace_tail.join("\n")
     );
     assert_eq!(
         la.to_jsonl(),

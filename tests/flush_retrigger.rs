@@ -45,7 +45,6 @@ fn build() -> Fixture {
 
     let config = MaficConfig {
         drop_probability: 1.0, // deterministic sampling into the SFT
-        default_rtt: SimDuration::from_millis(50),
         seed: 99,
         ..MaficConfig::default()
     };
