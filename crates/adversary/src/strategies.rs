@@ -23,7 +23,7 @@ pub(crate) const NOMINAL_MILLI: u32 = 1000;
 pub(crate) const LEASE_INTERVALS: u32 = 12;
 
 /// The defense's published escalation hysteresis window, in monitor
-/// intervals (the pushback coordinator's `TRIGGER_INTERVALS`). A pulse
+/// intervals (`mafic_pushback::TRIGGER_INTERVALS`). A pulse
 /// needs one dark interval in it, so it is at least 2.
 pub(crate) const TRIGGER_INTERVALS: u32 = 4;
 const _: () = assert!(TRIGGER_INTERVALS >= 2);

@@ -542,7 +542,7 @@ mod tests {
         assert!(matches!(probe.kind, PacketKind::ProbeDupAck { count: 3 }));
         assert_eq!(fx.flow_timers.len(), 1, "wheel timer armed");
         let (delay, flow, kind) = fx.flow_timers[0];
-        // RTT from timestamp: now == ts => clamped to min_rtt (20ms), timer 2x.
+        // RTT from timestamp: now == ts => clamped to MIN_RTT (20 ms), timer 2x.
         assert_eq!(delay, SimDuration::from_millis(40));
         assert_eq!(flow, h.intern(p.key), "timer carries the interned id");
         assert_eq!(kind, TIMER_PROBATION);

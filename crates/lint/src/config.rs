@@ -230,11 +230,11 @@ impl LintConfig {
                 ("metrics", 391, 19),
                 ("netsim", 3572, 210),
                 ("obs", 1458, 78),
-                ("pushback", 875, 50),
+                ("pushback", 875, 51),
                 ("topology", 497, 34),
                 ("transport", 787, 35),
                 ("workload", 1887, 29),
-                ("total", 13289, 631),
+                ("total", 13289, 632),
             ],
             type_size: vec![
                 ("ScenarioSpec", 34),

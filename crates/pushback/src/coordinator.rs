@@ -46,7 +46,7 @@
 //! same evidence would only burn its budget).
 //!
 //! * **Escalation (with hysteresis).** While defending, if the observed
-//!   inflow stays above `threshold_bps` for `TRIGGER_INTERVALS`
+//!   inflow stays above `threshold_bps` for [`TRIGGER_INTERVALS`]
 //!   *consecutive* intervals (any dip resets the counter) and budget
 //!   remains, send `Request{budget-1}` upstream.
 //! * **Leases (soft state).** An upstream defense installed by a
@@ -120,7 +120,7 @@ impl fmt::Display for PushbackConfigError {
 impl std::error::Error for PushbackConfigError {}
 
 /// Consecutive intervals above threshold before escalating.
-const TRIGGER_INTERVALS: u32 = 4;
+pub const TRIGGER_INTERVALS: u32 = 4;
 /// Send a lease `Refresh` upstream (and a `Report` downstream) every
 /// this many intervals.
 const REFRESH_INTERVALS: u32 = 5;
@@ -135,7 +135,7 @@ const _: () = assert!(HOLD_INTERVALS > REFRESH_INTERVALS);
 ///
 /// Only values some caller varies are fields. The values nobody varies
 /// are the constants in this module: the escalation trigger
-/// (`TRIGGER_INTERVALS`), the lease refresh period
+/// ([`TRIGGER_INTERVALS`]), the lease refresh period
 /// (`REFRESH_INTERVALS`) and the lease itself ([`HOLD_INTERVALS`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PushbackConfig {
@@ -1511,12 +1511,14 @@ mod tests {
         // Reports of a still-raging raw flood hold the defense up even
         // though the local boundary is quiet (the cut works).
         let _ = deliver(&mut c, report(1, 9000), 100.0, &mut plane);
-        for _ in 0..4 {
+        for _ in 0..HOLD_INTERVALS {
             let _ = tick(&mut c, 100.0, &mut plane);
         }
         assert!(c.is_escalated(), "reported raw flood keeps the defense up");
         // A forged report of subsidence from an unknown identity
-        // changes nothing.
+        // changes nothing. The vetted report goes stale on the next
+        // tick, so a believed forgery would be the only fresh evidence
+        // and would stand the victim down within the loop below.
         let forged = ControlMsg::new(
             identity(9),
             1,

@@ -13,7 +13,7 @@
 //!   (idle → defending → escalated → standing-down → idle). It watches
 //!   the victim-bound aggregate entering the domain boundary and, when
 //!   its local MAFIC deployment cannot stop the flood at the source
-//!   (sustained pressure for `TRIGGER_INTERVALS` monitor intervals),
+//!   (sustained pressure for [`TRIGGER_INTERVALS`] monitor intervals),
 //!   escalates one hop upstream with a depth budget. Upstream defenses
 //!   are soft-state leases: renewed (or re-installed after a lost
 //!   request / lapsed lease) by full-state `Refresh` envelopes, torn
@@ -67,7 +67,7 @@ mod trust;
 pub use channel::ControlChannel;
 pub use coordinator::{
     CoordinatorStats, DomainCoordinator, LifecycleState, PushbackAction, PushbackConfig,
-    PushbackConfigError, PushbackRole, HOLD_INTERVALS,
+    PushbackConfigError, PushbackRole, HOLD_INTERVALS, TRIGGER_INTERVALS,
 };
 pub use meter::VictimRateMeter;
 pub use plane::{BufferedPlane, ControlPlane};

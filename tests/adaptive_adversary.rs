@@ -8,10 +8,13 @@
 //! mid-engagement must restore the controller and resume
 //! byte-identically.
 
+use mafic_suite::adversary::{
+    AdversaryController, AdversaryDirective, AdversarySpec, SourceFeedback,
+};
 use mafic_suite::experiments::figures::{adversary_strategy_series, fig11_spec, trust_budget_axis};
 use mafic_suite::experiments::{run_specs, sweep, EngineConfig};
 use mafic_suite::netsim::SimTime;
-use mafic_suite::pushback::HOLD_INTERVALS;
+use mafic_suite::pushback::{HOLD_INTERVALS, TRIGGER_INTERVALS};
 use mafic_suite::workload::{
     restore_run, resume_scenario, run_spec, RunOutcome, ScenarioSpec, StrategyKind,
 };
@@ -101,6 +104,54 @@ fn rotation_no_faster_than_the_lease_is_identical_to_open_loop() {
     ))
     .expect("inert rotation run");
     assert_runs_identical(&open, &inert, "lease-gated rotation");
+}
+
+#[test]
+fn adversary_timing_matches_the_published_pushback_constants() {
+    // The adversary may not read defender code, so it keeps its own
+    // copies of the lease and the hysteresis window; its controller
+    // must act on exactly the coordinator's values. Every interval
+    // shows 90 % loss, which engages every strategy.
+    let drive = |strategy: StrategyKind, intervals: u32| {
+        let spec = AdversarySpec::with_strategy(strategy);
+        let mut controller = AdversaryController::new(spec, vec![0, 0, 1, 1], 1);
+        (1..=u64::from(intervals))
+            .map(|i| {
+                let mut feedback = controller.take_feedback_buf();
+                feedback.fill(SourceFeedback {
+                    sent: 100 * i,
+                    delivered: 10 * i,
+                });
+                controller.observe_interval(feedback).to_vec()
+            })
+            .collect::<Vec<_>>()
+    };
+    // Rotation acts exactly when its period is shorter than the lease.
+    let rotation = |period_intervals| StrategyKind::SourceRotation {
+        period_intervals,
+        active_fraction: 0.5,
+    };
+    let intervals = 2 * HOLD_INTERVALS;
+    assert!(drive(rotation(HOLD_INTERVALS), intervals)
+        .iter()
+        .all(Vec::is_empty));
+    assert!(drive(rotation(HOLD_INTERVALS - 1), intervals)
+        .iter()
+        .any(|d| !d.is_empty()));
+    // Tuned pulses go dark once per hysteresis window.
+    let pulses = drive(
+        StrategyKind::PulseTuning { boost_milli: 0 },
+        3 * TRIGGER_INTERVALS,
+    );
+    let dark: Vec<usize> = (0..pulses.len())
+        .filter(|&i| {
+            pulses[i]
+                .iter()
+                .any(|d| matches!(d, AdversaryDirective::SetActive { active: false, .. }))
+        })
+        .collect();
+    let window = TRIGGER_INTERVALS as usize;
+    assert_eq!(dark, [window - 1, 2 * window - 1, 3 * window - 1]);
 }
 
 #[test]
